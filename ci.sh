@@ -61,12 +61,15 @@ run cargo run --release --offline --example multi_tenant -- --devices 2 --prof t
 # to a scratch path so CI never dirties the tree.
 run cargo run --release --offline -p pagoda-bench --bin cluster_scaling -- --smoke --out target/BENCH_cluster_smoke.json
 
-# Parallel-driver gate: serial and parallel fleet drivers must be
-# byte-identical (always enforced; the bin exits nonzero on mismatch),
-# and on hosts with >= 4 cores the 4-device parallel run must clear 2x
-# serial wall-clock. On smaller hosts the speedup is recorded but not
-# gated — a 1-core box cannot speed anything up.
-run cargo run --release --offline -p pagoda-bench --bin cluster_scaling -- --smoke --parallel --out target/BENCH_parallel_smoke.json
+# The repo benchmark (benchmark/, a package outside this workspace that
+# drives the stack through its public API): build it and run all four
+# workloads, end-to-end then traced, at smoke scale. Exits nonzero on a
+# build failure — how a PR that deletes public API finds out it broke
+# the yardstick — or on a `correct: false` result. Outputs land in the
+# git-ignored benchmark/target and benchmark/out; if cargo rewrites
+# benchmark/Cargo.lock, restore it with `git checkout` (the benchmark's
+# files are frozen between benchmark PRs).
+run bash benchmark/run.sh --all --smoke
 
 # Hot-path gate: desim queue ops/sec, end-to-end tasks/sec, and the mem
 # recorder's overhead over a disabled run (the bin exits nonzero past
@@ -85,11 +88,12 @@ run cargo run --release --offline -p pagoda-bench --bin hotpath -- --smoke --out
 #   regression makes an invariant toothless, this catches it.
 #
 #   explore — runs the invariant-checked scenario sweep: every scenario
-#   serial + parallel with the checker teed into the recorder, byte-
-#   comparing the two drivers on top of the invariant verdicts. The
-#   default smoke sweep is a handful of scenarios; set
-#   PAGODA_CHECK_EXTENDED=1 to run the full seeds × placements ×
-#   run-ahead × fault-schedule grid (the bin reads the env itself).
+#   with the checker teed into the recorder, failures shrunk to a
+#   replayable command line. The default smoke sweep is a handful of
+#   scenarios; set PAGODA_CHECK_EXTENDED=1 to run the full seeds ×
+#   placements × fault-schedule grid (the bin reads the env itself).
+#   Byte-identity of the smoke sweep is gated separately by the
+#   workspace tests (tests/fleet_fingerprints.rs).
 run cargo run --release --offline -p pagoda-check --bin pagoda_check -- mutation-smoke
 run cargo run --release --offline -p pagoda-check --bin pagoda_check -- explore
 

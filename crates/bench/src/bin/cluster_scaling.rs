@@ -24,25 +24,13 @@
 //! nonzero if the scaling gate fails. Fully deterministic: same seed ⇒
 //! byte-identical JSON.
 //!
-//! **`--parallel`** switches to a third experiment, written to
-//! `BENCH_parallel.json`: the same closed-loop batch is driven twice per
-//! fleet size — serial driver vs. the scoped-thread-pool driver
-//! (`ClusterConfig::parallel`) — and compared on *wall-clock* time. The
-//! run always verifies byte-equality (recorder streams, completion
-//! times, engine stats, fleet report must match exactly; a mismatch
-//! exits nonzero). The ≥`--gate`× wall-clock speedup assertion at 4
-//! devices is enforced only when the host actually has ≥ 4 cores
-//! (`std::thread::available_parallelism`); on smaller hosts the measured
-//! speedup is reported with `gate_enforced: false`.
-//!
 //! Run with `cargo run --release -p pagoda-bench --bin cluster_scaling`
 //! (add `--smoke` for the CI-sized run).
 
 use gpu_sim::WarpWork;
-use pagoda_check::{CheckLimits, CheckRecorder};
 use pagoda_cluster::{ClusterConfig, ClusterHandle, Placement};
 use pagoda_core::{SubmitError, TaskDesc};
-use pagoda_prof::{ProfReport, ProfSummary};
+use pagoda_prof::ProfSummary;
 use pagoda_serve::{percentile, serve_on, Policy, ServeConfig, TenantSpec};
 use serde::Serialize;
 use workloads::Bench;
@@ -89,43 +77,6 @@ struct BenchReport {
     attribution: ProfSummary,
 }
 
-/// One fleet size of the serial-vs-parallel wall-clock comparison.
-#[derive(Debug, Clone, Serialize)]
-struct ParallelPoint {
-    devices: usize,
-    tasks: usize,
-    serial_wall_ms: f64,
-    parallel_wall_ms: f64,
-    /// Serial wall-clock over parallel wall-clock.
-    speedup: f64,
-    /// Simulated makespan — identical between the two drivers by
-    /// construction (asserted).
-    makespan_us: f64,
-}
-
-#[derive(Debug, Clone, Serialize)]
-struct ParallelReport {
-    bench: String,
-    smoke: bool,
-    /// `std::thread::available_parallelism()` on the measuring host.
-    host_cores: usize,
-    gate_devices: usize,
-    gate_required: f64,
-    /// The wall-clock gate only binds on hosts with >= `gate_devices`
-    /// cores; a 1-core box cannot speed anything up, but must still
-    /// produce byte-identical results (always checked).
-    gate_enforced: bool,
-    gate_measured: f64,
-    pass: bool,
-    /// Whether the byte-equality sub-run matched (a `false` here fails
-    /// the bench regardless of the wall-clock gate).
-    byte_equal: bool,
-    points: Vec<ParallelPoint>,
-    /// Critical-path attribution of the serial equality run (identical
-    /// under the parallel driver — the streams are byte-equal).
-    attribution: ProfSummary,
-}
-
 /// The uniform narrow task of the scaling batch: 4 warps, ~30 us of
 /// device work, a small payload each way — the paper's "narrow task"
 /// shape, heavy enough that execution (not spawning) bounds a device.
@@ -139,7 +90,7 @@ fn task() -> TaskDesc {
 /// Closed-loop batch on an `n`-device fleet; returns simulated makespan
 /// in microseconds.
 fn scaling_run(n: usize, tasks: usize) -> f64 {
-    drive_batch(n, tasks, false, pagoda_obs::Obs::off()).0
+    drive_batch(n, tasks, pagoda_obs::Obs::off())
 }
 
 /// Gate-sized batch re-driven with a [`pagoda_prof::ProfRecorder`]
@@ -148,20 +99,18 @@ fn scaling_run(n: usize, tasks: usize) -> f64 {
 /// the critical-path attribution of where that time went.
 fn attribution_run(n: usize, tasks: usize) -> ProfSummary {
     let (obs, rec) = pagoda_prof::ProfRecorder::recording();
-    drive_batch(n, tasks, false, obs);
+    drive_batch(n, tasks, obs);
     rec.report().summary()
 }
 
-/// Closed-loop batch with an explicit driver mode and obs sink; returns
-/// simulated makespan (us) and host wall-clock (ms).
-fn drive_batch(n: usize, tasks: usize, parallel: bool, obs: pagoda_obs::Obs) -> (f64, f64) {
+/// Closed-loop batch with an explicit obs sink; returns simulated
+/// makespan in microseconds.
+fn drive_batch(n: usize, tasks: usize, obs: pagoda_obs::Obs) -> f64 {
     let mut cfg = ClusterConfig::uniform(n);
     // The uniform batch models fleet-resident data: every device is
     // "home", so no placement pays the staging transfer. (The skew
     // experiment is where affinity costs show.)
     cfg.affinity_spread = n as u32;
-    cfg.parallel = parallel;
-    let started = std::time::Instant::now();
     let mut fleet = ClusterHandle::new(cfg).expect("uniform config is valid");
     fleet.attach_obs(obs);
     let mut spawned = 0usize;
@@ -186,10 +135,7 @@ fn drive_batch(n: usize, tasks: usize, parallel: bool, obs: pagoda_obs::Obs) -> 
     fleet.wait_all();
     let rep = fleet.report();
     assert_eq!(rep.completed as usize, tasks, "scaling batch must complete");
-    (
-        rep.makespan.as_us_f64(),
-        started.elapsed().as_secs_f64() * 1e3,
-    )
+    rep.makespan.as_us_f64()
 }
 
 /// Open-loop Zipf-skewed tenant mix on a 4-device fleet under `policy`.
@@ -235,164 +181,14 @@ fn skew_run(policy: Placement, zipf_s: f64, tasks_per_tenant: usize) -> SkewPoin
     }
 }
 
-/// Runs a fault-laden, observability-recording batch under one driver
-/// and returns everything that must be byte-identical across drivers.
-/// The recorder is a [`CheckRecorder`]: the invariant checker rides the
-/// bench for free, so a fleet bug that happens not to perturb the byte
-/// comparison (both drivers wrong the same way) still fails the gate.
-fn equality_run(parallel: bool) -> ((String, Vec<Option<f64>>, String), pagoda_obs::ObsBuffer) {
-    let mut cfg = ClusterConfig::uniform(4);
-    cfg.placement = Placement::PowerOfTwo;
-    cfg.seed = 0xb17e;
-    cfg.parallel = parallel;
-    // A window that does not divide the 20 us polling slice, so every
-    // advance crosses several partial windows and the kill below lands
-    // mid-window.
-    cfg.run_ahead = desim::Dur::from_us(5);
-    cfg.faults = vec![pagoda_cluster::FaultSpec {
-        at: desim::SimTime::from_us(40),
-        device: 2,
-        kind: pagoda_cluster::FaultKind::Kill,
-    }];
-    let (obs, rec) = CheckRecorder::recording(Some(CheckLimits::of(&cfg.devices[0])));
-    let mut fleet = ClusterHandle::new(cfg).expect("equality config is valid");
-    fleet.attach_obs(obs);
-    let mut keys = Vec::new();
-    let mut pending = task();
-    while keys.len() < 256 {
-        match fleet.submit(pending) {
-            Ok(k) => {
-                keys.push(k);
-                pending = task();
-            }
-            Err(SubmitError::Full(desc)) => {
-                fleet.sync();
-                if !fleet.capacity().has_room() {
-                    let t = fleet.now() + desim::Dur::from_us(20);
-                    fleet.advance_to(t);
-                }
-                pending = desc;
-            }
-            Err(e) => panic!("unspawnable bench task: {e}"),
-        }
-    }
-    fleet.wait_all();
-    let violations = rec.finish();
-    assert!(
-        violations.is_empty(),
-        "invariants broken during the equality run: {violations:?}"
-    );
-    let times: Vec<Option<f64>> = keys
-        .iter()
-        .map(|&k| fleet.completion_time(k).map(|t| t.as_us_f64()))
-        .collect();
-    let fingerprint = format!("{:?}/{:?}", fleet.engine_stats(), fleet.report());
-    let buf = rec.snapshot();
-    ((buf.to_json(), times, fingerprint), buf)
-}
-
-fn parallel_main(smoke: bool, gate: f64, out: String) {
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (device_counts, batch): (&[usize], usize) =
-        if smoke { (&[4], 768) } else { (&[4, 8], 2048) };
-
-    eprintln!("byte-equality: serial vs parallel driver (4 devices, kill fault, 5 us windows)");
-    let (serial_eq, serial_buf) = equality_run(false);
-    let (parallel_eq, _) = equality_run(true);
-    let byte_equal = serial_eq == parallel_eq;
-    if byte_equal {
-        eprintln!("byte-equality: OK (recorder stream, completion times, stats, report)");
-    } else {
-        eprintln!("byte-equality: MISMATCH between serial and parallel drivers");
-        if serial_eq.0 != parallel_eq.0 {
-            eprintln!("  recorder streams differ");
-        }
-        if serial_eq.1 != parallel_eq.1 {
-            eprintln!("  completion times differ");
-        }
-        if serial_eq.2 != parallel_eq.2 {
-            eprintln!("  engine stats / fleet report differ");
-        }
-    }
-
-    let mut points = Vec::new();
-    for &n in device_counts {
-        let (serial_mk, serial_wall) = drive_batch(n, batch, false, pagoda_obs::Obs::off());
-        let (parallel_mk, parallel_wall) = drive_batch(n, batch, true, pagoda_obs::Obs::off());
-        assert!(
-            (serial_mk - parallel_mk).abs() < 1e-9,
-            "drivers disagree on simulated makespan at {n} devices: \
-             {serial_mk} vs {parallel_mk}"
-        );
-        let speedup = serial_wall / parallel_wall;
-        eprintln!(
-            "parallel: {n} device(s)  serial {serial_wall:8.1} ms  \
-             parallel {parallel_wall:8.1} ms  speedup {speedup:.2}x"
-        );
-        points.push(ParallelPoint {
-            devices: n,
-            tasks: batch,
-            serial_wall_ms: serial_wall,
-            parallel_wall_ms: parallel_wall,
-            speedup,
-            makespan_us: serial_mk,
-        });
-    }
-
-    const GATE_DEVICES: usize = 4;
-    let gate_enforced = host_cores >= GATE_DEVICES;
-    let measured = points
-        .iter()
-        .find(|p| p.devices == GATE_DEVICES)
-        .map_or(0.0, |p| p.speedup);
-    let pass = byte_equal && (!gate_enforced || measured >= gate);
-    let report = ParallelReport {
-        bench: "cluster_scaling_parallel".into(),
-        smoke,
-        host_cores,
-        gate_devices: GATE_DEVICES,
-        gate_required: gate,
-        gate_enforced,
-        gate_measured: measured,
-        pass,
-        byte_equal,
-        points,
-        attribution: ProfReport::from_buffer(&serial_buf).summary(),
-    };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write(&out, format!("{json}\n")).expect("write report");
-    eprintln!("wrote {out}");
-    if !byte_equal {
-        eprintln!("GATE FAILED: parallel driver is not byte-identical to serial");
-        std::process::exit(1);
-    }
-    if gate_enforced && measured < gate {
-        eprintln!(
-            "GATE FAILED: {GATE_DEVICES}-device wall-clock speedup {measured:.2}x \
-             < required {gate:.2}x ({host_cores} cores)"
-        );
-        std::process::exit(1);
-    }
-    if gate_enforced {
-        eprintln!("gate passed: {measured:.2}x >= {gate:.2}x at {GATE_DEVICES} devices");
-    } else {
-        eprintln!(
-            "gate skipped: host has {host_cores} core(s) < {GATE_DEVICES}; \
-             measured {measured:.2}x recorded, byte-equality enforced"
-        );
-    }
-}
-
 fn main() {
     let mut smoke = false;
-    let mut parallel = false;
     let mut gate: Option<f64> = None;
     let mut out: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--parallel" => parallel = true,
             "--gate" => {
                 gate = Some(
                     args.next()
@@ -405,12 +201,6 @@ fn main() {
             }
             other => panic!("unknown argument {other}"),
         }
-    }
-    if parallel {
-        let gate = gate.unwrap_or(2.0);
-        let out = out.unwrap_or_else(|| "BENCH_parallel.json".into());
-        parallel_main(smoke, gate, out);
-        return;
     }
     let gate = gate.unwrap_or(3.2);
     let out = out.unwrap_or_else(|| "BENCH_cluster.json".into());

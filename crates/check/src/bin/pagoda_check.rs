@@ -7,9 +7,9 @@
 //! pagoda_check fingerprint [--extended] dump per-scenario fingerprints
 //! ```
 //!
-//! `explore` checks every scenario under both fleet drivers
-//! (byte-compared) and shrinks failures to minimal reproducers, printed
-//! as replayable `pagoda_check replay` command lines. The extended
+//! `explore` checks every scenario under the invariant checker and
+//! shrinks failures to minimal reproducers, printed as replayable
+//! `pagoda_check replay` command lines. The extended
 //! cross-product sweep runs with `--extended` or
 //! `PAGODA_CHECK_EXTENDED=1`. Exit status is nonzero on any finding.
 
@@ -25,7 +25,6 @@ fn usage() -> ! {
            --devices N            fleet size (default 4)\n\
            --placement P          round-robin | least-outstanding | power-of-two | tenant-affinity\n\
            --seed S               placement seed (default 1)\n\
-           --run-ahead-us U       run-ahead window, us (default 20)\n\
            --tasks T              batch size (default 32)\n\
            --tenants K            tenants round-robined over (default 4)\n\
            --spread W             home-set width (default 1)\n\
@@ -115,11 +114,6 @@ fn replay_main(mut args: std::env::Args) -> i32 {
                     .parse()
                     .unwrap_or_else(|_| usage())
             }
-            "--run-ahead-us" => {
-                sc.run_ahead_us = need(&mut args, "--run-ahead-us")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
             "--tasks" => {
                 sc.tasks = need(&mut args, "--tasks")
                     .parse()
@@ -157,7 +151,7 @@ fn replay_main(mut args: std::env::Args) -> i32 {
     eprintln!("replaying: {}", sc.replay_cli());
     match check_scenario(&sc) {
         None => {
-            eprintln!("clean: no violations, drivers byte-identical");
+            eprintln!("clean: no violations");
             0
         }
         Some(fail) => {
@@ -169,10 +163,11 @@ fn replay_main(mut args: std::env::Args) -> i32 {
     }
 }
 
-/// Dumps every sweep scenario's serial and parallel fingerprints to
-/// stdout, one record per line. Capturing this before and after a
-/// hot-path change is how "byte-identical behavior" is audited: diff
-/// the dumps and every divergence is pinned to a scenario and driver.
+/// Dumps every sweep scenario's fingerprint to stdout, one record per
+/// line. Capturing this before and after a hot-path change is how
+/// "byte-identical behavior" is audited: diff the dumps and every
+/// divergence is pinned to a scenario. (The `[serial]` label dates from
+/// when a second driver existed; it stays so old dumps still diff.)
 fn fingerprint_main(mut args: std::env::Args) -> i32 {
     let mut extended = std::env::var("PAGODA_CHECK_EXTENDED").is_ok_and(|v| v == "1");
     for a in args.by_ref() {
@@ -182,10 +177,8 @@ fn fingerprint_main(mut args: std::env::Args) -> i32 {
         }
     }
     for sc in sweep_scenarios(extended) {
-        for (label, parallel) in [("serial", false), ("parallel", true)] {
-            let out = run_one(&sc, None, parallel);
-            println!("{} [{label}] {}", sc.replay_cli(), out.fingerprint);
-        }
+        let out = run_one(&sc, None);
+        println!("{} [serial] {}", sc.replay_cli(), out.fingerprint);
     }
     0
 }

@@ -1,12 +1,11 @@
 //! Deterministic schedule exploration: sweep fleet configurations and
-//! fault schedules under the invariant checker, byte-compare serial vs
-//! parallel drivers, and shrink failures to minimal reproducers.
+//! fault schedules under the invariant checker, and shrink failures to
+//! minimal reproducers.
 //!
 //! A [`Scenario`] is a complete, replayable description of one fleet
-//! run — seed, topology, placement policy, run-ahead window, task
-//! batch, and fault schedule. [`check_scenario`] runs it under both
-//! drivers with a [`CheckRecorder`] attached and reports every
-//! invariant violation plus any serial/parallel divergence.
+//! run — seed, topology, placement policy, task batch, and fault
+//! schedule. [`check_scenario`] runs it with a [`CheckRecorder`]
+//! attached and reports every invariant violation.
 //! [`shrink`] greedily reduces a failing scenario (drop faults, halve
 //! the batch) to the smallest configuration that still fails, and
 //! [`Scenario::replay_cli`] prints the exact `pagoda_check replay`
@@ -31,8 +30,6 @@ pub struct Scenario {
     pub devices: usize,
     /// Routing policy.
     pub placement: Placement,
-    /// Run-ahead window, microseconds.
-    pub run_ahead_us: u64,
     /// Tasks submitted.
     pub tasks: usize,
     /// Tenants the batch round-robins over.
@@ -55,7 +52,6 @@ impl Default for Scenario {
             seed: 1,
             devices: 4,
             placement: Placement::LeastOutstanding,
-            run_ahead_us: 20,
             tasks: 32,
             tenants: 4,
             spread: 1,
@@ -123,13 +119,11 @@ pub fn parse_fault(s: &str) -> Option<FaultSpec> {
 
 impl Scenario {
     /// The fleet configuration this scenario describes.
-    pub fn cluster_config(&self, parallel: bool) -> ClusterConfig {
+    pub fn cluster_config(&self) -> ClusterConfig {
         let mut cfg = ClusterConfig::uniform(self.devices);
         cfg.placement = self.placement;
         cfg.seed = self.seed;
         cfg.affinity_spread = self.spread;
-        cfg.run_ahead = Dur::from_us(self.run_ahead_us);
-        cfg.parallel = parallel;
         cfg.faults = self.faults.clone();
         cfg.retry = if self.max_attempts == 0 {
             RetryPolicy::Fail
@@ -158,12 +152,11 @@ impl Scenario {
     pub fn replay_cli(&self) -> String {
         let mut s = format!(
             "pagoda_check replay --devices {} --placement {} --seed {} \
-             --run-ahead-us {} --tasks {} --tenants {} --spread {} \
-             --base-cycles {} --max-attempts {}",
+             --tasks {} --tenants {} --spread {} --base-cycles {} \
+             --max-attempts {}",
             self.devices,
             placement_name(self.placement),
             self.seed,
-            self.run_ahead_us,
             self.tasks,
             self.tenants,
             self.spread,
@@ -186,14 +179,14 @@ pub struct RunOutcome {
     pub dropped: u64,
     /// Determinism fingerprint: recorder stream, per-task completion
     /// instants, engine stats, fleet report. Byte-identical across
-    /// drivers for a correct fleet.
+    /// replays of one scenario.
     pub fingerprint: String,
 }
 
-/// Runs one scenario under one driver, with the invariant checker
-/// attached and an optional seeded [`Mutation`].
-pub fn run_one(sc: &Scenario, mutation: Option<Mutation>, parallel: bool) -> RunOutcome {
-    let cfg = sc.cluster_config(parallel);
+/// Runs one scenario with the invariant checker attached and an
+/// optional seeded [`Mutation`].
+pub fn run_one(sc: &Scenario, mutation: Option<Mutation>) -> RunOutcome {
+    let cfg = sc.cluster_config();
     let limits = CheckLimits::of(&cfg.devices[0]);
     let (obs, rec) = CheckRecorder::recording(Some(limits));
     let mut fleet = ClusterHandle::new(cfg).expect("scenario config is valid");
@@ -245,31 +238,17 @@ pub fn run_one(sc: &Scenario, mutation: Option<Mutation>, parallel: bool) -> Run
 /// One failed scenario check: what went wrong, phrased for a human.
 #[derive(Debug, Clone)]
 pub struct Failure {
-    /// Human-readable findings (violations and/or divergence).
+    /// Human-readable findings (one per violation).
     pub findings: Vec<String>,
 }
 
-/// Runs `sc` under the serial and the parallel driver, checks
-/// invariants on both streams, and byte-compares the fingerprints.
-/// Returns `None` when everything holds.
+/// Runs `sc` under the invariant checker. Returns `None` when every
+/// invariant holds.
 pub fn check_scenario(sc: &Scenario) -> Option<Failure> {
-    let serial = run_one(sc, None, false);
-    let parallel = run_one(sc, None, true);
-    let mut findings = Vec::new();
-    for (label, out) in [("serial", &serial), ("parallel", &parallel)] {
-        for v in &out.violations {
-            findings.push(format!("[{label}] {v}"));
-        }
-        if out.dropped > 0 {
-            findings.push(format!("[{label}] (+{} more violations)", out.dropped));
-        }
-    }
-    if serial.fingerprint != parallel.fingerprint {
-        findings.push(
-            "serial and parallel drivers diverged (recorder stream / completion \
-             times / engine stats / report are not byte-identical)"
-                .to_string(),
-        );
+    let out = run_one(sc, None);
+    let mut findings: Vec<String> = out.violations.iter().map(|v| v.to_string()).collect();
+    if out.dropped > 0 {
+        findings.push(format!("(+{} more violations)", out.dropped));
     }
     if findings.is_empty() {
         None
@@ -319,27 +298,24 @@ pub fn shrink(sc: &Scenario, fails: &dyn Fn(&Scenario) -> bool) -> Scenario {
 pub fn sweep_scenarios(extended: bool) -> Vec<Scenario> {
     let mut out = Vec::new();
     if extended {
-        // Full cross-product: seeds x placements x windows x fault
-        // schedules. Small batches keep each run cheap; the coverage is
-        // in the combinations, not the batch size.
-        for seed in [1, 2, 3] {
+        // Full cross-product: seeds x placements x fault schedules.
+        // Small batches keep each run cheap; the coverage is in the
+        // combinations, not the batch size.
+        for seed in 1..=9 {
             for placement in [
                 Placement::RoundRobin,
                 Placement::LeastOutstanding,
                 Placement::PowerOfTwo,
                 Placement::TenantAffinity,
             ] {
-                for run_ahead_us in [3, 5, 20] {
-                    for faults in fault_schedules() {
-                        out.push(Scenario {
-                            seed,
-                            placement,
-                            run_ahead_us,
-                            tasks: 24,
-                            faults,
-                            ..Scenario::default()
-                        });
-                    }
+                for faults in fault_schedules() {
+                    out.push(Scenario {
+                        seed,
+                        placement,
+                        tasks: 24,
+                        faults,
+                        ..Scenario::default()
+                    });
                 }
             }
         }
@@ -354,13 +330,11 @@ pub fn sweep_scenarios(extended: bool) -> Vec<Scenario> {
         out.push(Scenario {
             placement: Placement::PowerOfTwo,
             seed: 0xb17e,
-            run_ahead_us: 5,
             faults: vec![kill(40, 2)],
             ..Scenario::default()
         });
         out.push(Scenario {
             placement: Placement::TenantAffinity,
-            run_ahead_us: 7,
             faults: vec![slow(15, 1, 4.0)],
             ..Scenario::default()
         });
@@ -373,7 +347,6 @@ pub fn sweep_scenarios(extended: bool) -> Vec<Scenario> {
         });
         out.push(Scenario {
             devices: 3,
-            run_ahead_us: 5,
             base_cycles: 200_000,
             faults: vec![slow(5, 0, 8.0), kill(60, 2)],
             ..Scenario::default()
@@ -413,7 +386,7 @@ pub fn slow(us: u64, device: usize, factor: f64) -> FaultSpec {
 /// every failure.
 #[derive(Debug)]
 pub struct ExploreOutcome {
-    /// Scenarios checked (each runs twice: serial + parallel).
+    /// Scenarios checked.
     pub checked: usize,
     /// `(shrunk scenario, findings)` per failing scenario.
     pub failures: Vec<(Scenario, Vec<String>)>,
@@ -489,7 +462,6 @@ mod tests {
     #[test]
     fn kill_scenario_checks_clean() {
         let sc = Scenario {
-            run_ahead_us: 5,
             placement: Placement::PowerOfTwo,
             faults: vec![kill(40, 2)],
             ..Scenario::default()

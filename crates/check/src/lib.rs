@@ -16,9 +16,8 @@
 //!   discipline (FIFO arrival order, EDF deadline order, per-tenant
 //!   order under weighted fairness) and flagging contract breaches.
 //! * [`explore`] — a schedule-exploration driver sweeping seeds,
-//!   placement policies, run-ahead windows, and kill/slow fault
-//!   schedules; every scenario runs under the serial *and* parallel
-//!   fleet driver, byte-compared, with failures shrunk to minimal
+//!   placement policies, and kill/slow fault schedules; every scenario
+//!   runs under the invariant checker, with failures shrunk to minimal
 //!   reproducers replayable via `pagoda_check replay`.
 //! * [`mutation_smoke`] — seeds known bugs ([`pagoda_cluster::Mutation`])
 //!   into tailored scenarios and asserts the checker flags each: the

@@ -5,12 +5,6 @@
 //! an inner [`MemRecorder`], so the buffered stream is byte-identical
 //! to what a plain recorder would have captured — attaching the checker
 //! never perturbs the determinism fingerprint it is checking.
-//!
-//! Parallel fleets fork per-device buffers and join them back in device
-//! order (the default [`Recorder::fork`]/[`Recorder::join`]); the
-//! checker inherits that, so forked events reach [`CheckCore`] at join
-//! time in the same deterministic order a serial run produces, and the
-//! checker sees one canonical stream under either driver.
 
 use std::sync::{Arc, Mutex};
 
@@ -139,24 +133,6 @@ mod tests {
             check_rec.snapshot().to_json()
         );
         assert!(check_rec.finish().is_empty());
-    }
-
-    #[test]
-    fn fork_join_checks_in_join_order() {
-        let (obs, rec) = CheckRecorder::recording(None);
-        obs.task(0, 0, TaskState::Spawned);
-        obs.task(0, 1, TaskState::Spawned);
-        let f0 = obs.fork();
-        let f1 = obs.fork();
-        // Events land in forks "out of order" (as worker threads would
-        // produce them); joining in device order restores the canonical
-        // stream, so the checker sees a clean lifecycle.
-        f1.obs().task(20, 1, TaskState::Freed);
-        f0.obs().task(10, 0, TaskState::Freed);
-        obs.join(f0);
-        obs.join(f1);
-        assert!(rec.finish().is_empty(), "{:?}", rec.violations());
-        assert_eq!(rec.snapshot().tasks.len(), 4);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! | `skip_merge_sort`      | 3 devices, varied task sizes, all-home  | [`Violation::MergeOrder`] |
 //! | `double_charge_staging`| spread 1, round-robin off-home spawns   | [`Violation::StagingOverCharge`] |
 //! | `drop_resubmit`        | kill mid-flight under `Resubmit`        | [`Violation::ConservationLeak`] |
-//! | `skip_causal_gate`     | slowed device, long tasks, tight window | [`Violation::CausalityBreach`] |
+//! | `skip_causal_gate`     | slowed device, long tasks               | [`Violation::CausalityBreach`] |
 
 use pagoda_cluster::{Mutation, Placement};
 
@@ -65,13 +65,12 @@ pub fn smoke_case(m: Mutation) -> (Scenario, fn(&Violation) -> bool) {
             },
             |v| matches!(v, Violation::ConservationLeak { .. }),
         ),
-        // An 8x-slowed device maps its run-ahead window far into the
+        // An 8x-slowed device's local head start maps far into the
         // fleet's future; with the harvest gate off, its completions
         // become fleet-visible past the sync instant.
         Mutation::SkipCausalGate => (
             Scenario {
                 devices: 2,
-                run_ahead_us: 20,
                 tasks: 16,
                 base_cycles: 2_000_000,
                 faults: vec![slow(2, 1, 8.0)],
@@ -104,16 +103,14 @@ impl SmokeResult {
     }
 }
 
-/// Runs every known mutation through its tailored scenario. The serial
-/// driver is used throughout: mutations model fleet-logic bugs, not
-/// thread-scheduling ones, and serial runs keep the smoke fast.
+/// Runs every known mutation through its tailored scenario.
 pub fn mutation_smoke() -> Vec<SmokeResult> {
     Mutation::ALL
         .iter()
         .map(|&m| {
             let (scenario, expected) = smoke_case(m);
-            let baseline = run_one(&scenario, None, false);
-            let mutated = run_one(&scenario, Some(m), false);
+            let baseline = run_one(&scenario, None);
+            let mutated = run_one(&scenario, Some(m));
             SmokeResult {
                 mutation: m,
                 baseline_clean: baseline.violations.is_empty() && baseline.dropped == 0,

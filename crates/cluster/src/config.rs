@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 
-use desim::{Dur, SimTime};
+use desim::SimTime;
 use pagoda_core::{ConfigError, PagodaConfig};
 use pcie::PcieConfig;
 
@@ -93,26 +93,12 @@ pub struct ClusterConfig {
     pub faults: Vec<FaultSpec>,
     /// What happens to in-flight tasks on a killed device.
     pub retry: RetryPolicy,
-    /// Run-ahead window of the fleet driver: devices simulate
-    /// independently up to `now + run_ahead`, then resynchronize at that
-    /// horizon before the next window. Smaller windows mean tighter
-    /// coupling; the window never changes *results* (cross-device
-    /// effects are merged at sync points either way), only how far apart
-    /// device clocks may drift inside one [`advance_to`] call.
-    ///
-    /// [`advance_to`]: crate::ClusterHandle::advance_to
-    pub run_ahead: Dur,
-    /// Step each window's devices on a scoped thread pool instead of in
-    /// a serial loop. Results are byte-identical either way — the merge
-    /// at every horizon orders cross-device effects by fleet instant —
-    /// so this trades nothing but wall-clock time.
-    pub parallel: bool,
 }
 
 impl ClusterConfig {
     /// A uniform fleet of `n` default (Titan X class) devices:
     /// least-outstanding placement, no faults, resubmit-on-kill with up
-    /// to 3 attempts, serial 20 µs run-ahead windows.
+    /// to 3 attempts.
     pub fn uniform(n: usize) -> Self {
         ClusterConfig {
             devices: vec![PagodaConfig::default(); n],
@@ -124,8 +110,6 @@ impl ClusterConfig {
             xfer_bytes: 4096,
             faults: Vec::new(),
             retry: RetryPolicy::Resubmit { max_attempts: 3 },
-            run_ahead: Dur::from_us(20),
-            parallel: false,
         }
     }
 
@@ -156,9 +140,6 @@ impl ClusterConfig {
                     return Err(ConfigError::DuplicateDeviceId { id });
                 }
             }
-        }
-        if self.run_ahead == Dur::ZERO {
-            return Err(ConfigError::ZeroRunAhead);
         }
         for (device, cfg) in self.devices.iter().enumerate() {
             cfg.validate().map_err(|source| ConfigError::FleetDevice {
@@ -203,11 +184,9 @@ impl ClusterConfig {
 ///     .device(PagodaConfig::default())
 ///     .device(PagodaConfig::default())
 ///     .placement(Placement::RoundRobin)
-///     .parallel(true)
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(cfg.devices.len(), 2);
-/// assert!(cfg.parallel);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClusterConfigBuilder {
@@ -273,18 +252,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Run-ahead window of the fleet driver (must be nonzero).
-    pub fn run_ahead(mut self, window: Dur) -> Self {
-        self.cfg.run_ahead = window;
-        self
-    }
-
-    /// Step windows on a scoped thread pool (results unchanged).
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.cfg.parallel = on;
-        self
-    }
-
     /// Validate and return the finished config.
     pub fn build(self) -> Result<ClusterConfig, ConfigError> {
         self.cfg.validate()?;
@@ -324,16 +291,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, ConfigError::DuplicateDeviceId { id: 7 });
-    }
-
-    #[test]
-    fn builder_rejects_zero_run_ahead() {
-        let err = ClusterConfig::builder()
-            .device(PagodaConfig::default())
-            .run_ahead(Dur::ZERO)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroRunAhead);
     }
 
     #[test]

@@ -3,21 +3,16 @@
 //! Each device is a full [`PagodaRuntime`] — own GPU, own PCIe link, own
 //! 48×32 TaskTable — constructed from its slot in
 //! [`ClusterConfig::devices`]. The fleet manager owns a single *fleet*
-//! clock and advances it in bounded *run-ahead windows*
-//! ([`ClusterConfig::run_ahead`]): inside a window every live device
-//! simulates independently up to the window's horizon (a per-device
-//! [`ClockMap`] translates fleet time into device-local time, so a
-//! slowed device simply receives less simulated time per window and a
-//! killed device receives none), and at each horizon the fleet
-//! resynchronizes. Because devices are independent between horizons,
-//! the per-window work can run on a scoped thread pool
-//! ([`ClusterConfig::parallel`]); cross-device effects — completions,
+//! clock: [`ClusterHandle::advance_to`] steps every live device to the
+//! target instant (a per-device [`ClockMap`] translates fleet time into
+//! device-local time, so a slowed device simply receives less simulated
+//! time per step and a killed device receives none). Devices never
+//! interact while they advance; cross-device effects — completions,
 //! resubmissions, placement decisions — are applied only at sync
 //! points, where they are merged in `(fleet instant, device, key)`
 //! order, the fleet-level analogue of the simulation engine's
-//! `(time, seq)` tie-break. Serial and parallel drivers therefore
-//! produce byte-identical clocks, traces, reports, and observability
-//! streams.
+//! `(time, seq)` tie-break, so clocks, traces, reports, and
+//! observability streams are a pure function of the configuration.
 //!
 //! Task identity: the fleet issues its own dense `u64` keys (per-device
 //! [`TaskId`]s collide across devices). Completion is harvested on
@@ -27,15 +22,14 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use desim::{ClockMap, Dur, EngineStats, Horizon, SimTime};
+use desim::{ClockMap, Dur, EngineStats, SimTime};
 use pagoda_core::trace::TaskTrace;
 use pagoda_core::{
     Capacity, ConfigError, PagodaError, PagodaRuntime, SubmitError, TaskDesc, TaskId,
 };
 use pagoda_host::Backend;
-use pagoda_obs::{Counter, DeviceSample, Obs, ObsFork, SyncKind, TaskState};
+use pagoda_obs::{Counter, DeviceSample, Obs, SyncKind, TaskState};
 use pcie::{Direction, PcieConfig};
-use rayon::prelude::*;
 
 use crate::config::{ClusterConfig, FaultKind, FaultSpec, RetryPolicy};
 use crate::mutation::Mutation;
@@ -80,25 +74,16 @@ struct Device {
     id: u32,
     clock: ClockMap,
     alive: bool,
-    /// fleet key → device-local id, insertion-ordered for deterministic
+    /// fleet key → device-local id, key-ordered for deterministic
     /// harvest order.
     outstanding: BTreeMap<u64, TaskId>,
     spawned: u64,
     completed: u64,
     /// Last `(known_free, outstanding, alive)` tuple emitted to the
-    /// device track; samples are change-detected so the window loop can
-    /// probe every horizon without flooding the recorder.
+    /// device track; samples are change-detected so every sync can
+    /// probe every device without flooding the recorder.
     last_sample: Option<(u32, u32, bool)>,
 }
-
-// The parallel driver moves `&mut Device` across scoped threads.
-const _: () = {
-    fn assert_send<T: Send>() {}
-    #[allow(dead_code)]
-    fn device_is_send() {
-        assert_send::<Device>();
-    }
-};
 
 impl Device {
     fn view(&self) -> DeviceView {
@@ -142,8 +127,8 @@ impl Device {
     ///
     /// With `gate` set, a completion only counts once the fleet clock
     /// has reached its mapped fleet instant. Device clocks legitimately
-    /// run ahead of the horizon (parallel spawn costs, per-round
-    /// copyback costs), and for a *slowed* device that run-ahead is
+    /// run ahead of the fleet clock (spawn costs, per-round copyback
+    /// costs), and for a *slowed* device that head start is
     /// cheap local time that maps far into the fleet future — without
     /// the gate, the fleet would observe those completions early and a
     /// slowdown would cost nothing. Kill-harvest passes `gate = false`:
@@ -172,6 +157,16 @@ impl Device {
                 Some((at, key))
             })
             .collect()
+    }
+
+    /// One device's share of a sync point at fleet instant `at`: the
+    /// §4.2.2 aggregate copy-back, a change-detected sample, and the
+    /// completion scan (see [`scan_finished`](Device::scan_finished) for
+    /// `gate`).
+    fn harvest(&mut self, at: SimTime, gate: bool, obs: &Obs) -> Vec<(SimTime, u64)> {
+        self.rt.sync_table();
+        self.sample(at, obs, false);
+        self.scan_finished(at, gate)
     }
 }
 
@@ -239,8 +234,6 @@ pub struct ClusterHandle {
     pending: VecDeque<u64>,
     unresolved: u64,
     wait_timeout: Dur,
-    run_ahead: Dur,
-    parallel: bool,
     obs: Obs,
     mutation: Option<Mutation>,
     placements: u64,
@@ -260,7 +253,8 @@ impl ClusterHandle {
     /// # Errors
     /// Any [`ConfigError`] from validation — [`ConfigError::NoDevices`],
     /// [`ConfigError::FleetDevice`], [`ConfigError::BadFault`],
-    /// [`ConfigError::DuplicateDeviceId`], [`ConfigError::ZeroRunAhead`].
+    /// [`ConfigError::DuplicateDeviceId`],
+    /// [`ConfigError::DeviceIdCountMismatch`].
     pub fn new(cfg: ClusterConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let mut faults = cfg.faults.clone();
@@ -299,8 +293,6 @@ impl ClusterHandle {
             pending: VecDeque::new(),
             unresolved: 0,
             wait_timeout,
-            run_ahead: cfg.run_ahead,
-            parallel: cfg.parallel,
             obs: Obs::off(),
             mutation: None,
             placements: 0,
@@ -490,11 +482,10 @@ impl ClusterHandle {
     /// [`PagodaRuntime::sync_table`].
     ///
     /// The per-device half (copy-back + completion scan) is independent
-    /// across devices and runs on the thread pool under
-    /// [`ClusterConfig::parallel`]; the merge orders all observed
-    /// completions by `(fleet instant, device, key)` before applying
-    /// them, so the completion/resubmission sequence is identical
-    /// however the scan was scheduled.
+    /// across devices; the merge orders all observed completions by
+    /// `(fleet instant, device, key)` before applying them, so the
+    /// completion/resubmission sequence follows fleet time, not device
+    /// scan order.
     pub fn sync(&mut self) {
         // The mark precedes the batch: everything applied before the
         // next mark belongs to this sync point, and (gate honored) maps
@@ -510,45 +501,11 @@ impl ClusterHandle {
     /// Phase 1 of [`sync`](ClusterHandle::sync): per-device copy-back +
     /// completion scan, returning the merged `(at, device, key)` list.
     fn sync_devices(&mut self, gate: bool) -> Vec<(SimTime, usize, u64)> {
-        type DeviceScan = (usize, Vec<(SimTime, u64)>, ObsFork);
-        let fleet_now = self.fleet_now;
-        let obs = self.obs.clone();
         let mut merged: Vec<(SimTime, usize, u64)> = Vec::new();
-        if self.parallel {
-            let work: Vec<(usize, &mut Device, ObsFork)> = self
-                .devices
-                .iter_mut()
-                .enumerate()
-                .filter(|(_, d)| d.alive)
-                .map(|(i, d)| (i, d, obs.fork()))
-                .collect();
-            let scans: Vec<DeviceScan> = work
-                .into_par_iter()
-                .map(|(i, d, fork)| {
-                    d.rt.sync_table();
-                    d.sample(fleet_now, &fork.obs(), false);
-                    let finished = d.scan_finished(fleet_now, gate);
-                    (i, finished, fork)
-                })
-                .collect();
-            // Joins happen in device order regardless of which thread
-            // ran which device — the recorder sees the serial stream.
-            for (i, finished, fork) in scans {
-                obs.join(fork);
+        for (i, d) in self.devices.iter_mut().enumerate() {
+            if d.alive {
+                let finished = d.harvest(self.fleet_now, gate, &self.obs);
                 merged.extend(finished.into_iter().map(|(at, key)| (at, i, key)));
-            }
-        } else {
-            for (i, d) in self.devices.iter_mut().enumerate() {
-                if !d.alive {
-                    continue;
-                }
-                d.rt.sync_table();
-                d.sample(fleet_now, &obs, false);
-                merged.extend(
-                    d.scan_finished(fleet_now, gate)
-                        .into_iter()
-                        .map(|(at, key)| (at, i, key)),
-                );
             }
         }
         // The fleet-level tie-break: completions apply in fleet-time
@@ -632,8 +589,8 @@ impl ClusterHandle {
     }
 
     /// Advances the fleet clock to `t` (no-op if in the past), stepping
-    /// every live device window by window and applying any scheduled
-    /// faults whose instant is reached on the way.
+    /// every live device there and applying any scheduled faults whose
+    /// instant is reached on the way.
     pub fn advance_to(&mut self, t: SimTime) {
         while self.next_fault < self.faults.len() && self.faults[self.next_fault].at <= t {
             let f = self.faults[self.next_fault];
@@ -645,46 +602,18 @@ impl ClusterHandle {
         self.step_devices(t);
     }
 
-    /// The window loop — the fleet's driver. Serial and parallel modes
-    /// walk the *same* horizons (a pure function of the interval and
-    /// [`ClusterConfig::run_ahead`]); inside a window each live device
-    /// advances alone, so the fan-out is free of cross-device ordering.
-    /// Observability forks are joined back in device order, making the
-    /// recorder stream independent of thread scheduling.
+    /// The fleet's driver: each live device advances alone to its local
+    /// image of fleet instant `t`. Nothing observable to the host changes
+    /// while a device advances (known-free counts and completions move
+    /// only at a copy-back), so no sample is taken here.
     fn step_devices(&mut self, t: SimTime) {
         if t <= self.fleet_now {
             return;
         }
-        let obs = self.obs.clone();
-        for h in Horizon::new(self.run_ahead).windows(self.fleet_now, t) {
-            if self.parallel {
-                let work: Vec<(&mut Device, ObsFork)> = self
-                    .devices
-                    .iter_mut()
-                    .filter(|d| d.alive)
-                    .map(|d| (d, obs.fork()))
-                    .collect();
-                let forks: Vec<ObsFork> = work
-                    .into_par_iter()
-                    .map(|(d, fork)| {
-                        d.rt.advance_to(d.clock.local_of(h));
-                        d.sample(h, &fork.obs(), false);
-                        fork
-                    })
-                    .collect();
-                for fork in forks {
-                    obs.join(fork);
-                }
-            } else {
-                for d in &mut self.devices {
-                    if d.alive {
-                        d.rt.advance_to(d.clock.local_of(h));
-                        d.sample(h, &obs, false);
-                    }
-                }
-            }
-            self.fleet_now = h;
+        for d in self.devices.iter_mut().filter(|d| d.alive) {
+            d.rt.advance_to(d.clock.local_of(t));
         }
+        self.fleet_now = t;
     }
 
     fn apply_fault(&mut self, f: &FaultSpec, at: SimTime) {
@@ -711,13 +640,8 @@ impl ClusterHandle {
                 // exempt from the harvest gate: the device's local
                 // clock may have run past the kill instant.
                 self.obs.sync_mark(at.as_ps(), SyncKind::KillHarvest);
-                self.devices[f.device].rt.sync_table();
-                let finished = {
-                    let d = &mut self.devices[f.device];
-                    d.sample(at, &obs, false);
-                    d.scan_finished(at, false)
-                };
-                let mut merged: Vec<(SimTime, usize, u64)> = finished
+                let mut merged: Vec<(SimTime, usize, u64)> = self.devices[f.device]
+                    .harvest(at, false, &obs)
                     .into_iter()
                     .map(|(t, key)| (t, f.device, key))
                     .collect();
@@ -881,7 +805,7 @@ impl ClusterHandle {
 
     /// Per-device [`desim`] engine counters, fleet order — the
     /// determinism fingerprint: two runs of the same configuration must
-    /// produce identical vectors, serial or parallel.
+    /// produce identical vectors.
     pub fn engine_stats(&self) -> Vec<EngineStats> {
         self.devices.iter().map(|d| d.rt.engine_stats()).collect()
     }
@@ -1235,41 +1159,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_driver_matches_serial_byte_for_byte() {
-        let run = |parallel: bool| {
-            let mut cfg = ClusterConfig::uniform(3);
-            cfg.placement = Placement::PowerOfTwo;
-            cfg.seed = 7;
-            cfg.parallel = parallel;
-            // A window that does not divide the 20 us polling slice, so
-            // every advance crosses several partial windows.
-            cfg.run_ahead = Dur::from_us(7);
-            cfg.faults = vec![FaultSpec {
-                at: SimTime::from_us(9),
-                device: 1,
-                kind: FaultKind::Kill,
-            }];
-            let (obs, rec) = Obs::recording();
-            let mut fleet = ClusterHandle::new(cfg).unwrap();
-            fleet.attach_obs(obs);
-            let (keys, mut fleet) = run_batch(fleet, 32);
-            let times: Vec<_> = keys.iter().map(|&k| fleet.completion_time(k)).collect();
-            (
-                rec.snapshot().to_json(),
-                times,
-                fleet.engine_stats(),
-                fleet.report(),
-            )
-        };
-        let serial = run(false);
-        let parallel = run(true);
-        assert_eq!(serial.0, parallel.0, "recorder streams diverged");
-        assert_eq!(serial.1, parallel.1, "completion times diverged");
-        assert_eq!(serial.2, parallel.2, "engine stats diverged");
-        assert_eq!(serial.3, parallel.3, "fleet reports diverged");
-    }
-
-    #[test]
     fn obs_records_device_tracks_and_fleet_counters() {
         let (obs, rec) = Obs::recording();
         let mut cfg = ClusterConfig::uniform(2);
@@ -1332,12 +1221,6 @@ mod tests {
         assert!(matches!(
             ClusterHandle::new(cfg),
             Err(ConfigError::BadFault { .. })
-        ));
-        let mut cfg = ClusterConfig::uniform(2);
-        cfg.run_ahead = Dur::ZERO;
-        assert!(matches!(
-            ClusterHandle::new(cfg),
-            Err(ConfigError::ZeroRunAhead)
         ));
     }
 

@@ -17,14 +17,14 @@
 //!   (charged once per genuine cross-device move — see
 //!   [`FleetReport::staging_transfers`]).
 //! * [`fleet`] — [`ClusterHandle`], N independent [`PagodaRuntime`]
-//!   instances advanced in bounded run-ahead windows under one fleet
-//!   clock ([`desim::ClockMap`] absorbs per-device slowdowns). With
-//!   [`ClusterConfig::parallel`] the per-window device work runs on a
-//!   scoped thread pool; a deterministic `(instant, device, key)` merge
-//!   at every horizon keeps parallel runs byte-identical to serial
-//!   ones. Exposes the same `submit`/`wait`/`capacity` shape as a
-//!   single runtime — it implements [`pagoda_host::Backend`] — with
-//!   fleet-unique `u64` task keys.
+//!   instances stepped by one serial driver under one fleet clock
+//!   ([`desim::ClockMap`] absorbs per-device slowdowns). Devices never
+//!   interact while they advance; a deterministic
+//!   `(instant, device, key)` merge at every sync point applies their
+//!   completions in fleet-time order. Exposes the same
+//!   `submit`/`wait`/`capacity` shape as a single runtime — it
+//!   implements [`pagoda_host::Backend`] — with fleet-unique `u64` task
+//!   keys.
 //! * [`config`] — fleet topology ([`ClusterConfig::builder`]), fault
 //!   schedule ([`FaultSpec`]: kill or slow a device at a simulated
 //!   instant) and the [`RetryPolicy`] deciding whether in-flight tasks
@@ -41,7 +41,7 @@
 //! Determinism carries through from the substrate: same
 //! [`ClusterConfig`] (including seed and fault schedule) ⇒ identical
 //! placement sequences, completion times, and per-device
-//! [`desim::EngineStats`] — with or without [`ClusterConfig::parallel`].
+//! [`desim::EngineStats`].
 //!
 //! [`PagodaRuntime`]: pagoda_core::PagodaRuntime
 //! [`Backend`]: pagoda_host::Backend

@@ -181,9 +181,6 @@ pub enum ConfigError {
         /// Devices configured.
         devices: usize,
     },
-    /// The fleet run-ahead window is zero: devices could never simulate
-    /// past a synchronization point, so time would not advance.
-    ZeroRunAhead,
     /// One device's [`PagodaConfig`] failed validation.
     FleetDevice {
         /// Index of the offending device within the fleet.
@@ -220,7 +217,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::DeviceIdCountMismatch { ids, devices } => {
                 write!(f, "{ids} device id(s) given for {devices} device(s)")
             }
-            ConfigError::ZeroRunAhead => write!(f, "run_ahead window must be nonzero"),
             ConfigError::FleetDevice { device, source } => {
                 write!(f, "fleet device {device} configuration invalid: {source}")
             }
@@ -403,7 +399,6 @@ mod tests {
         assert!(ConfigError::ZeroWaitTimeout
             .to_string()
             .contains("wait_timeout"));
-        assert!(ConfigError::ZeroRunAhead.to_string().contains("run_ahead"));
         assert!(ConfigError::DuplicateDeviceId { id: 7 }
             .to_string()
             .contains('7'));

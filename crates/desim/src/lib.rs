@@ -39,11 +39,9 @@
 //! for the small-but-hot queues this workspace runs. [`EngineStats`] counts
 //! comparisons and live high-water so the effect is observable.
 
-mod horizon;
 mod sync;
 mod time;
 
-pub use horizon::{Horizon, Windows};
 pub use sync::ClockMap;
 pub use time::{Dur, SimTime};
 
@@ -486,18 +484,6 @@ impl<E> Engine<E> {
         self.slots[self.heap[b] as usize].pos = b as u32;
     }
 }
-
-// An engine over `Send` events is itself `Send` (the pop hook is already
-// constrained to `Send`), so whole simulated instances can be stepped on
-// worker threads by a parallel fleet driver. This assertion keeps the
-// property from regressing silently if a non-`Send` field is added.
-const _: () = {
-    fn assert_send<T: Send>() {}
-    #[allow(dead_code)]
-    fn engine_is_send<E: Send>() {
-        assert_send::<Engine<E>>();
-    }
-};
 
 #[cfg(test)]
 mod tests {

@@ -82,8 +82,8 @@ pub trait Backend {
 
     /// Per-engine determinism fingerprints, one per simulated device in
     /// a stable order: two runs of the same configuration must produce
-    /// identical vectors. Checkers and exploration harnesses compare
-    /// these across serial/parallel drivers. Defaults to empty for
+    /// identical vectors. Checkers and exploration harnesses fold
+    /// these into their replay fingerprints. Defaults to empty for
     /// backends without engines to fingerprint.
     fn engine_stats(&self) -> Vec<EngineStats> {
         Vec::new()

@@ -47,4 +47,4 @@ pub use events::{
     TaskRoute, TaskState, TenantTag,
 };
 pub use export::{summarize, write_chrome_trace, ObsSummary};
-pub use recorder::{MemRecorder, NullRecorder, Obs, ObsBuffer, ObsFork, Recorder};
+pub use recorder::{MemRecorder, NullRecorder, Obs, ObsBuffer, Recorder};

@@ -91,23 +91,6 @@ pub trait Recorder {
     fn retains(&self) -> bool {
         true
     }
-
-    /// Creates a private buffer a worker thread records into while it
-    /// runs ahead of the merge point. Parallel drivers hand each worker a
-    /// fork so workers never contend on (or interleave nondeterministically
-    /// into) the shared recorder; [`Recorder::join`] folds the buffer back
-    /// in a deterministic order chosen by the driver.
-    fn fork(&self) -> MemRecorder {
-        MemRecorder::new()
-    }
-
-    /// Merges a fork's buffered events into this recorder, replaying each
-    /// stream in capture order (tasks, tenants, SMM, MTB, devices, then
-    /// counter totals). Joining forks in a deterministic sequence
-    /// reproduces the per-stream event order of an equivalent serial run.
-    fn join(&self, fork: &MemRecorder) {
-        fork.replay_into(self);
-    }
 }
 
 /// A recorder that receives and drops everything. Exists to measure the
@@ -236,10 +219,6 @@ impl<T: Copy> Ring<T> {
         self.full.len() * CHUNK + self.last.len()
     }
 
-    fn iter(&self) -> impl Iterator<Item = &T> {
-        self.full.iter().flatten().chain(self.last.iter())
-    }
-
     /// Flattens into one contiguous `Vec` (copy-on-export).
     fn to_vec(&self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.len());
@@ -264,10 +243,9 @@ impl<T: Copy> Default for Ring<T> {
 
 /// A minimal test-and-set spinlock guarding one event stream.
 ///
-/// Every driver writes a given recorder from one thread at a time
-/// (parallel drivers record into per-worker forks and join on the
-/// driver thread), so the lock is effectively uncontended and held for
-/// a few nanoseconds per append. An uncontended `std::sync::Mutex`
+/// Every driver writes a given recorder from one thread at a time, so
+/// the lock is effectively uncontended and held for a few nanoseconds
+/// per append. An uncontended `std::sync::Mutex`
 /// costs ~3× more per acquire on this path — the difference is most of
 /// the mem-recorder overhead the `hotpath` bench gates.
 struct Spin<T> {
@@ -398,45 +376,6 @@ impl MemRecorder {
             a.store(0, Ordering::Relaxed);
         }
     }
-
-    /// Replays everything buffered here into `sink`, stream by stream in
-    /// capture order (tasks, tenants, SMM, MTB, devices, syncs, marks,
-    /// routes, then counter totals) without copying the buffers out
-    /// first. This is what the default [`Recorder::join`] runs; custom
-    /// recorders reuse it to fold a fork into themselves through their
-    /// own methods.
-    pub fn replay_into<R: Recorder + ?Sized>(&self, sink: &R) {
-        for ev in self.tasks.lock().iter() {
-            sink.task(*ev);
-        }
-        for tag in self.tenants.lock().iter() {
-            sink.tenant(*tag);
-        }
-        for s in self.smm.lock().iter() {
-            sink.smm(*s);
-        }
-        for s in self.mtb.lock().iter() {
-            sink.mtb(*s);
-        }
-        for s in self.devices.lock().iter() {
-            sink.device(*s);
-        }
-        for m in self.syncs.lock().iter() {
-            sink.sync_mark(*m);
-        }
-        for m in self.marks.lock().iter() {
-            sink.mark(*m);
-        }
-        for r in self.routes.lock().iter() {
-            sink.route(*r);
-        }
-        for c in Counter::ALL {
-            let total = self.counts[c as usize].load(Ordering::Relaxed);
-            if total > 0 {
-                sink.count(c, total);
-            }
-        }
-    }
 }
 
 impl fmt::Debug for MemRecorder {
@@ -495,10 +434,10 @@ impl Recorder for MemRecorder {
         // Load + store instead of `fetch_add`: a relaxed RMW is still a
         // full locked instruction on x86 (~20 cycles), and counters fire
         // tens of thousands of times per run. Every driver writes a
-        // recorder from one thread at a time (parallel workers each get
-        // their own fork), so the non-atomic update never loses an
-        // increment in practice; under genuinely concurrent counting it
-        // would, which snapshot consumers must not rely on.
+        // recorder from one thread at a time, so the non-atomic update
+        // never loses an increment in practice; under genuinely
+        // concurrent counting it would, which snapshot consumers must
+        // not rely on.
         let slot = &self.counts[c as usize];
         slot.store(slot.load(Ordering::Relaxed) + delta, Ordering::Relaxed);
     }
@@ -508,7 +447,7 @@ impl Recorder for MemRecorder {
 /// recorder on the measured hot path — gets its own variant so every
 /// event call is statically dispatched and the ring push inlines into
 /// the instrumentation site; anything else goes through the trait
-/// object. [`Obs::recording`] and [`Obs::fork`] produce the fast
+/// object. [`Obs::recording`] and [`Obs::with_mem`] produce the fast
 /// variant, [`Obs::new`] the general one.
 #[derive(Clone)]
 enum Sink {
@@ -522,20 +461,6 @@ impl Sink {
         match self {
             Sink::Mem(_) => true,
             Sink::Dyn(r) => r.retains(),
-        }
-    }
-
-    fn fork(&self) -> MemRecorder {
-        match self {
-            Sink::Mem(m) => m.fork(),
-            Sink::Dyn(r) => r.fork(),
-        }
-    }
-
-    fn join(&self, fork: &MemRecorder) {
-        match self {
-            Sink::Mem(m) => m.join(fork),
-            Sink::Dyn(r) => r.join(fork),
         }
     }
 }
@@ -668,55 +593,6 @@ impl Obs {
     pub fn count(&self, c: Counter, delta: u64) {
         emit!(self.count(c, delta));
     }
-
-    /// Splits off a private buffer for one worker thread of a parallel
-    /// driver. The returned fork's [`ObsFork::obs`] handle records into
-    /// the buffer; [`Obs::join`] folds it back into this handle's
-    /// recorder. When nothing is retained (disabled handle or a
-    /// [`NullRecorder`]), the fork is a pass-through clone — no buffer is
-    /// allocated and join is a no-op — preserving the zero-cost contract.
-    pub fn fork(&self) -> ObsFork {
-        match &self.rec {
-            Some(r) if r.retains() => {
-                let buf = Arc::new(r.fork());
-                ObsFork {
-                    obs: Obs::with_mem(buf.clone()),
-                    buf: Some(buf),
-                }
-            }
-            _ => ObsFork {
-                obs: self.clone(),
-                buf: None,
-            },
-        }
-    }
-
-    /// Merges a fork produced by [`Obs::fork`] back into this handle's
-    /// recorder (see [`Recorder::join`] for the replay order). Call once
-    /// per fork, in the deterministic order the driver defines.
-    pub fn join(&self, fork: ObsFork) {
-        if let (Some(r), Some(buf)) = (&self.rec, &fork.buf) {
-            r.join(buf);
-        }
-    }
-}
-
-/// A per-worker observability buffer split off a parent [`Obs`] handle.
-/// Workers record through [`ObsFork::obs`]; the driver merges forks back
-/// with [`Obs::join`] in a deterministic order. Sendable to a worker
-/// thread; must not outlive the join (events left in an unjoined fork are
-/// dropped).
-#[derive(Debug)]
-pub struct ObsFork {
-    obs: Obs,
-    buf: Option<Arc<MemRecorder>>,
-}
-
-impl ObsFork {
-    /// The handle the worker records through.
-    pub fn obs(&self) -> Obs {
-        self.obs.clone()
-    }
 }
 
 #[cfg(test)]
@@ -792,7 +668,7 @@ mod tests {
     }
 
     #[test]
-    fn marks_and_routes_buffer_and_replay() {
+    fn marks_and_routes_buffer_in_order() {
         let (obs, rec) = Obs::recording();
         obs.mark(100, 7, MarkKind::Arrived);
         obs.mark(130, 7, MarkKind::Admitted);
@@ -805,16 +681,6 @@ mod tests {
         assert_eq!(buf.task_marks(7), [Some(100), Some(130), Some(900)]);
         assert_eq!(buf.routes.len(), 2);
         assert_eq!(buf.routes[1].device, 3);
-
-        // Fork/join replays marks and routes in capture order.
-        let (obs2, rec2) = Obs::recording();
-        let f = obs2.fork();
-        f.obs().mark(100, 7, MarkKind::Arrived);
-        f.obs().route(7, 2);
-        obs2.join(f);
-        let buf2 = rec2.snapshot();
-        assert_eq!(buf2.marks.len(), 1);
-        assert_eq!(buf2.routes.len(), 1);
     }
 
     #[test]
@@ -844,62 +710,6 @@ mod tests {
         let buf = rec.snapshot();
         assert!(buf.tasks.is_empty());
         assert_eq!(buf.counter(Counter::TasksSpawned), 0);
-    }
-
-    #[test]
-    fn fork_join_reproduces_serial_stream_order() {
-        // Serial reference: one handle, events in driver order.
-        let serial = {
-            let (obs, rec) = Obs::recording();
-            for d in 0..3u64 {
-                obs.task(d * 10, d, TaskState::Spawned);
-                obs.count(Counter::TasksSpawned, 1);
-            }
-            rec.snapshot().to_json()
-        };
-        // Parallel shape: one fork per "device", recorded out of driver
-        // order (as threads would), joined back in driver order.
-        let parallel = {
-            let (obs, rec) = Obs::recording();
-            let forks: Vec<_> = (0..3u64).map(|_| obs.fork()).collect();
-            for d in [2u64, 0, 1] {
-                let o = forks[d as usize].obs();
-                o.task(d * 10, d, TaskState::Spawned);
-                o.count(Counter::TasksSpawned, 1);
-            }
-            for f in forks {
-                obs.join(f);
-            }
-            rec.snapshot().to_json()
-        };
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn fork_of_disabled_handle_is_passthrough() {
-        let obs = Obs::off();
-        let f = obs.fork();
-        assert!(!f.obs().enabled());
-        obs.join(f); // no-op, must not panic
-
-        // NullRecorder: dispatch still works through the fork, nothing
-        // is buffered (retains() == false → pass-through clone).
-        let null = Obs::new(Arc::new(NullRecorder));
-        let f = null.fork();
-        f.obs().count(Counter::EngineEvents, 1);
-        assert!(!f.obs().enabled());
-        null.join(f);
-    }
-
-    #[test]
-    fn join_merges_counters_once() {
-        let (obs, rec) = Obs::recording();
-        let f = obs.fork();
-        f.obs().count(Counter::ClusterPlacements, 5);
-        f.obs().count(Counter::ClusterPlacements, 2);
-        obs.count(Counter::ClusterPlacements, 1); // parent concurrently
-        obs.join(f);
-        assert_eq!(rec.snapshot().counter(Counter::ClusterPlacements), 8);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! "time flamegraphs".
 //!
 //! Both formats are emitted with *integer picosecond* values only — no
-//! float formatting — so identical reports (e.g. serial vs. parallel
-//! same-seed runs) serialize byte-identically, which the golden-file
-//! tests pin down.
+//! float formatting — so identical reports (e.g. two same-seed runs)
+//! serialize byte-identically, which the golden-file tests pin down.
 
 use std::io::{self, Write};
 

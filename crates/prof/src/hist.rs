@@ -3,12 +3,12 @@
 //! Buckets are exact below 8 ps and then 8 sub-buckets per octave
 //! (≤ 12.5 % relative width), HdrHistogram-style but with a fixed
 //! 496-bucket layout so two histograms merge by adding count arrays —
-//! the property that makes per-device profiles from the parallel fleet
-//! fold into exactly the serial aggregate, bucket by bucket.
+//! the property that makes per-device profiles of a fleet fold into
+//! exactly the fleet-wide aggregate, bucket by bucket.
 //!
 //! Quantiles are nearest-rank over bucket counts and return the bucket
 //! *lower bound*, so a quantile computed after any sequence of merges
-//! equals the quantile of the equivalent serial recording: merging only
+//! equals the quantile of one recording of all the samples: merging only
 //! ever adds integer counts to identical bucket positions.
 
 use serde::{Deserialize, Serialize};
@@ -76,7 +76,7 @@ impl LogHist {
     }
 
     /// Adds every bucket of `other` into `self`. Associative and
-    /// commutative, so fleet fork/join merge order does not matter.
+    /// commutative, so the order groups are merged in does not matter.
     pub fn merge(&mut self, other: &LogHist) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;

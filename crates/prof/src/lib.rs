@@ -8,8 +8,8 @@
 //! wait, execution, copyback — that sum **exactly** to the sojourn by
 //! construction (see [`phase`]). Per-task decompositions aggregate into
 //! mergeable log-bucketed histograms ([`LogHist`]) grouped per tenant
-//! and per fleet device, so parallel per-device profiles fold into
-//! exactly the serial aggregate.
+//! and per fleet device, so per-device profiles fold into exactly the
+//! fleet-wide aggregate.
 //!
 //! Three ways in:
 //!

@@ -18,11 +18,6 @@
 //! routing through `dyn Recorder`: recording with profiling on is the
 //! mem capture path, instruction for instruction, which is what keeps
 //! the `obs_overhead` prof gate honest.
-//!
-//! Parallel fleets fork per-device buffers and join them in device
-//! order (the default [`Recorder::fork`]/[`Recorder::join`]), so the
-//! joined buffer — and therefore every report and export derived from
-//! it — is identical under either driver.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -154,27 +149,6 @@ mod tests {
         assert_eq!(rec.report(), ProfReport::from_buffer(&rec.snapshot()));
         assert_eq!(rec.report().total().tasks, 8);
         assert_eq!(rec.tracked_tasks(), 8);
-    }
-
-    #[test]
-    fn fork_join_profiles_in_join_order() {
-        let serial = {
-            let (obs, rec) = ProfRecorder::recording();
-            drive_task(&obs, 0, 0);
-            drive_task(&obs, 1, 50);
-            rec.report()
-        };
-        let parallel = {
-            let (obs, rec) = ProfRecorder::recording();
-            let f0 = obs.fork();
-            let f1 = obs.fork();
-            drive_task(&f1.obs(), 1, 50);
-            drive_task(&f0.obs(), 0, 0);
-            obs.join(f0);
-            obs.join(f1);
-            rec.report()
-        };
-        assert_eq!(serial, parallel);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! A [`FuncTask`] carries a benchmark's real inputs (a packet, a frame, a
 //! signal, matrices, a complex-plane window); [`run`] produces its real
 //! output bytes using the same reference algorithms the timing models
-//! were derived from. [`run_batch`] executes a whole task set in parallel
-//! with rayon — the host-side oracle used by the examples and the
-//! golden-output tests.
+//! were derived from. [`run_batch`] executes a whole task set in order —
+//! the host-side oracle for golden-output tests.
 //!
 //! Keeping functional execution separate from timing is what lets one
 //! task description run under every runtime scheme while provably
@@ -14,7 +13,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use crate::{beamformer, conv, dct, des3, filterbank, mandelbrot, matmul, slud};
 
@@ -130,9 +128,9 @@ pub fn run(task: &FuncTask) -> Vec<u8> {
     }
 }
 
-/// Executes a batch in parallel on the host (rayon), preserving order.
+/// Executes a batch on the host, in order.
 pub fn run_batch(tasks: &[FuncTask]) -> Vec<Vec<u8>> {
-    tasks.par_iter().map(run).collect()
+    tasks.iter().map(run).collect()
 }
 
 /// Deterministically generates a mixed batch of functional tasks — the
@@ -213,14 +211,6 @@ pub fn sample_batch(n: usize, seed: u64) -> Vec<FuncTask> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batch_outputs_match_serial_execution() {
-        let tasks = sample_batch(32, 5);
-        let par = run_batch(&tasks);
-        let ser: Vec<Vec<u8>> = tasks.iter().map(run).collect();
-        assert_eq!(par, ser, "rayon execution must not change results");
-    }
 
     #[test]
     fn outputs_are_nonempty_and_sized_sensibly() {

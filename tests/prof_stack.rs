@@ -1,13 +1,15 @@
 //! Profiler stack tests: golden-file byte-stability of the `pagoda-prof`
-//! exports, serial/parallel driver equivalence, and the telescoping
-//! phase contract on a real served workload.
+//! exports and the telescoping phase contract on a real served
+//! workload.
 //!
 //! The goldens live in `tests/golden/`. They are byte-exact on purpose:
 //! the exports are integer-only (picoseconds, counts) precisely so that
 //! a determinism regression anywhere in the stack — engine, fleet
-//! merge, recorder replay, profiler aggregation — shows up as a diff
-//! here. Regenerate after an intentional stream change with
+//! merge, profiler aggregation — shows up as a diff here. Regenerate
+//! after an intentional stream change with
 //! `PAGODA_UPDATE_GOLDEN=1 cargo test --test prof_stack`.
+
+mod common;
 
 use pagoda_cluster::{ClusterConfig, ClusterHandle};
 use pagoda_prof::{
@@ -17,8 +19,10 @@ use pagoda_prof::{
 use pagoda_serve::{serve_on, Policy, ServeConfig, TenantSpec};
 use workloads::Bench;
 
+use common::assert_golden;
+
 /// A small deterministic two-tenant mix on a two-device fleet.
-fn profiled_run(parallel: bool) -> (ProfReport, String) {
+fn profiled_run() -> (ProfReport, String) {
     let mut alpha = TenantSpec::new("alpha", Bench::Des3, 4.0e5);
     alpha.queue_cap = 64;
     alpha.weight = 2;
@@ -30,9 +34,7 @@ fn profiled_run(parallel: bool) -> (ProfReport, String) {
     cfg.mix = "prof-golden".into();
     let (obs, rec) = ProfRecorder::recording();
     cfg.obs = obs;
-    let mut ccfg = ClusterConfig::uniform(2);
-    ccfg.parallel = parallel;
-    let mut fleet = ClusterHandle::new(ccfg).expect("uniform config is valid");
+    let mut fleet = ClusterHandle::new(ClusterConfig::uniform(2)).expect("uniform config is valid");
     let out = serve_on(&cfg, &mut fleet).expect("golden config serves");
     let slo_json = serde_json::to_string(&out.report.slo).expect("slo reports serialize");
     (rec.report(), slo_json)
@@ -49,35 +51,9 @@ fn render(report: &ProfReport) -> (String, String) {
     )
 }
 
-fn golden_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-fn assert_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("PAGODA_UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "read {} ({e}); regenerate with PAGODA_UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        actual, expected,
-        "{name} diverged from the committed golden; if the stream change is \
-         intentional, regenerate with PAGODA_UPDATE_GOLDEN=1",
-    );
-}
-
 #[test]
 fn exports_match_the_committed_goldens() {
-    let (report, slo) = profiled_run(false);
+    let (report, slo) = profiled_run();
     let (prom, folded) = render(&report);
     check_exposition(&prom).expect("exposition parses");
     assert_golden("prof.prom", &prom);
@@ -86,17 +62,8 @@ fn exports_match_the_committed_goldens() {
 }
 
 #[test]
-fn parallel_driver_exports_are_byte_identical() {
-    let (serial, serial_slo) = profiled_run(false);
-    let (parallel, parallel_slo) = profiled_run(true);
-    assert_eq!(render(&serial), render(&parallel));
-    assert_eq!(serial_slo, parallel_slo);
-    assert_eq!(serial, parallel);
-}
-
-#[test]
 fn phases_partition_sojourn_in_every_group() {
-    let (report, _) = profiled_run(false);
+    let (report, _) = profiled_run();
     assert!(report.total().tasks > 0, "the run must complete tasks");
     for g in &report.groups {
         let phase_sum: u64 = Phase::ALL.iter().map(|&p| g.phase_total_ps(p)).sum();
@@ -106,7 +73,7 @@ fn phases_partition_sojourn_in_every_group() {
 
 #[test]
 fn self_diff_is_clean_and_regressions_are_flagged() {
-    let (base, _) = profiled_run(false);
+    let (base, _) = profiled_run();
     let diff = diff_reports(&base, &base, 5, 1_000);
     assert!(diff.clean(), "a report cannot regress against itself");
 
