@@ -40,15 +40,6 @@ run cargo build --release --offline -p pagoda-bench
 # Smoke the serving benchmark: must produce deterministic curves.
 run cargo run --release --offline -p pagoda-bench --bin serve_curves -- --quick --json >/dev/null
 
-# Observability overhead gates: a disabled/null recorder may cost at
-# most 5% of simulator events/sec, and profiling-on (the pagoda-prof
-# tee) at most 10% (the bin exits nonzero past either gate). The real
-# bounds are enforced by full-size runs and the committed BENCH_obs.json
-# / BENCH_prof.json; --smoke widens them to 15%/25% because ~3 ms smoke
-# reps are noise-dominated on a shared CI box. The smoke results go to
-# scratch paths so CI never dirties the tree.
-run cargo run --release --offline -p pagoda-bench --bin obs_overhead -- --smoke --out target/BENCH_obs_smoke.json --out-prof target/BENCH_prof_smoke.json
-
 # Profiler smoke: serve the multi-tenant demo on a two-device fleet with
 # critical-path profiling on. The example itself asserts the telescoping
 # contract (phase sums reconcile with sojourns in every group) and that
@@ -71,12 +62,15 @@ run cargo run --release --offline -p pagoda-bench --bin cluster_scaling -- --smo
 # files are frozen between benchmark PRs).
 run bash benchmark/run.sh --all --smoke
 
-# Hot-path gate: desim queue ops/sec, end-to-end tasks/sec, and the mem
-# recorder's overhead over a disabled run (the bin exits nonzero past
-# any gate). The real <=12% mem bound is enforced by full-size runs and
-# the committed BENCH_hotpath.json; --smoke widens it to 25% because
-# ~3 ms smoke reps are noise-dominated on a shared CI box. The smoke
-# result goes to a scratch path so CI never dirties the tree.
+# Hot-path gates (the bin exits nonzero past either): the indexed event
+# queue must beat the lazy-deletion oracle on the churn workload, and
+# recording a run with the mem recorder — which is also all that
+# profiling costs — may slow simulator events/sec by at most 12% over
+# obs off. --smoke widens that to 25% because ~3 ms smoke reps are
+# noise-dominated on a shared CI box; full-size runs (the committed
+# BENCH_hotpath.json) use the real bound. End-to-end tasks/sec is
+# reported, not gated: cross-commit comparison is benchmark/'s job. The
+# smoke result goes to a scratch path so CI never dirties the tree.
 run cargo run --release --offline -p pagoda-bench --bin hotpath -- --smoke --out target/BENCH_hotpath_smoke.json
 
 # Invariant checking (pagoda-check). Two gates, both exit nonzero on

@@ -93,14 +93,14 @@ fn scaling_run(n: usize, tasks: usize) -> f64 {
     drive_batch(n, tasks, pagoda_obs::Obs::off())
 }
 
-/// Gate-sized batch re-driven with a [`pagoda_prof::ProfRecorder`]
-/// attached: same simulated history as [`scaling_run`] (the curve is
-/// measured in simulated time, so profiling adds no noise to it), plus
-/// the critical-path attribution of where that time went.
+/// Gate-sized batch re-driven with a recorder attached: same simulated
+/// history as [`scaling_run`] (the curve is measured in simulated time,
+/// so profiling adds no noise to it), plus the critical-path
+/// attribution of where that time went.
 fn attribution_run(n: usize, tasks: usize) -> ProfSummary {
-    let (obs, rec) = pagoda_prof::ProfRecorder::recording();
+    let (obs, rec) = pagoda_obs::Obs::recording();
     drive_batch(n, tasks, obs);
-    rec.report().summary()
+    pagoda_prof::ProfReport::from_buffer(&rec.snapshot()).summary()
 }
 
 /// Closed-loop batch with an explicit obs sink; returns simulated

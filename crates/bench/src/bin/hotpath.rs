@@ -13,31 +13,27 @@
 //!   from a historical number.
 //! * `e2e` — `pagoda_sim`-shaped tasks/sec for the full stack with
 //!   obs off: the number the paper's throughput claims rest on.
-//! * `obs` — off/null/mem overhead, as `obs_overhead`, but gating the
-//!   **mem** recorder (≤ `--gate-mem` percent, default 12; `--smoke`
-//!   defaults to 25 because its ~3 ms runs are noise-dominated on a
-//!   shared host): capturing a full trace must not distort what it
-//!   observes.
+//! * `obs` — simulator events/sec with obs off and with the **mem**
+//!   recorder attached, gating the difference (≤ `--gate-mem` percent,
+//!   default 12; `--smoke` defaults to 25 because its ~3 ms runs are
+//!   noise-dominated on a shared host): capturing a full trace must
+//!   not distort what it observes.
 //!
 //! Gates (exit nonzero on failure):
 //! * `churn.ops_per_sec >= churn_oracle.ops_per_sec` — the indexed
 //!   queue must beat lazy deletion on its own motivating workload.
 //! * `obs.mem.overhead_pct <= gate_mem_pct`.
-//! * With `--baseline PATH` (a prior report from this host): `churn`
-//!   ops/sec and `e2e` tasks/sec must not regress vs the baseline.
-//!   Without it the cross-run comparison is recorded as unenforced.
 //!
 //! Run with `cargo run --release -p pagoda-bench --bin hotpath`
 //! (add `--smoke` for the CI-sized run, `--out PATH` to redirect).
 
 use std::collections::{BinaryHeap, HashSet};
-use std::sync::Arc;
 use std::time::Instant;
 
 use desim::{Dur, Engine, SimTime};
 use gpu_sim::WarpWork;
 use pagoda_core::{PagodaConfig, PagodaRuntime, SubmitError, TaskDesc};
-use pagoda_obs::{MemRecorder, NullRecorder, Obs};
+use pagoda_obs::Obs;
 use serde::Serialize;
 
 /// Lanes in the desim microbench — one armed prediction each, like
@@ -115,22 +111,11 @@ struct ObsSection {
     reps: u64,
     gate_mem_pct: f64,
     off: ModeResult,
-    null: ModeResult,
     mem: ModeResult,
     captured: Captured,
     /// Critical-path attribution of the captured run: where its wall
     /// (simulated) time went, phase by phase.
     attribution: pagoda_prof::ProfSummary,
-}
-
-/// Reference numbers parsed from `--baseline PATH` (a prior report).
-#[derive(Debug, Clone, Serialize)]
-struct Baseline {
-    path: String,
-    churn_ops_per_sec: f64,
-    fifo_ops_per_sec: f64,
-    tasks_per_sec: f64,
-    mem_overhead_pct: f64,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -141,9 +126,6 @@ struct BenchReport {
     desim: DesimSection,
     e2e: E2eSection,
     obs: ObsSection,
-    baseline: Option<Baseline>,
-    /// Whether the cross-run baseline comparison gated this run.
-    baseline_enforced: bool,
     pass: bool,
 }
 
@@ -319,19 +301,6 @@ fn run_once(n: usize, obs: Obs) -> (f64, u64) {
     (start.elapsed().as_secs_f64(), rt.engine_stats().delivered)
 }
 
-/// Pulls `"key":<number>` out of a compact JSON report. Good enough
-/// for re-reading our own machine-written baseline file — the vendored
-/// serde stack serializes only.
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = &text[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
     let mut smoke = false;
     let mut rounds: u64 = 2_000_000;
@@ -339,7 +308,6 @@ fn main() {
     let mut reps: usize = 9;
     let mut gate_mem_pct: f64 = 12.0;
     let mut out = String::from("BENCH_hotpath.json");
-    let mut baseline_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -386,12 +354,9 @@ fn main() {
             "--out" => {
                 out = args.next().expect("--out needs a path");
             }
-            "--baseline" => {
-                baseline_path = Some(args.next().expect("--baseline needs a path"));
-            }
             other => panic!(
                 "unknown argument {other}; supported: --smoke --rounds N --tasks N --reps N \
-                 --gate-mem PCT --out PATH --baseline PATH"
+                 --gate-mem PCT --out PATH"
             ),
         }
     }
@@ -438,14 +403,10 @@ fn main() {
 
     // --- end-to-end tasks/sec + obs overhead (interleaved reps) ----
     type ObsCtor = fn() -> Obs;
-    let modes: [(&str, ObsCtor); 3] = [
-        ("off", Obs::off),
-        ("null", || Obs::new(Arc::new(NullRecorder))),
-        ("mem", || Obs::with_mem(Arc::new(MemRecorder::new()))),
-    ];
+    let modes: [(&str, ObsCtor); 2] = [("off", Obs::off), ("mem", || Obs::recording().0)];
     run_once(n.min(256), Obs::off()); // warm-up
-    let mut best = [f64::INFINITY; 3];
-    let mut events = [0u64; 3];
+    let mut best = [f64::INFINITY; 2];
+    let mut events = [0u64; 2];
     for rep in 0..reps {
         for (i, (name, mk)) in modes.iter().enumerate() {
             let (secs, ev) = run_once(n, mk());
@@ -459,11 +420,10 @@ fn main() {
     }
     assert_eq!(
         events[0], events[1],
-        "recorders must not change the simulated history"
+        "recording must not change the simulated history"
     );
-    assert_eq!(events[0], events[2]);
 
-    let evps: Vec<f64> = (0..3).map(|i| events[i] as f64 / best[i]).collect();
+    let evps: Vec<f64> = (0..2).map(|i| events[i] as f64 / best[i]).collect();
     let overhead = |i: usize| 100.0 * (evps[0] - evps[i]) / evps[0];
     let mk_result = |i: usize| ModeResult {
         mode: modes[i].0.to_string(),
@@ -499,28 +459,12 @@ fn main() {
         reps: reps as u64,
         gate_mem_pct,
         off: mk_result(0),
-        null: mk_result(1),
-        mem: mk_result(2),
+        mem: mk_result(1),
         captured,
         attribution,
     };
 
-    // --- baseline comparison + gates -------------------------------
-    let baseline = baseline_path.map(|path| {
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        let churn_txt = &text[text.find("\"churn\":").expect("baseline has churn")..];
-        let mem_txt = &text[text.find("\"mem\":").expect("baseline has mem")..];
-        Baseline {
-            churn_ops_per_sec: json_f64(churn_txt, "ops_per_sec").expect("churn ops_per_sec"),
-            fifo_ops_per_sec: json_f64(&text, "ops_per_sec").expect("fifo ops_per_sec"),
-            tasks_per_sec: json_f64(&text, "tasks_per_sec").expect("tasks_per_sec"),
-            mem_overhead_pct: json_f64(mem_txt, "overhead_pct").expect("mem overhead_pct"),
-            path,
-        }
-    });
-    let baseline_enforced = baseline.is_some();
-
+    // --- gates ----------------------------------------------------
     let mut failures: Vec<String> = Vec::new();
     if desim.churn_speedup < 1.0 {
         failures.push(format!(
@@ -534,20 +478,6 @@ fn main() {
             obs.mem.overhead_pct
         ));
     }
-    if let Some(b) = &baseline {
-        if desim.churn.ops_per_sec < b.churn_ops_per_sec {
-            failures.push(format!(
-                "churn regressed vs baseline: {:.0} < {:.0} ops/s",
-                desim.churn.ops_per_sec, b.churn_ops_per_sec
-            ));
-        }
-        if e2e.tasks_per_sec < b.tasks_per_sec {
-            failures.push(format!(
-                "e2e regressed vs baseline: {:.0} < {:.0} tasks/s",
-                e2e.tasks_per_sec, b.tasks_per_sec
-            ));
-        }
-    }
 
     let report = BenchReport {
         bench: "hotpath".to_string(),
@@ -556,8 +486,6 @@ fn main() {
         desim,
         e2e,
         obs,
-        baseline,
-        baseline_enforced,
         pass: failures.is_empty(),
     };
 
@@ -572,7 +500,7 @@ fn main() {
         "e2e    {:>12.0} tasks/s   {:>12.0} events/s   best {:.1} ms",
         report.e2e.tasks_per_sec, report.e2e.events_per_sec, report.e2e.best_ms
     );
-    for r in [&report.obs.off, &report.obs.null, &report.obs.mem] {
+    for r in [&report.obs.off, &report.obs.mem] {
         println!(
             "obs    {:>6} {:>10.1} ms {:>12.0} events/s {:>8.2}%",
             r.mode, r.best_ms, r.events_per_sec, r.overhead_pct

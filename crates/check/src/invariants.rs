@@ -40,7 +40,8 @@ use std::fmt;
 use pagoda_core::warptable::EXECUTORS_PER_MTB;
 use pagoda_core::PagodaConfig;
 use pagoda_obs::{
-    Counter, DeviceSample, MtbSample, SmmSample, SyncKind, SyncMark, TaskEvent, TaskMark, TaskState,
+    Counter, DeviceSample, Event, MtbSample, SmmSample, SyncKind, SyncMark, TaskEvent, TaskMark,
+    TaskState,
 };
 use pagoda_prof::{decompose, Cuts};
 
@@ -399,9 +400,23 @@ impl CheckCore {
         self.violations.is_empty() && self.dropped == 0
     }
 
+    /// Routes one stream event to the invariants that watch its kind.
+    /// Tenant tags and routes carry nothing any invariant reads.
+    pub fn feed(&mut self, ev: &Event) {
+        match *ev {
+            Event::Task(e) => self.on_task(e),
+            Event::Mark(m) => self.on_mark(m),
+            Event::Smm(s) => self.on_smm(s),
+            Event::Mtb(s) => self.on_mtb(s),
+            Event::Device(s) => self.on_device(s),
+            Event::Sync(m) => self.on_sync_mark(m),
+            Event::Tenant(_) | Event::Route(_) => {}
+        }
+    }
+
     /// Invariant 1 (lifecycle), 6 (merge order), 7 (causality); also
     /// feeds the cut timeline for invariant 9.
-    pub fn on_task(&mut self, ev: TaskEvent) {
+    fn on_task(&mut self, ev: TaskEvent) {
         self.cuts
             .entry(ev.task)
             .or_default()
@@ -462,7 +477,7 @@ impl CheckCore {
 
     /// Feeds arrival/admission/observation marks into the cut timeline
     /// for the end-of-run decomposition check (invariant 9).
-    pub fn on_mark(&mut self, m: TaskMark) {
+    fn on_mark(&mut self, m: TaskMark) {
         self.cuts
             .entry(m.task)
             .or_default()
@@ -470,7 +485,7 @@ impl CheckCore {
     }
 
     /// Invariant 3 (SMM capacity).
-    pub fn on_smm(&mut self, s: SmmSample) {
+    fn on_smm(&mut self, s: SmmSample) {
         let Some(l) = self.limits else { return };
         let checks: [(&'static str, u64, u64); 5] = [
             (
@@ -505,7 +520,7 @@ impl CheckCore {
     }
 
     /// Invariant 4 (MTB capacity).
-    pub fn on_mtb(&mut self, s: MtbSample) {
+    fn on_mtb(&mut self, s: MtbSample) {
         let Some(l) = self.limits else { return };
         let checks: [(&'static str, u64, u64); 3] = [
             (
@@ -534,7 +549,7 @@ impl CheckCore {
     }
 
     /// Invariant 5 (dead devices stay dead and idle).
-    pub fn on_device(&mut self, s: DeviceSample) {
+    fn on_device(&mut self, s: DeviceSample) {
         if let Some((was_alive, _)) = self.device_last.get(&s.device) {
             if !was_alive && s.alive {
                 self.flag(Violation::DeviceResurrected {
@@ -554,7 +569,7 @@ impl CheckCore {
     }
 
     /// Opens a new sync batch (invariants 6 and 7 reset their window).
-    pub fn on_sync_mark(&mut self, m: SyncMark) {
+    fn on_sync_mark(&mut self, m: SyncMark) {
         self.batch = Some(m);
         self.batch_freed = None;
     }

@@ -6,12 +6,13 @@
 //! that into machinery:
 //!
 //! * [`CheckCore`] / [`CheckRecorder`] — an invariant state machine fed
-//!   by the observability stream, packaged as a [`pagoda_obs::Recorder`]
-//!   tee so it drops into any `attach_obs` site without perturbing the
-//!   stream it checks. Validated on every lifecycle event: task
-//!   conservation, SMM/MTB capacity ceilings, dead devices staying
-//!   dead, sorted-merge order, the causal-harvest gate, and staging
-//!   accounting. See `DESIGN.md` §14 for the catalog.
+//!   one [`pagoda_obs::Event`] at a time ([`CheckCore::feed`]), packaged
+//!   as a two-method [`pagoda_obs::Recorder`] tee so it drops into any
+//!   `attach_obs` site without perturbing the stream it checks.
+//!   Validated on every lifecycle event: task conservation, SMM/MTB
+//!   capacity ceilings, dead devices staying dead, sorted-merge order,
+//!   the causal-harvest gate, and staging accounting. See `DESIGN.md`
+//!   §14 for the catalog.
 //! * [`QosCheck`] — a [`pagoda_serve::QosAudit`] mirroring each queue
 //!   discipline (FIFO arrival order, EDF deadline order, per-tenant
 //!   order under weighted fairness) and flagging contract breaches.

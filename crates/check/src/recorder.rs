@@ -2,16 +2,19 @@
 //!
 //! Implements [`Recorder`] so it drops into any `attach_obs` site: each
 //! event is validated by a [`CheckCore`] and then forwarded verbatim to
-//! an inner [`MemRecorder`], so the buffered stream is byte-identical
-//! to what a plain recorder would have captured — attaching the checker
-//! never perturbs the determinism fingerprint it is checking.
+//! an inner [`pagoda_obs::MemRecorder`], so the buffered stream is
+//! byte-identical to what a plain recorder would have captured —
+//! attaching the checker never perturbs the determinism fingerprint it
+//! is checking.
+//!
+//! The checker sits *in* the stream rather than folding over the
+//! snapshot afterwards because the merge-order, causality and staging
+//! invariants depend on how events of different kinds interleave, and
+//! [`ObsBuffer`] keeps one `Vec` per kind.
 
 use std::sync::{Arc, Mutex};
 
-use pagoda_obs::{
-    Counter, DeviceSample, MtbSample, Obs, ObsBuffer, Recorder, SmmSample, SyncMark, TaskEvent,
-    TaskMark, TaskRoute, TenantTag,
-};
+use pagoda_obs::{Counter, Event, Obs, ObsBuffer, Recorder};
 
 use crate::invariants::{CheckCore, CheckLimits, Violation};
 
@@ -69,42 +72,9 @@ impl CheckRecorder {
 }
 
 impl Recorder for CheckRecorder {
-    fn task(&self, ev: TaskEvent) {
-        self.core().on_task(ev);
-        self.inner.task(ev);
-    }
-
-    fn tenant(&self, tag: TenantTag) {
-        self.inner.tenant(tag);
-    }
-
-    fn mark(&self, m: TaskMark) {
-        self.core().on_mark(m);
-        self.inner.mark(m);
-    }
-
-    fn route(&self, r: TaskRoute) {
-        self.inner.route(r);
-    }
-
-    fn smm(&self, s: SmmSample) {
-        self.core().on_smm(s);
-        self.inner.smm(s);
-    }
-
-    fn mtb(&self, s: MtbSample) {
-        self.core().on_mtb(s);
-        self.inner.mtb(s);
-    }
-
-    fn device(&self, s: DeviceSample) {
-        self.core().on_device(s);
-        self.inner.device(s);
-    }
-
-    fn sync_mark(&self, m: SyncMark) {
-        self.core().on_sync_mark(m);
-        self.inner.sync_mark(m);
+    fn event(&self, ev: Event) {
+        self.core().feed(&ev);
+        self.inner.event(ev);
     }
 
     fn count(&self, c: Counter, delta: u64) {
@@ -116,22 +86,90 @@ impl Recorder for CheckRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pagoda_obs::TaskState;
+    use pagoda_obs::{
+        DeviceSample, MarkKind, MtbSample, SmmSample, SyncKind, SyncMark, TaskEvent, TaskMark,
+        TaskRoute, TaskState, TenantTag,
+    };
+
+    /// Replays `ev` through the `Obs` method an instrumented crate would
+    /// call. The match is exhaustive on purpose: a new [`Event`] variant
+    /// stops this compiling until it is added here and to `one_of_each`.
+    fn drive(obs: &Obs, ev: Event) {
+        match ev {
+            Event::Task(TaskEvent { at_ps, task, state }) => obs.task(at_ps, task, state),
+            Event::Tenant(TenantTag { task, tenant }) => obs.tenant(task, tenant),
+            Event::Smm(s) => obs.smm(s),
+            Event::Mtb(s) => obs.mtb(s),
+            Event::Device(s) => obs.device(s),
+            Event::Sync(SyncMark { at_ps, kind }) => obs.sync_mark(at_ps, kind),
+            Event::Mark(TaskMark { at_ps, task, kind }) => obs.mark(at_ps, task, kind),
+            Event::Route(TaskRoute { task, device }) => obs.route(task, device),
+        }
+    }
+
+    fn one_of_each() -> [Event; 9] {
+        let task = |at_ps, state| {
+            Event::Task(TaskEvent {
+                at_ps,
+                task: 0,
+                state,
+            })
+        };
+        [
+            task(1, TaskState::Spawned),
+            Event::Tenant(TenantTag { task: 0, tenant: 3 }),
+            Event::Route(TaskRoute { task: 0, device: 1 }),
+            Event::Mark(TaskMark {
+                at_ps: 0,
+                task: 0,
+                kind: MarkKind::Arrived,
+            }),
+            Event::Smm(SmmSample {
+                at_ps: 2,
+                sm: 0,
+                resident_warps: 4,
+                running_warps: 2,
+                free_regs: 100,
+                free_smem: 200,
+                free_tb_slots: 1,
+            }),
+            Event::Mtb(MtbSample {
+                at_ps: 3,
+                mtb: 1,
+                free_warp_slots: 30,
+                free_smem: 1024,
+                used_entries: 1,
+            }),
+            Event::Device(DeviceSample {
+                at_ps: 4,
+                device: 1,
+                known_free: 10,
+                outstanding: 0,
+                alive: true,
+            }),
+            Event::Sync(SyncMark {
+                at_ps: 9,
+                kind: SyncKind::Sync,
+            }),
+            task(9, TaskState::Freed),
+        ]
+    }
 
     #[test]
     fn tee_preserves_the_buffered_stream() {
         let (plain, plain_rec) = Obs::recording();
         let (checked, check_rec) = CheckRecorder::recording(None);
         for obs in [&plain, &checked] {
-            obs.task(1, 0, TaskState::Spawned);
-            obs.task(9, 0, TaskState::Freed);
+            for ev in one_of_each() {
+                drive(obs, ev);
+            }
             obs.count(Counter::TasksSpawned, 1);
-            obs.sync_mark(9, pagoda_obs::SyncKind::Sync);
         }
-        assert_eq!(
-            plain_rec.snapshot().to_json(),
-            check_rec.snapshot().to_json()
-        );
+        let json = check_rec.snapshot().to_json();
+        assert_eq!(plain_rec.snapshot().to_json(), json);
+        // An empty stream serializes as `[]`: every kind reached the
+        // buffer, so the two sides did not agree by both dropping one.
+        assert!(!json.contains("[]"), "a stream is empty: {json}");
         assert!(check_rec.finish().is_empty());
     }
 

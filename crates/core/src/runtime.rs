@@ -429,7 +429,7 @@ impl PagodaRuntime {
     }
 
     /// The device event-engine's counters (scheduled/delivered/...):
-    /// the denominator of the `obs_overhead` bench's events/sec and a
+    /// the denominator of the `hotpath` bench's events/sec and a
     /// cheap determinism fingerprint (identical runs deliver identical
     /// event counts).
     pub fn engine_stats(&self) -> desim::EngineStats {

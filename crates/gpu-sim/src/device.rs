@@ -481,7 +481,7 @@ impl GpuDevice {
     }
 
     /// Event-engine counters (scheduled/delivered/cancelled), the
-    /// denominator for the `obs_overhead` bench's events/sec.
+    /// denominator for the `hotpath` bench's events/sec.
     pub fn engine_stats(&self) -> desim::EngineStats {
         self.engine.stats()
     }

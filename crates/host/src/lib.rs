@@ -72,6 +72,8 @@ impl TaskHandle {
 struct Shared {
     table: SlotTable,
     obs: Obs,
+    /// Serialises [`Shared::count`]; see there.
+    count_lock: Mutex<()>,
     spawned: AtomicU64,
     completed: AtomicU64,
     panicked: AtomicU64,
@@ -80,6 +82,20 @@ struct Shared {
     idle_lock: Mutex<()>,
     work_cv: Condvar,
     done_cv: Condvar,
+}
+
+impl Shared {
+    /// Bumps an obs counter by one. `MemRecorder::count` is a plain
+    /// load/store — every simulated driver writes its recorder from one
+    /// thread — and this executor is the one concurrent writer in the
+    /// tree (every worker, every spawner), so it serialises its own
+    /// bumps when a retaining recorder is attached. A counters-only
+    /// recorder (`retains() == false`) is called directly and must
+    /// count atomically itself.
+    fn count(&self, c: Counter) {
+        let _serial = self.obs.enabled().then(|| self.count_lock.lock());
+        self.obs.count(c, 1);
+    }
 }
 
 /// The native narrow-task executor. Dropping it shuts the workers down
@@ -111,6 +127,7 @@ impl HostPagoda {
         let shared = Arc::new(Shared {
             table: SlotTable::new(workers, rows),
             obs,
+            count_lock: Mutex::new(()),
             spawned: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
@@ -152,7 +169,7 @@ impl HostPagoda {
             flag.store(true, Ordering::Release);
         });
         self.shared.spawned.fetch_add(1, Ordering::Relaxed);
-        self.shared.obs.count(Counter::TasksSpawned, 1);
+        self.shared.count(Counter::TasksSpawned);
         let mut job = boxed;
         loop {
             match self.shared.table.try_publish(job) {
@@ -234,8 +251,10 @@ fn worker_loop(own_col: usize, shared: &Shared) {
             if result.is_err() {
                 shared.panicked.fetch_add(1, Ordering::Relaxed);
             }
+            // Counted before `completed` is published, so a waiter that
+            // saw the completion also sees the counter.
+            shared.count(Counter::TasksFreed);
             shared.completed.fetch_add(1, Ordering::Release);
-            shared.obs.count(Counter::TasksFreed, 1);
             shared.done_cv.notify_all();
             continue;
         }
@@ -294,16 +313,22 @@ mod tests {
 
     #[test]
     fn obs_counters_match_native_counters() {
+        // Eight workers and four spawners on empty jobs: every counter
+        // bump races every other one, and none may be lost.
+        const SPAWNERS: u64 = 4;
+        const JOBS: u64 = 25_000;
         let (obs, rec) = Obs::recording();
-        let rt = HostPagoda::with_obs(4, 8, obs);
-        for _ in 0..500 {
-            rt.spawn(|| {});
-        }
+        let rt = HostPagoda::with_obs(8, 32, obs);
+        std::thread::scope(|s| {
+            for _ in 0..SPAWNERS {
+                s.spawn(|| (0..JOBS).for_each(|_| drop(rt.spawn(|| {}))));
+            }
+        });
         rt.wait_all();
         let buf = rec.snapshot();
-        assert_eq!(buf.counter(Counter::TasksSpawned), 500);
+        assert_eq!(buf.counter(Counter::TasksSpawned), SPAWNERS * JOBS);
         assert_eq!(buf.counter(Counter::TasksFreed), rt.completed_tasks());
-        assert_eq!(rt.completed_tasks(), 500);
+        assert_eq!(rt.completed_tasks(), SPAWNERS * JOBS);
     }
 
     #[test]

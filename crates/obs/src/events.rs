@@ -1,5 +1,6 @@
 //! The event taxonomy: everything a [`Recorder`](crate::Recorder) can
-//! receive. Three shapes, matched to how the paper argues its claims:
+//! receive — an [`Event`] or a [`Counter`] bump. Three shapes, matched
+//! to how the paper argues its claims:
 //!
 //! * [`TaskEvent`] — one per task *state change*, following the paper's
 //!   lifecycle (spawned → enqueued → placed → running → freed). Latency
@@ -210,6 +211,31 @@ pub struct SyncMark {
     pub at_ps: u64,
     /// What kind of sync point this is.
     pub kind: SyncKind,
+}
+
+/// Everything a [`Recorder`](crate::Recorder) can receive besides
+/// counters: the one currency between an [`Obs`](crate::Obs) handle and
+/// its sinks. Not `Serialize` — [`ObsBuffer`](crate::ObsBuffer), with
+/// one `Vec` per variant, is the wire form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event {
+    /// A task changed lifecycle state.
+    Task(TaskEvent),
+    /// A task was attributed to a tenant (serving layer).
+    Tenant(TenantTag),
+    /// An SMM's resource residency changed.
+    Smm(SmmSample),
+    /// An MTB's column/WarpTable/smem-pool occupancy changed.
+    Mtb(MtbSample),
+    /// A fleet device's outstanding-task count or liveness changed.
+    Device(DeviceSample),
+    /// A fleet driver reached a synchronization point (cluster layer).
+    Sync(SyncMark),
+    /// A serving-layer timeline mark (arrival / admission / observed
+    /// completion) was attributed to a task.
+    Mark(TaskMark),
+    /// A task was routed to a fleet device (cluster layer).
+    Route(TaskRoute),
 }
 
 /// Monotonic counters. Each increments by an arbitrary delta; recorders

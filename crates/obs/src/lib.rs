@@ -14,12 +14,13 @@
 //!   admission admit/shed, scheduler decisions, engine events.
 //!
 //! Design rule: *zero dependency on the hot path*. A disabled handle
-//! ([`Obs::off`]) costs one `Option` discriminant test per site; the
-//! `obs_overhead` bench in `crates/bench` gates this at ≤ 5 % of sim
-//! throughput. Recording goes through the [`Recorder`] trait —
-//! [`NullRecorder`] to measure dispatch cost, [`MemRecorder`] to buffer
-//! for the exporters in [`export`] (chrome://tracing with one track per
-//! SMM and per tenant, CSV timelines, JSON summary).
+//! ([`Obs::off`]) costs one `Option` discriminant test per site.
+//! Recording goes through the three-method [`Recorder`] trait — one
+//! [`Event`] enum, counter bumps, and `retains()` — and the stock
+//! [`MemRecorder`] buffers for the exporters in [`export`]
+//! (chrome://tracing with one track per SMM and per tenant, CSV
+//! timelines, JSON summary); the `hotpath` bench in `crates/bench`
+//! gates its cost at ≤ 12 % of sim throughput.
 //!
 //! # Example
 //!
@@ -43,8 +44,8 @@ pub mod recorder;
 pub mod writer;
 
 pub use events::{
-    Counter, DeviceSample, MarkKind, MtbSample, SmmSample, SyncKind, SyncMark, TaskEvent, TaskMark,
-    TaskRoute, TaskState, TenantTag,
+    Counter, DeviceSample, Event, MarkKind, MtbSample, SmmSample, SyncKind, SyncMark, TaskEvent,
+    TaskMark, TaskRoute, TaskState, TenantTag,
 };
 pub use export::{summarize, write_chrome_trace, ObsSummary};
-pub use recorder::{MemRecorder, NullRecorder, Obs, ObsBuffer, Recorder};
+pub use recorder::{MemRecorder, Obs, ObsBuffer, Recorder};

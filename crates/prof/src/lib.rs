@@ -11,13 +11,14 @@
 //! and per fleet device, so per-device profiles fold into exactly the
 //! fleet-wide aggregate.
 //!
-//! Three ways in:
+//! Two ways in:
 //!
-//! * **online tee** — [`ProfRecorder::recording`] yields an [`Obs`]
-//!   handle that profiles while forwarding the unmodified stream to an
-//!   inner buffer (same pattern as `pagoda-check`);
-//! * **post-hoc** — [`ProfReport::from_buffer`] rebuilds the profile
-//!   from any captured [`ObsBuffer`] (how the benches attribute runs);
+//! * **post-hoc** — record the run with a plain [`Obs::recording`]
+//!   handle and call [`ProfReport::from_buffer`] on the captured
+//!   [`ObsBuffer`]. The profiler does no per-event work: every input
+//!   the phase model needs (lifecycle events, marks, routes, tenant
+//!   tags) is in that buffer, so profiling costs a run exactly what
+//!   recording costs;
 //! * **SLO tracking** — [`SloTracker`] accounts completed sojourns
 //!   against per-tenant [`SloSpec`] targets with integer burn-rate math.
 //!
@@ -26,22 +27,22 @@
 //! regression diffs ([`diff_reports`]) — all integer-valued and
 //! byte-deterministic for identical reports.
 //!
-//! [`Obs`]: pagoda_obs::Obs
+//! [`Obs::recording`]: pagoda_obs::Obs::recording
 //! [`ObsBuffer`]: pagoda_obs::ObsBuffer
 //!
 //! # Example
 //!
 //! ```
-//! use pagoda_obs::{MarkKind, TaskState};
-//! use pagoda_prof::ProfRecorder;
+//! use pagoda_obs::{MarkKind, Obs, TaskState};
+//! use pagoda_prof::ProfReport;
 //!
-//! let (obs, prof) = ProfRecorder::recording();
+//! let (obs, rec) = Obs::recording();
 //! obs.mark(0, 7, MarkKind::Arrived);
 //! obs.task(100, 7, TaskState::Spawned);
 //! obs.task(400, 7, TaskState::Running);
 //! obs.task(900, 7, TaskState::Freed);
 //!
-//! let report = prof.report();
+//! let report = ProfReport::from_buffer(&rec.snapshot());
 //! assert_eq!(report.total().tasks, 1);
 //! assert_eq!(report.total().sojourn.sum(), 900);
 //!
@@ -54,7 +55,6 @@ pub mod diff;
 pub mod export;
 pub mod hist;
 pub mod phase;
-pub mod recorder;
 pub mod report;
 pub mod slo;
 
@@ -62,6 +62,5 @@ pub use diff::{diff_reports, PhaseDelta, ProfDiff};
 pub use export::{check_exposition, write_folded, write_prometheus};
 pub use hist::{HistSummary, LogHist};
 pub use phase::{decompose, Cuts, Decomposition, Phase};
-pub use recorder::ProfRecorder;
 pub use report::{GroupProf, GroupSummary, PhaseSummary, ProfReport, ProfSummary, TaskProf};
 pub use slo::{SloReport, SloSpec, SloTracker, SloViolation};

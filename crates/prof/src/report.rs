@@ -213,6 +213,7 @@ mod tests {
                 let mut t = TaskProf::default();
                 let t0 = i * 1_000;
                 t.cuts.note_mark(MarkKind::Arrived, t0);
+                t.cuts.note_mark(MarkKind::Admitted, t0 + 20);
                 t.cuts.note_state(TaskState::Spawned, t0 + 50);
                 t.cuts.note_state(TaskState::Enqueued, t0 + 150);
                 t.cuts.note_state(TaskState::Placed, t0 + 200);

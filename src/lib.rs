@@ -103,7 +103,7 @@ pub mod prelude {
     pub use pagoda_host::Backend;
     pub use pagoda_obs::{Counter, MemRecorder, Obs, ObsBuffer, Recorder, TaskState};
     pub use pagoda_prof::{
-        check_exposition, write_folded, write_prometheus, Phase, ProfRecorder, ProfReport, SloSpec,
+        check_exposition, write_folded, write_prometheus, Phase, ProfReport, SloSpec,
     };
     pub use pagoda_serve::{
         serve, serve_on, ArrivalSpec, Policy, ServeConfig, ServeError, TenantSpec,

@@ -12,9 +12,9 @@
 mod common;
 
 use pagoda_cluster::{ClusterConfig, ClusterHandle};
+use pagoda_obs::Obs;
 use pagoda_prof::{
-    check_exposition, diff_reports, write_folded, write_prometheus, Phase, ProfRecorder,
-    ProfReport, SloSpec,
+    check_exposition, diff_reports, write_folded, write_prometheus, Phase, ProfReport, SloSpec,
 };
 use pagoda_serve::{serve_on, Policy, ServeConfig, TenantSpec};
 use workloads::Bench;
@@ -32,12 +32,12 @@ fn profiled_run() -> (ProfReport, String) {
     let mut cfg = ServeConfig::new(vec![alpha, beta], Policy::WeightedFair);
     cfg.tasks_per_tenant = 64;
     cfg.mix = "prof-golden".into();
-    let (obs, rec) = ProfRecorder::recording();
+    let (obs, rec) = Obs::recording();
     cfg.obs = obs;
     let mut fleet = ClusterHandle::new(ClusterConfig::uniform(2)).expect("uniform config is valid");
     let out = serve_on(&cfg, &mut fleet).expect("golden config serves");
     let slo_json = serde_json::to_string(&out.report.slo).expect("slo reports serialize");
-    (rec.report(), slo_json)
+    (ProfReport::from_buffer(&rec.snapshot()), slo_json)
 }
 
 fn render(report: &ProfReport) -> (String, String) {
