@@ -62,6 +62,36 @@ run cargo run --release --offline -p pagoda-bench --bin cluster_scaling -- --smo
 # files are frozen between benchmark PRs).
 run bash benchmark/run.sh --all --smoke
 
+# With PAGODA_CHECK_EXTENDED=1 (the switch that also widens `explore`
+# below): the four workloads full-size at both baseline seeds, one
+# second of reps each, every sim_fingerprint held against
+# benchmark/baseline.json — the byte-identity contract at the scale the
+# acceptance driver runs, where the smoke sizes above never fill a
+# TaskTable four times over.
+baseline_fingerprint() { # seed workload
+    awk -v seed="\"$1\":" -v workload="\"$2\":" '
+        $1 == seed { in_seed = 1 }
+        in_seed && $1 == workload { in_workload = 1 }
+        in_workload && $1 == "\"sim_fingerprint\":" { gsub(/[",]/, "", $2); print $2; exit }
+    ' benchmark/baseline.json
+}
+if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
+    for seed in 42 7; do
+        for workload in paper_fig5 serve_netmix fleet_batch fleet_serve; do
+            echo "==> benchmark fingerprint: $workload seed $seed"
+            want=$(baseline_fingerprint "$seed" "$workload")
+            got=$(bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 1 --trace 0 |
+                sed -n 's/^ *sim_fingerprint //p')
+            if [ -z "$want" ] || [ "$got" != "$want" ]; then
+                echo "ci: $workload seed $seed: sim_fingerprint '$got', benchmark/baseline.json has '$want'" >&2
+                exit 1
+            fi
+        done
+    done
+fi
+# The builds above may rewrite the frozen benchmark/Cargo.lock.
+git checkout -- benchmark/Cargo.lock 2>/dev/null || true
+
 # Hot-path gates (the bin exits nonzero past either): the indexed event
 # queue must beat the lazy-deletion oracle on the churn workload, and
 # recording a run with the mem recorder — which is also all that

@@ -93,7 +93,7 @@ pub fn run_hyperq(cfg: &HyperQConfig, tasks: &[TaskDesc]) -> RunSummary {
                         regs_per_thread: 32,
                         smem_per_tb: task.smem_per_tb,
                     };
-                    let k = KernelDesc::new(shape, task.blocks.clone(), i as u64);
+                    let k = KernelDesc::new(shape, task.blocks.to_vec(), i as u64);
                     device.launch_kernel(k).expect("unlaunchable task shape");
                 }
                 Notify::KernelDone { tag } => {

@@ -171,7 +171,7 @@ pub fn reshape_task(base: &TaskDesc, total_threads: u32, threads_per_tb: u32) ->
         num_tbs,
         smem_per_tb: base.smem_per_tb,
         sync: base.sync,
-        blocks: vec![block; num_tbs as usize],
+        blocks: vec![block; num_tbs as usize].into(),
         input_bytes: base.input_bytes,
         output_bytes: base.output_bytes,
         cpu_ops: base.cpu_ops,

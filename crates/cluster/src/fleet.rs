@@ -20,7 +20,8 @@
 //! and device-local completion timestamps are mapped back to fleet time
 //! through the device's clock history.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use desim::{ClockMap, Dur, EngineStats, SimTime};
 use pagoda_core::trace::TaskTrace;
@@ -74,23 +75,48 @@ struct Device {
     id: u32,
     clock: ClockMap,
     alive: bool,
-    /// fleet key → device-local id, key-ordered for deterministic
-    /// harvest order.
-    outstanding: BTreeMap<u64, TaskId>,
+    /// `(fleet key, device-local id)` of spawned tasks whose completion
+    /// this host has not observed yet — the only tasks a sync probes.
+    /// Each still holds a TaskTable entry in the CPU view, so the table
+    /// size bounds the set however many tasks the fleet has issued.
+    unobserved: Vec<(u64, TaskId)>,
+    /// Completions observed host-side that the fleet clock has not
+    /// reached yet: a min-heap on `(fleet instant, key)`. The instant is
+    /// `clock.fleet_of(output_done)`, computed once when the task is
+    /// observed; a rate change remaps it ([`Device::rekey_gated`]).
+    gated: BinaryHeap<Reverse<(SimTime, u64, TaskId)>>,
     spawned: u64,
     completed: u64,
     /// Last `(known_free, outstanding, alive)` tuple emitted to the
     /// device track; samples are change-detected so every sync can
     /// probe every device without flooding the recorder.
     last_sample: Option<(u32, u32, bool)>,
+    /// Completion probes made by [`Device::observe`], for the linearity
+    /// test.
+    #[cfg(test)]
+    probes: u64,
+}
+
+/// Device-local instant at which `id`'s output landed in host memory.
+fn output_done(rt: &PagodaRuntime, id: TaskId) -> SimTime {
+    rt.trace(id)
+        .expect("invariant: fleet only holds ids its devices issued")
+        .output_done
+        .expect("invariant: observed-done task has an output time")
 }
 
 impl Device {
+    /// Cluster tasks in flight on the device as the fleet sees them:
+    /// not yet observed, or observed but still behind the harvest gate.
+    fn outstanding(&self) -> u32 {
+        (self.unobserved.len() + self.gated.len()) as u32
+    }
+
     fn view(&self) -> DeviceView {
         DeviceView {
             alive: self.alive,
             known_free: self.rt.capacity().known_free,
-            outstanding: self.outstanding.len() as u32,
+            outstanding: self.outstanding(),
         }
     }
 
@@ -106,7 +132,7 @@ impl Device {
             } else {
                 0
             },
-            self.outstanding.len() as u32,
+            self.outstanding(),
             self.alive,
         );
         if !force && self.last_sample == Some(tuple) {
@@ -122,8 +148,34 @@ impl Device {
         });
     }
 
-    /// Scans `outstanding` for completions observable host-side, mapping
-    /// device-local output timestamps to fleet time.
+    /// Moves every task the last copy-back revealed as done from
+    /// `unobserved` to `gated`, mapping its device-local output
+    /// timestamp to fleet time.
+    fn observe(&mut self) {
+        #[cfg(test)]
+        {
+            self.probes += self.unobserved.len() as u64;
+        }
+        let Device {
+            rt,
+            clock,
+            unobserved,
+            gated,
+            ..
+        } = self;
+        unobserved.retain(|&(key, id)| {
+            let done = rt
+                .observed_done(id)
+                .expect("invariant: fleet only holds ids its devices issued");
+            if done {
+                gated.push(Reverse((clock.fleet_of(output_done(rt, id)), key, id)));
+            }
+            !done
+        });
+    }
+
+    /// Pops the observed completions the fleet may see at `fleet_now`,
+    /// in `(fleet instant, key)` order.
     ///
     /// With `gate` set, a completion only counts once the fleet clock
     /// has reached its mapped fleet instant. Device clocks legitimately
@@ -133,40 +185,71 @@ impl Device {
     /// the gate, the fleet would observe those completions early and a
     /// slowdown would cost nothing. Kill-harvest passes `gate = false`:
     /// it reads the device's final local state, whenever that ran to.
-    fn scan_finished(&self, fleet_now: SimTime, gate: bool) -> Vec<(SimTime, u64)> {
-        self.outstanding
-            .iter()
-            .filter_map(|(&key, &id)| {
-                let done = self
-                    .rt
-                    .observed_done(id)
-                    .expect("invariant: fleet only holds ids its devices issued");
-                if !done {
-                    return None;
-                }
-                let local = self
-                    .rt
-                    .trace(id)
-                    .expect("invariant: fleet only holds ids its devices issued")
-                    .output_done
-                    .expect("invariant: observed-done task has an output time");
-                let at = self.clock.fleet_of(local);
-                if gate && at > fleet_now {
-                    return None;
-                }
-                Some((at, key))
-            })
-            .collect()
+    fn pop_due(&mut self, fleet_now: SimTime, gate: bool) -> Vec<(SimTime, u64, TaskId)> {
+        let mut due = Vec::new();
+        while let Some(&Reverse(first)) = self.gated.peek() {
+            if gate && first.0 > fleet_now {
+                break;
+            }
+            self.gated.pop();
+            due.push(first);
+        }
+        due
+    }
+
+    /// Recomputes every gated completion's fleet instant. `set_rate`
+    /// remaps each local instant past the new segment's start, and a
+    /// device's clock runs ahead of the fleet's, so completions already
+    /// observed can sit past it: their cached keys are stale after a
+    /// rate change.
+    fn rekey_gated(&mut self) {
+        let Device {
+            rt, clock, gated, ..
+        } = self;
+        *gated = std::mem::take(gated)
+            .into_iter()
+            .map(|Reverse((_, key, id))| Reverse((clock.fleet_of(output_done(rt, id)), key, id)))
+            .collect();
     }
 
     /// One device's share of a sync point at fleet instant `at`: the
     /// §4.2.2 aggregate copy-back, a change-detected sample, and the
-    /// completion scan (see [`scan_finished`](Device::scan_finished) for
+    /// completions now visible (see [`pop_due`](Device::pop_due) for
     /// `gate`).
-    fn harvest(&mut self, at: SimTime, gate: bool, obs: &Obs) -> Vec<(SimTime, u64)> {
+    fn harvest(&mut self, at: SimTime, gate: bool, obs: &Obs) -> Vec<(SimTime, u64, TaskId)> {
         self.rt.sync_table();
         self.sample(at, obs, false);
-        self.scan_finished(at, gate)
+        #[cfg(test)]
+        let expected = self.scan_finished(at, gate);
+        self.observe();
+        let due = self.pop_due(at, gate);
+        #[cfg(test)]
+        assert_eq!(
+            due.iter().map(|&(t, key, _)| (t, key)).collect::<Vec<_>>(),
+            expected,
+            "two-set harvest diverged from the full rescan on device {}",
+            self.id
+        );
+        due
+    }
+
+    /// The harvest oracle: re-probes every outstanding task and maps its
+    /// completion through the clock afresh, as every sync did before the
+    /// two sets existed. Returned in `(fleet instant, key)` order.
+    #[cfg(test)]
+    fn scan_finished(&self, fleet_now: SimTime, gate: bool) -> Vec<(SimTime, u64)> {
+        let gated = self.gated.iter().map(|&Reverse((_, key, id))| (key, id));
+        let mut finished: Vec<(SimTime, u64)> = self
+            .unobserved
+            .iter()
+            .copied()
+            .chain(gated)
+            .filter(|&(_, id)| self.rt.observed_done(id).expect("fleet-issued id"))
+            .map(|(key, id)| (self.clock.fleet_of(output_done(&self.rt, id)), key))
+            .filter(|&(at, _)| !gate || at <= fleet_now)
+            .collect();
+        finished.sort_unstable();
+        finished
     }
 }
 
@@ -224,6 +307,9 @@ pub struct FleetReport {
 pub struct ClusterHandle {
     devices: Vec<Device>,
     placer: Placer,
+    /// Scratch for [`route`](ClusterHandle::route): the placement
+    /// policy's view of the fleet, refilled per routed task.
+    views: Vec<DeviceView>,
     interconnect: PcieConfig,
     xfer_bytes: u64,
     retry: RetryPolicy,
@@ -274,15 +360,19 @@ impl ClusterHandle {
                 id: cfg.device_id(i),
                 clock: ClockMap::identity(),
                 alive: true,
-                outstanding: BTreeMap::new(),
+                unobserved: Vec::new(),
+                gated: BinaryHeap::new(),
                 spawned: 0,
                 completed: 0,
                 last_sample: None,
+                #[cfg(test)]
+                probes: 0,
             })
             .collect();
         Ok(ClusterHandle {
             devices,
             placer: Placer::new(cfg.placement, cfg.seed, cfg.affinity_spread),
+            views: Vec::new(),
             interconnect: cfg.interconnect,
             xfer_bytes: cfg.xfer_bytes,
             retry: cfg.retry,
@@ -403,8 +493,9 @@ impl ClusterHandle {
         desc: TaskDesc,
         staged_on: Option<usize>,
     ) -> Result<(usize, TaskId, bool, bool), SubmitError> {
-        let views: Vec<DeviceView> = self.devices.iter().map(Device::view).collect();
-        let Some(device) = self.placer.place(tenant, &views) else {
+        self.views.clear();
+        self.views.extend(self.devices.iter().map(Device::view));
+        let Some(device) = self.placer.place(tenant, &self.views) else {
             return Err(SubmitError::Full(desc));
         };
         let off_home = !self.placer.is_home(tenant, device, self.devices.len());
@@ -440,7 +531,7 @@ impl ClusterHandle {
         resubmit: bool,
     ) {
         let d = &mut self.devices[device];
-        d.outstanding.insert(key, id);
+        d.unobserved.push((key, id));
         d.spawned += 1;
         self.tasks[key as usize].status = Status::InFlight { device };
         self.tasks[key as usize].staged_on = Some(device);
@@ -481,11 +572,11 @@ impl ClusterHandle {
     /// devices with room. Costs simulated time on each device, like
     /// [`PagodaRuntime::sync_table`].
     ///
-    /// The per-device half (copy-back + completion scan) is independent
-    /// across devices; the merge orders all observed completions by
-    /// `(fleet instant, device, key)` before applying them, so the
-    /// completion/resubmission sequence follows fleet time, not device
-    /// scan order.
+    /// The per-device half (copy-back + completion harvest) is
+    /// independent across devices; the merge orders all observed
+    /// completions by `(fleet instant, device, key)` before applying
+    /// them, so the completion/resubmission sequence follows fleet time,
+    /// not device harvest order.
     pub fn sync(&mut self) {
         // The mark precedes the batch: everything applied before the
         // next mark belongs to this sync point, and (gate honored) maps
@@ -499,13 +590,14 @@ impl ClusterHandle {
     }
 
     /// Phase 1 of [`sync`](ClusterHandle::sync): per-device copy-back +
-    /// completion scan, returning the merged `(at, device, key)` list.
-    fn sync_devices(&mut self, gate: bool) -> Vec<(SimTime, usize, u64)> {
-        let mut merged: Vec<(SimTime, usize, u64)> = Vec::new();
+    /// completion harvest, returning the merged `(at, device, key, id)`
+    /// list.
+    fn sync_devices(&mut self, gate: bool) -> Vec<(SimTime, usize, u64, TaskId)> {
+        let mut merged = Vec::new();
         for (i, d) in self.devices.iter_mut().enumerate() {
             if d.alive {
-                let finished = d.harvest(self.fleet_now, gate, &self.obs);
-                merged.extend(finished.into_iter().map(|(at, key)| (at, i, key)));
+                let due = d.harvest(self.fleet_now, gate, &self.obs);
+                merged.extend(due.into_iter().map(|(at, key, id)| (at, i, key, id)));
             }
         }
         // The fleet-level tie-break: completions apply in fleet-time
@@ -519,9 +611,8 @@ impl ClusterHandle {
 
     /// Phase 2 of [`sync`](ClusterHandle::sync): applies merged
     /// completions in `(at, device, key)` order.
-    fn apply_completions(&mut self, merged: Vec<(SimTime, usize, u64)>) {
-        for (at, device, key) in merged {
-            let id = self.devices[device].outstanding.remove(&key);
+    fn apply_completions(&mut self, merged: Vec<(SimTime, usize, u64, TaskId)>) {
+        for (at, device, key, id) in merged {
             self.devices[device].completed += 1;
             self.tasks[key as usize].status = Status::Done { at };
             self.unresolved -= 1;
@@ -530,7 +621,7 @@ impl ClusterHandle {
             // without these cuts, fleet-level profiling would collapse
             // staging, MTB wait, and SMM wait into one opaque span.
             if self.obs.enabled() {
-                if let Some(tr) = id.and_then(|id| self.devices[device].rt.trace(id).ok()) {
+                if let Ok(tr) = self.devices[device].rt.trace(id) {
                     for (t, st) in [
                         (tr.entry_visible, TaskState::Enqueued),
                         (tr.schedulable, TaskState::Placed),
@@ -624,6 +715,7 @@ impl ClusterHandle {
                     return;
                 }
                 self.devices[f.device].clock.set_rate(at, 1.0 / factor);
+                self.devices[f.device].rekey_gated();
                 self.slowdowns += 1;
                 self.obs.count(Counter::ClusterDeviceSlowdowns, 1);
                 // Forced: the observable tuple is unchanged by a
@@ -640,21 +732,23 @@ impl ClusterHandle {
                 // exempt from the harvest gate: the device's local
                 // clock may have run past the kill instant.
                 self.obs.sync_mark(at.as_ps(), SyncKind::KillHarvest);
-                let mut merged: Vec<(SimTime, usize, u64)> = self.devices[f.device]
+                // One device, popped in `(at, key)` order: already in
+                // merge order.
+                let merged = self.devices[f.device]
                     .harvest(at, false, &obs)
                     .into_iter()
-                    .map(|(t, key)| (t, f.device, key))
+                    .map(|(t, key, id)| (t, f.device, key, id))
                     .collect();
-                merged.sort_unstable();
                 self.apply_completions(merged);
                 self.devices[f.device].alive = false;
                 self.kills += 1;
                 self.obs.count(Counter::ClusterDeviceKills, 1);
-                let stranded: Vec<u64> =
-                    self.devices[f.device].outstanding.keys().copied().collect();
-                self.devices[f.device].outstanding.clear();
+                // The ungated harvest emptied `gated`: what is stranded is
+                // exactly what the host never saw finish, in key order.
+                let mut stranded = std::mem::take(&mut self.devices[f.device].unobserved);
+                stranded.sort_unstable();
                 let mut dropped_one = false;
-                for key in stranded {
+                for (key, _) in stranded {
                     // The payload died with the device: a resubmission
                     // must stage again wherever it lands off-home.
                     self.tasks[key as usize].staged_on = None;
@@ -941,26 +1035,28 @@ mod tests {
         TaskDesc::uniform(64, WarpWork::compute(200_000, 8.0))
     }
 
-    fn run_batch(mut fleet: ClusterHandle, n: usize) -> (Vec<u64>, ClusterHandle) {
+    /// Submits `n` copies of `task()`, syncing (and idling 20 us while
+    /// the fleet stays full) whenever a submit comes back Full.
+    fn submit_batch(fleet: &mut ClusterHandle, n: usize) -> Vec<u64> {
         let mut keys = Vec::new();
-        for _ in 0..n {
-            loop {
-                match fleet.submit(task()) {
-                    Ok(k) => {
-                        keys.push(k);
-                        break;
+        while keys.len() < n {
+            match fleet.submit(task()) {
+                Ok(k) => keys.push(k),
+                Err(SubmitError::Full(_)) => {
+                    fleet.sync();
+                    if !fleet.capacity().has_room() {
+                        let t = fleet.now() + Dur::from_us(20);
+                        fleet.advance_to(t);
                     }
-                    Err(SubmitError::Full(_)) => {
-                        fleet.sync();
-                        if !fleet.capacity().has_room() {
-                            let t = fleet.now() + Dur::from_us(20);
-                            fleet.advance_to(t);
-                        }
-                    }
-                    Err(e) => panic!("unexpected submit error: {e}"),
                 }
+                Err(e) => panic!("unexpected submit error: {e}"),
             }
         }
+        keys
+    }
+
+    fn run_batch(mut fleet: ClusterHandle, n: usize) -> (Vec<u64>, ClusterHandle) {
+        let keys = submit_batch(&mut fleet, n);
         fleet.wait_all();
         (keys, fleet)
     }
@@ -1226,7 +1322,7 @@ mod tests {
 
     #[test]
     fn serve_on_drives_the_fleet_backend() {
-        use pagoda_serve::{serve_on, Policy, ServeConfig, TenantSpec};
+        use pagoda_serve::{serve_on, Outcome, Policy, ServeConfig, TenantSpec};
         use workloads::Bench;
 
         let video = TenantSpec::new("video", Bench::Dct, 4.0e5);
@@ -1241,9 +1337,129 @@ mod tests {
         assert_eq!(rep.completed, rep.placements - rep.resubmits);
         assert!(rep.completed > 0);
         assert_eq!(rep.tasks_lost, 0);
-        assert!(out
-            .records
-            .iter()
-            .all(|r| r.spawn_us.is_none() || r.spawn_us.is_some()));
+        let mut done = 0;
+        for r in &out.records {
+            match r.outcome {
+                Outcome::Done => {
+                    done += 1;
+                    let (spawn, end) = (r.spawn_us.unwrap(), r.done_us.unwrap());
+                    assert!(spawn <= end, "task {} done before spawn", r.seq);
+                }
+                Outcome::Shed => assert!(r.spawn_us.is_none() && r.done_us.is_none()),
+                Outcome::Expired => {}
+            }
+        }
+        assert_eq!(done, rep.completed);
+    }
+
+    /// `run_batch` with the drain spelled out, so `after_sync` can look
+    /// at the fleet behind every sync of it. Every harvest on the way is
+    /// checked against the full-rescan oracle by `Device::harvest`.
+    fn drive(
+        cfg: ClusterConfig,
+        n: usize,
+        mut after_sync: impl FnMut(&ClusterHandle),
+    ) -> ClusterHandle {
+        let mut fleet = ClusterHandle::new(cfg).unwrap();
+        submit_batch(&mut fleet, n);
+        while fleet.unresolved > 0 {
+            fleet.sync();
+            after_sync(&fleet);
+            let t = fleet.now() + fleet.wait_timeout;
+            fleet.advance_to(t);
+        }
+        fleet
+    }
+
+    #[test]
+    fn slowdown_rekeys_completions_already_gated() {
+        // Dry run: find a sync that leaves device 0 holding completions
+        // gated at least 2 us into the fleet's future.
+        let mut found = None;
+        drive(ClusterConfig::uniform(2), 256, |f| {
+            let d = &f.devices[0];
+            let far = d
+                .gated
+                .peek()
+                .is_some_and(|&Reverse((at, _, _))| at > f.fleet_now + Dur::from_us(2));
+            if found.is_none() && far {
+                let keys: Vec<u64> = d.gated.iter().map(|&Reverse((_, k, _))| k).collect();
+                found = Some((f.fleet_now, keys));
+            }
+        });
+        let (t, gated_keys) = found.expect("device clocks run ahead of the fleet clock");
+        let healthy = drive(ClusterConfig::uniform(2), 256, |_| {});
+
+        // The simulation is deterministic up to the fault, so a slowdown
+        // 1 us after that sync lands while those completions are gated.
+        let mut cfg = ClusterConfig::uniform(2);
+        cfg.faults = vec![FaultSpec {
+            at: t + Dur::from_us(1),
+            device: 0,
+            kind: FaultKind::Slow { factor: 4.0 },
+        }];
+        let slowed = drive(cfg, 256, |_| {});
+        for key in gated_keys {
+            assert!(
+                slowed.completion_time(key) > healthy.completion_time(key),
+                "task {key}: a gate key cached before the slowdown survived it"
+            );
+        }
+    }
+
+    #[test]
+    fn two_set_harvest_matches_full_rescan_under_mixed_faults() {
+        for placement in [
+            Placement::RoundRobin,
+            Placement::LeastOutstanding,
+            Placement::PowerOfTwo,
+        ] {
+            let mut cfg = ClusterConfig::uniform(3);
+            cfg.placement = placement;
+            cfg.retry = RetryPolicy::Resubmit { max_attempts: 3 };
+            for c in &mut cfg.devices {
+                c.rows_per_column = 2; // small tables: many syncs, deep gated sets
+            }
+            let fault = |us, device, kind| FaultSpec {
+                at: SimTime::from_us(us),
+                device,
+                kind,
+            };
+            cfg.faults = vec![
+                fault(30, 0, FaultKind::Slow { factor: 6.0 }),
+                fault(90, 1, FaultKind::Kill),
+                fault(150, 2, FaultKind::Slow { factor: 2.0 }),
+                fault(400, 0, FaultKind::Kill),
+            ];
+            let mut max_gated = 0;
+            let mut fleet = drive(cfg, 600, |f| {
+                max_gated = max_gated.max(f.devices.iter().map(|d| d.gated.len()).max().unwrap());
+            });
+            let rep = fleet.report();
+            assert_eq!((rep.kills, rep.slowdowns), (2, 2), "{placement:?}");
+            assert!(
+                rep.resubmits > 0,
+                "{placement:?}: the kills stranded nothing"
+            );
+            assert!(max_gated > 0, "{placement:?}: no completion was ever gated");
+            assert_eq!(rep.completed, 600, "{placement:?}");
+            for d in &fleet.devices {
+                assert_eq!(d.outstanding(), 0, "{placement:?}: device {}", d.id);
+            }
+        }
+    }
+
+    #[test]
+    fn harvest_probes_grow_linearly_with_the_batch() {
+        let probes = |n| {
+            let fleet = drive(ClusterConfig::uniform(2), n, |_| {});
+            fleet.devices.iter().map(|d| d.probes).sum::<u64>()
+        };
+        let (small, large) = (probes(4_000), probes(16_000));
+
+        assert!(
+            large as f64 <= 4.5 * small as f64,
+            "4x the tasks cost {large} probes against {small}"
+        );
     }
 }

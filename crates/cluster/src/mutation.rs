@@ -20,10 +20,10 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mutation {
     /// Skip the `(fleet instant, device, key)` sort of the per-device
-    /// completion scans before applying them — the scheduling-dependent
-    /// merge bug. Completions apply in device-scan order instead of
-    /// fleet-time order, so `Freed` events regress in time within a
-    /// sync batch.
+    /// completion harvests before applying them — the
+    /// scheduling-dependent merge bug. Completions apply device by
+    /// device instead of in fleet-time order, so `Freed` events regress
+    /// in time within a sync batch.
     SkipMergeSort,
     /// Charge the inter-device staging transfer counter twice per
     /// genuine transfer — the double-accounting bug. Staged transfers

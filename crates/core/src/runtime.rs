@@ -64,6 +64,15 @@ enum HostEv {
     FlushWriteVisible { e: EntryIndex },
 }
 
+/// One threadblock of a resident task.
+#[derive(Debug, Clone, Default)]
+struct TbProgress {
+    /// Executor-warp completions so far.
+    warps_done: u32,
+    /// Barrier group, if the task synchronizes.
+    group: Option<GroupId>,
+}
+
 /// Bookkeeping for one spawned task.
 #[derive(Debug)]
 struct TaskRecord {
@@ -73,10 +82,10 @@ struct TaskRecord {
     spawn_time: SimTime,
     /// Executor-warp completions so far.
     warps_done: u32,
-    /// Per-threadblock completions.
-    tb_warps_done: Vec<u32>,
-    /// Barrier groups of sync threadblocks.
-    tb_groups: Vec<Option<GroupId>>,
+    /// Per-threadblock progress, held only while the task is resident:
+    /// allocated when its entry starts scheduling, released with its
+    /// last warp.
+    tbs: Vec<TbProgress>,
     /// When the last warp finished on the GPU.
     gpu_done: Option<SimTime>,
     /// When the output D2H copy completes (== `gpu_done` if no output).
@@ -142,6 +151,11 @@ pub struct PagodaRuntime {
     spawn_cursor: u32,
     staged: HashMap<u64, HostEv>,
     next_stage_tag: u64,
+    /// Spawned tasks whose completion the CPU has not observed yet —
+    /// what `wait_all` waits on, kept so no poll re-scans `tasks`.
+    unobserved: u64,
+    /// Latest `output_done` over every finished task.
+    last_output: SimTime,
     obs: Obs,
 }
 
@@ -197,6 +211,8 @@ impl PagodaRuntime {
             spawn_cursor: 0,
             staged: HashMap::new(),
             next_stage_tag: 0,
+            unobserved: 0,
+            last_output: SimTime::ZERO,
             obs: Obs::off(),
             cfg,
         }
@@ -344,14 +360,12 @@ impl PagodaRuntime {
             },
         );
 
-        let num_tbs = desc.num_tbs as usize;
         self.tasks.push(TaskRecord {
             desc,
             entry,
             spawn_time: self.host_now,
             warps_done: 0,
-            tb_warps_done: vec![0; num_tbs],
-            tb_groups: vec![None; num_tbs],
+            tbs: Vec::new(),
             gpu_done: None,
             output_done: None,
             first_start: None,
@@ -359,6 +373,7 @@ impl PagodaRuntime {
             schedulable: None,
             observed_done: false,
         });
+        self.unobserved += 1;
         self.last_spawned = Some(id);
         self.obs.count(Counter::TasksSpawned, 1);
         self.obs
@@ -414,17 +429,15 @@ impl PagodaRuntime {
     pub fn wait_all(&mut self) {
         self.flush_last();
         let mut iterations = 0u64;
-        while !self.tasks.iter().all(|r| r.observed_done) {
+        while self.unobserved > 0 {
             self.host_advance(self.cfg.wait_timeout);
             self.copyback_all();
             self.flush_last();
             iterations += 1;
             assert!(iterations < 100_000_000, "wait_all livelocked");
         }
-        if let Some(last_out) = self.tasks.iter().filter_map(|r| r.output_done).max() {
-            if last_out > self.host_now {
-                self.host_advance_to(last_out);
-            }
+        if self.last_output > self.host_now {
+            self.host_advance_to(self.last_output);
         }
     }
 
@@ -621,6 +634,7 @@ impl PagodaRuntime {
             self.cpu_table.set(e, EntryState::default());
             if let Some(t) = self.cpu_occupant[ei].take() {
                 self.rec(t).observed_done = true;
+                self.unobserved -= 1;
             }
         }
     }
@@ -851,7 +865,7 @@ impl PagodaRuntime {
         // `cur` just became Copied: its own successor (if it has arrived)
         // can now chain-update in its column.
         let cur_task = self.occupant[self.eidx(cur)].expect("settling unoccupied entry");
-        if let Some(se) = self.succ_entry.get(&cur_task).copied() {
+        if let Some(se) = self.succ_entry.remove(&cur_task) {
             self.poke(se.col as usize);
         }
     }
@@ -863,9 +877,10 @@ impl PagodaRuntime {
         let task = self.occupant[self.eidx(entry)].expect("sched flag on unoccupied entry");
         self.obs
             .task(self.device.now().as_ps(), task.0, TaskState::Placed);
-        let desc = &self.tasks[(task.0 - TaskId::FIRST.0) as usize].desc;
-        let per_tb = desc.per_tb_scheduling();
-        let phase = initial_phase(desc.sync, desc.smem_per_tb);
+        let r = &mut self.tasks[(task.0 - TaskId::FIRST.0) as usize];
+        r.tbs = vec![TbProgress::default(); r.desc.num_tbs as usize];
+        let per_tb = r.desc.per_tb_scheduling();
+        let phase = initial_phase(r.desc.sync, r.desc.smem_per_tb);
         let mi = entry.col as usize;
         let m = &mut self.mtbs[mi];
         assert!(
@@ -955,7 +970,7 @@ impl PagodaRuntime {
                             .map(|&s| self.mtbs[mi].exec_warps[s])
                             .collect();
                         let g = self.device.create_group(&handles);
-                        self.tasks[tix].tb_groups[tb as usize] = Some(g);
+                        self.tasks[tix].tbs[tb as usize].group = Some(g);
                         let reserved = std::mem::take(&mut job.reserved);
                         for (w, slot) in reserved.into_iter().enumerate() {
                             self.assign_exec(time, mi, slot, job.task, tb, w as u32);
@@ -1019,9 +1034,10 @@ impl PagodaRuntime {
             (d.warps_per_tb(), d.total_warps(), d.output_bytes)
         };
         let r = &mut self.tasks[tix];
-        r.tb_warps_done[s.tb_index as usize] += 1;
+        let tb = &mut r.tbs[s.tb_index as usize];
+        tb.warps_done += 1;
+        let tb_complete = tb.warps_done == warps_per_tb;
         r.warps_done += 1;
-        let tb_complete = r.tb_warps_done[s.tb_index as usize] == warps_per_tb;
         let task_complete = r.warps_done == total_warps;
         if tb_complete {
             // Last warp of the threadblock (Algorithm 1, lines 35-39).
@@ -1031,7 +1047,7 @@ impl PagodaRuntime {
             if let Some(b) = s.bar_id {
                 self.mtbs[mi].barriers.release(b);
             }
-            if let Some(g) = self.tasks[tix].tb_groups[s.tb_index as usize].take() {
+            if let Some(g) = self.tasks[tix].tbs[s.tb_index as usize].group.take() {
                 self.device.release_group(g);
             }
         }
@@ -1042,15 +1058,17 @@ impl PagodaRuntime {
             self.obs.count(Counter::TasksFreed, 1);
             self.obs.task(time.as_ps(), task.0, TaskState::Freed);
             let r = &mut self.tasks[tix];
+            r.tbs = Vec::new();
             r.gpu_done = Some(time);
-            if out_bytes > 0 {
-                let tr = self
-                    .bus
-                    .transfer(time, self.d2h, Direction::DeviceToHost, out_bytes);
-                r.output_done = Some(tr.complete);
+            let out = if out_bytes > 0 {
+                self.bus
+                    .transfer(time, self.d2h, Direction::DeviceToHost, out_bytes)
+                    .complete
             } else {
-                r.output_done = Some(time);
-            }
+                time
+            };
+            r.output_done = Some(out);
+            self.last_output = self.last_output.max(out);
         }
         // A slot freed, shared memory possibly marked, a barrier possibly
         // recycled: all reasons the scheduler warp may now make progress.
@@ -1091,6 +1109,7 @@ fn initial_phase(sync: bool, smem: u32) -> JobPhase {
 mod tests {
     use super::*;
     use gpu_sim::WarpWork;
+    use proptest::prelude::*;
 
     fn tiny_task() -> TaskDesc {
         TaskDesc::uniform(32, WarpWork::compute(10_000, 2.0))
@@ -1154,6 +1173,71 @@ mod tests {
         assert!(!rt.observed_done(t).unwrap());
         rt.wait(t).unwrap();
         assert!(rt.observed_done(t).unwrap());
+    }
+
+    /// The counters `wait_all` polls, against the scans they replaced.
+    fn poll_counters_match_scans(rt: &PagodaRuntime) -> Result<(), TestCaseError> {
+        let unobserved = rt.tasks.iter().filter(|r| !r.observed_done).count();
+        prop_assert_eq!(rt.unobserved, unobserved as u64);
+        let last = rt.tasks.iter().filter_map(|r| r.output_done).max();
+        prop_assert_eq!(rt.last_output, last.unwrap_or(SimTime::ZERO));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+        #[test]
+        fn poll_counters_survive_any_interleaving(
+            ops in prop::collection::vec((0u8..7, 0usize..1000), 1..120),
+        ) {
+            // 48 entries, so `submit` also runs into a full table.
+            let cfg = PagodaConfig::builder().rows_per_column(1).build().unwrap();
+            let mut rt = PagodaRuntime::new(cfg);
+            let mut ids = Vec::new();
+            for (op, arg) in ops {
+                let spawned = ids.get(arg % ids.len().max(1)).copied();
+                match (op, spawned) {
+                    (0..=2, _) => {
+                        let mut t = tiny_task();
+                        t.output_bytes = (arg as u64 % 3) * 4096;
+                        if let Ok(id) = rt.submit(t) {
+                            ids.push(id);
+                        }
+                    }
+                    (3, _) => rt.sync_table(),
+                    (4, Some(id)) => drop(rt.check(id).unwrap()),
+                    (5, Some(id)) => rt.wait(id).unwrap(),
+                    (6, _) => rt.wait_all(),
+                    _ => rt.advance_to(rt.host_now() + Dur::from_us(arg as u64 % 40)),
+                }
+                poll_counters_match_scans(&rt)?;
+            }
+            rt.wait_all();
+            poll_counters_match_scans(&rt)?;
+            prop_assert_eq!(rt.unobserved, 0);
+        }
+    }
+
+    #[test]
+    fn wait_all_with_nothing_to_wait_for_is_free() {
+        let idle = |rt: &PagodaRuntime| {
+            let bus = |d| rt.bus.stats(d).transactions;
+            (
+                rt.host_now(),
+                bus(Direction::HostToDevice),
+                bus(Direction::DeviceToHost),
+            )
+        };
+        // Nothing spawned: the flush early-outs, no copy-back is issued.
+        let mut rt = PagodaRuntime::titan_x();
+        rt.wait_all();
+        assert_eq!(idle(&rt), (SimTime::ZERO, 0, 0));
+        // Everything already observed: the same.
+        rt.submit(tiny_task()).unwrap();
+        rt.wait_all();
+        let before = idle(&rt);
+        rt.wait_all();
+        assert_eq!(idle(&rt), before);
     }
 
     #[test]

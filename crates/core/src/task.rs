@@ -6,6 +6,8 @@
 //! most the MTB's 31 executor warps (992 threads) and at most the MTB's
 //! 32 KB shared-memory slice.
 
+use std::sync::Arc;
+
 use gpu_arch::WARP_SIZE;
 use gpu_sim::BlockWork;
 
@@ -27,8 +29,11 @@ pub struct TaskDesc {
     pub smem_per_tb: u32,
     /// Whether the task uses `syncBlock()` (threadblock-level barriers).
     pub sync: bool,
-    /// The kernel work, one [`BlockWork`] per threadblock.
-    pub blocks: Vec<BlockWork>,
+    /// The kernel work, one [`BlockWork`] per threadblock. Immutable and
+    /// shared: cloning a `TaskDesc` bumps a reference count, it does not
+    /// copy the work lists (build one with `[block].into()` or
+    /// `vec.into()`).
+    pub blocks: Arc<[BlockWork]>,
     /// Input bytes copied host→device before the task can run.
     pub input_bytes: u64,
     /// Output bytes copied device→host after the task completes.
@@ -101,7 +106,7 @@ impl TaskDesc {
             num_tbs: 1,
             smem_per_tb: 0,
             sync,
-            blocks: vec![BlockWork::uniform(warps, work)],
+            blocks: [BlockWork::uniform(warps, work)].into(),
             input_bytes: 0,
             output_bytes: 0,
             cpu_ops,
@@ -142,7 +147,7 @@ impl TaskDesc {
         if self.blocks.len() != self.num_tbs as usize {
             return Err(TaskError::ShapeMismatch);
         }
-        for b in &self.blocks {
+        for b in self.blocks.iter() {
             if b.num_warps() != self.warps_per_tb() {
                 return Err(TaskError::ShapeMismatch);
             }
@@ -172,6 +177,19 @@ mod tests {
         assert_eq!(t.total_warps(), 4);
         assert!(!t.per_tb_scheduling());
         assert_eq!(t.total_instrs(), 4000);
+    }
+
+    #[test]
+    fn clone_shares_the_work_list() {
+        let t = TaskDesc::uniform(128, WarpWork::compute(1000, 2.0));
+        let c = t.clone();
+        assert!(Arc::ptr_eq(&t.blocks, &c.blocks));
+        // Reads go through the shared list.
+        c.validate().unwrap();
+        assert_eq!(c.total_instrs(), 4000);
+        let mut wrong = c.clone();
+        wrong.threads_per_tb = 64;
+        assert_eq!(wrong.validate(), Err(TaskError::ShapeMismatch));
     }
 
     #[test]

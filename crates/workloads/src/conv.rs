@@ -67,7 +67,7 @@ pub fn tasks_sized(n: usize, dim: usize, opts: &GenOpts) -> Vec<TaskDesc> {
         num_tbs: 1,
         smem_per_tb: 0,
         sync: false,
-        blocks: vec![block],
+        blocks: [block].into(),
         input_bytes: if opts.with_io { io } else { 0 },
         output_bytes: if opts.with_io { io } else { 0 },
         cpu_ops: crate::gen::scale_ops(task_ops(dim), opts.work_scale),

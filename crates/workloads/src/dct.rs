@@ -127,7 +127,7 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
         num_tbs: 1,
         smem_per_tb: if opts.use_smem { 4 * 1024 } else { 0 },
         sync: true,
-        blocks: vec![block],
+        blocks: [block].into(),
         input_bytes: if opts.with_io { io } else { 0 },
         output_bytes: if opts.with_io { io } else { 0 },
         cpu_ops: crate::gen::scale_ops(task_ops(), opts.work_scale),

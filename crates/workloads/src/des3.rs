@@ -215,7 +215,7 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
                 num_tbs: 1,
                 smem_per_tb: 0,
                 sync: false,
-                blocks: vec![block],
+                blocks: [block].into(),
                 input_bytes: if opts.with_io { bytes as u64 } else { 0 },
                 output_bytes: if opts.with_io { bytes as u64 } else { 0 },
                 cpu_ops: blocks as u64 * per_block,

@@ -236,7 +236,7 @@ pub fn irregular_tasks(
                 num_tbs: 1,
                 smem_per_tb: base.smem_per_tb,
                 sync: base.sync,
-                blocks: vec![block],
+                blocks: [block].into(),
                 input_bytes: (base.input_bytes as f64 * scale) as u64,
                 output_bytes: (base.output_bytes as f64 * scale) as u64,
                 cpu_ops: u64::from(s) * per_thread_ops,

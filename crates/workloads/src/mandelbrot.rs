@@ -112,7 +112,7 @@ fn task_from_region(region: Region, opts: &GenOpts) -> TaskDesc {
         num_tbs: 1,
         smem_per_tb: 0,
         sync: false,
-        blocks: vec![block],
+        blocks: [block].into(),
         input_bytes: if opts.with_io { 64 } else { 0 }, // region params
         output_bytes: if opts.with_io {
             (DIM * DIM * 2) as u64

@@ -87,7 +87,7 @@ pub fn tasks_sized(n: usize, dim: usize, opts: &GenOpts) -> Vec<TaskDesc> {
             0
         },
         sync: true,
-        blocks: vec![block],
+        blocks: [block].into(),
         input_bytes: if opts.with_io { 2 * bytes } else { 0 }, // A and B
         output_bytes: if opts.with_io { bytes } else { 0 },
         cpu_ops: crate::gen::scale_ops(task_ops(dim), opts.work_scale),

@@ -141,7 +141,7 @@ fn task_of(t: TileTask, opts: &GenOpts) -> TaskDesc {
         num_tbs: 1,
         smem_per_tb: 0,
         sync: false,
-        blocks: vec![block],
+        blocks: [block].into(),
         // The matrix lives in device memory for the whole factorization
         // (Table 3: SLUD spends 3 % in data copy — only control traffic).
         input_bytes: 0,

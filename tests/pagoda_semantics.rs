@@ -160,7 +160,7 @@ fn multi_threadblock_tasks_schedule_tb_by_tb() {
             num_tbs: 4,
             smem_per_tb: 2048,
             sync: false,
-            blocks: vec![BlockWork::uniform(4, work.clone()); 4],
+            blocks: vec![BlockWork::uniform(4, work.clone()); 4].into(),
             input_bytes: 0,
             output_bytes: 0,
             cpu_ops: 4 * 4 * 30_000,
