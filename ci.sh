@@ -37,8 +37,25 @@ fi
 # measure the benchmarks, not compilation.
 run cargo build --release --offline -p pagoda-bench
 
-# Smoke the serving benchmark: must produce deterministic curves.
-run cargo run --release --offline -p pagoda-bench --bin serve_curves -- --quick --json >/dev/null
+# Smoke the serving benchmark: its JSON lines (two mixes x four
+# front-end variants x two loads, every one through `serve_on`) must
+# equal the committed golden byte for byte. A serving-loop change that
+# claims "no behaviour change" passes this unregenerated; an intended
+# one regenerates with
+#   target/release/serve_curves --quick --json | grep '^{' > tests/golden/serve_curves_quick.jsonl
+# and says so.
+echo "==> serve_curves --quick --json vs tests/golden/serve_curves_quick.jsonl"
+cargo run --release --offline -p pagoda-bench --bin serve_curves -- --quick --json |
+    grep '^{' >target/serve_curves_quick.jsonl
+if ! cmp -s target/serve_curves_quick.jsonl tests/golden/serve_curves_quick.jsonl; then
+    echo "ci: serve_curves --quick diverged from its golden" >&2
+    awk 'NR == FNR { want[NR] = $0; n = NR; next }
+        { m = FNR }
+        $0 != want[m] { printf "line %d\n  golden: %s\n  now:    %s\n", m, want[m], $0; hit = 1; exit }
+        END { if (!hit) printf "golden has %d lines, this run %d\n", n, m }' \
+        tests/golden/serve_curves_quick.jsonl target/serve_curves_quick.jsonl >&2
+    exit 1
+fi
 
 # Profiler smoke: serve the multi-tenant demo on a two-device fleet with
 # critical-path profiling on. The example itself asserts the telescoping

@@ -319,6 +319,11 @@ pub struct ClusterHandle {
     tasks: Vec<CTask>,
     pending: VecDeque<u64>,
     unresolved: u64,
+    /// Keys that turned [`Status::Done`] or [`Status::Lost`] since the
+    /// last [`ClusterHandle::drain_completed`], in the order they did.
+    /// `None` until the first drain, so a caller that never drains (a
+    /// batch driver on `wait_all`) keeps no log.
+    completed_log: Option<Vec<u64>>,
     wait_timeout: Dur,
     obs: Obs,
     mutation: Option<Mutation>,
@@ -382,6 +387,7 @@ impl ClusterHandle {
             tasks: Vec::new(),
             pending: VecDeque::new(),
             unresolved: 0,
+            completed_log: None,
             wait_timeout,
             obs: Obs::off(),
             mutation: None,
@@ -614,8 +620,7 @@ impl ClusterHandle {
     fn apply_completions(&mut self, merged: Vec<(SimTime, usize, u64, TaskId)>) {
         for (at, device, key, id) in merged {
             self.devices[device].completed += 1;
-            self.tasks[key as usize].status = Status::Done { at };
-            self.unresolved -= 1;
+            self.resolve(key, Status::Done { at });
             // Replay the winning attempt's device timeline under the
             // fleet key (the runtime tracked it under its own TaskId):
             // without these cuts, fleet-level profiling would collapse
@@ -671,9 +676,18 @@ impl ClusterHandle {
         }
     }
 
-    fn mark_lost(&mut self, key: u64, at: SimTime) {
-        self.tasks[key as usize].status = Status::Lost { at };
+    /// The one place a task leaves the unresolved set: `status` is
+    /// [`Status::Done`] or [`Status::Lost`], and final.
+    fn resolve(&mut self, key: u64, status: Status) {
+        self.tasks[key as usize].status = status;
         self.unresolved -= 1;
+        if let Some(log) = &mut self.completed_log {
+            log.push(key);
+        }
+    }
+
+    fn mark_lost(&mut self, key: u64, at: SimTime) {
+        self.resolve(key, Status::Lost { at });
         self.lost += 1;
         self.obs.count(Counter::ClusterTasksLost, 1);
         self.obs.task(at.as_ps(), key, TaskState::Freed);
@@ -766,8 +780,7 @@ impl ClusterHandle {
                             // terminates; only end-of-run conservation
                             // can see the hole.
                             dropped_one = true;
-                            self.tasks[key as usize].status = Status::Lost { at };
-                            self.unresolved -= 1;
+                            self.resolve(key, Status::Lost { at });
                             continue;
                         }
                         self.tasks[key as usize].status = Status::Queued;
@@ -818,6 +831,16 @@ impl ClusterHandle {
             Status::Done { at } | Status::Lost { at } => Some(at),
             _ => None,
         }
+    }
+
+    /// Hands over the keys that completed or were lost since the
+    /// previous call, each exactly once, in the order the fleet resolved
+    /// them — what the syncs and kills in between changed, so a caller
+    /// need not probe everything it has in flight. The first call starts
+    /// the log and hands over nothing: make it before the first submit
+    /// whose completion should be reported.
+    pub fn drain_completed(&mut self) -> std::vec::Drain<'_, u64> {
+        self.completed_log.get_or_insert_with(Vec::new).drain(..)
     }
 
     /// Non-blocking completion probe: one [`sync`](ClusterHandle::sync),
@@ -983,6 +1006,10 @@ impl Backend for ClusterHandle {
         ClusterHandle::completion_time(self, key)
     }
 
+    fn drain_completed(&mut self, _pending: &mut dyn Iterator<Item = u64>, out: &mut Vec<u64>) {
+        out.extend(ClusterHandle::drain_completed(self));
+    }
+
     fn now(&self) -> SimTime {
         self.fleet_now
     }
@@ -1079,16 +1106,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn kill_with_fail_policy_loses_in_flight_and_shrinks_capacity() {
+    fn kill_device_0_at_5us(retry: RetryPolicy) -> ClusterConfig {
         let mut cfg = ClusterConfig::uniform(2);
-        cfg.retry = RetryPolicy::Fail;
+        cfg.retry = retry;
         cfg.faults = vec![FaultSpec {
             at: SimTime::from_us(5),
             device: 0,
             kind: FaultKind::Kill,
         }];
-        let mut fleet = ClusterHandle::new(cfg).unwrap();
+        cfg
+    }
+
+    #[test]
+    fn kill_with_fail_policy_loses_in_flight_and_shrinks_capacity() {
+        let mut fleet = ClusterHandle::new(kill_device_0_at_5us(RetryPolicy::Fail)).unwrap();
         let full = fleet.capacity().total;
         let keys: Vec<u64> = (0..32).map(|_| fleet.submit(task()).unwrap()).collect();
         fleet.wait_all();
@@ -1109,13 +1140,7 @@ mod tests {
 
     #[test]
     fn kill_with_resubmit_policy_loses_nothing() {
-        let mut cfg = ClusterConfig::uniform(2);
-        cfg.retry = RetryPolicy::Resubmit { max_attempts: 3 };
-        cfg.faults = vec![FaultSpec {
-            at: SimTime::from_us(5),
-            device: 0,
-            kind: FaultKind::Kill,
-        }];
+        let cfg = kill_device_0_at_5us(RetryPolicy::Resubmit { max_attempts: 3 });
         let fleet = ClusterHandle::new(cfg).unwrap();
         let (keys, mut fleet) = run_batch(fleet, 32);
         for k in keys {
@@ -1350,6 +1375,60 @@ mod tests {
             }
         }
         assert_eq!(done, rep.completed);
+    }
+
+    #[test]
+    fn a_run_that_never_drains_keeps_no_completion_log() {
+        let fleet = ClusterHandle::new(kill_device_0_at_5us(RetryPolicy::Fail)).unwrap();
+        let (_, mut fleet) = run_batch(fleet, 64);
+        let rep = fleet.report();
+        assert!(rep.completed > 0 && rep.tasks_lost > 0);
+        assert!(fleet.completed_log.is_none());
+    }
+
+    #[test]
+    fn draining_every_round_hands_each_key_over_exactly_once_lost_ones_included() {
+        let mut fleet = ClusterHandle::new(kill_device_0_at_5us(RetryPolicy::Fail)).unwrap();
+        assert_eq!(fleet.drain_completed().len(), 0, "the first call only arms");
+        let keys: Vec<u64> = (0..64).map(|_| fleet.submit(task()).unwrap()).collect();
+        let mut handed = Vec::new();
+        while fleet.unresolved > 0 {
+            fleet.sync();
+            handed.extend(fleet.drain_completed());
+            assert_eq!(fleet.drain_completed().len(), 0, "a drain empties the log");
+            // The log and the poll it replaces agree after every round.
+            let polled = keys.iter().filter(|&&k| fleet.observed_done(k)).count();
+            assert_eq!(handed.len(), polled);
+            let t = fleet.now() + fleet.wait_timeout;
+            fleet.advance_to(t);
+            handed.extend(fleet.drain_completed()); // the kill resolves tasks too
+        }
+        let lost = |k: &u64| fleet.status(*k).unwrap() == TaskStatus::Lost;
+        assert!(handed.iter().any(lost), "the kill lost nothing");
+        handed.sort_unstable();
+        assert_eq!(handed, keys);
+    }
+
+    #[test]
+    fn serve_on_ignores_completions_of_tasks_it_did_not_submit() {
+        use pagoda_serve::{serve_on, Policy, ServeConfig, TenantSpec};
+        use workloads::Bench;
+
+        let mut fleet = ClusterHandle::new(ClusterConfig::uniform(2)).unwrap();
+        // Someone else armed the log and has tasks on the fleet: their
+        // keys are handed to `serve_on` along with its own.
+        fleet.drain_completed();
+        let foreign: Vec<u64> = (0..8).map(|_| fleet.submit(task()).unwrap()).collect();
+        let mut cfg = ServeConfig::new(
+            vec![TenantSpec::new("crypto", Bench::Des3, 8.0e5)],
+            Policy::Fifo,
+        );
+        cfg.tasks_per_tenant = 48;
+        let out = serve_on(&cfg, &mut fleet).unwrap();
+        assert_eq!(out.report.tenants[0].completed, 48);
+        assert_eq!(out.records.len(), 48);
+        let resolved_meanwhile = |k: &u64| fleet.status(*k).unwrap() == TaskStatus::Done;
+        assert!(foreign.iter().all(resolved_meanwhile));
     }
 
     /// `run_batch` with the drain spelled out, so `after_sync` can look

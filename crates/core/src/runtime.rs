@@ -154,6 +154,10 @@ pub struct PagodaRuntime {
     /// Spawned tasks whose completion the CPU has not observed yet —
     /// what `wait_all` waits on, kept so no poll re-scans `tasks`.
     unobserved: u64,
+    /// Tasks whose completion the CPU observed since the last
+    /// [`PagodaRuntime::drain_observed`], in observation order. `None`
+    /// until the first drain, so a caller that never drains keeps no log.
+    observed_log: Option<Vec<TaskId>>,
     /// Latest `output_done` over every finished task.
     last_output: SimTime,
     obs: Obs,
@@ -212,6 +216,7 @@ impl PagodaRuntime {
             staged: HashMap::new(),
             next_stage_tag: 0,
             unobserved: 0,
+            observed_log: None,
             last_output: SimTime::ZERO,
             obs: Obs::off(),
             cfg,
@@ -299,6 +304,16 @@ impl PagodaRuntime {
     /// [`PagodaError::UnknownTask`] if this runtime never issued `t`.
     pub fn observed_done(&self, t: TaskId) -> Result<bool, PagodaError> {
         Ok(self.tasks[self.tix(t)?].observed_done)
+    }
+
+    /// Hands over the tasks whose completion the CPU observed since the
+    /// previous call, each exactly once, in observation order — what a
+    /// copy-back changed, so a caller need not ask
+    /// [`PagodaRuntime::observed_done`] of everything it has in flight.
+    /// The first call starts the log and hands over nothing: make it
+    /// before the first `submit` whose completion should be reported.
+    pub fn drain_observed(&mut self) -> std::vec::Drain<'_, TaskId> {
+        self.observed_log.get_or_insert_with(Vec::new).drain(..)
     }
 
     /// The configuration this runtime was booted with.
@@ -635,6 +650,9 @@ impl PagodaRuntime {
             if let Some(t) = self.cpu_occupant[ei].take() {
                 self.rec(t).observed_done = true;
                 self.unobserved -= 1;
+                if let Some(log) = &mut self.observed_log {
+                    log.push(t);
+                }
             }
         }
     }
@@ -1173,6 +1191,49 @@ mod tests {
         assert!(!rt.observed_done(t).unwrap());
         rt.wait(t).unwrap();
         assert!(rt.observed_done(t).unwrap());
+    }
+
+    #[test]
+    fn a_run_that_never_drains_keeps_no_observed_log() {
+        let mut rt = PagodaRuntime::titan_x();
+        for _ in 0..200 {
+            rt.submit(tiny_task()).unwrap();
+        }
+        rt.wait_all();
+        assert_eq!(rt.unobserved, 0);
+        assert!(rt.observed_log.is_none());
+    }
+
+    #[test]
+    fn draining_every_round_hands_each_task_over_exactly_once() {
+        // 48 entries against 300 tasks: the table refills many times.
+        let cfg = PagodaConfig::builder().rows_per_column(1).build().unwrap();
+        let mut rt = PagodaRuntime::new(cfg);
+        assert_eq!(rt.drain_observed().count(), 0, "the first call only arms");
+        let mut spawned = Vec::new();
+        let mut handed = Vec::new();
+        while handed.len() < 300 {
+            while spawned.len() < 300 {
+                match rt.submit(tiny_task()) {
+                    Ok(id) => spawned.push(id),
+                    Err(_) => break,
+                }
+            }
+            rt.sync_table();
+            let round: Vec<TaskId> = rt.drain_observed().collect();
+            assert_eq!(rt.drain_observed().count(), 0, "a drain empties the log");
+            handed.extend(round);
+            // The log and the poll it replaces agree after every round.
+            let polled = spawned
+                .iter()
+                .filter(|&&id| rt.observed_done(id).unwrap())
+                .count();
+            assert_eq!(handed.len(), polled);
+            rt.advance_to(rt.host_now() + rt.config().wait_timeout);
+        }
+        assert!(handed.iter().all(|&id| rt.observed_done(id).unwrap()));
+        handed.sort_unstable();
+        assert_eq!(handed, spawned);
     }
 
     /// The counters `wait_all` polls, against the scans they replaced.

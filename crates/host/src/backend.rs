@@ -54,6 +54,27 @@ pub trait Backend {
     /// completion has been observed.
     fn completion_time(&self, key: u64) -> Option<SimTime>;
 
+    /// Appends to `out` the keys whose completion — done, or lost to a
+    /// device failure — became host-visible since the previous call, each
+    /// exactly once: what the copy-backs in between changed, so a caller
+    /// with thousands of tasks in flight need not ask
+    /// [`Backend::observed_done`] of each one every round. `pending`
+    /// yields the keys the caller still waits for.
+    ///
+    /// Defaulted so that wrappers and foreign backends written before the
+    /// method existed keep working: the default *is* the poll, over
+    /// `pending`. A backend that records completions as they happen
+    /// overrides it and ignores `pending`; its keys arrive in observation
+    /// order, and may include keys the caller never submitted (tasks put
+    /// on the backend by someone else), so callers look each key up and
+    /// skip strangers. Such a backend starts recording at the first call,
+    /// which hands over nothing — call once before the first `submit`
+    /// whose completion you want reported. A caller that never calls this
+    /// costs the backend nothing.
+    fn drain_completed(&mut self, pending: &mut dyn Iterator<Item = u64>, out: &mut Vec<u64>) {
+        out.extend(pending.filter(|&key| self.observed_done(key)));
+    }
+
     /// The backend's current clock.
     fn now(&self) -> SimTime;
 
@@ -126,6 +147,10 @@ impl Backend for PagodaRuntime {
         self.trace(TaskId(key))
             .expect("invariant: callers only pass keys this runtime issued")
             .output_done
+    }
+
+    fn drain_completed(&mut self, _pending: &mut dyn Iterator<Item = u64>, out: &mut Vec<u64>) {
+        out.extend(self.drain_observed().map(|id| id.0));
     }
 
     fn now(&self) -> SimTime {

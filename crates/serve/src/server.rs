@@ -1,24 +1,34 @@
-//! The serving loop: simulated clients → admission → QoS queue →
-//! [`PagodaRuntime`].
+//! The serving loop: simulated clients → admission → QoS queue → any
+//! [`Backend`].
 //!
-//! [`serve`] runs one experiment as a discrete-event co-simulation on the
-//! runtime's own clock. Per iteration it
+//! [`serve_on`] runs one experiment as a discrete-event co-simulation on
+//! the backend's own clock — one [`PagodaRuntime`] ([`serve`] builds it),
+//! an N-device fleet, or a wrapper around either. Per iteration it
 //!
 //! 1. **admits** every arrival whose instant has passed — each tenant's
 //!    stream is open-loop, so arrivals keep coming regardless of backlog,
 //!    and the bounded queue sheds what does not fit;
 //! 2. **dispatches** queued tasks through the configured
-//!    [`QosScheduler`] into the TaskTable via the runtime's non-blocking
-//!    [`PagodaRuntime::submit`], until the table is full or the queue
-//!    is empty;
-//! 3. **retires** tasks whose completion the host has observed;
+//!    [`QosScheduler`] via the backend's non-blocking
+//!    [`Backend::submit`], while [`Backend::capacity`] has room and the
+//!    queue is not empty;
+//! 3. **retires** the tasks whose completion became host-visible since
+//!    the last round: [`Backend::drain_completed`] hands over exactly
+//!    those keys (a backend that does not override it is polled over
+//!    the in-flight keys instead — same keys, same result), and they
+//!    retire in dispatch order, so a round costs what changed, not what
+//!    is in flight;
 //! 4. **advances time** — to the next arrival when idle, or through a
-//!    [`PagodaRuntime::sync_table`] refresh plus timeout slice when
-//!    blocked on table capacity (the serving-side mirror of the
-//!    runtime's own §4.2.2 lazy aggregate copy-back loop).
+//!    [`Backend::sync`] refresh plus timeout slice when blocked on
+//!    capacity (the serving-side mirror of the runtime's own §4.2.2 lazy
+//!    aggregate copy-back loop).
 //!
 //! Everything is a pure function of the [`ServeConfig`] (including its
-//! seed): two runs produce byte-identical metric records.
+//! seed) and the backend's configuration: two runs produce
+//! byte-identical metric records.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use desim::Dur;
 use pagoda_core::trace::TaskTrace;
@@ -183,10 +193,73 @@ struct Arrival {
 
 struct InFlight {
     key: u64,
+    /// Position in dispatch order, which is the order completions that
+    /// surface in the same round retire in.
+    order: u64,
     seq: usize,
     tenant: usize,
     arrival: desim::SimTime,
     deadline: Option<desim::SimTime>,
+}
+
+/// Hashes a backend key with one odd multiply. Keys are distinct integers
+/// (dense and ascending on both in-tree backends, where this spreads any
+/// window of them without a collision), and `std`'s default SipHash would
+/// seed every map from the OS: the one thing in a serving run that would
+/// differ from process to process, for a flooding defence a map of the
+/// server's own keys does not need.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u64 keys are hashed");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The dispatched tasks whose completion the host has not seen: a dense
+/// list (what a polling backend walks) whose entries are also found by
+/// backend key (what a backend that hands completions over names), so
+/// retiring a task costs O(1) however many are in flight. Removal
+/// swaps the last entry into the hole; `InFlight::order` restores
+/// dispatch order where it matters.
+#[derive(Default)]
+struct InFlightSet {
+    tasks: Vec<InFlight>,
+    slot_of: HashMap<u64, usize, BuildHasherDefault<KeyHasher>>,
+}
+
+impl InFlightSet {
+    fn insert(&mut self, f: InFlight) {
+        self.slot_of.insert(f.key, self.tasks.len());
+        self.tasks.push(f);
+    }
+
+    /// `None` for a key that is not in flight here.
+    fn remove(&mut self, key: u64) -> Option<InFlight> {
+        let slot = self.slot_of.remove(&key)?;
+        let f = self.tasks.swap_remove(slot);
+        if let Some(moved) = self.tasks.get(slot) {
+            self.slot_of.insert(moved.key, slot);
+        }
+        Some(f)
+    }
+
+    fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.tasks.iter().map(|f| f.key)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.tasks.is_empty()
+    }
 }
 
 /// Runs one serving experiment to completion (all arrivals resolved:
@@ -258,7 +331,10 @@ pub fn serve_on<B: Backend + ?Sized>(
         .enumerate()
         .map(|(ti, t)| t.slo.map(|s| SloTracker::new(ti as u32, s)))
         .collect();
-    let mut in_flight: Vec<InFlight> = Vec::new();
+    let mut in_flight = InFlightSet::default();
+    let mut dispatched = 0u64;
+    let mut done_keys: Vec<u64> = Vec::new();
+    let mut retiring: Vec<InFlight> = Vec::new();
     let mut records: Vec<TaskRecord> = Vec::with_capacity(all.len());
     let mut expired = vec![0u64; nt];
     let mut missed = vec![0u64; nt];
@@ -266,6 +342,10 @@ pub fn serve_on<B: Backend + ?Sized>(
     let mut occ_sum = 0.0;
     let mut occ_rounds = 0u64;
     let mut next_arr = 0usize;
+
+    // A backend that logs completions starts logging at the first call:
+    // make it before anything is submitted.
+    rt.drain_completed(&mut std::iter::empty(), &mut done_keys);
 
     loop {
         // 1. Admit (or shed) every arrival that is due.
@@ -343,13 +423,15 @@ pub fn serve_on<B: Backend + ?Sized>(
                     // even though they enter the stream at spawn time.
                     obs.mark(arrival.as_ps(), key, MarkKind::Arrived);
                     obs.mark(admitted.as_ps(), key, MarkKind::Admitted);
-                    in_flight.push(InFlight {
+                    in_flight.insert(InFlight {
                         key,
+                        order: dispatched,
                         seq: seq as usize,
                         tenant,
                         arrival,
                         deadline,
                     });
+                    dispatched += 1;
                 }
                 Err(SubmitError::Full(desc)) => {
                     // Defensive: capacity raced away. Put the task back.
@@ -377,11 +459,16 @@ pub fn serve_on<B: Backend + ?Sized>(
         occ_sum += 1.0 - f64::from(cap.known_free) / f64::from(cap.total.max(1));
         occ_rounds += 1;
 
-        // 3. Retire completions the host has observed via copy-backs.
-        in_flight.retain(|f| {
-            if !rt.observed_done(f.key) {
-                return true;
-            }
+        // 3. Retire the completions the copy-backs since the last round
+        // made visible. The backend hands over exactly those keys (or,
+        // by default, polls the ones in flight), so a round costs what
+        // changed; dispatch order makes the result independent of the
+        // order they are handed over in. Keys that are not ours — tasks
+        // someone else put on the backend — are skipped.
+        rt.drain_completed(&mut in_flight.keys(), &mut done_keys);
+        retiring.extend(done_keys.drain(..).filter_map(|key| in_flight.remove(key)));
+        retiring.sort_unstable_by_key(|f| f.order);
+        for f in retiring.drain(..) {
             let done = rt
                 .completion_time(f.key)
                 .expect("invariant: observed-done task has an output time");
@@ -399,8 +486,7 @@ pub fn serve_on<B: Backend + ?Sized>(
                 missed[f.tenant] += 1;
             }
             sojourns[f.tenant].push(sojourn);
-            false
-        });
+        }
 
         // 4. Advance the clock, or finish.
         let arrivals_left = next_arr < all.len();
@@ -541,6 +627,46 @@ mod tests {
         cfg.tasks_per_tenant = 48;
         cfg.mix = "test".into();
         cfg
+    }
+
+    #[test]
+    fn in_flight_set_finds_by_key_and_spreads_dense_keys() {
+        // The claim in `KeyHasher`'s doc: the low bits hashbrown indexes
+        // buckets with are distinct over any window of consecutive keys.
+        for start in [0u64, 1, 6143, 1 << 40, u64::MAX - 127] {
+            let mut low: Vec<u64> = (0..128)
+                .map(|i| {
+                    let mut h = KeyHasher::default();
+                    h.write_u64(start.wrapping_add(i));
+                    h.finish() & 127
+                })
+                .collect();
+            low.sort_unstable();
+            low.dedup();
+            assert_eq!(low.len(), 128, "window at {start}");
+        }
+        let mut set = InFlightSet::default();
+        for key in [7u64, 3, 900, 4] {
+            set.insert(InFlight {
+                key,
+                order: key,
+                seq: 0,
+                tenant: 0,
+                arrival: desim::SimTime::ZERO,
+                deadline: None,
+            });
+        }
+        assert!(set.remove(5).is_none(), "a stranger's key");
+        assert_eq!(set.remove(3).map(|f| f.key), Some(3));
+        assert!(set.remove(3).is_none(), "each key retires once");
+        // The swap that filled 3's slot left every other key findable.
+        let mut left: Vec<u64> = set.keys().collect();
+        left.sort_unstable();
+        assert_eq!(left, [4, 7, 900]);
+        for key in left {
+            assert_eq!(set.remove(key).map(|f| f.key), Some(key));
+        }
+        assert!(set.is_empty());
     }
 
     #[test]

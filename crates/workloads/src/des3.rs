@@ -13,7 +13,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::calib;
-use crate::gen::{build_block, distribute_cyclic};
+use crate::gen::{build_block, distribute_cyclic_equal};
 use crate::GenOpts;
 
 // FIPS 46-3 tables; entries are 1-based bit positions, bit 1 = MSB.
@@ -207,8 +207,8 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
             let bytes = packet_size(&mut rng);
             let blocks = bytes / 8;
             let per_block = crate::gen::scale_ops(OPS_PER_BLOCK, opts.work_scale);
-            let item_ops = vec![per_block; blocks];
-            let per_thread = distribute_cyclic(&item_ops, opts.threads_per_task as usize);
+            let per_thread =
+                distribute_cyclic_equal(blocks, per_block, opts.threads_per_task as usize);
             let block = build_block(&per_thread, calib::DES3.cpi, &[1.0]);
             TaskDesc {
                 threads_per_tb: opts.threads_per_task,

@@ -30,6 +30,18 @@ pub fn distribute_cyclic(item_ops: &[u64], threads: usize) -> Vec<u64> {
     per_thread
 }
 
+/// [`distribute_cyclic`] for `items` work items of `ops` operations
+/// each, in closed form: thread `t` receives `items / threads` items,
+/// plus one if `t < items % threads`. O(`threads`) whatever `items` is
+/// — a 64 KB packet is 8192 equal blocks.
+pub fn distribute_cyclic_equal(items: usize, ops: u64, threads: usize) -> Vec<u64> {
+    assert!(threads > 0, "zero threads");
+    let (each, extra) = (items / threads, items % threads);
+    (0..threads)
+        .map(|t| ops * (each + usize::from(t < extra)) as u64)
+        .collect()
+}
+
 /// Builds one threadblock's work from per-thread op counts.
 ///
 /// `phase_fracs` splits each warp's work into synchronized phases: a
@@ -86,6 +98,21 @@ mod tests {
         assert_eq!(per.iter().sum::<u64>(), 1000);
         assert_eq!(*per.iter().max().unwrap(), 40);
         assert_eq!(*per.iter().min().unwrap(), 30);
+    }
+
+    #[test]
+    fn closed_form_matches_the_cyclic_deal() {
+        for threads in [1usize, 31, 32, 33, 128, 992] {
+            for items in 0..=4 * threads + 3 {
+                for ops in [0u64, 1, 510, u64::from(u32::MAX)] {
+                    assert_eq!(
+                        distribute_cyclic_equal(items, ops, threads),
+                        distribute_cyclic(&vec![ops; items], threads),
+                        "{items} items of {ops} ops over {threads} threads"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
