@@ -93,6 +93,14 @@ baseline_fingerprint() { # seed workload
     ' benchmark/baseline.json
 }
 if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
+    # First, in seconds: `gpu-sim`'s dense execution engine in lockstep
+    # with its per-warp-walk reference, and the four-lane Mandelbrot
+    # render against per-pixel `escape_iters`, 512 cases each. Both sit
+    # under every fingerprint below; a broken validity rule for the kept
+    # prediction fails here with the case's `cc` seed line instead of as
+    # an opaque `sim_fingerprint` mismatch.
+    run env PROPTEST_CASES=512 cargo test -q --offline -p gpu-sim --lib lockstep
+    run env PROPTEST_CASES=512 cargo test -q --offline -p workloads --lib render_equals_per_pixel
     for seed in 42 7; do
         for workload in paper_fig5 serve_netmix fleet_batch fleet_serve; do
             echo "==> benchmark fingerprint: $workload seed $seed"

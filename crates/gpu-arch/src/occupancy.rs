@@ -63,6 +63,12 @@ pub enum LaunchError {
     SmemPerBlockTooLarge { requested: u32, max: u32 },
     /// One threadblock wants more registers than an SMM has.
     RegsPerBlockTooLarge { requested: u32, max: u32 },
+    /// Every threadblock is launchable, but the whole grid cannot be
+    /// resident at once (a persistent kernel must own its resources for
+    /// its lifetime): only `placed` of `num_tbs` fit the free SMM
+    /// resources — warp slots, threads, TB slots, registers or shared
+    /// memory, whichever ran out first.
+    GridNotResident { num_tbs: u32, placed: u32 },
 }
 
 impl std::fmt::Display for LaunchError {
@@ -85,6 +91,13 @@ impl std::fmt::Display for LaunchError {
                 write!(
                     f,
                     "register footprint {requested}/block exceeds SMM file {max}"
+                )
+            }
+            LaunchError::GridNotResident { num_tbs, placed } => {
+                write!(
+                    f,
+                    "persistent grid of {num_tbs} threadblocks does not fit resident: \
+                     {placed} placed before the device filled"
                 )
             }
         }

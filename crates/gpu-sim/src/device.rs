@@ -196,6 +196,9 @@ pub struct GpuDevice {
     /// delivery, cancelled outright when the SMM empties — the event
     /// queue never carries superseded predictions.
     sm_wake: Vec<Option<EventKey>>,
+    /// Scratch for [`GpuDevice::settle`]: the SMMs whose running set
+    /// changed. One flag per SMM, all clear between calls.
+    dirty: Vec<bool>,
     obs: Obs,
 }
 
@@ -214,6 +217,7 @@ impl GpuDevice {
             .collect();
         let exec = ExecState::new(spec);
         let sm_wake = vec![None; spec.num_sms as usize];
+        let dirty = vec![false; spec.num_sms as usize];
         GpuDevice {
             cfg,
             engine: Engine::new(),
@@ -231,6 +235,7 @@ impl GpuDevice {
             tbs_placed: 0,
             drain_pending: false,
             sm_wake,
+            dirty,
             obs: Obs::off(),
         }
     }
@@ -310,11 +315,11 @@ impl GpuDevice {
         // Feasibility check before mutating anything.
         {
             let mut free: Vec<SmRes> = self.sm_res.clone();
-            for _ in 0..shape.num_tbs {
+            for placed in 0..shape.num_tbs {
                 let Some(sm) = Self::pick_sm(&free, &foot) else {
-                    return Err(LaunchError::SmemPerBlockTooLarge {
-                        requested: foot.smem,
-                        max: 0, // grid does not fit resident; see docs
+                    return Err(LaunchError::GridNotResident {
+                        num_tbs: shape.num_tbs,
+                        placed,
                     });
                 };
                 Self::take(&mut free[sm], &foot);
@@ -593,7 +598,7 @@ impl GpuDevice {
     /// events, iterating to a fixed point. `out` receives external
     /// notifications. Touched SMMs get their wake events re-predicted.
     fn settle(&mut self, now: SimTime, out: &mut Vec<Notify>) {
-        let mut dirty = vec![false; self.sm_res.len()];
+        let mut dirty = std::mem::take(&mut self.dirty);
         loop {
             while self.active.len() < self.cfg.max_concurrent_kernels as usize {
                 match self.waiting.pop_front() {
@@ -610,11 +615,12 @@ impl GpuDevice {
                 self.one_finished(now, w, tag, out, &mut dirty);
             }
         }
-        for (sm, d) in dirty.into_iter().enumerate() {
-            if d {
+        for (sm, d) in dirty.iter_mut().enumerate() {
+            if std::mem::take(d) {
                 self.reschedule_sm(sm as u32, now);
             }
         }
+        self.dirty = dirty;
     }
 
     /// One placement sweep over active kernels. Returns whether any TB was
@@ -689,12 +695,11 @@ impl GpuDevice {
             return;
         }
         let tb_id = (tag & !NATIVE_BIT) as usize;
-        let (sm, done, total, kid) = {
+        let (done, total) = {
             let tb = &mut self.tbs[tb_id];
             tb.done_warps += 1;
-            (tb.kid, tb.done_warps, tb.warps.len() as u32, tb.kid)
+            (tb.done_warps, tb.warps.len() as u32)
         };
-        let _ = sm;
         if self.cfg.free_warps_individually && done < total {
             // Pagoda-style early release (§6.4 ablation): the warp slot and
             // its threads return to the pool before the TB retires, so a
@@ -717,7 +722,6 @@ impl GpuDevice {
         }
         if done == total {
             self.retire_tb(now, tb_id, out, dirty);
-            let _ = kid;
         }
     }
 
@@ -940,7 +944,37 @@ mod tests {
             regs_per_thread: 32,
             smem_per_tb: 32 * 1024,
         };
-        assert!(dev.launch_persistent(mk).is_err());
+        assert_eq!(
+            dev.launch_persistent(mk).unwrap_err(),
+            LaunchError::GridNotResident {
+                num_tbs: 49,
+                placed: 48
+            }
+        );
+    }
+
+    #[test]
+    fn warp_bound_persistent_grid_says_so() {
+        // One SMM, no shared memory at all: three 1024-thread TBs want 96
+        // warp slots and the SMM has 64. The error names the grid, not a
+        // shared-memory capacity of zero.
+        let mut cfg = quiet_cfg();
+        cfg.spec.num_sms = 1;
+        let mut dev = GpuDevice::new(cfg);
+        let err = dev.launch_persistent(shape(1024, 3)).unwrap_err();
+        assert_eq!(
+            err,
+            LaunchError::GridNotResident {
+                num_tbs: 3,
+                placed: 2
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "persistent grid of 3 threadblocks does not fit resident: 2 placed before the device filled"
+        );
+        // Nothing was taken: the two that fit still fit.
+        assert_eq!(dev.launch_persistent(shape(1024, 2)).unwrap().len(), 2);
     }
 
     #[test]

@@ -21,6 +21,29 @@
 //! running set changes (warp assigned, finished, blocked on or released
 //! from a barrier). Between events, remaining work decreases linearly, so
 //! prediction is exact.
+//!
+//! # What is stored where
+//!
+//! The three per-event passes (advance, find exhausted, predict) touch
+//! only an SMM's *running* warps, so their state lives densely in the
+//! SMM's `SmExec::run`: one `RunSlot` per running warp — remaining
+//! thread-instructions, latency-bound rate, handle — in running order.
+//! The warp arena (`WarpCtx`) keeps everything else (segments, barrier
+//! group, tag) plus the warp's `slot` in `run`, so leaving the running
+//! set is a `swap_remove` and one slot fix-up, never a search. A warp's
+//! remaining work exists only while it runs; a warp at a barrier or idle
+//! has none.
+//!
+//! `SmExec::pred` keeps the SMM's last prediction — the minimum quotient
+//! and the largest latency-bound rate over `run` — so that the 2nd…nth
+//! warp assigned at one instant folds one quotient into it instead of
+//! re-walking the set. It is valid only while nothing it was computed
+//! from has changed: it is dropped when time passes, when a warp leaves,
+//! when a running warp enters a new compute segment, and on a push after
+//! which some warp is (or was) issue-bound — the fair-share cap falls on
+//! every push, so the rule is `max rs ≤ cap_new`; then every rate was and
+//! stays `rs_i`, no existing quotient moves, and the minimum of the
+//! quotients is exact in whatever order it is taken.
 
 use desim::SimTime;
 use gpu_arch::{GpuSpec, WARP_SIZE};
@@ -58,12 +81,14 @@ struct WarpCtx {
     segments: Vec<Segment>,
     /// Index of the current segment.
     cur: usize,
-    /// Thread-instructions left in the current compute segment.
-    remaining: f64,
+    /// Index of this warp's [`RunSlot`] in its SMM's `run`; meaningful
+    /// only while `state` is `Running`.
+    slot: u32,
     cpi: f64,
     /// Latency-bound issue rate for the current assignment,
     /// thread-instructions per picosecond (`32·f / CPI`, precomputed at
-    /// assign time so the advance loop does no divisions).
+    /// assign time so the advance loop does no divisions). Copied into
+    /// the warp's [`RunSlot`] each time it enters the running set.
     r_single: f64,
     group: Option<GroupId>,
     /// Caller correlation tag for the current assignment.
@@ -82,9 +107,34 @@ struct GroupCtx {
     alive: bool,
 }
 
+/// One running warp's share of the per-event passes, 24 bytes.
+#[derive(Debug, Clone, Copy)]
+struct RunSlot {
+    /// Thread-instructions left in the current compute segment.
+    rem: f64,
+    /// The warp's `r_single`.
+    rs: f64,
+    w: WarpHandle,
+}
+
+/// An SMM's kept prediction: `min_i max(rem_i, 0) / min(rs_i, cap)` and
+/// `max_i rs_i` over its running set.
+#[derive(Debug, Clone, Copy)]
+struct Pred {
+    best: f64,
+    max_rs: f64,
+}
+
 #[derive(Debug, Default)]
 struct SmExec {
-    running: Vec<WarpHandle>,
+    /// The running set, in running order (push on entry, `swap_remove`
+    /// on exit).
+    run: Vec<RunSlot>,
+    /// The prediction over `run` as it stands, or `None` once anything it
+    /// was computed from has changed (see the module doc for the rule).
+    pred: Option<Pred>,
+    /// Scratch for [`ExecState::process_completions`]; empty between calls.
+    exhausted: Vec<WarpHandle>,
     last_advance: SimTime,
     /// Fair-share issue cap per running warp, thread-instructions per
     /// picosecond — `issue_width·32·f / |running|`, refreshed whenever
@@ -145,7 +195,7 @@ impl ExecState {
             state: WarpState::Idle,
             segments: Vec::new(),
             cur: 0,
-            remaining: 0.0,
+            slot: 0,
             cpi: 1.0,
             r_single: 0.0,
             group: None,
@@ -237,88 +287,98 @@ impl ExecState {
         ctx.cpi = work.cpi;
         ctx.r_single = rs_base / work.cpi / 1000.0;
         ctx.cur = 0;
-        ctx.remaining = 0.0;
         ctx.tag = tag;
-        ctx.state = WarpState::Running; // provisional; step() settles it
-        self.sms[sm as usize].running.push(w);
-        self.refresh_cap(sm);
-        // Enter the first segment (may immediately block or even finish).
+        // Enter the first segment (may run, immediately block, or finish).
         self.settle(now, w);
     }
 
     /// Advances SMM `sm` to `now`, integrating work and utilization.
     pub fn advance_sm(&mut self, sm: u32, now: SimTime) {
-        // Split-borrow: the SMM entry and the warp arena are disjoint
-        // fields, so the running set is iterated in place (no clone).
-        let ExecState { warps, sms, .. } = self;
-        let sme = &mut sms[sm as usize];
+        let sme = &mut self.sms[sm as usize];
         let dt = now.saturating_since(sme.last_advance).as_ps();
+        sme.last_advance = now;
         if dt == 0 {
-            sme.last_advance = now;
             return;
         }
-        let nrun = sme.running.len();
+        let nrun = sme.run.len();
         sme.running_integral += nrun as f64 * dt as f64;
         if nrun > 0 {
             sme.busy_ps += dt;
+            sme.pred = None;
             let cap = sme.cap;
-            for &w in &sme.running {
-                let c = &mut warps[w.0 as usize];
-                let rate = c.r_single.min(cap);
-                c.remaining -= rate * dt as f64;
+            let dt = dt as f64;
+            for s in &mut sme.run {
+                let rate = if cap < s.rs { cap } else { s.rs };
+                s.rem -= rate * dt;
             }
         }
-        sme.last_advance = now;
     }
 
     /// After [`ExecState::advance_sm`], finishes every warp whose current
     /// segment is exhausted, cascading through barrier releases. Finished
     /// assignments are queued for [`ExecState::drain_finished`].
     pub fn process_completions(&mut self, sm: u32, now: SimTime) {
-        debug_assert_eq!(self.sms[sm as usize].last_advance, now);
+        let sme = &mut self.sms[sm as usize];
+        debug_assert_eq!(sme.last_advance, now);
         // Collect exhausted warps in deterministic (handle) order.
-        let mut exhausted: Vec<WarpHandle> = self.sms[sm as usize]
-            .running
-            .iter()
-            .copied()
-            .filter(|w| self.warps[w.0 as usize].remaining <= EPS)
-            .collect();
-        exhausted.sort();
-        for w in exhausted {
+        let mut exhausted = std::mem::take(&mut sme.exhausted);
+        exhausted.extend(sme.run.iter().filter(|s| s.rem <= EPS).map(|s| s.w));
+        exhausted.sort_unstable();
+        for &w in &exhausted {
             // The warp may have been re-settled by a cascade already.
-            if self.warps[w.0 as usize].state == WarpState::Running
-                && self.warps[w.0 as usize].remaining <= EPS
+            let c = &mut self.warps[w.0 as usize];
+            if c.state == WarpState::Running
+                && self.sms[sm as usize].run[c.slot as usize].rem <= EPS
             {
                 // `settle` removes the warp from the running set as part of
                 // whatever transition the next segment dictates.
-                self.warps[w.0 as usize].cur += 1;
+                c.cur += 1;
                 self.settle(now, w);
             }
         }
+        exhausted.clear();
+        self.sms[sm as usize].exhausted = exhausted;
     }
 
     /// Earliest predicted completion on `sm`, given the current running
-    /// set. `None` if nothing is running.
-    pub fn next_completion(&self, sm: u32, now: SimTime) -> Option<SimTime> {
-        let sme = &self.sms[sm as usize];
+    /// set. `None` if nothing is running. Recomputes and keeps the SMM's
+    /// prediction if the kept one was dropped.
+    pub fn next_completion(&mut self, sm: u32, now: SimTime) -> Option<SimTime> {
+        let sme = &mut self.sms[sm as usize];
         debug_assert_eq!(sme.last_advance, now);
-        if sme.running.is_empty() {
+        if sme.run.is_empty() {
             return None;
         }
-        let cap = sme.cap;
-        let mut best = f64::INFINITY;
-        for w in &sme.running {
-            let c = &self.warps[w.0 as usize];
-            let rate = c.r_single.min(cap);
-            let dt = (c.remaining.max(0.0)) / rate;
-            best = best.min(dt);
-        }
+        let best = match sme.pred {
+            Some(p) => p.best,
+            None => {
+                // Plain compare-selects (no NaN reaches them): the same
+                // values `f64::min`/`max` give, without their NaN fix-ups
+                // on the serial chain.
+                let cap = sme.cap;
+                let mut best = f64::INFINITY;
+                let mut max_rs = 0.0;
+                for s in &sme.run {
+                    let rate = if cap < s.rs { cap } else { s.rs };
+                    let rem = if s.rem > 0.0 { s.rem } else { 0.0 };
+                    let dt = rem / rate;
+                    if dt < best {
+                        best = dt;
+                    }
+                    if s.rs > max_rs {
+                        max_rs = s.rs;
+                    }
+                }
+                sme.pred = Some(Pred { best, max_rs });
+                best
+            }
+        };
         Some(now + desim::Dur::from_ps(best.ceil() as u64))
     }
 
     /// Number of running warps on `sm`.
     pub fn sm_running(&self, sm: u32) -> u32 {
-        self.sms[sm as usize].running.len() as u32
+        self.sms[sm as usize].run.len() as u32
     }
 
     /// Takes the queue of `(warp, tag)` assignment completions.
@@ -349,44 +409,63 @@ impl ExecState {
     // internals
     // ------------------------------------------------------------------
 
-    /// Re-derives the cached fair-share cap after a running-set change.
-    #[inline]
-    fn refresh_cap(&mut self, sm: u32) {
-        let sme = &mut self.sms[sm as usize];
-        let nrun = sme.running.len();
-        sme.cap = if nrun == 0 {
-            f64::INFINITY
-        } else {
-            self.cap_base / nrun as f64
+    /// Puts warp `w` into its SMM's running set with `n > 0`
+    /// thread-instructions to execute, folding its quotient into the kept
+    /// prediction when every rate is latency-bound before and after.
+    fn enter_running(&mut self, w: WarpHandle, n: u64) {
+        let ctx = &mut self.warps[w.0 as usize];
+        ctx.state = WarpState::Running;
+        let sme = &mut self.sms[ctx.sm as usize];
+        ctx.slot = sme.run.len() as u32;
+        let (rem, rs) = (n as f64, ctx.r_single);
+        sme.run.push(RunSlot { rem, rs, w });
+        let cap = self.cap_base / sme.run.len() as f64;
+        sme.cap = cap;
+        sme.pred = match sme.pred {
+            Some(p) if p.max_rs <= cap && rs <= cap => {
+                let dt = rem / rs;
+                Some(Pred {
+                    best: if dt < p.best { dt } else { p.best },
+                    max_rs: if rs > p.max_rs { rs } else { p.max_rs },
+                })
+            }
+            _ => None,
         };
     }
 
     fn leave_running(&mut self, w: WarpHandle) {
-        let sm = self.warps[w.0 as usize].sm;
-        let running = &mut self.sms[sm as usize].running;
-        let pos = running
-            .iter()
-            .position(|x| *x == w)
-            .expect("warp not in running set");
-        running.swap_remove(pos);
-        self.refresh_cap(sm);
+        let ctx = &self.warps[w.0 as usize];
+        let slot = ctx.slot as usize;
+        let sme = &mut self.sms[ctx.sm as usize];
+        debug_assert_eq!(sme.run[slot].w, w, "stale running slot");
+        sme.run.swap_remove(slot);
+        sme.pred = None;
+        sme.cap = if sme.run.is_empty() {
+            f64::INFINITY
+        } else {
+            self.cap_base / sme.run.len() as f64
+        };
+        if let Some(moved) = sme.run.get(slot) {
+            self.warps[moved.w.0 as usize].slot = slot as u32;
+        }
     }
 
     /// Places warp `w` (whose `cur` points at the segment to enter) into
     /// the right state, cascading zero-length segments, barrier arrivals,
-    /// and assignment completion. The warp is *not* in the running set on
-    /// entry unless freshly assigned.
+    /// and assignment completion. The warp is in the running set on entry
+    /// only when [`ExecState::process_completions`] found its segment
+    /// exhausted.
     fn settle(&mut self, now: SimTime, w: WarpHandle) {
         loop {
             let ctx = &mut self.warps[w.0 as usize];
             match ctx.segments.get(ctx.cur).copied() {
                 Some(Segment::Compute(n)) if n > 0 => {
-                    ctx.remaining = n as f64;
-                    if ctx.state != WarpState::Running {
-                        ctx.state = WarpState::Running;
-                        let sm = ctx.sm;
-                        self.sms[sm as usize].running.push(w);
-                        self.refresh_cap(sm);
+                    if ctx.state == WarpState::Running {
+                        let sme = &mut self.sms[ctx.sm as usize];
+                        sme.run[ctx.slot as usize].rem = n as f64;
+                        sme.pred = None;
+                    } else {
+                        self.enter_running(w, n);
                     }
                     return;
                 }
@@ -452,6 +531,9 @@ impl ExecState {
         }
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -709,5 +791,62 @@ mod tests {
         let tb = ex.next_completion(1, SimTime::ZERO).unwrap();
         assert_eq!(ta, tb, "no cross-SM interference");
         let _ = Dur::ZERO;
+    }
+
+    #[test]
+    fn kept_prediction_folds_pushes_and_drops_on_each_invalidating_event() {
+        let kept = |ex: &ExecState| ex.sms[0].pred.is_some();
+        let mut ex = titan_exec();
+        let t0 = SimTime::ZERO;
+        ex.advance_sm(0, t0);
+        let a = ex.create_warp(0);
+        let two_segments = WarpWork {
+            segments: vec![Segment::Compute(3_200), Segment::Compute(6_400)],
+            cpi: 2.0,
+        };
+        ex.assign(t0, a, two_segments, 0);
+        assert!(!kept(&ex), "nothing predicted yet");
+        let alone = ex.next_completion(0, t0).unwrap();
+        assert!(kept(&ex));
+
+        // A latency-bound push folds its quotient in.
+        let b = ex.create_warp(0);
+        ex.assign(t0, b, WarpWork::compute(1_600, 2.0), 1);
+        assert!(kept(&ex), "latency-bound push must fold");
+        let t_b = ex.next_completion(0, t0).unwrap();
+        assert!(t_b < alone, "the shorter warp now finishes first");
+
+        // 1. Time passes.
+        ex.advance_sm(0, t_b);
+        assert!(!kept(&ex), "advance must drop the prediction");
+
+        // 2. A warp leaves (b finishes), with no time passing.
+        ex.next_completion(0, t_b);
+        assert!(kept(&ex));
+        ex.process_completions(0, t_b);
+        assert_eq!(ex.drain_finished(), vec![(b, 1)]);
+        assert!(!kept(&ex), "a leaving warp must drop the prediction");
+
+        // 3. A running warp enters its next compute segment in place.
+        let t_a = ex.next_completion(0, t_b).unwrap();
+        ex.advance_sm(0, t_a);
+        assert_eq!(ex.next_completion(0, t_a), Some(t_a));
+        assert!(kept(&ex));
+        ex.process_completions(0, t_a);
+        assert_eq!(ex.sm_running(0), 1, "a is on its second segment");
+        assert!(!kept(&ex), "a segment reset must drop the prediction");
+
+        // 4. A push that leaves some warp issue-bound: four CPI-1 warps
+        // exactly fill the issue width, the fifth pulls the cap under
+        // their rate.
+        ex.next_completion(0, t_a);
+        for i in 0..4 {
+            assert!(kept(&ex), "running set of {} is latency-bound", i + 1);
+            let w = ex.create_warp(0);
+            ex.assign(t_a, w, WarpWork::compute(32_000, 1.0), 2 + i);
+        }
+        assert!(!kept(&ex), "an issue-bound push must drop the prediction");
+        let (_, tags) = run_sm(&mut ex, 0, t_a);
+        assert_eq!(tags.len(), 5);
     }
 }

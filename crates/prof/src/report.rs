@@ -110,32 +110,24 @@ impl ProfReport {
     /// aggregates — the post-hoc path benches use to attribute a run
     /// they already recorded, with no tee attached.
     pub fn from_buffer(buf: &ObsBuffer) -> ProfReport {
-        let mut tasks: BTreeMap<u64, TaskProf> = BTreeMap::new();
+        let mut tasks = TaskTable::sized_for(buf);
         for ev in &buf.tasks {
-            tasks
-                .entry(ev.task)
-                .or_default()
-                .cuts
-                .note_state(ev.state, ev.at_ps);
+            tasks.entry(ev.task).cuts.note_state(ev.state, ev.at_ps);
         }
         for m in &buf.marks {
-            tasks
-                .entry(m.task)
-                .or_default()
-                .cuts
-                .note_mark(m.kind, m.at_ps);
+            tasks.entry(m.task).cuts.note_mark(m.kind, m.at_ps);
         }
         for t in &buf.tenants {
-            if let Some(p) = tasks.get_mut(&t.task) {
+            if let Some(p) = tasks.get_mut(t.task) {
                 p.tenant.get_or_insert(t.tenant);
             }
         }
         for r in &buf.routes {
-            if let Some(p) = tasks.get_mut(&r.task) {
+            if let Some(p) = tasks.get_mut(r.task) {
                 p.device = Some(r.device);
             }
         }
-        ProfReport::aggregate(tasks.values())
+        ProfReport::aggregate(tasks.dense.iter().flatten().chain(tasks.sparse.values()))
     }
 
     /// The `total` group (present even when no task completed).
@@ -164,6 +156,49 @@ impl ProfReport {
                         .collect(),
                 })
                 .collect(),
+        }
+    }
+}
+
+/// Per-task profiles keyed by task id, for [`ProfReport::from_buffer`].
+///
+/// Both in-tree backends number tasks consecutively, so a profile lives
+/// at index `key` of `dense` and the per-event lookup is an index, not a
+/// tree descent. `dense` is capped at one slot per event that can create
+/// a profile, so a buffer with sparse or huge keys (they are the
+/// caller's to choose) pays the map for those keys instead of an
+/// allocation sized by the largest one.
+struct TaskTable {
+    dense: Vec<Option<TaskProf>>,
+    /// Keys `≥ dense.len()`.
+    sparse: BTreeMap<u64, TaskProf>,
+}
+
+impl TaskTable {
+    fn sized_for(buf: &ObsBuffer) -> TaskTable {
+        let keys = buf.tasks.iter().map(|e| e.task);
+        let top = keys.chain(buf.marks.iter().map(|m| m.task)).max();
+        let cap = (buf.tasks.len() + buf.marks.len()) as u64;
+        let len = top.map_or(0, |k| k.saturating_add(1).min(cap));
+        TaskTable {
+            dense: vec![None; len as usize],
+            sparse: BTreeMap::new(),
+        }
+    }
+
+    fn entry(&mut self, key: u64) -> &mut TaskProf {
+        if key < self.dense.len() as u64 {
+            self.dense[key as usize].get_or_insert_with(TaskProf::default)
+        } else {
+            self.sparse.entry(key).or_default()
+        }
+    }
+
+    fn get_mut(&mut self, key: u64) -> Option<&mut TaskProf> {
+        if key < self.dense.len() as u64 {
+            self.dense[key as usize].as_mut()
+        } else {
+            self.sparse.get_mut(&key)
         }
     }
 }
@@ -274,6 +309,33 @@ mod tests {
             .filter(|l| l.starts_with("device/"))
             .collect();
         assert_eq!(dev, ["device/1"]);
+    }
+
+    #[test]
+    fn sparse_and_huge_keys_aggregate_like_dense_ones() {
+        // Same six timelines under consecutive keys and under keys far
+        // past the event count (one of them u64::MAX): same report, and
+        // no allocation sized by the key.
+        let report = |key: &dyn Fn(u64) -> u64| {
+            let (obs, rec) = Obs::recording();
+            for i in 0..6u64 {
+                let (k, t0) = (key(i), i * 500);
+                obs.mark(t0, k, MarkKind::Arrived);
+                obs.task(t0 + 10, k, TaskState::Spawned);
+                obs.task(t0 + 100, k, TaskState::Running);
+                obs.task(t0 + 400 + i, k, TaskState::Freed);
+                obs.mark(t0 + 450, k, MarkKind::Observed);
+                obs.tenant(k, (i % 2) as u32);
+                obs.route(k, (i % 3) as u32);
+            }
+            obs.tenant(1 << 40, 9); // tag for a task that never appeared
+            ProfReport::from_buffer(&rec.snapshot())
+        };
+        let dense = report(&|i| i);
+        assert_eq!(dense.total().tasks, 6);
+        assert_eq!(dense.groups.len(), 1 + 2 + 3);
+        assert_eq!(report(&|i| u64::MAX - i * (1 << 50)), dense);
+        assert_eq!(report(&|i| if i < 3 { i } else { 1_000 * i }), dense);
     }
 
     #[test]
