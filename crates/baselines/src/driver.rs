@@ -1,35 +1,10 @@
 //! Drivers that run a task list through the Pagoda runtime — continuous
 //! spawning (the real system) and batched spawning (the Fig. 11 ablation).
 
-use pagoda_core::{PagodaConfig, PagodaRuntime, SubmitError, TaskDesc};
+use pagoda_core::{PagodaConfig, PagodaRuntime, TaskDesc};
 use pagoda_obs::Obs;
 
 use crate::summary::RunSummary;
-
-/// The paper's blocking spawn loop: the non-blocking [`PagodaRuntime::submit`]
-/// probe wrapped in the §4.2.2 retry idiom — on a full table, refresh the
-/// CPU's view with an aggregate copy-back and, if still full, idle one
-/// `wait_timeout` slice before retrying.
-pub fn spawn_blocking(rt: &mut PagodaRuntime, t: &TaskDesc) {
-    let mut desc = t.clone();
-    let mut iterations = 0u64;
-    loop {
-        match rt.submit(desc) {
-            Ok(_) => return,
-            Err(SubmitError::Full(d)) => {
-                rt.sync_table();
-                if !rt.capacity().has_room() {
-                    let timeout = rt.config().wait_timeout;
-                    rt.advance_to(rt.host_now() + timeout);
-                }
-                desc = d;
-            }
-            Err(e) => panic!("invalid task for Pagoda: {e}"),
-        }
-        iterations += 1;
-        assert!(iterations < 100_000_000, "blocking spawn livelocked");
-    }
-}
 
 /// Continuous spawning: tasks are spawned as fast as the host can issue
 /// them and reaped with one `waitAll` — the paper's Pagoda configuration.
@@ -43,7 +18,8 @@ pub fn run_pagoda_with_obs(cfg: PagodaConfig, tasks: &[TaskDesc], obs: Obs) -> R
     let mut rt = PagodaRuntime::new(cfg);
     rt.attach_obs(obs);
     for t in tasks {
-        spawn_blocking(&mut rt, t);
+        rt.spawn_blocking(t.clone())
+            .expect("invalid task for Pagoda");
     }
     rt.wait_all();
     rt.report().into()
@@ -58,7 +34,8 @@ pub fn run_pagoda_batched(cfg: PagodaConfig, tasks: &[TaskDesc], batch_size: usi
     let mut rt = PagodaRuntime::new(cfg);
     for chunk in tasks.chunks(batch_size) {
         for t in chunk {
-            spawn_blocking(&mut rt, t);
+            rt.spawn_blocking(t.clone())
+                .expect("invalid task for Pagoda");
         }
         rt.wait_all();
     }

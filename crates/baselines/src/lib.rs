@@ -22,7 +22,7 @@ pub mod hyperq;
 pub mod summary;
 
 pub use cpu::{run_pthreads, run_sequential, CpuConfig};
-pub use driver::{run_pagoda, run_pagoda_batched, run_pagoda_with_obs, spawn_blocking};
+pub use driver::{run_pagoda, run_pagoda_batched, run_pagoda_with_obs};
 pub use fusion::{run_fusion, FusionConfig};
 pub use gemtc::{run_gemtc, GemtcConfig};
 pub use hyperq::{run_hyperq, HyperQConfig};

@@ -20,16 +20,16 @@
 //!   hands them, while load-aware policies (least-outstanding,
 //!   power-of-two) flatten p99.
 //!
-//! Writes `BENCH_cluster.json` (override with `--out PATH`) and exits
-//! nonzero if the scaling gate fails. Fully deterministic: same seed ⇒
-//! byte-identical JSON.
+//! Prints both curves to stderr, writes them as JSON where `--out PATH`
+//! says (nowhere without it), and exits nonzero if the scaling gate
+//! fails. Fully deterministic: same seed ⇒ byte-identical JSON.
 //!
 //! Run with `cargo run --release -p pagoda-bench --bin cluster_scaling`
 //! (add `--smoke` for the CI-sized run).
 
 use gpu_sim::WarpWork;
 use pagoda_cluster::{ClusterConfig, ClusterHandle, Placement};
-use pagoda_core::{SubmitError, TaskDesc};
+use pagoda_core::{Backend, TaskDesc};
 use pagoda_prof::ProfSummary;
 use pagoda_serve::{percentile, serve_on, Policy, ServeConfig, TenantSpec};
 use serde::Serialize;
@@ -63,9 +63,6 @@ struct SkewPoint {
 struct BenchReport {
     bench: String,
     smoke: bool,
-    /// `std::thread::available_parallelism()` on the measuring host —
-    /// context for comparing timings across machines.
-    host_cores: usize,
     gate_devices: usize,
     gate_required: f64,
     gate_measured: f64,
@@ -113,24 +110,10 @@ fn drive_batch(n: usize, tasks: usize, obs: pagoda_obs::Obs) -> f64 {
     cfg.affinity_spread = n as u32;
     let mut fleet = ClusterHandle::new(cfg).expect("uniform config is valid");
     fleet.attach_obs(obs);
-    let mut spawned = 0usize;
-    let mut pending = task();
-    while spawned < tasks {
-        match fleet.submit(pending) {
-            Ok(_) => {
-                spawned += 1;
-                pending = task();
-            }
-            Err(SubmitError::Full(desc)) => {
-                fleet.sync();
-                if !fleet.capacity().has_room() {
-                    let t = fleet.now() + desim::Dur::from_us(20);
-                    fleet.advance_to(t);
-                }
-                pending = desc;
-            }
-            Err(e) => panic!("unspawnable bench task: {e}"),
-        }
+    for _ in 0..tasks {
+        fleet
+            .spawn_blocking(0, task())
+            .expect("the bench task fits the default device");
     }
     fleet.wait_all();
     let rep = fleet.report();
@@ -203,7 +186,6 @@ fn main() {
         }
     }
     let gate = gate.unwrap_or(3.2);
-    let out = out.unwrap_or_else(|| "BENCH_cluster.json".into());
 
     let (device_counts, batch, skews, tasks_per_tenant): (&[usize], usize, &[f64], usize) = if smoke
     {
@@ -262,7 +244,6 @@ fn main() {
     let report = BenchReport {
         bench: "cluster_scaling".into(),
         smoke,
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         gate_devices: GATE_DEVICES,
         gate_required: gate,
         gate_measured: measured,
@@ -271,9 +252,11 @@ fn main() {
         skew,
         attribution: attribution_run(GATE_DEVICES, batch),
     };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write(&out, format!("{json}\n")).expect("write report");
-    eprintln!("wrote {out}");
+    if let Some(out) = out {
+        let json = serde_json::to_string(&report).expect("report serializes");
+        std::fs::write(&out, format!("{json}\n")).expect("write report");
+        eprintln!("wrote {out}");
+    }
     if !pass {
         eprintln!(
             "GATE FAILED: {GATE_DEVICES}-device speedup {measured:.2}x < required {gate:.2}x"

@@ -1,7 +1,9 @@
 //! Experiment harness: runs task lists through every runtime scheme and
 //! prints the rows of each table and figure in the paper's evaluation
 //! (§6). One binary per experiment lives in `src/bin/` (`fig5` … `fig11`,
-//! `table3`, `table5`); Criterion microbenchmarks live in `benches/`.
+//! `table3`, `table5`); `benches/kernels.rs` times the functional
+//! kernels. How fast the simulator itself runs is `benchmark/`'s
+//! question, not this crate's.
 //!
 //! All experiments accept a `--tasks N` argument to scale down from the
 //! paper's 32 K tasks (useful for smoke runs); results are printed as
@@ -81,7 +83,8 @@ pub fn run_waves(scheme: Scheme, waves: &[Vec<TaskDesc>]) -> RunSummary {
         let mut rt = PagodaRuntime::new(PagodaConfig::default());
         for w in waves {
             for t in w {
-                baselines::spawn_blocking(&mut rt, t);
+                rt.spawn_blocking(t.clone())
+                    .expect("invalid task for Pagoda");
             }
             rt.wait_all();
         }
@@ -158,13 +161,11 @@ pub fn reshape_task(base: &TaskDesc, total_threads: u32, threads_per_tb: u32) ->
         .collect();
     let fsum: f64 = fracs.iter().sum();
     let fracs: Vec<f64> = fracs.iter().map(|f| f / fsum).collect();
-    let warps = threads_per_tb.div_ceil(32);
     let block = workloads::gen::build_block(
         &vec![ops_per_thread; threads_per_tb as usize],
         w0.cpi,
         &fracs,
     );
-    let _ = warps;
     let num_tbs = total_threads / threads_per_tb;
     TaskDesc {
         threads_per_tb,

@@ -11,12 +11,12 @@
 //! [`Scenario::replay_cli`] prints the exact `pagoda_check replay`
 //! invocation that reproduces it.
 
-use desim::{Dur, SimTime};
+use desim::SimTime;
 use gpu_sim::WarpWork;
 use pagoda_cluster::{
     ClusterConfig, ClusterHandle, FaultKind, FaultSpec, Mutation, Placement, RetryPolicy,
 };
-use pagoda_core::{SubmitError, TaskDesc};
+use pagoda_core::{Backend, TaskDesc};
 
 use crate::invariants::{CheckLimits, Violation};
 use crate::recorder::CheckRecorder;
@@ -194,28 +194,13 @@ pub fn run_one(sc: &Scenario, mutation: Option<Mutation>) -> RunOutcome {
     if let Some(m) = mutation {
         fleet.inject_mutation(m);
     }
-    let mut keys = Vec::with_capacity(sc.tasks);
-    for i in 0..sc.tasks {
-        let tenant = i as u32 % sc.tenants;
-        let mut desc = sc.task(i);
-        loop {
-            match fleet.submit_for(tenant, desc) {
-                Ok(k) => {
-                    keys.push(k);
-                    break;
-                }
-                Err(SubmitError::Full(d)) => {
-                    fleet.sync();
-                    if !fleet.capacity().has_room() {
-                        let t = fleet.now() + Dur::from_us(20);
-                        fleet.advance_to(t);
-                    }
-                    desc = d;
-                }
-                Err(e) => panic!("unspawnable scenario task: {e}"),
-            }
-        }
-    }
+    let keys: Vec<u64> = (0..sc.tasks)
+        .map(|i| {
+            fleet
+                .spawn_blocking(i as u32 % sc.tenants, sc.task(i))
+                .expect("scenario tasks fit the scenario's devices")
+        })
+        .collect();
     fleet.wait_all();
     let violations = rec.finish();
     let times: Vec<Option<u64>> = keys

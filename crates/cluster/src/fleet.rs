@@ -26,9 +26,8 @@ use std::collections::{BinaryHeap, VecDeque};
 use desim::{ClockMap, Dur, EngineStats, SimTime};
 use pagoda_core::trace::TaskTrace;
 use pagoda_core::{
-    Capacity, ConfigError, PagodaError, PagodaRuntime, SubmitError, TaskDesc, TaskId,
+    Backend, Capacity, ConfigError, PagodaError, PagodaRuntime, SubmitError, TaskDesc, TaskId,
 };
-use pagoda_host::Backend;
 use pagoda_obs::{Counter, DeviceSample, Obs, SyncKind, TaskState};
 use pcie::{Direction, PcieConfig};
 
@@ -1062,24 +1061,11 @@ mod tests {
         TaskDesc::uniform(64, WarpWork::compute(200_000, 8.0))
     }
 
-    /// Submits `n` copies of `task()`, syncing (and idling 20 us while
-    /// the fleet stays full) whenever a submit comes back Full.
+    /// Spawns `n` copies of `task()`, blocking while the fleet is full.
     fn submit_batch(fleet: &mut ClusterHandle, n: usize) -> Vec<u64> {
-        let mut keys = Vec::new();
-        while keys.len() < n {
-            match fleet.submit(task()) {
-                Ok(k) => keys.push(k),
-                Err(SubmitError::Full(_)) => {
-                    fleet.sync();
-                    if !fleet.capacity().has_room() {
-                        let t = fleet.now() + Dur::from_us(20);
-                        fleet.advance_to(t);
-                    }
-                }
-                Err(e) => panic!("unexpected submit error: {e}"),
-            }
-        }
-        keys
+        (0..n)
+            .map(|_| fleet.spawn_blocking(0, task()).unwrap())
+            .collect()
     }
 
     fn run_batch(mut fleet: ClusterHandle, n: usize) -> (Vec<u64>, ClusterHandle) {
@@ -1201,18 +1187,9 @@ mod tests {
         // so placement spills to non-home devices.
         let mut spilled = 0;
         for _ in 0..96 {
-            match fleet.submit_for(2, task()) {
-                Ok(k) => {
-                    if fleet.device_of(k) != Some(2) {
-                        spilled += 1;
-                    }
-                }
-                Err(SubmitError::Full(_)) => {
-                    fleet.sync();
-                    let t = fleet.now() + Dur::from_us(20);
-                    fleet.advance_to(t);
-                }
-                Err(e) => panic!("unexpected: {e}"),
+            let k = fleet.spawn_blocking(2, task()).unwrap();
+            if fleet.device_of(k) != Some(2) {
+                spilled += 1;
             }
         }
         fleet.wait_all();
@@ -1384,6 +1361,31 @@ mod tests {
         let rep = fleet.report();
         assert!(rep.completed > 0 && rep.tasks_lost > 0);
         assert!(fleet.completed_log.is_none());
+    }
+
+    #[test]
+    fn spawn_blocking_idles_the_devices_wait_timeout_not_the_default() {
+        // 5 ms against ~0.5 ms tasks: one slice outlasts the whole batch,
+        // where 20 us slices would have retried inside the first task.
+        let timeout = Dur::from_us(5_000);
+        let mut cfg = ClusterConfig::uniform(2);
+        for c in &mut cfg.devices {
+            c.rows_per_column = 1;
+            c.wait_timeout = timeout;
+        }
+        let mut fleet = ClusterHandle::new(cfg).unwrap();
+        let long = || TaskDesc::uniform(64, WarpWork::compute(2_000_000, 8.0));
+        while fleet.capacity().has_room() {
+            fleet.submit(long()).unwrap();
+        }
+        let before = fleet.now();
+        let key = fleet.spawn_blocking(0, long()).unwrap();
+        let idled = fleet.now() - before;
+        assert!(
+            timeout <= idled && idled < timeout + timeout,
+            "idled {idled:?}"
+        );
+        assert_eq!(key, u64::from(fleet.capacity().total));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   `(instant, device, key)` merge at every sync point applies their
 //!   completions in fleet-time order. Exposes the same
 //!   `submit`/`wait`/`capacity` shape as a single runtime — it
-//!   implements [`pagoda_host::Backend`] — with fleet-unique `u64` task
+//!   implements [`pagoda_core::Backend`] — with fleet-unique `u64` task
 //!   keys.
 //! * [`config`] — fleet topology ([`ClusterConfig::builder`]), fault
 //!   schedule ([`FaultSpec`]: kill or slow a device at a simulated
@@ -44,7 +44,7 @@
 //! [`desim::EngineStats`].
 //!
 //! [`PagodaRuntime`]: pagoda_core::PagodaRuntime
-//! [`Backend`]: pagoda_host::Backend
+//! [`Backend`]: pagoda_core::Backend
 //!
 //! # Example
 //!
@@ -69,5 +69,5 @@ pub mod placement;
 pub use config::{ClusterConfig, ClusterConfigBuilder, FaultKind, FaultSpec, RetryPolicy};
 pub use fleet::{ClusterHandle, DeviceReport, FleetReport, TaskStatus};
 pub use mutation::Mutation;
-pub use pagoda_host::Backend;
+pub use pagoda_core::Backend;
 pub use placement::{DeviceView, Placement, Placer};

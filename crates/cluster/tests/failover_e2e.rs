@@ -3,12 +3,12 @@
 //! replay of the same configuration reproduces the recorder stream,
 //! completion instants, engine counters and fleet report byte for byte.
 
-use desim::{Dur, SimTime};
+use desim::SimTime;
 use gpu_sim::WarpWork;
 use pagoda_cluster::{
     ClusterConfig, ClusterHandle, FaultKind, FaultSpec, Placement, RetryPolicy, TaskStatus,
 };
-use pagoda_core::{SubmitError, TaskDesc};
+use pagoda_core::{Backend, TaskDesc};
 use pagoda_obs::{Obs, ObsBuffer};
 use proptest::prelude::*;
 
@@ -69,20 +69,13 @@ fn run(cfg: ClusterConfig, desc: &TaskDesc, n: usize, tenants: u32) -> Run {
     let (obs, rec) = Obs::recording();
     let mut fleet = ClusterHandle::new(cfg).expect("valid config");
     fleet.attach_obs(obs);
-    let mut keys = Vec::with_capacity(n);
-    while keys.len() < n {
-        match fleet.submit_for(keys.len() as u32 % tenants, desc.clone()) {
-            Ok(k) => keys.push(k),
-            Err(SubmitError::Full(_)) => {
-                fleet.sync();
-                if !fleet.capacity().has_room() {
-                    let t = fleet.now() + Dur::from_us(20);
-                    fleet.advance_to(t);
-                }
-            }
-            Err(e) => panic!("task rejected: {e}"),
-        }
-    }
+    let keys: Vec<u64> = (0..n)
+        .map(|i| {
+            fleet
+                .spawn_blocking(i as u32 % tenants, desc.clone())
+                .expect("task rejected")
+        })
+        .collect();
     fleet.wait_all();
     Run {
         fleet,

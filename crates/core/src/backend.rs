@@ -7,7 +7,9 @@
 //! adapter to look like one. This trait replaces both: a single runtime
 //! and an N-device fleet implement the same narrow surface — non-blocking
 //! `submit`, `capacity` probe, completion `check`/`wait`, clock control,
-//! `sync` — and everything above them is generic over `B: Backend`.
+//! `sync` — and everything above them is generic over `B: Backend`. The
+//! paper's *blocking* `taskSpawn` is the one provided method,
+//! [`Backend::spawn_blocking`], written once over that surface.
 //!
 //! Task keys are plain `u64`s: a single runtime uses its `TaskId` values,
 //! a cluster uses fleet-unique keys that never collide across devices.
@@ -16,9 +18,10 @@
 //! records-are-byte-identical contract to hold.
 
 use desim::{Dur, EngineStats, SimTime};
-use pagoda_core::trace::TaskTrace;
-use pagoda_core::{Capacity, PagodaError, PagodaRuntime, SubmitError, TaskDesc, TaskId};
 use pagoda_obs::Obs;
+
+use crate::trace::TaskTrace;
+use crate::{Capacity, PagodaError, PagodaRuntime, SubmitError, TaskDesc, TaskError, TaskId};
 
 /// The executor surface behind the serving loop, the examples, and the
 /// benches. Implemented by `PagodaRuntime` (one simulated device) and by
@@ -28,6 +31,37 @@ pub trait Backend {
     /// hint; a single runtime ignores it). Returns a backend-unique task
     /// key, or hands the descriptor back via [`SubmitError::Full`].
     fn submit(&mut self, tenant: u32, desc: TaskDesc) -> Result<u64, SubmitError>;
+
+    /// The paper's blocking `taskSpawn` (Table 1, §4.2.2) over
+    /// [`Backend::submit`]: on a full table, refresh the host view with
+    /// the lazy aggregate copy-back ([`Backend::sync`]) and, if that
+    /// freed nothing, idle one [`Backend::wait_timeout`] slice; retry
+    /// with the descriptor handed back. Returns once the task is
+    /// spawned, or with the [`TaskError`] of a descriptor that never can
+    /// be — before any simulated time is spent.
+    ///
+    /// # Panics
+    /// After 100 000 000 retries: a backend that never frees an entry
+    /// (every device dead, say) would otherwise spin forever.
+    fn spawn_blocking(&mut self, tenant: u32, mut desc: TaskDesc) -> Result<u64, TaskError> {
+        let mut iterations = 0u64;
+        loop {
+            match self.submit(tenant, desc) {
+                Ok(key) => return Ok(key),
+                Err(SubmitError::Full(back)) => {
+                    self.sync();
+                    if !self.capacity().has_room() {
+                        let t = self.now() + self.wait_timeout();
+                        self.advance_to(t);
+                    }
+                    desc = back;
+                }
+                Err(SubmitError::Invalid(e)) => return Err(e),
+            }
+            iterations += 1;
+            assert!(iterations < 100_000_000, "blocking spawn livelocked");
+        }
+    }
 
     /// Admission headroom in the backend's current view.
     fn capacity(&self) -> Capacity;
@@ -227,5 +261,84 @@ mod tests {
             b.check(u64::MAX),
             Err(PagodaError::UnknownTask { .. })
         ));
+    }
+
+    /// A 48-entry runtime with every entry taken by `task`, and its
+    /// fill-time clock. `wait_timeout` is far from the 20 us default, so
+    /// a loop that hard-coded that would read a different clock.
+    fn full_runtime(task: &TaskDesc) -> (PagodaRuntime, SimTime) {
+        let cfg = crate::PagodaConfig::builder()
+            .rows_per_column(1)
+            .wait_timeout(Dur::from_us(70))
+            .build()
+            .expect("valid config");
+        let mut rt = PagodaRuntime::new(cfg);
+        while rt.capacity().has_room() {
+            rt.submit(task.clone()).expect("room in the CPU view");
+        }
+        assert!(matches!(rt.submit(task.clone()), Err(SubmitError::Full(_))));
+        let filled = rt.host_now();
+        (rt, filled)
+    }
+
+    #[test]
+    fn spawn_blocking_on_a_full_table_syncs_then_idles_whole_timeouts() {
+        // ~1 ms tasks: the table stays full across many 70 us slices.
+        let task = TaskDesc::uniform(64, WarpWork::compute(4_000_000, 8.0));
+        let (mut rt, filled) = full_runtime(&task);
+        let key = Backend::spawn_blocking(&mut rt, 0, task.clone()).expect("valid task");
+
+        // The idiom by hand on a twin: a sync per round, one whole
+        // timeout per round that leaves the view full.
+        let (mut twin, twin_filled) = full_runtime(&task);
+        assert_eq!(twin_filled, filled);
+        let mut slices = 0;
+        loop {
+            twin.sync_table();
+            if twin.capacity().has_room() {
+                break;
+            }
+            twin.advance_to(twin.host_now() + Dur::from_us(70));
+            slices += 1;
+        }
+        let want = twin.submit(task).expect("the sync freed an entry");
+        assert!(slices >= 2, "the table drained after {slices} slice(s)");
+        assert_eq!(key, want.0);
+        assert_eq!(rt.host_now(), twin.host_now());
+    }
+
+    #[test]
+    fn spawn_blocking_does_not_idle_when_the_sync_frees_an_entry() {
+        let task = TaskDesc::uniform(64, WarpWork::compute(10_000, 8.0));
+        let (mut rt, filled) = full_runtime(&task);
+        // Every task finishes on the device; the CPU's view, refreshed
+        // only by copy-backs, still reads full.
+        rt.advance_to(filled + Dur::from_us(2_000));
+        assert!(!rt.capacity().has_room());
+        let before = rt.host_now();
+        rt.spawn_blocking(task).expect("valid task");
+        assert!(
+            rt.host_now() - before < Dur::from_us(70),
+            "one copy-back and one spawn, no timeout: {:?}",
+            rt.host_now() - before
+        );
+        assert!(rt.capacity().has_room());
+    }
+
+    #[test]
+    fn spawn_blocking_returns_an_invalid_task_without_spending_time() {
+        let task = TaskDesc::uniform(64, WarpWork::compute(120_000, 8.0));
+        let mut bad = task.clone();
+        bad.num_tbs = 3; // blocks.len() still 1
+        let (mut full, filled) = full_runtime(&task);
+        for rt in [&mut PagodaRuntime::titan_x(), &mut full] {
+            let before = rt.host_now();
+            assert_eq!(
+                Backend::spawn_blocking(rt, 0, bad.clone()),
+                Err(TaskError::ShapeMismatch)
+            );
+            assert_eq!(rt.host_now(), before);
+        }
+        assert_eq!(full.host_now(), filled);
     }
 }

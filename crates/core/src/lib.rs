@@ -61,6 +61,7 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+mod backend;
 pub mod barrier;
 pub mod config;
 pub mod errors;
@@ -72,6 +73,7 @@ pub mod task;
 pub mod trace;
 pub mod warptable;
 
+pub use backend::Backend;
 pub use config::{ConfigError, PagodaConfig, PagodaConfigBuilder};
 pub use errors::{Capacity, PagodaError, SubmitError};
 pub use runtime::{PagodaRuntime, RunReport};

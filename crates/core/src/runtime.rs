@@ -36,6 +36,7 @@ use gpu_sim::{GpuDevice, GroupId, Notify, Segment, WarpWork};
 use pagoda_obs::{Counter, MtbSample, Obs, TaskState};
 use pcie::{Direction, PcieBus, StreamId};
 
+use crate::backend::Backend;
 use crate::config::PagodaConfig;
 use crate::errors::{Capacity, PagodaError, SubmitError};
 use crate::mtb::{Action, JobPhase, MtbState, PlacementJob};
@@ -257,8 +258,8 @@ impl PagodaRuntime {
     /// A full table costs *no* simulated host time — the caller decides
     /// whether to pay for a [`PagodaRuntime::sync_table`] refresh, shed
     /// the task, or try again later. This is the hook an admission
-    /// controller in front of the runtime builds on; a blocking spawn is
-    /// the retry loop `sync_table` + `advance_to` around it.
+    /// controller in front of the runtime builds on; the paper's blocking
+    /// spawn is [`PagodaRuntime::spawn_blocking`].
     pub fn submit(&mut self, desc: TaskDesc) -> Result<TaskId, SubmitError> {
         self.validate_for_device(&desc)?;
         let Some(entry) = self.find_free_entry() else {
@@ -266,6 +267,17 @@ impl PagodaRuntime {
         };
         self.host_advance(self.cfg.spawn_cpu_cost);
         Ok(self.spawn_at(entry, desc))
+    }
+
+    /// `taskSpawn` as the paper has it: blocks (in simulated time) until
+    /// the task is spawned. [`Backend::spawn_blocking`] with this
+    /// runtime's [`TaskId`]s.
+    ///
+    /// # Errors
+    /// The [`TaskError`] of a description that can never spawn; no
+    /// simulated time is spent on it.
+    pub fn spawn_blocking(&mut self, desc: TaskDesc) -> Result<TaskId, TaskError> {
+        Backend::spawn_blocking(self, 0, desc).map(TaskId)
     }
 
     /// TaskTable headroom in the CPU's current view: how many consecutive
@@ -457,7 +469,7 @@ impl PagodaRuntime {
     }
 
     /// The device event-engine's counters (scheduled/delivered/...):
-    /// the denominator of the `hotpath` bench's events/sec and a
+    /// the denominator of any events-per-host-second reading and a
     /// cheap determinism fingerprint (identical runs deliver identical
     /// event counts).
     pub fn engine_stats(&self) -> desim::EngineStats {

@@ -121,7 +121,8 @@ pub struct EngineStats {
 
 impl EngineStats {
     /// Heap comparisons amortized over delivered events — the
-    /// queue-efficiency figure the `hotpath` bench tracks.
+    /// queue-efficiency figure (`desim.comparisons_per_pop` in
+    /// `benchmark/`).
     pub fn comparisons_per_pop(&self) -> f64 {
         if self.delivered == 0 {
             0.0

@@ -486,7 +486,7 @@ impl GpuDevice {
     }
 
     /// Event-engine counters (scheduled/delivered/cancelled), the
-    /// denominator for the `hotpath` bench's events/sec.
+    /// denominator for events per host second.
     pub fn engine_stats(&self) -> desim::EngineStats {
         self.engine.stats()
     }

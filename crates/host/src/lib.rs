@@ -19,10 +19,9 @@
 //!   one-way DMA writes. This contrast is the point — the TaskTable
 //!   protocol *is* the price of PCIe.
 //!
-//! The crate also defines [`Backend`], the host-side trait every Pagoda
-//! executor implements (`PagodaRuntime` here; `ClusterHandle` in
-//! `pagoda-cluster`) so serving loops, examples, and benches are generic
-//! over one surface.
+//! The crate also re-exports [`Backend`], the trait every simulated
+//! Pagoda executor implements; it lives in `pagoda-core`, next to the
+//! runtime it abstracts.
 //!
 //! ```
 //! use pagoda_host::HostPagoda;
@@ -41,10 +40,9 @@
 //! assert_eq!(sum.load(Ordering::Relaxed), 999 * 1000 / 2);
 //! ```
 
-mod backend;
 mod slots;
 
-pub use backend::Backend;
+pub use pagoda_core::Backend;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

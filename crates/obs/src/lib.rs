@@ -19,8 +19,8 @@
 //! [`Event`] enum, counter bumps, and `retains()` — and the stock
 //! [`MemRecorder`] buffers for the exporters in [`export`]
 //! (chrome://tracing with one track per SMM and per tenant, CSV
-//! timelines, JSON summary); the `hotpath` bench in `crates/bench`
-//! gates its cost at ≤ 12 % of sim throughput.
+//! timelines, JSON summary); `benchmark/` reports what recording costs
+//! in sim throughput as `obs.mem_overhead_pct`.
 //!
 //! # Example
 //!

@@ -13,8 +13,8 @@
 //! is a plain load/store pair with no locked read-modify-write at all.
 //! Nothing on the recording path allocates a `String` or touches a map —
 //! counter names are interned `&'static str`s materialized only at
-//! [`MemRecorder::snapshot`] (copy-on-export). The `hotpath` bench gates
-//! this at ≤12 % over a fully disabled run.
+//! [`MemRecorder::snapshot`] (copy-on-export). What this costs over a
+//! fully disabled run is `obs.mem_overhead_pct` in `benchmark/`.
 
 use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
@@ -192,9 +192,9 @@ impl<T: Copy> Default for Ring<T> {
 ///
 /// Every driver writes a given recorder from one thread at a time, so
 /// the lock is effectively uncontended and held for a few nanoseconds
-/// per append. An uncontended `std::sync::Mutex`
-/// costs ~3× more per acquire on this path — the difference is most of
-/// the mem-recorder overhead the `hotpath` bench gates.
+/// per append. An uncontended `std::sync::Mutex` costs ~3× more per
+/// acquire on this path — the difference is most of the mem-recorder
+/// overhead.
 struct Spin<T> {
     locked: AtomicBool,
     cell: UnsafeCell<T>,
@@ -323,8 +323,8 @@ impl Recorder for MemRecorder {
     // `inline(always)`: every `Obs` method builds its variant at the call
     // site, so inlining folds the match away and each instrumentation
     // site is a direct push into its own ring. With a plain `#[inline]`
-    // `hotpath`'s mem overhead read higher in 10 of 10 alternating pairs
-    // (medians 9.0 % vs 6.8 %).
+    // the mem-recording overhead read higher in 10 of 10 alternating
+    // pairs (medians 9.0 % vs 6.8 %).
     #[inline(always)]
     fn event(&self, ev: Event) {
         match ev {
@@ -421,8 +421,8 @@ impl Obs {
     }
 
     /// A handle backed by a fresh [`MemRecorder`] with static dispatch —
-    /// the fast path the `hotpath` bench measures — plus the recorder
-    /// for later `snapshot()`. The usual way to record a run:
+    /// the fast path — plus the recorder for later `snapshot()`. The
+    /// usual way to record a run:
     ///
     /// ```
     /// let (obs, rec) = pagoda_obs::Obs::recording();

@@ -62,7 +62,7 @@ pub use admission::Admission;
 pub use arrival::{ArrivalGen, ArrivalSpec};
 pub use error::ServeError;
 pub use metrics::{percentile, Outcome, ServeReport, TaskRecord, TenantReport};
-pub use pagoda_host::Backend;
+pub use pagoda_core::Backend;
 pub use qos::{Edf, Fifo, QosAudit, QosScheduler, QueuedTask, WeightedFair};
 pub use server::{
     calibrate_capacity, serve, serve_on, serving_slice, Policy, ServeConfig, ServeOutcome,

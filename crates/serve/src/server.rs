@@ -32,8 +32,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use desim::Dur;
 use pagoda_core::trace::TaskTrace;
-use pagoda_core::{PagodaConfig, PagodaRuntime, SubmitError, TaskDesc};
-use pagoda_host::Backend;
+use pagoda_core::{Backend, PagodaConfig, PagodaRuntime, SubmitError, TaskDesc};
 use pagoda_obs::{Counter, MarkKind, Obs};
 use pagoda_prof::{SloSpec, SloTracker};
 use workloads::{Bench, GenOpts};

@@ -44,24 +44,16 @@ fn main() {
     let (obs, recorder) = Obs::recording();
     fleet.attach_obs(obs);
 
-    // Closed-loop batch: submit until the fleet says Full, then give it
-    // simulated time and retry — same shape as the single-runtime loop.
+    // Closed-loop batch: the same blocking spawn as on a single runtime
+    // (`Backend::spawn_blocking` — sync when the fleet says Full, idle
+    // one wait timeout if still full, retry).
     const TASKS: usize = 256;
-    let mut keys = Vec::with_capacity(TASKS);
-    while keys.len() < TASKS {
-        let desc = TaskDesc::uniform(96, WarpWork::compute(500_000, 8.0));
-        match fleet.submit(desc) {
-            Ok(k) => keys.push(k),
-            Err(SubmitError::Full(_)) => {
-                fleet.sync();
-                if !fleet.capacity().has_room() {
-                    let t = fleet.now() + Dur::from_us(20);
-                    fleet.advance_to(t);
-                }
-            }
-            Err(e) => panic!("task rejected: {e}"),
-        }
-    }
+    let keys: Vec<u64> = (0..TASKS)
+        .map(|_| {
+            let desc = TaskDesc::uniform(96, WarpWork::compute(500_000, 8.0));
+            fleet.spawn_blocking(0, desc).expect("task rejected")
+        })
+        .collect();
     fleet.wait_all();
 
     let rep = fleet.report();

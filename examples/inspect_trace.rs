@@ -16,33 +16,13 @@ fn pct(sorted: &[f64], p: f64) -> f64 {
     sorted[(p * (sorted.len() - 1) as f64).round() as usize]
 }
 
-/// `submit()` with the explicit full-table retry loop: refresh the CPU's
-/// view of the TaskTable (lazy aggregate copy-back), idle one wait
-/// timeout if still full, and retry.
-fn submit_blocking(rt: &mut PagodaRuntime, t: TaskDesc) {
-    let mut t = t;
-    loop {
-        match rt.submit(t) {
-            Ok(_) => return,
-            Err(SubmitError::Full(desc)) => {
-                rt.sync_table();
-                if !rt.capacity().has_room() {
-                    let timeout = rt.config().wait_timeout;
-                    rt.advance_to(rt.host_now() + timeout);
-                }
-                t = desc;
-            }
-            Err(e) => panic!("unspawnable task: {e}"),
-        }
-    }
-}
-
 fn main() {
     let n = 2048;
     let tasks = mpe::tasks(n, &GenOpts::default());
     let mut rt = PagodaRuntime::titan_x();
     for t in &tasks {
-        submit_blocking(&mut rt, t.clone());
+        rt.spawn_blocking(t.clone())
+            .expect("the task fits the device");
     }
     rt.wait_all();
 

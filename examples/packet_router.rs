@@ -12,27 +12,6 @@
 use pagoda::prelude::*;
 use workloads::des3;
 
-/// `submit()` with the explicit full-table retry loop: refresh the CPU's
-/// view of the TaskTable (lazy aggregate copy-back), idle one wait
-/// timeout if still full, and retry.
-fn submit_blocking(rt: &mut PagodaRuntime, t: TaskDesc) {
-    let mut t = t;
-    loop {
-        match rt.submit(t) {
-            Ok(_) => return,
-            Err(SubmitError::Full(desc)) => {
-                rt.sync_table();
-                if !rt.capacity().has_room() {
-                    let timeout = rt.config().wait_timeout;
-                    rt.advance_to(rt.host_now() + timeout);
-                }
-                t = desc;
-            }
-            Err(e) => panic!("unspawnable task: {e}"),
-        }
-    }
-}
-
 fn main() {
     // --- the actual cipher, on a sample packet ---------------------------
     let (k1, k2, k3) = (0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x89ABCDEF01234567);
@@ -64,7 +43,8 @@ fn main() {
 
     let mut rt = PagodaRuntime::titan_x();
     for t in &tasks {
-        submit_blocking(&mut rt, t.clone());
+        rt.spawn_blocking(t.clone())
+            .expect("the task fits the device");
     }
     rt.wait_all();
     let gpu = rt.report();

@@ -23,29 +23,18 @@ fn main() {
         t
     };
 
-    // submit() is a non-blocking probe: 2000 spawns stream into the
-    // TaskTable while earlier tasks are already being scheduled and
-    // executed. When the CPU's view of the table fills (it holds 1536
-    // entries), refresh it with the lazy aggregate copy-back and retry.
-    let mut ids: Vec<TaskId> = Vec::with_capacity(2000);
-    let mut pending = make_task();
-    while ids.len() < 2000 {
-        match rt.submit(pending) {
-            Ok(id) => {
-                ids.push(id);
-                pending = make_task();
-            }
-            Err(SubmitError::Full(desc)) => {
-                rt.sync_table();
-                if !rt.capacity().has_room() {
-                    let timeout = rt.config().wait_timeout;
-                    rt.advance_to(rt.host_now() + timeout);
-                }
-                pending = desc;
-            }
-            Err(e) => panic!("unspawnable task: {e}"),
-        }
-    }
+    // taskSpawn: 2000 spawns stream into the TaskTable while earlier
+    // tasks are already being scheduled and executed. When the CPU's view
+    // of the table fills (it holds 1536 entries), spawn_blocking refreshes
+    // it with the lazy aggregate copy-back, idles one wait timeout if that
+    // freed nothing, and retries; submit() is the non-blocking probe
+    // underneath.
+    let ids: Vec<TaskId> = (0..2000)
+        .map(|_| {
+            rt.spawn_blocking(make_task())
+                .expect("the task fits the device")
+        })
+        .collect();
     println!("spawned {} tasks by host time {}", ids.len(), rt.host_now());
 
     // Wait for a specific task (wait), poll another (check), then drain

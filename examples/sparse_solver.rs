@@ -13,27 +13,6 @@
 use pagoda::prelude::*;
 use workloads::slud;
 
-/// `submit()` with the explicit full-table retry loop: refresh the CPU's
-/// view of the TaskTable (lazy aggregate copy-back), idle one wait
-/// timeout if still full, and retry.
-fn submit_blocking(rt: &mut PagodaRuntime, t: TaskDesc) {
-    let mut t = t;
-    loop {
-        match rt.submit(t) {
-            Ok(_) => return,
-            Err(SubmitError::Full(desc)) => {
-                rt.sync_table();
-                if !rt.capacity().has_room() {
-                    let timeout = rt.config().wait_timeout;
-                    rt.advance_to(rt.host_now() + timeout);
-                }
-                t = desc;
-            }
-            Err(e) => panic!("unspawnable task: {e}"),
-        }
-    }
-}
-
 fn main() {
     // --- real numeric factorization of one tile --------------------------
     let n = slud::TILE;
@@ -75,7 +54,8 @@ fn main() {
     let mut rt = PagodaRuntime::titan_x();
     for wave in &waves {
         for t in wave {
-            submit_blocking(&mut rt, t.clone());
+            rt.spawn_blocking(t.clone())
+                .expect("the task fits the device");
         }
         // Dependency barrier: the next wave needs this wave's tiles.
         rt.wait_all();

@@ -13,27 +13,6 @@
 use pagoda::prelude::*;
 use workloads::dct;
 
-/// `submit()` with the explicit full-table retry loop: refresh the CPU's
-/// view of the TaskTable (lazy aggregate copy-back), idle one wait
-/// timeout if still full, and retry.
-fn submit_blocking(rt: &mut PagodaRuntime, t: TaskDesc) {
-    let mut t = t;
-    loop {
-        match rt.submit(t) {
-            Ok(_) => return,
-            Err(SubmitError::Full(desc)) => {
-                rt.sync_table();
-                if !rt.capacity().has_room() {
-                    let timeout = rt.config().wait_timeout;
-                    rt.advance_to(rt.host_now() + timeout);
-                }
-                t = desc;
-            }
-            Err(e) => panic!("unspawnable task: {e}"),
-        }
-    }
-}
-
 fn main() {
     // --- the actual transform on one camera frame ------------------------
     let dim = dct::DIM;
@@ -61,7 +40,8 @@ fn main() {
         let tasks = workloads::Bench::Dct.tasks(n, &opts);
         let mut rt = PagodaRuntime::titan_x();
         for t in &tasks {
-            submit_blocking(&mut rt, t.clone());
+            rt.spawn_blocking(t.clone())
+                .expect("the task fits the device");
         }
         rt.wait_all();
         let r = rt.report();

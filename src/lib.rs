@@ -24,7 +24,7 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`pagoda_core`] | the Pagoda runtime (the paper's contribution) |
+//! | [`pagoda_core`] | the Pagoda runtime (the paper's contribution) and [`Backend`](pagoda_core::Backend), the surface it shares with a fleet |
 //! | [`gpu_sim`] | the GPU device model (SMMs, warps, threadblocks) |
 //! | [`gpu_arch`] | machine specs and occupancy math |
 //! | [`pcie`] | the host-device interconnect model |
@@ -35,7 +35,7 @@
 //! | [`pagoda_obs`] | cross-layer observability: spans, counters, exporters |
 //! | [`pagoda_prof`] | critical-path profiling, latency decomposition, SLOs |
 //! | [`pagoda_cluster`] | multi-GPU fleets: routed placement + failover |
-//! | [`pagoda_host`] | ergonomic host-side handle over the runtime |
+//! | [`pagoda_host`] | the TaskTable design as a native executor on real CPU threads |
 //!
 //! ## Quickstart
 //!
@@ -51,7 +51,7 @@
 //!
 //! // Spawn 1000 narrow tasks (128 threads each) and wait for them. The
 //! // table holds 1536 entries, so the non-blocking probe never fills up
-//! // here; under overload, retry after `sync_table()`.
+//! // here; `spawn_blocking` is the paper's `taskSpawn`, which waits.
 //! for _ in 0..1000 {
 //!     rt.submit(TaskDesc::uniform(128, WarpWork::compute(200_000, 8.0)))
 //!         .unwrap();
@@ -97,10 +97,9 @@ pub mod prelude {
         Placement, RetryPolicy, TaskStatus,
     };
     pub use pagoda_core::{
-        Capacity, ConfigError, PagodaConfig, PagodaConfigBuilder, PagodaError, PagodaRuntime,
-        SubmitError, TaskDesc, TaskError, TaskId,
+        Backend, Capacity, ConfigError, PagodaConfig, PagodaConfigBuilder, PagodaError,
+        PagodaRuntime, SubmitError, TaskDesc, TaskError, TaskId,
     };
-    pub use pagoda_host::Backend;
     pub use pagoda_obs::{Counter, MemRecorder, Obs, ObsBuffer, Recorder, TaskState};
     pub use pagoda_prof::{
         check_exposition, write_folded, write_prometheus, Phase, ProfReport, SloSpec,

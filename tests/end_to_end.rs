@@ -145,21 +145,7 @@ fn slud_waves_run_through_pagoda() {
     let mut rt = PagodaRuntime::titan_x();
     for w in &waves {
         for t in w {
-            let mut t = t.clone();
-            loop {
-                match rt.submit(t) {
-                    Ok(_) => break,
-                    Err(SubmitError::Full(desc)) => {
-                        rt.sync_table();
-                        if !rt.capacity().has_room() {
-                            let timeout = rt.config().wait_timeout;
-                            rt.advance_to(rt.host_now() + timeout);
-                        }
-                        t = desc;
-                    }
-                    Err(e) => panic!("unspawnable SLUD task: {e}"),
-                }
-            }
+            rt.spawn_blocking(t.clone()).expect("unspawnable SLUD task");
         }
         rt.wait_all();
     }

@@ -8,27 +8,6 @@ fn narrow(instrs: u64) -> TaskDesc {
     TaskDesc::uniform(128, WarpWork::compute(instrs, 8.0))
 }
 
-/// The explicit retry loop `submit` expects of its callers: probe, and on
-/// a full CPU view refresh the table (lazy aggregate copy-back) and idle
-/// one wait timeout before retrying.
-fn submit_blocking(rt: &mut PagodaRuntime, t: TaskDesc) -> TaskId {
-    let mut t = t;
-    loop {
-        match rt.submit(t) {
-            Ok(id) => return id,
-            Err(SubmitError::Full(desc)) => {
-                rt.sync_table();
-                if !rt.capacity().has_room() {
-                    let timeout = rt.config().wait_timeout;
-                    rt.advance_to(rt.host_now() + timeout);
-                }
-                t = desc;
-            }
-            Err(e) => panic!("unspawnable task: {e}"),
-        }
-    }
-}
-
 #[test]
 fn wait_blocks_until_the_task_is_done() {
     let mut rt = PagodaRuntime::titan_x();
@@ -67,7 +46,7 @@ fn spawning_more_tasks_than_table_entries_recycles_entries() {
     // copy-back path repeatedly.
     let mut rt = PagodaRuntime::titan_x();
     for _ in 0..4000 {
-        submit_blocking(&mut rt, narrow(20_000));
+        rt.spawn_blocking(narrow(20_000)).unwrap();
     }
     rt.wait_all();
     assert_eq!(rt.report().tasks, 4000);
@@ -106,7 +85,7 @@ fn smem_tasks_share_the_mtb_pool() {
     for _ in 0..300 {
         let mut t = narrow(50_000);
         t.smem_per_tb = 16 * 1024;
-        submit_blocking(&mut rt, t);
+        rt.spawn_blocking(t).unwrap();
     }
     rt.wait_all();
     assert_eq!(rt.report().tasks, 300);
@@ -120,7 +99,7 @@ fn full_pool_smem_tasks_serialize_but_complete() {
     for _ in 0..100 {
         let mut t = narrow(30_000);
         t.smem_per_tb = 32 * 1024;
-        submit_blocking(&mut rt, t);
+        rt.spawn_blocking(t).unwrap();
     }
     rt.wait_all();
     assert_eq!(rt.report().tasks, 100);
@@ -219,10 +198,8 @@ fn mixed_width_tasks_pack_executors() {
     let mut rt = PagodaRuntime::titan_x();
     for i in 0..300u32 {
         let threads = [32u32, 96, 128, 256, 480][i as usize % 5];
-        submit_blocking(
-            &mut rt,
-            TaskDesc::uniform(threads, WarpWork::compute(60_000, 8.0)),
-        );
+        rt.spawn_blocking(TaskDesc::uniform(threads, WarpWork::compute(60_000, 8.0)))
+            .unwrap();
     }
     rt.wait_all();
     let r = rt.report();

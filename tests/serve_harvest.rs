@@ -11,9 +11,10 @@
 use std::cell::Cell;
 
 use desim::{Dur, EngineStats, SimTime};
+use gpu_sim::WarpWork;
 use pagoda_cluster::{ClusterConfig, ClusterHandle, FaultKind, FaultSpec, Placement, RetryPolicy};
 use pagoda_core::trace::TaskTrace;
-use pagoda_core::{Capacity, PagodaError, PagodaRuntime, SubmitError, TaskDesc};
+use pagoda_core::{Capacity, PagodaConfig, PagodaError, PagodaRuntime, SubmitError, TaskDesc};
 use pagoda_obs::Obs;
 use pagoda_serve::{
     calibrate_capacity, serve_on, serving_slice, ArrivalSpec, Backend, Outcome, Policy,
@@ -235,6 +236,32 @@ fn polled_and_handed_over_runs_are_byte_identical_on_a_faulty_fleet() {
         });
         assert_same_streams(&direct, &polled, &format!("4-device fleet, WFQ, {retry:?}"));
     }
+}
+
+#[test]
+fn spawn_blocking_through_a_wrapper_idles_the_wrapped_backends_timeout() {
+    // `Polled` overrides nothing, so this is the provided body; it must
+    // idle what the backend behind the wrapper says (5 ms, one slice of
+    // which outlasts every ~0.1 ms task), not a constant of its own.
+    let timeout = Dur::from_us(5_000);
+    let cfg = PagodaConfig::builder()
+        .rows_per_column(1)
+        .wait_timeout(timeout)
+        .build()
+        .unwrap();
+    let mut rt = PagodaRuntime::new(cfg);
+    let mut wrapped = Polled(&mut rt, Calls::default());
+    let task = TaskDesc::uniform(64, WarpWork::compute(400_000, 8.0));
+    while wrapped.capacity().has_room() {
+        wrapped.submit(0, task.clone()).unwrap();
+    }
+    let before = wrapped.now();
+    wrapped.spawn_blocking(0, task).unwrap();
+    let idled = wrapped.now() - before;
+    assert!(
+        timeout <= idled && idled < timeout + timeout,
+        "idled {idled:?}"
+    );
 }
 
 /// Serves `cfg` through a [`Forwarding`] wrapper and checks the harvest
