@@ -33,9 +33,14 @@ else
     echo "==> cargo clippy unavailable; skipping"
 fi
 
-# Build the bench harness once up front so the smoke invocations below
-# measure the benchmarks, not compilation.
-run cargo build --release --offline -p pagoda-bench
+# Prints where two files first differ (or their line counts, when one is
+# a prefix of the other).
+first_difference() { # committed fresh
+    awk 'NR == FNR { want[NR] = $0; n = NR; next }
+        { m = FNR }
+        $0 != want[m] { printf "line %d\n  committed: %s\n  now:       %s\n", m, want[m], $0; hit = 1; exit }
+        END { if (!hit) printf "committed has %d lines, this run %d\n", n, m }' "$1" "$2" >&2
+}
 
 # Smoke the serving benchmark: its JSON lines (two mixes x four
 # front-end variants x two loads, every one through `serve_on`) must
@@ -43,19 +48,35 @@ run cargo build --release --offline -p pagoda-bench
 # claims "no behaviour change" passes this unregenerated; an intended
 # one regenerates with
 #   target/release/serve_curves --quick --json | grep '^{' > tests/golden/serve_curves_quick.jsonl
-# and says so.
+# and says so. (The --workspace build above already built every bin, so
+# the `cargo run`s from here on only run.)
 echo "==> serve_curves --quick --json vs tests/golden/serve_curves_quick.jsonl"
 cargo run --release --offline -p pagoda-bench --bin serve_curves -- --quick --json |
     grep '^{' >target/serve_curves_quick.jsonl
 if ! cmp -s target/serve_curves_quick.jsonl tests/golden/serve_curves_quick.jsonl; then
     echo "ci: serve_curves --quick diverged from its golden" >&2
-    awk 'NR == FNR { want[NR] = $0; n = NR; next }
-        { m = FNR }
-        $0 != want[m] { printf "line %d\n  golden: %s\n  now:    %s\n", m, want[m], $0; hit = 1; exit }
-        END { if (!hit) printf "golden has %d lines, this run %d\n", n, m }' \
-        tests/golden/serve_curves_quick.jsonl target/serve_curves_quick.jsonl >&2
+    first_difference tests/golden/serve_curves_quick.jsonl target/serve_curves_quick.jsonl
     exit 1
 fi
+
+# The evaluation at paper scale: every results/<name>.txt must be what
+# `repro <name>` prints, byte for byte (about a minute, fig8 and fig7
+# most of it). tests/repro.rs holds the same figures at 1/64 scale and
+# their shapes in tier-1; this is the full-size half of the gate. A
+# change that moves a figure on purpose regenerates with
+#   for f in results/*.txt; do n=$(basename "$f" .txt); target/release/repro "$n" > "$f"; done
+# (and PAGODA_UPDATE_GOLDEN=1 cargo test --test repro), and says what
+# moved in EXPERIMENTS.md.
+for committed in results/*.txt; do
+    name=$(basename "$committed" .txt)
+    echo "==> repro $name vs $committed"
+    cargo run -q --release --offline -p pagoda-bench --bin repro -- "$name" >"target/repro_$name.txt"
+    if ! cmp -s "target/repro_$name.txt" "$committed"; then
+        echo "ci: repro $name diverged from $committed" >&2
+        first_difference "$committed" "target/repro_$name.txt"
+        exit 1
+    fi
+done
 
 # Profiler smoke: serve the multi-tenant demo on a two-device fleet with
 # critical-path profiling on. The example itself asserts the telescoping
@@ -102,6 +123,10 @@ if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
     # an opaque `sim_fingerprint` mismatch.
     run env PROPTEST_CASES=512 cargo test -q --offline -p gpu-sim --lib lockstep
     run env PROPTEST_CASES=512 cargo test -q --offline -p workloads --lib render_equals_per_pixel
+    # The shape claims of EXPERIMENTS.md that a 512-task run cannot reach
+    # (Fig. 6 past 512 tasks, Fig. 10's plateau, the geomean bands),
+    # asserted over every figure's points at paper scale.
+    run cargo test -q --release --offline --test repro -- --ignored
     for seed in 42 7; do
         for workload in paper_fig5 serve_netmix fleet_batch fleet_serve; do
             echo "==> benchmark fingerprint: $workload seed $seed"

@@ -18,7 +18,7 @@
 //! (add `--quick` for a smoke-sized sweep).
 
 use desim::Dur;
-use pagoda_bench::Cli;
+use pagoda_bench::{usage_exit, Cli};
 use pagoda_core::PagodaConfig;
 use pagoda_serve::{
     calibrate_capacity, serve, serving_slice, ArrivalSpec, Outcome, Policy, ServeConfig, TenantSpec,
@@ -179,7 +179,11 @@ fn build_cfg(
 }
 
 fn main() {
-    let cli = Cli::parse();
+    let usage = "usage: serve_curves [--quick] [--tasks N] [--json]";
+    let (cli, extra) = Cli::parse(usage);
+    if let Some(word) = extra.first() {
+        usage_exit(&format!("unexpected argument {word}"), usage);
+    }
     let tasks_per_tenant = cli.tasks.unwrap_or(if cli.quick { 256 } else { 1024 });
     // Calibration quality must not depend on --quick: a short probe is
     // dominated by its pipeline-drain tail and understates capacity.

@@ -1,14 +1,17 @@
 //! Experiment harness: runs task lists through every runtime scheme and
-//! prints the rows of each table and figure in the paper's evaluation
-//! (§6). One binary per experiment lives in `src/bin/` (`fig5` … `fig11`,
-//! `table3`, `table5`); `benches/kernels.rs` times the functional
-//! kernels. How fast the simulator itself runs is `benchmark/`'s
-//! question, not this crate's.
+//! renders the rows of each table and figure in the paper's evaluation
+//! (§6). The experiments are one table, [`figures::FIGURES`], printed by
+//! one binary (`repro <name>… | all`); `pagoda_sim`, `serve_curves` and
+//! `cluster_scaling` are the other three, and `benches/kernels.rs` times
+//! the functional kernels. How fast the simulator itself runs is
+//! `benchmark/`'s question, not this crate's.
 //!
 //! All experiments accept a `--tasks N` argument to scale down from the
 //! paper's 32 K tasks (useful for smoke runs); results are printed as
 //! aligned text tables plus machine-readable JSON lines on request
 //! (`--json`).
+
+pub mod figures;
 
 use baselines::{
     run_fusion, run_gemtc, run_hyperq, run_pagoda, run_pagoda_batched, run_pthreads,
@@ -202,30 +205,6 @@ pub struct DataPoint {
     pub occupancy: f64,
 }
 
-impl DataPoint {
-    /// Builds a point from a run summary.
-    pub fn new(
-        experiment: &str,
-        bench: &str,
-        scheme: Scheme,
-        param: Option<u64>,
-        s: &RunSummary,
-        baseline: Option<&RunSummary>,
-    ) -> Self {
-        DataPoint {
-            experiment: experiment.to_string(),
-            bench: bench.to_string(),
-            scheme: scheme.name().to_string(),
-            param,
-            makespan_ms: s.makespan.as_secs_f64() * 1e3,
-            compute_ms: s.compute_done.as_secs_f64() * 1e3,
-            speedup: baseline.map_or(1.0, |b| s.speedup_over(b)),
-            latency_us: s.mean_task_latency.as_us_f64(),
-            occupancy: s.avg_running_occupancy,
-        }
-    }
-}
-
 /// Simple CLI: `--tasks N`, `--json`, `--quick` (divides the paper task
 /// count by 16 for smoke runs).
 #[derive(Debug, Clone)]
@@ -239,29 +218,30 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parses `std::env::args`.
-    pub fn parse() -> Self {
+    /// Parses `std::env::args`: the three flags in any position, every
+    /// other word returned in order for the binary to interpret. A bad
+    /// flag is a [`usage_exit`].
+    pub fn parse(usage: &str) -> (Self, Vec<String>) {
         let mut cli = Cli {
             tasks: None,
             json: false,
             quick: false,
         };
+        let mut words = Vec::new();
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--tasks" => {
-                    cli.tasks = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--tasks needs a number"),
-                    );
-                }
+                "--tasks" => match args.next().and_then(|v| v.parse().ok()) {
+                    Some(n) => cli.tasks = Some(n),
+                    None => usage_exit("--tasks needs a number", usage),
+                },
                 "--json" => cli.json = true,
                 "--quick" => cli.quick = true,
-                other => panic!("unknown argument {other}; supported: --tasks N --json --quick"),
+                flag if flag.starts_with('-') => usage_exit(&format!("unknown flag {flag}"), usage),
+                _ => words.push(a),
             }
         }
-        cli
+        (cli, words)
     }
 
     /// Task count to use given the paper's count for this experiment.
@@ -277,13 +257,11 @@ impl Cli {
     }
 }
 
-/// Prints the collected points as JSON lines if requested.
-pub fn emit_json(cli: &Cli, points: &[DataPoint]) {
-    if cli.json {
-        for p in points {
-            println!("{}", serde_json::to_string(p).expect("serializable"));
-        }
-    }
+/// Reports a command-line `problem` and the binary's `usage` on stderr
+/// and exits 2, as `pagoda_sim` does.
+pub fn usage_exit(problem: &str, usage: &str) -> ! {
+    eprintln!("{problem}\n{usage}");
+    std::process::exit(2)
 }
 
 #[cfg(test)]
