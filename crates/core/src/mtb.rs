@@ -74,10 +74,6 @@ pub(crate) struct PlacementJob {
     /// Warps placed in the current placement unit (one TB in per-TB mode,
     /// the whole task otherwise).
     pub placed_in_unit: u32,
-    /// Executor slots reserved for the current sync threadblock; its warps
-    /// are dispatched together once the block is complete so the barrier
-    /// group is fully formed.
-    pub reserved: Vec<usize>,
 }
 
 /// All state of one MTB.
@@ -102,6 +98,12 @@ pub(crate) struct MtbState {
     pub action: Option<Action>,
     /// The open placement job, if any.
     pub job: Option<PlacementJob>,
+    /// Executor slots reserved for the job's current sync threadblock; its
+    /// warps are dispatched together once the block is complete so the
+    /// barrier group is fully formed. Empty between threadblocks.
+    pub reserved: Vec<usize>,
+    /// Scratch: the warp handles of `reserved`, for the group's creation.
+    pub handles: Vec<WarpHandle>,
 }
 
 impl MtbState {
@@ -121,6 +123,8 @@ impl MtbState {
             busy: false,
             action: None,
             job: None,
+            reserved: Vec::new(),
+            handles: Vec::new(),
         }
     }
 }

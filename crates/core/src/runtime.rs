@@ -32,7 +32,7 @@ use std::collections::HashMap;
 
 use desim::{Dur, SimTime};
 use gpu_arch::TaskShape;
-use gpu_sim::{GpuDevice, GroupId, Notify, Segment, WarpWork};
+use gpu_sim::{GpuDevice, GroupId, Notify, Segment};
 use pagoda_obs::{Counter, MtbSample, Obs, TaskState};
 use pcie::{Direction, PcieBus, StreamId};
 
@@ -51,6 +51,10 @@ const TAG_SCHED: u64 = 1 << 40;
 const TAG_EXEC: u64 = 2 << 40;
 const TAG_KIND_MASK: u64 = 3 << 40;
 const TAG_PAYLOAD_MASK: u64 = (1 << 40) - 1;
+
+/// The GPU side reached for an entry's [`Resident`] outside the span the
+/// CPU's claim and the task's last warp bound.
+const NO_PARAMS: &str = "invariant: a scheduled entry holds its task's parameters";
 
 /// Host-event payloads staged for PCIe visibility instants.
 #[derive(Debug)]
@@ -74,32 +78,62 @@ struct TbProgress {
     group: Option<GroupId>,
 }
 
-/// Bookkeeping for one spawned task.
+/// An instant a task may not have reached yet, in the 8 bytes of a
+/// [`SimTime`] (an `Option<SimTime>` is 16): [`SimTime::MAX`] stands for
+/// "not yet", and no simulated clock gets there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stamp(SimTime);
+
+impl Stamp {
+    const UNSET: Stamp = Stamp(SimTime::MAX);
+
+    fn at(t: SimTime) -> Stamp {
+        debug_assert!(t != SimTime::MAX, "the sentinel instant was reached");
+        Stamp(t)
+    }
+
+    fn get(self) -> Option<SimTime> {
+        (self != Stamp::UNSET).then_some(self.0)
+    }
+}
+
+/// What the MasterKernel needs of a task while it holds a TaskTable
+/// entry — the entry's parameter fields in the paper (§4.2, field 6) and
+/// the scheduling progress kept beside them. Lives in
+/// [`PagodaRuntime::resident`] from the CPU's claim of the entry to the
+/// task's last warp, so a finished task keeps none of it.
+#[derive(Debug)]
+struct Resident {
+    desc: TaskDesc,
+    /// Executor-warp completions so far.
+    warps_done: u32,
+    /// Per-threadblock progress, allocated when the entry starts
+    /// scheduling.
+    tbs: Vec<TbProgress>,
+}
+
+/// Bookkeeping for one spawned task. Every spawned task keeps one for
+/// `trace()`, so its size is the runtime's footprint per task.
 #[derive(Debug)]
 struct TaskRecord {
-    desc: TaskDesc,
     entry: EntryIndex,
     /// Host time of the `submit` call.
     spawn_time: SimTime,
-    /// Executor-warp completions so far.
-    warps_done: u32,
-    /// Per-threadblock progress, held only while the task is resident:
-    /// allocated when its entry starts scheduling, released with its
-    /// last warp.
-    tbs: Vec<TbProgress>,
     /// When the last warp finished on the GPU.
-    gpu_done: Option<SimTime>,
+    gpu_done: Stamp,
     /// When the output D2H copy completes (== `gpu_done` if no output).
-    output_done: Option<SimTime>,
+    output_done: Stamp,
     /// When the first warp started executing (scheduling-latency metric).
-    first_start: Option<SimTime>,
+    first_start: Stamp,
     /// When the entry's H2D copy became visible on the device.
-    entry_visible: Option<SimTime>,
+    entry_visible: Stamp,
     /// When the entry was marked (Scheduling, sched) by chain or flush.
-    schedulable: Option<SimTime>,
+    schedulable: Stamp,
     /// The CPU has observed completion via a copy-back.
     observed_done: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<TaskRecord>() <= 64);
 
 /// End-of-run measurements, the quantities the paper's figures plot.
 #[derive(Debug, Clone, Copy)]
@@ -141,6 +175,8 @@ pub struct PagodaRuntime {
     occupant: Vec<Option<TaskId>>,
     /// CPU-side belief of each entry's occupant.
     cpu_occupant: Vec<Option<TaskId>>,
+    /// Each entry's task parameters and progress while a task holds it.
+    resident: Vec<Option<Resident>>,
     /// Entry's spawn H2D copy still in flight.
     spawn_inflight: Vec<bool>,
     /// Successor entry of each task (for chain-update wakeups).
@@ -161,6 +197,12 @@ pub struct PagodaRuntime {
     observed_log: Option<Vec<TaskId>>,
     /// Latest `output_done` over every finished task.
     last_output: SimTime,
+    /// What [`PagodaRuntime::report`] would otherwise scan `tasks` for,
+    /// kept as each task's last warp finishes: how many have, the sum of
+    /// their spawn→GPU-completion latencies, and the latest `gpu_done`.
+    completed: u64,
+    lat_sum_ps: u64,
+    compute_done: SimTime,
     obs: Obs,
 }
 
@@ -208,6 +250,7 @@ impl PagodaRuntime {
             tasks: Vec::new(),
             occupant: vec![None; entries],
             cpu_occupant: vec![None; entries],
+            resident: (0..entries).map(|_| None).collect(),
             spawn_inflight: vec![false; entries],
             succ_entry: HashMap::new(),
             last_spawned: None,
@@ -219,6 +262,9 @@ impl PagodaRuntime {
             unobserved: 0,
             observed_log: None,
             last_output: SimTime::ZERO,
+            completed: 0,
+            lat_sum_ps: 0,
+            compute_done: SimTime::ZERO,
             obs: Obs::off(),
             cfg,
         }
@@ -387,17 +433,19 @@ impl PagodaRuntime {
             },
         );
 
-        self.tasks.push(TaskRecord {
+        self.resident[ei] = Some(Resident {
             desc,
-            entry,
-            spawn_time: self.host_now,
             warps_done: 0,
             tbs: Vec::new(),
-            gpu_done: None,
-            output_done: None,
-            first_start: None,
-            entry_visible: None,
-            schedulable: None,
+        });
+        self.tasks.push(TaskRecord {
+            entry,
+            spawn_time: self.host_now,
+            gpu_done: Stamp::UNSET,
+            output_done: Stamp::UNSET,
+            first_start: Stamp::UNSET,
+            entry_visible: Stamp::UNSET,
+            schedulable: Stamp::UNSET,
             observed_done: false,
         });
         self.unobserved += 1;
@@ -444,6 +492,7 @@ impl PagodaRuntime {
         let out = self
             .rec(t)
             .output_done
+            .get()
             .expect("invariant: observed_done task has an output_done time");
         if out > self.host_now {
             self.host_advance_to(out);
@@ -479,22 +528,11 @@ impl PagodaRuntime {
     /// Measurements for the run so far. Call after [`PagodaRuntime::wait_all`].
     pub fn report(&mut self) -> RunReport {
         let n = self.tasks.len().max(1) as u64;
-        let lat_sum: u64 = self
-            .tasks
-            .iter()
-            .filter_map(|r| r.gpu_done.map(|d| (d - r.spawn_time).as_ps()))
-            .sum();
-        let compute_done = self
-            .tasks
-            .iter()
-            .filter_map(|r| r.gpu_done)
-            .max()
-            .unwrap_or(SimTime::ZERO);
         RunReport {
             makespan: self.host_now - SimTime::ZERO,
-            compute_done,
-            tasks: self.tasks.iter().filter(|r| r.gpu_done.is_some()).count() as u64,
-            mean_task_latency: Dur::from_ps(lat_sum / n),
+            compute_done: self.compute_done,
+            tasks: self.completed,
+            mean_task_latency: Dur::from_ps(self.lat_sum_ps / n),
             avg_running_occupancy: self.device.avg_running_occupancy(),
             h2d_busy: self.bus.stats(Direction::HostToDevice).busy,
             d2h_busy: self.bus.stats(Direction::DeviceToHost).busy,
@@ -508,7 +546,7 @@ impl PagodaRuntime {
     /// completes (or if `t` was never issued by this runtime).
     pub fn task_latency(&self, t: TaskId) -> Option<Dur> {
         let r = self.tasks.get(t.0.checked_sub(TaskId::FIRST.0)? as usize)?;
-        r.gpu_done.map(|d| d - r.spawn_time)
+        r.gpu_done.get().map(|d| d - r.spawn_time)
     }
 
     /// The recorded timeline of one task (see [`crate::trace`]).
@@ -525,11 +563,11 @@ impl PagodaRuntime {
             task: TaskId(TaskId::FIRST.0 + tix as u64),
             column: r.entry.col,
             spawned: r.spawn_time,
-            entry_visible: r.entry_visible,
-            schedulable: r.schedulable,
-            first_exec: r.first_start,
-            gpu_done: r.gpu_done,
-            output_done: r.output_done,
+            entry_visible: r.entry_visible.get(),
+            schedulable: r.schedulable.get(),
+            first_exec: r.first_start.get(),
+            gpu_done: r.gpu_done.get(),
+            output_done: r.output_done.get(),
         }
     }
 
@@ -569,6 +607,11 @@ impl PagodaRuntime {
         (e.col * self.cfg.rows_per_column + e.row) as usize
     }
 
+    /// The parameters and progress of the task holding entry `e`.
+    fn resident(&self, e: EntryIndex) -> &Resident {
+        self.resident[self.eidx(e)].as_ref().expect(NO_PARAMS)
+    }
+
     /// Advances the host clock by `d`, co-simulating the device.
     fn host_advance(&mut self, d: Dur) {
         self.host_advance_to(self.host_now.max(self.device.now()) + d);
@@ -604,19 +647,13 @@ impl PagodaRuntime {
     /// a burst into one column would serialize the whole pipeline behind
     /// that single MTB's executor capacity.
     fn find_free_entry(&mut self) -> Option<EntryIndex> {
-        let cols = self.gpu_table.cols();
-        let rows = self.cfg.rows_per_column;
-        for k in 0..cols {
+        let cols = self.cpu_table.cols();
+        (0..cols).find_map(|k| {
             let col = (self.spawn_cursor + k) % cols;
-            for row in 0..rows {
-                let e = EntryIndex { col, row };
-                if self.cpu_table.get(e).ready == Ready::Free {
-                    self.spawn_cursor = (col + 1) % cols;
-                    return Some(e);
-                }
-            }
-        }
-        None
+            let row = self.cpu_table.first_free_row(col)?;
+            self.spawn_cursor = (col + 1) % cols;
+            Some(EntryIndex { col, row })
+        })
     }
 
     /// Bulk D2H copy-back of the whole TaskTable; merges freed entries
@@ -759,7 +796,7 @@ impl PagodaRuntime {
         self.occupant[ei] = Some(task);
         self.spawn_inflight[ei] = false;
         let now = self.device.now();
-        self.rec(task).entry_visible = Some(now);
+        self.rec(task).entry_visible = Stamp::at(now);
         self.obs.task(now.as_ps(), task.0, TaskState::Enqueued);
         self.sample_mtb(now, e.col as usize);
         self.poke(e.col as usize);
@@ -776,7 +813,7 @@ impl PagodaRuntime {
         self.gpu_table.chain_mark_schedulable(e);
         let now = self.device.now();
         if let Some(t) = self.occupant[self.eidx(e)] {
-            self.rec(t).schedulable = Some(now);
+            self.rec(t).schedulable = Stamp::at(now);
         }
         self.poke(e.col as usize);
     }
@@ -797,7 +834,14 @@ impl PagodaRuntime {
     /// polling loop spins on shared-memory flags at negligible bandwidth.
     fn begin_action(&mut self, mi: usize) {
         debug_assert!(!self.mtbs[mi].busy);
-        let Some((action, cycles)) = self.decide(mi) else {
+        let decision = self.decide(mi);
+        #[cfg(test)]
+        assert_eq!(
+            decision,
+            self.decide_by_scan(mi),
+            "masks disagree with the row walk"
+        );
+        let Some((action, cycles)) = decision else {
             return;
         };
         self.obs.count(Counter::SchedulerDecisions, 1);
@@ -805,9 +849,13 @@ impl PagodaRuntime {
         m.busy = true;
         m.action = Some(action);
         let total_cycles = cycles + self.cfg.sched_scan_cycles;
-        let work = WarpWork::compute(total_cycles * 32, self.cfg.sched_cpi);
-        self.device
-            .assign_warp(m.sched_warp, work, TAG_SCHED | mi as u64);
+        self.device.assign_warp_parts(
+            m.sched_warp,
+            &[Segment::Compute(total_cycles * 32)],
+            None,
+            self.cfg.sched_cpi,
+            TAG_SCHED | mi as u64,
+        );
     }
 
     fn sched_action_done(&mut self, time: SimTime, mi: usize) {
@@ -820,7 +868,25 @@ impl PagodaRuntime {
         self.poke(mi);
     }
 
-    fn decide(&mut self, mi: usize) -> Option<(Action, u64)> {
+    /// The scheduler warp's next action: the open job's next step if there
+    /// is one, else the first actionable row of its column. Only a row
+    /// with `sched` set or a task reference can be actionable, and the
+    /// table's masks hand over exactly those, in row order.
+    fn decide(&self, mi: usize) -> Option<(Action, u64)> {
+        self.decide_over(mi, self.gpu_table.actionable(mi as u32))
+    }
+
+    /// [`Self::decide`] by the row walk the masks replaced.
+    #[cfg(test)]
+    fn decide_by_scan(&self, mi: usize) -> Option<(Action, u64)> {
+        self.decide_over(mi, self.gpu_table.column(mi as u32))
+    }
+
+    fn decide_over(
+        &self,
+        mi: usize,
+        rows: impl Iterator<Item = (EntryIndex, EntryState)>,
+    ) -> Option<(Action, u64)> {
         let c = &self.cfg;
         if let Some(job) = &self.mtbs[mi].job {
             let m = &self.mtbs[mi];
@@ -828,15 +894,13 @@ impl PagodaRuntime {
                 JobPhase::NeedBarrier => (m.barriers.available() > 0)
                     .then_some((Action::JobStep, c.barrier_alloc_cycles)),
                 JobPhase::NeedSmem => {
-                    let size = self.tasks[(job.task.0 - TaskId::FIRST.0) as usize]
-                        .desc
-                        .smem_per_tb;
+                    let size = self.resident(job.entry).desc.smem_per_tb;
                     (m.buddy.has_pending_deallocs() || m.buddy.can_alloc(size))
                         .then_some((Action::JobStep, c.smem_alloc_cycles))
                 }
                 JobPhase::Placing => {
                     let free = m.warp_table.free_count() as u64;
-                    let d = &self.tasks[(job.task.0 - TaskId::FIRST.0) as usize].desc;
+                    let d = &self.resident(job.entry).desc;
                     let unit = if job.per_tb {
                         u64::from(d.warps_per_tb())
                     } else {
@@ -853,10 +917,7 @@ impl PagodaRuntime {
             };
         }
         // Column scan (Algorithm 1's row loop): first actionable row wins.
-        let col = mi as u32;
-        for row in 0..self.gpu_table.rows() {
-            let e = EntryIndex { col, row };
-            let st = self.gpu_table.get(e);
+        for (e, st) in rows {
             if st.sched {
                 return Some((Action::StartEntry { entry: e }, 0));
             }
@@ -890,7 +951,7 @@ impl PagodaRuntime {
         self.gpu_table.chain_settle(cur);
         self.obs.count(Counter::ChainUpdates, 1);
         let now = self.device.now();
-        self.rec(prev).schedulable = Some(now);
+        self.rec(prev).schedulable = Stamp::at(now);
         self.poke(pe.col as usize);
         // `cur` just became Copied: its own successor (if it has arrived)
         // can now chain-update in its column.
@@ -907,7 +968,8 @@ impl PagodaRuntime {
         let task = self.occupant[self.eidx(entry)].expect("sched flag on unoccupied entry");
         self.obs
             .task(self.device.now().as_ps(), task.0, TaskState::Placed);
-        let r = &mut self.tasks[(task.0 - TaskId::FIRST.0) as usize];
+        let ei = self.eidx(entry);
+        let r = self.resident[ei].as_mut().expect(NO_PARAMS);
         r.tbs = vec![TbProgress::default(); r.desc.num_tbs as usize];
         let per_tb = r.desc.per_tb_scheduling();
         let phase = initial_phase(r.desc.sync, r.desc.smem_per_tb);
@@ -926,16 +988,15 @@ impl PagodaRuntime {
             cur_bar: None,
             cur_smem: None,
             placed_in_unit: 0,
-            reserved: Vec::new(),
         });
     }
 
     fn apply_job_step(&mut self, time: SimTime, mi: usize) {
         self.obs.count(Counter::PlacementSteps, 1);
         let mut job = self.mtbs[mi].job.take().expect("JobStep without job");
-        let tix = (job.task.0 - TaskId::FIRST.0) as usize;
+        let ei = self.eidx(job.entry);
         let (sync, smem, warps_per_tb, num_tbs) = {
-            let d = &self.tasks[tix].desc;
+            let d = &self.resident(job.entry).desc;
             (d.sync, d.smem_per_tb, d.warps_per_tb(), d.num_tbs)
         };
         match job.phase {
@@ -985,7 +1046,7 @@ impl PagodaRuntime {
                     self.mtbs[mi].warp_table.dispatch(slot, sdata);
                     if sync {
                         // Dispatch together once the barrier group is whole.
-                        job.reserved.push(slot);
+                        self.mtbs[mi].reserved.push(slot);
                     } else {
                         self.assign_exec(time, mi, slot, job.task, tb, w);
                     }
@@ -994,17 +1055,18 @@ impl PagodaRuntime {
                 if job.placed_in_unit == unit_total {
                     if sync {
                         let tb = job.next_tb;
-                        let handles: Vec<_> = job
-                            .reserved
-                            .iter()
-                            .map(|&s| self.mtbs[mi].exec_warps[s])
-                            .collect();
-                        let g = self.device.create_group(&handles);
-                        self.tasks[tix].tbs[tb as usize].group = Some(g);
-                        let reserved = std::mem::take(&mut job.reserved);
-                        for (w, slot) in reserved.into_iter().enumerate() {
+                        let m = &mut self.mtbs[mi];
+                        m.handles.clear();
+                        m.handles
+                            .extend(m.reserved.iter().map(|&s| m.exec_warps[s]));
+                        let g = self.device.create_group(&m.handles);
+                        let r = self.resident[ei].as_mut().expect(NO_PARAMS);
+                        r.tbs[tb as usize].group = Some(g);
+                        for w in 0..self.mtbs[mi].reserved.len() {
+                            let slot = self.mtbs[mi].reserved[w];
                             self.assign_exec(time, mi, slot, job.task, tb, w as u32);
                         }
+                        self.mtbs[mi].reserved.clear();
                     }
                     if job.per_tb {
                         job.next_tb += 1;
@@ -1041,17 +1103,21 @@ impl PagodaRuntime {
         tb: u32,
         w: u32,
     ) {
-        let tix = (task.0 - TaskId::FIRST.0) as usize;
-        let mut work = self.tasks[tix].desc.blocks[tb as usize].warps()[w as usize].clone();
-        work.segments
-            .push(Segment::Compute(self.cfg.exec_epilogue_cycles * 32));
-        if self.tasks[tix].first_start.is_none() {
-            self.tasks[tix].first_start = Some(time);
+        let r = &mut self.tasks[(task.0 - TaskId::FIRST.0) as usize];
+        if r.first_start == Stamp::UNSET {
+            r.first_start = Stamp::at(time);
             self.obs.task(time.as_ps(), task.0, TaskState::Running);
         }
-        let warp = self.mtbs[mi].exec_warps[slot];
-        self.device
-            .assign_warp(warp, work, TAG_EXEC | (mi as u64 * 64 + slot as u64));
+        let entry = r.entry;
+        let params = self.resident[self.eidx(entry)].as_ref().expect(NO_PARAMS);
+        let work = &params.desc.blocks[tb as usize].warps()[w as usize];
+        self.device.assign_warp_parts(
+            self.mtbs[mi].exec_warps[slot],
+            &work.segments,
+            Some(Segment::Compute(self.cfg.exec_epilogue_cycles * 32)),
+            work.cpi,
+            TAG_EXEC | (mi as u64 * 64 + slot as u64),
+        );
     }
 
     fn executor_done(&mut self, time: SimTime, mi: usize, slot: usize) {
@@ -1059,14 +1125,16 @@ impl PagodaRuntime {
         let ei = self.eidx(s.e_num);
         let task = self.occupant[ei].expect("executor finished for unoccupied entry");
         let tix = (task.0 - TaskId::FIRST.0) as usize;
-        let (warps_per_tb, total_warps, out_bytes) = {
-            let d = &self.tasks[tix].desc;
-            (d.warps_per_tb(), d.total_warps(), d.output_bytes)
-        };
-        let r = &mut self.tasks[tix];
+        let r = self.resident[ei].as_mut().expect(NO_PARAMS);
+        let (warps_per_tb, total_warps, out_bytes) = (
+            r.desc.warps_per_tb(),
+            r.desc.total_warps(),
+            r.desc.output_bytes,
+        );
         let tb = &mut r.tbs[s.tb_index as usize];
         tb.warps_done += 1;
         let tb_complete = tb.warps_done == warps_per_tb;
+        let group = if tb_complete { tb.group.take() } else { None };
         r.warps_done += 1;
         let task_complete = r.warps_done == total_warps;
         if tb_complete {
@@ -1077,7 +1145,7 @@ impl PagodaRuntime {
             if let Some(b) = s.bar_id {
                 self.mtbs[mi].barriers.release(b);
             }
-            if let Some(g) = self.tasks[tix].tbs[s.tb_index as usize].group.take() {
+            if let Some(g) = group {
                 self.device.release_group(g);
             }
         }
@@ -1085,11 +1153,14 @@ impl PagodaRuntime {
             // Lines 41-42: free the TaskTable entry.
             self.gpu_table.complete(s.e_num);
             self.occupant[ei] = None;
+            self.resident[ei] = None;
             self.obs.count(Counter::TasksFreed, 1);
             self.obs.task(time.as_ps(), task.0, TaskState::Freed);
             let r = &mut self.tasks[tix];
-            r.tbs = Vec::new();
-            r.gpu_done = Some(time);
+            r.gpu_done = Stamp::at(time);
+            self.completed += 1;
+            self.lat_sum_ps += (time - r.spawn_time).as_ps();
+            self.compute_done = self.compute_done.max(time);
             let out = if out_bytes > 0 {
                 self.bus
                     .transfer(time, self.d2h, Direction::DeviceToHost, out_bytes)
@@ -1097,7 +1168,7 @@ impl PagodaRuntime {
             } else {
                 time
             };
-            r.output_done = Some(out);
+            r.output_done = Stamp::at(out);
             self.last_output = self.last_output.max(out);
         }
         // A slot freed, shared memory possibly marked, a barrier possibly
@@ -1248,12 +1319,84 @@ mod tests {
         assert_eq!(handed, spawned);
     }
 
-    /// The counters `wait_all` polls, against the scans they replaced.
+    /// The counters `wait_all` polls and the integers `report` reads,
+    /// against the scans of `tasks` they replaced.
     fn poll_counters_match_scans(rt: &PagodaRuntime) -> Result<(), TestCaseError> {
         let unobserved = rt.tasks.iter().filter(|r| !r.observed_done).count();
         prop_assert_eq!(rt.unobserved, unobserved as u64);
-        let last = rt.tasks.iter().filter_map(|r| r.output_done).max();
+        let last = rt.tasks.iter().filter_map(|r| r.output_done.get()).max();
         prop_assert_eq!(rt.last_output, last.unwrap_or(SimTime::ZERO));
+        let done = || {
+            rt.tasks
+                .iter()
+                .filter_map(|r| r.gpu_done.get().map(|d| (d, d - r.spawn_time)))
+        };
+        prop_assert_eq!(rt.completed, done().count() as u64);
+        prop_assert_eq!(
+            rt.lat_sum_ps,
+            done().map(|(_, lat)| lat.as_ps()).sum::<u64>()
+        );
+        let compute_done = done().map(|(d, _)| d).max();
+        prop_assert_eq!(rt.compute_done, compute_done.unwrap_or(SimTime::ZERO));
+        Ok(())
+    }
+
+    /// One task of the three scheduling kinds: plain (whole-task `pSched`),
+    /// shared-memory (per threadblock, `NeedSmem`; two 16 KB blocks fill an
+    /// MTB's slice) and synchronizing (`NeedBarrier`, grouped dispatch).
+    fn mixed_task(arg: usize) -> TaskDesc {
+        let mut t = match arg % 4 {
+            0 => {
+                let mut t = TaskDesc::uniform(64, WarpWork::compute(10_000, 2.0));
+                t.num_tbs = 3;
+                t.blocks = vec![t.blocks[0].clone(); 3].into();
+                t.smem_per_tb = 16 * 1024;
+                t
+            }
+            1 => TaskDesc::uniform(96, WarpWork::phased(12_000, 3, 2.0)),
+            _ => tiny_task(),
+        };
+        t.output_bytes = (arg as u64 % 3) * 4096;
+        t
+    }
+
+    /// Drives a runtime of `num_sms` SMMs (two TaskTable columns each) and
+    /// `rows` rows per column through `ops` — submit (into a full table
+    /// too), sync, check, wait, wait_all, advance — calling `each` after
+    /// every one and after the final drain.
+    fn interleave(
+        num_sms: u32,
+        rows: u32,
+        ops: Vec<(u8, usize)>,
+        mut each: impl FnMut(&PagodaRuntime) -> Result<(), TestCaseError>,
+    ) -> Result<(), TestCaseError> {
+        let mut cfg = PagodaConfig::builder()
+            .rows_per_column(rows)
+            .build()
+            .unwrap();
+        cfg.device.spec.num_sms = num_sms;
+        let mut rt = PagodaRuntime::new(cfg);
+        let mut ids = Vec::new();
+        for (op, arg) in ops {
+            let spawned = ids.get(arg % ids.len().max(1)).copied();
+            match (op, spawned) {
+                (0..=2, _) => {
+                    if let Ok(id) = rt.submit(mixed_task(arg)) {
+                        ids.push(id);
+                    }
+                }
+                (3, _) => rt.sync_table(),
+                (4, Some(id)) => drop(rt.check(id).unwrap()),
+                (5, Some(id)) => rt.wait(id).unwrap(),
+                (6, _) => rt.wait_all(),
+                _ => rt.advance_to(rt.host_now() + Dur::from_us(arg as u64 % 40)),
+            }
+            each(&rt)?;
+        }
+        rt.wait_all();
+        each(&rt)?;
+        prop_assert_eq!(rt.unobserved, 0);
+        prop_assert_eq!(rt.report().tasks, ids.len() as u64);
         Ok(())
     }
 
@@ -1264,31 +1407,40 @@ mod tests {
             ops in prop::collection::vec((0u8..7, 0usize..1000), 1..120),
         ) {
             // 48 entries, so `submit` also runs into a full table.
-            let cfg = PagodaConfig::builder().rows_per_column(1).build().unwrap();
-            let mut rt = PagodaRuntime::new(cfg);
-            let mut ids = Vec::new();
-            for (op, arg) in ops {
-                let spawned = ids.get(arg % ids.len().max(1)).copied();
-                match (op, spawned) {
-                    (0..=2, _) => {
-                        let mut t = tiny_task();
-                        t.output_bytes = (arg as u64 % 3) * 4096;
-                        if let Ok(id) = rt.submit(t) {
-                            ids.push(id);
-                        }
-                    }
-                    (3, _) => rt.sync_table(),
-                    (4, Some(id)) => drop(rt.check(id).unwrap()),
-                    (5, Some(id)) => rt.wait(id).unwrap(),
-                    (6, _) => rt.wait_all(),
-                    _ => rt.advance_to(rt.host_now() + Dur::from_us(arg as u64 % 40)),
-                }
-                poll_counters_match_scans(&rt)?;
-            }
-            rt.wait_all();
-            poll_counters_match_scans(&rt)?;
-            prop_assert_eq!(rt.unobserved, 0);
+            interleave(24, 1, ops, poll_counters_match_scans)?;
         }
+
+        /// `begin_action` (under `cfg(test)`) holds every mask-driven
+        /// `decide` to `decide_by_scan`; this drives it through column
+        /// heights on both sides of the 64-row word boundary, with barrier
+        /// and shared-memory waits open on the MTBs. One SMM is two
+        /// columns, so the opening burst of submits climbs up to 200 rows
+        /// (or fills the table) and leaves chain links all along a column.
+        #[test]
+        fn lockstep_decide_matches_row_scan(
+            rows in 0usize..6,
+            ops in prop::collection::vec((0u8..7, 0usize..1000), 1..120),
+            burst in 1usize..400,
+        ) {
+            let ops = std::iter::repeat_n((0u8, burst), burst).chain(ops).collect();
+            interleave(1, [1, 2, 32, 64, 65, 130][rows], ops, |_| Ok(()))?;
+        }
+    }
+
+    #[test]
+    fn barrier_group_slots_are_recycled() {
+        // 10 000 synchronizing tasks through one runtime: the device holds
+        // as many group slots as were ever live at once (at most the
+        // executors of its 48 MTBs paired off), not one per task.
+        let mut rt = PagodaRuntime::titan_x();
+        for _ in 0..10_000 {
+            rt.spawn_blocking(TaskDesc::uniform(64, WarpWork::phased(2_000, 2, 2.0)))
+                .unwrap();
+        }
+        rt.wait_all();
+        assert_eq!(rt.report().tasks, 10_000);
+        let slots = rt.device.group_slots();
+        assert!((1..=48 * 15).contains(&slots), "{slots} group slots");
     }
 
     #[test]

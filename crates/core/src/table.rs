@@ -72,15 +72,30 @@ pub struct EntryIndex {
     pub row: u32,
 }
 
+/// Row bitmasks of one 64-row stretch of a column: bit `r` speaks for row
+/// `64·word + r`. The paper's scheduler warp reads its column with 32
+/// lanes at once; these are the three predicates those lanes evaluate,
+/// kept so that a reader sees a whole column in `rows.div_ceil(64)` words.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowMasks {
+    /// `sched` is set.
+    sched: u64,
+    /// `ready` is `Ref(_)`.
+    refs: u64,
+    /// `ready` is `Free`.
+    free: u64,
+}
+
 /// One side (CPU or GPU) of the mirrored table.
 #[derive(Debug, Clone)]
 pub struct TaskTableSide {
     cols: u32,
     rows: u32,
     entries: Vec<EntryState>,
-    /// Non-free entries per column, maintained at every transition so
-    /// occupancy reads (per-MTB samples, capacity checks) need no scan.
-    used_per_col: Vec<u32>,
+    /// `words_per_col` [`RowMasks`] per column, mirroring `entries`. Only
+    /// [`TaskTableSide::store`] writes either, so they cannot disagree.
+    masks: Vec<RowMasks>,
+    words_per_col: usize,
     /// Non-free entries across the whole table.
     used_total: u32,
 }
@@ -88,11 +103,22 @@ pub struct TaskTableSide {
 impl TaskTableSide {
     /// An all-free table.
     pub fn new(cols: u32, rows: u32) -> Self {
+        let words_per_col = rows.div_ceil(64) as usize;
+        let mut masks = vec![RowMasks::default(); cols as usize * words_per_col];
+        for (i, m) in masks.iter_mut().enumerate() {
+            let rows_left = rows - 64 * (i % words_per_col) as u32;
+            m.free = if rows_left >= 64 {
+                u64::MAX
+            } else {
+                (1 << rows_left) - 1
+            };
+        }
         TaskTableSide {
             cols,
             rows,
             entries: vec![EntryState::default(); (cols * rows) as usize],
-            used_per_col: vec![0; cols as usize],
+            masks,
+            words_per_col,
             used_total: 0,
         }
     }
@@ -112,6 +138,31 @@ impl TaskTableSide {
         (e.col * self.rows + e.row) as usize
     }
 
+    fn col_masks(&self, col: u32) -> &[RowMasks] {
+        let at = col as usize * self.words_per_col;
+        &self.masks[at..at + self.words_per_col]
+    }
+
+    /// The one write to an entry: every transition below ends here, so the
+    /// masks and the used count follow `entries` by construction. `i` is
+    /// `idx(e)`, which each caller has already computed for its own check.
+    fn store(&mut self, i: usize, e: EntryIndex, s: EntryState) {
+        let was_free = self.entries[i].ready == Ready::Free;
+        let now_free = s.ready == Ready::Free;
+        self.entries[i] = s;
+        let m = &mut self.masks[e.col as usize * self.words_per_col + (e.row / 64) as usize];
+        let bit = 1u64 << (e.row % 64);
+        let put = |word: &mut u64, on: bool| *word = if on { *word | bit } else { *word & !bit };
+        put(&mut m.sched, s.sched);
+        put(&mut m.refs, matches!(s.ready, Ready::Ref(_)));
+        put(&mut m.free, now_free);
+        match (was_free, now_free) {
+            (true, false) => self.used_total += 1,
+            (false, true) => self.used_total -= 1,
+            _ => {}
+        }
+    }
+
     /// Reads an entry.
     pub fn get(&self, e: EntryIndex) -> EntryState {
         self.entries[self.idx(e)]
@@ -120,24 +171,7 @@ impl TaskTableSide {
     /// Raw write (used when applying a DMA-visible snapshot).
     pub fn set(&mut self, e: EntryIndex, s: EntryState) {
         let i = self.idx(e);
-        let was_free = self.entries[i].ready == Ready::Free;
-        let now_free = s.ready == Ready::Free;
-        self.entries[i] = s;
-        match (was_free, now_free) {
-            (true, false) => self.occupy(e.col),
-            (false, true) => self.vacate(e.col),
-            _ => {}
-        }
-    }
-
-    fn occupy(&mut self, col: u32) {
-        self.used_per_col[col as usize] += 1;
-        self.used_total += 1;
-    }
-
-    fn vacate(&mut self, col: u32) {
-        self.used_per_col[col as usize] -= 1;
-        self.used_total -= 1;
+        self.store(i, e, s);
     }
 
     /// CPU spawn (Fig. 2b step 1): claim a free entry, recording either
@@ -157,11 +191,11 @@ impl TaskTableSide {
             matches!(ready, Ready::Copied | Ready::Ref(_)),
             "illegal spawn ready value {ready:?}"
         );
-        self.entries[i] = EntryState {
+        let claimed = EntryState {
             ready,
             sched: false,
         };
-        self.occupy(e.col);
+        self.store(i, e, claimed);
     }
 
     /// GPU chain step, previous entry (Algorithm 1, lines 12-13):
@@ -177,10 +211,11 @@ impl TaskTableSide {
             "chain_mark_schedulable on {e:?} in state {:?}",
             self.entries[i]
         );
-        self.entries[i] = EntryState {
+        let schedulable = EntryState {
             ready: Ready::Scheduling,
             sched: true,
         };
+        self.store(i, e, schedulable);
     }
 
     /// GPU chain step, current entry: `Ref(_) → Copied` (parameters now
@@ -195,10 +230,11 @@ impl TaskTableSide {
             "chain_settle on {e:?} in state {:?}",
             self.entries[i]
         );
-        self.entries[i] = EntryState {
+        let settled = EntryState {
             ready: Ready::Copied,
             sched: false,
         };
+        self.store(i, e, settled);
     }
 
     /// Scheduler warp begins placing the task (Algorithm 1, line 15):
@@ -209,7 +245,11 @@ impl TaskTableSide {
     pub fn clear_sched(&mut self, e: EntryIndex) {
         let i = self.idx(e);
         assert!(self.entries[i].sched, "clear_sched on {e:?} without flag");
-        self.entries[i].sched = false;
+        let cleared = EntryState {
+            sched: false,
+            ..self.entries[i]
+        };
+        self.store(i, e, cleared);
     }
 
     /// Last executor warp of the task resets `ready` (Algorithm 1, line
@@ -225,8 +265,7 @@ impl TaskTableSide {
             "completing {e:?} in state {:?}",
             self.entries[i]
         );
-        self.entries[i] = EntryState::default();
-        self.vacate(e.col);
+        self.store(i, e, EntryState::default());
     }
 
     /// All entries of one column, row order (the scheduler warp's scan).
@@ -237,10 +276,49 @@ impl TaskTableSide {
         })
     }
 
-    /// Non-free entries in one column, O(1) (maintained incrementally —
-    /// equals what a `column` scan would count).
+    /// The rows of one column a scheduler warp can act on — `sched` set or
+    /// `ready` a task reference — in ascending row order: what filtering
+    /// [`TaskTableSide::column`] by those two predicates yields, read from
+    /// the masks. An idle column costs one word test per 64 rows.
+    pub(crate) fn actionable(
+        &self,
+        col: u32,
+    ) -> impl Iterator<Item = (EntryIndex, EntryState)> + '_ {
+        (0u32..)
+            .zip(self.col_masks(col))
+            .flat_map(move |(word, m)| {
+                let mut bits = m.sched | m.refs;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let row = 64 * word + bits.trailing_zeros();
+                        bits &= bits - 1;
+                        row
+                    })
+                })
+            })
+            .map(move |row| {
+                let e = EntryIndex { col, row };
+                (e, self.get(e))
+            })
+    }
+
+    /// The lowest free row of one column, if it has one.
+    pub(crate) fn first_free_row(&self, col: u32) -> Option<u32> {
+        (0u32..)
+            .zip(self.col_masks(col))
+            .find(|(_, m)| m.free != 0)
+            .map(|(word, m)| 64 * word + m.free.trailing_zeros())
+    }
+
+    /// Non-free entries in one column (a popcount per 64 rows — equals
+    /// what a `column` scan would count).
     pub fn used_in_col(&self, col: u32) -> u32 {
-        self.used_per_col[col as usize]
+        let free: u32 = self
+            .col_masks(col)
+            .iter()
+            .map(|m| m.free.count_ones())
+            .sum();
+        self.rows - free
     }
 
     /// Number of free entries, O(1).
@@ -252,6 +330,7 @@ impl TaskTableSide {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn e(col: u32, row: u32) -> EntryIndex {
         EntryIndex { col, row }
@@ -392,6 +471,63 @@ mod tests {
             t.free_entries(),
             6 - (scan_used(&t, 0) + scan_used(&t, 1)) as usize
         );
+    }
+
+    /// Everything the masks answer, against a `column` scan.
+    fn masks_match_scan(t: &TaskTableSide) -> Result<(), TestCaseError> {
+        let mut used = 0;
+        for col in 0..t.cols() {
+            let actionable: Vec<_> = t
+                .column(col)
+                .filter(|(_, s)| s.sched || matches!(s.ready, Ready::Ref(_)))
+                .collect();
+            prop_assert_eq!(t.actionable(col).collect::<Vec<_>>(), actionable);
+            let free = t.column(col).find(|(_, s)| s.ready == Ready::Free);
+            prop_assert_eq!(t.first_free_row(col), free.map(|(e, _)| e.row));
+            let used_in_col = t.column(col).filter(|(_, s)| s.ready != Ready::Free);
+            prop_assert_eq!(t.used_in_col(col), used_in_col.count() as u32);
+            used += t.used_in_col(col);
+        }
+        prop_assert_eq!(t.free_entries(), (t.cols() * t.rows() - used) as usize);
+        Ok(())
+    }
+
+    proptest! {
+        /// After any sequence of legal transitions (and raw `set`s to any
+        /// state), on column heights either side of the 64-row word
+        /// boundary, the masks say what a scan of the entries says.
+        #[test]
+        fn masks_match_column_scans(
+            height in 0usize..6,
+            cols in 1u32..4,
+            ops in prop::collection::vec((0u8..8, 0u32..1000, 0u32..1000), 1..400),
+        ) {
+            let rows = [1, 2, 32, 64, 65, 130][height];
+            let mut t = TaskTableSide::new(cols, rows);
+            masks_match_scan(&t)?;
+            for (op, a, b) in ops {
+                let at = e(a % cols, b % rows);
+                let st = t.get(at);
+                let prev = Ready::Ref(TaskId(2 + u64::from(a)));
+                match (op, st.ready) {
+                    // The transition the entry's state allows, if the op
+                    // drew one of them...
+                    (0..=2, Ready::Free) => {
+                        t.cpu_claim(at, if op == 0 { Ready::Copied } else { prev });
+                    }
+                    (0..=2, Ready::Copied) => t.chain_mark_schedulable(at),
+                    (0..=2, Ready::Ref(_)) => t.chain_settle(at),
+                    (0..=1, Ready::Scheduling) if st.sched => t.clear_sched(at),
+                    (0..=2, Ready::Scheduling) => t.complete(at),
+                    // ...else a snapshot write of an arbitrary state.
+                    _ => {
+                        let ready = [Ready::Free, Ready::Copied, Ready::Scheduling, prev];
+                        t.set(at, EntryState { ready: ready[(b % 4) as usize], sched: a % 2 == 0 });
+                    }
+                }
+                masks_match_scan(&t)?;
+            }
+        }
     }
 
     #[test]

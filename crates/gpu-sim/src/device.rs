@@ -29,7 +29,7 @@ use gpu_arch::{GpuSpec, LaunchError, TaskShape};
 use pagoda_obs::{Counter, Obs, SmmSample};
 
 use crate::exec::{ExecState, GroupId, WarpHandle};
-use crate::work::{KernelDesc, WarpWork};
+use crate::work::{KernelDesc, Segment, WarpWork};
 
 /// Tag bit marking device-internal (native-TB) warp assignments. External
 /// tags passed to [`GpuDevice::assign_warp`] must stay below this.
@@ -347,11 +347,29 @@ impl GpuDevice {
     /// Panics if `tag` has the reserved top bit set, the warp is retired,
     /// or it already has work.
     pub fn assign_warp(&mut self, w: WarpHandle, work: WarpWork, tag: u64) {
+        self.assign_warp_parts(w, &work.segments, None, work.cpi, tag);
+    }
+
+    /// [`GpuDevice::assign_warp`] of the work `segments` then `tail` at
+    /// `cpi`, borrowed (see [`ExecState::assign_parts`]): how the
+    /// MasterKernel hands an executor warp a task's kernel plus its
+    /// completion epilogue without building a [`WarpWork`] per warp.
+    ///
+    /// # Panics
+    /// As [`GpuDevice::assign_warp`], and if `cpi` is below 1.
+    pub fn assign_warp_parts(
+        &mut self,
+        w: WarpHandle,
+        segments: &[Segment],
+        tail: Option<Segment>,
+        cpi: f64,
+        tag: u64,
+    ) {
         assert_eq!(tag & NATIVE_BIT, 0, "tag uses reserved bit");
         let now = self.now();
         let sm = self.exec.warp_sm(w);
         self.exec.advance_sm(sm, now);
-        self.exec.assign(now, w, work, tag);
+        self.exec.assign_parts(now, w, segments, tail, cpi, tag);
         self.reschedule_sm(sm, now);
         self.request_drain();
         self.sample_sm(now, sm);
@@ -366,6 +384,13 @@ impl GpuDevice {
     /// Releases a barrier group once all members finished.
     pub fn release_group(&mut self, g: GroupId) {
         self.exec.release_group(g);
+    }
+
+    /// Barrier-group slots the engine holds (see
+    /// [`ExecState::group_slots`]): a footprint reading, bounded by the
+    /// groups live at once however many were created.
+    pub fn group_slots(&self) -> usize {
+        self.exec.group_slots()
     }
 
     // ------------------------------------------------------------------
@@ -659,11 +684,11 @@ impl GpuDevice {
         let warps: Vec<WarpHandle> = (0..foot.warps).map(|_| self.exec.create_warp(sm)).collect();
         let group = self.exec.create_group(&warps);
         self.add_resident(now, foot.warps as i64);
-        let tb_id = self.tbs.len() as u32;
+        let tb_id = self.tbs.len();
         self.tbs.push(TbCtx {
             kid,
             sm,
-            warps: warps.clone(),
+            warps,
             group,
             done_warps: 0,
             warps_prefreed: 0,
@@ -673,10 +698,11 @@ impl GpuDevice {
         });
         self.tbs_placed += 1;
         self.exec.advance_sm(sm, now);
-        let block = self.kernels[kid as usize].desc.blocks[tb_index].clone();
-        for (w, work) in warps.iter().zip(block.warps().iter().cloned()) {
+        let block = &self.kernels[kid as usize].desc.blocks[tb_index];
+        let tag = NATIVE_BIT | tb_id as u64;
+        for (&w, work) in self.tbs[tb_id].warps.iter().zip(block.warps()) {
             self.exec
-                .assign(now, *w, work, NATIVE_BIT | u64::from(tb_id));
+                .assign_parts(now, w, &work.segments, None, work.cpi, tag);
         }
         self.sample_sm(now, sm);
     }

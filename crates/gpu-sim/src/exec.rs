@@ -56,8 +56,13 @@ pub struct WarpHandle(pub(crate) u32);
 
 /// Handle to a barrier group (the set of warps that synchronize together —
 /// a hardware threadblock, or a Pagoda task-threadblock inside an MTB).
+/// Group slots are recycled; `gen` tells a handle from its slot's earlier
+/// tenants, so a stale one is caught instead of releasing a stranger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GroupId(pub(crate) u32);
+pub struct GroupId {
+    slot: u32,
+    gen: u32,
+}
 
 /// Remaining-work threshold below which a warp counts as finished
 /// (thread-instructions). Absorbs floating-point dust from rate arithmetic.
@@ -99,12 +104,15 @@ struct WarpCtx {
 
 #[derive(Debug)]
 struct GroupCtx {
+    /// Empty while the slot waits in `free_groups` (its capacity is kept
+    /// for the next tenant).
     members: Vec<WarpHandle>,
     /// Members currently waiting at the barrier.
     arrived: u32,
     /// Members that have completed their current assignment.
     finished: u32,
-    alive: bool,
+    /// Bumped at every release; a live [`GroupId`] carries the current one.
+    gen: u32,
 }
 
 /// One running warp's share of the per-event passes, 24 bytes.
@@ -161,6 +169,9 @@ pub struct ExecStats {
 pub struct ExecState {
     warps: Vec<WarpCtx>,
     groups: Vec<GroupCtx>,
+    /// Released slots of `groups`, reused last-released-first, so `groups`
+    /// is as long as the most groups ever live at once.
+    free_groups: Vec<u32>,
     sms: Vec<SmExec>,
     /// `issue_width·32·f / 1000`: the SMM issue bandwidth in
     /// thread-instructions per picosecond, the numerator of every
@@ -179,6 +190,7 @@ impl ExecState {
         ExecState {
             warps: Vec::new(),
             groups: Vec::new(),
+            free_groups: Vec::new(),
             sms: (0..spec.num_sms).map(|_| SmExec::default()).collect(),
             cap_base: spec.issue_width() as f64 * WARP_SIZE as f64 * spec.clock_ghz / 1000.0,
             rs_base: WARP_SIZE as f64 * spec.clock_ghz,
@@ -213,6 +225,8 @@ impl ExecState {
         assert_eq!(ctx.state, WarpState::Idle, "retiring a non-idle warp");
         ctx.alive = false;
         ctx.group = None;
+        // A retired warp is never assigned again: give its buffer back.
+        ctx.segments = Vec::new();
     }
 
     /// SMM a warp resides on.
@@ -230,13 +244,18 @@ impl ExecState {
             assert!(c.alive, "group member {m:?} is retired");
             assert_eq!(c.sm, sm, "barrier group spans SMMs");
         }
-        let g = GroupId(self.groups.len() as u32);
-        self.groups.push(GroupCtx {
-            members: members.to_vec(),
-            arrived: 0,
-            finished: 0,
-            alive: true,
+        let slot = self.free_groups.pop().unwrap_or_else(|| {
+            self.groups.push(GroupCtx {
+                members: Vec::new(),
+                arrived: 0,
+                finished: 0,
+                gen: 0,
+            });
+            self.groups.len() as u32 - 1
         });
+        let ctx = &mut self.groups[slot as usize];
+        ctx.members.extend_from_slice(members);
+        let g = GroupId { slot, gen: ctx.gen };
         for m in members {
             let c = &mut self.warps[m.0 as usize];
             assert!(c.group.is_none(), "warp {m:?} already in a group");
@@ -245,20 +264,27 @@ impl ExecState {
         g
     }
 
+    /// Barrier-group slots allocated so far: the most groups that were ever
+    /// live at once.
+    pub fn group_slots(&self) -> usize {
+        self.groups.len()
+    }
+
     /// Dissolves a group. Every member must have finished its assignment.
     pub fn release_group(&mut self, g: GroupId) {
-        let ctx = &mut self.groups[g.0 as usize];
-        assert!(ctx.alive, "double release of {g:?}");
+        let ctx = &mut self.groups[g.slot as usize];
+        assert_eq!(ctx.gen, g.gen, "double release of {g:?}");
         assert_eq!(
             ctx.finished as usize,
             ctx.members.len(),
             "releasing group with unfinished members"
         );
-        ctx.alive = false;
-        let members = std::mem::take(&mut ctx.members);
-        for m in members {
+        ctx.gen = ctx.gen.wrapping_add(1);
+        (ctx.arrived, ctx.finished) = (0, 0);
+        for m in ctx.members.drain(..) {
             self.warps[m.0 as usize].group = None;
         }
+        self.free_groups.push(g.slot);
     }
 
     /// Assigns `work` to an idle warp at time `now`. Completion is reported
@@ -267,6 +293,24 @@ impl ExecState {
     /// The caller must have advanced the warp's SMM to `now` first (the
     /// device layer does this); the assertion enforces it.
     pub fn assign(&mut self, now: SimTime, w: WarpHandle, work: WarpWork, tag: u64) {
+        self.assign_parts(now, w, &work.segments, None, work.cpi, tag);
+    }
+
+    /// [`ExecState::assign`] of the work `segments` then `tail` at `cpi`,
+    /// borrowed: the segments are copied into the warp's own buffer (kept
+    /// from its previous assignments), so a caller whose work lives
+    /// elsewhere — a task's kernel, plus an epilogue — builds no
+    /// [`WarpWork`] to hand over.
+    pub fn assign_parts(
+        &mut self,
+        now: SimTime,
+        w: WarpHandle,
+        segments: &[Segment],
+        tail: Option<Segment>,
+        cpi: f64,
+        tag: u64,
+    ) {
+        assert!(cpi >= 1.0, "CPI below 1 is super-scalar fiction: {cpi}");
         let ctx = &mut self.warps[w.0 as usize];
         assert!(ctx.alive, "assigning to retired warp {w:?}");
         assert_eq!(ctx.state, WarpState::Idle, "warp {w:?} already has work");
@@ -275,17 +319,17 @@ impl ExecState {
             self.sms[sm as usize].last_advance, now,
             "SM {sm} not advanced to now before assign"
         );
-        if work.barrier_count() > 0 {
+        ctx.segments.clear();
+        ctx.segments.extend_from_slice(segments);
+        ctx.segments.extend(tail);
+        if ctx.segments.contains(&Segment::Barrier) {
             assert!(
                 ctx.group.is_some(),
                 "work with barriers assigned to warp {w:?} outside any group"
             );
         }
-        let rs_base = self.rs_base;
-        let ctx = &mut self.warps[w.0 as usize];
-        ctx.segments = work.segments;
-        ctx.cpi = work.cpi;
-        ctx.r_single = rs_base / work.cpi / 1000.0;
+        ctx.cpi = cpi;
+        ctx.r_single = self.rs_base / cpi / 1000.0;
         ctx.cur = 0;
         ctx.tag = tag;
         // Enter the first segment (may run, immediately block, or finish).
@@ -481,7 +525,7 @@ impl ExecState {
                     } else {
                         ctx.state = WarpState::AtBarrier;
                     }
-                    self.groups[g.0 as usize].arrived += 1;
+                    self.groups[g.slot as usize].arrived += 1;
                     self.maybe_release_barrier(now, g);
                     return;
                 }
@@ -494,10 +538,9 @@ impl ExecState {
                     ctx.state = WarpState::Idle;
                     let tag = ctx.tag;
                     let group = ctx.group;
-                    ctx.segments = Vec::new();
                     self.finished.push((w, tag));
                     if let Some(g) = group {
-                        self.groups[g.0 as usize].finished += 1;
+                        self.groups[g.slot as usize].finished += 1;
                         self.maybe_release_barrier(now, g);
                     }
                     return;
@@ -508,21 +551,21 @@ impl ExecState {
 
     /// Releases the group's barrier if every unfinished member has arrived.
     fn maybe_release_barrier(&mut self, now: SimTime, g: GroupId) {
-        let ctx = &self.groups[g.0 as usize];
+        let ctx = &self.groups[g.slot as usize];
         let expected = ctx.members.len() as u32 - ctx.finished;
         if expected == 0 || ctx.arrived < expected {
             return;
         }
         debug_assert_eq!(ctx.arrived, expected, "more arrivals than members");
-        self.groups[g.0 as usize].arrived = 0;
+        self.groups[g.slot as usize].arrived = 0;
         // Everyone steps past the barrier. `settle` may re-arrive at a
         // following barrier; that recursion terminates because segments are
         // finite and strictly consumed. Members are re-indexed through the
         // group each iteration (instead of iterating a clone) — the member
         // list itself is immutable until `release_group`, which the settle
         // cascade never calls.
-        for i in 0..self.groups[g.0 as usize].members.len() {
-            let m = self.groups[g.0 as usize].members[i];
+        for i in 0..self.groups[g.slot as usize].members.len() {
+            let m = self.groups[g.slot as usize].members[i];
             let c = &mut self.warps[m.0 as usize];
             if c.state == WarpState::AtBarrier {
                 c.cur += 1;
@@ -734,6 +777,119 @@ mod tests {
         // Members can join a new group afterwards.
         let g2 = ex.create_group(&[a, b]);
         let _ = g2;
+    }
+
+    #[test]
+    fn group_slots_are_recycled_and_stale_ids_caught() {
+        // Three groups live at a time, 10 000 rounds: three slots.
+        let mut ex = titan_exec();
+        let warps: Vec<_> = (0..6).map(|_| ex.create_warp(0)).collect();
+        let mut now = SimTime::ZERO;
+        let mut first = None;
+        for round in 0..10_000u64 {
+            let groups: Vec<_> = warps.chunks(2).map(|m| ex.create_group(m)).collect();
+            first.get_or_insert(groups[0]);
+            ex.advance_sm(0, now);
+            for (i, &w) in warps.iter().enumerate() {
+                ex.assign(
+                    now,
+                    w,
+                    WarpWork::phased(640 * (1 + i as u64), 2, 1.0),
+                    round,
+                );
+            }
+            let (t, tags) = run_sm(&mut ex, 0, now);
+            assert_eq!(tags.len(), 6);
+            now = t;
+            for g in groups {
+                ex.release_group(g);
+            }
+        }
+        assert_eq!(ex.group_slots(), 3);
+        // The first round's handle names a slot that has since had other
+        // tenants, one of them live right now.
+        let live = ex.create_group(&warps[..2]);
+        let stale = first.unwrap();
+        assert_eq!(stale.slot, live.slot, "last released, first reused");
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ex.release_group(stale);
+        }));
+        assert!(caught.is_err(), "a stale GroupId released a stranger");
+    }
+
+    #[test]
+    #[should_panic(expected = "double release")]
+    fn double_group_release_panics() {
+        let mut ex = titan_exec();
+        let a = ex.create_warp(0);
+        let g = ex.create_group(&[a]);
+        ex.advance_sm(0, SimTime::ZERO);
+        ex.assign(SimTime::ZERO, a, WarpWork::compute(0, 1.0), 0);
+        ex.release_group(g);
+        ex.release_group(g);
+    }
+
+    #[test]
+    fn assign_parts_reuses_the_warp_buffer_without_stale_segments() {
+        let mut ex = titan_exec();
+        let w = ex.create_warp(0);
+        ex.advance_sm(0, SimTime::ZERO);
+        // Long work first: three segments plus a tail.
+        let long = [Segment::Compute(3_200); 3];
+        ex.assign_parts(
+            SimTime::ZERO,
+            w,
+            &long,
+            Some(Segment::Compute(3_200)),
+            1.0,
+            1,
+        );
+        let (t1, tags) = run_sm(&mut ex, 0, SimTime::ZERO);
+        assert_eq!(tags, vec![1]);
+        assert!((t1.as_ns_f64() - 400.0).abs() < 1.0, "{}", t1.as_ns_f64());
+        // Shorter work on the same warp, no tail: exactly its own 100 ns,
+        // nothing left over from the four segments before.
+        ex.advance_sm(0, t1);
+        ex.assign_parts(t1, w, &[Segment::Compute(3_200)], None, 1.0, 2);
+        let (t2, tags) = run_sm(&mut ex, 0, t1);
+        assert_eq!(tags, vec![2]);
+        assert_eq!((t2 - t1).as_ps(), t1.as_ps() / 4);
+        // A zero-length tail adds nothing; an all-empty assignment
+        // finishes on the spot.
+        ex.advance_sm(0, t2);
+        ex.assign_parts(
+            t2,
+            w,
+            &[Segment::Compute(3_200)],
+            Some(Segment::Compute(0)),
+            1.0,
+            3,
+        );
+        let (t3, tags) = run_sm(&mut ex, 0, t2);
+        assert_eq!(tags, vec![3]);
+        assert_eq!(t3 - t2, t2 - t1);
+        ex.advance_sm(0, t3);
+        ex.assign_parts(t3, w, &[], Some(Segment::Compute(0)), 1.0, 4);
+        assert_eq!(ex.drain_finished(), vec![(w, 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside any group")]
+    fn barrier_tail_requires_group() {
+        let mut ex = titan_exec();
+        let w = ex.create_warp(0);
+        ex.advance_sm(0, SimTime::ZERO);
+        let work = [Segment::Compute(100)];
+        ex.assign_parts(SimTime::ZERO, w, &work, Some(Segment::Barrier), 1.0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "super-scalar fiction")]
+    fn assign_parts_rejects_cpi_below_one() {
+        let mut ex = titan_exec();
+        let w = ex.create_warp(0);
+        ex.advance_sm(0, SimTime::ZERO);
+        ex.assign_parts(SimTime::ZERO, w, &[Segment::Compute(100)], None, 0.5, 0);
     }
 
     #[test]

@@ -18,7 +18,8 @@ struct WarpCtx {
     cur: usize,
     remaining: f64,
     r_single: f64,
-    group: Option<GroupId>,
+    /// Index into `RefExec::groups`, which never recycles a slot.
+    group: Option<usize>,
     tag: u64,
 }
 
@@ -75,8 +76,8 @@ impl RefExec {
         h
     }
 
-    fn create_group(&mut self, members: &[WarpHandle]) -> GroupId {
-        let g = GroupId(self.groups.len() as u32);
+    fn create_group(&mut self, members: &[WarpHandle]) -> usize {
+        let g = self.groups.len();
         self.groups.push(GroupCtx {
             members: members.to_vec(),
             arrived: 0,
@@ -88,8 +89,8 @@ impl RefExec {
         g
     }
 
-    fn release_group(&mut self, g: GroupId) {
-        let ctx = &mut self.groups[g.0 as usize];
+    fn release_group(&mut self, g: usize) {
+        let ctx = &mut self.groups[g];
         assert_eq!(ctx.finished as usize, ctx.members.len());
         for m in std::mem::take(&mut ctx.members) {
             self.warps[m.0 as usize].group = None;
@@ -226,7 +227,7 @@ impl RefExec {
                     if was_running {
                         self.leave_running(w);
                     }
-                    self.groups[g.0 as usize].arrived += 1;
+                    self.groups[g].arrived += 1;
                     self.maybe_release_barrier(now, g);
                     return;
                 }
@@ -240,7 +241,7 @@ impl RefExec {
                     ctx.segments = Vec::new();
                     self.finished.push((w, tag));
                     if let Some(g) = group {
-                        self.groups[g.0 as usize].finished += 1;
+                        self.groups[g].finished += 1;
                         self.maybe_release_barrier(now, g);
                     }
                     return;
@@ -249,15 +250,15 @@ impl RefExec {
         }
     }
 
-    fn maybe_release_barrier(&mut self, now: SimTime, g: GroupId) {
-        let ctx = &self.groups[g.0 as usize];
+    fn maybe_release_barrier(&mut self, now: SimTime, g: usize) {
+        let ctx = &self.groups[g];
         let expected = ctx.members.len() as u32 - ctx.finished;
         if expected == 0 || ctx.arrived < expected {
             return;
         }
-        self.groups[g.0 as usize].arrived = 0;
-        for i in 0..self.groups[g.0 as usize].members.len() {
-            let m = self.groups[g.0 as usize].members[i];
+        self.groups[g].arrived = 0;
+        for i in 0..self.groups[g].members.len() {
+            let m = self.groups[g].members[i];
             let c = &mut self.warps[m.0 as usize];
             if c.state == WarpState::AtBarrier {
                 c.cur += 1;
@@ -278,10 +279,11 @@ struct Lockstep {
     wake: Vec<Option<SimTime>>,
     /// Ungrouped warps free to take work.
     idle: Vec<WarpHandle>,
-    /// Barrier groups whose members are all idle.
-    idle_groups: Vec<(GroupId, Vec<WarpHandle>)>,
+    /// Barrier groups whose members are all idle, under both engines' ids
+    /// (the dense engine recycles group slots, the oracle does not).
+    idle_groups: Vec<((GroupId, usize), Vec<WarpHandle>)>,
     /// Members still out, per busy group.
-    busy_groups: Vec<(GroupId, Vec<WarpHandle>, usize)>,
+    busy_groups: Vec<((GroupId, usize), Vec<WarpHandle>, usize)>,
     next_tag: u64,
     /// The regime keeps every rate latency-bound, so an assignment may
     /// never drop a kept prediction.
@@ -326,21 +328,34 @@ impl Lockstep {
         w
     }
 
-    fn create_group(&mut self, members: &[WarpHandle]) -> GroupId {
-        let g = self.dense.create_group(members);
-        assert_eq!(g, self.oracle.create_group(members));
-        g
+    fn create_group(&mut self, members: &[WarpHandle]) -> (GroupId, usize) {
+        (
+            self.dense.create_group(members),
+            self.oracle.create_group(members),
+        )
     }
 
-    /// What `GpuDevice::assign_warp` does to the engine, at `self.now`.
-    fn assign(&mut self, w: WarpHandle, work: WarpWork) -> Result<(), TestCaseError> {
+    /// What `GpuDevice::assign_warp_parts` does to the engine, at
+    /// `self.now`: the dense engine takes `work` borrowed — its last
+    /// segment as the tail if `split_tail` — the oracle whole and owned.
+    fn assign(
+        &mut self,
+        w: WarpHandle,
+        work: WarpWork,
+        split_tail: bool,
+    ) -> Result<(), TestCaseError> {
         let sm = self.dense.warp_sm(w);
         let tag = self.next_tag;
         self.next_tag += 1;
         self.dense.advance_sm(sm, self.now);
         self.oracle.advance_sm(sm, self.now);
         let kept = self.dense.sms[sm as usize].pred.is_some();
-        self.dense.assign(self.now, w, work.clone(), tag);
+        let (prefix, tail) = match work.segments.split_last() {
+            Some((&last, prefix)) if split_tail => (prefix, Some(last)),
+            _ => (&work.segments[..], None),
+        };
+        self.dense
+            .assign_parts(self.now, w, prefix, tail, work.cpi, tag);
         self.oracle.assign(self.now, w, work, tag);
         if self.must_fold && kept {
             let folded = self.dense.sms[sm as usize].pred.is_some();
@@ -384,9 +399,9 @@ impl Lockstep {
                     self.busy_groups[i].2 -= 1;
                     if self.busy_groups[i].2 == 0 {
                         // Release and re-form, as a retiring task does.
-                        let (g, members, _) = self.busy_groups.swap_remove(i);
+                        let ((g, og), members, _) = self.busy_groups.swap_remove(i);
                         self.dense.release_group(g);
-                        self.oracle.release_group(g);
+                        self.oracle.release_group(og);
                         let g = self.create_group(&members);
                         self.idle_groups.push((g, members));
                     }
@@ -425,6 +440,7 @@ impl Lockstep {
                         segments,
                         cpi: cpi(b),
                     },
+                    (a >> 20) & 1 == 0,
                 )
             }
             // A whole barrier group at one instant: same barrier count,
@@ -448,6 +464,7 @@ impl Lockstep {
                             segments,
                             cpi: cpi(b + m as u64 * (c % 2)),
                         },
+                        ((a >> 20) + m as u64) & 1 == 0,
                     )?;
                 }
                 Ok(())
@@ -511,7 +528,7 @@ proptest! {
         let mut ls = Lockstep::new(num_sms, 40, 9);
         for i in 0..8 {
             let w = ls.idle.swap_remove(0);
-            ls.assign(w, WarpWork::compute(5_000 + 999 * i, 1.0))?;
+            ls.assign(w, WarpWork::compute(5_000 + 999 * i, 1.0), i & 1 == 0)?;
         }
         for s in steps {
             ls.step(s, &[1.0, 1.5, 4.0, 8.0])?;
