@@ -42,28 +42,13 @@ first_difference() { # committed fresh
         END { if (!hit) printf "committed has %d lines, this run %d\n", n, m }' "$1" "$2" >&2
 }
 
-# Smoke the serving benchmark: its JSON lines (two mixes x four
-# front-end variants x two loads, every one through `serve_on`) must
-# equal the committed golden byte for byte. A serving-loop change that
-# claims "no behaviour change" passes this unregenerated; an intended
-# one regenerates with
-#   target/release/serve_curves --quick --json | grep '^{' > tests/golden/serve_curves_quick.jsonl
-# and says so. (The --workspace build above already built every bin, so
-# the `cargo run`s from here on only run.)
-echo "==> serve_curves --quick --json vs tests/golden/serve_curves_quick.jsonl"
-cargo run --release --offline -p pagoda-bench --bin serve_curves -- --quick --json |
-    grep '^{' >target/serve_curves_quick.jsonl
-if ! cmp -s target/serve_curves_quick.jsonl tests/golden/serve_curves_quick.jsonl; then
-    echo "ci: serve_curves --quick diverged from its golden" >&2
-    first_difference tests/golden/serve_curves_quick.jsonl target/serve_curves_quick.jsonl
-    exit 1
-fi
-
 # The evaluation at paper scale: every results/<name>.txt must be what
 # `repro <name>` prints, byte for byte (about a minute, fig8 and fig7
 # most of it). tests/repro.rs holds the same figures at 1/64 scale and
-# their shapes in tier-1; this is the full-size half of the gate. A
-# change that moves a figure on purpose regenerates with
+# their shapes in tier-1; this is the full-size half of the gate. (The
+# --workspace build above already built every bin, so the `cargo run`s
+# from here on only run.) A change that moves a figure on purpose
+# regenerates with
 #   for f in results/*.txt; do n=$(basename "$f" .txt); target/release/repro "$n" > "$f"; done
 # (and PAGODA_UPDATE_GOLDEN=1 cargo test --test repro), and says what
 # moved in EXPERIMENTS.md.
@@ -83,11 +68,6 @@ done
 # contract (phase sums reconcile with sojourns in every group) and that
 # the Prometheus exposition parses; a violation panics, failing CI.
 run cargo run --release --offline --example multi_tenant -- --devices 2 --prof target/prof_smoke
-
-# Fleet scaling gate: a 4-device cluster must clear 3.2x the 1-device
-# throughput in simulated time (the bin exits nonzero otherwise). The
-# curves go to a scratch path so CI never dirties the tree.
-run cargo run --release --offline -p pagoda-bench --bin cluster_scaling -- --smoke --out target/cluster_scaling_smoke.json
 
 # The repo benchmark (benchmark/, a package outside this workspace that
 # drives the stack through its public API): build it and run all four

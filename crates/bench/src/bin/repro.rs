@@ -1,4 +1,4 @@
-//! `repro` — prints the paper's tables and figures (and the two studies
+//! `repro` — prints the paper's tables and figures (and the four studies
 //! beyond them) from `pagoda_bench::figures::FIGURES`.
 //!
 //! ```text

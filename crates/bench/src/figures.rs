@@ -1,20 +1,29 @@
-//! The paper's evaluation (§6) and the two studies beyond it as one
+//! The paper's evaluation (§6) and the four studies beyond it as one
 //! table: [`FIGURES`] names every experiment the `repro` binary can
 //! print, the paper's task count for it, and the function that runs it.
 //!
 //! A run returns the text of the figure — what `results/<name>.txt`
-//! holds at paper scale — and one [`DataPoint`] per measured cell (the
+//! holds at paper scale — and one [`Point`] per measured cell (the
 //! `--json` lines). `tests/repro.rs` runs the same table at 1/64 scale
 //! against `tests/golden/repro/` and asserts the shape claims of
 //! EXPERIMENTS.md over the points; `ci.sh` holds `results/` to
 //! `repro <name>` byte for byte.
 
-use crate::{bench_waves, reshape_task, run_waves, Cli, DataPoint, Scheme};
+use crate::{
+    bench_waves, reshape_task, run_waves, Cli, CurvePoint, DataPoint, Point, ScalingPoint, Scheme,
+    SkewPoint,
+};
 use baselines::{geomean, run_hyperq, run_pagoda, HyperQConfig, RunSummary};
 use desim::{Dur, SimTime};
 use gpu_arch::GpuSpec;
-use gpu_sim::DeviceConfig;
-use pagoda_core::{PagodaConfig, TaskDesc};
+use gpu_sim::{DeviceConfig, WarpWork};
+use pagoda_cluster::{ClusterConfig, ClusterHandle, Placement};
+use pagoda_core::{Backend, PagodaConfig, TaskDesc};
+use pagoda_prof::{Phase, ProfReport};
+use pagoda_serve::{
+    calibrate_capacity, percentile, serve, serve_on, serving_slice, ArrivalSpec, Outcome, Policy,
+    ServeConfig, TenantSpec,
+};
 use std::fmt::{self, Write as _};
 use workloads::Bench::{self, Bf, Conv, Dct, Des3, Fb, Mb, Mm, Mpe, Slud};
 use workloads::{conv, irregular_tasks, matmul, GenOpts, ThreadPolicy};
@@ -32,7 +41,7 @@ pub struct Figure {
 impl Figure {
     /// Runs the experiment at the scale `cli` asks for: the figure's text
     /// and the points behind it.
-    pub fn run(&self, cli: &Cli) -> (String, Vec<DataPoint>) {
+    pub fn run(&self, cli: &Cli) -> (String, Vec<Point>) {
         let mut out = Report {
             cli,
             experiment: self.name,
@@ -68,16 +77,19 @@ pub const FIGURES: &[Figure] = &[
     // The studies beyond the paper sweep configurations, not task counts.
     figure("machines", 8_192, machines),
     figure("ablations", 8_192, ablations),
+    // Tasks per tenant, and the closed-loop batch.
+    figure("serve_curves", 1_024, serve_curves),
+    figure("cluster_scaling", 2_048, cluster_scaling),
 ];
 
 /// What a run accumulates: the text, and a point per recorded run.
 struct Report<'a> {
-    /// The flags, for Fig. 5.
+    /// The flags, for Fig. 5 and the serving curves' load ladder.
     cli: &'a Cli,
-    /// `experiment` of the points recorded from here on.
+    /// `experiment` of the scheme points recorded from here on.
     experiment: &'static str,
     text: String,
-    points: Vec<DataPoint>,
+    points: Vec<Point>,
 }
 
 impl Report<'_> {
@@ -96,7 +108,7 @@ impl Report<'_> {
         run: &RunSummary,
         baseline: Option<&RunSummary>,
     ) -> &mut DataPoint {
-        self.points.push(DataPoint {
+        self.points.push(Point::Scheme(DataPoint {
             experiment: self.experiment.to_string(),
             bench: bench.to_string(),
             scheme: scheme.name().to_string(),
@@ -106,8 +118,11 @@ impl Report<'_> {
             speedup: baseline.map_or(1.0, |b| run.speedup_over(b)),
             latency_us: run.mean_task_latency.as_us_f64(),
             occupancy: run.avg_running_occupancy,
-        });
-        self.points.last_mut().expect("just pushed")
+        }));
+        match self.points.last_mut() {
+            Some(Point::Scheme(point)) => point,
+            _ => unreachable!("just pushed"),
+        }
     }
 
     /// Runs `waves` under each of `schemes` and records the points.
@@ -754,4 +769,373 @@ fn ablations(n: usize, out: &mut Report) {
         out.record("FB", Scheme::Pagoda, Some(lat_ns), &pg, Some(&hq));
         out.record("FB", Scheme::HyperQ, Some(lat_ns), &hq, None);
     }
+}
+
+/// One tenant slot of a serving mix, before rates are assigned: name,
+/// benchmark, fraction of the aggregate offered rate it submits, WFQ
+/// weight, queue cap, deadline in µs, bursty (MMPP) instead of Poisson
+/// arrivals.
+type MixTenant = (&'static str, Bench, f64, u32, usize, Option<u64>, bool);
+
+/// The serving mixes, by name.
+const MIXES: [(&str, [MixTenant; 2]); 2] = [
+    // A packet pipeline sharing the GPU with a bursty image tenant —
+    // small irregular tasks, the paper's 3DES/MB pairing. The tiles get a
+    // loose deadline rather than none: under EDF a tenant with no
+    // deadline sorts last forever and starves when a deadline-bearing
+    // tenant alone exceeds capacity.
+    (
+        "netmix",
+        [
+            ("packets", Des3, 0.67, 2, 32, Some(1_500), false),
+            ("tiles", Mb, 0.33, 1, 32, Some(3_000), true),
+        ],
+    ),
+    // A vision pipeline: latency-sensitive DCT tiles against batchy
+    // convolution work.
+    (
+        "vision",
+        [
+            ("dct", Dct, 0.5, 3, 24, Some(2_500), false),
+            ("conv", Conv, 0.5, 1, 24, None, true),
+        ],
+    ),
+];
+
+/// An MMPP with a 4:1 burst-to-calm intensity ratio, rescaled so its
+/// long-run mean equals `rate_per_s`.
+fn bursty_spec(rate_per_s: f64) -> ArrivalSpec {
+    let shape = ArrivalSpec::Mmpp {
+        calm_rate_per_s: 0.5,
+        burst_rate_per_s: 2.0,
+        mean_calm_us: 300.0,
+        mean_burst_us: 100.0,
+    };
+    shape.scaled(rate_per_s / shape.mean_rate_per_s())
+}
+
+/// The mix of `tenants` offered at `aggregate_rate` under `policy`,
+/// queues uncapped if `unbounded`.
+fn mix_config(
+    tenants: &[MixTenant],
+    policy: Policy,
+    unbounded: bool,
+    aggregate_rate: f64,
+    tasks_per_tenant: usize,
+    runtime: &PagodaConfig,
+) -> ServeConfig {
+    let total_tasks = tenants.len() * tasks_per_tenant;
+    let spec = |&(name, bench, share, weight, queue_cap, deadline_us, bursty): &MixTenant| {
+        let rate = share * aggregate_rate;
+        TenantSpec {
+            name: name.to_string(),
+            weight,
+            queue_cap: if unbounded { usize::MAX } else { queue_cap },
+            deadline: deadline_us.map(Dur::from_us),
+            arrival: if bursty {
+                bursty_spec(rate)
+            } else {
+                ArrivalSpec::Poisson { rate_per_s: rate }
+            },
+            bench,
+            gen: GenOpts::default(),
+            // Share-proportional counts: every tenant's stream spans the
+            // same window, so the aggregate offered rate holds for the
+            // whole run.
+            tasks: Some(((share * total_tasks as f64).round() as usize).max(1)),
+            slo: None,
+        }
+    };
+    let mut cfg = ServeConfig::new(tenants.iter().map(spec).collect(), policy);
+    cfg.tasks_per_tenant = tasks_per_tenant;
+    cfg.cancel_late = matches!(policy, Policy::Edf);
+    cfg.runtime = runtime.clone();
+    cfg
+}
+
+/// Serving curves — sojourn latency vs offered load for the multi-tenant
+/// serving layer (the serving analogue of the paper's Fig. 10).
+///
+/// Sweeps offered load (relative to the mix's calibrated closed-loop
+/// service capacity; two loads under `--quick`, five otherwise) for two
+/// tenant mixes under four front-end variants:
+///
+/// * `fifo-unbounded` — FIFO with no admission control: the divergence
+///   baseline. Open-loop overload grows the queue without bound, so p99
+///   sojourn scales with experiment length;
+/// * `fifo` / `wfq` / `edf` — bounded per-tenant queues with shedding:
+///   the backlog ahead of any *admitted* task is capped, so p99 stays
+///   bounded at every load while the excess is shed at the door.
+///
+/// The closing lines are the claim the curves exist to make: under
+/// overload, admission control bounds the p99 of admitted work; unbounded
+/// FIFO does not. It needs a run long enough for the unbounded backlog to
+/// outgrow the bounded queues: true at 1024 tasks per tenant, not yet at
+/// `--quick`'s 256.
+fn serve_curves(tasks_per_tenant: usize, out: &mut Report) {
+    // Calibration quality must not depend on the run's size: a short
+    // probe is dominated by its pipeline-drain tail and understates
+    // capacity.
+    let probe = 512;
+    // A MIG-style slice of two SMMs → 4 MTB columns × 32 rows = 128
+    // TaskTable entries, small enough that a few hundred tasks of
+    // overload backlog spill out of the table and into the front-end
+    // queues where admission control and QoS live.
+    let runtime = serving_slice(2).expect("nonzero slice");
+    let loads: &[f64] = if out.cli.quick {
+        &[0.8, 2.0]
+    } else {
+        &[0.5, 0.8, 1.1, 1.5, 2.0]
+    };
+    // The unbounded baseline first: the closing lines compare it with
+    // the rest.
+    let variants = [
+        ("fifo-unbounded", Policy::Fifo, true),
+        ("fifo", Policy::Fifo, false),
+        ("wfq", Policy::WeightedFair, false),
+        ("edf", Policy::Edf, false),
+    ];
+
+    out.say(format_args!(
+        "serve_curves — sojourn latency vs offered load, {tasks_per_tenant} tasks/tenant"
+    ));
+    out.say(format_args!(
+        "{:>8} {:>15} {:>6} {:>10} {:>7} {:>7} {:>10} {:>10} {:>10}",
+        "mix", "variant", "load", "thru(k/s)", "shed%", "late%", "p50(us)", "p95(us)", "p99(us)"
+    ));
+
+    let mut claims = String::new();
+    for (mix, tenants) in &MIXES {
+        // Calibrated aggregate capacity: tasks/s the runtime sustains on
+        // this mix's blend under closed-loop saturation. 1/C = Σ sᵢ/Cᵢ.
+        let inv: f64 = tenants
+            .iter()
+            .map(|&(_, bench, share, ..)| {
+                share
+                    / calibrate_capacity(&runtime, bench, &GenOpts::default(), probe)
+                        .expect("calibration config is valid")
+            })
+            .sum();
+        let capacity = 1.0 / inv;
+
+        // p99 at the highest load, per variant.
+        let top_p99 = variants.map(|(variant, policy, unbounded)| {
+            let mut p99_us = 0.0;
+            for &load in loads {
+                let rate = load * capacity;
+                let mut cfg =
+                    mix_config(tenants, policy, unbounded, rate, tasks_per_tenant, &runtime);
+                cfg.mix = mix.to_string();
+                cfg.offered_load = load;
+                let served = serve(&cfg).expect("sweep config is valid");
+
+                let sojourns: Vec<f64> =
+                    served.records.iter().filter_map(|r| r.sojourn_us).collect();
+                let offered = served.records.len() as f64;
+                let frac = |outcome| {
+                    let n = served.records.iter().filter(|r| r.outcome == outcome);
+                    n.count() as f64 / offered
+                };
+                let p = CurvePoint {
+                    mix: mix.to_string(),
+                    variant: variant.to_string(),
+                    offered_load: load,
+                    offered_rate_per_s: rate,
+                    throughput_per_s: served.report.throughput_per_s,
+                    shed_frac: frac(Outcome::Shed),
+                    expired_frac: frac(Outcome::Expired),
+                    p50_us: percentile(&sojourns, 50.0),
+                    p95_us: percentile(&sojourns, 95.0),
+                    p99_us: percentile(&sojourns, 99.0),
+                    avg_slot_occupancy: served.report.avg_slot_occupancy,
+                };
+                out.say(format_args!(
+                    "{:>8} {:>15} {:>6.2} {:>10.1} {:>7.1} {:>7.1} {:>10.1} {:>10.1} {:>10.1}",
+                    p.mix,
+                    p.variant,
+                    p.offered_load,
+                    p.throughput_per_s / 1e3,
+                    100.0 * p.shed_frac,
+                    100.0 * p.expired_frac,
+                    p.p50_us,
+                    p.p95_us,
+                    p.p99_us
+                ));
+                p99_us = p.p99_us;
+                out.points.push(Point::Curve(p));
+            }
+            p99_us
+        });
+        let [unbounded, bounded @ ..] = top_p99;
+        let worst_bounded = bounded.into_iter().fold(0.0, f64::max);
+        writeln!(
+            claims,
+            "{mix}: at {:.1}x load, p99 fifo-unbounded = {unbounded:.0} us vs worst bounded = \
+             {worst_bounded:.0} us ({}x)",
+            loads[loads.len() - 1],
+            (unbounded / worst_bounded.max(1e-9)) as u64
+        )
+        .expect("writing to a String");
+    }
+    out.text += &claims;
+}
+
+/// Drives a closed-loop batch of `tasks` uniform narrow tasks through an
+/// `n`-device fleet reporting to `obs`; returns the simulated makespan in
+/// microseconds.
+fn drive_batch(n: usize, tasks: usize, obs: pagoda_obs::Obs) -> f64 {
+    // 4 warps, ~30 us of device work, a small payload each way — the
+    // paper's "narrow task" shape, heavy enough that execution (not
+    // spawning) bounds a device.
+    let mut task = TaskDesc::uniform(128, WarpWork::compute(60_000, 8.0));
+    task.input_bytes = 1024;
+    task.output_bytes = 1024;
+    let mut cfg = ClusterConfig::uniform(n);
+    // The uniform batch models fleet-resident data: every device is
+    // "home", so no placement pays the staging transfer. (The skew
+    // experiment is where affinity costs show.)
+    cfg.affinity_spread = n as u32;
+    let mut fleet = ClusterHandle::new(cfg).expect("uniform config is valid");
+    fleet.attach_obs(obs);
+    for _ in 0..tasks {
+        fleet
+            .spawn_blocking(0, task.clone())
+            .expect("the bench task fits the default device");
+    }
+    fleet.wait_all();
+    let rep = fleet.report();
+    assert_eq!(rep.completed as usize, tasks, "scaling batch must complete");
+    rep.makespan.as_us_f64()
+}
+
+/// Open-loop Zipf-skewed tenant mix on a 4-device fleet under `policy`.
+fn skew_run(policy: Placement, zipf_s: f64, tasks_per_tenant: usize) -> SkewPoint {
+    const TENANTS: usize = 8;
+    const DEVICES: usize = 4;
+    // Aggregate offered rate: high enough to keep the fleet busy, low
+    // enough that a balanced policy stays stable. Found empirically
+    // against the default device; the comparison across policies at
+    // equal load is what the curve shows, not the absolute rate.
+    const AGG_RATE: f64 = 2.4e6;
+    let weights: Vec<f64> = (1..=TENANTS)
+        .map(|r| 1.0 / (r as f64).powf(zipf_s))
+        .collect();
+    let wsum: f64 = weights.iter().sum();
+    let tenants: Vec<TenantSpec> = weights
+        .iter()
+        .enumerate()
+        .map(|(i, w)| {
+            let mut t = TenantSpec::new(&format!("t{i}"), Des3, AGG_RATE * w / wsum);
+            t.queue_cap = 512;
+            t
+        })
+        .collect();
+    let mut scfg = ServeConfig::new(tenants, Policy::Fifo);
+    scfg.tasks_per_tenant = tasks_per_tenant;
+    scfg.mix = format!("zipf-{zipf_s}");
+    let mut ccfg = ClusterConfig::uniform(DEVICES);
+    ccfg.placement = policy;
+    ccfg.affinity_spread = 1;
+    let mut fleet = ClusterHandle::new(ccfg).expect("uniform config is valid");
+    let served = serve_on(&scfg, &mut fleet).expect("skew mix serves");
+    let rep = fleet.report();
+    let sojourns: Vec<f64> = served.records.iter().filter_map(|r| r.sojourn_us).collect();
+    SkewPoint {
+        policy: format!("{policy:?}"),
+        zipf_s,
+        offered: TENANTS * tasks_per_tenant,
+        completed: sojourns.len(),
+        p50_us: percentile(&sojourns, 50.0),
+        p99_us: percentile(&sojourns, 99.0),
+        off_affinity: rep.off_affinity,
+    }
+}
+
+/// Fleet scaling and skew — three readings over simulated multi-GPU
+/// fleets (`pagoda-cluster`), all in simulated time.
+///
+/// * **Scaling** — a closed-loop batch of `batch` uniform narrow tasks
+///   through fleets of 1, 2, 4 and 8 devices under least-outstanding
+///   placement, in tasks per simulated second. Each device brings its own
+///   spawn pipeline, PCIe link and TaskTable, so the fleet should scale
+///   close to linearly, losing only lockstep-rounding and routing slack;
+///   `tests/repro.rs` holds the 4-device fleet to 3.2× one device.
+/// * **Skew** — an open-loop 8-tenant mix (`pagoda-serve` riding on the
+///   fleet through the shared `Backend` trait) whose per-tenant arrival
+///   rates follow a Zipf distribution with exponent `s`, 3/64 of `batch`
+///   per tenant, under every placement policy. What the surface shows is
+///   that this mix cannot tell the policies apart: all eight tenants
+///   submit 3DES and round-robin rotates per task, not per tenant, so
+///   tenant skew never unbalances it — round-robin and least-outstanding
+///   place identically at every `s` — and tenant-affinity, the only
+///   policy that pays no staging, has the worst tail at `s = 1.2`, where
+///   the busiest tenant offers 43 % of the load to its one home device.
+/// * **Attribution** — the 4-device batch again with a recorder attached
+///   (same simulated history, the recorder costs no simulated time):
+///   where its sojourn went, phase by phase, for the `total` group in
+///   the text and every group in the points.
+fn cluster_scaling(batch: usize, out: &mut Report) {
+    let tasks_per_tenant = (3 * batch / 64).max(1);
+    out.say(format_args!(
+        "cluster_scaling — throughput vs fleet size ({batch}-task batch), \
+         sojourn vs tenant skew ({tasks_per_tenant} tasks/tenant)"
+    ));
+
+    let mut base_tps = None;
+    for devices in [1, 2, 4, 8] {
+        let makespan_us = drive_batch(devices, batch, pagoda_obs::Obs::off());
+        let tasks_per_s = batch as f64 / (makespan_us * 1e-6);
+        let speedup = tasks_per_s / *base_tps.get_or_insert(tasks_per_s);
+        out.say(format_args!(
+            "scaling: {devices} device(s)  makespan {makespan_us:9.1} us  \
+             {tasks_per_s:9.0} tasks/s  speedup {speedup:.2}x"
+        ));
+        out.points.push(Point::Scaling(ScalingPoint {
+            devices,
+            tasks: batch,
+            makespan_us,
+            tasks_per_s,
+            speedup,
+        }));
+    }
+
+    for s in [0.0, 0.6, 1.2] {
+        for policy in [
+            Placement::RoundRobin,
+            Placement::LeastOutstanding,
+            Placement::PowerOfTwo,
+            Placement::TenantAffinity,
+        ] {
+            let p = skew_run(policy, s, tasks_per_tenant);
+            out.say(format_args!(
+                "skew: s={s:.1} {:16} p50 {:8.1} us  p99 {:8.1} us  off-affinity {}",
+                p.policy, p.p50_us, p.p99_us, p.off_affinity
+            ));
+            out.points.push(Point::Skew(p));
+        }
+    }
+
+    let (obs, recorder) = pagoda_obs::Obs::recording();
+    let devices = 4;
+    drive_batch(devices, batch, obs);
+    let prof = ProfReport::from_buffer(&recorder.snapshot());
+    let total = prof.total();
+    let sojourn_ps = total.sojourn.sum();
+    out.say(format_args!(
+        "attribution: {devices} devices, {} tasks, total sojourn {:.1} ms",
+        total.tasks,
+        sojourn_ps as f64 * 1e-9
+    ));
+    for phase in Phase::ALL {
+        let ps = total.phase_total_ps(phase);
+        out.say(format_args!(
+            "  {:<10} {:>9.1} ms {:>6.1}%",
+            phase.name(),
+            ps as f64 * 1e-9,
+            100.0 * ps as f64 / sojourn_ps.max(1) as f64
+        ));
+    }
+    let groups = prof.summary().groups;
+    out.points
+        .extend(groups.into_iter().map(Point::Attribution));
 }

@@ -1,9 +1,9 @@
 //! Experiment harness: runs task lists through every runtime scheme and
 //! renders the rows of each table and figure in the paper's evaluation
-//! (§6). The experiments are one table, [`figures::FIGURES`], printed by
-//! one binary (`repro <name>… | all`); `pagoda_sim`, `serve_curves` and
-//! `cluster_scaling` are the other three, and `benches/kernels.rs` times
-//! the functional kernels. How fast the simulator itself runs is
+//! (§6), the serving layer's latency curves and the fleet's scaling
+//! study. The experiments are one table, [`figures::FIGURES`], printed by
+//! one binary (`repro <name>… | all`); `pagoda_sim` is the other, for one
+//! benchmark under one scheme. How fast the simulator itself runs is
 //! `benchmark/`'s question, not this crate's.
 //!
 //! All experiments accept a `--tasks N` argument to scale down from the
@@ -19,6 +19,7 @@ use baselines::{
 };
 use desim::{Dur, SimTime};
 use pagoda_core::{PagodaConfig, PagodaRuntime, TaskDesc};
+use pagoda_prof::GroupSummary;
 use serde::Serialize;
 
 /// A runtime scheme under comparison.
@@ -182,7 +183,7 @@ pub fn reshape_task(base: &TaskDesc, total_threads: u32, threads_per_tb: u32) ->
     }
 }
 
-/// One printed/serialized experiment data point.
+/// One run of a scheme: the point type of the paper's figures.
 #[derive(Debug, Clone, Serialize)]
 pub struct DataPoint {
     /// Experiment id, e.g. `"fig5"`.
@@ -203,6 +204,95 @@ pub struct DataPoint {
     pub latency_us: f64,
     /// Mean running occupancy.
     pub occupancy: f64,
+}
+
+/// `serve_curves`: one (mix, front-end variant, offered load) serve.
+#[derive(Debug, Clone, Serialize)]
+pub struct CurvePoint {
+    /// Tenant mix name.
+    pub mix: String,
+    /// Front-end variant: `fifo-unbounded`, `fifo`, `wfq` or `edf`.
+    pub variant: String,
+    /// Offered rate over the mix's calibrated capacity.
+    pub offered_load: f64,
+    /// Aggregate arrivals per simulated second.
+    pub offered_rate_per_s: f64,
+    /// Completions per simulated second.
+    pub throughput_per_s: f64,
+    /// Fraction of arrivals shed at the door.
+    pub shed_frac: f64,
+    /// Fraction of arrivals cancelled past their deadline.
+    pub expired_frac: f64,
+    /// Median sojourn of completed tasks, µs.
+    pub p50_us: f64,
+    /// 95th-percentile sojourn, µs.
+    pub p95_us: f64,
+    /// 99th-percentile sojourn, µs.
+    pub p99_us: f64,
+    /// Mean fraction of TaskTable entries in use.
+    pub avg_slot_occupancy: f64,
+}
+
+/// `cluster_scaling`: the closed-loop batch on one fleet size.
+#[derive(Debug, Clone, Serialize)]
+pub struct ScalingPoint {
+    /// Devices in the fleet.
+    pub devices: usize,
+    /// Tasks in the batch.
+    pub tasks: usize,
+    /// Simulated makespan, µs.
+    pub makespan_us: f64,
+    /// Tasks per simulated second.
+    pub tasks_per_s: f64,
+    /// Throughput relative to the 1-device fleet.
+    pub speedup: f64,
+}
+
+/// `cluster_scaling`: the Zipf-skewed tenant mix under one placement.
+#[derive(Debug, Clone, Serialize)]
+pub struct SkewPoint {
+    /// Placement policy name.
+    pub policy: String,
+    /// Zipf exponent of the per-tenant arrival rates.
+    pub zipf_s: f64,
+    /// Arrivals offered.
+    pub offered: usize,
+    /// Arrivals completed.
+    pub completed: usize,
+    /// Median sojourn, µs.
+    pub p50_us: f64,
+    /// 99th-percentile sojourn, µs.
+    pub p99_us: f64,
+    /// Placements off the tenant's home device.
+    pub off_affinity: u64,
+}
+
+/// One `--json` line of a figure. Each kind keeps its own fields and
+/// serializes as itself, with no tag.
+#[derive(Debug, Clone)]
+pub enum Point {
+    /// A scheme run.
+    Scheme(DataPoint),
+    /// A serving-curve point.
+    Curve(CurvePoint),
+    /// A fleet-size point.
+    Scaling(ScalingPoint),
+    /// A skew-surface point.
+    Skew(SkewPoint),
+    /// One group of `cluster_scaling`'s latency attribution.
+    Attribution(GroupSummary),
+}
+
+impl Serialize for Point {
+    fn serialize_json(&self, out: &mut String) {
+        match self {
+            Point::Scheme(p) => p.serialize_json(out),
+            Point::Curve(p) => p.serialize_json(out),
+            Point::Scaling(p) => p.serialize_json(out),
+            Point::Skew(p) => p.serialize_json(out),
+            Point::Attribution(p) => p.serialize_json(out),
+        }
+    }
 }
 
 /// Simple CLI: `--tasks N`, `--json`, `--quick` (divides the paper task

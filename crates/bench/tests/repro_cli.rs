@@ -22,6 +22,10 @@ fn a_bad_command_line_exits_2_with_the_figure_names() {
         (&["fig5", "--tasks"], "--tasks needs a number"),
         (&["fig5", "--tasks", "many"], "--tasks needs a number"),
         (&["--quick"], "no figure named"),
+        // The retired `cluster_scaling` binary's own flags.
+        (&["cluster_scaling", "--smoke"], "unknown flag --smoke"),
+        (&["cluster_scaling", "--gate", "3"], "unknown flag --gate"),
+        (&["cluster_scaling", "--out", "x"], "unknown flag --out"),
     ] {
         let out = repro(args);
         let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
@@ -68,4 +72,5 @@ fn all_is_every_figure_in_table_order() {
     };
     let expected: String = FIGURES.iter().map(|f| f.run(&cli).0).collect();
     assert_eq!(stdout, expected);
+    assert_eq!(FIGURES.len(), 13);
 }

@@ -32,7 +32,6 @@ pub mod conv;
 pub mod dct;
 pub mod des3;
 pub mod filterbank;
-pub mod func;
 pub mod gen;
 pub mod mandelbrot;
 pub mod matmul;

@@ -35,7 +35,6 @@
 //! | [`pagoda_obs`] | cross-layer observability: spans, counters, exporters |
 //! | [`pagoda_prof`] | critical-path profiling, latency decomposition, SLOs |
 //! | [`pagoda_cluster`] | multi-GPU fleets: routed placement + failover |
-//! | [`pagoda_host`] | the TaskTable design as a native executor on real CPU threads |
 //!
 //! ## Quickstart
 //!
@@ -76,7 +75,6 @@ pub use gpu_arch;
 pub use gpu_sim;
 pub use pagoda_cluster;
 pub use pagoda_core;
-pub use pagoda_host;
 pub use pagoda_obs;
 pub use pagoda_prof;
 pub use pagoda_serve;

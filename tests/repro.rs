@@ -1,5 +1,5 @@
 //! The evaluation gate: every figure of `pagoda_bench::figures::FIGURES`
-//! (the paper's Fig. 5–11, Tables 3 and 5, and the two studies beyond
+//! (the paper's Fig. 5–11, Tables 3 and 5, and the four studies beyond
 //! them), run at 1/64 of paper scale, must print the text committed under
 //! `tests/golden/repro/<name>.txt` byte for byte, and its points must
 //! have the shapes EXPERIMENTS.md claims. `results/<name>.txt` is the same
@@ -11,7 +11,9 @@
 //! needs more tasks than a run has (Fig. 6's pull-ahead past 512 tasks,
 //! Fig. 10's plateau from 8 K, the geomean bands) is asserted where the
 //! run reaches that size: in `paper_scale_shapes`, which `ci.sh` runs in
-//! release under `PAGODA_CHECK_EXTENDED=1`.
+//! release under `PAGODA_CHECK_EXTENDED=1` — except for the serving
+//! curves and the fleet study, whose paper scale a debug build reaches in
+//! seconds and which `paper_scale` therefore runs in tier-1.
 //!
 //! A formatter, generator-seed or cost-model change fails the golden with
 //! the figure named; an intended one regenerates with
@@ -22,7 +24,8 @@ mod common;
 
 use baselines::geomean;
 use pagoda_bench::figures::{Figure, FIGURES};
-use pagoda_bench::{Cli, DataPoint};
+use pagoda_bench::{Cli, CurvePoint, DataPoint, Point, ScalingPoint, SkewPoint};
+use pagoda_prof::GroupSummary;
 use std::collections::BTreeSet;
 
 const HQ: &str = "CUDA-HyperQ";
@@ -36,7 +39,12 @@ struct Run {
     /// The run is at the paper's task count.
     full: bool,
     text: String,
+    /// The scheme runs; the other kinds of point follow, each in run order.
     points: Vec<DataPoint>,
+    curves: Vec<CurvePoint>,
+    scaling: Vec<ScalingPoint>,
+    skew: Vec<SkewPoint>,
+    attribution: Vec<GroupSummary>,
 }
 
 impl Run {
@@ -47,12 +55,30 @@ impl Run {
             quick: false,
         };
         let (text, points) = figure.run(&cli);
-        Run {
-            name: figure.name,
-            full: tasks.is_none(),
+        Run::new(figure.name, tasks.is_none(), text, points)
+    }
+
+    fn new(name: &'static str, full: bool, text: String, points: Vec<Point>) -> Run {
+        let mut run = Run {
+            name,
+            full,
             text,
-            points,
+            points: Vec::new(),
+            curves: Vec::new(),
+            scaling: Vec::new(),
+            skew: Vec::new(),
+            attribution: Vec::new(),
+        };
+        for point in points {
+            match point {
+                Point::Scheme(p) => run.points.push(p),
+                Point::Curve(p) => run.curves.push(p),
+                Point::Scaling(p) => run.scaling.push(p),
+                Point::Skew(p) => run.skew.push(p),
+                Point::Attribution(p) => run.attribution.push(p),
+            }
         }
+        run
     }
 
     fn find(
@@ -484,6 +510,95 @@ fn ablations(run: &Run) {
     }
 }
 
+/// Serving curves, each point against its `fifo-unbounded` sibling at the
+/// same load: without admission control nothing is ever shed, and below
+/// saturation admission control does not act — bounded FIFO is the same
+/// run. The claim the curves exist for needs paper scale: every bounded
+/// variant sheds at 2.0× and keeps its p99 under the unbounded one's,
+/// whose tail grows with run length and at `--quick`'s 256 tasks per
+/// tenant has not yet passed them (1555 vs 1627 µs on netmix, 860 vs
+/// 1039 µs on vision).
+fn serve_curves(run: &Run) {
+    for p in &run.curves {
+        let (mix, variant, load) = (&p.mix, p.variant.as_str(), p.offered_load);
+        let sibling = |q: &&CurvePoint| {
+            q.mix == *mix && q.variant == "fifo-unbounded" && q.offered_load == load
+        };
+        let unbounded = run.curves.iter().find(sibling).expect("baseline point");
+        assert_eq!(unbounded.shed_frac, 0.0, "serve_curves {mix} @{load}");
+        if variant == "fifo" && load == 0.8 {
+            assert_eq!(
+                (p.throughput_per_s, p.p50_us, p.p99_us),
+                (
+                    unbounded.throughput_per_s,
+                    unbounded.p50_us,
+                    unbounded.p99_us
+                ),
+                "serve_curves {mix} @0.8: the queue cap changed an underloaded run"
+            );
+        }
+        if run.full && variant != "fifo-unbounded" && load == 2.0 {
+            assert!(
+                p.shed_frac > 0.0 && p.p99_us < unbounded.p99_us,
+                "serve_curves {mix} {variant} @2.0: shed {}, p99 {} µs, unbounded {} µs",
+                p.shed_frac,
+                p.p99_us,
+                unbounded.p99_us
+            );
+        }
+    }
+}
+
+/// Fleet study: throughput grows with the fleet (3.2× at 4 devices at
+/// paper scale); the skew mix does not separate the policies —
+/// round-robin and least-outstanding place identically at every skew,
+/// tenant-affinity never leaves home and pays for it with the worst tail
+/// at s = 1.2; the attribution's seven phases sum to sojourn.
+fn cluster_scaling(run: &Run) {
+    for pair in run.scaling.windows(2) {
+        let (few, many) = (&pair[0], &pair[1]);
+        assert!(
+            many.speedup >= few.speedup && (!run.full || many.speedup > few.speedup),
+            "cluster_scaling: {few:?} then {many:?}"
+        );
+        assert!(
+            !run.full || many.devices != 4 || many.speedup >= 3.2,
+            "cluster_scaling: {many:?}"
+        );
+    }
+
+    // Four policies per skew, in `Placement` order.
+    for policies in run.skew.chunks(4) {
+        let [rr, lo, p2, home] = policies else {
+            panic!("cluster_scaling: skew row {policies:?}");
+        };
+        for p in policies {
+            assert_eq!(p.completed, p.offered, "cluster_scaling: {p:?}");
+        }
+        assert_eq!(
+            (rr.p50_us, rr.p99_us, rr.off_affinity),
+            (lo.p50_us, lo.p99_us, lo.off_affinity),
+            "cluster_scaling: this mix now separates {rr:?} from {lo:?}"
+        );
+        assert_eq!(home.off_affinity, 0, "cluster_scaling: {home:?}");
+        assert!(
+            !run.full || home.zipf_s != 1.2 || home.p99_us > rr.p99_us.max(p2.p99_us),
+            "cluster_scaling: {home:?} is no longer the worst tail"
+        );
+    }
+
+    for group in &run.attribution {
+        // The summary keeps the mean sojourn, rounded down, not its sum.
+        let phase_sum: u64 = group.phases.iter().map(|p| p.total_ps).sum();
+        assert_eq!(
+            (group.phases.len(), phase_sum / group.tasks),
+            (7, group.sojourn.mean_ps),
+            "cluster_scaling {}: phases do not sum to sojourn",
+            group.label
+        );
+    }
+}
+
 /// The shape check of a figure; every `FIGURES` name has one.
 fn shape_of(name: &str) -> fn(&Run) {
     match name {
@@ -498,32 +613,57 @@ fn shape_of(name: &str) -> fn(&Run) {
         "table5" => table5,
         "machines" => machines,
         "ablations" => ablations,
+        "serve_curves" => serve_curves,
+        "cluster_scaling" => cluster_scaling,
         other => panic!("no shape check for figure {other}"),
     }
 }
 
+fn figure(name: &str) -> &'static Figure {
+    FIGURES.iter().find(|f| f.name == name).expect("in FIGURES")
+}
+
 /// Runs `name` at 1/64 of paper scale against its golden, then its shape.
 fn gate(name: &str) {
-    let figure = FIGURES.iter().find(|f| f.name == name).expect("in FIGURES");
+    let figure = figure(name);
     let run = Run::of(figure, Some(figure.paper_tasks / 64));
     common::assert_golden(&format!("repro/{name}.txt"), &run.text);
     shape_of(name)(&run);
 }
 
+/// Runs `name` at paper scale: the text `results/` holds, and every shape.
+fn results_gate(name: &str) {
+    let run = Run::of(figure(name), None);
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("results/{name}.txt"));
+    let committed = std::fs::read_to_string(&path).expect("results file");
+    assert_eq!(
+        run.text, committed,
+        "{name} diverged from results/{name}.txt"
+    );
+    shape_of(name)(&run);
+}
+
 macro_rules! gates {
-    ($($name:ident)*) => {$(
+    ($gate:ident: $($name:ident)*) => {$(
         #[test]
         fn $name() {
-            gate(stringify!($name));
+            super::$gate(stringify!($name));
         }
     )*};
 }
 
-// A test per figure, so they run in parallel and fail by name. The module
-// keeps the test names apart from the shape functions above.
+// A test per figure, so they run in parallel and fail by name. The modules
+// keep the test names apart from the functions above.
 mod reduced_scale {
-    use super::gate;
-    gates!(fig5 fig6 fig7 fig8 fig9 fig10 fig11 table3 table5 machines ablations);
+    gates!(gate: fig5 fig6 fig7 fig8 fig9 fig10 fig11 table3 table5 machines ablations);
+    gates!(gate: serve_curves cluster_scaling);
+}
+
+// The two figures a debug build runs at paper scale in seconds (5 s and
+// under 1 s), and whose claims no shorter run shows: the unbounded p99
+// passing the bounded ones, 3.2× on four devices.
+mod paper_scale {
+    gates!(results_gate: serve_curves cluster_scaling);
 }
 
 fn stems(dir: &str) -> BTreeSet<String> {
@@ -558,22 +698,38 @@ fn every_figure_is_gated_and_every_result_has_a_figure() {
     }
 }
 
-/// Every figure at paper scale: the text `results/` holds and every shape,
-/// including the ones a 512-task run cannot reach. About a minute in
-/// release; `ci.sh` runs it with `PAGODA_CHECK_EXTENDED=1`.
+/// Every figure at paper scale, including the shapes a 512-task run
+/// cannot reach. About a minute in release; `ci.sh` runs it with
+/// `PAGODA_CHECK_EXTENDED=1`.
 #[test]
 #[ignore = "paper scale: run in release, `cargo test --release --test repro -- --ignored`"]
 fn paper_scale_shapes() {
     for figure in FIGURES {
-        let name = figure.name;
-        let run = Run::of(figure, None);
-        let path =
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("results/{name}.txt"));
-        let committed = std::fs::read_to_string(&path).expect("results file");
-        assert_eq!(
-            run.text, committed,
-            "{name} diverged from results/{name}.txt"
-        );
-        shape_of(name)(&run);
+        results_gate(figure.name);
+    }
+}
+
+/// `repro serve_curves --quick --json`: two mixes × four front-end
+/// variants × two loads, every one through `serve_on`, byte for byte. A
+/// serving-loop change that claims "no behaviour change" passes this
+/// unregenerated.
+#[test]
+fn serve_curves_quick_json_lines() {
+    let cli = Cli {
+        tasks: None,
+        json: true,
+        quick: true,
+    };
+    let (text, points) = figure("serve_curves").run(&cli);
+    let lines: String = points
+        .iter()
+        .map(|p| serde_json::to_string(p).expect("serializable") + "\n")
+        .collect();
+    common::assert_golden("serve_curves_quick.jsonl", &lines);
+    let run = Run::new("serve_curves", false, text, points);
+    serve_curves(&run);
+    let overloaded = run.curves.iter().filter(|p| p.offered_load == 2.0);
+    for p in overloaded.filter(|p| p.variant != "fifo-unbounded") {
+        assert!(p.shed_frac > 0.0, "serve_curves --quick: {p:?}");
     }
 }
