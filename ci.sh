@@ -95,15 +95,18 @@ baseline_fingerprint() { # seed workload
     ' benchmark/baseline.json
 }
 if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
-    # First, in seconds: `gpu-sim`'s dense execution engine (fed through
+    # First, in seconds: `desim`'s hole sifts in lockstep with the swap
+    # sifts they replaced (heap, back-pointers and comparison count after
+    # every operation), `gpu-sim`'s dense execution engine (fed through
     # `assign_parts`) in lockstep with its per-warp-walk reference, the
     # mask-driven `decide` in lockstep with the row walk it replaced, the
     # TaskTable's row masks against column scans, and the four-lane
     # Mandelbrot render against per-pixel `escape_iters`, 512 cases each.
-    # All sit under every fingerprint below; a broken validity rule for
-    # the kept prediction, or a transition that skips a mask, fails here
-    # with the case's `cc` seed line instead of as an opaque
-    # `sim_fingerprint` mismatch.
+    # All sit under every fingerprint below; a sift that compares one
+    # child too few, a broken validity rule for the kept prediction, or a
+    # transition that skips a mask, fails here with the case's `cc` seed
+    # line instead of as eight opaque `sim_fingerprint` mismatches.
+    run env PROPTEST_CASES=512 cargo test -q --offline -p desim --lib lockstep
     run env PROPTEST_CASES=512 cargo test -q --offline -p gpu-sim --lib lockstep
     run env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib lockstep_decide_matches_row_scan
     run env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib masks_match_column_scans

@@ -28,8 +28,6 @@
 //! occupancy timelines, and counters across the host, bus, and device
 //! layers.
 
-use std::collections::HashMap;
-
 use desim::{Dur, SimTime};
 use gpu_arch::TaskShape;
 use gpu_sim::{GpuDevice, GroupId, Notify, Segment};
@@ -57,7 +55,7 @@ const TAG_PAYLOAD_MASK: u64 = (1 << 40) - 1;
 const NO_PARAMS: &str = "invariant: a scheduled entry holds its task's parameters";
 
 /// Host-event payloads staged for PCIe visibility instants.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum HostEv {
     /// A spawned entry's H2D copy became visible in device memory.
     EntryVisible {
@@ -99,16 +97,17 @@ impl Stamp {
 
 /// What the MasterKernel needs of a task while it holds a TaskTable
 /// entry — the entry's parameter fields in the paper (§4.2, field 6) and
-/// the scheduling progress kept beside them. Lives in
-/// [`PagodaRuntime::resident`] from the CPU's claim of the entry to the
-/// task's last warp, so a finished task keeps none of it.
-#[derive(Debug)]
+/// the scheduling progress kept beside them. One per entry in
+/// [`PagodaRuntime::resident`], reused in place by the entry's tenants as
+/// the paper's entry is: a finished task keeps none of it but the
+/// capacity of `tbs`.
+#[derive(Debug, Default)]
 struct Resident {
-    desc: TaskDesc,
+    /// `Some` from the CPU's claim of the entry to the task's last warp.
+    desc: Option<TaskDesc>,
     /// Executor-warp completions so far.
     warps_done: u32,
-    /// Per-threadblock progress, allocated when the entry starts
-    /// scheduling.
+    /// Per-threadblock progress, reset when the entry starts scheduling.
     tbs: Vec<TbProgress>,
 }
 
@@ -176,18 +175,29 @@ pub struct PagodaRuntime {
     /// CPU-side belief of each entry's occupant.
     cpu_occupant: Vec<Option<TaskId>>,
     /// Each entry's task parameters and progress while a task holds it.
-    resident: Vec<Option<Resident>>,
+    resident: Vec<Resident>,
     /// Entry's spawn H2D copy still in flight.
     spawn_inflight: Vec<bool>,
-    /// Successor entry of each task (for chain-update wakeups).
-    succ_entry: HashMap<TaskId, EntryIndex>,
+    /// Per entry: the entry of the task spawned right after its tenant
+    /// with the chain open (for chain-update wakeups). Set at that spawn,
+    /// taken when the tenant chain-settles, and cleared when the CPU sees
+    /// the entry freed — so a link never outlives the claim it was made
+    /// under, whether or not a settle came to take it.
+    succ_entry: Vec<Option<EntryIndex>>,
     last_spawned: Option<TaskId>,
     /// The current spawn chain has an unflushed tail.
     chain_open: bool,
     host_now: SimTime,
     spawn_cursor: u32,
-    staged: HashMap<u64, HostEv>,
-    next_stage_tag: u64,
+    /// Host events awaiting their visibility instant; the slot index is
+    /// the device timer's tag. Delivered slots wait in `staged_free`.
+    staged: Vec<Option<HostEv>>,
+    staged_free: Vec<usize>,
+    /// The notification batch in hand, lent to the device every step.
+    batch: Vec<Notify>,
+    /// Staged events delivered so far, for the slab's accounting test.
+    #[cfg(test)]
+    staged_delivered: u64,
     /// Spawned tasks whose completion the CPU has not observed yet —
     /// what `wait_all` waits on, kept so no poll re-scans `tasks`.
     unobserved: u64,
@@ -250,15 +260,18 @@ impl PagodaRuntime {
             tasks: Vec::new(),
             occupant: vec![None; entries],
             cpu_occupant: vec![None; entries],
-            resident: (0..entries).map(|_| None).collect(),
+            resident: (0..entries).map(|_| Resident::default()).collect(),
             spawn_inflight: vec![false; entries],
-            succ_entry: HashMap::new(),
+            succ_entry: vec![None; entries],
             last_spawned: None,
             chain_open: false,
             host_now: SimTime::ZERO,
             spawn_cursor: 0,
-            staged: HashMap::new(),
-            next_stage_tag: 0,
+            staged: Vec::new(),
+            staged_free: Vec::new(),
+            batch: Vec::new(),
+            #[cfg(test)]
+            staged_delivered: 0,
             unobserved: 0,
             observed_log: None,
             last_output: SimTime::ZERO,
@@ -400,7 +413,11 @@ impl PagodaRuntime {
 
         let ready = match (self.chain_open, self.last_spawned) {
             (true, Some(prev)) => {
-                self.succ_entry.insert(prev, entry);
+                // An open chain's tail cannot have run, so `prev` still
+                // holds its entry in both views.
+                let pe = self.eidx(self.tasks[(prev.0 - TaskId::FIRST.0) as usize].entry);
+                debug_assert_eq!(self.cpu_occupant[pe], Some(prev));
+                self.succ_entry[pe] = Some(entry);
                 Ready::Ref(prev)
             }
             _ => Ready::Copied,
@@ -408,6 +425,7 @@ impl PagodaRuntime {
         self.chain_open = true;
         self.cpu_table.cpu_claim(entry, ready);
         let ei = self.eidx(entry);
+        debug_assert_eq!(self.succ_entry[ei], None, "a link outlived its entry");
         self.cpu_occupant[ei] = Some(id);
         self.spawn_inflight[ei] = true;
 
@@ -433,11 +451,9 @@ impl PagodaRuntime {
             },
         );
 
-        self.resident[ei] = Some(Resident {
-            desc,
-            warps_done: 0,
-            tbs: Vec::new(),
-        });
+        let r = &mut self.resident[ei];
+        r.desc = Some(desc);
+        r.warps_done = 0;
         self.tasks.push(TaskRecord {
             entry,
             spawn_time: self.host_now,
@@ -607,9 +623,9 @@ impl PagodaRuntime {
         (e.col * self.cfg.rows_per_column + e.row) as usize
     }
 
-    /// The parameters and progress of the task holding entry `e`.
-    fn resident(&self, e: EntryIndex) -> &Resident {
-        self.resident[self.eidx(e)].as_ref().expect(NO_PARAMS)
+    /// The parameters of the task holding entry `e`.
+    fn desc(&self, e: EntryIndex) -> &TaskDesc {
+        self.resident[self.eidx(e)].desc.as_ref().expect(NO_PARAMS)
     }
 
     /// Advances the host clock by `d`, co-simulating the device.
@@ -624,18 +640,30 @@ impl PagodaRuntime {
 
     /// Processes every device event up to `host_now`.
     fn pump(&mut self) {
-        while let Some((time, batch)) = self.device.step_bounded(self.host_now) {
-            for n in batch {
-                self.on_notify(time, n);
+        while let Some(time) = self
+            .device
+            .step_bounded_into(self.host_now, &mut self.batch)
+        {
+            // By index: `on_notify` needs all of `self`, and never
+            // touches `batch`.
+            for i in 0..self.batch.len() {
+                self.on_notify(time, self.batch[i]);
             }
         }
     }
 
     fn stage(&mut self, at: SimTime, ev: HostEv) {
-        let tag = self.next_stage_tag;
-        self.next_stage_tag += 1;
-        self.staged.insert(tag, ev);
-        self.device.schedule_host(at, tag);
+        let slot = match self.staged_free.pop() {
+            Some(slot) => {
+                self.staged[slot] = Some(ev);
+                slot
+            }
+            None => {
+                self.staged.push(Some(ev));
+                self.staged.len() - 1
+            }
+        };
+        self.device.schedule_host(at, slot as u64);
     }
 
     /// One non-blocking pass of the round-robin column scan; claims
@@ -696,6 +724,7 @@ impl PagodaRuntime {
         }
         if self.gpu_table.get(e).ready == Ready::Free {
             self.cpu_table.set(e, EntryState::default());
+            self.succ_entry[ei] = None;
             if let Some(t) = self.cpu_occupant[ei].take() {
                 self.rec(t).observed_done = true;
                 self.unobserved -= 1;
@@ -760,7 +789,13 @@ impl PagodaRuntime {
     fn on_notify(&mut self, time: SimTime, n: Notify) {
         match n {
             Notify::Host(tag) => {
-                let ev = self.staged.remove(&tag).expect("unknown staged event");
+                let slot = tag as usize;
+                let ev = self.staged[slot].take().expect("unknown staged event");
+                self.staged_free.push(slot);
+                #[cfg(test)]
+                {
+                    self.staged_delivered += 1;
+                }
                 match ev {
                     HostEv::EntryVisible { e, st, task } => self.entry_visible(e, st, task),
                     HostEv::FlushWriteVisible { e } => self.flush_visible(e),
@@ -894,13 +929,13 @@ impl PagodaRuntime {
                 JobPhase::NeedBarrier => (m.barriers.available() > 0)
                     .then_some((Action::JobStep, c.barrier_alloc_cycles)),
                 JobPhase::NeedSmem => {
-                    let size = self.resident(job.entry).desc.smem_per_tb;
+                    let size = self.desc(job.entry).smem_per_tb;
                     (m.buddy.has_pending_deallocs() || m.buddy.can_alloc(size))
                         .then_some((Action::JobStep, c.smem_alloc_cycles))
                 }
                 JobPhase::Placing => {
                     let free = m.warp_table.free_count() as u64;
-                    let d = &self.resident(job.entry).desc;
+                    let d = self.desc(job.entry);
                     let unit = if job.per_tb {
                         u64::from(d.warps_per_tb())
                     } else {
@@ -955,8 +990,9 @@ impl PagodaRuntime {
         self.poke(pe.col as usize);
         // `cur` just became Copied: its own successor (if it has arrived)
         // can now chain-update in its column.
-        let cur_task = self.occupant[self.eidx(cur)].expect("settling unoccupied entry");
-        if let Some(se) = self.succ_entry.remove(&cur_task) {
+        let ci = self.eidx(cur);
+        assert!(self.occupant[ci].is_some(), "settling unoccupied entry");
+        if let Some(se) = self.succ_entry[ci].take() {
             self.poke(se.col as usize);
         }
     }
@@ -969,10 +1005,15 @@ impl PagodaRuntime {
         self.obs
             .task(self.device.now().as_ps(), task.0, TaskState::Placed);
         let ei = self.eidx(entry);
-        let r = self.resident[ei].as_mut().expect(NO_PARAMS);
-        r.tbs = vec![TbProgress::default(); r.desc.num_tbs as usize];
-        let per_tb = r.desc.per_tb_scheduling();
-        let phase = initial_phase(r.desc.sync, r.desc.smem_per_tb);
+        let r = &mut self.resident[ei];
+        let d = r.desc.as_ref().expect(NO_PARAMS);
+        r.tbs.clear();
+        // Exactly: amortized growth would round a one-threadblock task up
+        // to four slots, in every entry of the table, for good.
+        r.tbs.reserve_exact(d.num_tbs as usize);
+        r.tbs.resize(d.num_tbs as usize, TbProgress::default());
+        let per_tb = d.per_tb_scheduling();
+        let phase = initial_phase(d.sync, d.smem_per_tb);
         let mi = entry.col as usize;
         let m = &mut self.mtbs[mi];
         assert!(
@@ -996,7 +1037,7 @@ impl PagodaRuntime {
         let mut job = self.mtbs[mi].job.take().expect("JobStep without job");
         let ei = self.eidx(job.entry);
         let (sync, smem, warps_per_tb, num_tbs) = {
-            let d = &self.resident(job.entry).desc;
+            let d = self.desc(job.entry);
             (d.sync, d.smem_per_tb, d.warps_per_tb(), d.num_tbs)
         };
         match job.phase {
@@ -1060,8 +1101,7 @@ impl PagodaRuntime {
                         m.handles
                             .extend(m.reserved.iter().map(|&s| m.exec_warps[s]));
                         let g = self.device.create_group(&m.handles);
-                        let r = self.resident[ei].as_mut().expect(NO_PARAMS);
-                        r.tbs[tb as usize].group = Some(g);
+                        self.resident[ei].tbs[tb as usize].group = Some(g);
                         for w in 0..self.mtbs[mi].reserved.len() {
                             let slot = self.mtbs[mi].reserved[w];
                             self.assign_exec(time, mi, slot, job.task, tb, w as u32);
@@ -1109,8 +1149,8 @@ impl PagodaRuntime {
             self.obs.task(time.as_ps(), task.0, TaskState::Running);
         }
         let entry = r.entry;
-        let params = self.resident[self.eidx(entry)].as_ref().expect(NO_PARAMS);
-        let work = &params.desc.blocks[tb as usize].warps()[w as usize];
+        let desc = self.resident[self.eidx(entry)].desc.as_ref();
+        let work = &desc.expect(NO_PARAMS).blocks[tb as usize].warps()[w as usize];
         self.device.assign_warp_parts(
             self.mtbs[mi].exec_warps[slot],
             &work.segments,
@@ -1125,12 +1165,10 @@ impl PagodaRuntime {
         let ei = self.eidx(s.e_num);
         let task = self.occupant[ei].expect("executor finished for unoccupied entry");
         let tix = (task.0 - TaskId::FIRST.0) as usize;
-        let r = self.resident[ei].as_mut().expect(NO_PARAMS);
-        let (warps_per_tb, total_warps, out_bytes) = (
-            r.desc.warps_per_tb(),
-            r.desc.total_warps(),
-            r.desc.output_bytes,
-        );
+        let r = &mut self.resident[ei];
+        let d = r.desc.as_ref().expect(NO_PARAMS);
+        let (warps_per_tb, total_warps, out_bytes) =
+            (d.warps_per_tb(), d.total_warps(), d.output_bytes);
         let tb = &mut r.tbs[s.tb_index as usize];
         tb.warps_done += 1;
         let tb_complete = tb.warps_done == warps_per_tb;
@@ -1153,7 +1191,7 @@ impl PagodaRuntime {
             // Lines 41-42: free the TaskTable entry.
             self.gpu_table.complete(s.e_num);
             self.occupant[ei] = None;
-            self.resident[ei] = None;
+            self.resident[ei].desc = None;
             self.obs.count(Counter::TasksFreed, 1);
             self.obs.task(time.as_ps(), task.0, TaskState::Freed);
             let r = &mut self.tasks[tix];
@@ -1338,6 +1376,52 @@ mod tests {
         );
         let compute_done = done().map(|(d, _)| d).max();
         prop_assert_eq!(rt.compute_done, compute_done.unwrap_or(SimTime::ZERO));
+        staged_slab_is_exact(rt)?;
+        // A link is made under its predecessor's claim of the entry and
+        // does not outlive it.
+        for (ei, link) in rt.succ_entry.iter().enumerate() {
+            prop_assert!(
+                link.is_none() || rt.cpu_occupant[ei].is_some(),
+                "entry {} is free in the CPU view and still links to {:?}",
+                ei,
+                link
+            );
+        }
+        Ok(())
+    }
+
+    /// The live `staged` slots are the host events scheduled and not yet
+    /// delivered — every one rides an H2D transaction (a spawn's entry
+    /// copy, a flush write) and nothing else does — and every other slot
+    /// is on the free list exactly once.
+    fn staged_slab_is_exact(rt: &PagodaRuntime) -> Result<(), TestCaseError> {
+        let live = rt.staged.iter().flatten().count();
+        let scheduled = rt.bus.stats(Direction::HostToDevice).transactions;
+        prop_assert_eq!(live as u64, scheduled - rt.staged_delivered);
+        let mut free = rt.staged_free.clone();
+        free.sort_unstable();
+        free.dedup();
+        prop_assert_eq!(free.len(), rt.staged_free.len(), "a slot was freed twice");
+        prop_assert!(free.iter().all(|&slot| rt.staged[slot].is_none()));
+        prop_assert_eq!(
+            live + free.len(),
+            rt.staged.len(),
+            "a delivered slot leaked"
+        );
+        let mut copies = 0;
+        for ev in rt.staged.iter().flatten() {
+            match *ev {
+                HostEv::EntryVisible { e, task, .. } => {
+                    copies += 1;
+                    prop_assert!(rt.spawn_inflight[rt.eidx(e)]);
+                    prop_assert_eq!(rt.cpu_occupant[rt.eidx(e)], Some(task));
+                }
+                HostEv::FlushWriteVisible { e } => {
+                    prop_assert_eq!(rt.gpu_table.get(e).ready, Ready::Copied);
+                }
+            }
+        }
+        prop_assert_eq!(copies, rt.spawn_inflight.iter().filter(|&&f| f).count());
         Ok(())
     }
 
@@ -1425,6 +1509,43 @@ mod tests {
             let ops = std::iter::repeat_n((0u8, burst), burst).chain(ops).collect();
             interleave(1, [1, 2, 32, 64, 65, 130][rows], ops, |_| Ok(()))?;
         }
+    }
+
+    #[test]
+    fn succ_links_do_not_outlive_their_entry() {
+        // A sync every five spawns closes the chain, so every fifth task
+        // heads a new one: its link is made by its successor's spawn and no
+        // chain update ever takes it. Keyed by task in a map, those links
+        // (and the link of every task that settled before its successor
+        // arrived) stayed for the runtime's life, one per chain.
+        let cfg = PagodaConfig::builder().rows_per_column(1).build().unwrap();
+        let mut rt = PagodaRuntime::new(cfg);
+        // Links whose predecessor has already left the GPU's table: no
+        // settle can take them any more.
+        let mut orphaned = 0;
+        for i in 0..10_000 {
+            rt.spawn_blocking(tiny_task()).unwrap();
+            if i % 5 == 4 {
+                let links = rt.succ_entry.iter().zip(&rt.occupant);
+                orphaned += links.filter(|(l, o)| l.is_some() && o.is_none()).count();
+                rt.sync_table();
+            }
+        }
+        assert!(
+            orphaned > 1_000,
+            "{orphaned} orphaned links: the run does not reach the leak"
+        );
+        rt.wait_all();
+        assert_eq!(rt.report().tasks, 10_000);
+        assert_eq!(rt.succ_entry, vec![None; 48]);
+        assert_eq!(rt.staged.iter().flatten().count(), 0);
+        // The slab is as long as the most events ever pending at once: an
+        // entry copy per entry and a flush write.
+        assert!(
+            rt.staged.len() <= 48 + 1,
+            "{} staged slots",
+            rt.staged.len()
+        );
     }
 
     #[test]

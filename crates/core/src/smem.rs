@@ -241,11 +241,13 @@ impl BuddyAllocator {
     /// Drains deferred frees (Algorithm 1, line 22, `deallocMarkedSM`).
     /// Returns how many blocks were reclaimed.
     pub fn dealloc_marked(&mut self) -> usize {
-        let pending = std::mem::take(&mut self.pending_dealloc);
-        let n = pending.len();
-        for node in pending {
-            self.dealloc(node);
+        // In marking order, and keeping the list's capacity: this runs on
+        // the scheduler warp's path, once per shared-memory threadblock.
+        let n = self.pending_dealloc.len();
+        for i in 0..n {
+            self.dealloc(self.pending_dealloc[i]);
         }
+        self.pending_dealloc.clear();
         n
     }
 

@@ -36,8 +36,13 @@
 //! and heaps grew with churn instead of with live events. A 4-ary layout
 //! (rather than binary) halves the tree depth, trading slightly wider
 //! sift-down comparisons for fewer cache-missing levels — the right trade
-//! for the small-but-hot queues this workspace runs. [`EngineStats`] counts
-//! comparisons and live high-water so the effect is observable.
+//! for the small-but-hot queues this workspace runs. A sift carries the
+//! moving entry in a **hole**: its `(time, seq)` key is read once, as one
+//! `u128`, the entries it passes shift into the hole with one heap write
+//! and one back-pointer write each, and it is placed once at the end —
+//! the comparisons a swap per level would make, in the same order, with
+//! half the stores. [`EngineStats`] counts comparisons and live
+//! high-water so the effect is observable.
 
 mod sync;
 mod time;
@@ -165,6 +170,9 @@ pub struct Engine<E> {
     /// Observability tap: called once per delivered event with its
     /// timestamp. `None` (the default) costs one discriminant test.
     pop_hook: Option<Box<dyn FnMut(SimTime) + Send>>,
+    /// Sift by swapping (the reference the hole sifts are held to).
+    #[cfg(test)]
+    sift_by_swap: bool,
 }
 
 impl<E: std::fmt::Debug> std::fmt::Debug for Engine<E> {
@@ -195,6 +203,8 @@ impl<E> Engine<E> {
             next_seq: 0,
             stats: EngineStats::default(),
             pop_hook: None,
+            #[cfg(test)]
+            sift_by_swap: false,
         }
     }
 
@@ -413,14 +423,19 @@ impl<E> Engine<E> {
         self.free_head = slot;
     }
 
-    /// Whether slot `a` orders strictly before slot `b`. Every heap
-    /// comparison funnels through here for the stats counter.
+    /// Slot `slot`'s `(at, seq)` as one integer: `u128` order is the
+    /// lexicographic order of the pair.
     #[inline]
-    fn before(&mut self, a: u32, b: u32) -> bool {
-        self.stats.comparisons += 1;
-        let sa = &self.slots[a as usize];
-        let sb = &self.slots[b as usize];
-        (sa.at, sa.seq) < (sb.at, sb.seq)
+    fn key(&self, slot: u32) -> u128 {
+        let s = &self.slots[slot as usize];
+        (u128::from(s.at.as_ps()) << 64) | u128::from(s.seq)
+    }
+
+    /// Writes `slot` into heap position `pos`, back-pointer included.
+    #[inline]
+    fn place(&mut self, pos: usize, slot: u32) {
+        self.heap[pos] = slot;
+        self.slots[slot as usize].pos = pos as u32;
     }
 
     /// Removes the heap entry at `pos`, filling the hole with the last
@@ -432,8 +447,7 @@ impl<E> Engine<E> {
             return;
         }
         let moved = self.heap[last];
-        self.heap[pos] = moved;
-        self.slots[moved as usize].pos = pos as u32;
+        self.place(pos, moved);
         self.heap.pop();
         let up = self.sift_up(pos);
         if up == pos {
@@ -442,8 +456,80 @@ impl<E> Engine<E> {
     }
 
     /// Restores the heap property upward from `pos`; returns the entry's
-    /// final position.
+    /// final position. One comparison per level looked at, as a swap per
+    /// level would make.
     fn sift_up(&mut self, mut pos: usize) -> usize {
+        #[cfg(test)]
+        if self.sift_by_swap {
+            return self.sift_up_by_swap(pos);
+        }
+        let moving = self.heap[pos];
+        let key = self.key(moving);
+        while pos > 0 {
+            let parent = (pos - 1) / ARITY;
+            let above = self.heap[parent];
+            self.stats.comparisons += 1;
+            if key >= self.key(above) {
+                break;
+            }
+            self.place(pos, above);
+            pos = parent;
+        }
+        self.place(pos, moving);
+        pos
+    }
+
+    /// Restores the heap property downward from `pos`. Each level costs
+    /// one comparison per child beyond the first to find the least, and
+    /// one of the least against the moving entry.
+    fn sift_down(&mut self, mut pos: usize) {
+        #[cfg(test)]
+        if self.sift_by_swap {
+            return self.sift_down_by_swap(pos);
+        }
+        let len = self.heap.len();
+        let moving = self.heap[pos];
+        let key = self.key(moving);
+        loop {
+            let first = ARITY * pos + 1;
+            if first >= len {
+                break;
+            }
+            let end = (first + ARITY).min(len);
+            let mut best = first;
+            let mut best_key = self.key(self.heap[first]);
+            for child in first + 1..end {
+                let k = self.key(self.heap[child]);
+                if k < best_key {
+                    (best, best_key) = (child, k);
+                }
+            }
+            self.stats.comparisons += (end - first) as u64;
+            if best_key >= key {
+                break;
+            }
+            self.place(pos, self.heap[best]);
+            pos = best;
+        }
+        self.place(pos, moving);
+    }
+}
+
+/// The sifts as they were before the hole: one `swap` per level, every
+/// comparison through `before`. Kept as the reference the lockstep test
+/// holds the hole sifts to — same heap, same back-pointers, same
+/// [`EngineStats::comparisons`] after every operation.
+#[cfg(test)]
+impl<E> Engine<E> {
+    /// Whether slot `a` orders strictly before slot `b`.
+    fn before(&mut self, a: u32, b: u32) -> bool {
+        self.stats.comparisons += 1;
+        let sa = &self.slots[a as usize];
+        let sb = &self.slots[b as usize];
+        (sa.at, sa.seq) < (sb.at, sb.seq)
+    }
+
+    fn sift_up_by_swap(&mut self, mut pos: usize) -> usize {
         while pos > 0 {
             let parent = (pos - 1) / ARITY;
             if !self.before(self.heap[pos], self.heap[parent]) {
@@ -455,8 +541,7 @@ impl<E> Engine<E> {
         pos
     }
 
-    /// Restores the heap property downward from `pos`.
-    fn sift_down(&mut self, mut pos: usize) {
+    fn sift_down_by_swap(&mut self, mut pos: usize) {
         loop {
             let first = ARITY * pos + 1;
             if first >= self.heap.len() {
@@ -478,7 +563,6 @@ impl<E> Engine<E> {
     }
 
     /// Swaps two heap entries, keeping their slots' back-pointers exact.
-    #[inline]
     fn swap(&mut self, a: usize, b: usize) {
         self.heap.swap(a, b);
         self.slots[self.heap[a] as usize].pos = a as u32;
@@ -489,6 +573,7 @@ impl<E> Engine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[derive(Debug, PartialEq, Clone, Copy)]
     enum Ev {
@@ -737,5 +822,83 @@ mod tests {
         }
         while e.pop().is_some() {}
         assert!(e.is_idle());
+    }
+
+    /// Two engines side by side, one sifting through a hole and one by
+    /// swapping: the same heap, back-pointers, free list and counters.
+    fn in_lockstep(hole: &Engine<u32>, swap: &Engine<u32>) -> Result<(), TestCaseError> {
+        prop_assert_eq!(hole.stats(), swap.stats());
+        // First difference only: at depth 1500 the arrays are pages long.
+        prop_assert_eq!(hole.heap.len(), swap.heap.len());
+        let heap_diff = (0..hole.heap.len()).find(|&i| hole.heap[i] != swap.heap[i]);
+        prop_assert_eq!(heap_diff, None, "heap arrays differ at this position");
+        prop_assert_eq!(hole.slots.len(), swap.slots.len());
+        let pos_diff = (0..hole.slots.len()).find(|&i| hole.slots[i].pos != swap.slots[i].pos);
+        prop_assert_eq!(pos_diff, None, "this slot's back-pointer differs");
+        Ok(())
+    }
+
+    proptest! {
+        /// The hole sifts against the swap sifts they replaced, through any
+        /// mix of schedule / schedule_now / cancel / reschedule / pop, on
+        /// queues that start just under and just over one, two and three
+        /// full levels of the 4-ary heap (4, 16, 64) and the 1500-deep
+        /// queue of the paper-scale run. `EngineStats` carries
+        /// `comparisons`, so a sift that looks at one child more or fewer
+        /// fails here by count.
+        #[test]
+        fn lockstep_hole_sifts_match_swap_sifts(
+            depth in 0usize..8,
+            ops in prop::collection::vec((0u8..8, 0u64..2000, 0usize..4096), 1..400),
+        ) {
+            let mut hole: Engine<u32> = Engine::new();
+            let mut swap: Engine<u32> = Engine::new();
+            swap.sift_by_swap = true;
+            let mut keys = Vec::new();
+            let mut next = 0u32;
+            // A scrambled prefill, so the heap is not already sorted.
+            for i in 0..[2u64, 6, 13, 19, 61, 67, 1490, 1510][depth] {
+                let at = SimTime::from_ps(i.wrapping_mul(2654435761) % 1900);
+                let k = hole.schedule(at, next);
+                prop_assert_eq!(k, swap.schedule(at, next));
+                keys.push(k);
+                next += 1;
+                in_lockstep(&hole, &swap)?;
+            }
+            for (op, dt, pick) in ops {
+                let at = hole.now() + Dur::from_ps(dt);
+                let key = (!keys.is_empty()).then(|| pick % keys.len());
+                match (op, key) {
+                    (0 | 1, _) | (_, None) => {
+                        let k = hole.schedule(at, next);
+                        prop_assert_eq!(k, swap.schedule(at, next));
+                        keys.push(k);
+                        next += 1;
+                    }
+                    (2, _) => {
+                        let k = hole.schedule_now(next);
+                        prop_assert_eq!(k, swap.schedule_now(next));
+                        keys.push(k);
+                        next += 1;
+                    }
+                    (3, Some(i)) => {
+                        let k = keys.swap_remove(i);
+                        prop_assert_eq!(hole.cancel(k), swap.cancel(k));
+                    }
+                    // Keys of delivered events stay in `keys`, so stale
+                    // ones are re-aimed (and refused) too.
+                    (4 | 5, Some(i)) => {
+                        prop_assert_eq!(hole.reschedule(keys[i], at), swap.reschedule(keys[i], at));
+                    }
+                    _ => prop_assert_eq!(hole.pop(), swap.pop()),
+                }
+                in_lockstep(&hole, &swap)?;
+            }
+            while let Some(ev) = hole.pop() {
+                prop_assert_eq!(Some(ev), swap.pop());
+                in_lockstep(&hole, &swap)?;
+            }
+            prop_assert!(swap.is_idle());
+        }
     }
 }

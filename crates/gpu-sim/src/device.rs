@@ -199,6 +199,10 @@ pub struct GpuDevice {
     /// Scratch for [`GpuDevice::settle`]: the SMMs whose running set
     /// changed. One flag per SMM, all clear between calls.
     dirty: Vec<bool>,
+    /// Scratch for [`GpuDevice::settle`]: the completion batch in hand,
+    /// traded with the execution engine's queue so neither is re-grown.
+    /// Empty between calls.
+    finished: Vec<(WarpHandle, u64)>,
     obs: Obs,
 }
 
@@ -236,6 +240,7 @@ impl GpuDevice {
             drain_pending: false,
             sm_wake,
             dirty,
+            finished: Vec::new(),
             obs: Obs::off(),
         }
     }
@@ -397,14 +402,11 @@ impl GpuDevice {
     // Host timers
     // ------------------------------------------------------------------
 
-    /// Schedules [`Notify::Host`]`(tag)` at absolute time `at`.
-    pub fn schedule_host(&mut self, at: SimTime, tag: u64) -> EventKey {
-        self.engine.schedule(at, Ev::Host(tag))
-    }
-
-    /// Cancels a host timer.
-    pub fn cancel_host(&mut self, key: EventKey) -> bool {
-        self.engine.cancel(key)
+    /// Schedules [`Notify::Host`]`(tag)` at absolute time `at`. A host
+    /// timer cannot be cancelled: whoever keys state by `tag` is promised
+    /// its delivery.
+    pub fn schedule_host(&mut self, at: SimTime, tag: u64) {
+        self.engine.schedule(at, Ev::Host(tag));
     }
 
     // ------------------------------------------------------------------
@@ -415,7 +417,8 @@ impl GpuDevice {
     /// externally visible happens, returning the notifications of that
     /// instant. Returns `None` when the simulation is quiescent.
     pub fn step(&mut self) -> Option<(SimTime, Vec<Notify>)> {
-        self.step_impl(None)
+        let mut out = Vec::new();
+        self.step_impl(None, &mut out).map(|t| (t, out))
     }
 
     /// Like [`GpuDevice::step`], but refuses to process any event scheduled
@@ -423,15 +426,25 @@ impl GpuDevice {
     /// timeline: the device may never run ahead of the host instant being
     /// modelled.
     pub fn step_bounded(&mut self, bound: SimTime) -> Option<(SimTime, Vec<Notify>)> {
-        self.step_impl(Some(bound))
+        let mut out = Vec::new();
+        self.step_impl(Some(bound), &mut out).map(|t| (t, out))
     }
 
-    /// Timestamp of the next pending event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.engine.peek_time()
+    /// [`GpuDevice::step_bounded`] into a buffer the caller keeps: `out`
+    /// is cleared, then holds the notifications of the returned instant,
+    /// so a driver that passes the same buffer every time allocates
+    /// nothing per delivery. (The buffer cannot be lent out by the device
+    /// instead: whoever handles a notification needs the device mutably —
+    /// to assign a warp, to schedule a timer — while still reading the
+    /// batch.)
+    pub fn step_bounded_into(&mut self, bound: SimTime, out: &mut Vec<Notify>) -> Option<SimTime> {
+        self.step_impl(Some(bound), out)
     }
 
-    fn step_impl(&mut self, bound: Option<SimTime>) -> Option<(SimTime, Vec<Notify>)> {
+    /// The one delivery loop: pops events (none past `bound`) until one
+    /// instant's worth of external notifications is in `out`.
+    fn step_impl(&mut self, bound: Option<SimTime>, out: &mut Vec<Notify>) -> Option<SimTime> {
+        out.clear();
         loop {
             if let Some(b) = bound {
                 match self.engine.peek_time() {
@@ -440,16 +453,15 @@ impl GpuDevice {
                 }
             }
             let (t, ev) = self.engine.pop()?;
-            let mut out = Vec::new();
             match ev {
                 Ev::Host(tag) => out.push(Notify::Host(tag)),
                 Ev::Drain => {
                     self.drain_pending = false;
-                    self.settle(t, &mut out);
+                    self.settle(t, out);
                 }
                 Ev::LaunchIssued { kid } => {
                     self.waiting.push_back(kid);
-                    self.settle(t, &mut out);
+                    self.settle(t, out);
                 }
                 Ev::SmWake { sm } => {
                     // This SMM's one armed prediction just fired; a new
@@ -457,12 +469,12 @@ impl GpuDevice {
                     self.sm_wake[sm as usize] = None;
                     self.exec.advance_sm(sm, t);
                     self.exec.process_completions(sm, t);
-                    self.settle(t, &mut out);
+                    self.settle(t, out);
                     self.reschedule_sm(sm, t);
                 }
             }
             if !out.is_empty() {
-                return Some((t, out));
+                return Some(t);
             }
         }
     }
@@ -623,6 +635,11 @@ impl GpuDevice {
     /// events, iterating to a fixed point. `out` receives external
     /// notifications. Touched SMMs get their wake events re-predicted.
     fn settle(&mut self, now: SimTime, out: &mut Vec<Notify>) {
+        // Nothing to promote, place or report — every `Drain` of a device
+        // that runs only a persistent kernel. No SMM can be dirty either.
+        if self.active.is_empty() && self.waiting.is_empty() && !self.exec.has_finished() {
+            return;
+        }
         let mut dirty = std::mem::take(&mut self.dirty);
         loop {
             while self.active.len() < self.cfg.max_concurrent_kernels as usize {
@@ -632,13 +649,15 @@ impl GpuDevice {
                 }
             }
             let placed = self.try_place(now, &mut dirty);
-            let finished = self.exec.drain_finished();
-            if !placed && finished.is_empty() {
+            self.exec.swap_finished(&mut self.finished);
+            if !placed && self.finished.is_empty() {
                 break;
             }
-            for (w, tag) in finished {
+            for i in 0..self.finished.len() {
+                let (w, tag) = self.finished[i];
                 self.one_finished(now, w, tag, out, &mut dirty);
             }
+            self.finished.clear();
         }
         for (sm, d) in dirty.iter_mut().enumerate() {
             if std::mem::take(d) {
@@ -1025,9 +1044,8 @@ mod tests {
     fn host_timers_fire_in_order() {
         let mut dev = GpuDevice::titan_x();
         dev.schedule_host(SimTime::from_us(10), 1);
-        let key = dev.schedule_host(SimTime::from_us(5), 2);
+        dev.schedule_host(SimTime::from_us(5), 2);
         dev.schedule_host(SimTime::from_us(1), 3);
-        dev.cancel_host(key);
         let mut seen = Vec::new();
         while let Some((_, batch)) = dev.step() {
             for n in batch {
@@ -1036,7 +1054,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(seen, vec![3, 1]);
+        assert_eq!(seen, vec![3, 2, 1]);
     }
 
     #[test]

@@ -180,8 +180,9 @@ pub struct ExecState {
     cap_base: f64,
     /// `32·f`: numerator of the latency-bound per-warp rate.
     rs_base: f64,
-    /// Warps finished since the last [`ExecState::drain_finished`] call,
-    /// as `(warp, tag)` in completion order.
+    /// Warps finished since the last [`ExecState::drain_finished`] (or
+    /// [`ExecState::swap_finished`]) call, as `(warp, tag)` in completion
+    /// order.
     finished: Vec<(WarpHandle, u64)>,
 }
 
@@ -417,7 +418,7 @@ impl ExecState {
                 best
             }
         };
-        Some(now + desim::Dur::from_ps(best.ceil() as u64))
+        Some(now + desim::Dur::from_ps(ceil_ps(best)))
     }
 
     /// Number of running warps on `sm`.
@@ -427,7 +428,26 @@ impl ExecState {
 
     /// Takes the queue of `(warp, tag)` assignment completions.
     pub fn drain_finished(&mut self) -> Vec<(WarpHandle, u64)> {
-        std::mem::take(&mut self.finished)
+        let mut done = Vec::new();
+        self.swap_finished(&mut done);
+        done
+    }
+
+    /// [`ExecState::drain_finished`] into a buffer the caller keeps: the
+    /// queue and the empty `spare` trade places, so both keep their
+    /// capacity and a completion batch allocates nothing.
+    ///
+    /// # Panics
+    /// Panics if `spare` is not empty (its contents would be reported as
+    /// completions at the next call).
+    pub fn swap_finished(&mut self, spare: &mut Vec<(WarpHandle, u64)>) {
+        assert!(spare.is_empty(), "swapping in a non-empty completion queue");
+        std::mem::swap(&mut self.finished, spare);
+    }
+
+    /// Whether any completion waits for [`ExecState::drain_finished`].
+    pub fn has_finished(&self) -> bool {
+        !self.finished.is_empty()
     }
 
     /// Utilization integrals for one SMM.
@@ -573,6 +593,14 @@ impl ExecState {
             }
         }
     }
+}
+
+/// `x.ceil() as u64` for a finite `x ≥ 0`, without the libm call the
+/// baseline x86-64 target makes of `ceil`: truncate, then step up iff
+/// that dropped a fraction.
+fn ceil_ps(x: f64) -> u64 {
+    let whole = x as u64;
+    whole + u64::from((whole as f64) < x)
 }
 
 #[cfg(test)]
@@ -947,6 +975,28 @@ mod tests {
         let tb = ex.next_completion(1, SimTime::ZERO).unwrap();
         assert_eq!(ta, tb, "no cross-SM interference");
         let _ = Dur::ZERO;
+    }
+
+    #[test]
+    fn ceil_ps_is_ceil() {
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        for x in [
+            1.0,
+            2.0,
+            3.5,
+            1e3,
+            4_194_303.5,
+            1e15,
+            2f64.powi(52),
+            2f64.powi(53),
+            1e18,
+        ] {
+            for x in [below(x), x, below(x + 1.0), x + 0.5] {
+                assert_eq!(ceil_ps(x), x.ceil() as u64, "{x}");
+            }
+        }
+        assert_eq!(ceil_ps(0.0), 0);
+        assert_eq!(ceil_ps(f64::MIN_POSITIVE), 1);
     }
 
     #[test]
