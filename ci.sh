@@ -69,6 +69,11 @@ done
 # the Prometheus exposition parses; a violation panics, failing CI.
 run cargo run --release --offline --example multi_tenant -- --devices 2 --prof target/prof_smoke
 
+# Trace smoke: 2048 MPE tasks with a recorder attached. The example
+# asserts every task's five stages chain from its spawn to its output
+# copy and that the chrome trace it writes parses.
+run cargo run --release --offline --example inspect_trace
+
 # The repo benchmark (benchmark/, a package outside this workspace that
 # drives the stack through its public API): build it and run all four
 # workloads, end-to-end then traced, at smoke scale. Exits nonzero on a

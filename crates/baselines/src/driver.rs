@@ -22,7 +22,7 @@ pub fn run_pagoda_with_obs(cfg: PagodaConfig, tasks: &[TaskDesc], obs: Obs) -> R
             .expect("invalid task for Pagoda");
     }
     rt.wait_all();
-    rt.report().into()
+    rt.report()
 }
 
 /// Batched spawning (Fig. 11, "Pagoda-Batching"): no task of batch *k+1*
@@ -39,7 +39,7 @@ pub fn run_pagoda_batched(cfg: PagodaConfig, tasks: &[TaskDesc], batch_size: usi
         }
         rt.wait_all();
     }
-    rt.report().into()
+    rt.report()
 }
 
 #[cfg(test)]

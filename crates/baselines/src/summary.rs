@@ -1,69 +1,7 @@
 //! The common result record every runner produces, so the benchmark
 //! harness can compare Pagoda against each baseline uniformly.
 
-use desim::{Dur, SimTime};
-use pagoda_core::RunReport;
-
-/// What one workload run measured.
-#[derive(Debug, Clone, Copy)]
-pub struct RunSummary {
-    /// End-to-end time including data copies — the paper's "execution
-    /// time" (Figs. 5, 6, 9, 11).
-    pub makespan: Dur,
-    /// Instant the last task finished computing — the paper's "compute
-    /// time" (Figs. 7, 8, Table 5).
-    pub compute_done: SimTime,
-    /// Tasks completed.
-    pub tasks: u64,
-    /// Mean per-task spawn→completion latency (Fig. 10).
-    pub mean_task_latency: Dur,
-    /// Mean fraction of GPU warp slots doing useful work (0 for CPU runs).
-    pub avg_running_occupancy: f64,
-    /// Host→device DMA busy time (Table 3's copy-share numerator).
-    pub h2d_busy: Dur,
-    /// Device→host DMA busy time.
-    pub d2h_busy: Dur,
-    /// Average per-SMM busy time (≥1 warp running) — the profiler-style
-    /// "kernel time" that Table 3's copy share is measured against.
-    pub gpu_busy: Dur,
-}
-
-impl RunSummary {
-    /// Speedup of this run over `other` on end-to-end time.
-    pub fn speedup_over(&self, other: &RunSummary) -> f64 {
-        other.makespan.as_secs_f64() / self.makespan.as_secs_f64()
-    }
-
-    /// Speedup of this run over `other` on compute time only.
-    pub fn compute_speedup_over(&self, other: &RunSummary) -> f64 {
-        other.compute_done.as_secs_f64() / self.compute_done.as_secs_f64()
-    }
-}
-
-impl RunSummary {
-    /// Fraction of profiler-visible activity spent moving data over PCIe:
-    /// `memcpy_time / (memcpy_time + kernel_time)`, the way Table 3's
-    /// "% time spent in data copy" is measured with nvprof.
-    pub fn copy_share(&self) -> f64 {
-        let copies = self.h2d_busy.as_ps() + self.d2h_busy.as_ps();
-        copies as f64 / (copies + self.gpu_busy.as_ps()).max(1) as f64
-    }
-}
-
-impl From<RunReport> for RunSummary {
-    fn from(r: RunReport) -> Self {
-        RunSummary {
-            makespan: r.makespan,
-            compute_done: r.compute_done,
-            tasks: r.tasks,
-            mean_task_latency: r.mean_task_latency,
-            avg_running_occupancy: r.avg_running_occupancy,
-            h2d_busy: r.h2d_busy,
-            d2h_busy: r.d2h_busy,
-            gpu_busy: r.gpu_busy,
-        }
-    }
-}
+pub use pagoda_core::RunSummary;
 
 /// Geometric mean of a slice of ratios (the paper reports geomean
 /// speedups).
@@ -76,6 +14,7 @@ pub fn geomean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use desim::{Dur, SimTime};
 
     #[test]
     fn geomean_basics() {

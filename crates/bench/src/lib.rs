@@ -92,7 +92,7 @@ pub fn run_waves(scheme: Scheme, waves: &[Vec<TaskDesc>]) -> RunSummary {
             }
             rt.wait_all();
         }
-        return rt.report().into();
+        return rt.report();
     }
     let parts: Vec<RunSummary> = waves.iter().map(|w| run_wave(scheme, w)).collect();
     concat_summaries(&parts)

@@ -1,8 +1,6 @@
 //! Fleet topology, fault schedule, retry policy, and the validating
 //! [`ClusterConfigBuilder`].
 
-use std::collections::BTreeSet;
-
 use desim::SimTime;
 use pagoda_core::{ConfigError, PagodaConfig};
 use pcie::PcieConfig;
@@ -60,16 +58,11 @@ pub enum RetryPolicy {
 /// [`ClusterHandle::new`](crate::ClusterHandle::new) re-checks.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// One runtime configuration per device, fleet order. Devices are
-    /// independent — heterogeneous fleets are expressed by varying the
-    /// per-device configs.
+    /// One runtime configuration per device, fleet order; a device's
+    /// index here is its id in observability streams and reports.
+    /// Devices are independent — heterogeneous fleets are expressed by
+    /// varying the per-device configs.
     pub devices: Vec<PagodaConfig>,
-    /// Stable id of each device, parallel to [`devices`]. Ids key
-    /// observability streams and per-device reports. Leave empty to get
-    /// the default `0..n` numbering.
-    ///
-    /// [`devices`]: ClusterConfig::devices
-    pub device_ids: Vec<u32>,
     /// Routing policy across the fleet.
     pub placement: Placement,
     /// Seed for the placement policy's sampling randomness
@@ -102,7 +95,6 @@ impl ClusterConfig {
     pub fn uniform(n: usize) -> Self {
         ClusterConfig {
             devices: vec![PagodaConfig::default(); n],
-            device_ids: Vec::new(),
             placement: Placement::LeastOutstanding,
             seed: 0x5eed_f1ee,
             interconnect: PcieConfig::default(),
@@ -126,20 +118,6 @@ impl ClusterConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.devices.is_empty() {
             return Err(ConfigError::NoDevices);
-        }
-        if !self.device_ids.is_empty() {
-            if self.device_ids.len() != self.devices.len() {
-                return Err(ConfigError::DeviceIdCountMismatch {
-                    ids: self.device_ids.len(),
-                    devices: self.devices.len(),
-                });
-            }
-            let mut seen = BTreeSet::new();
-            for &id in &self.device_ids {
-                if !seen.insert(id) {
-                    return Err(ConfigError::DuplicateDeviceId { id });
-                }
-            }
         }
         for (device, cfg) in self.devices.iter().enumerate() {
             cfg.validate().map_err(|source| ConfigError::FleetDevice {
@@ -165,12 +143,6 @@ impl ClusterConfig {
         }
         Ok(())
     }
-
-    /// The id of fleet device `index`: explicit when
-    /// [`device_ids`](ClusterConfig::device_ids) is set, else `index`.
-    pub fn device_id(&self, index: usize) -> u32 {
-        self.device_ids.get(index).copied().unwrap_or(index as u32)
-    }
 }
 
 /// Validating builder for [`ClusterConfig`], mirroring
@@ -194,19 +166,9 @@ pub struct ClusterConfigBuilder {
 }
 
 impl ClusterConfigBuilder {
-    /// Append a device, assigning it the next free ordinal id.
+    /// Append a device.
     pub fn device(mut self, cfg: PagodaConfig) -> Self {
-        let id = self.cfg.device_ids.len() as u32;
         self.cfg.devices.push(cfg);
-        self.cfg.device_ids.push(id);
-        self
-    }
-
-    /// Append a device with an explicit id. Duplicate ids are rejected
-    /// by [`build`](ClusterConfigBuilder::build).
-    pub fn device_with_id(mut self, id: u32, cfg: PagodaConfig) -> Self {
-        self.cfg.devices.push(cfg);
-        self.cfg.device_ids.push(id);
         self
     }
 
@@ -264,33 +226,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_assigns_ordinal_ids() {
-        let cfg = ClusterConfig::builder()
-            .device(PagodaConfig::default())
-            .device(PagodaConfig::default())
-            .device(PagodaConfig::default())
-            .build()
-            .expect("three uniform devices are valid");
-        assert_eq!(cfg.device_ids, vec![0, 1, 2]);
-        assert_eq!(cfg.device_id(1), 1);
-    }
-
-    #[test]
     fn builder_rejects_empty_fleet() {
         assert_eq!(
             ClusterConfig::builder().build().unwrap_err(),
             ConfigError::NoDevices
         );
-    }
-
-    #[test]
-    fn builder_rejects_duplicate_ids() {
-        let err = ClusterConfig::builder()
-            .device_with_id(7, PagodaConfig::default())
-            .device_with_id(7, PagodaConfig::default())
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::DuplicateDeviceId { id: 7 });
     }
 
     #[test]
@@ -304,16 +244,6 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
-    }
-
-    #[test]
-    fn validate_rejects_id_count_mismatch() {
-        let mut cfg = ClusterConfig::uniform(2);
-        cfg.device_ids = vec![0];
-        assert_eq!(
-            cfg.validate().unwrap_err(),
-            ConfigError::DeviceIdCountMismatch { ids: 1, devices: 2 }
-        );
     }
 
     #[test]

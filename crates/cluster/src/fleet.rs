@@ -255,7 +255,7 @@ impl Device {
 /// Per-device slice of a [`FleetReport`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceReport {
-    /// Device id ([`ClusterConfig::device_ids`], fleet index by default).
+    /// Device id: its fleet index.
     pub device: u32,
     /// Whether the device was still serving at report time.
     pub alive: bool,
@@ -342,9 +342,7 @@ impl ClusterHandle {
     ///
     /// # Errors
     /// Any [`ConfigError`] from validation — [`ConfigError::NoDevices`],
-    /// [`ConfigError::FleetDevice`], [`ConfigError::BadFault`],
-    /// [`ConfigError::DuplicateDeviceId`],
-    /// [`ConfigError::DeviceIdCountMismatch`].
+    /// [`ConfigError::FleetDevice`], [`ConfigError::BadFault`].
     pub fn new(cfg: ClusterConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let mut faults = cfg.faults.clone();
@@ -361,7 +359,7 @@ impl ClusterHandle {
             .enumerate()
             .map(|(i, c)| Device {
                 rt: PagodaRuntime::new(c.clone()),
-                id: cfg.device_id(i),
+                id: i as u32,
                 clock: ClockMap::identity(),
                 alive: true,
                 unobserved: Vec::new(),

@@ -7,9 +7,6 @@
 //! threadblocks at scheduling time (Algorithm 1, line 19) and recycled when
 //! the threadblock finishes (line 39).
 
-/// Barrier IDs available per MTB under the PTX model.
-pub const NUM_BARRIER_IDS: u16 = 16;
-
 /// A named-barrier ID in `0..16`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BarrierId(pub u8);

@@ -1,12 +1,16 @@
-//! Runtime configuration: machine choice plus the measured-constant knobs
-//! of the Pagoda implementation (entry sizes, scheduler-warp cycle costs,
-//! host API costs). Defaults approximate the paper's Titan X testbed; the
-//! benchmark harness never tunes these per experiment — one calibration
-//! serves every figure.
+//! Runtime configuration: machine choice, TaskTable height, the polling
+//! timeout, and the four scheduler-warp cycle costs the ablations vary.
+//! Defaults approximate the paper's Titan X testbed; the benchmark harness
+//! never tunes these per experiment — one calibration serves every figure,
+//! and the rest of it (entry sizes, scan and barrier costs, CPI, spawn
+//! cost) is constants in [`crate::runtime`].
 
 use desim::Dur;
+use gpu_arch::TaskShape;
 use gpu_sim::DeviceConfig;
 use pcie::PcieConfig;
+
+use crate::smem::MIN_BLOCK_BYTES;
 
 /// Full Pagoda runtime configuration.
 #[derive(Debug, Clone)]
@@ -17,18 +21,9 @@ pub struct PagodaConfig {
     pub pcie: PcieConfig,
     /// TaskTable rows per column (paper: 32).
     pub rows_per_column: u32,
-    /// Bytes of one TaskTable entry as copied over PCIe (parameters,
-    /// kernel pointer, shape, flags).
-    pub entry_bytes: u64,
-    /// Host CPU work per `taskSpawn` call (find entry, marshal arguments,
-    /// enqueue the copy).
-    pub spawn_cpu_cost: Dur,
     /// `wait`/`waitAll` polling timeout before forcing a TaskTable
     /// copy-back (paper §4.2.2, "these functions therefore use a timeout").
     pub wait_timeout: Dur,
-    /// Scheduler-warp cycles to scan the column and pick up one action.
-    /// Added to every action below.
-    pub sched_scan_cycles: u64,
     /// Cycles for the ready-chain update (Algorithm 1, lines 5-13).
     pub chain_update_cycles: u64,
     /// Fixed cycles of one `pSched` invocation (Algorithm 2 setup).
@@ -38,17 +33,6 @@ pub struct PagodaConfig {
     /// Cycles for one shared-memory allocation attempt, including the
     /// deferred-deallocation drain (Algorithm 1, lines 21-24).
     pub smem_alloc_cycles: u64,
-    /// Cycles to allocate a named barrier ID.
-    pub barrier_alloc_cycles: u64,
-    /// CPI of scheduler-warp bookkeeping code (shared-memory resident
-    /// tables, some divergence).
-    pub sched_cpi: f64,
-    /// Extra cycles appended to every executor warp for the completion
-    /// epilogue (Algorithm 1, lines 34-43: dealloc marking, doneCtr,
-    /// flag clears).
-    pub exec_epilogue_cycles: u64,
-    /// Bytes of the flag-only host write used by the final-task flush.
-    pub flag_write_bytes: u64,
 }
 
 impl Default for PagodaConfig {
@@ -57,18 +41,11 @@ impl Default for PagodaConfig {
             device: DeviceConfig::titan_x(),
             pcie: PcieConfig::default(),
             rows_per_column: 32,
-            entry_bytes: 192,
-            spawn_cpu_cost: Dur::from_ns(1200),
             wait_timeout: Dur::from_us(20),
-            sched_scan_cycles: 120,
             chain_update_cycles: 150,
             psched_cycles_base: 100,
             psched_cycles_per_warp: 40,
             smem_alloc_cycles: 250,
-            barrier_alloc_cycles: 60,
-            sched_cpi: 2.0,
-            exec_epilogue_cycles: 80,
-            flag_write_bytes: 8,
         }
     }
 }
@@ -89,13 +66,25 @@ impl PagodaConfig {
     /// shared memory, capped at the paper's 32 KB (Titan X: exactly
     /// 32 KB; K40: 16 KB of its 24 KB half, the rest holds the
     /// scheduling structures). The runtime sizes its pools from this;
-    /// capacity checkers bound `MtbSample::free_smem` with it.
+    /// capacity checkers bound `MtbSample::free_smem` with it. Meaningful
+    /// only for a device [`validate`](Self::validate) accepts.
     pub fn mtb_pool_bytes(&self) -> u32 {
         let per_mtb = self.device.spec.smem_per_sm / 2;
         if per_mtb >= 32 * 1024 {
             32 * 1024
         } else {
             1u32 << (31 - per_mtb.leading_zeros())
+        }
+    }
+
+    /// The MasterKernel's launch shape (paper §4.1): two 1024-thread MTBs
+    /// per SMM at the `-maxrregcount` cap of 32, each reserving its pool.
+    pub(crate) fn master_kernel_shape(&self) -> TaskShape {
+        TaskShape {
+            threads_per_tb: 1024,
+            num_tbs: self.num_mtbs(),
+            regs_per_thread: 32,
+            smem_per_tb: self.mtb_pool_bytes(),
         }
     }
 
@@ -120,24 +109,29 @@ impl PagodaConfig {
                 max: MAX_ROWS_PER_COLUMN,
             });
         }
-        if self.entry_bytes == 0 {
-            return Err(ConfigError::ZeroEntryBytes);
-        }
-        if !(self.sched_cpi.is_finite() && self.sched_cpi > 0.0) {
-            return Err(ConfigError::NonPositiveCpi {
-                cpi: self.sched_cpi,
-            });
-        }
         if self.wait_timeout == Dur::ZERO {
             return Err(ConfigError::ZeroWaitTimeout);
         }
-        Ok(())
+        let spec = &self.device.spec;
+        let reason = if spec.num_sms == 0 {
+            "the device has no SMMs"
+        } else if spec.smem_per_sm / 2 < MIN_BLOCK_BYTES {
+            "an SMM's shared memory cannot hold two 512 B MTB pools"
+        } else if !spec
+            .occupancy_of(&self.master_kernel_shape())
+            .is_ok_and(|o| o.tbs_per_sm >= 2)
+        {
+            "fewer than two MTBs fit one SMM"
+        } else {
+            return Ok(());
+        };
+        Err(ConfigError::MasterKernelDoesNotFit { reason })
     }
 }
 
 /// Upper bound on TaskTable rows per column. The scheduler warp scans its
 /// whole column every pass; beyond this the scan cost model (a flat
-/// `sched_scan_cycles`) stops being credible.
+/// per-action scan charge) stops being credible.
 pub const MAX_ROWS_PER_COLUMN: u32 = 1024;
 
 /// Why a configuration build was rejected — by
@@ -155,32 +149,17 @@ pub enum ConfigError {
         /// The cap.
         max: u32,
     },
-    /// `entry_bytes == 0`: entry copies would be free, hiding the PCIe
-    /// cost the paper measures.
-    ZeroEntryBytes,
-    /// `sched_cpi` is not a finite positive number.
-    NonPositiveCpi {
-        /// The offending value.
-        cpi: f64,
-    },
     /// `wait_timeout == 0`: `wait`/`waitAll` would poll without advancing
     /// time and trip the livelock guard.
     ZeroWaitTimeout,
+    /// The device cannot hold the MasterKernel: two 1024-thread MTBs
+    /// resident on every SMM, each with a buddy pool of at least 512 B.
+    MasterKernelDoesNotFit {
+        /// What the device lacks.
+        reason: &'static str,
+    },
     /// A fleet configuration named no devices.
     NoDevices,
-    /// Two fleet devices share an id; ids key observability streams and
-    /// reports, so they must be unique.
-    DuplicateDeviceId {
-        /// The repeated id.
-        id: u32,
-    },
-    /// A fleet named explicit device ids but not one per device.
-    DeviceIdCountMismatch {
-        /// Ids given.
-        ids: usize,
-        /// Devices configured.
-        devices: usize,
-    },
     /// One device's [`PagodaConfig`] failed validation.
     FleetDevice {
         /// Index of the offending device within the fleet.
@@ -205,18 +184,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::TooManyRows { rows, max } => {
                 write!(f, "rows_per_column {rows} exceeds the maximum {max}")
             }
-            ConfigError::ZeroEntryBytes => write!(f, "entry_bytes must be nonzero"),
-            ConfigError::NonPositiveCpi { cpi } => {
-                write!(f, "sched_cpi must be finite and positive, got {cpi}")
-            }
             ConfigError::ZeroWaitTimeout => write!(f, "wait_timeout must be nonzero"),
+            ConfigError::MasterKernelDoesNotFit { reason } => {
+                write!(f, "the MasterKernel does not fit the device: {reason}")
+            }
             ConfigError::NoDevices => write!(f, "a fleet needs at least one device"),
-            ConfigError::DuplicateDeviceId { id } => {
-                write!(f, "fleet device id {id} is used more than once")
-            }
-            ConfigError::DeviceIdCountMismatch { ids, devices } => {
-                write!(f, "{ids} device id(s) given for {devices} device(s)")
-            }
             ConfigError::FleetDevice { device, source } => {
                 write!(f, "fleet device {device} configuration invalid: {source}")
             }
@@ -245,7 +217,6 @@ impl std::error::Error for ConfigError {
 ///
 /// let cfg = PagodaConfig::builder()
 ///     .rows_per_column(16)
-///     .entry_bytes(256)
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(cfg.total_entries(), cfg.num_mtbs() * 16);
@@ -272,34 +243,9 @@ impl PagodaConfigBuilder {
         self.cfg.rows_per_column = rows;
         self
     }
-    /// Sets the bytes of one TaskTable entry as copied over PCIe.
-    pub fn entry_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.entry_bytes = bytes;
-        self
-    }
-    /// Sets the host CPU work per spawn call.
-    pub fn spawn_cpu_cost(mut self, cost: Dur) -> Self {
-        self.cfg.spawn_cpu_cost = cost;
-        self
-    }
     /// Sets the `wait`/`waitAll` polling timeout.
     pub fn wait_timeout(mut self, timeout: Dur) -> Self {
         self.cfg.wait_timeout = timeout;
-        self
-    }
-    /// Sets the scheduler-warp CPI.
-    pub fn sched_cpi(mut self, cpi: f64) -> Self {
-        self.cfg.sched_cpi = cpi;
-        self
-    }
-    /// Sets the cycles for one column scan.
-    pub fn sched_scan_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.sched_scan_cycles = cycles;
-        self
-    }
-    /// Sets the cycles for one ready-chain update.
-    pub fn chain_update_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.chain_update_cycles = cycles;
         self
     }
 
@@ -347,21 +293,6 @@ mod tests {
             }
         );
         assert_eq!(
-            PagodaConfig::builder().entry_bytes(0).build().unwrap_err(),
-            ConfigError::ZeroEntryBytes
-        );
-        assert!(matches!(
-            PagodaConfig::builder().sched_cpi(0.0).build().unwrap_err(),
-            ConfigError::NonPositiveCpi { .. }
-        ));
-        assert!(matches!(
-            PagodaConfig::builder()
-                .sched_cpi(f64::NAN)
-                .build()
-                .unwrap_err(),
-            ConfigError::NonPositiveCpi { .. }
-        ));
-        assert_eq!(
             PagodaConfig::builder()
                 .wait_timeout(Dur::ZERO)
                 .build()
@@ -371,24 +302,44 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_a_device_the_master_kernel_cannot_occupy() {
+        fn with(edit: impl FnOnce(&mut gpu_arch::GpuSpec)) -> Result<(), ConfigError> {
+            let mut cfg = PagodaConfig::default();
+            edit(&mut cfg.device.spec);
+            cfg.validate()
+        }
+        let misfit = |reason| Err(ConfigError::MasterKernelDoesNotFit { reason });
+        assert_eq!(with(|s| s.num_sms = 0), misfit("the device has no SMMs"));
+        for smem in [0, 1, 1023] {
+            assert_eq!(
+                with(|s| s.smem_per_sm = smem),
+                misfit("an SMM's shared memory cannot hold two 512 B MTB pools")
+            );
+        }
+        // One 1024-thread MTB at 32 registers a thread takes 32 K.
+        assert_eq!(
+            with(|s| s.regs_per_sm = 48 * 1024),
+            misfit("fewer than two MTBs fit one SMM")
+        );
+        assert_eq!(
+            with(|s| s.max_threads_per_tb = 512),
+            misfit("fewer than two MTBs fit one SMM")
+        );
+        // The smallest pool, one SMM, and the K40 all fit.
+        assert_eq!(with(|s| s.smem_per_sm = 1024), Ok(()));
+        assert_eq!(with(|s| s.num_sms = 1), Ok(()));
+        assert_eq!(with(|s| *s = gpu_arch::GpuSpec::tesla_k40()), Ok(()));
+    }
+
+    #[test]
     fn builder_setters_apply() {
         let c = PagodaConfig::builder()
             .rows_per_column(8)
-            .entry_bytes(128)
-            .spawn_cpu_cost(Dur::from_ns(500))
             .wait_timeout(Dur::from_us(5))
-            .sched_cpi(1.5)
-            .sched_scan_cycles(90)
-            .chain_update_cycles(110)
             .build()
             .unwrap();
         assert_eq!(c.rows_per_column, 8);
-        assert_eq!(c.entry_bytes, 128);
-        assert_eq!(c.spawn_cpu_cost, Dur::from_ns(500));
         assert_eq!(c.wait_timeout, Dur::from_us(5));
-        assert!((c.sched_cpi - 1.5).abs() < 1e-12);
-        assert_eq!(c.sched_scan_cycles, 90);
-        assert_eq!(c.chain_update_cycles, 110);
     }
 
     #[test]
@@ -399,9 +350,12 @@ mod tests {
         assert!(ConfigError::ZeroWaitTimeout
             .to_string()
             .contains("wait_timeout"));
-        assert!(ConfigError::DuplicateDeviceId { id: 7 }
-            .to_string()
-            .contains('7'));
+        assert!(ConfigError::BadFault {
+            index: 7,
+            reason: "why"
+        }
+        .to_string()
+        .contains('7'));
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub mod warptable;
 pub use backend::Backend;
 pub use config::{ConfigError, PagodaConfig, PagodaConfigBuilder};
 pub use errors::{Capacity, PagodaError, SubmitError};
-pub use runtime::{PagodaRuntime, RunReport};
+pub use runtime::{PagodaRuntime, RunSummary};
 pub use table::{EntryIndex, EntryState, Ready, TaskId};
 pub use task::{TaskDesc, TaskError, MAX_THREADS_PER_TASK_TB};
-pub use trace::{write_chrome_trace, TaskTrace};
+pub use trace::TaskTrace;

@@ -29,7 +29,6 @@
 //! layers.
 
 use desim::{Dur, SimTime};
-use gpu_arch::TaskShape;
 use gpu_sim::{GpuDevice, GroupId, Notify, Segment};
 use pagoda_obs::{Counter, MtbSample, Obs, TaskState};
 use pcie::{Direction, PcieBus, StreamId};
@@ -53,6 +52,30 @@ const TAG_PAYLOAD_MASK: u64 = (1 << 40) - 1;
 /// The GPU side reached for an entry's [`Resident`] outside the span the
 /// CPU's claim and the task's last warp bound.
 const NO_PARAMS: &str = "invariant: a scheduled entry holds its task's parameters";
+
+// The calibration no experiment varies; the knobs one does vary are
+// `PagodaConfig`'s.
+
+/// Bytes of one TaskTable entry as copied over PCIe (parameters, kernel
+/// pointer, shape, flags).
+const ENTRY_BYTES: u64 = 192;
+/// Bytes of the flag-only host write used by the final-task flush.
+const FLAG_WRITE_BYTES: u64 = 8;
+/// Host CPU work per `taskSpawn` call (find entry, marshal arguments,
+/// enqueue the copy).
+const SPAWN_CPU_COST: Dur = Dur::from_ns(1200);
+/// Scheduler-warp cycles to scan the column and pick up one action.
+/// Added to every action.
+const SCHED_SCAN_CYCLES: u64 = 120;
+/// Cycles to allocate a named barrier ID.
+const BARRIER_ALLOC_CYCLES: u64 = 60;
+/// CPI of scheduler-warp bookkeeping code (shared-memory resident tables,
+/// some divergence).
+const SCHED_CPI: f64 = 2.0;
+/// Extra cycles appended to every executor warp for the completion
+/// epilogue (Algorithm 1, lines 34-43: dealloc marking, doneCtr, flag
+/// clears).
+const EXEC_EPILOGUE_CYCLES: u64 = 80;
 
 /// Host-event payloads staged for PCIe visibility instants.
 #[derive(Debug, Clone, Copy)]
@@ -134,9 +157,11 @@ struct TaskRecord {
 
 const _: () = assert!(std::mem::size_of::<TaskRecord>() <= 64);
 
-/// End-of-run measurements, the quantities the paper's figures plot.
+/// End-of-run measurements, the quantities the paper's figures plot —
+/// this runtime's and every baseline runner's (`baselines` re-exports
+/// it), so a figure compares them field for field.
 #[derive(Debug, Clone, Copy)]
-pub struct RunReport {
+pub struct RunSummary {
     /// Host time when the workload finished (copies included) — the
     /// "execution time" of Figs. 5, 6, 9, 11.
     pub makespan: Dur,
@@ -147,18 +172,40 @@ pub struct RunReport {
     pub tasks: u64,
     /// Mean spawn→GPU-completion latency — Fig. 10's metric.
     pub mean_task_latency: Dur,
-    /// Mean fraction of device warp slots doing useful work.
+    /// Mean fraction of device warp slots doing useful work (0 for CPU
+    /// runs).
     pub avg_running_occupancy: f64,
-    /// Host→device channel busy time.
+    /// Host→device channel busy time (Table 3's copy-share numerator).
     pub h2d_busy: Dur,
     /// Device→host channel busy time.
     pub d2h_busy: Dur,
-    /// Average per-SMM busy time (≥1 warp running).
+    /// Average per-SMM busy time (≥1 warp running) — the profiler-style
+    /// "kernel time" Table 3's copy share is measured against.
     pub gpu_busy: Dur,
 }
 
+impl RunSummary {
+    /// Speedup of this run over `other` on end-to-end time.
+    pub fn speedup_over(&self, other: &RunSummary) -> f64 {
+        other.makespan.as_secs_f64() / self.makespan.as_secs_f64()
+    }
+
+    /// Speedup of this run over `other` on compute time only.
+    pub fn compute_speedup_over(&self, other: &RunSummary) -> f64 {
+        other.compute_done.as_secs_f64() / self.compute_done.as_secs_f64()
+    }
+
+    /// Fraction of profiler-visible activity spent moving data over PCIe:
+    /// `memcpy_time / (memcpy_time + kernel_time)`, the way Table 3's
+    /// "% time spent in data copy" is measured with nvprof.
+    pub fn copy_share(&self) -> f64 {
+        let copies = self.h2d_busy.as_ps() + self.d2h_busy.as_ps();
+        copies as f64 / (copies + self.gpu_busy.as_ps()).max(1) as f64
+    }
+}
+
 /// The runtime. Create one per workload run; drive it with the Table 1
-/// API; read a [`RunReport`] at the end.
+/// API; read a [`RunSummary`] at the end.
 #[derive(Debug)]
 pub struct PagodaRuntime {
     cfg: PagodaConfig,
@@ -221,20 +268,14 @@ impl PagodaRuntime {
     /// 100 % occupancy) and builds the mirrored TaskTable.
     ///
     /// # Panics
-    /// Panics if the MasterKernel shape cannot occupy the configured
-    /// device (it fits every supported spec).
+    /// Panics if the MasterKernel cannot occupy the device, which
+    /// [`PagodaConfig::validate`] rejects.
     pub fn new(cfg: PagodaConfig) -> Self {
         let mut device = GpuDevice::new(cfg.device.clone());
         let smem_slice = cfg.mtb_pool_bytes();
-        let mk_shape = TaskShape {
-            threads_per_tb: 1024,
-            num_tbs: cfg.num_mtbs(),
-            regs_per_thread: 32, // the paper's -maxrregcount cap
-            smem_per_tb: smem_slice,
-        };
         let tbs = device
-            .launch_persistent(mk_shape)
-            .expect("MasterKernel must fit the device");
+            .launch_persistent(cfg.master_kernel_shape())
+            .expect("invariant: a validated config's MasterKernel fits the device");
         let mtbs: Vec<MtbState> = tbs
             .into_iter()
             .map(|tb| {
@@ -324,7 +365,7 @@ impl PagodaRuntime {
         let Some(entry) = self.find_free_entry() else {
             return Err(SubmitError::Full(desc));
         };
-        self.host_advance(self.cfg.spawn_cpu_cost);
+        self.host_advance(SPAWN_CPU_COST);
         Ok(self.spawn_at(entry, desc))
     }
 
@@ -437,7 +478,7 @@ impl PagodaRuntime {
             self.host_now,
             self.h2d,
             Direction::HostToDevice,
-            self.cfg.entry_bytes + desc.input_bytes,
+            ENTRY_BYTES + desc.input_bytes,
         );
         self.stage(
             tr.complete,
@@ -542,9 +583,9 @@ impl PagodaRuntime {
     }
 
     /// Measurements for the run so far. Call after [`PagodaRuntime::wait_all`].
-    pub fn report(&mut self) -> RunReport {
+    pub fn report(&mut self) -> RunSummary {
         let n = self.tasks.len().max(1) as u64;
-        RunReport {
+        RunSummary {
             makespan: self.host_now - SimTime::ZERO,
             compute_done: self.compute_done,
             tasks: self.completed,
@@ -688,7 +729,7 @@ impl PagodaRuntime {
     /// into the CPU view.
     fn copyback_all(&mut self) {
         self.obs.count(Counter::TaskTableCopybacks, 1);
-        let bytes = u64::from(self.cfg.total_entries()) * self.cfg.entry_bytes;
+        let bytes = u64::from(self.cfg.total_entries()) * ENTRY_BYTES;
         let tr = self
             .bus
             .transfer(self.host_now, self.d2h, Direction::DeviceToHost, bytes);
@@ -707,7 +748,7 @@ impl PagodaRuntime {
             self.host_now,
             self.d2h,
             Direction::DeviceToHost,
-            self.cfg.entry_bytes,
+            ENTRY_BYTES,
         );
         self.host_advance_to(tr.complete);
         self.merge_entry(e);
@@ -751,7 +792,7 @@ impl PagodaRuntime {
             self.host_now,
             self.d2h,
             Direction::DeviceToHost,
-            self.cfg.entry_bytes,
+            ENTRY_BYTES,
         );
         self.host_advance_to(tr.complete);
         if self.spawn_inflight[self.eidx(e)] {
@@ -765,7 +806,7 @@ impl PagodaRuntime {
                     self.host_now,
                     self.h2d,
                     Direction::HostToDevice,
-                    self.cfg.flag_write_bytes,
+                    FLAG_WRITE_BYTES,
                 );
                 self.stage(trw.complete, HostEv::FlushWriteVisible { e });
                 self.chain_open = false;
@@ -883,12 +924,12 @@ impl PagodaRuntime {
         let m = &mut self.mtbs[mi];
         m.busy = true;
         m.action = Some(action);
-        let total_cycles = cycles + self.cfg.sched_scan_cycles;
+        let total_cycles = cycles + SCHED_SCAN_CYCLES;
         self.device.assign_warp_parts(
             m.sched_warp,
             &[Segment::Compute(total_cycles * 32)],
             None,
-            self.cfg.sched_cpi,
+            SCHED_CPI,
             TAG_SCHED | mi as u64,
         );
     }
@@ -926,8 +967,9 @@ impl PagodaRuntime {
         if let Some(job) = &self.mtbs[mi].job {
             let m = &self.mtbs[mi];
             return match job.phase {
-                JobPhase::NeedBarrier => (m.barriers.available() > 0)
-                    .then_some((Action::JobStep, c.barrier_alloc_cycles)),
+                JobPhase::NeedBarrier => {
+                    (m.barriers.available() > 0).then_some((Action::JobStep, BARRIER_ALLOC_CYCLES))
+                }
                 JobPhase::NeedSmem => {
                     let size = self.desc(job.entry).smem_per_tb;
                     (m.buddy.has_pending_deallocs() || m.buddy.can_alloc(size))
@@ -1154,7 +1196,7 @@ impl PagodaRuntime {
         self.device.assign_warp_parts(
             self.mtbs[mi].exec_warps[slot],
             &work.segments,
-            Some(Segment::Compute(self.cfg.exec_epilogue_cycles * 32)),
+            Some(Segment::Compute(EXEC_EPILOGUE_CYCLES * 32)),
             work.cpi,
             TAG_EXEC | (mi as u64 * 64 + slot as u64),
         );

@@ -277,14 +277,6 @@ impl BuddyAllocator {
     pub fn check_invariant(&self) -> bool {
         (1..self.node_limit()).all(|n| !self.marked[n] || self.marked[(n - 1) / 2])
     }
-
-    /// Live allocation roots (diagnostics/property tests).
-    pub fn live_allocations(&self) -> Vec<NodeId> {
-        (0..self.node_limit())
-            .filter(|&n| self.is_root[n])
-            .map(|n| NodeId(n as u16))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -9,17 +9,10 @@
 //!   call        lands             marks (1,1)      dispatch       warp        lands
 //! ```
 //!
-//! [`TaskTrace::phases`] turns a trace into named spans, and
-//! [`write_chrome_trace`] emits the whole run in the Chrome tracing
-//! format (`chrome://tracing` / Perfetto), one row per TaskTable column.
-//!
-//! For richer exports — per-SMM resource tracks, per-tenant task tracks,
-//! counters — attach a `pagoda_obs::MemRecorder` via
-//! [`crate::PagodaRuntime::attach_obs`] and use
-//! `pagoda_obs::export::write_chrome_trace` on its buffer; this module's
-//! exporter remains for trace-only runs without a recorder.
-
-use std::io::{self, Write};
+//! [`TaskTrace::phases`] turns a trace into named spans. For a timeline
+//! file — task spans, per-SMM resource tracks, counters — attach a
+//! recorder via [`crate::PagodaRuntime::attach_obs`] and use
+//! `pagoda_obs::write_chrome_trace` on its buffer.
 
 use desim::SimTime;
 
@@ -76,31 +69,6 @@ impl TaskTrace {
     }
 }
 
-/// Writes traces in the Chrome tracing JSON array format. Rows (`tid`)
-/// are TaskTable columns, so the viewer shows each MTB's task stream.
-pub fn write_chrome_trace<W: Write>(traces: &[TaskTrace], mut w: W) -> io::Result<()> {
-    writeln!(w, "[")?;
-    let mut first = true;
-    for t in traces {
-        for (name, start, end) in t.phases() {
-            if !first {
-                writeln!(w, ",")?;
-            }
-            first = false;
-            write!(
-                w,
-                "{{\"name\":\"T{} {name}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-                 \"ts\":{:.3},\"dur\":{:.3}}}",
-                t.task.0,
-                t.column,
-                start.as_us_f64(),
-                (end - start).as_us_f64().max(0.001),
-            )?;
-        }
-    }
-    writeln!(w, "\n]")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,17 +105,5 @@ mod tests {
         t.output_done = None;
         assert_eq!(t.phases().len(), 2);
         assert!(t.latency().is_none());
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json() {
-        let mut buf = Vec::new();
-        write_chrome_trace(&[sample(), sample()], &mut buf).unwrap();
-        let s = String::from_utf8(buf).unwrap();
-        assert!(s.trim_start().starts_with('['));
-        assert!(s.trim_end().ends_with(']'));
-        assert_eq!(s.matches("\"ph\":\"X\"").count(), 10);
-        // Balanced braces (cheap well-formedness check).
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
     }
 }

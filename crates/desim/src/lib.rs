@@ -59,18 +59,6 @@ pub use time::{Dur, SimTime};
 pub struct EventKey(u64);
 
 impl EventKey {
-    /// The key's raw bits, for storage in untyped slots (benches,
-    /// FFI-ish tables). Round-trips through [`EventKey::from_raw`].
-    pub fn into_raw(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds a key from [`EventKey::into_raw`] bits. Only bits that
-    /// came from the same engine's `into_raw` name a real event.
-    pub fn from_raw(raw: u64) -> Self {
-        EventKey(raw)
-    }
-
     fn new(slot: u32, gen: u32) -> Self {
         EventKey((u64::from(gen) << 32) | u64::from(slot))
     }
@@ -167,9 +155,6 @@ pub struct Engine<E> {
     free_head: u32,
     next_seq: u64,
     stats: EngineStats,
-    /// Observability tap: called once per delivered event with its
-    /// timestamp. `None` (the default) costs one discriminant test.
-    pop_hook: Option<Box<dyn FnMut(SimTime) + Send>>,
     /// Sift by swapping (the reference the hole sifts are held to).
     #[cfg(test)]
     sift_by_swap: bool,
@@ -181,7 +166,6 @@ impl<E: std::fmt::Debug> std::fmt::Debug for Engine<E> {
             .field("now", &self.now)
             .field("queue_len", &self.heap.len())
             .field("stats", &self.stats)
-            .field("pop_hook", &self.pop_hook.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -202,41 +186,9 @@ impl<E> Engine<E> {
             free_head: NIL,
             next_seq: 0,
             stats: EngineStats::default(),
-            pop_hook: None,
             #[cfg(test)]
             sift_by_swap: false,
         }
-    }
-
-    /// Installs the event-pop observability hook, returning whatever hook
-    /// was installed before (or `None`). The hook fires once per
-    /// delivered event, after the clock advances — the tap observability
-    /// and invariant-checking layers use to watch engine events without
-    /// the engine depending on them. A layer that wants to *add* a tap
-    /// rather than replace one chains the returned hook inside its own:
-    ///
-    /// ```
-    /// # use desim::{Engine, SimTime};
-    /// # let mut eng: Engine<u32> = Engine::new();
-    /// let mut prev = eng.set_pop_hook(Box::new(|_| {}));
-    /// eng.set_pop_hook(Box::new(move |t: SimTime| {
-    ///     // ... this layer's tap ...
-    ///     if let Some(h) = prev.as_mut() {
-    ///         h(t);
-    ///     }
-    /// }));
-    /// ```
-    pub fn set_pop_hook(
-        &mut self,
-        hook: Box<dyn FnMut(SimTime) + Send>,
-    ) -> Option<Box<dyn FnMut(SimTime) + Send>> {
-        self.pop_hook.replace(hook)
-    }
-
-    /// Removes the event-pop hook, restoring the zero-cost path. Returns
-    /// the removed hook, if any.
-    pub fn clear_pop_hook(&mut self) -> Option<Box<dyn FnMut(SimTime) + Send>> {
-        self.pop_hook.take()
     }
 
     /// Current virtual time. Advances only inside [`Engine::pop`].
@@ -341,9 +293,6 @@ impl<E> Engine<E> {
         self.free(slot);
         self.now = at;
         self.stats.delivered += 1;
-        if let Some(hook) = &mut self.pop_hook {
-            hook(at);
-        }
         Some((at, event))
     }
 
@@ -734,36 +683,6 @@ mod tests {
         let mut e = Engine::new();
         e.schedule(SimTime::from_ns(5), Ev::A);
         e.advance_to(SimTime::from_ns(6));
-    }
-
-    #[test]
-    fn pop_hook_fires_per_delivered_event() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        let hits = Arc::new(AtomicU64::new(0));
-        let mut e = Engine::new();
-        let k = e.schedule(SimTime::from_ns(1), Ev::A);
-        e.schedule(SimTime::from_ns(2), Ev::B);
-        e.schedule(SimTime::from_ns(3), Ev::C);
-        e.cancel(k);
-        let h = hits.clone();
-        e.set_pop_hook(Box::new(move |_| {
-            h.fetch_add(1, Ordering::Relaxed);
-        }));
-        while e.pop().is_some() {}
-        assert_eq!(
-            hits.load(Ordering::Relaxed),
-            2,
-            "cancelled event not counted"
-        );
-        e.clear_pop_hook();
-        e.schedule(SimTime::from_ns(9), Ev::A);
-        e.pop();
-        assert_eq!(
-            hits.load(Ordering::Relaxed),
-            2,
-            "cleared hook must not fire"
-        );
     }
 
     #[test]

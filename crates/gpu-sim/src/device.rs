@@ -204,6 +204,9 @@ pub struct GpuDevice {
     /// Empty between calls.
     finished: Vec<(WarpHandle, u64)>,
     obs: Obs,
+    /// `obs.enabled()` at attach: whether each delivered engine event
+    /// bumps [`Counter::EngineEvents`].
+    count_events: bool,
 }
 
 impl GpuDevice {
@@ -242,20 +245,16 @@ impl GpuDevice {
             dirty,
             finished: Vec::new(),
             obs: Obs::off(),
+            count_events: false,
         }
     }
 
-    /// Attaches an observability handle. The event engine's pop hook
-    /// counts delivered events; launch/placement/retire/assignment paths
-    /// emit per-SMM resource samples at each residency change.
+    /// Attaches an observability handle. A recorder that retains events
+    /// counts every delivered engine event; launch/placement/retire/
+    /// assignment paths emit per-SMM resource samples at each residency
+    /// change.
     pub fn attach_obs(&mut self, obs: Obs) {
-        if obs.enabled() {
-            let tap = obs.clone();
-            self.engine
-                .set_pop_hook(Box::new(move |_| tap.count(Counter::EngineEvents, 1)));
-        } else {
-            self.engine.clear_pop_hook();
-        }
+        self.count_events = obs.enabled();
         self.obs = obs;
     }
 
@@ -453,6 +452,9 @@ impl GpuDevice {
                 }
             }
             let (t, ev) = self.engine.pop()?;
+            if self.count_events {
+                self.obs.count(Counter::EngineEvents, 1);
+            }
             match ev {
                 Ev::Host(tag) => out.push(Notify::Host(tag)),
                 Ev::Drain => {
@@ -1100,16 +1102,21 @@ mod tests {
     }
 
     #[test]
-    fn obs_samples_residency_changes() {
+    fn obs_samples_residency_and_counts_deliveries() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
         let mut dev = GpuDevice::new(quiet_cfg());
         let (obs, rec) = Obs::recording();
         dev.attach_obs(obs);
         let k = KernelDesc::uniform(shape(256, 2), WarpWork::compute(32_000, 4.0), 9);
-        dev.launch_kernel(k).unwrap();
+        dev.launch_kernel(k.clone()).unwrap();
         run_all(&mut dev);
         let buf = rec.snapshot();
         assert_eq!(buf.counter(Counter::KernelLaunches), 1);
-        assert!(buf.counter(Counter::EngineEvents) > 0);
+        // Recorded from boot: one count per delivered engine event.
+        let delivered = dev.engine_stats().delivered;
+        assert!(delivered > 0);
+        assert_eq!(buf.counter(Counter::EngineEvents), delivered);
         // One sample per TB place + one per TB retire.
         assert_eq!(buf.smm.len(), 4);
         let placed = &buf.smm[0];
@@ -1118,6 +1125,33 @@ mod tests {
         let retired = buf.smm.last().unwrap();
         assert_eq!(retired.resident_warps, 0);
         assert_eq!(retired.running_warps, 0);
+
+        // Detached, the device stops counting.
+        dev.attach_obs(Obs::off());
+        dev.launch_kernel(k.clone()).unwrap();
+        run_all(&mut dev);
+        assert!(dev.engine_stats().delivered > delivered);
+        assert_eq!(rec.snapshot().counter(Counter::EngineEvents), delivered);
+
+        // A counters-only recorder (`retains()` false, as `benchmark/`'s
+        // `Counters`) gets the counters but no engine events.
+        #[derive(Default)]
+        struct Counters([AtomicU64; Counter::ALL.len()]);
+        impl pagoda_obs::Recorder for Counters {
+            fn count(&self, c: Counter, delta: u64) {
+                self.0[c as usize].fetch_add(delta, Ordering::Relaxed);
+            }
+            fn retains(&self) -> bool {
+                false
+            }
+        }
+        let counters = std::sync::Arc::new(Counters::default());
+        dev.attach_obs(Obs::new(counters.clone()));
+        dev.launch_kernel(k).unwrap();
+        run_all(&mut dev);
+        let read = |c: Counter| counters.0[c as usize].load(Ordering::Relaxed);
+        assert_eq!(read(Counter::KernelLaunches), 1);
+        assert_eq!(read(Counter::EngineEvents), 0);
     }
 
     #[test]

@@ -1,20 +1,15 @@
-//! Exporters over an [`ObsBuffer`]: chrome://tracing JSON (one track per
-//! SMM and one per tenant), CSV timelines, and a serde JSON summary.
-//!
-//! The chrome exporter subsumes the older per-task
-//! `pagoda_core::write_chrome_trace`: that one draws task phases only;
-//! this one adds per-SMM resource counter tracks (resident warps, free
-//! registers/smem, TB slots) and groups task spans by tenant, so the
-//! warp-granularity claims are visible against the resources they free.
+//! The exporter over an [`ObsBuffer`]: chrome://tracing JSON with task
+//! spans grouped by tenant beside per-SMM, per-MTB and per-device
+//! counter tracks, so the warp-granularity claims are visible against
+//! the resources they free — plus [`check_json`], which its tests and
+//! smokes validate output with.
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
-use serde::Serialize;
-
 use crate::events::TaskState;
 use crate::recorder::ObsBuffer;
-use crate::writer::{us, write_csv, TraceEvents};
+use crate::writer::{us, TraceEvents};
 
 /// Human-readable phase label for the span *beginning* at `state`.
 fn phase_name(state: TaskState) -> &'static str {
@@ -141,141 +136,6 @@ pub fn write_chrome_trace<W: Write>(buf: &ObsBuffer, w: &mut W) -> io::Result<()
             (4, "fleet devices"),
         ],
     )
-}
-
-/// Writes the per-SMM samples as CSV (`at_ps,sm,resident_warps,free_regs,
-/// free_smem,free_tb_slots`).
-pub fn write_smm_csv<W: Write>(buf: &ObsBuffer, w: &mut W) -> io::Result<()> {
-    write_csv(
-        w,
-        "at_ps,sm,resident_warps,running_warps,free_regs,free_smem,free_tb_slots",
-        &buf.smm,
-        |s| {
-            format!(
-                "{},{},{},{},{},{},{}",
-                s.at_ps,
-                s.sm,
-                s.resident_warps,
-                s.running_warps,
-                s.free_regs,
-                s.free_smem,
-                s.free_tb_slots
-            )
-        },
-    )
-}
-
-/// Writes the per-MTB samples as CSV (`at_ps,mtb,free_warp_slots,
-/// free_smem,used_entries`).
-pub fn write_mtb_csv<W: Write>(buf: &ObsBuffer, w: &mut W) -> io::Result<()> {
-    write_csv(
-        w,
-        "at_ps,mtb,free_warp_slots,free_smem,used_entries",
-        &buf.mtb,
-        |s| {
-            format!(
-                "{},{},{},{},{}",
-                s.at_ps, s.mtb, s.free_warp_slots, s.free_smem, s.used_entries
-            )
-        },
-    )
-}
-
-/// Writes the per-fleet-device samples as CSV (`at_ps,device,known_free,
-/// outstanding,alive`).
-pub fn write_device_csv<W: Write>(buf: &ObsBuffer, w: &mut W) -> io::Result<()> {
-    write_csv(
-        w,
-        "at_ps,device,known_free,outstanding,alive",
-        &buf.devices,
-        |s| {
-            format!(
-                "{},{},{},{},{}",
-                s.at_ps,
-                s.device,
-                s.known_free,
-                s.outstanding,
-                u32::from(s.alive)
-            )
-        },
-    )
-}
-
-/// Writes the task lifecycle events as CSV (`at_ps,task,state`).
-pub fn write_task_csv<W: Write>(buf: &ObsBuffer, w: &mut W) -> io::Result<()> {
-    write_csv(w, "at_ps,task,state", &buf.tasks, |ev| {
-        format!("{},{},{}", ev.at_ps, ev.task, ev.state.name())
-    })
-}
-
-/// Aggregate view of a recorded run, for JSON-lines harness output.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct ObsSummary {
-    /// Tasks that reached `Spawned`.
-    pub tasks_spawned: u64,
-    /// Tasks that reached `Freed`.
-    pub tasks_freed: u64,
-    /// Tasks that reached every lifecycle state.
-    pub complete_spans: u64,
-    /// Mean spawned→running latency over complete spans, picoseconds.
-    pub mean_spawn_to_running_ps: u64,
-    /// Max spawned→running latency over complete spans, picoseconds.
-    pub max_spawn_to_running_ps: u64,
-    /// Number of per-SMM samples taken.
-    pub smm_samples: u64,
-    /// Number of per-MTB samples taken.
-    pub mtb_samples: u64,
-    /// Number of per-fleet-device samples taken.
-    pub device_samples: u64,
-    /// Final counter totals (all counters, zeros included), keyed by the
-    /// interned [`crate::events::Counter::name`].
-    pub counters: BTreeMap<&'static str, u64>,
-}
-
-/// Reduces a buffer to its [`ObsSummary`].
-pub fn summarize(buf: &ObsBuffer) -> ObsSummary {
-    let mut timelines: BTreeMap<u64, [Option<u64>; 5]> = BTreeMap::new();
-    for ev in &buf.tasks {
-        let slot = &mut timelines.entry(ev.task).or_insert([None; 5])[ev.state as usize];
-        if slot.is_none() {
-            *slot = Some(ev.at_ps);
-        }
-    }
-    let mut spawned = 0u64;
-    let mut freed = 0u64;
-    let mut complete = 0u64;
-    let mut lat_sum = 0u64;
-    let mut lat_max = 0u64;
-    for tl in timelines.values() {
-        spawned += u64::from(tl[TaskState::Spawned as usize].is_some());
-        freed += u64::from(tl[TaskState::Freed as usize].is_some());
-        if tl.iter().all(Option::is_some) {
-            complete += 1;
-            let lat = tl[TaskState::Running as usize]
-                .unwrap_or(0)
-                .saturating_sub(tl[TaskState::Spawned as usize].unwrap_or(0));
-            lat_sum += lat;
-            lat_max = lat_max.max(lat);
-        }
-    }
-    ObsSummary {
-        tasks_spawned: spawned,
-        tasks_freed: freed,
-        complete_spans: complete,
-        mean_spawn_to_running_ps: lat_sum / complete.max(1),
-        max_spawn_to_running_ps: lat_max,
-        smm_samples: buf.smm.len() as u64,
-        mtb_samples: buf.mtb.len() as u64,
-        device_samples: buf.devices.len() as u64,
-        counters: buf.counters.clone(),
-    }
-}
-
-/// Writes [`summarize`]'s output as one JSON object.
-pub fn write_json_summary<W: Write>(buf: &ObsBuffer, w: &mut W) -> io::Result<()> {
-    let json =
-        serde_json::to_string(&summarize(buf)).expect("vendored serde_json encoder is infallible");
-    writeln!(w, "{json}")
 }
 
 /// Minimal JSON *syntax* validator. The vendored `serde_json` serializes
@@ -491,44 +351,6 @@ mod tests {
             last_ts.insert(name, ts);
         }
         assert!(!last_ts.is_empty());
-    }
-
-    #[test]
-    fn csv_exports_have_headers_and_rows() {
-        let buf = sample_buffer();
-        let mut out = Vec::new();
-        write_smm_csv(&buf, &mut out).unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.starts_with("at_ps,sm,"));
-        assert_eq!(s.lines().count(), 1 + buf.smm.len());
-
-        let mut out = Vec::new();
-        write_task_csv(&buf, &mut out).unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert_eq!(s.lines().count(), 1 + buf.tasks.len());
-        assert!(s.contains(",spawned"));
-
-        let mut out = Vec::new();
-        write_device_csv(&buf, &mut out).unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.starts_with("at_ps,device,"));
-        assert_eq!(s.lines().count(), 1 + buf.devices.len());
-    }
-
-    #[test]
-    fn summary_aggregates() {
-        let buf = sample_buffer();
-        let sum = summarize(&buf);
-        assert_eq!(sum.tasks_spawned, 4);
-        assert_eq!(sum.tasks_freed, 4);
-        assert_eq!(sum.complete_spans, 4);
-        assert_eq!(sum.mean_spawn_to_running_ps, 300);
-        assert_eq!(sum.max_spawn_to_running_ps, 300);
-        assert_eq!(sum.device_samples, 4);
-        assert_eq!(sum.counters["pcie_h2d_transactions"], 12);
-        let mut out = Vec::new();
-        write_json_summary(&buf, &mut out).unwrap();
-        check_json(String::from_utf8(out).unwrap().trim()).unwrap();
     }
 
     #[test]

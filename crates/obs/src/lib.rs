@@ -2,9 +2,9 @@
 //!
 //! Pagoda's claims are timeline claims: warp-granularity freeing,
 //! TaskTable occupancy, spawn-to-start latency. This crate is the one
-//! place those timelines are captured. Every instrumented crate
-//! (`desim`, `pcie`, `gpu-sim`, `pagoda-core`, `baselines`,
-//! `pagoda-serve`) holds a cloned [`Obs`] handle and reports:
+//! place those timelines are captured. Every instrumented crate (`pcie`,
+//! `gpu-sim`, `pagoda-core`, `baselines`, `pagoda-serve`) holds a cloned
+//! [`Obs`] handle and reports:
 //!
 //! * **task lifecycle spans** — [`TaskState`]: spawned → enqueued →
 //!   placed → running → freed;
@@ -17,10 +17,10 @@
 //! ([`Obs::off`]) costs one `Option` discriminant test per site.
 //! Recording goes through the three-method [`Recorder`] trait — one
 //! [`Event`] enum, counter bumps, and `retains()` — and the stock
-//! [`MemRecorder`] buffers for the exporters in [`export`]
-//! (chrome://tracing with one track per SMM and per tenant, CSV
-//! timelines, JSON summary); `benchmark/` reports what recording costs
-//! in sim throughput as `obs.mem_overhead_pct`.
+//! [`MemRecorder`] buffers for the exporter in [`export`]
+//! (chrome://tracing with one track per SMM and per tenant);
+//! `benchmark/` reports what recording costs in sim throughput as
+//! `obs.mem_overhead_pct`.
 //!
 //! # Example
 //!
@@ -47,5 +47,5 @@ pub use events::{
     Counter, DeviceSample, Event, MarkKind, MtbSample, SmmSample, SyncKind, SyncMark, TaskEvent,
     TaskMark, TaskRoute, TaskState, TenantTag,
 };
-pub use export::{summarize, write_chrome_trace, ObsSummary};
+pub use export::write_chrome_trace;
 pub use recorder::{MemRecorder, Obs, ObsBuffer, Recorder};

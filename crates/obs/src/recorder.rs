@@ -111,19 +111,6 @@ impl ObsBuffer {
         }
         tl
     }
-
-    /// The instants of `task`'s serving-layer marks, [`MarkKind::ALL`]
-    /// order. `None` for marks never emitted (first emission wins).
-    pub fn task_marks(&self, task: u64) -> [Option<u64>; 3] {
-        let mut tl = [None; 3];
-        for m in self.marks.iter().filter(|m| m.task == task) {
-            let slot = &mut tl[m.kind as usize];
-            if slot.is_none() {
-                *slot = Some(m.at_ps);
-            }
-        }
-        tl
-    }
 }
 
 /// Events per ring chunk. Chunks are allocated whole and never grow, so
@@ -567,12 +554,11 @@ mod tests {
         obs.mark(100, 7, MarkKind::Arrived);
         obs.mark(130, 7, MarkKind::Admitted);
         obs.mark(900, 7, MarkKind::Observed);
-        obs.mark(950, 7, MarkKind::Observed); // duplicate: first wins
+        obs.mark(950, 7, MarkKind::Observed); // duplicate: retained too
         obs.route(7, 2);
         obs.route(7, 3); // resubmission: both retained, last wins downstream
         let buf = rec.snapshot();
         assert_eq!(buf.marks.len(), 4);
-        assert_eq!(buf.task_marks(7), [Some(100), Some(130), Some(900)]);
         assert_eq!(buf.routes.len(), 2);
         assert_eq!(buf.routes[1].device, 3);
     }

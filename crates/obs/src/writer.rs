@@ -1,6 +1,6 @@
-//! Shared exporter plumbing: the header/row/flush boilerplate the CSV,
-//! chrome-trace, and downstream (Prometheus / folded-stack) exporters
-//! would otherwise each copy.
+//! Shared exporter plumbing: the text assembly the chrome-trace and
+//! downstream (Prometheus / folded-stack) exporters would otherwise each
+//! copy.
 //!
 //! Everything here is deliberately dumb: deterministic text assembly
 //! with no buffering policy of its own (callers bring a `BufWriter` if
@@ -16,22 +16,6 @@ pub fn us(ps: u64) -> String {
     let mut s = String::new();
     serde::ser::write_f64(&mut s, ps as f64 / 1e6);
     s
-}
-
-/// Writes one CSV table: a header line, then `row(item)` per item. The
-/// row closure returns the comma-joined cells *without* the trailing
-/// newline.
-pub fn write_csv<W: Write, T>(
-    w: &mut W,
-    header: &str,
-    rows: impl IntoIterator<Item = T>,
-    mut row: impl FnMut(&T) -> String,
-) -> io::Result<()> {
-    writeln!(w, "{header}")?;
-    for item in rows {
-        writeln!(w, "{}", row(&item))?;
-    }
-    Ok(())
 }
 
 /// Escapes a value for use inside a Prometheus label or a folded-stack
@@ -99,16 +83,6 @@ impl TraceEvents {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn csv_rows_follow_header() {
-        let mut out = Vec::new();
-        write_csv(&mut out, "a,b", [(1, 2), (3, 4)], |(a, b)| {
-            format!("{a},{b}")
-        })
-        .unwrap();
-        assert_eq!(String::from_utf8(out).unwrap(), "a,b\n1,2\n3,4\n");
-    }
 
     #[test]
     fn trace_events_sort_stably_by_ts() {

@@ -208,11 +208,6 @@ impl PcieBus {
         self.stats[dir.idx()]
     }
 
-    /// Earliest instant the DMA engine for `dir` is idle.
-    pub fn channel_free_at(&self, dir: Direction) -> SimTime {
-        self.channel_free[dir.idx()]
-    }
-
     /// The configured link parameters.
     pub fn config(&self) -> &PcieConfig {
         &self.cfg

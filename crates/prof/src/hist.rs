@@ -131,15 +131,6 @@ impl LogHist {
             self.quantile_ppm(990_000),
         )
     }
-
-    /// Non-empty buckets as `(lower_bound, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(b, &c)| (lower_bound(b), c))
-    }
 }
 
 /// Serialized as the compact nonzero-bucket list (the vendored serde has

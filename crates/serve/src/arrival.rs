@@ -14,7 +14,7 @@
 //! Both are driven by a seeded [`SmallRng`], so an arrival timeline is a
 //! pure function of `(spec, seed)`.
 
-use desim::{Dur, SimTime};
+use desim::SimTime;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -165,11 +165,6 @@ fn exp_sample(rng: &mut SmallRng, rate_per_ps: f64) -> f64 {
     assert!(rate_per_ps > 0.0, "arrival rate must be positive");
     let u: f64 = rng.gen(); // [0, 1)
     -(1.0 - u).ln() / rate_per_ps
-}
-
-/// Mean inter-arrival gap of `spec` (convenience for sizing horizons).
-pub fn mean_gap(spec: &ArrivalSpec) -> Dur {
-    Dur::from_ps((PS_PER_S / spec.mean_rate_per_s()) as u64)
 }
 
 #[cfg(test)]

@@ -131,11 +131,6 @@ impl WeightedFair {
             len: 0,
         }
     }
-
-    /// Queued tasks of one tenant.
-    pub fn tenant_len(&self, tenant: usize) -> usize {
-        self.queues[tenant].len()
-    }
 }
 
 impl QosScheduler for WeightedFair {

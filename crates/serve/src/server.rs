@@ -31,7 +31,6 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use desim::Dur;
-use pagoda_core::trace::TaskTrace;
 use pagoda_core::{Backend, PagodaConfig, PagodaRuntime, SubmitError, TaskDesc};
 use pagoda_obs::{Counter, MarkKind, Obs};
 use pagoda_prof::{SloSpec, SloTracker};
@@ -179,9 +178,6 @@ pub struct ServeOutcome {
     pub report: ServeReport,
     /// One record per offered arrival, in arrival order.
     pub records: Vec<TaskRecord>,
-    /// Runtime-level timelines of every *spawned* task, in spawn order
-    /// (feed to [`pagoda_core::trace::write_chrome_trace`]).
-    pub traces: Vec<TaskTrace>,
 }
 
 struct Arrival {
@@ -552,11 +548,7 @@ pub fn serve_on<B: Backend + ?Sized>(
             .map(SloTracker::report)
             .collect(),
     };
-    Ok(ServeOutcome {
-        report,
-        records,
-        traces: rt.traces(),
-    })
+    Ok(ServeOutcome { report, records })
 }
 
 /// SplitMix64 — decorrelates the per-tenant seeds derived from the

@@ -1,15 +1,19 @@
 //! Pipeline inspection: where do narrow tasks spend their time?
 //!
-//! Runs a burst of MPE tasks through Pagoda, then breaks every task's
-//! life into the paper's §4.3 pipeline stages (spawn → entry copy →
-//! chain/flush → pSched dispatch → execution → output copy), printing
-//! stage-duration percentiles and writing a Chrome-tracing/Perfetto file
-//! you can open at `chrome://tracing`.
+//! Runs a burst of MPE tasks through Pagoda with a recorder attached,
+//! then breaks every task's life into the paper's §4.3 pipeline stages
+//! (spawn → entry copy → chain/flush → pSched dispatch → execution →
+//! output copy), printing stage-duration percentiles and writing a
+//! Chrome-tracing/Perfetto file you can open at `chrome://tracing`.
+//!
+//! Doubles as a smoke test (`ci.sh` runs it): it panics unless every
+//! task's stages chain from its spawn to its output copy and the trace
+//! file is well-formed JSON.
 //!
 //! Run with `cargo run --release --example inspect_trace`.
 
 use pagoda::prelude::*;
-use pagoda_core::write_chrome_trace;
+use pagoda_obs::export::check_json;
 use workloads::mpe;
 
 fn pct(sorted: &[f64], p: f64) -> f64 {
@@ -20,6 +24,8 @@ fn main() {
     let n = 2048;
     let tasks = mpe::tasks(n, &GenOpts::default());
     let mut rt = PagodaRuntime::titan_x();
+    let (obs, recorder) = Obs::recording();
+    rt.attach_obs(obs);
     for t in &tasks {
         rt.spawn_blocking(t.clone())
             .expect("the task fits the device");
@@ -27,27 +33,29 @@ fn main() {
     rt.wait_all();
 
     let traces = rt.traces();
+    assert_eq!(traces.len(), n);
+    for t in &traces {
+        let stages = t.phases();
+        assert_eq!(stages.len(), 5, "{:?} stopped short", t.task);
+        assert_eq!(stages[0].1, t.spawned);
+        for w in stages.windows(2) {
+            assert_eq!(w[0].2, w[1].1, "{:?}: stages must chain", t.task);
+        }
+        assert_eq!(Some(stages[4].2), t.output_done);
+    }
     println!("traced {} tasks through the Pagoda pipeline", traces.len());
     println!(
         "{:>22} {:>10} {:>10} {:>10}",
         "stage", "p50 us", "p90 us", "p99 us"
     );
-    for stage in [
-        "spawn→visible",
-        "visible→schedulable",
-        "schedulable→exec",
-        "exec→done",
-        "done→output",
-    ] {
+    for (i, (stage, _, _)) in traces[0].phases().into_iter().enumerate() {
         let mut durs: Vec<f64> = traces
             .iter()
-            .flat_map(|t| t.phases())
-            .filter(|(name, _, _)| *name == stage)
-            .map(|(_, s, e)| (e - s).as_us_f64())
+            .map(|t| {
+                let (_, s, e) = t.phases()[i];
+                (e - s).as_us_f64()
+            })
             .collect();
-        if durs.is_empty() {
-            continue;
-        }
         durs.sort_by(f64::total_cmp);
         println!(
             "{:>22} {:>10.2} {:>10.2} {:>10.2}",
@@ -58,17 +66,18 @@ fn main() {
         );
     }
 
+    let mut trace = Vec::new();
+    pagoda_obs::write_chrome_trace(&recorder.snapshot(), &mut trace).expect("render trace");
+    check_json(std::str::from_utf8(&trace).expect("trace is utf-8")).expect("trace parses");
     let path = std::env::temp_dir().join("pagoda_trace.json");
-    let file = std::fs::File::create(&path).expect("create trace file");
-    write_chrome_trace(&traces, std::io::BufWriter::new(file)).expect("write trace");
+    std::fs::write(&path, &trace).expect("write trace file");
     println!("\nChrome-tracing file written to {} —", path.display());
-    println!("open chrome://tracing (or ui.perfetto.dev) and load it; rows are MTB columns.");
+    println!("open chrome://tracing (or ui.perfetto.dev) and load it.");
 
-    let lats: Vec<f64> = traces
+    let mut sorted: Vec<f64> = traces
         .iter()
         .filter_map(|t| t.latency().map(|d| d.as_us_f64()))
         .collect();
-    let mut sorted = lats.clone();
     sorted.sort_by(f64::total_cmp);
     println!(
         "\nend-to-end task latency: p50 {:.1} us, p99 {:.1} us over {} tasks",

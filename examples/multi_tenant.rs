@@ -182,7 +182,7 @@ fn main() {
     pagoda_obs::write_chrome_trace(&buf, &mut w).expect("write trace");
     println!(
         "\ntimeline of {} spawned tasks + {} per-SMM resource samples written to {}",
-        out.traces.len(),
+        out.records.iter().filter(|r| r.spawn_us.is_some()).count(),
         buf.smm.len(),
         path.display()
     );

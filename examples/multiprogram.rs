@@ -53,11 +53,10 @@ fn main() {
         gemtc.makespan
     );
     println!("20-core CPU   : {}", pth.makespan);
-    let p: RunSummary = pagoda.into();
     println!(
         "Pagoda speedups: {:.2}x over HyperQ, {:.2}x over GeMTC, {:.2}x over PThreads",
-        p.speedup_over(&hyperq),
-        p.speedup_over(&gemtc),
-        p.speedup_over(&pth),
+        pagoda.speedup_over(&hyperq),
+        pagoda.speedup_over(&gemtc),
+        pagoda.speedup_over(&pth),
     );
 }

@@ -64,7 +64,7 @@ fn main() {
     );
     println!(
         "Pagoda speedup over PThreads: {:.2}x; mean packet latency {}",
-        RunSummary::from(gpu).speedup_over(&cpu),
+        gpu.speedup_over(&cpu),
         gpu.mean_task_latency
     );
 }

@@ -1,0 +1,173 @@
+//! Hostile configurations (ROADMAP item 3): whatever a caller hands the
+//! runtime, a fleet or the serving loop comes back as a typed error or
+//! runs 64 small tasks with none lost — never a panic in a constructor.
+//! Drawn: SMM count, shared memory and registers from {0, 1, small,
+//! Titan X}, every setter `PagodaConfig::builder()` has, and 0–4-device
+//! fleets with out-of-range, non-finite and killing faults. Not drawn,
+//! because each still ends in a panic: a zero link bandwidth, a sub-µs
+//! fleet polling slice, a fleet with every device killed.
+
+use pagoda::prelude::*;
+use proptest::prelude::*;
+
+const TASKS: usize = 64;
+
+/// `hostile[i]`, or the paper's value past the end: drawing `i` from
+/// twice the list's length keeps about half the draws on the paper's
+/// machine, so a configuration with five hostile axes still validates
+/// often enough to run.
+fn pick<T: Copy>(hostile: &[T], i: usize, paper: T) -> T {
+    hostile.get(i).copied().unwrap_or(paper)
+}
+
+/// A runtime configuration with every remaining setter drawn from a
+/// hostile set: the SMM count, shared memory and register file from
+/// {0, 1, small, Titan X}, and the table height and polling timeout
+/// around their bounds.
+fn arb_config() -> impl Strategy<Value = PagodaConfig> {
+    let axes = (0usize..8, 0usize..8, 0usize..8, 0usize..12, 0usize..6);
+    (axes, prop::bool::ANY).prop_map(|((sms, smem, regs, rows, wait), slow_link)| {
+        let paper = PagodaConfig::default();
+        let mut device = paper.device.clone();
+        let spec = &mut device.spec;
+        spec.num_sms = pick(&[0, 1, 3, 24], sms, spec.num_sms);
+        // 4 KB: a 2 KB pool per MTB, the smallest kind of SMM that fits.
+        spec.smem_per_sm = pick(&[0, 1, 4 * 1024, 96 * 1024], smem, spec.smem_per_sm);
+        // 32 K: one MasterKernel threadblock, not two.
+        spec.regs_per_sm = pick(&[0, 1, 32 * 1024, 64 * 1024], regs, spec.regs_per_sm);
+        let mut pcie = paper.pcie.clone();
+        if slow_link {
+            pcie.bw_h2d = 1.0e8;
+            pcie.latency = Dur::from_us(5);
+        }
+        // No sub-µs slice: a fleet polls its clock forward one slice at a
+        // time (each sync costs device time, not fleet time), so 1 ps
+        // would crawl to the livelock guard.
+        let waits = [Dur::ZERO, Dur::from_us(1), Dur::from_ms(1)];
+        PagodaConfig {
+            device,
+            pcie,
+            rows_per_column: pick(&[0, 1, 7, 32, 1024, 1025], rows, paper.rows_per_column),
+            wait_timeout: pick(&waits, wait, paper.wait_timeout),
+            ..paper
+        }
+    })
+}
+
+/// Faults aimed at devices 0..=4 of a fleet of up to four, slowdowns
+/// by factors from {NaN, 0.5, 1, 2, 4, ∞}. Kills never aim at device 0,
+/// so a fleet keeps a survivor to spawn onto (a fleet with every device
+/// dead has nowhere to put a blocking spawn).
+fn arb_fault() -> impl Strategy<Value = FaultSpec> {
+    (0usize..3, 0usize..5, 0usize..9).prop_map(|(at, device, kind)| {
+        let factors = [f64::NAN, 0.5, 1.0, 4.0, f64::INFINITY];
+        FaultSpec {
+            at: [SimTime::ZERO, SimTime::from_us(3), SimTime::from_us(40)][at],
+            device: if kind < 3 { device.max(1) } else { device },
+            kind: match kind {
+                0..=2 => FaultKind::Kill,
+                k => FaultKind::Slow {
+                    factor: pick(&factors, k - 3, 2.0),
+                },
+            },
+        }
+    })
+}
+
+/// Small tasks of three kinds: long enough (~90 us) to be in flight
+/// when a fault lands, synchronizing (named barriers), and short; every
+/// other one copies an output back.
+fn small_task(i: usize) -> TaskDesc {
+    let mut t = match i % 3 {
+        0 => TaskDesc::uniform(64, WarpWork::compute(200_000, 8.0)),
+        1 => TaskDesc::uniform(96, WarpWork::phased(6_000, 2, 2.0)),
+        _ => TaskDesc::uniform(32, WarpWork::compute(2_000, 2.0)),
+    };
+    t.output_bytes = (i as u64 % 2) * 4096;
+    t
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 128, // each case is a few milliseconds
+        .. ProptestConfig::default()
+    })]
+
+    #[test]
+    fn a_runtime_config_is_rejected_or_runs_every_task(cfg in arb_config()) {
+        let builder = PagodaConfig::builder()
+            .device(cfg.device.clone())
+            .pcie(cfg.pcie.clone())
+            .rows_per_column(cfg.rows_per_column)
+            .wait_timeout(cfg.wait_timeout);
+        let Ok(cfg) = builder.build() else {
+            return Ok(());
+        };
+        let mut rt = PagodaRuntime::new(cfg);
+        let ids: Vec<TaskId> =
+            (0..TASKS).map(|i| rt.spawn_blocking(small_task(i)).unwrap()).collect();
+        rt.wait_all();
+        prop_assert_eq!(rt.report().tasks, TASKS as u64);
+        prop_assert!(ids.iter().all(|&id| rt.observed_done(id).unwrap()));
+    }
+
+    #[test]
+    fn a_fleet_config_is_rejected_or_loses_no_task(
+        devices in 0usize..5,
+        odd in arb_config(),
+        which in 0usize..4,
+        faults in prop::collection::vec(arb_fault(), 0..4),
+        retry in 0usize..4,
+    ) {
+        let retry = [
+            RetryPolicy::Fail,
+            RetryPolicy::Resubmit { max_attempts: 0 },
+            RetryPolicy::Resubmit { max_attempts: 2 },
+            RetryPolicy::Resubmit { max_attempts: 5 },
+        ][retry];
+        let mut builder = ClusterConfig::builder().retry(retry);
+        // One device of the fleet is drawn hostile; a whole fleet of
+        // them would almost never validate.
+        for i in 0..devices {
+            let paper = PagodaConfig::default();
+            builder = builder.device(if i == which { odd.clone() } else { paper });
+        }
+        for f in &faults {
+            builder = builder.fault(*f);
+        }
+        let Ok(cfg) = builder.build() else {
+            return Ok(());
+        };
+        let mut fleet = ClusterHandle::new(cfg).expect("a validated fleet builds");
+        let keys: Vec<u64> =
+            (0..TASKS).map(|i| fleet.spawn_blocking(0, small_task(i)).unwrap()).collect();
+        fleet.wait_all();
+        let report = fleet.report();
+        // Every task resolves, as done or as a loss the fleet reports.
+        let resolved = |k| matches!(fleet.status(k), Ok(TaskStatus::Done | TaskStatus::Lost));
+        prop_assert!(keys.iter().all(|&k| resolved(k)));
+        prop_assert_eq!(report.completed + report.tasks_lost, TASKS as u64);
+        // A task is stranded once per kill at most, so a retry budget
+        // past the kills applied loses nothing: device 0 survives them.
+        if let RetryPolicy::Resubmit { max_attempts } = retry {
+            if u64::from(max_attempts) > report.kills {
+                prop_assert_eq!(report.tasks_lost, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn serve_rejects_the_runtime_or_resolves_every_arrival(cfg in arb_config()) {
+        let mut sc = ServeConfig::new(
+            vec![TenantSpec::new("t", Bench::Des3, 2.0e5)],
+            Policy::Fifo,
+        );
+        sc.tasks_per_tenant = TASKS;
+        sc.runtime = cfg;
+        match serve(&sc) {
+            Err(ServeError::InvalidRuntime(_) | ServeError::UnspawnableTask { .. }) => {}
+            Err(e) => prop_assert!(false, "unexpected error {}", e),
+            Ok(out) => prop_assert_eq!(out.records.len(), TASKS),
+        }
+    }
+}
