@@ -143,7 +143,7 @@ fi
 #   regression makes an invariant toothless, this catches it.
 #
 #   explore — runs the invariant-checked scenario sweep: every scenario
-#   with the checker teed into the recorder, failures shrunk to a
+#   recorded and its log checked after the run, failures shrunk to a
 #   replayable command line. The default smoke sweep is a handful of
 #   scenarios; set PAGODA_CHECK_EXTENDED=1 to run the full seeds ×
 #   placements × fault-schedule grid (the bin reads the env itself).

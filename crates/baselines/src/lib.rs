@@ -14,6 +14,8 @@
 //! a [`summary::RunSummary`], so every figure harness is a straight
 //! comparison.
 
+#![forbid(unsafe_code)]
+
 pub mod cpu;
 pub mod driver;
 pub mod fusion;

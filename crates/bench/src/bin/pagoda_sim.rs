@@ -7,6 +7,8 @@
 //! pagoda_sim --list
 //! ```
 
+#![forbid(unsafe_code)]
+
 use baselines::RunSummary;
 use pagoda_bench::{bench_waves, run_waves, Scheme};
 use workloads::{Bench, GenOpts};

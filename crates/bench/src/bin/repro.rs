@@ -7,6 +7,8 @@
 //! repro all --tasks 512 --json  # every figure, each followed by its points as JSON lines
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pagoda_bench::figures::FIGURES;
 use pagoda_bench::{usage_exit, Cli};
 

@@ -11,6 +11,8 @@
 //! aligned text tables plus machine-readable JSON lines on request
 //! (`--json`).
 
+#![forbid(unsafe_code)]
+
 pub mod figures;
 
 use baselines::{

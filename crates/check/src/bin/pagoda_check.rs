@@ -13,6 +13,8 @@
 //! cross-product sweep runs with `--extended` or
 //! `PAGODA_CHECK_EXTENDED=1`. Exit status is nonzero on any finding.
 
+#![forbid(unsafe_code)]
+
 use pagoda_check::{
     check_scenario, explore, mutation_smoke, parse_fault, parse_placement, run_one,
     sweep_scenarios, Scenario,

@@ -4,8 +4,8 @@
 //!
 //! A [`Scenario`] is a complete, replayable description of one fleet
 //! run — seed, topology, placement policy, task batch, and fault
-//! schedule. [`check_scenario`] runs it with a [`CheckRecorder`]
-//! attached and reports every invariant violation.
+//! schedule. [`check_scenario`] records it and reports every invariant
+//! violation [`check`] finds in the log.
 //! [`shrink`] greedily reduces a failing scenario (drop faults, halve
 //! the batch) to the smallest configuration that still fails, and
 //! [`Scenario::replay_cli`] prints the exact `pagoda_check replay`
@@ -17,9 +17,9 @@ use pagoda_cluster::{
     ClusterConfig, ClusterHandle, FaultKind, FaultSpec, Mutation, Placement, RetryPolicy,
 };
 use pagoda_core::{Backend, TaskDesc};
+use pagoda_obs::Obs;
 
-use crate::invariants::{CheckLimits, Violation};
-use crate::recorder::CheckRecorder;
+use crate::invariants::{check, CheckLimits, Violation};
 
 /// A complete, replayable fleet-run description.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,12 +183,12 @@ pub struct RunOutcome {
     pub fingerprint: String,
 }
 
-/// Runs one scenario with the invariant checker attached and an
-/// optional seeded [`Mutation`].
+/// Runs one scenario, with an optional seeded [`Mutation`], and checks
+/// its log.
 pub fn run_one(sc: &Scenario, mutation: Option<Mutation>) -> RunOutcome {
     let cfg = sc.cluster_config();
     let limits = CheckLimits::of(&cfg.devices[0]);
-    let (obs, rec) = CheckRecorder::recording(Some(limits));
+    let (obs, rec) = Obs::recording();
     let mut fleet = ClusterHandle::new(cfg).expect("scenario config is valid");
     fleet.attach_obs(obs);
     if let Some(m) = mutation {
@@ -202,7 +202,7 @@ pub fn run_one(sc: &Scenario, mutation: Option<Mutation>) -> RunOutcome {
         })
         .collect();
     fleet.wait_all();
-    let violations = rec.finish();
+    let (violations, dropped) = check(&rec, Some(limits));
     let times: Vec<Option<u64>> = keys
         .iter()
         .map(|&k| fleet.completion_time(k).map(|t| t.as_ps()))
@@ -215,7 +215,7 @@ pub fn run_one(sc: &Scenario, mutation: Option<Mutation>) -> RunOutcome {
     );
     RunOutcome {
         violations,
-        dropped: rec.dropped(),
+        dropped,
         fingerprint,
     }
 }

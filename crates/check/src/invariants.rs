@@ -1,10 +1,11 @@
-//! The invariant catalog: what [`CheckCore`] validates on every event.
+//! The invariant catalog: what [`CheckCore`] validates on every event,
+//! and [`check`], which folds it over a recorded run.
 //!
 //! Each invariant restates a contract the rest of the workspace relies
-//! on informally. The checker sees only the observability stream — task
-//! lifecycle events, resource samples, device samples, sync marks,
-//! counters — so every rule here is phrased over that stream, never
-//! over runtime internals:
+//! on informally. The checker sees only the observability log — task
+//! lifecycle events, resource samples, device samples, sync marks in
+//! emission order, then the counter totals — so every rule here is
+//! phrased over that log, never over runtime internals:
 //!
 //! 1. **Lifecycle order** — a task's states strictly advance along
 //!    spawned → enqueued → placed → running → freed; no event names a
@@ -26,9 +27,9 @@
 //!    is fleet-visible past the batch's fleet instant (the
 //!    causal-harvest gate). Kill-harvest batches are exempt: a dying
 //!    device's local clock legitimately ran ahead.
-//! 8. **Staging accounting** — staged transfers never exceed off-home
-//!    placements (a transfer is only ever charged for an off-home
-//!    placement).
+//! 8. **Staging accounting** — at end of run, staged transfers do not
+//!    exceed off-home placements (a transfer is only ever charged for an
+//!    off-home placement).
 //! 9. **Phase decomposition** — at end of run, every completed task's
 //!    `pagoda-prof` phase decomposition sums exactly to its sojourn
 //!    (the telescoping contract the profiler's attribution rests on),
@@ -40,8 +41,8 @@ use std::fmt;
 use pagoda_core::warptable::EXECUTORS_PER_MTB;
 use pagoda_core::PagodaConfig;
 use pagoda_obs::{
-    Counter, DeviceSample, Event, MtbSample, SmmSample, SyncKind, SyncMark, TaskEvent, TaskMark,
-    TaskState,
+    Counter, DeviceSample, Event, MtbSample, Recording, SmmSample, SyncKind, SyncMark, TaskEvent,
+    TaskMark, TaskState,
 };
 use pagoda_prof::{decompose, Cuts};
 
@@ -328,12 +329,11 @@ impl fmt::Display for Violation {
 /// identical reports, and the first few localize the bug.
 pub const MAX_VIOLATIONS: usize = 64;
 
-/// The invariant state machine. Feed it the observability stream (the
-/// [`CheckRecorder`](crate::CheckRecorder) does this as a tee), then
-/// call [`CheckCore::finish`] once the run is over for the end-of-run
-/// conservation checks.
+/// The invariant state machine. Feed it a run's events in emission
+/// order, then its staging totals, then call [`CheckCore::finish`] for
+/// the end-of-run conservation checks — [`check`] does all three.
 #[derive(Debug)]
-pub struct CheckCore {
+pub(crate) struct CheckCore {
     limits: Option<CheckLimits>,
     /// task → last lifecycle state seen.
     task_state: BTreeMap<u64, TaskState>,
@@ -342,9 +342,6 @@ pub struct CheckCore {
     cuts: BTreeMap<u64, Cuts>,
     spawned: u64,
     terminal: u64,
-    staged: u64,
-    off_affinity: u64,
-    staging_flagged: bool,
     /// device → (alive, outstanding) from its latest sample.
     device_last: BTreeMap<u32, (bool, u32)>,
     /// The current sync batch, if any mark has been seen.
@@ -366,9 +363,6 @@ impl CheckCore {
             cuts: BTreeMap::new(),
             spawned: 0,
             terminal: 0,
-            staged: 0,
-            off_affinity: 0,
-            staging_flagged: false,
             device_last: BTreeMap::new(),
             batch: None,
             batch_freed: None,
@@ -383,21 +377,6 @@ impl CheckCore {
         } else {
             self.dropped += 1;
         }
-    }
-
-    /// Violations found so far (capped at [`MAX_VIOLATIONS`]).
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
-    }
-
-    /// Violations beyond the cap that were counted but not stored.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Whether the stream has been clean so far.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty() && self.dropped == 0
     }
 
     /// Routes one stream event to the invariants that watch its kind.
@@ -574,18 +553,14 @@ impl CheckCore {
         self.batch_freed = None;
     }
 
-    /// Invariant 8 (staging accounting), tracked online from counters.
-    pub fn on_count(&mut self, c: Counter, delta: u64) {
-        match c {
-            Counter::ClusterStagedTransfers => self.staged += delta,
-            Counter::ClusterOffAffinity => self.off_affinity += delta,
-            _ => return,
-        }
-        if self.staged > self.off_affinity && !self.staging_flagged {
-            self.staging_flagged = true;
+    /// Invariant 8 (staging accounting), on the run's final totals of
+    /// [`Counter::ClusterStagedTransfers`] and
+    /// [`Counter::ClusterOffAffinity`].
+    pub fn check_staging(&mut self, staged: u64, off_affinity: u64) {
+        if staged > off_affinity {
             self.flag(Violation::StagingOverCharge {
-                staged: self.staged,
-                off_affinity: self.off_affinity,
+                staged,
+                off_affinity,
             });
         }
     }
@@ -641,6 +616,24 @@ impl CheckCore {
     }
 }
 
+/// Checks a recorded run once it is over: feeds every event of `rec` to
+/// a [`CheckCore`] in emission order, hands invariant 8 the final
+/// counter totals, and runs the end-of-run checks. Returns the
+/// violations (at most [`MAX_VIOLATIONS`]) and how many more were
+/// counted past that cap.
+pub fn check(rec: &Recording, limits: Option<CheckLimits>) -> (Vec<Violation>, u64) {
+    let mut core = CheckCore::new(limits);
+    for ev in rec.events() {
+        core.feed(&ev);
+    }
+    core.check_staging(
+        rec.counter(Counter::ClusterStagedTransfers),
+        rec.counter(Counter::ClusterOffAffinity),
+    );
+    core.finish();
+    (core.violations, core.dropped)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -663,7 +656,7 @@ mod tests {
             c.on_task(ev(t * 10, t, s));
         }
         c.finish();
-        assert!(c.is_clean(), "{:?}", c.violations());
+        assert!(c.violations.is_empty(), "{:?}", c.violations);
     }
 
     #[test]
@@ -694,7 +687,7 @@ mod tests {
             kind: MarkKind::Observed,
         });
         c.finish();
-        assert!(c.is_clean(), "{:?}", c.violations());
+        assert!(c.violations.is_empty(), "{:?}", c.violations);
         let d = decompose(&c.cuts[&0]).expect("task completed");
         assert_eq!(d.sojourn_ps, 65); // arrival (5) → observed (70)
         assert_eq!(d.phases.iter().sum::<u64>(), 65);
@@ -707,7 +700,7 @@ mod tests {
         c.on_task(ev(1, 7, TaskState::Running));
         c.on_task(ev(2, 7, TaskState::Enqueued));
         assert!(matches!(
-            c.violations()[0],
+            c.violations[0],
             Violation::LifecycleOrder { task: 7, .. }
         ));
     }
@@ -717,9 +710,9 @@ mod tests {
         let mut c = CheckCore::new(None);
         c.on_task(ev(5, 3, TaskState::Running));
         c.on_task(ev(9, 3, TaskState::Freed));
-        assert_eq!(c.violations().len(), 1);
+        assert_eq!(c.violations.len(), 1);
         assert!(matches!(
-            c.violations()[0],
+            c.violations[0],
             Violation::UnknownTask { task: 3, .. }
         ));
     }
@@ -730,10 +723,10 @@ mod tests {
         c.on_task(ev(0, 0, TaskState::Spawned));
         c.on_task(ev(0, 1, TaskState::Spawned));
         c.on_task(ev(5, 0, TaskState::Freed));
-        assert!(c.is_clean());
+        assert!(c.violations.is_empty());
         c.finish();
         assert!(matches!(
-            c.violations()[0],
+            c.violations[0],
             Violation::ConservationLeak {
                 spawned: 2,
                 terminal: 1,
@@ -754,7 +747,7 @@ mod tests {
         c.on_task(ev(90, 0, TaskState::Freed));
         c.on_task(ev(40, 1, TaskState::Freed)); // regressed
         assert!(matches!(
-            c.violations()[0],
+            c.violations[0],
             Violation::MergeOrder {
                 task: 1,
                 at_ps: 40,
@@ -775,7 +768,7 @@ mod tests {
         c.on_task(ev(250, 0, TaskState::Freed)); // past the mark: fine
         c.on_task(ev(100, 1, TaskState::Freed)); // regression: fine
         c.finish();
-        assert!(c.is_clean(), "{:?}", c.violations());
+        assert!(c.violations.is_empty(), "{:?}", c.violations);
     }
 
     #[test]
@@ -788,7 +781,7 @@ mod tests {
         });
         c.on_task(ev(130, 0, TaskState::Freed));
         assert!(matches!(
-            c.violations()[0],
+            c.violations[0],
             Violation::CausalityBreach {
                 task: 0,
                 at_ps: 130,
@@ -800,17 +793,46 @@ mod tests {
     #[test]
     fn staging_may_trail_but_never_exceed_off_affinity() {
         let mut c = CheckCore::new(None);
-        c.on_count(Counter::ClusterOffAffinity, 2);
-        c.on_count(Counter::ClusterStagedTransfers, 1);
-        assert!(c.is_clean());
-        c.on_count(Counter::ClusterStagedTransfers, 2);
+        c.check_staging(1, 2);
+        c.check_staging(2, 2);
+        assert!(c.violations.is_empty());
+        c.check_staging(3, 2);
         assert!(matches!(
-            c.violations()[0],
+            c.violations[0],
             Violation::StagingOverCharge {
                 staged: 3,
                 off_affinity: 2
             }
         ));
+    }
+
+    #[test]
+    fn the_checker_reads_the_order_across_streams() {
+        // Both runs hold the same task events and the same sync marks;
+        // only the batch task 0's `Freed` lands in differs. A fold over
+        // one stream at a time cannot tell them apart.
+        let run = |freed_in_first_batch: bool| {
+            let (obs, rec) = pagoda_obs::Obs::recording();
+            obs.task(0, 0, TaskState::Spawned);
+            obs.sync_mark(100, SyncKind::Sync);
+            if freed_in_first_batch {
+                obs.task(150, 0, TaskState::Freed);
+            }
+            obs.sync_mark(200, SyncKind::Sync);
+            if !freed_in_first_batch {
+                obs.task(150, 0, TaskState::Freed);
+            }
+            rec
+        };
+        let (late, early) = (run(false), run(true));
+        assert_eq!(late.snapshot(), early.snapshot());
+        assert_eq!(check(&late, None), (vec![], 0));
+        let breach = Violation::CausalityBreach {
+            task: 0,
+            at_ps: 150,
+            mark_ps: 100,
+        };
+        assert_eq!(check(&early, None), (vec![breach], 0));
     }
 
     #[test]
@@ -825,10 +847,10 @@ mod tests {
         };
         c.on_device(s(10, true, 3));
         c.on_device(s(20, false, 0));
-        assert!(c.is_clean());
+        assert!(c.violations.is_empty());
         c.on_device(s(30, false, 2));
         assert!(matches!(
-            c.violations()[0],
+            c.violations[0],
             Violation::DeadDeviceActivity {
                 device: 1,
                 outstanding: 2,
@@ -837,7 +859,7 @@ mod tests {
         ));
         c.on_device(s(40, true, 0));
         assert!(matches!(
-            c.violations()[1],
+            c.violations[1],
             Violation::DeviceResurrected { device: 1, .. }
         ));
     }
@@ -856,7 +878,7 @@ mod tests {
             free_smem: l.mtb_pool_bytes,
             used_entries: 32,
         });
-        assert!(c.is_clean());
+        assert!(c.violations.is_empty());
         c.on_mtb(MtbSample {
             at_ps: 6,
             mtb: 0,
@@ -865,7 +887,7 @@ mod tests {
             used_entries: 0,
         });
         assert!(matches!(
-            c.violations()[0],
+            c.violations[0],
             Violation::MtbOverCapacity {
                 field: "free_warp_slots",
                 ..
@@ -881,7 +903,7 @@ mod tests {
             free_tb_slots: 0,
         });
         assert!(matches!(
-            c.violations()[1],
+            c.violations[1],
             Violation::SmmOverCapacity {
                 sm: 2,
                 field: "resident_warps",
@@ -896,7 +918,7 @@ mod tests {
         for t in 0..(MAX_VIOLATIONS as u64 + 10) {
             c.on_task(ev(0, t, TaskState::Freed)); // all unknown tasks
         }
-        assert_eq!(c.violations().len(), MAX_VIOLATIONS);
-        assert_eq!(c.dropped(), 10);
+        assert_eq!(c.violations.len(), MAX_VIOLATIONS);
+        assert_eq!(c.dropped, 10);
     }
 }

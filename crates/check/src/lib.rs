@@ -1,18 +1,18 @@
-//! pagoda-check — online invariant checking and deterministic schedule
-//! exploration for the Pagoda workspace.
+//! pagoda-check — invariant checking of recorded runs and deterministic
+//! schedule exploration for the Pagoda workspace.
 //!
 //! The workspace's determinism story ("same seed, byte-identical
 //! results") makes every run a potential test oracle; this crate turns
 //! that into machinery:
 //!
-//! * [`CheckCore`] / [`CheckRecorder`] — an invariant state machine fed
-//!   one [`pagoda_obs::Event`] at a time ([`CheckCore::feed`]), packaged
-//!   as a two-method [`pagoda_obs::Recorder`] tee so it drops into any
-//!   `attach_obs` site without perturbing the stream it checks.
-//!   Validated on every lifecycle event: task conservation, SMM/MTB
-//!   capacity ceilings, dead devices staying dead, sorted-merge order,
-//!   the causal-harvest gate, and staging accounting. See `DESIGN.md`
-//!   §14 for the catalog.
+//! * [`check`] — the invariant catalog folded over a
+//!   [`pagoda_obs::Recording`]'s log once the run is over, one
+//!   [`pagoda_obs::Event`] at a time in emission order, so a checked run
+//!   is an ordinary `Obs::recording()` one. Validated per event:
+//!   lifecycle order, SMM/MTB capacity ceilings, dead devices staying
+//!   dead, sorted-merge order and the causal-harvest gate; at end of
+//!   run: staging accounting on the counter totals, task conservation
+//!   and phase sums. See `DESIGN.md` §14 for the catalog.
 //! * [`QosCheck`] — a [`pagoda_serve::QosAudit`] mirroring each queue
 //!   discipline (FIFO arrival order, EDF deadline order, per-tenant
 //!   order under weighted fairness) and flagging contract breaches.
@@ -34,14 +34,12 @@
 pub mod explore;
 pub mod invariants;
 pub mod qos;
-pub mod recorder;
 pub mod smoke;
 
 pub use explore::{
     check_scenario, explore, fault_arg, kill, parse_fault, parse_placement, placement_name,
     run_one, shrink, slow, sweep_scenarios, ExploreOutcome, Failure, RunOutcome, Scenario,
 };
-pub use invariants::{CheckCore, CheckLimits, Violation, MAX_VIOLATIONS};
+pub use invariants::{check, CheckLimits, Violation, MAX_VIOLATIONS};
 pub use qos::QosCheck;
-pub use recorder::CheckRecorder;
 pub use smoke::{mutation_smoke, smoke_case, SmokeResult};

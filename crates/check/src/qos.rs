@@ -15,8 +15,8 @@
 //! The mirror never touches the scheduler under test; it only listens
 //! to the [`QosAudit`] hooks the serving loop already emits.
 
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::Mutex;
 
 use pagoda_serve::{QosAudit, QueuedTask};
 
@@ -44,14 +44,14 @@ struct QosState {
 #[derive(Debug)]
 pub struct QosCheck {
     policy: &'static str,
-    state: Mutex<QosState>,
+    state: RefCell<QosState>,
 }
 
 impl QosCheck {
     fn new(policy: &'static str, model: Model) -> Self {
         QosCheck {
             policy,
-            state: Mutex::new(QosState {
+            state: RefCell::new(QosState {
                 model,
                 violations: Vec::new(),
                 dropped: 0,
@@ -75,28 +75,19 @@ impl QosCheck {
         QosCheck::new("wfq", Model::Wfq(HashMap::new()))
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, QosState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Ordering violations observed so far.
     pub fn violations(&self) -> Vec<Violation> {
-        self.lock().violations.clone()
-    }
-
-    /// Violations discarded after the reporting cap.
-    pub fn dropped(&self) -> u64 {
-        self.lock().dropped
+        self.state.borrow().violations.clone()
     }
 
     /// Whether every pop so far honoured the contract.
     pub fn is_clean(&self) -> bool {
-        let s = self.lock();
+        let s = self.state.borrow();
         s.violations.is_empty() && s.dropped == 0
     }
 
     fn admit(&self, t: &QueuedTask) {
-        let mut s = self.lock();
+        let mut s = self.state.borrow_mut();
         match &mut s.model {
             Model::Fifo(q) => q.push_back(t.seq),
             Model::Edf(set) => {
@@ -123,7 +114,7 @@ impl QosAudit for QosCheck {
     }
 
     fn on_pop(&self, t: &QueuedTask) {
-        let mut s = self.lock();
+        let mut s = self.state.borrow_mut();
         let expected = match &mut s.model {
             Model::Fifo(q) => {
                 let expected = q.front().copied();

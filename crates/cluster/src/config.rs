@@ -119,6 +119,12 @@ impl ClusterConfig {
         if self.devices.is_empty() {
             return Err(ConfigError::NoDevices);
         }
+        if let Some(field) = self.interconnect.bad_bandwidth() {
+            return Err(ConfigError::BadBandwidth {
+                link: "interconnect",
+                field,
+            });
+        }
         for (device, cfg) in self.devices.iter().enumerate() {
             cfg.validate().map_err(|source| ConfigError::FleetDevice {
                 device,

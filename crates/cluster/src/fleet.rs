@@ -342,7 +342,8 @@ impl ClusterHandle {
     ///
     /// # Errors
     /// Any [`ConfigError`] from validation — [`ConfigError::NoDevices`],
-    /// [`ConfigError::FleetDevice`], [`ConfigError::BadFault`].
+    /// [`ConfigError::BadBandwidth`], [`ConfigError::FleetDevice`],
+    /// [`ConfigError::BadFault`].
     pub fn new(cfg: ClusterConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let mut faults = cfg.faults.clone();

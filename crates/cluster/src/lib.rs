@@ -59,6 +59,7 @@
 //! assert_eq!(fleet.report().completed, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod config;

@@ -112,6 +112,12 @@ impl PagodaConfig {
         if self.wait_timeout == Dur::ZERO {
             return Err(ConfigError::ZeroWaitTimeout);
         }
+        if let Some(field) = self.pcie.bad_bandwidth() {
+            return Err(ConfigError::BadBandwidth {
+                link: "pcie",
+                field,
+            });
+        }
         let spec = &self.device.spec;
         let reason = if spec.num_sms == 0 {
             "the device has no SMMs"
@@ -152,6 +158,15 @@ pub enum ConfigError {
     /// `wait_timeout == 0`: `wait`/`waitAll` would poll without advancing
     /// time and trip the livelock guard.
     ZeroWaitTimeout,
+    /// A link bandwidth is zero, negative or not finite, so a transfer
+    /// over it has no duration to simulate.
+    BadBandwidth {
+        /// The link: `pcie` (a runtime's bus) or `interconnect` (a
+        /// fleet's staging link).
+        link: &'static str,
+        /// The offending direction, `bw_h2d` or `bw_d2h`.
+        field: &'static str,
+    },
     /// The device cannot hold the MasterKernel: two 1024-thread MTBs
     /// resident on every SMM, each with a buddy pool of at least 512 B.
     MasterKernelDoesNotFit {
@@ -185,6 +200,9 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "rows_per_column {rows} exceeds the maximum {max}")
             }
             ConfigError::ZeroWaitTimeout => write!(f, "wait_timeout must be nonzero"),
+            ConfigError::BadBandwidth { link, field } => {
+                write!(f, "{link}.{field} must be finite and > 0")
+            }
             ConfigError::MasterKernelDoesNotFit { reason } => {
                 write!(f, "the MasterKernel does not fit the device: {reason}")
             }

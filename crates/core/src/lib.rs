@@ -59,6 +59,7 @@
 //! assert_eq!(rec.snapshot().counter(Counter::TasksSpawned), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod backend;

@@ -44,6 +44,8 @@
 //! half the stores. [`EngineStats`] counts comparisons and live
 //! high-water so the effect is observable.
 
+#![forbid(unsafe_code)]
+
 mod sync;
 mod time;
 

@@ -18,6 +18,8 @@
 //! exported trace can be read against the occupancy calculator's
 //! limits.
 
+#![forbid(unsafe_code)]
+
 mod occupancy;
 mod spec;
 

@@ -33,6 +33,8 @@
 //! assert_eq!(tag, 7);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod device;
 pub mod exec;
 pub mod work;

@@ -203,8 +203,8 @@ pub enum SyncKind {
 /// A fleet synchronization point: the fleet clock at which a batch of
 /// cross-device effects (completions, losses) is about to be applied.
 /// Emitted by cluster-layer drivers so invariant checkers can validate
-/// the causal-harvest gate and the sorted-merge contract online without
-/// reaching into the fleet's internals.
+/// the causal-harvest gate and the sorted-merge contract from the
+/// ordered log without reaching into the fleet's internals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SyncMark {
     /// Fleet clock at the sync point, picoseconds.

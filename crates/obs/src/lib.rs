@@ -15,10 +15,14 @@
 //!
 //! Design rule: *zero dependency on the hot path*. A disabled handle
 //! ([`Obs::off`]) costs one `Option` discriminant test per site.
-//! Recording goes through the three-method [`Recorder`] trait — one
-//! [`Event`] enum, counter bumps, and `retains()` — and the stock
-//! [`MemRecorder`] buffers for the exporter in [`export`]
-//! (chrome://tracing with one track per SMM and per tenant);
+//! [`Obs::recording`] appends every [`Event`] and counter bump to one
+//! log with a single owner — a run is simulated on one thread, so there
+//! is no lock and no atomic. Its [`Recording`] reads the log back two
+//! ways: [`Recording::snapshot`], one `Vec` per stream for the exporter
+//! in [`export`] (chrome://tracing with one track per SMM and per
+//! tenant), and [`Recording::events`], every event in emission order
+//! for checkers of cross-stream invariants. Other sinks implement the
+//! three-method [`Recorder`] trait and attach with [`Obs::new`].
 //! `benchmark/` reports what recording costs in sim throughput as
 //! `obs.mem_overhead_pct`.
 //!
@@ -38,6 +42,8 @@
 //! export::check_json(std::str::from_utf8(&trace).unwrap()).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod events;
 pub mod export;
 pub mod recorder;
@@ -48,4 +54,4 @@ pub use events::{
     TaskMark, TaskRoute, TaskState, TenantTag,
 };
 pub use export::write_chrome_trace;
-pub use recorder::{MemRecorder, Obs, ObsBuffer, Recorder};
+pub use recorder::{Obs, ObsBuffer, Recorder, Recording};

@@ -1,26 +1,27 @@
 //! The [`Recorder`] sink trait, the cloneable [`Obs`] handle threaded
-//! through every instrumented crate, and the stock recorder,
-//! [`MemRecorder`] (buffers everything for export).
+//! through every instrumented crate, and [`Recording`], the handle on
+//! the in-memory log a recorded run keeps for export and checking.
 //!
 //! Hot-path contract: a disabled handle (`Obs::off()`) is a single
 //! `Option` discriminant test per instrumentation site — no event is
-//! constructed, no allocation happens, nothing is locked.
+//! constructed and no allocation happens.
 //!
-//! Mem-mode hot path: [`MemRecorder`] keeps one chunked append-only ring
-//! per stream behind its own spinlock, and counters in a fixed array of
-//! relaxed atomics. Recording an event is one uncontended atomic swap
-//! plus an in-place append into a preallocated chunk; bumping a counter
-//! is a plain load/store pair with no locked read-modify-write at all.
-//! Nothing on the recording path allocates a `String` or touches a map —
-//! counter names are interned `&'static str`s materialized only at
-//! [`MemRecorder::snapshot`] (copy-on-export). What this costs over a
-//! fully disabled run is `obs.mem_overhead_pct` in `benchmark/`.
+//! Mem-mode hot path: a run is simulated on one thread, so its log has
+//! one owner — an `Rc<RefCell<_>>` shared by the run's `Obs` clones, with
+//! no lock and no atomic. The log keeps one chunked append-only ring per
+//! stream, one more ring of one-byte stream tags that remembers how the
+//! streams interleaved, and the counters as a plain array. Recording an
+//! event is a `RefCell` flag check plus two appends into preallocated
+//! chunks; bumping a counter is one add. Nothing on the recording path
+//! allocates a `String` or touches a map — counter names are interned
+//! `&'static str`s materialized only at [`Recording::snapshot`]
+//! (copy-on-export). What this costs over a fully disabled run is
+//! `obs.mem_overhead_pct` in `benchmark/`.
 
-use std::cell::UnsafeCell;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use serde::Serialize;
@@ -30,12 +31,12 @@ use crate::events::{
     TaskMark, TaskRoute, TaskState, TenantTag,
 };
 
-/// A sink for observability events. All methods take `&self` (recorders
-/// are shared behind an `Arc` across the host runtime, the device model,
-/// and the bus) and default to no-ops so recorders implement only what
-/// they care about. Every non-counter occurrence arrives through
-/// [`Recorder::event`], so a tee that forwards `event` and `count`
-/// cannot drop a kind added later.
+/// A sink for observability events, attached with [`Obs::new`]. All
+/// methods take `&self` (the sink is shared behind an `Arc` by every
+/// clone of the handle) and default to no-ops so recorders implement
+/// only what they care about. Every non-counter occurrence arrives
+/// through [`Recorder::event`], so a sink that handles `event` and
+/// `count` cannot miss a kind added later.
 pub trait Recorder {
     /// Something happened: a lifecycle transition, a resource sample, a
     /// serving mark, a routing, a sync point.
@@ -58,9 +59,9 @@ pub trait Recorder {
     }
 }
 
-/// Everything a [`MemRecorder`] captured, in arrival order. Byte-identical
-/// across identical seeded runs — the determinism test serializes two of
-/// these and compares strings.
+/// Everything a [`Recording`] captured, one `Vec` per stream, each in
+/// emission order. Byte-identical across identical seeded runs — the
+/// determinism test serializes two of these and compares strings.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct ObsBuffer {
     /// Task lifecycle events.
@@ -133,13 +134,6 @@ struct Ring<T> {
 }
 
 impl<T: Copy> Ring<T> {
-    fn new() -> Self {
-        Ring {
-            full: Vec::new(),
-            last: Vec::with_capacity(CHUNK),
-        }
-    }
-
     #[inline]
     fn push(&mut self, v: T) {
         if self.last.len() == CHUNK {
@@ -158,6 +152,15 @@ impl<T: Copy> Ring<T> {
         self.full.len() * CHUNK + self.last.len()
     }
 
+    /// The `i`th element appended, if there is one.
+    #[inline]
+    fn get(&self, i: usize) -> Option<T> {
+        match self.full.get(i / CHUNK) {
+            Some(c) => Some(c[i % CHUNK]),
+            None => self.last.get(i - self.full.len() * CHUNK).copied(),
+        }
+    }
+
     /// Flattens into one contiguous `Vec` (copy-on-export).
     fn to_vec(&self) -> Vec<T> {
         let mut out = Vec::with_capacity(self.len());
@@ -169,186 +172,158 @@ impl<T: Copy> Ring<T> {
     }
 }
 
-impl<T: Copy> Default for Ring<T> {
+impl<T> Default for Ring<T> {
     fn default() -> Self {
-        Ring::new()
-    }
-}
-
-/// A minimal test-and-set spinlock guarding one event stream.
-///
-/// Every driver writes a given recorder from one thread at a time, so
-/// the lock is effectively uncontended and held for a few nanoseconds
-/// per append. An uncontended `std::sync::Mutex` costs ~3× more per
-/// acquire on this path — the difference is most of the mem-recorder
-/// overhead.
-struct Spin<T> {
-    locked: AtomicBool,
-    cell: UnsafeCell<T>,
-}
-
-// SAFETY: `lock` hands out at most one `&mut T` at a time (the guard
-// owns the flag until drop), so `Spin<T>` is as thread-safe as a mutex
-// over `T`.
-unsafe impl<T: Send> Sync for Spin<T> {}
-
-impl<T: Default> Default for Spin<T> {
-    fn default() -> Self {
-        Spin {
-            locked: AtomicBool::new(false),
-            cell: UnsafeCell::new(T::default()),
+        Ring {
+            full: Vec::new(),
+            last: Vec::with_capacity(CHUNK),
         }
     }
 }
 
-impl<T> Spin<T> {
-    #[inline]
-    fn lock(&self) -> SpinGuard<'_, T> {
-        // swap (a single unconditional atomic exchange) beats a
-        // compare-exchange loop on the uncontended fast path.
-        if self.locked.swap(true, Ordering::Acquire) {
-            self.contended();
+/// Which ring of the [`Log`] an event went to; one byte per event.
+#[derive(Clone, Copy)]
+enum Stream {
+    Task,
+    Tenant,
+    Smm,
+    Mtb,
+    Device,
+    Sync,
+    Mark,
+    Route,
+}
+
+impl Stream {
+    #[inline(always)]
+    fn of(ev: &Event) -> Self {
+        match ev {
+            Event::Task(_) => Stream::Task,
+            Event::Tenant(_) => Stream::Tenant,
+            Event::Smm(_) => Stream::Smm,
+            Event::Mtb(_) => Stream::Mtb,
+            Event::Device(_) => Stream::Device,
+            Event::Sync(_) => Stream::Sync,
+            Event::Mark(_) => Stream::Mark,
+            Event::Route(_) => Stream::Route,
         }
-        SpinGuard { lock: self }
-    }
-
-    #[cold]
-    fn contended(&self) {
-        while self.locked.swap(true, Ordering::Acquire) {
-            std::hint::spin_loop();
-        }
     }
 }
 
-/// Exclusive access to a [`Spin`]'s contents; releases on drop (also
-/// during unwinding, so a panicking consumer cannot wedge the lock).
-struct SpinGuard<'a, T> {
-    lock: &'a Spin<T>,
-}
-
-impl<T> Deref for SpinGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        // SAFETY: the guard holds the flag, so access is exclusive.
-        unsafe { &*self.lock.cell.get() }
-    }
-}
-
-impl<T> DerefMut for SpinGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: the guard holds the flag, so access is exclusive.
-        unsafe { &mut *self.lock.cell.get() }
-    }
-}
-
-impl<T> Drop for SpinGuard<'_, T> {
-    #[inline]
-    fn drop(&mut self) {
-        self.lock.locked.store(false, Ordering::Release);
-    }
-}
-
-/// A recorder that buffers every event in memory. Each stream has its
-/// own [`Ring`] behind its own spinlock and counters are relaxed atomics,
-/// so recording never allocates per event and counter bumps never lock.
-/// `snapshot()` yields an [`ObsBuffer`] for export.
+/// One recorded run: each stream in its own [`Ring`] (16–40 B an event
+/// rather than the 48 B of an [`Event`]), the order the streams
+/// interleaved in, and the counter totals.
 #[derive(Default)]
-pub struct MemRecorder {
-    tasks: Spin<Ring<TaskEvent>>,
-    tenants: Spin<Ring<TenantTag>>,
-    smm: Spin<Ring<SmmSample>>,
-    mtb: Spin<Ring<MtbSample>>,
-    devices: Spin<Ring<DeviceSample>>,
-    syncs: Spin<Ring<SyncMark>>,
-    marks: Spin<Ring<TaskMark>>,
-    routes: Spin<Ring<TaskRoute>>,
-    counts: [AtomicU64; Counter::ALL.len()],
+struct Log {
+    tasks: Ring<TaskEvent>,
+    tenants: Ring<TenantTag>,
+    smm: Ring<SmmSample>,
+    mtb: Ring<MtbSample>,
+    devices: Ring<DeviceSample>,
+    syncs: Ring<SyncMark>,
+    marks: Ring<TaskMark>,
+    routes: Ring<TaskRoute>,
+    /// The stream of every event, emission order.
+    order: Ring<Stream>,
+    counts: [u64; Counter::ALL.len()],
 }
 
-impl MemRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Copies the current buffers out. Counters materialize as a sorted
-    /// name→total map with all counters present. Streams are copied one
-    /// at a time; concurrent recording between stream copies lands in
-    /// the next snapshot (drivers snapshot at quiescent points).
-    pub fn snapshot(&self) -> ObsBuffer {
-        let mut counters = BTreeMap::new();
-        for c in Counter::ALL {
-            counters.insert(c.name(), self.counts[c as usize].load(Ordering::Relaxed));
-        }
-        ObsBuffer {
-            tasks: self.tasks.lock().to_vec(),
-            tenants: self.tenants.lock().to_vec(),
-            smm: self.smm.lock().to_vec(),
-            mtb: self.mtb.lock().to_vec(),
-            devices: self.devices.lock().to_vec(),
-            syncs: self.syncs.lock().to_vec(),
-            marks: self.marks.lock().to_vec(),
-            routes: self.routes.lock().to_vec(),
-            counters,
-        }
-    }
-}
-
-impl fmt::Debug for MemRecorder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MemRecorder")
-            .field("tasks", &self.tasks.lock().len())
-            .field("smm", &self.smm.lock().len())
-            .field("mtb", &self.mtb.lock().len())
-            .finish()
-    }
-}
-
-impl Recorder for MemRecorder {
+impl Log {
     // `inline(always)`: every `Obs` method builds its variant at the call
-    // site, so inlining folds the match away and each instrumentation
+    // site, so inlining folds both matches away and each instrumentation
     // site is a direct push into its own ring. With a plain `#[inline]`
     // the mem-recording overhead read higher in 10 of 10 alternating
     // pairs (medians 9.0 % vs 6.8 %).
     #[inline(always)]
-    fn event(&self, ev: Event) {
+    fn event(&mut self, ev: Event) {
+        self.order.push(Stream::of(&ev));
         match ev {
-            Event::Task(e) => self.tasks.lock().push(e),
-            Event::Tenant(t) => self.tenants.lock().push(t),
-            Event::Smm(s) => self.smm.lock().push(s),
-            Event::Mtb(s) => self.mtb.lock().push(s),
-            Event::Device(s) => self.devices.lock().push(s),
-            Event::Sync(m) => self.syncs.lock().push(m),
-            Event::Mark(m) => self.marks.lock().push(m),
-            Event::Route(r) => self.routes.lock().push(r),
+            Event::Task(e) => self.tasks.push(e),
+            Event::Tenant(t) => self.tenants.push(t),
+            Event::Smm(s) => self.smm.push(s),
+            Event::Mtb(s) => self.mtb.push(s),
+            Event::Device(s) => self.devices.push(s),
+            Event::Sync(m) => self.syncs.push(m),
+            Event::Mark(m) => self.marks.push(m),
+            Event::Route(r) => self.routes.push(r),
         }
     }
 
     #[inline]
-    fn count(&self, c: Counter, delta: u64) {
-        // Load + store instead of `fetch_add`: a relaxed RMW is still a
-        // full locked instruction on x86 (~20 cycles), and counters fire
-        // tens of thousands of times per run. Every driver writes a
-        // recorder from one thread at a time, so the non-atomic update
-        // never loses an increment in practice; under genuinely
-        // concurrent counting it would, which snapshot consumers must
-        // not rely on.
-        let slot = &self.counts[c as usize];
-        slot.store(slot.load(Ordering::Relaxed) + delta, Ordering::Relaxed);
+    fn count(&mut self, c: Counter, delta: u64) {
+        self.counts[c as usize] += delta;
     }
 }
 
-/// The sink behind an enabled [`Obs`] handle. [`MemRecorder`] — the one
-/// recorder on the measured hot path — gets its own variant so every
-/// event call is statically dispatched and the ring push inlines into
-/// the instrumentation site; anything else goes through the trait
-/// object. [`Obs::recording`] produces the fast variant, [`Obs::new`]
-/// the general one.
+/// The read side of a recorded run, from [`Obs::recording`]. It shares
+/// the log with every clone of the run's [`Obs`]; read it once the run
+/// is over.
+pub struct Recording {
+    log: Rc<RefCell<Log>>,
+}
+
+impl Recording {
+    /// Copies the log out as one `Vec` per stream. Counters materialize
+    /// as a sorted name→total map with all counters present.
+    pub fn snapshot(&self) -> ObsBuffer {
+        let log = self.log.borrow();
+        ObsBuffer {
+            tasks: log.tasks.to_vec(),
+            tenants: log.tenants.to_vec(),
+            smm: log.smm.to_vec(),
+            mtb: log.mtb.to_vec(),
+            devices: log.devices.to_vec(),
+            syncs: log.syncs.to_vec(),
+            marks: log.marks.to_vec(),
+            routes: log.routes.to_vec(),
+            counters: Counter::ALL
+                .iter()
+                .map(|&c| (c.name(), log.counts[c as usize]))
+                .collect(),
+        }
+    }
+
+    /// Every event, in the order the run emitted them across all streams
+    /// — what a checker of cross-stream invariants folds over. Reads the
+    /// log in place, copying nothing out: the `at`th tag names the stream
+    /// the next event sits in, and `next` holds each stream's read
+    /// position. The log stays borrowed until the iterator is dropped.
+    pub fn events(&self) -> impl Iterator<Item = Event> + '_ {
+        const TAGGED: &str = "the log holds an event for every tag";
+        let log = self.log.borrow();
+        let mut next = [0; 8];
+        (0..).map_while(move |at| {
+            let s = log.order.get(at)?;
+            let i = next[s as usize];
+            next[s as usize] += 1;
+            Some(match s {
+                Stream::Task => Event::Task(log.tasks.get(i).expect(TAGGED)),
+                Stream::Tenant => Event::Tenant(log.tenants.get(i).expect(TAGGED)),
+                Stream::Smm => Event::Smm(log.smm.get(i).expect(TAGGED)),
+                Stream::Mtb => Event::Mtb(log.mtb.get(i).expect(TAGGED)),
+                Stream::Device => Event::Device(log.devices.get(i).expect(TAGGED)),
+                Stream::Sync => Event::Sync(log.syncs.get(i).expect(TAGGED)),
+                Stream::Mark => Event::Mark(log.marks.get(i).expect(TAGGED)),
+                Stream::Route => Event::Route(log.routes.get(i).expect(TAGGED)),
+            })
+        })
+    }
+
+    /// Counter total so far.
+    pub fn counter(&self, c: Counter) -> u64 {
+        self.log.borrow().counts[c as usize]
+    }
+}
+
+/// The sink behind an enabled [`Obs`] handle. The log — the one sink on
+/// the measured hot path — gets its own variant so every event call is
+/// statically dispatched and the ring push inlines into the
+/// instrumentation site; anything else goes through the trait object.
+/// [`Obs::recording`] produces the fast variant, [`Obs::new`] the
+/// general one.
 #[derive(Clone)]
 enum Sink {
-    Mem(Arc<MemRecorder>),
+    Mem(Rc<RefCell<Log>>),
     Dyn(Arc<dyn Recorder + Send + Sync>),
 }
 
@@ -363,21 +338,22 @@ impl Sink {
 }
 
 /// Forwards one recorder call to whichever sink variant is live, with
-/// static dispatch (and inlining) on the [`MemRecorder`] arm.
+/// static dispatch (and inlining) on the log arm.
 macro_rules! emit {
     ($self:ident . $method:ident ( $($arg:expr),* )) => {
         match &$self.rec {
             None => {}
-            Some(Sink::Mem(m)) => m.$method($($arg),*),
+            Some(Sink::Mem(m)) => m.borrow_mut().$method($($arg),*),
             Some(Sink::Dyn(r)) => r.$method($($arg),*),
         }
     };
 }
 
 /// The handle instrumented code holds. `Obs::off()` (the default) makes
-/// every method a single branch; `Obs::new(...)` forwards to a shared
-/// [`Recorder`]. Cloning is cheap (an `Option<Arc>` copy), which is how
-/// one recorder observes the runtime, the device, and the bus at once.
+/// every method a single branch; `Obs::recording()` appends to a log and
+/// `Obs::new(...)` forwards to a shared [`Recorder`]. Cloning is cheap
+/// (a reference-count bump), which is how one log observes the runtime,
+/// the device, and the bus at once.
 #[derive(Clone, Default)]
 pub struct Obs {
     rec: Option<Sink>,
@@ -398,30 +374,29 @@ impl Obs {
         Obs { rec: None }
     }
 
-    /// A handle forwarding to `rec` through dynamic dispatch. For a
-    /// [`MemRecorder`] prefer [`Obs::recording`], which keeps the
-    /// concrete type and records measurably faster.
+    /// A handle forwarding to `rec` through dynamic dispatch. To keep
+    /// the events themselves, use [`Obs::recording`].
     pub fn new(rec: Arc<dyn Recorder + Send + Sync>) -> Self {
         Obs {
             rec: Some(Sink::Dyn(rec)),
         }
     }
 
-    /// A handle backed by a fresh [`MemRecorder`] with static dispatch —
-    /// the fast path — plus the recorder for later `snapshot()`. The
-    /// usual way to record a run:
+    /// A handle appending to a fresh log with static dispatch — the fast
+    /// path — plus the [`Recording`] to read the log with afterwards.
+    /// The usual way to record a run:
     ///
     /// ```
     /// let (obs, rec) = pagoda_obs::Obs::recording();
     /// obs.count(pagoda_obs::Counter::TasksSpawned, 1);
     /// assert_eq!(rec.snapshot().counter(pagoda_obs::Counter::TasksSpawned), 1);
     /// ```
-    pub fn recording() -> (Obs, Arc<MemRecorder>) {
-        let rec = Arc::new(MemRecorder::new());
+    pub fn recording() -> (Obs, Recording) {
+        let log = Rc::new(RefCell::new(Log::default()));
         let obs = Obs {
-            rec: Some(Sink::Mem(rec.clone())),
+            rec: Some(Sink::Mem(log.clone())),
         };
-        (obs, rec)
+        (obs, Recording { log })
     }
 
     /// Whether a recorder that retains data is attached. Instrumented
@@ -514,6 +489,7 @@ mod tests {
         assert_eq!(buf.tasks[0].state, TaskState::Spawned);
         assert_eq!(buf.tenants, vec![TenantTag { task: 0, tenant: 3 }]);
         assert_eq!(buf.counter(Counter::TasksSpawned), 3);
+        assert_eq!(rec.counter(Counter::TasksSpawned), 3);
         assert_eq!(buf.counter(Counter::AdmissionShed), 0);
         assert_eq!(buf.counters.len(), Counter::ALL.len());
     }
@@ -521,19 +497,99 @@ mod tests {
     #[test]
     fn ring_preserves_order_across_chunk_spill() {
         // More events than one chunk holds: order and count must survive
-        // the spill into later chunks.
-        let (obs, rec) = Obs::recording();
-        let n = (CHUNK * 2 + 37) as u64;
-        for i in 0..n {
-            obs.task(i, i, TaskState::Spawned);
+        // the spill into later chunks, in the snapshot and in the ordered
+        // walk — also when the open chunk is exactly full.
+        for n in [CHUNK * 2 + 37, CHUNK * 2] {
+            let (obs, rec) = Obs::recording();
+            for i in 0..n as u64 {
+                obs.task(i, i, TaskState::Spawned);
+            }
+            let buf = rec.snapshot();
+            assert_eq!(buf.tasks.len(), n);
+            assert!(buf
+                .tasks
+                .iter()
+                .enumerate()
+                .all(|(i, e)| e.at_ps == i as u64));
+            assert!(rec.events().eq(buf.tasks.iter().map(|&e| Event::Task(e))));
         }
-        let buf = rec.snapshot();
-        assert_eq!(buf.tasks.len(), n as usize);
-        assert!(buf
-            .tasks
-            .iter()
-            .enumerate()
-            .all(|(i, e)| e.at_ps == i as u64));
+    }
+
+    /// Replays `ev` through the `Obs` method an instrumented crate would
+    /// call. The match is exhaustive on purpose: a new [`Event`] variant
+    /// stops this compiling until it is added here and to `one_of_each`.
+    fn drive(obs: &Obs, ev: Event) {
+        match ev {
+            Event::Task(TaskEvent { at_ps, task, state }) => obs.task(at_ps, task, state),
+            Event::Tenant(TenantTag { task, tenant }) => obs.tenant(task, tenant),
+            Event::Smm(s) => obs.smm(s),
+            Event::Mtb(s) => obs.mtb(s),
+            Event::Device(s) => obs.device(s),
+            Event::Sync(SyncMark { at_ps, kind }) => obs.sync_mark(at_ps, kind),
+            Event::Mark(TaskMark { at_ps, task, kind }) => obs.mark(at_ps, task, kind),
+            Event::Route(TaskRoute { task, device }) => obs.route(task, device),
+        }
+    }
+
+    fn one_of_each() -> [Event; 9] {
+        let task = |at_ps, state| {
+            Event::Task(TaskEvent {
+                at_ps,
+                task: 0,
+                state,
+            })
+        };
+        [
+            task(1, TaskState::Spawned),
+            Event::Tenant(TenantTag { task: 0, tenant: 3 }),
+            Event::Route(TaskRoute { task: 0, device: 1 }),
+            Event::Mark(TaskMark {
+                at_ps: 0,
+                task: 0,
+                kind: MarkKind::Arrived,
+            }),
+            Event::Smm(SmmSample {
+                at_ps: 2,
+                sm: 0,
+                resident_warps: 4,
+                running_warps: 2,
+                free_regs: 100,
+                free_smem: 200,
+                free_tb_slots: 1,
+            }),
+            Event::Mtb(MtbSample {
+                at_ps: 3,
+                mtb: 1,
+                free_warp_slots: 30,
+                free_smem: 1024,
+                used_entries: 1,
+            }),
+            Event::Device(DeviceSample {
+                at_ps: 4,
+                device: 1,
+                known_free: 10,
+                outstanding: 0,
+                alive: true,
+            }),
+            Event::Sync(SyncMark {
+                at_ps: 9,
+                kind: SyncKind::Sync,
+            }),
+            task(9, TaskState::Freed),
+        ]
+    }
+
+    #[test]
+    fn the_log_replays_every_variant_in_emission_order() {
+        let (obs, rec) = Obs::recording();
+        for ev in one_of_each() {
+            drive(&obs, ev);
+        }
+        assert_eq!(rec.events().collect::<Vec<_>>(), one_of_each());
+        // An empty stream serializes as `[]`: every kind reached its
+        // stream, not just the ordered log.
+        let json = rec.snapshot().to_json();
+        assert!(!json.contains("[]"), "a stream is empty: {json}");
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! caller schedules whatever simulation event should fire then. Because
 //! channels are FIFO, this is exact.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 use desim::{Dur, SimTime};
@@ -73,6 +75,16 @@ impl PcieConfig {
             Direction::DeviceToHost => self.bw_d2h,
         };
         self.latency + Dur::from_secs_f64(bytes as f64 / bw)
+    }
+
+    /// The name of the first bandwidth field that is not finite and
+    /// positive — a link [`transfer_time`](Self::transfer_time) cannot
+    /// price — or `None` when both directions are usable.
+    pub fn bad_bandwidth(&self) -> Option<&'static str> {
+        [("bw_h2d", self.bw_h2d), ("bw_d2h", self.bw_d2h)]
+            .into_iter()
+            .find(|&(_, bw)| !(bw.is_finite() && bw > 0.0))
+            .map(|(field, _)| field)
     }
 }
 
@@ -336,6 +348,23 @@ mod tests {
         assert_eq!(buf.counter(Counter::PcieH2dBytes), 100);
         assert_eq!(buf.counter(Counter::PcieD2hTransactions), 2);
         assert_eq!(buf.counter(Counter::PcieD2hBytes), 7);
+    }
+
+    #[test]
+    fn bad_bandwidth_names_the_first_unusable_direction() {
+        assert_eq!(PcieConfig::default().bad_bandwidth(), None);
+        for bw in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let h2d = PcieConfig {
+                bw_h2d: bw,
+                ..PcieConfig::default()
+            };
+            assert_eq!(h2d.bad_bandwidth(), Some("bw_h2d"));
+            let d2h = PcieConfig {
+                bw_d2h: bw,
+                ..PcieConfig::default()
+            };
+            assert_eq!(d2h.bad_bandwidth(), Some("bw_d2h"));
+        }
     }
 
     #[test]

@@ -51,6 +51,8 @@
 //! pagoda_prof::check_exposition(std::str::from_utf8(&prom).unwrap()).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 pub mod export;
 pub mod hist;

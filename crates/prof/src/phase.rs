@@ -17,7 +17,8 @@
 //! concrete time by carry-forward imputation and clamped monotone before
 //! differencing. Missing instrumentation therefore shows up as a
 //! zero-width phase, never as leaked or double-counted time — an
-//! invariant `pagoda-check` enforces online and a proptest pins down.
+//! invariant `pagoda-check` enforces on every checked run and a proptest
+//! pins down.
 
 use serde::{Deserialize, Serialize};
 

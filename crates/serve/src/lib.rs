@@ -49,6 +49,7 @@
 //! assert_eq!(total, 128);
 //! ```
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod admission;

@@ -41,9 +41,10 @@ pub struct QueuedTask {
 /// interaction; an auditor mirrors the queue discipline and validates
 /// its ordering contract (FIFO arrival order, EDF deadline order)
 /// without touching the scheduler itself. Hooks take `&self` — the
-/// auditor is shared behind an `Arc` across the loop, so it brings its
-/// own interior mutability. All methods default to no-ops.
-pub trait QosAudit: std::fmt::Debug + Send + Sync {
+/// caller keeps its own `Rc` to read the verdict afterwards, so the
+/// auditor brings its own interior mutability. All methods default to
+/// no-ops.
+pub trait QosAudit: std::fmt::Debug {
     /// A task was admitted and is entering the queue.
     fn on_push(&self, _t: &QueuedTask) {}
     /// The scheduler chose this task to spawn next.

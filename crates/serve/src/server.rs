@@ -29,6 +29,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
 
 use desim::Dur;
 use pagoda_core::{Backend, PagodaConfig, PagodaRuntime, SubmitError, TaskDesc};
@@ -150,7 +151,7 @@ pub struct ServeConfig {
     pub obs: Obs,
     /// Passive scheduler-traffic observer ([`QosAudit`]); invariant
     /// checkers hang here. `None` (the default) costs nothing.
-    pub qos_audit: Option<std::sync::Arc<dyn QosAudit>>,
+    pub qos_audit: Option<Rc<dyn QosAudit>>,
 }
 
 impl ServeConfig {

@@ -26,6 +26,8 @@
 //! which is how the irregular benchmarks' size distributions become
 //! visible next to the per-SMM resource timelines.
 
+#![forbid(unsafe_code)]
+
 pub mod beamformer;
 pub mod calib;
 pub mod conv;

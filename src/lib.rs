@@ -69,6 +69,8 @@
 //! assert!(trace.starts_with(br#"{"traceEvents":["#));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use baselines;
 pub use desim;
 pub use gpu_arch;
@@ -98,7 +100,7 @@ pub mod prelude {
         Backend, Capacity, ConfigError, PagodaConfig, PagodaConfigBuilder, PagodaError,
         PagodaRuntime, SubmitError, TaskDesc, TaskError, TaskId,
     };
-    pub use pagoda_obs::{Counter, MemRecorder, Obs, ObsBuffer, Recorder, TaskState};
+    pub use pagoda_obs::{Counter, Obs, ObsBuffer, Recorder, Recording, TaskState};
     pub use pagoda_prof::{
         check_exposition, write_folded, write_prometheus, Phase, ProfReport, SloSpec,
     };

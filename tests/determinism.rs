@@ -100,8 +100,8 @@ fn serve_seeds_change_the_records() {
     assert_ne!(rec_a, rec_b, "different seeds must change arrival timing");
 }
 
-// Observability must not perturb determinism: two identical runs with a
-// MemRecorder attached at every layer produce byte-identical buffers.
+// Observability must not perturb determinism: two identical runs
+// recorded at every layer produce byte-identical buffers.
 fn observed_pagoda_run(seed: u64) -> String {
     let opts = GenOpts {
         seed,

@@ -2,10 +2,11 @@
 //! runtime, a fleet or the serving loop comes back as a typed error or
 //! runs 64 small tasks with none lost — never a panic in a constructor.
 //! Drawn: SMM count, shared memory and registers from {0, 1, small,
-//! Titan X}, every setter `PagodaConfig::builder()` has, and 0–4-device
-//! fleets with out-of-range, non-finite and killing faults. Not drawn,
-//! because each still ends in a panic: a zero link bandwidth, a sub-µs
-//! fleet polling slice, a fleet with every device killed.
+//! Titan X}, link bandwidths from {0, -1, NaN, ∞} in each direction,
+//! every setter `PagodaConfig::builder()` has, and 0–4-device fleets
+//! with an interconnect drawn the same way and out-of-range, non-finite
+//! and killing faults. Not drawn, because each still ends in a panic: a
+//! sub-µs fleet polling slice, a fleet with every device killed.
 
 use pagoda::prelude::*;
 use proptest::prelude::*;
@@ -14,19 +15,25 @@ const TASKS: usize = 64;
 
 /// `hostile[i]`, or the paper's value past the end: drawing `i` from
 /// twice the list's length keeps about half the draws on the paper's
-/// machine, so a configuration with five hostile axes still validates
+/// machine, so a configuration with seven hostile axes still validates
 /// often enough to run.
 fn pick<T: Copy>(hostile: &[T], i: usize, paper: T) -> T {
     hostile.get(i).copied().unwrap_or(paper)
 }
 
+/// Link bandwidths in bytes/s: four a transfer cannot be priced at, and
+/// a slow 100 MB/s one that still must run.
+const BANDWIDTHS: [f64; 5] = [0.0, -1.0, f64::NAN, f64::INFINITY, 1.0e8];
+
 /// A runtime configuration with every remaining setter drawn from a
 /// hostile set: the SMM count, shared memory and register file from
-/// {0, 1, small, Titan X}, and the table height and polling timeout
-/// around their bounds.
+/// {0, 1, small, Titan X}, each link direction from {0, -1, NaN, ∞,
+/// 100 MB/s}, and the table height and polling timeout around their
+/// bounds.
 fn arb_config() -> impl Strategy<Value = PagodaConfig> {
     let axes = (0usize..8, 0usize..8, 0usize..8, 0usize..12, 0usize..6);
-    (axes, prop::bool::ANY).prop_map(|((sms, smem, regs, rows, wait), slow_link)| {
+    let link = (0usize..10, 0usize..10, prop::bool::ANY);
+    (axes, link).prop_map(|((sms, smem, regs, rows, wait), (h2d, d2h, slow_link))| {
         let paper = PagodaConfig::default();
         let mut device = paper.device.clone();
         let spec = &mut device.spec;
@@ -36,8 +43,9 @@ fn arb_config() -> impl Strategy<Value = PagodaConfig> {
         // 32 K: one MasterKernel threadblock, not two.
         spec.regs_per_sm = pick(&[0, 1, 32 * 1024, 64 * 1024], regs, spec.regs_per_sm);
         let mut pcie = paper.pcie.clone();
+        pcie.bw_h2d = pick(&BANDWIDTHS, h2d, pcie.bw_h2d);
+        pcie.bw_d2h = pick(&BANDWIDTHS, d2h, pcie.bw_d2h);
         if slow_link {
-            pcie.bw_h2d = 1.0e8;
             pcie.latency = Dur::from_us(5);
         }
         // No sub-µs slice: a fleet polls its clock forward one slice at a
@@ -118,6 +126,7 @@ proptest! {
         which in 0usize..4,
         faults in prop::collection::vec(arb_fault(), 0..4),
         retry in 0usize..4,
+        link in (0usize..10, 0usize..10),
     ) {
         let retry = [
             RetryPolicy::Fail,
@@ -125,7 +134,12 @@ proptest! {
             RetryPolicy::Resubmit { max_attempts: 2 },
             RetryPolicy::Resubmit { max_attempts: 5 },
         ][retry];
-        let mut builder = ClusterConfig::builder().retry(retry);
+        // The staging link is drawn apart from the devices, so a fleet
+        // of paper devices meets a link it cannot price too.
+        let mut interconnect = PagodaConfig::default().pcie;
+        interconnect.bw_h2d = pick(&BANDWIDTHS, link.0, interconnect.bw_h2d);
+        interconnect.bw_d2h = pick(&BANDWIDTHS, link.1, interconnect.bw_d2h);
+        let mut builder = ClusterConfig::builder().retry(retry).interconnect(interconnect);
         // One device of the fleet is drawn hostile; a whole fleet of
         // them would almost never validate.
         for i in 0..devices {

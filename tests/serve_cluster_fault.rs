@@ -5,11 +5,12 @@
 //! mid-stream. Under [`RetryPolicy::Resubmit`] the fleet must lose
 //! nothing: every offered task completes, admitted-task p99 stays
 //! finite, and the whole run holds under the pagoda-check invariant
-//! checker (observability stream) and QoS auditor (scheduler traffic)
+//! checker (observability log) and QoS auditor (scheduler traffic)
 //! at once — the full stack, checked at every layer it crosses.
 
-use pagoda_check::{CheckLimits, CheckRecorder, QosCheck};
+use pagoda_check::{check, CheckLimits, QosCheck};
 use pagoda_cluster::{ClusterConfig, ClusterHandle, FaultKind, FaultSpec, RetryPolicy};
+use pagoda_obs::Obs;
 use pagoda_serve::{percentile, serve_on, Outcome, Policy, ServeConfig, TenantSpec};
 use workloads::Bench;
 
@@ -41,9 +42,9 @@ fn serve_survives_device_kill_without_losing_tasks() {
     let mut scfg = ServeConfig::new(tenants, Policy::Fifo);
     scfg.tasks_per_tenant = TASKS_PER_TENANT;
     scfg.mix = "kill-one-device".into();
-    let (obs, checker) = CheckRecorder::recording(Some(limits));
+    let (obs, rec) = Obs::recording();
     scfg.obs = obs;
-    let audit = std::sync::Arc::new(QosCheck::fifo());
+    let audit = std::rc::Rc::new(QosCheck::fifo());
     scfg.qos_audit = Some(audit.clone());
 
     let out = serve_on(&scfg, &mut fleet).expect("mix serves");
@@ -74,9 +75,9 @@ fn serve_survives_device_kill_without_losing_tasks() {
         "p99 must be finite, got {p99}"
     );
 
-    // The invariant checker watched the whole run: lifecycle order,
+    // The invariant checker reads the whole run: lifecycle order,
     // conservation, merge order, causality, device liveness.
-    let violations = checker.finish();
+    let (violations, _) = check(&rec, Some(limits));
     assert!(violations.is_empty(), "invariants broken: {violations:?}");
     // And the FIFO contract held across every push/pop/requeue.
     assert!(audit.is_clean(), "qos audit: {:?}", audit.violations());
