@@ -104,8 +104,9 @@ if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
     # sifts they replaced (heap, back-pointers and comparison count after
     # every operation), `gpu-sim`'s dense execution engine (fed through
     # `assign_parts`) in lockstep with its per-warp-walk reference, the
-    # mask-driven `decide` in lockstep with the row walk it replaced, the
-    # TaskTable's row masks against column scans, and the four-lane
+    # mask-driven `decide` in lockstep with the row walk it replaced (also
+    # under a deep backlog of `Ref` rows, where the chain bits carry it),
+    # the TaskTable's row masks against column scans, and the four-lane
     # Mandelbrot render against per-pixel `escape_iters`, 512 cases each.
     # All sit under every fingerprint below; a sift that compares one
     # child too few, a broken validity rule for the kept prediction, or a
@@ -114,6 +115,7 @@ if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
     run env PROPTEST_CASES=512 cargo test -q --offline -p desim --lib lockstep
     run env PROPTEST_CASES=512 cargo test -q --offline -p gpu-sim --lib lockstep
     run env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib lockstep_decide_matches_row_scan
+    run env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib lockstep_decide_under_deep_backlog
     run env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib masks_match_column_scans
     run env PROPTEST_CASES=512 cargo test -q --offline -p workloads --lib render_equals_per_pixel
     # The shape claims of EXPERIMENTS.md that a 512-task run cannot reach

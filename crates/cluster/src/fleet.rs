@@ -460,27 +460,51 @@ impl ClusterHandle {
     /// and spawns through that device's non-blocking submit. Returns the
     /// fleet-unique task key.
     ///
+    /// On a fleet with every device dead the task has nowhere to run,
+    /// now or later: it is recorded and resolved [`TaskStatus::Lost`] at
+    /// the fleet clock, as a sync loses its resubmission queue then.
+    ///
     /// # Errors
     /// [`SubmitError::Full`] hands the descriptor back when the chosen
-    /// device has no known-free entry (or no device is alive) — call
+    /// device has no known-free entry — call
     /// [`sync`](ClusterHandle::sync) and
     /// [`advance_to`](ClusterHandle::advance_to), then retry, exactly as
     /// with a single runtime. A Full return charges nothing — no device
     /// clock moves. Task-shape errors propagate unchanged.
     pub fn submit_for(&mut self, tenant: u32, desc: TaskDesc) -> Result<u64, SubmitError> {
         let kept = desc.clone();
-        let (device, id, off_home, staged) = self.route(tenant, desc, None)?;
         let key = self.tasks.len() as u64;
+        let (device, id, off_home, staged) = match self.route(tenant, desc, None) {
+            Ok(placed) => placed,
+            Err(SubmitError::Full(desc)) if !self.devices.iter().any(|d| d.alive) => {
+                desc.validate()?;
+                self.record(tenant, desc, Status::Queued);
+                self.obs
+                    .task(self.fleet_now.as_ps(), key, TaskState::Spawned);
+                self.obs.tenant(key, tenant);
+                // The loss is a fleet effect applied at the fleet clock:
+                // under its own sync mark, as a sync's losses are.
+                self.obs.sync_mark(self.fleet_now.as_ps(), SyncKind::Sync);
+                self.mark_lost(key, self.fleet_now);
+                return Ok(key);
+            }
+            Err(e) => return Err(e),
+        };
+        self.record(tenant, kept, Status::InFlight { device });
+        self.commit_spawn(key, tenant, device, id, off_home, staged, false);
+        Ok(key)
+    }
+
+    /// Enters a new task in the fleet's books, unresolved.
+    fn record(&mut self, tenant: u32, desc: TaskDesc, status: Status) {
         self.tasks.push(CTask {
             tenant,
-            desc: kept,
+            desc,
             attempts: 1,
-            status: Status::InFlight { device },
+            status,
             staged_on: None,
         });
         self.unresolved += 1;
-        self.commit_spawn(key, tenant, device, id, off_home, staged, false);
-        Ok(key)
     }
 
     /// Placement + staging charge + device-local spawn. `staged_on` is
@@ -1141,6 +1165,47 @@ mod tests {
             32,
             "everything lands despite the kill"
         );
+    }
+
+    #[test]
+    fn a_fleet_with_every_device_dead_loses_a_spawn_at_once() {
+        let mut cfg = kill_device_0_at_5us(RetryPolicy::Resubmit { max_attempts: 3 });
+        cfg.faults.push(FaultSpec {
+            at: SimTime::from_us(5),
+            device: 1,
+            kind: FaultKind::Kill,
+        });
+        let mut fleet = ClusterHandle::new(cfg).unwrap();
+        let (obs, rec) = Obs::recording();
+        fleet.attach_obs(obs);
+        let before = submit_batch(&mut fleet, 32);
+        fleet.advance_to(SimTime::from_us(10));
+        assert_eq!(fleet.report().kills, 2);
+        // A blocking spawn used to retry here until its livelock guard.
+        let after = submit_batch(&mut fleet, 8);
+        for &k in &after {
+            assert_eq!(fleet.status(k).unwrap(), TaskStatus::Lost);
+            assert_eq!(fleet.completion_time(k), Some(SimTime::from_us(10)));
+        }
+        let bad = TaskDesc {
+            num_tbs: 2,
+            ..task()
+        };
+        assert_eq!(
+            fleet.spawn_blocking(0, bad),
+            Err(pagoda_core::TaskError::ShapeMismatch),
+            "a dead fleet still rejects a malformed task"
+        );
+        fleet.wait_all();
+        let rep = fleet.report();
+        assert_eq!(rep.completed + rep.tasks_lost, 40);
+        // Each lost spawn leaves the log a whole lifecycle, as any loss does.
+        let buf = rec.snapshot();
+        for k in before.into_iter().chain(after) {
+            let tl = buf.task_timeline(k);
+            assert!(tl[0].is_some() && tl[4].is_some(), "task {k}: {tl:?}");
+        }
+        assert_eq!(buf.counter(Counter::ClusterTasksLost), rep.tasks_lost);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub trait Backend {
     ///
     /// # Panics
     /// After 100 000 000 retries: a backend that never frees an entry
-    /// (every device dead, say) would otherwise spin forever.
+    /// would otherwise spin forever.
     fn spawn_blocking(&mut self, tenant: u32, mut desc: TaskDesc) -> Result<u64, TaskError> {
         let mut iterations = 0u64;
         loop {

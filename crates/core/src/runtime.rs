@@ -37,7 +37,7 @@ use crate::backend::Backend;
 use crate::config::PagodaConfig;
 use crate::errors::{Capacity, PagodaError, SubmitError};
 use crate::mtb::{Action, JobPhase, MtbState, PlacementJob};
-use crate::table::{EntryIndex, EntryState, Ready, TaskId, TaskTableSide};
+use crate::table::{set_rows, EntryIndex, EntryState, Ready, TaskId, TaskTableSide};
 use crate::task::{TaskDesc, TaskError};
 use crate::trace::TaskTrace;
 use crate::warptable::Slot;
@@ -226,7 +226,8 @@ pub struct PagodaRuntime {
     /// Entry's spawn H2D copy still in flight.
     spawn_inflight: Vec<bool>,
     /// Per entry: the entry of the task spawned right after its tenant
-    /// with the chain open (for chain-update wakeups). Set at that spawn,
+    /// with the chain open — the one row whose chain bit the tenant's
+    /// state decides, and whose column a settle wakes. Set at that spawn,
     /// taken when the tenant chain-settles, and cleared when the CPU sees
     /// the entry freed — so a link never outlives the claim it was made
     /// under, whether or not a settle came to take it.
@@ -245,6 +246,10 @@ pub struct PagodaRuntime {
     /// Staged events delivered so far, for the slab's accounting test.
     #[cfg(test)]
     staged_delivered: u64,
+    /// Rows `decide` (`[0]`) and the row walk it replaced (`[1]`) have
+    /// looked at.
+    #[cfg(test)]
+    row_probes: [std::cell::Cell<u64>; 2],
     /// Spawned tasks whose completion the CPU has not observed yet —
     /// what `wait_all` waits on, kept so no poll re-scans `tasks`.
     unobserved: u64,
@@ -313,6 +318,8 @@ impl PagodaRuntime {
             batch: Vec::new(),
             #[cfg(test)]
             staged_delivered: 0,
+            #[cfg(test)]
+            row_probes: Default::default(),
             unobserved: 0,
             observed_log: None,
             last_output: SimTime::ZERO,
@@ -726,7 +733,10 @@ impl PagodaRuntime {
     }
 
     /// Bulk D2H copy-back of the whole TaskTable; merges freed entries
-    /// into the CPU view.
+    /// into the CPU view. The CPU learns nothing from a copy-back but
+    /// which entries the GPU freed, so only rows free on the GPU side and
+    /// held on the CPU side are merged — 64 rows per word, in the
+    /// column-major row order a walk of every entry would take.
     fn copyback_all(&mut self) {
         self.obs.count(Counter::TaskTableCopybacks, 1);
         let bytes = u64::from(self.cfg.total_entries()) * ENTRY_BYTES;
@@ -734,11 +744,42 @@ impl PagodaRuntime {
             .bus
             .transfer(self.host_now, self.d2h, Direction::DeviceToHost, bytes);
         self.host_advance_to(tr.complete);
+        #[cfg(test)]
+        let (expected, mut merged) = (self.merge_by_walk(), Vec::new());
         for col in 0..self.gpu_table.cols() {
-            for row in 0..self.gpu_table.rows() {
-                self.merge_entry(EntryIndex { col, row });
+            for word in 0..self.gpu_table.words_per_col() {
+                let freed =
+                    self.gpu_table.free_word(col, word) & !self.cpu_table.free_word(col, word);
+                for row in set_rows(word, freed) {
+                    let e = EntryIndex { col, row };
+                    self.merge_entry(e);
+                    #[cfg(test)]
+                    if self.cpu_table.get(e).ready == Ready::Free {
+                        merged.push(e);
+                    }
+                }
             }
         }
+        #[cfg(test)]
+        assert_eq!(
+            merged, expected,
+            "the free masks merged other rows than the walk"
+        );
+    }
+
+    /// The copy-back oracle: the entries a [`Self::merge_entry`] of every
+    /// entry, column-major, would free in the CPU view.
+    #[cfg(test)]
+    fn merge_by_walk(&self) -> Vec<EntryIndex> {
+        let (cols, rows) = (self.gpu_table.cols(), self.gpu_table.rows());
+        (0..cols)
+            .flat_map(|col| (0..rows).map(move |row| EntryIndex { col, row }))
+            .filter(|&e| {
+                self.cpu_table.get(e).ready != Ready::Free
+                    && !self.spawn_inflight[self.eidx(e)]
+                    && self.gpu_table.get(e).ready == Ready::Free
+            })
+            .collect()
     }
 
     /// Copy-back of a single entry (the `wait` timeout path).
@@ -869,6 +910,12 @@ impl PagodaRuntime {
         );
         self.gpu_table.set(e, st);
         let ei = self.eidx(e);
+        // A reference may land on a `Copied` predecessor, and a `Copied`
+        // task may land after its successor's reference.
+        self.refresh_chain(e);
+        if let Some(se) = self.succ_entry[ei] {
+            self.refresh_chain(se);
+        }
         self.occupant[ei] = Some(task);
         self.spawn_inflight[ei] = false;
         let now = self.device.now();
@@ -887,11 +934,35 @@ impl PagodaRuntime {
             "flush write raced the scheduler"
         );
         self.gpu_table.chain_mark_schedulable(e);
+        let ei = self.eidx(e);
+        if let Some(se) = self.succ_entry[ei] {
+            self.refresh_chain(se);
+        }
         let now = self.device.now();
-        if let Some(t) = self.occupant[self.eidx(e)] {
+        if let Some(t) = self.occupant[ei] {
             self.rec(t).schedulable = Stamp::at(now);
         }
         self.poke(e.col as usize);
+    }
+
+    /// Whether a row in state `st` can chain-update now (Algorithm 1's
+    /// chain test): it holds `Ref(prev)` and `prev`'s entry is `Copied`.
+    fn chain_ready(&self, st: EntryState) -> bool {
+        let Ready::Ref(prev) = st.ready else {
+            return false;
+        };
+        let pe = self.tasks[(prev.0 - TaskId::FIRST.0) as usize].entry;
+        self.gpu_table.get(pe).ready == Ready::Copied
+    }
+
+    /// Sets row `e`'s chain bit to [`Self::chain_ready`]. Called, before
+    /// any scheduler can look, wherever the answer may change: on a row
+    /// whose reference lands, and on the successor of an entry that
+    /// becomes or stops being `Copied`. A settling row needs no call: the
+    /// write clears its bit.
+    fn refresh_chain(&mut self, e: EntryIndex) {
+        let on = self.chain_ready(self.gpu_table.get(e));
+        self.gpu_table.set_chain(e, on);
     }
 
     // ==================================================================
@@ -910,13 +981,27 @@ impl PagodaRuntime {
     /// polling loop spins on shared-memory flags at negligible bandwidth.
     fn begin_action(&mut self, mi: usize) {
         debug_assert!(!self.mtbs[mi].busy);
+        #[cfg(test)]
+        let probes = self.row_probes[0].get();
         let decision = self.decide(mi);
         #[cfg(test)]
-        assert_eq!(
-            decision,
-            self.decide_by_scan(mi),
-            "masks disagree with the row walk"
-        );
+        {
+            assert!(
+                self.row_probes[0].get() - probes <= 1,
+                "decide looked past its first row"
+            );
+            assert_eq!(
+                decision,
+                self.decide_by_scan(mi),
+                "masks disagree with the row walk"
+            );
+            let col = self.gpu_table.column(mi as u32);
+            let want = col.filter(|&(_, st)| st.sched || self.chain_ready(st));
+            assert!(
+                self.gpu_table.actionable(mi as u32).eq(want),
+                "chain bits disagree with chain_ready in column {mi}"
+            );
+        }
         let Some((action, cycles)) = decision else {
             return;
         };
@@ -945,17 +1030,23 @@ impl PagodaRuntime {
     }
 
     /// The scheduler warp's next action: the open job's next step if there
-    /// is one, else the first actionable row of its column. Only a row
-    /// with `sched` set or a task reference can be actionable, and the
-    /// table's masks hand over exactly those, in row order.
+    /// is one, else the first actionable row of its column. A row is
+    /// actionable with `sched` set or a reference that can chain-update,
+    /// and the table's masks hand over exactly those, in row order: the
+    /// first row handed over is the decision.
     fn decide(&self, mi: usize) -> Option<(Action, u64)> {
-        self.decide_over(mi, self.gpu_table.actionable(mi as u32))
+        let rows = self.gpu_table.actionable(mi as u32);
+        #[cfg(test)]
+        let rows = rows.inspect(|_| self.row_probes[0].set(self.row_probes[0].get() + 1));
+        self.decide_over(mi, rows)
     }
 
     /// [`Self::decide`] by the row walk the masks replaced.
     #[cfg(test)]
     fn decide_by_scan(&self, mi: usize) -> Option<(Action, u64)> {
-        self.decide_over(mi, self.gpu_table.column(mi as u32))
+        let rows = self.gpu_table.column(mi as u32);
+        let rows = rows.inspect(|_| self.row_probes[1].set(self.row_probes[1].get() + 1));
+        self.decide_over(mi, rows)
     }
 
     fn decide_over(
@@ -998,11 +1089,8 @@ impl PagodaRuntime {
             if st.sched {
                 return Some((Action::StartEntry { entry: e }, 0));
             }
-            if let Ready::Ref(prev) = st.ready {
-                let pe = self.tasks[(prev.0 - TaskId::FIRST.0) as usize].entry;
-                if self.gpu_table.get(pe).ready == Ready::Copied {
-                    return Some((Action::ChainUpdate { cur: e }, c.chain_update_cycles));
-                }
+            if self.chain_ready(st) {
+                return Some((Action::ChainUpdate { cur: e }, c.chain_update_cycles));
             }
         }
         None
@@ -1024,17 +1112,23 @@ impl PagodaRuntime {
         if self.gpu_table.get(pe).ready != Ready::Copied {
             return; // predecessor not settled yet; retried on its wakeup
         }
+        // `pe` leaves Copied: its one waiter is `cur`, whose bit the
+        // settle clears.
         self.gpu_table.chain_mark_schedulable(pe);
         self.gpu_table.chain_settle(cur);
-        self.obs.count(Counter::ChainUpdates, 1);
-        let now = self.device.now();
-        self.rec(prev).schedulable = Stamp::at(now);
-        self.poke(pe.col as usize);
         // `cur` just became Copied: its own successor (if it has arrived)
         // can now chain-update in its column.
         let ci = self.eidx(cur);
         assert!(self.occupant[ci].is_some(), "settling unoccupied entry");
-        if let Some(se) = self.succ_entry[ci].take() {
+        let succ = self.succ_entry[ci].take();
+        if let Some(se) = succ {
+            self.refresh_chain(se);
+        }
+        self.obs.count(Counter::ChainUpdates, 1);
+        let now = self.device.now();
+        self.rec(prev).schedulable = Stamp::at(now);
+        self.poke(pe.col as usize);
+        if let Some(se) = succ {
             self.poke(se.col as usize);
         }
     }
@@ -1551,6 +1645,52 @@ mod tests {
             let ops = std::iter::repeat_n((0u8, burst), burst).chain(ops).collect();
             interleave(1, [1, 2, 32, 64, 65, 130][rows], ops, |_| Ok(()))?;
         }
+
+        /// The same lockstep — plus `begin_action`'s checks that the chain
+        /// bits are exactly `chain_ready` and that `decide` reads one row —
+        /// under a deep backlog: bursts of up to 300 submits into a 1–2-SMM
+        /// device of 32–130 rows per column, a few microseconds apart, so
+        /// `Ref` rows queue behind schedulers busy placing earlier work.
+        #[test]
+        fn lockstep_decide_under_deep_backlog(
+            sms in 1u32..3,
+            rows in 32u32..131,
+            bursts in prop::collection::vec((1usize..300, 0usize..40), 1..6),
+        ) {
+            let ops = bursts
+                .into_iter()
+                .flat_map(|(n, gap)| (0..n).map(move |i| (0u8, n + i)).chain([(7u8, gap)]))
+                .collect();
+            interleave(sms, rows, ops, |_| Ok(()))?;
+        }
+    }
+
+    #[test]
+    fn decide_reads_one_row_per_decision_under_a_deep_backlog() {
+        // One SMM, two 130-row columns, 2 000 tasks spawned back to back:
+        // the columns stay deep in `Ref` rows waiting on predecessors.
+        let mut cfg = PagodaConfig::builder()
+            .rows_per_column(130)
+            .build()
+            .unwrap();
+        cfg.device.spec.num_sms = 1;
+        let mut rt = PagodaRuntime::new(cfg);
+        let (obs, rec) = Obs::recording();
+        rt.attach_obs(obs);
+        for i in 0..2_000 {
+            rt.spawn_blocking(mixed_task(i)).unwrap();
+        }
+        rt.wait_all();
+        let decisions = rec.counter(Counter::SchedulerDecisions);
+        let (masks, walk) = (rt.row_probes[0].get(), rt.row_probes[1].get());
+        assert!(
+            masks > 0 && masks <= decisions,
+            "{masks} rows read for {decisions} decisions"
+        );
+        assert!(
+            walk > 10 * masks,
+            "the row walk read {walk} rows where the masks read {masks}: no backlog formed"
+        );
     }
 
     #[test]

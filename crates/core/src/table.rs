@@ -80,10 +80,25 @@ pub struct EntryIndex {
 struct RowMasks {
     /// `sched` is set.
     sched: u64,
-    /// `ready` is `Ref(_)`.
-    refs: u64,
+    /// `ready` is `Ref(prev)` and `prev`'s entry is `Copied`: the row can
+    /// chain-update now. The table cannot see which entry `prev` holds,
+    /// so its owner says ([`TaskTableSide::set_chain`]); any other write
+    /// to the row clears the bit.
+    chain: u64,
     /// `ready` is `Free`.
     free: u64,
+}
+
+/// The rows whose bits are set in `bits`, the `word`-th 64-row stretch of
+/// a column, ascending.
+pub(crate) fn set_rows(word: usize, mut bits: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let row = 64 * word as u32 + bits.trailing_zeros();
+            bits &= bits - 1;
+            row
+        })
+    })
 }
 
 /// One side (CPU or GPU) of the mirrored table.
@@ -143,6 +158,11 @@ impl TaskTableSide {
         &self.masks[at..at + self.words_per_col]
     }
 
+    fn row_masks(&mut self, e: EntryIndex) -> (&mut RowMasks, u64) {
+        let m = &mut self.masks[e.col as usize * self.words_per_col + (e.row / 64) as usize];
+        (m, 1u64 << (e.row % 64))
+    }
+
     /// The one write to an entry: every transition below ends here, so the
     /// masks and the used count follow `entries` by construction. `i` is
     /// `idx(e)`, which each caller has already computed for its own check.
@@ -150,11 +170,10 @@ impl TaskTableSide {
         let was_free = self.entries[i].ready == Ready::Free;
         let now_free = s.ready == Ready::Free;
         self.entries[i] = s;
-        let m = &mut self.masks[e.col as usize * self.words_per_col + (e.row / 64) as usize];
-        let bit = 1u64 << (e.row % 64);
+        let (m, bit) = self.row_masks(e);
         let put = |word: &mut u64, on: bool| *word = if on { *word | bit } else { *word & !bit };
         put(&mut m.sched, s.sched);
-        put(&mut m.refs, matches!(s.ready, Ready::Ref(_)));
+        m.chain &= !bit;
         put(&mut m.free, now_free);
         match (was_free, now_free) {
             (true, false) => self.used_total += 1,
@@ -172,6 +191,23 @@ impl TaskTableSide {
     pub fn set(&mut self, e: EntryIndex, s: EntryState) {
         let i = self.idx(e);
         self.store(i, e, s);
+    }
+
+    /// Says whether the task reference in row `e` can chain-update now —
+    /// whether its predecessor's entry is `Copied` — until the row's next
+    /// write.
+    ///
+    /// # Panics
+    /// Panics if `on` is set for a row that holds no task reference.
+    pub(crate) fn set_chain(&mut self, e: EntryIndex, on: bool) {
+        let i = self.idx(e);
+        assert!(
+            !on || matches!(self.entries[i].ready, Ready::Ref(_)),
+            "chain bit on {e:?} in state {:?}",
+            self.entries[i]
+        );
+        let (m, bit) = self.row_masks(e);
+        m.chain = if on { m.chain | bit } else { m.chain & !bit };
     }
 
     /// CPU spawn (Fig. 2b step 1): claim a free entry, recording either
@@ -276,30 +312,32 @@ impl TaskTableSide {
         })
     }
 
-    /// The rows of one column a scheduler warp can act on — `sched` set or
-    /// `ready` a task reference — in ascending row order: what filtering
-    /// [`TaskTableSide::column`] by those two predicates yields, read from
-    /// the masks. An idle column costs one word test per 64 rows.
+    /// The rows of one column a scheduler warp can act on — `sched` set, or
+    /// a task reference whose predecessor is `Copied` — in ascending row
+    /// order, read from the masks. An idle column, or one whose references
+    /// all wait on their predecessors, costs one word test per 64 rows.
     pub(crate) fn actionable(
         &self,
         col: u32,
     ) -> impl Iterator<Item = (EntryIndex, EntryState)> + '_ {
-        (0u32..)
-            .zip(self.col_masks(col))
-            .flat_map(move |(word, m)| {
-                let mut bits = m.sched | m.refs;
-                std::iter::from_fn(move || {
-                    (bits != 0).then(|| {
-                        let row = 64 * word + bits.trailing_zeros();
-                        bits &= bits - 1;
-                        row
-                    })
-                })
-            })
+        self.col_masks(col)
+            .iter()
+            .enumerate()
+            .flat_map(|(word, m)| set_rows(word, m.sched | m.chain))
             .map(move |row| {
                 let e = EntryIndex { col, row };
                 (e, self.get(e))
             })
+    }
+
+    /// Words of row mask per column.
+    pub(crate) fn words_per_col(&self) -> usize {
+        self.words_per_col
+    }
+
+    /// The `free` mask of rows `64·word ..` of one column.
+    pub(crate) fn free_word(&self, col: u32, word: usize) -> u64 {
+        self.col_masks(col)[word].free
     }
 
     /// The lowest free row of one column, if it has one.
@@ -473,17 +511,25 @@ mod tests {
         );
     }
 
-    /// Everything the masks answer, against a `column` scan.
-    fn masks_match_scan(t: &TaskTableSide) -> Result<(), TestCaseError> {
+    /// Everything the masks answer, against a `column` scan; `chained[i]`
+    /// is what the owner last said of entry `i` with `set_chain`, unless a
+    /// write to the entry came since.
+    fn masks_match_scan(t: &TaskTableSide, chained: &[bool]) -> Result<(), TestCaseError> {
         let mut used = 0;
         for col in 0..t.cols() {
             let actionable: Vec<_> = t
                 .column(col)
-                .filter(|(_, s)| s.sched || matches!(s.ready, Ready::Ref(_)))
+                .filter(|(e, s)| s.sched || chained[t.idx(*e)])
                 .collect();
             prop_assert_eq!(t.actionable(col).collect::<Vec<_>>(), actionable);
-            let free = t.column(col).find(|(_, s)| s.ready == Ready::Free);
-            prop_assert_eq!(t.first_free_row(col), free.map(|(e, _)| e.row));
+            let free: Vec<u32> = t
+                .column(col)
+                .filter(|(_, s)| s.ready == Ready::Free)
+                .map(|(e, _)| e.row)
+                .collect();
+            prop_assert_eq!(t.first_free_row(col), free.first().copied());
+            let free_words = (0..t.words_per_col()).flat_map(|w| set_rows(w, t.free_word(col, w)));
+            prop_assert_eq!(free_words.collect::<Vec<_>>(), free);
             let used_in_col = t.column(col).filter(|(_, s)| s.ready != Ready::Free);
             prop_assert_eq!(t.used_in_col(col), used_in_col.count() as u32);
             used += t.used_in_col(col);
@@ -493,18 +539,21 @@ mod tests {
     }
 
     proptest! {
-        /// After any sequence of legal transitions (and raw `set`s to any
-        /// state), on column heights either side of the 64-row word
-        /// boundary, the masks say what a scan of the entries says.
+        /// After any sequence of legal transitions, raw `set`s to any
+        /// state and chain bits set or cleared on task references, on
+        /// column heights either side of the 64-row word boundary, the
+        /// masks say what a scan of the entries says: `actionable` yields
+        /// the rows with `sched` set or a standing chain bit.
         #[test]
         fn masks_match_column_scans(
             height in 0usize..6,
             cols in 1u32..4,
-            ops in prop::collection::vec((0u8..8, 0u32..1000, 0u32..1000), 1..400),
+            ops in prop::collection::vec((0u8..10, 0u32..1000, 0u32..1000), 1..400),
         ) {
             let rows = [1, 2, 32, 64, 65, 130][height];
             let mut t = TaskTableSide::new(cols, rows);
-            masks_match_scan(&t)?;
+            let mut chained = vec![false; (cols * rows) as usize];
+            masks_match_scan(&t, &chained)?;
             for (op, a, b) in ops {
                 let at = e(a % cols, b % rows);
                 let st = t.get(at);
@@ -519,15 +568,26 @@ mod tests {
                     (0..=2, Ready::Ref(_)) => t.chain_settle(at),
                     (0..=1, Ready::Scheduling) if st.sched => t.clear_sched(at),
                     (0..=2, Ready::Scheduling) => t.complete(at),
+                    // ...or the owner's word on a task reference...
+                    (8..=9, Ready::Ref(_)) => t.set_chain(at, op == 8),
                     // ...else a snapshot write of an arbitrary state.
                     _ => {
                         let ready = [Ready::Free, Ready::Copied, Ready::Scheduling, prev];
                         t.set(at, EntryState { ready: ready[(b % 4) as usize], sched: a % 2 == 0 });
                     }
                 }
-                masks_match_scan(&t)?;
+                chained[t.idx(at)] = op == 8 && matches!(st.ready, Ready::Ref(_));
+                masks_match_scan(&t, &chained)?;
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "chain bit")]
+    fn chain_bit_needs_a_task_reference() {
+        let mut t = TaskTableSide::new(1, 1);
+        t.cpu_claim(e(0, 0), Ready::Copied);
+        t.set_chain(e(0, 0), true);
     }
 
     #[test]

@@ -23,8 +23,6 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::HashMap;
-
 use desim::{Dur, SimTime};
 use pagoda_obs::{Counter, Obs};
 
@@ -132,9 +130,9 @@ pub struct PcieBus {
     cfg: PcieConfig,
     /// Earliest instant each DMA channel is free.
     channel_free: [SimTime; 2],
-    /// Tail (latest completion) of each stream, for FIFO ordering.
-    stream_tail: HashMap<StreamId, SimTime>,
-    next_stream: u32,
+    /// Tail (latest completion) of each stream, for FIFO ordering,
+    /// indexed by [`StreamId`]: ids are handed out densely from 0.
+    stream_tail: Vec<SimTime>,
     stats: [ChannelStats; 2],
     obs: Obs,
 }
@@ -145,8 +143,7 @@ impl PcieBus {
         PcieBus {
             cfg,
             channel_free: [SimTime::ZERO; 2],
-            stream_tail: HashMap::new(),
-            next_stream: 0,
+            stream_tail: Vec::new(),
             stats: [ChannelStats::default(); 2],
             obs: Obs::off(),
         }
@@ -167,9 +164,8 @@ impl PcieBus {
 
     /// Allocates a fresh ordering stream (like `cudaStreamCreate`).
     pub fn create_stream(&mut self) -> StreamId {
-        let id = StreamId(self.next_stream);
-        self.next_stream += 1;
-        id
+        self.stream_tail.push(SimTime::ZERO);
+        StreamId(self.stream_tail.len() as u32 - 1)
     }
 
     /// Issues a `bytes`-byte DMA at time `now` on `stream` and returns when
@@ -185,19 +181,16 @@ impl PcieBus {
         dir: Direction,
         bytes: u64,
     ) -> Transfer {
-        assert!(stream.0 < self.next_stream, "foreign StreamId {stream:?}");
+        let Some(tail) = self.stream_tail.get_mut(stream.0 as usize) else {
+            panic!("foreign StreamId {stream:?}");
+        };
         let ch = dir.idx();
-        let tail = self
-            .stream_tail
-            .get(&stream)
-            .copied()
-            .unwrap_or(SimTime::ZERO);
-        let start = now.max(self.channel_free[ch]).max(tail);
+        let start = now.max(self.channel_free[ch]).max(*tail);
         let occupied = self.cfg.transfer_time(dir, bytes);
         let complete = start + occupied;
 
+        *tail = complete;
         self.channel_free[ch] = complete;
-        self.stream_tail.insert(stream, complete);
         let s = &mut self.stats[ch];
         s.transactions += 1;
         s.bytes += bytes;

@@ -8,6 +8,10 @@
 //! PC-1/PC-2 key schedule — verified against the classic known-answer
 //! vector and DES's complementation property.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use gpu_sim::BlockWork;
 use pagoda_core::TaskDesc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -199,23 +203,29 @@ pub fn packet_size(rng: &mut SmallRng) -> usize {
     (s / 8) * 8
 }
 
-/// Generates `n` packet-encryption tasks with irregular sizes.
+/// Generates `n` packet-encryption tasks with irregular sizes. A
+/// packet's work depends on its length alone, and lengths recur (a
+/// serving ladder point's 26.7 k packets have about 7.9 k distinct ones),
+/// so tasks of one length share one work list.
 pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x3de5);
+    let per_block = crate::gen::scale_ops(OPS_PER_BLOCK, opts.work_scale);
+    let mut work: HashMap<usize, Arc<[BlockWork]>> = HashMap::new();
     (0..n)
         .map(|_| {
             let bytes = packet_size(&mut rng);
             let blocks = bytes / 8;
-            let per_block = crate::gen::scale_ops(OPS_PER_BLOCK, opts.work_scale);
-            let per_thread =
-                distribute_cyclic_equal(blocks, per_block, opts.threads_per_task as usize);
-            let block = build_block(&per_thread, calib::DES3.cpi, &[1.0]);
+            let shared = work.entry(bytes).or_insert_with(|| {
+                let per_thread =
+                    distribute_cyclic_equal(blocks, per_block, opts.threads_per_task as usize);
+                [build_block(&per_thread, calib::DES3.cpi, &[1.0])].into()
+            });
             TaskDesc {
                 threads_per_tb: opts.threads_per_task,
                 num_tbs: 1,
                 smem_per_tb: 0,
                 sync: false,
-                blocks: [block].into(),
+                blocks: Arc::clone(shared),
                 input_bytes: if opts.with_io { bytes as u64 } else { 0 },
                 output_bytes: if opts.with_io { bytes as u64 } else { 0 },
                 cpu_ops: blocks as u64 * per_block,
@@ -227,6 +237,7 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn classic_known_answer_vector() {
@@ -294,6 +305,81 @@ mod tests {
             .all(|&s| (MIN_PACKET - 8..=MAX_PACKET).contains(&s)));
         assert!(sizes.iter().any(|&s| s < 2 * MIN_PACKET));
         assert!(sizes.iter().any(|&s| s > MAX_PACKET / 3));
+    }
+
+    /// [`tasks`] as it was before packets of one length shared their
+    /// work: every task builds its own.
+    fn tasks_one_by_one(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
+        let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x3de5);
+        (0..n)
+            .map(|_| {
+                let bytes = packet_size(&mut rng);
+                let blocks = bytes / 8;
+                let per_block = crate::gen::scale_ops(OPS_PER_BLOCK, opts.work_scale);
+                let per_thread =
+                    distribute_cyclic_equal(blocks, per_block, opts.threads_per_task as usize);
+                let block = build_block(&per_thread, calib::DES3.cpi, &[1.0]);
+                TaskDesc {
+                    threads_per_tb: opts.threads_per_task,
+                    num_tbs: 1,
+                    smem_per_tb: 0,
+                    sync: false,
+                    blocks: [block].into(),
+                    input_bytes: if opts.with_io { bytes as u64 } else { 0 },
+                    output_bytes: if opts.with_io { bytes as u64 } else { 0 },
+                    cpu_ops: blocks as u64 * per_block,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_work_equals_per_task_work_and_is_shared_per_length() {
+        let variants = [
+            GenOpts::default(),
+            GenOpts {
+                with_io: false,
+                seed: 7,
+                ..GenOpts::default()
+            },
+            GenOpts {
+                threads_per_task: 32,
+                work_scale: 2.5,
+                ..GenOpts::default()
+            },
+        ];
+        for opts in variants {
+            // 3 000 log-uniform packets: the short lengths recur.
+            let (shared, alone) = (tasks(3_000, &opts), tasks_one_by_one(3_000, &opts));
+            assert_eq!(shared.len(), alone.len());
+            for (s, a) in shared.iter().zip(&alone) {
+                assert_eq!(
+                    (s.threads_per_tb, s.num_tbs, s.smem_per_tb, s.sync),
+                    (a.threads_per_tb, a.num_tbs, a.smem_per_tb, a.sync)
+                );
+                assert_eq!(
+                    (s.input_bytes, s.output_bytes, s.cpu_ops),
+                    (a.input_bytes, a.output_bytes, a.cpu_ops)
+                );
+                assert_eq!(s.blocks, a.blocks);
+            }
+            // `cpu_ops` is the length's block count times a constant, so
+            // it names the length whether or not the I/O volume is kept.
+            let mut by_length: HashMap<u64, &Arc<[BlockWork]>> = HashMap::new();
+            for t in &shared {
+                let first = by_length.entry(t.cpu_ops).or_insert(&t.blocks);
+                assert!(Arc::ptr_eq(first, &t.blocks), "one length, two work lists");
+            }
+            let lists: HashSet<*const BlockWork> =
+                shared.iter().map(|t| t.blocks.as_ptr()).collect();
+            assert_eq!(lists.len(), by_length.len(), "two lengths, one work list");
+            assert!(
+                by_length.len() + 100 < shared.len(),
+                "{} lengths among {} packets: too few recur to test sharing",
+                by_length.len(),
+                shared.len()
+            );
+        }
     }
 
     #[test]

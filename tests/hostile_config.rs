@@ -5,8 +5,10 @@
 //! Titan X}, link bandwidths from {0, -1, NaN, ∞} in each direction,
 //! every setter `PagodaConfig::builder()` has, and 0–4-device fleets
 //! with an interconnect drawn the same way and out-of-range, non-finite
-//! and killing faults. Not drawn, because each still ends in a panic: a
-//! sub-µs fleet polling slice, a fleet with every device killed.
+//! and killing faults, every device killed included (what it was running
+//! or is handed afterwards is reported lost). Not drawn, because it
+//! still ends in a panic: a sub-µs fleet polling slice. Out of scope: a
+//! serving run over a fleet whose every device is dead.
 
 use pagoda::prelude::*;
 use proptest::prelude::*;
@@ -63,15 +65,14 @@ fn arb_config() -> impl Strategy<Value = PagodaConfig> {
 }
 
 /// Faults aimed at devices 0..=4 of a fleet of up to four, slowdowns
-/// by factors from {NaN, 0.5, 1, 2, 4, ∞}. Kills never aim at device 0,
-/// so a fleet keeps a survivor to spawn onto (a fleet with every device
-/// dead has nowhere to put a blocking spawn).
+/// by factors from {NaN, 0.5, 1, 2, 4, ∞}. Kills aim at any device, so
+/// a fleet may lose every one of them.
 fn arb_fault() -> impl Strategy<Value = FaultSpec> {
     (0usize..3, 0usize..5, 0usize..9).prop_map(|(at, device, kind)| {
         let factors = [f64::NAN, 0.5, 1.0, 4.0, f64::INFINITY];
         FaultSpec {
             at: [SimTime::ZERO, SimTime::from_us(3), SimTime::from_us(40)][at],
-            device: if kind < 3 { device.max(1) } else { device },
+            device,
             kind: match kind {
                 0..=2 => FaultKind::Kill,
                 k => FaultKind::Slow {
@@ -93,6 +94,40 @@ fn small_task(i: usize) -> TaskDesc {
     };
     t.output_bytes = (i as u64 % 2) * 4096;
     t
+}
+
+/// The proptest draws a fleet that loses every device only now and then,
+/// and rarely one small enough that a blocking spawn waits on it: here
+/// is that case for each fleet size. Two-entry devices fill at once, so
+/// the spawns after the last kill find nowhere to go.
+#[test]
+fn a_fleet_that_loses_every_device_resolves_every_task() {
+    let mut tiny = PagodaConfig::builder().rows_per_column(1).build().unwrap();
+    tiny.device.spec.num_sms = 1;
+    for devices in 1..=3 {
+        let mut builder = ClusterConfig::builder().retry(RetryPolicy::Resubmit { max_attempts: 5 });
+        for device in 0..devices {
+            builder = builder.device(tiny.clone()).fault(FaultSpec {
+                at: SimTime::from_us(3 + 20 * device as u64),
+                device,
+                kind: FaultKind::Kill,
+            });
+        }
+        let mut fleet = ClusterHandle::new(builder.build().unwrap()).unwrap();
+        let keys: Vec<u64> = (0..TASKS)
+            .map(|i| fleet.spawn_blocking(0, small_task(i)).unwrap())
+            .collect();
+        fleet.wait_all();
+        let report = fleet.report();
+        assert_eq!(report.kills, devices as u64);
+        let resolved = |k| matches!(fleet.status(k), Ok(TaskStatus::Done | TaskStatus::Lost));
+        assert!(keys.iter().all(|&k| resolved(k)));
+        assert_eq!(report.completed + report.tasks_lost, TASKS as u64);
+        assert!(
+            report.tasks_lost > 0,
+            "{devices} device(s): nothing was lost"
+        );
+    }
 }
 
 proptest! {
@@ -162,9 +197,11 @@ proptest! {
         prop_assert!(keys.iter().all(|&k| resolved(k)));
         prop_assert_eq!(report.completed + report.tasks_lost, TASKS as u64);
         // A task is stranded once per kill at most, so a retry budget
-        // past the kills applied loses nothing: device 0 survives them.
+        // past the kills applied loses nothing while a device survives
+        // them.
+        let survivor = report.devices.iter().any(|d| d.alive);
         if let RetryPolicy::Resubmit { max_attempts } = retry {
-            if u64::from(max_attempts) > report.kills {
+            if survivor && u64::from(max_attempts) > report.kills {
                 prop_assert_eq!(report.tasks_lost, 0);
             }
         }
