@@ -118,6 +118,10 @@ if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
     run env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib lockstep_decide_under_deep_backlog
     run env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib masks_match_column_scans
     run env PROPTEST_CASES=512 cargo test -q --offline -p workloads --lib render_equals_per_pixel
+    # Hostile configurations at eight times tier-1's 128 cases: a fleet
+    # that loses every device, and most single hostile serving axes,
+    # come up only now and then at 128 (about a second at 1024).
+    run env PROPTEST_CASES=1024 cargo test -q --offline --test hostile_config
     # The shape claims of EXPERIMENTS.md that a 512-task run cannot reach
     # (Fig. 6 past 512 tasks, Fig. 10's plateau, the geomean bands),
     # asserted over every figure's points at paper scale.

@@ -23,42 +23,39 @@ use crate::summary::RunSummary;
 pub struct CpuConfig {
     /// Worker cores (the paper: 20).
     pub cores: u32,
-    /// Sustained thread-ops per second of one core running alone: a
-    /// 2.6 GHz E5-2660v3 sustains a few ops per cycle on `gcc -O3` code
-    /// (superscalar issue plus occasional SSE/AVX) ≈ 8.5 G ops/s.
-    pub ops_per_sec: f64,
-    /// Aggregate socket-pair memory-system throughput in thread-ops/s.
-    /// Narrow-task kernels stream their inputs, so 20 concurrent cores
-    /// saturate DRAM long before 20× scaling: the paper's PThreads bars
-    /// sit at ~7× its sequential baseline, which this cap reproduces.
-    pub mem_bw_ops_per_sec: f64,
-    /// Per-task queue/dispatch overhead.
-    pub task_overhead: Dur,
 }
 
 impl Default for CpuConfig {
     fn default() -> Self {
-        CpuConfig {
-            cores: 20,
-            ops_per_sec: 8.5e9,
-            mem_bw_ops_per_sec: 60.0e9,
-            task_overhead: Dur::from_ns(250),
-        }
+        CpuConfig { cores: 20 }
     }
 }
+
+/// Sustained thread-ops per second of one core running alone: a 2.6 GHz
+/// E5-2660v3 sustains a few ops per cycle on `gcc -O3` code (superscalar
+/// issue plus occasional SSE/AVX) ≈ 8.5 G ops/s.
+const OPS_PER_SEC: f64 = 8.5e9;
+
+/// Aggregate socket-pair memory-system throughput in thread-ops/s.
+/// Narrow-task kernels stream their inputs, so 20 concurrent cores
+/// saturate DRAM long before 20× scaling: the paper's PThreads bars sit at
+/// ~7× its sequential baseline, which this cap reproduces.
+const MEM_BW_OPS_PER_SEC: f64 = 60.0e9;
+
+/// Per-task queue/dispatch overhead.
+const TASK_OVERHEAD: Dur = Dur::from_ns(250);
 
 /// Effective per-core rate with all `cores` active: compute-bound alone,
 /// bandwidth-shared together.
 fn per_core_rate(cfg: &CpuConfig) -> f64 {
-    cfg.ops_per_sec
-        .min(cfg.mem_bw_ops_per_sec / f64::from(cfg.cores))
+    OPS_PER_SEC.min(MEM_BW_OPS_PER_SEC / f64::from(cfg.cores))
 }
 
 /// One task's CPU duration under the model (all cores active). Uses the
 /// task's true sequential operation count, not the divergence-inflated
 /// GPU charge.
 pub fn cpu_task_time(cfg: &CpuConfig, t: &TaskDesc) -> Dur {
-    cfg.task_overhead + Dur::from_secs_f64(t.cpu_ops as f64 / per_core_rate(cfg))
+    TASK_OVERHEAD + Dur::from_secs_f64(t.cpu_ops as f64 / per_core_rate(cfg))
 }
 
 /// Greedy list scheduling of `tasks` (in order) over `cfg.cores` cores.
@@ -93,13 +90,10 @@ pub fn run_pthreads(cfg: &CpuConfig, tasks: &[TaskDesc]) -> RunSummary {
 }
 
 /// Sequential single-core execution (the speedup-of-1 baseline the paper's
-/// Fig. 5 bars normalize against).
-pub fn run_sequential(cfg: &CpuConfig, tasks: &[TaskDesc]) -> RunSummary {
-    let one_core = CpuConfig {
-        cores: 1,
-        ..cfg.clone()
-    };
-    run_pthreads(&one_core, tasks)
+/// Fig. 5 bars normalize against): [`run_pthreads`] on one core, whatever
+/// `_cfg.cores` says.
+pub fn run_sequential(_cfg: &CpuConfig, tasks: &[TaskDesc]) -> RunSummary {
+    run_pthreads(&CpuConfig { cores: 1 }, tasks)
 }
 
 #[cfg(test)]
@@ -131,10 +125,7 @@ mod tests {
     #[test]
     fn few_cores_scale_linearly() {
         // 4 cores stay under the bandwidth cap: ~4x.
-        let cfg = CpuConfig {
-            cores: 4,
-            ..CpuConfig::default()
-        };
+        let cfg = CpuConfig { cores: 4 };
         let ts = tasks(2000, 1_000_000);
         let seq = run_sequential(&cfg, &ts);
         let par = run_pthreads(&cfg, &ts);
@@ -160,6 +151,6 @@ mod tests {
     fn task_time_includes_overhead() {
         let cfg = CpuConfig::default();
         let t = TaskDesc::uniform(32, WarpWork::compute(0, 1.0));
-        assert_eq!(cpu_task_time(&cfg, &t), cfg.task_overhead);
+        assert_eq!(cpu_task_time(&cfg, &t), TASK_OVERHEAD);
     }
 }

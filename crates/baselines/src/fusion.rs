@@ -13,32 +13,14 @@
 
 use desim::{Dur, SimTime};
 use gpu_arch::TaskShape;
-use gpu_sim::{BlockWork, DeviceConfig, GpuDevice, KernelDesc, Notify, Segment, WarpWork};
+use gpu_sim::{BlockWork, GpuDevice, KernelDesc, Notify, Segment, WarpWork};
 use pagoda_core::TaskDesc;
-use pcie::{Direction, PcieBus, PcieConfig};
+use pcie::{Direction, PcieBus};
 
 use crate::summary::RunSummary;
 
-/// Fusion runner configuration.
-#[derive(Debug, Clone)]
-pub struct FusionConfig {
-    /// The device.
-    pub device: DeviceConfig,
-    /// The interconnect.
-    pub pcie: PcieConfig,
-    /// Host CPU cost to assemble the fused launch, per task fused.
-    pub fuse_cpu_cost: Dur,
-}
-
-impl Default for FusionConfig {
-    fn default() -> Self {
-        FusionConfig {
-            device: DeviceConfig::titan_x(),
-            pcie: PcieConfig::default(),
-            fuse_cpu_cost: Dur::from_ns(300),
-        }
-    }
-}
+/// Host CPU cost to assemble the fused launch, per task fused.
+const FUSE_CPU_COST: Dur = Dur::from_ns(300);
 
 /// Pads a block to `to_warps` warps with zero-work warps that still attend
 /// every barrier (a fused sub-task narrower than the fixed block width).
@@ -59,13 +41,14 @@ fn pad_block(block: &BlockWork, to_warps: u32) -> BlockWork {
 }
 
 /// Runs all `tasks` as one statically fused kernel with
-/// `threads_per_subtask`-wide blocks.
+/// `threads_per_subtask`-wide blocks on the Titan X over the default PCIe
+/// link.
 ///
 /// # Panics
 /// Panics if a task has more than one threadblock (fusion maps one task to
 /// one block), is wider than the fused width, or the fused shape cannot
 /// launch.
-pub fn run_fusion(cfg: &FusionConfig, tasks: &[TaskDesc], threads_per_subtask: u32) -> RunSummary {
+pub fn run_fusion(tasks: &[TaskDesc], threads_per_subtask: u32) -> RunSummary {
     assert!(!tasks.is_empty(), "fusing zero tasks");
     let warps = threads_per_subtask.div_ceil(32);
     let smem = tasks.iter().map(|t| t.smem_per_tb).max().unwrap();
@@ -87,12 +70,12 @@ pub fn run_fusion(cfg: &FusionConfig, tasks: &[TaskDesc], threads_per_subtask: u
         smem_per_tb: smem,
     };
 
-    let mut device = GpuDevice::new(cfg.device.clone());
-    let mut bus = PcieBus::new(cfg.pcie.clone());
+    let mut device = GpuDevice::titan_x();
+    let mut bus = PcieBus::new_default();
     let h2d = bus.create_stream();
     let d2h = bus.create_stream();
 
-    let host_now = SimTime::ZERO + Dur::from_ps(cfg.fuse_cpu_cost.as_ps() * tasks.len() as u64);
+    let host_now = SimTime::ZERO + Dur::from_ps(FUSE_CPU_COST.as_ps() * tasks.len() as u64);
     let input_bytes: u64 = tasks.iter().map(|t| t.input_bytes).sum();
     let launch_at = if input_bytes > 0 {
         bus.transfer(host_now, h2d, Direction::HostToDevice, input_bytes)
@@ -102,9 +85,9 @@ pub fn run_fusion(cfg: &FusionConfig, tasks: &[TaskDesc], threads_per_subtask: u
     };
     device.schedule_host(launch_at, 0);
 
-    let mut kernel_done = None;
-    while let Some((t, batch)) = device.step() {
-        for n in batch {
+    let (mut kernel_done, mut batch) = (None, Vec::new());
+    while let Some(t) = device.step_bounded_into(SimTime::MAX, &mut batch) {
+        for &n in &batch {
             match n {
                 Notify::Host(_) => {
                     let k = KernelDesc::new(shape, blocks.clone(), 0);
@@ -134,10 +117,7 @@ pub fn run_fusion(cfg: &FusionConfig, tasks: &[TaskDesc], threads_per_subtask: u
         avg_running_occupancy: device.avg_running_occupancy(),
         h2d_busy: bus.stats(Direction::HostToDevice).busy,
         d2h_busy: bus.stats(Direction::DeviceToHost).busy,
-        gpu_busy: {
-            let s = device.stats();
-            Dur::from_ps(s.busy_ps / u64::from(device.spec().num_sms))
-        },
+        gpu_busy: device.avg_sm_busy(),
     }
 }
 
@@ -151,13 +131,13 @@ mod tests {
         let tasks: Vec<TaskDesc> = (0..256)
             .map(|_| TaskDesc::uniform(128, WarpWork::compute(100_000, 4.0)))
             .collect();
-        let s = run_fusion(&FusionConfig::default(), &tasks, 256);
+        let s = run_fusion(&tasks, 256);
         assert_eq!(s.tasks, 256);
         // More tasks -> proportionally longer per-task latency.
         let tasks2: Vec<TaskDesc> = (0..1024)
             .map(|_| TaskDesc::uniform(128, WarpWork::compute(100_000, 4.0)))
             .collect();
-        let s2 = run_fusion(&FusionConfig::default(), &tasks2, 256);
+        let s2 = run_fusion(&tasks2, 256);
         assert!(
             s2.mean_task_latency.as_secs_f64() > 2.5 * s.mean_task_latency.as_secs_f64(),
             "{:?} vs {:?}",
@@ -181,7 +161,7 @@ mod tests {
         let tasks: Vec<TaskDesc> = (0..64)
             .map(|_| TaskDesc::uniform(96, WarpWork::phased(30_000, 2, 2.0)))
             .collect();
-        let s = run_fusion(&FusionConfig::default(), &tasks, 256);
+        let s = run_fusion(&tasks, 256);
         assert_eq!(s.tasks, 64);
         assert!(s.compute_done > SimTime::ZERO);
     }
@@ -190,6 +170,6 @@ mod tests {
     #[should_panic(expected = "wider than the fused")]
     fn oversized_task_rejected() {
         let t = TaskDesc::uniform(512, WarpWork::compute(1, 1.0));
-        run_fusion(&FusionConfig::default(), &[t], 256);
+        run_fusion(&[t], 256);
     }
 }

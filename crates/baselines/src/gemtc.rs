@@ -14,47 +14,42 @@
 //! * **No shared memory, no sub-block synchronization support** beyond the
 //!   worker's own `__syncthreads` (fine, since 1 task = 1 TB).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use desim::{Dur, SimTime};
 use gpu_arch::TaskShape;
-use gpu_sim::{DeviceConfig, GpuDevice, GroupId, Notify, PersistentTb};
+use gpu_sim::{GpuDevice, GroupId, Notify, PersistentTb};
 use pagoda_core::TaskDesc;
-use pcie::{Direction, PcieBus, PcieConfig};
+use pcie::{Direction, PcieBus};
 
 use crate::summary::RunSummary;
 
-/// GeMTC runner configuration.
+/// GeMTC runner configuration. The machine is the Titan X over the
+/// default PCIe link.
 #[derive(Debug, Clone)]
 pub struct GemtcConfig {
-    /// The device.
-    pub device: DeviceConfig,
-    /// The interconnect.
-    pub pcie: PcieConfig,
     /// Worker threadblock width. The paper's modified GeMTC uses the task
     /// width (≥64 threads reaches 100 % occupancy); tasks wider than this
     /// are rejected.
     pub worker_threads: u32,
-    /// Serialized cost of one FIFO dequeue (the single-queue bottleneck).
-    pub dequeue_cost: Dur,
-    /// Host CPU time per task for batch assembly.
-    pub assemble_cpu_cost: Dur,
 }
 
 impl Default for GemtcConfig {
     fn default() -> Self {
         GemtcConfig {
-            device: DeviceConfig::titan_x(),
-            pcie: PcieConfig::default(),
             worker_threads: 128,
-            // One atomic pop + parameter fetch from the single
-            // device-memory FIFO per task; the paper calls this queue "a
-            // significant task scheduling overhead".
-            dequeue_cost: Dur::from_ns(1000),
-            assemble_cpu_cost: Dur::from_ns(800),
         }
     }
 }
+
+/// Serialized cost of one FIFO dequeue (the single-queue bottleneck): one
+/// atomic pop + parameter fetch from the single device-memory FIFO per
+/// task; the paper calls this queue "a significant task scheduling
+/// overhead".
+const DEQUEUE_COST: Dur = Dur::from_ns(1000);
+
+/// Host CPU time per task for batch assembly.
+const ASSEMBLE_CPU_COST: Dur = Dur::from_ns(800);
 
 #[derive(Debug)]
 struct WorkerRun {
@@ -65,21 +60,22 @@ struct WorkerRun {
 }
 
 struct GemtcSim<'a> {
-    cfg: &'a GemtcConfig,
     tasks: &'a [TaskDesc],
     device: GpuDevice,
     workers: Vec<PersistentTb>,
     running: Vec<Option<WorkerRun>>,
     pending: VecDeque<usize>,
-    staged_pops: HashMap<u64, (usize, usize)>,
-    next_pop_tag: u64,
+    /// The task each worker's FIFO pop fetches: a worker schedules a pop
+    /// only while idle, so it has at most one in flight, tagged with the
+    /// worker's index.
+    popped: Vec<usize>,
     queue_free: SimTime,
     gpu_done: Vec<Option<SimTime>>,
     batch_remaining: usize,
 }
 
 impl GemtcSim<'_> {
-    fn start_tb(&mut self, time: SimTime, w: usize, task: usize, tb: u32) {
+    fn start_tb(&mut self, w: usize, task: usize, tb: u32) {
         let desc = &self.tasks[task];
         let wpt = desc.warps_per_tb() as usize;
         let warps = &self.workers[w].warps[..wpt];
@@ -95,7 +91,6 @@ impl GemtcSim<'_> {
             outstanding: wpt as u32,
             group,
         });
-        let _ = time;
     }
 
     /// Schedules the serialized FIFO pop of the next pending task for a
@@ -104,12 +99,10 @@ impl GemtcSim<'_> {
         let Some(task) = self.pending.pop_front() else {
             return;
         };
-        let pop_at = now.max(self.queue_free) + self.cfg.dequeue_cost;
+        let pop_at = now.max(self.queue_free) + DEQUEUE_COST;
         self.queue_free = pop_at;
-        let tag = self.next_pop_tag;
-        self.next_pop_tag += 1;
-        self.staged_pops.insert(tag, (w, task));
-        self.device.schedule_host(pop_at, tag);
+        self.popped[w] = task;
+        self.device.schedule_host(pop_at, w as u64);
     }
 
     fn on_warp_done(&mut self, time: SimTime, w: usize) {
@@ -124,7 +117,7 @@ impl GemtcSim<'_> {
             self.device.release_group(g);
         }
         if tb + 1 < self.tasks[task].num_tbs {
-            self.start_tb(time, w, task, tb + 1);
+            self.start_tb(w, task, tb + 1);
             return;
         }
         self.running[w] = None;
@@ -150,7 +143,7 @@ pub fn run_gemtc(cfg: &GemtcConfig, tasks: &[TaskDesc]) -> RunSummary {
         );
         assert_eq!(t.smem_per_tb, 0, "GeMTC has no shared-memory support");
     }
-    let mut device = GpuDevice::new(cfg.device.clone());
+    let mut device = GpuDevice::titan_x();
     let spec = device.spec().clone();
     let worker_shape_one = TaskShape {
         threads_per_tb: cfg.worker_threads,
@@ -170,20 +163,18 @@ pub fn run_gemtc(cfg: &GemtcConfig, tasks: &[TaskDesc]) -> RunSummary {
         })
         .expect("SuperKernel must fit");
 
-    let mut bus = PcieBus::new(cfg.pcie.clone());
+    let mut bus = PcieBus::new_default();
     let h2d = bus.create_stream();
     let d2h = bus.create_stream();
 
     let n = tasks.len();
     let mut sim = GemtcSim {
-        cfg,
         tasks,
         device,
         workers,
         running: (0..num_workers).map(|_| None).collect(),
         pending: VecDeque::new(),
-        staged_pops: HashMap::new(),
-        next_pop_tag: 0,
+        popped: vec![0; num_workers],
         queue_free: SimTime::ZERO,
         gpu_done: vec![None; n],
         batch_remaining: 0,
@@ -192,6 +183,7 @@ pub fn run_gemtc(cfg: &GemtcConfig, tasks: &[TaskDesc]) -> RunSummary {
     let mut host_now = SimTime::ZERO;
     let mut spawn_time = vec![SimTime::ZERO; n];
     let batch_size = num_workers;
+    let mut notifications = Vec::new();
 
     let mut next = 0usize;
     while next < n {
@@ -202,7 +194,7 @@ pub fn run_gemtc(cfg: &GemtcConfig, tasks: &[TaskDesc]) -> RunSummary {
         // `cudaMemcpyAsync` transactions (GeMTC moves each task's data to
         // its device-queue slot); the batch is ready when the last lands.
         host_now = host_now.max(sim.device.now())
-            + Dur::from_ps(cfg.assemble_cpu_cost.as_ps() * batch.len() as u64);
+            + Dur::from_ps(ASSEMBLE_CPU_COST.as_ps() * batch.len() as u64);
         let mut batch_ready = host_now;
         for &i in &batch {
             spawn_time[i] = host_now;
@@ -224,15 +216,15 @@ pub fn run_gemtc(cfg: &GemtcConfig, tasks: &[TaskDesc]) -> RunSummary {
 
         // The batch barrier: run until every task of this batch retires.
         while sim.batch_remaining > 0 {
-            let (t, notifications) = sim
+            let t = sim
                 .device
-                .step()
+                .step_bounded_into(SimTime::MAX, &mut notifications)
                 .expect("GeMTC batch deadlocked with tasks outstanding");
-            for nfy in notifications {
+            for &nfy in &notifications {
                 match nfy {
                     Notify::Host(tag) => {
-                        let (w, task) = sim.staged_pops.remove(&tag).expect("unknown pop");
-                        sim.start_tb(t, w, task, 0);
+                        let w = tag as usize;
+                        sim.start_tb(w, sim.popped[w], 0);
                     }
                     Notify::WarpDone { tag, .. } => sim.on_warp_done(t, tag as usize),
                     Notify::KernelDone { .. } => unreachable!("no native kernels in GeMTC"),
@@ -270,10 +262,7 @@ pub fn run_gemtc(cfg: &GemtcConfig, tasks: &[TaskDesc]) -> RunSummary {
         avg_running_occupancy: sim.device.avg_running_occupancy(),
         h2d_busy: bus.stats(Direction::HostToDevice).busy,
         d2h_busy: bus.stats(Direction::DeviceToHost).busy,
-        gpu_busy: {
-            let s = sim.device.stats();
-            Dur::from_ps(s.busy_ps / u64::from(sim.device.spec().num_sms))
-        },
+        gpu_busy: sim.device.avg_sm_busy(),
     }
 }
 
@@ -315,7 +304,6 @@ mod tests {
         // One straggler per batch: every batch takes the straggler's time.
         let cfg = GemtcConfig {
             worker_threads: 128,
-            ..GemtcConfig::default()
         };
         let n_workers = 16 * 24;
         let mut tasks = narrow(n_workers * 2, 128, 1_000);

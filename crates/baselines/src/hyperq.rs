@@ -11,14 +11,12 @@
 //!   machine (paper §2: 32 × 8 warps = 16.67 % occupancy);
 //! * threadblock-granularity resource recycling (§6.4).
 
-use std::collections::HashMap;
-
 use desim::{Dur, SimTime};
 use gpu_arch::TaskShape;
 use gpu_sim::{DeviceConfig, GpuDevice, KernelDesc, Notify};
 use pagoda_core::TaskDesc;
 use pagoda_obs::{Counter, Obs};
-use pcie::{Direction, PcieBus, PcieConfig};
+use pcie::{Direction, PcieBus, PcieConfig, StreamId};
 
 use crate::summary::RunSummary;
 
@@ -29,8 +27,6 @@ pub struct HyperQConfig {
     pub device: DeviceConfig,
     /// The interconnect.
     pub pcie: PcieConfig,
-    /// Host CPU time per task (API calls: memcpy enqueue + kernel launch).
-    pub spawn_cpu_cost: Dur,
     /// Observability sink, attached to the device and bus for the run
     /// (kernel launches, engine events, PCIe counters, task counts).
     pub obs: Obs,
@@ -41,8 +37,61 @@ impl Default for HyperQConfig {
         HyperQConfig {
             device: DeviceConfig::titan_x(),
             pcie: PcieConfig::default(),
-            spawn_cpu_cost: Dur::from_ns(1000),
             obs: Obs::off(),
+        }
+    }
+}
+
+/// Host CPU time per task (API calls: memcpy enqueue + kernel launch).
+const SPAWN_CPU_COST: Dur = Dur::from_ns(1000);
+
+/// A HyperQ run in progress: the device and bus, and when each task's
+/// kernel retired and its output landed.
+struct HyperQSim<'a> {
+    tasks: &'a [TaskDesc],
+    device: GpuDevice,
+    bus: PcieBus,
+    d2h: StreamId,
+    obs: &'a Obs,
+    gpu_done: Vec<Option<SimTime>>,
+    output_done: Vec<Option<SimTime>>,
+}
+
+impl HyperQSim<'_> {
+    /// Handles one instant's notifications: a host timer is task `tag`'s
+    /// input copy landing, so its kernel launches; a retired kernel's
+    /// output copies back.
+    fn handle(&mut self, t: SimTime, batch: &[Notify]) {
+        for &n in batch {
+            match n {
+                Notify::Host(tag) => {
+                    let task = &self.tasks[tag as usize];
+                    let shape = TaskShape {
+                        threads_per_tb: task.threads_per_tb,
+                        num_tbs: task.num_tbs,
+                        regs_per_thread: 32,
+                        smem_per_tb: task.smem_per_tb,
+                    };
+                    let k = KernelDesc::new(shape, task.blocks.to_vec(), tag);
+                    self.device
+                        .launch_kernel(k)
+                        .expect("unlaunchable task shape");
+                }
+                Notify::KernelDone { tag } => {
+                    let i = tag as usize;
+                    self.obs.count(Counter::TasksFreed, 1);
+                    self.gpu_done[i] = Some(t);
+                    let bytes = self.tasks[i].output_bytes;
+                    self.output_done[i] = Some(if bytes > 0 {
+                        self.bus
+                            .transfer(t, self.d2h, Direction::DeviceToHost, bytes)
+                            .complete
+                    } else {
+                        t
+                    });
+                }
+                Notify::WarpDone { .. } => unreachable!("no persistent warps in HyperQ"),
+            }
         }
     }
 }
@@ -59,117 +108,60 @@ pub fn run_hyperq(cfg: &HyperQConfig, tasks: &[TaskDesc]) -> RunSummary {
     bus.attach_obs(cfg.obs.clone());
     let h2d = bus.create_stream();
     let d2h = bus.create_stream();
+    let mut sim = HyperQSim {
+        tasks,
+        device,
+        bus,
+        d2h,
+        obs: &cfg.obs,
+        gpu_done: vec![None; tasks.len()],
+        output_done: vec![None; tasks.len()],
+    };
 
     let mut host_now = SimTime::ZERO;
     let mut spawn_time = vec![SimTime::ZERO; tasks.len()];
-    let mut gpu_done: Vec<Option<SimTime>> = vec![None; tasks.len()];
-    let mut output_done: Vec<Option<SimTime>> = vec![None; tasks.len()];
-    // Launches deferred until the task's input copy is visible.
-    let mut staged: HashMap<u64, usize> = HashMap::new();
-
-    // Handles one notification batch; used both while the host is still
-    // spawning (bounded co-simulation) and during the final drain.
-    #[allow(clippy::too_many_arguments)]
-    fn handle(
-        t: SimTime,
-        batch: Vec<Notify>,
-        tasks: &[TaskDesc],
-        device: &mut GpuDevice,
-        bus: &mut PcieBus,
-        d2h: pcie::StreamId,
-        staged: &mut HashMap<u64, usize>,
-        gpu_done: &mut [Option<SimTime>],
-        output_done: &mut [Option<SimTime>],
-        obs: &Obs,
-    ) {
-        for n in batch {
-            match n {
-                Notify::Host(tag) => {
-                    let i = staged.remove(&tag).expect("unknown launch tag");
-                    let task = &tasks[i];
-                    let shape = TaskShape {
-                        threads_per_tb: task.threads_per_tb,
-                        num_tbs: task.num_tbs,
-                        regs_per_thread: 32,
-                        smem_per_tb: task.smem_per_tb,
-                    };
-                    let k = KernelDesc::new(shape, task.blocks.to_vec(), i as u64);
-                    device.launch_kernel(k).expect("unlaunchable task shape");
-                }
-                Notify::KernelDone { tag } => {
-                    let i = tag as usize;
-                    obs.count(Counter::TasksFreed, 1);
-                    gpu_done[i] = Some(t);
-                    output_done[i] = Some(if tasks[i].output_bytes > 0 {
-                        bus.transfer(t, d2h, Direction::DeviceToHost, tasks[i].output_bytes)
-                            .complete
-                    } else {
-                        t
-                    });
-                }
-                Notify::WarpDone { .. } => unreachable!("no persistent warps in HyperQ"),
-            }
-        }
-    }
-
+    let mut batch = Vec::new();
     for (i, t) in tasks.iter().enumerate() {
         cfg.obs.count(Counter::TasksSpawned, 1);
-        host_now = host_now.max(device.now()) + cfg.spawn_cpu_cost;
+        host_now = host_now.max(sim.device.now()) + SPAWN_CPU_COST;
         // Keep the device co-simulated with the host timeline, launching
         // kernels whose input copies have already landed.
-        while let Some((et, batch)) = device.step_bounded(host_now) {
-            handle(
-                et,
-                batch,
-                tasks,
-                &mut device,
-                &mut bus,
-                d2h,
-                &mut staged,
-                &mut gpu_done,
-                &mut output_done,
-                &cfg.obs,
-            );
+        while let Some(et) = sim.device.step_bounded_into(host_now, &mut batch) {
+            sim.handle(et, &batch);
         }
         spawn_time[i] = host_now;
         let launch_at = if t.input_bytes > 0 {
-            bus.transfer(host_now, h2d, Direction::HostToDevice, t.input_bytes)
+            sim.bus
+                .transfer(host_now, h2d, Direction::HostToDevice, t.input_bytes)
                 .complete
         } else {
             host_now
         };
-        staged.insert(i as u64, i);
-        device.schedule_host(launch_at, i as u64);
+        // The timer's tag is the task's index: its launch, deferred until
+        // the input copy is visible.
+        sim.device.schedule_host(launch_at, i as u64);
     }
 
     // Drain the device, launching kernels as remaining inputs land.
-    while let Some((t, batch)) = device.step() {
-        handle(
-            t,
-            batch,
-            tasks,
-            &mut device,
-            &mut bus,
-            d2h,
-            &mut staged,
-            &mut gpu_done,
-            &mut output_done,
-            &cfg.obs,
-        );
+    while let Some(t) = sim.device.step_bounded_into(SimTime::MAX, &mut batch) {
+        sim.handle(t, &batch);
     }
 
-    let end = output_done
+    let end = sim
+        .output_done
         .iter()
         .map(|o| o.expect("task never completed"))
         .max()
         .unwrap_or(host_now)
         .max(host_now);
-    let lat_sum: u64 = gpu_done
+    let lat_sum: u64 = sim
+        .gpu_done
         .iter()
         .zip(&spawn_time)
         .map(|(d, s)| (d.unwrap() - *s).as_ps())
         .sum();
-    let compute_done = gpu_done
+    let compute_done = sim
+        .gpu_done
         .iter()
         .map(|d| d.unwrap())
         .max()
@@ -179,17 +171,11 @@ pub fn run_hyperq(cfg: &HyperQConfig, tasks: &[TaskDesc]) -> RunSummary {
         compute_done,
         tasks: tasks.len() as u64,
         mean_task_latency: Dur::from_ps(lat_sum / tasks.len().max(1) as u64),
-        avg_running_occupancy: device.avg_running_occupancy(),
-        h2d_busy: bus.stats(Direction::HostToDevice).busy,
-        d2h_busy: bus.stats(Direction::DeviceToHost).busy,
-        gpu_busy: avg_sm_busy(&mut device),
+        avg_running_occupancy: sim.device.avg_running_occupancy(),
+        h2d_busy: sim.bus.stats(Direction::HostToDevice).busy,
+        d2h_busy: sim.bus.stats(Direction::DeviceToHost).busy,
+        gpu_busy: sim.device.avg_sm_busy(),
     }
-}
-
-/// Average per-SMM busy time: the profiler-style aggregate kernel time.
-fn avg_sm_busy(device: &mut GpuDevice) -> Dur {
-    let s = device.stats();
-    Dur::from_ps(s.busy_ps / u64::from(device.spec().num_sms))
 }
 
 #[cfg(test)]

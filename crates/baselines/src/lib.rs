@@ -25,7 +25,7 @@ pub mod summary;
 
 pub use cpu::{run_pthreads, run_sequential, CpuConfig};
 pub use driver::{run_pagoda, run_pagoda_batched, run_pagoda_with_obs};
-pub use fusion::{run_fusion, FusionConfig};
+pub use fusion::run_fusion;
 pub use gemtc::{run_gemtc, GemtcConfig};
 pub use hyperq::{run_hyperq, HyperQConfig};
 pub use summary::{geomean, RunSummary};

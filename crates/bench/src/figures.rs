@@ -677,7 +677,8 @@ fn ablations(n: usize, out: &mut Report) {
             });
             dev.launch_kernel(gpu_sim::KernelDesc::new(shape, blocks.clone(), 0))
                 .expect("launchable");
-            while dev.step().is_some() {}
+            let mut batch = Vec::new();
+            while dev.step_bounded_into(SimTime::MAX, &mut batch).is_some() {}
             RunSummary {
                 makespan: dev.now() - SimTime::ZERO,
                 compute_done: dev.now(),

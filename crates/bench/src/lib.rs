@@ -17,7 +17,7 @@ pub mod figures;
 
 use baselines::{
     run_fusion, run_gemtc, run_hyperq, run_pagoda, run_pagoda_batched, run_pthreads,
-    run_sequential, CpuConfig, FusionConfig, GemtcConfig, HyperQConfig, RunSummary,
+    run_sequential, CpuConfig, GemtcConfig, HyperQConfig, RunSummary,
 };
 use desim::{Dur, SimTime};
 use pagoda_core::{PagodaConfig, PagodaRuntime, TaskDesc};
@@ -67,13 +67,12 @@ pub fn run_wave(scheme: Scheme, tasks: &[TaskDesc]) -> RunSummary {
         Scheme::Gemtc => {
             let cfg = GemtcConfig {
                 worker_threads: tasks.iter().map(|t| t.threads_per_tb).max().unwrap_or(128),
-                ..GemtcConfig::default()
             };
             run_gemtc(&cfg, tasks)
         }
         Scheme::Pagoda => run_pagoda(PagodaConfig::default(), tasks),
         Scheme::PagodaBatched(b) => run_pagoda_batched(PagodaConfig::default(), tasks, b),
-        Scheme::Fusion(w) => run_fusion(&FusionConfig::default(), tasks, w),
+        Scheme::Fusion(w) => run_fusion(tasks, w),
     }
 }
 

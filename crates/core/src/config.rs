@@ -109,8 +109,11 @@ impl PagodaConfig {
                 max: MAX_ROWS_PER_COLUMN,
             });
         }
-        if self.wait_timeout == Dur::ZERO {
-            return Err(ConfigError::ZeroWaitTimeout);
+        if self.wait_timeout < MIN_WAIT_TIMEOUT {
+            return Err(ConfigError::WaitTimeoutTooShort {
+                timeout: self.wait_timeout,
+                min: MIN_WAIT_TIMEOUT,
+            });
         }
         if let Some(field) = self.pcie.bad_bandwidth() {
             return Err(ConfigError::BadBandwidth {
@@ -140,6 +143,13 @@ impl PagodaConfig {
 /// per-action scan charge) stops being credible.
 pub const MAX_ROWS_PER_COLUMN: u32 = 1024;
 
+/// Lower bound on the `wait`/`waitAll` polling timeout. A fleet moves its
+/// clock one slice per poll, and a poll costs device time, not fleet
+/// time: at 1 ps a fleet's `wait_all` crawls to the blocking loops'
+/// 100 M-iteration livelock guard. At 1 µs the guard is 100 s of
+/// simulated time away.
+pub const MIN_WAIT_TIMEOUT: Dur = Dur::from_us(1);
+
 /// Why a configuration build was rejected — by
 /// [`PagodaConfigBuilder::build`] for a single runtime, or by the cluster
 /// layer's `ClusterConfig` validation for a fleet (the fleet variants live
@@ -155,9 +165,15 @@ pub enum ConfigError {
         /// The cap.
         max: u32,
     },
-    /// `wait_timeout == 0`: `wait`/`waitAll` would poll without advancing
-    /// time and trip the livelock guard.
-    ZeroWaitTimeout,
+    /// `wait_timeout` is below [`MIN_WAIT_TIMEOUT`]: `wait`/`waitAll`
+    /// would poll without advancing time (zero), or a fleet would crawl
+    /// to the livelock guard one sub-µs slice at a time.
+    WaitTimeoutTooShort {
+        /// Requested timeout.
+        timeout: Dur,
+        /// The floor.
+        min: Dur,
+    },
     /// A link bandwidth is zero, negative or not finite, so a transfer
     /// over it has no duration to simulate.
     BadBandwidth {
@@ -199,7 +215,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::TooManyRows { rows, max } => {
                 write!(f, "rows_per_column {rows} exceeds the maximum {max}")
             }
-            ConfigError::ZeroWaitTimeout => write!(f, "wait_timeout must be nonzero"),
+            ConfigError::WaitTimeoutTooShort { timeout, min } => {
+                write!(f, "wait_timeout {timeout} is below the minimum {min}")
+            }
             ConfigError::BadBandwidth { link, field } => {
                 write!(f, "{link}.{field} must be finite and > 0")
             }
@@ -310,13 +328,22 @@ mod tests {
                 max: MAX_ROWS_PER_COLUMN
             }
         );
-        assert_eq!(
-            PagodaConfig::builder()
-                .wait_timeout(Dur::ZERO)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroWaitTimeout
-        );
+        for timeout in [Dur::ZERO, Dur::from_ps(1), Dur::from_ns(999)] {
+            assert_eq!(
+                PagodaConfig::builder()
+                    .wait_timeout(timeout)
+                    .build()
+                    .unwrap_err(),
+                ConfigError::WaitTimeoutTooShort {
+                    timeout,
+                    min: MIN_WAIT_TIMEOUT
+                }
+            );
+        }
+        assert!(PagodaConfig::builder()
+            .wait_timeout(MIN_WAIT_TIMEOUT)
+            .build()
+            .is_ok());
     }
 
     #[test]
@@ -365,9 +392,12 @@ mod tests {
         assert!(ConfigError::ZeroRows
             .to_string()
             .contains("rows_per_column"));
-        assert!(ConfigError::ZeroWaitTimeout
-            .to_string()
-            .contains("wait_timeout"));
+        assert!(ConfigError::WaitTimeoutTooShort {
+            timeout: Dur::ZERO,
+            min: MIN_WAIT_TIMEOUT
+        }
+        .to_string()
+        .contains("wait_timeout"));
         assert!(ConfigError::BadFault {
             index: 7,
             reason: "why"

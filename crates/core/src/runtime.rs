@@ -600,9 +600,7 @@ impl PagodaRuntime {
             avg_running_occupancy: self.device.avg_running_occupancy(),
             h2d_busy: self.bus.stats(Direction::HostToDevice).busy,
             d2h_busy: self.bus.stats(Direction::DeviceToHost).busy,
-            gpu_busy: Dur::from_ps(
-                self.device.stats().busy_ps / u64::from(self.device.spec().num_sms),
-            ),
+            gpu_busy: self.device.avg_sm_busy(),
         }
     }
 

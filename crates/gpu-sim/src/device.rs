@@ -6,7 +6,7 @@
 //! * **Native kernels** ([`GpuDevice::launch_kernel`]): the hardware work
 //!   distributor places threadblocks on SMMs subject to warp-slot, thread,
 //!   TB-slot, register, and shared-memory limits, with at most
-//!   `max_concurrent_kernels` kernels in flight (the HyperQ cap). Resources
+//!   `spec.num_hw_queues` kernels in flight (the HyperQ cap). Resources
 //!   are freed at *threadblock* granularity — a new TB cannot launch until a
 //!   whole resident TB retires (paper §6.4) — unless
 //!   [`DeviceConfig::free_warps_individually`] is set (an ablation of
@@ -19,8 +19,9 @@
 //!   task work and how its scheduler warps are charged for scheduling
 //!   cycles.
 //!
-//! The device is driven by [`GpuDevice::step`], which delivers batches of
-//! [`Notify`] events to the owning runtime in deterministic order.
+//! The device is driven by [`GpuDevice::step_bounded_into`], which
+//! delivers batches of [`Notify`] events to the owning runtime in
+//! deterministic order.
 
 use std::collections::VecDeque;
 
@@ -35,7 +36,8 @@ use crate::work::{KernelDesc, Segment, WarpWork};
 /// tags passed to [`GpuDevice::assign_warp`] must stay below this.
 const NATIVE_BIT: u64 = 1 << 63;
 
-/// Externally visible simulation events, delivered by [`GpuDevice::step`].
+/// Externally visible simulation events, delivered by
+/// [`GpuDevice::step_bounded_into`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Notify {
     /// A warp finished an assignment made with [`GpuDevice::assign_warp`].
@@ -65,10 +67,9 @@ enum Ev {
 /// Device configuration: the machine plus front-end behaviour knobs.
 #[derive(Debug, Clone)]
 pub struct DeviceConfig {
-    /// The hardware.
+    /// The hardware. Its `num_hw_queues` is the concurrent-kernel cap
+    /// (HyperQ: 32).
     pub spec: GpuSpec,
-    /// Concurrent-kernel cap; defaults to `spec.num_hw_queues` (HyperQ 32).
-    pub max_concurrent_kernels: u32,
     /// Serialized per-kernel launch processing cost in the grid management
     /// unit (driver + front-end). With tens of thousands of one-task
     /// kernels this is a first-order cost for the HyperQ baseline.
@@ -82,10 +83,8 @@ pub struct DeviceConfig {
 impl DeviceConfig {
     /// Default configuration for a given machine.
     pub fn new(spec: GpuSpec) -> Self {
-        let q = spec.num_hw_queues;
         DeviceConfig {
             spec,
-            max_concurrent_kernels: q,
             // Driver + grid-management-unit processing per kernel launch.
             // Measured end-to-end launch overheads on Maxwell-era CUDA sit
             // at 3-10 µs; narrow-task workloads hit the pipelined floor.
@@ -412,46 +411,23 @@ impl GpuDevice {
     // Event loop
     // ------------------------------------------------------------------
 
-    /// Advances the simulation to the next instant at which something
-    /// externally visible happens, returning the notifications of that
-    /// instant. Returns `None` when the simulation is quiescent.
-    pub fn step(&mut self) -> Option<(SimTime, Vec<Notify>)> {
-        let mut out = Vec::new();
-        self.step_impl(None, &mut out).map(|t| (t, out))
-    }
-
-    /// Like [`GpuDevice::step`], but refuses to process any event scheduled
-    /// after `bound`. Used by host-side runtimes to co-simulate a host
-    /// timeline: the device may never run ahead of the host instant being
-    /// modelled.
-    pub fn step_bounded(&mut self, bound: SimTime) -> Option<(SimTime, Vec<Notify>)> {
-        let mut out = Vec::new();
-        self.step_impl(Some(bound), &mut out).map(|t| (t, out))
-    }
-
-    /// [`GpuDevice::step_bounded`] into a buffer the caller keeps: `out`
-    /// is cleared, then holds the notifications of the returned instant,
-    /// so a driver that passes the same buffer every time allocates
-    /// nothing per delivery. (The buffer cannot be lent out by the device
-    /// instead: whoever handles a notification needs the device mutably —
-    /// to assign a warp, to schedule a timer — while still reading the
+    /// Advances the simulation to the next instant, no later than `bound`,
+    /// at which something externally visible happens, and returns it:
+    /// `out` is cleared, then holds that instant's notifications. Returns
+    /// `None`, processing nothing past `bound`, when no such instant
+    /// exists; `SimTime::MAX` runs to quiescence. A host-side runtime
+    /// passes its own clock so the device never runs ahead of the host
+    /// instant being modelled.
+    ///
+    /// A caller that passes the same buffer every time allocates nothing
+    /// per delivery. (The buffer cannot be lent out by the device instead:
+    /// whoever handles a notification needs the device mutably — to
+    /// assign a warp, to schedule a timer — while still reading the
     /// batch.)
     pub fn step_bounded_into(&mut self, bound: SimTime, out: &mut Vec<Notify>) -> Option<SimTime> {
-        self.step_impl(Some(bound), out)
-    }
-
-    /// The one delivery loop: pops events (none past `bound`) until one
-    /// instant's worth of external notifications is in `out`.
-    fn step_impl(&mut self, bound: Option<SimTime>, out: &mut Vec<Notify>) -> Option<SimTime> {
         out.clear();
-        loop {
-            if let Some(b) = bound {
-                match self.engine.peek_time() {
-                    Some(t) if t <= b => {}
-                    _ => return None,
-                }
-            }
-            let (t, ev) = self.engine.pop()?;
+        while self.engine.peek_time().is_some_and(|t| t <= bound) {
+            let (t, ev) = self.engine.pop().expect("peeked");
             if self.count_events {
                 self.obs.count(Counter::EngineEvents, 1);
             }
@@ -479,12 +455,17 @@ impl GpuDevice {
                 return Some(t);
             }
         }
+        None
     }
 
-    /// Runs until quiescent, invoking `f` for each notification batch.
+    /// Runs until quiescent, handing `f` each instant's notifications.
+    /// Each batch is `f`'s to keep, so this allocates one per delivery;
+    /// a hot loop keeps its own buffer and calls
+    /// [`GpuDevice::step_bounded_into`] instead.
     pub fn run<F: FnMut(&mut GpuDevice, SimTime, Vec<Notify>)>(&mut self, mut f: F) {
-        while let Some((t, batch)) = self.step() {
-            f(self, t, batch);
+        let mut batch = Vec::new();
+        while let Some(t) = self.step_bounded_into(SimTime::MAX, &mut batch) {
+            f(self, t, std::mem::take(&mut batch));
         }
     }
 
@@ -500,6 +481,12 @@ impl GpuDevice {
             running_warp_ps: ex.running_warp_ps,
             busy_ps: ex.busy_ps,
         }
+    }
+
+    /// Average busy time per SMM over `[0, now]`: the profiler-style
+    /// aggregate kernel time.
+    pub fn avg_sm_busy(&self) -> Dur {
+        Dur::from_ps(self.exec.total_stats().busy_ps / u64::from(self.cfg.spec.num_sms))
     }
 
     /// Average *running* occupancy over `[0, now]`: mean fraction of the
@@ -644,7 +631,7 @@ impl GpuDevice {
         }
         let mut dirty = std::mem::take(&mut self.dirty);
         loop {
-            while self.active.len() < self.cfg.max_concurrent_kernels as usize {
+            while self.active.len() < self.cfg.spec.num_hw_queues as usize {
                 match self.waiting.pop_front() {
                     Some(kid) => self.active.push(kid),
                     None => break,
@@ -825,17 +812,24 @@ mod tests {
         }
     }
 
+    /// Drains the device, returning every notification with its instant.
+    fn drain(dev: &mut GpuDevice) -> Vec<(SimTime, Notify)> {
+        let (mut seen, mut batch) = (Vec::new(), Vec::new());
+        while let Some(t) = dev.step_bounded_into(SimTime::MAX, &mut batch) {
+            seen.extend(batch.iter().map(|&n| (t, n)));
+        }
+        seen
+    }
+
     /// Drains the device, returning kernel completions as (tag, time).
     fn run_all(dev: &mut GpuDevice) -> Vec<(u64, SimTime)> {
-        let mut done = Vec::new();
-        while let Some((t, batch)) = dev.step() {
-            for n in batch {
-                if let Notify::KernelDone { tag } = n {
-                    done.push((tag, t));
-                }
-            }
-        }
-        done
+        drain(dev)
+            .into_iter()
+            .filter_map(|(t, n)| match n {
+                Notify::KernelDone { tag } => Some((tag, t)),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -873,7 +867,7 @@ mod tests {
         // warps. 24 SMs hold 48 such TBs, so resources allow all 33; the
         // HyperQ cap (set to 2) must serialize instead.
         let mut cfg = quiet_cfg();
-        cfg.max_concurrent_kernels = 2;
+        cfg.spec.num_hw_queues = 2;
         let mut dev = GpuDevice::new(cfg);
         for i in 0..4 {
             let k = KernelDesc::uniform(shape(1024, 1), WarpWork::compute(32_000, 1.0), i);
@@ -969,17 +963,10 @@ mod tests {
         // Assign work to one executor warp and watch it complete.
         let w = tbs[0].warps[1];
         dev.assign_warp(w, WarpWork::compute(32_000, 4.0), 42);
-        let mut seen = Vec::new();
-        while let Some((t, batch)) = dev.step() {
-            for n in batch {
-                if let Notify::WarpDone { tag, .. } = n {
-                    seen.push((tag, t));
-                }
-            }
-        }
+        let seen = drain(&mut dev);
         assert_eq!(seen.len(), 1);
-        assert_eq!(seen[0].0, 42);
-        assert!((seen[0].1.as_us_f64() - 4.0).abs() < 0.01);
+        assert!(matches!(seen[0].1, Notify::WarpDone { tag: 42, .. }));
+        assert!((seen[0].0.as_us_f64() - 4.0).abs() < 0.01);
     }
 
     #[test]
@@ -1048,15 +1035,8 @@ mod tests {
         dev.schedule_host(SimTime::from_us(10), 1);
         dev.schedule_host(SimTime::from_us(5), 2);
         dev.schedule_host(SimTime::from_us(1), 3);
-        let mut seen = Vec::new();
-        while let Some((_, batch)) = dev.step() {
-            for n in batch {
-                if let Notify::Host(tag) = n {
-                    seen.push(tag);
-                }
-            }
-        }
-        assert_eq!(seen, vec![3, 2, 1]);
+        let seen: Vec<Notify> = drain(&mut dev).into_iter().map(|(_, n)| n).collect();
+        assert_eq!(seen, [3, 2, 1].map(Notify::Host));
     }
 
     #[test]
@@ -1071,7 +1051,7 @@ mod tests {
         let tbs = dev.launch_persistent(mk).unwrap();
         let w = tbs[0].warps[0];
         dev.assign_warp(w, WarpWork::compute(32_000, 4.0), 1);
-        while dev.step().is_some() {}
+        drain(&mut dev);
         // All 1536 warps resident the whole time.
         assert!((dev.avg_resident_occupancy() - 1.0).abs() < 1e-9);
         // Only one warp ever ran.
@@ -1160,7 +1140,7 @@ mod tests {
         // warps over 1536 slots); with cap 48 they run concurrently and all
         // finish at the single-task time.
         let mut cfg = quiet_cfg();
-        cfg.max_concurrent_kernels = 48;
+        cfg.spec.num_hw_queues = 48;
         let mut dev = GpuDevice::new(cfg);
         for i in 0..48 {
             let k = KernelDesc::uniform(shape(256, 1), WarpWork::compute(32_000, 4.0), i);
@@ -1174,5 +1154,79 @@ mod tests {
             "{}",
             last.as_us_f64()
         );
+    }
+
+    #[test]
+    fn run_delivers_what_a_step_bounded_into_loop_delivers() {
+        // Persistent warps handed new work as they finish, native kernels
+        // launched from host timers, and each kernel's end arming the next
+        // timer: every kind of notification, several per instant.
+        fn boot() -> GpuDevice {
+            let mut dev = GpuDevice::new(quiet_cfg());
+            let tbs = dev.launch_persistent(shape(128, 2)).unwrap();
+            for (i, &w) in tbs.iter().flat_map(|tb| &tb.warps).enumerate() {
+                dev.assign_warp(w, WarpWork::compute(4_000, 2.0), i as u64);
+            }
+            dev.schedule_host(SimTime::ZERO, 0);
+            dev.schedule_host(SimTime::from_us(1), 1);
+            dev
+        }
+        fn react(dev: &mut GpuDevice, t: SimTime, batch: &[Notify]) {
+            for &n in batch {
+                match n {
+                    Notify::WarpDone { warp, tag } if tag < 64 => {
+                        let work = WarpWork::compute(1_000 * (tag % 5 + 1), 2.0);
+                        dev.assign_warp(warp, work, tag + 8);
+                    }
+                    Notify::Host(tag) => {
+                        let work = WarpWork::compute(2_000 * (tag % 3 + 1), 4.0);
+                        let k = KernelDesc::uniform(shape(64, 2), work, tag);
+                        dev.launch_kernel(k).unwrap();
+                    }
+                    Notify::KernelDone { tag } if tag < 12 => {
+                        dev.schedule_host(t + Dur::from_ns(500), tag + 2);
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        let mut by_run = boot();
+        let mut via_run = Vec::new();
+        by_run.run(|dev, t, batch| {
+            react(dev, t, &batch);
+            via_run.push((t, batch));
+        });
+
+        let mut by_loop = boot();
+        let (mut via_loop, mut batch) = (Vec::new(), Vec::new());
+        while let Some(t) = by_loop.step_bounded_into(SimTime::MAX, &mut batch) {
+            react(&mut by_loop, t, &batch);
+            via_loop.push((t, batch.clone()));
+        }
+
+        assert_eq!(via_run, via_loop);
+        assert_eq!(by_run.engine_stats(), by_loop.engine_stats());
+        let kinds =
+            |f: fn(&Notify) -> bool| via_run.iter().flat_map(|(_, b)| b).filter(|n| f(n)).count();
+        assert_eq!(kinds(|n| matches!(n, Notify::KernelDone { .. })), 14);
+        assert_eq!(kinds(|n| matches!(n, Notify::Host(_))), 14);
+        assert!(kinds(|n| matches!(n, Notify::WarpDone { .. })) > 64);
+        assert!(
+            via_run.iter().any(|(_, b)| b.len() > 1),
+            "no instant carried two notifications"
+        );
+    }
+
+    #[test]
+    fn avg_sm_busy_is_busy_time_per_smm() {
+        let mut cfg = quiet_cfg();
+        cfg.spec.num_sms = 4;
+        let mut dev = GpuDevice::new(cfg);
+        // One warp, 4 us, on one SMM of four: 1 us each on average.
+        let k = KernelDesc::uniform(shape(32, 1), WarpWork::compute(32_000, 4.0), 1);
+        dev.launch_kernel(k).unwrap();
+        assert_eq!(run_all(&mut dev), [(1, SimTime::from_us(4))]);
+        assert_eq!(dev.avg_sm_busy(), Dur::from_us(1));
     }
 }

@@ -5,11 +5,13 @@
 //! threadblocks, SMM resource pools, and the kernel-launch front end. See
 //! the module docs of [`device`] and [`exec`] for the execution model, and
 //! `DESIGN.md` at the repository root for why a simulator stands in for the
-//! real hardware.
+//! real hardware. Every caller steps the device through
+//! [`GpuDevice::step_bounded_into`].
 //!
 //! # Quick tour
 //!
 //! ```
+//! use desim::SimTime;
 //! use gpu_sim::{DeviceConfig, GpuDevice, KernelDesc, Notify, WarpWork};
 //! use gpu_arch::TaskShape;
 //!
@@ -21,10 +23,11 @@
 //!     /*tag=*/ 7,
 //! );
 //! dev.launch_kernel(k).unwrap();
-//! let mut completed = None;
-//! while let Some((t, batch)) = dev.step() {
-//!     for n in batch {
-//!         if let Notify::KernelDone { tag } = n {
+//! // One batch buffer for the whole run; `SimTime::MAX` sets no bound.
+//! let (mut batch, mut completed) = (Vec::new(), None);
+//! while let Some(t) = dev.step_bounded_into(SimTime::MAX, &mut batch) {
+//!     for n in &batch {
+//!         if let Notify::KernelDone { tag } = *n {
 //!             completed = Some((tag, t));
 //!         }
 //!     }

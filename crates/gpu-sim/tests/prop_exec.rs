@@ -1,6 +1,7 @@
 //! Property tests of the device simulator: resource conservation, timing
 //! bounds, and completion guarantees for arbitrary kernel soups.
 
+use desim::SimTime;
 use gpu_arch::TaskShape;
 use gpu_sim::{DeviceConfig, GpuDevice, KernelDesc, Notify, WarpWork};
 use proptest::prelude::*;
@@ -9,6 +10,20 @@ fn quiet() -> DeviceConfig {
     let mut c = DeviceConfig::titan_x();
     c.launch_issue_cost = desim::Dur::from_ps(0);
     c
+}
+
+/// Runs the device to quiescence, returning the tags of the kernels that
+/// retired, in retirement order.
+fn retire_all(dev: &mut GpuDevice) -> Vec<u64> {
+    let (mut done, mut batch) = (Vec::new(), Vec::new());
+    while dev.step_bounded_into(SimTime::MAX, &mut batch).is_some() {
+        for n in &batch {
+            if let Notify::KernelDone { tag } = *n {
+                done.push(tag);
+            }
+        }
+    }
+    done
 }
 
 #[derive(Debug, Clone)]
@@ -55,14 +70,7 @@ proptest! {
                 launched.push(i as u64);
             }
         }
-        let mut done = Vec::new();
-        while let Some((_, batch)) = dev.step() {
-            for n in batch {
-                if let Notify::KernelDone { tag } = n {
-                    done.push(tag);
-                }
-            }
-        }
+        let mut done = retire_all(&mut dev);
         done.sort_unstable();
         prop_assert_eq!(done, launched, "every accepted kernel must retire");
     }
@@ -88,7 +96,7 @@ proptest! {
             let k = KernelDesc::uniform(shape, WarpWork::compute(s.instrs, cpi), i as u64);
             prop_assume!(dev.launch_kernel(k).is_ok());
         }
-        while dev.step().is_some() {}
+        retire_all(&mut dev);
         let t = dev.now().as_secs_f64();
         let ideal = total_work / (24.0 * 128e9);
         prop_assert!(t + 1e-12 >= ideal, "t={t} ideal={ideal}");
@@ -108,7 +116,7 @@ proptest! {
             let k = KernelDesc::uniform(shape, WarpWork::compute(s.instrs, 4.0), i as u64);
             let _ = dev.launch_kernel(k);
         }
-        while dev.step().is_some() {}
+        retire_all(&mut dev);
         let run = dev.avg_running_occupancy();
         let res = dev.avg_resident_occupancy();
         prop_assert!((0.0..=1.0).contains(&run));

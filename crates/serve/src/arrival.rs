@@ -20,6 +20,18 @@ use rand::{Rng, SeedableRng};
 
 const PS_PER_S: f64 = 1e12;
 
+/// Slowest arrival rate a timeline is drawn at, tasks/s. One gap is at
+/// most ≈ 37 mean gaps (−ln of the smallest `1 − u`), 37 s here, so
+/// millions of arrivals fit in `SimTime`'s ≈ 213 days; at 10⁻⁹/s the
+/// first one overflows it.
+pub const MIN_RATE_PER_S: f64 = 1.0;
+
+/// Shortest mean MMPP dwell time, µs. The generator redraws a gap at
+/// every state switch, so one arrival costs about (mean gap / mean
+/// dwell) draws: at most 10⁶ at these two floors, where a 1 ps dwell
+/// against a 1 s gap would cost 10¹².
+pub const MIN_DWELL_US: f64 = 1.0;
+
 /// Statistical shape of one tenant's request stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalSpec {
@@ -61,6 +73,35 @@ impl ArrivalSpec {
         }
     }
 
+    /// Why no arrival timeline can be drawn from this spec, if none can:
+    /// every rate must be finite and at least [`MIN_RATE_PER_S`], every
+    /// dwell time finite and at least [`MIN_DWELL_US`]. (A zero, negative
+    /// or NaN one has no exponential to sample, a tinier rate overflows
+    /// the clock, and an MMPP that dwells next to no time in both states
+    /// never, or all but never, emits an arrival.)
+    pub fn problem(&self) -> Option<&'static str> {
+        let (rates, dwells_us) = match *self {
+            ArrivalSpec::Poisson { rate_per_s } => ([rate_per_s; 2], [MIN_DWELL_US; 2]),
+            ArrivalSpec::Mmpp {
+                calm_rate_per_s,
+                burst_rate_per_s,
+                mean_calm_us,
+                mean_burst_us,
+            } => (
+                [calm_rate_per_s, burst_rate_per_s],
+                [mean_calm_us, mean_burst_us],
+            ),
+        };
+        let at_least = |min: f64| move |x: f64| x.is_finite() && x >= min;
+        if !rates.into_iter().all(at_least(MIN_RATE_PER_S)) {
+            Some("arrival rates must be finite and at least 1 task/s")
+        } else if !dwells_us.into_iter().all(at_least(MIN_DWELL_US)) {
+            Some("MMPP dwell times must be finite and at least 1 us")
+        } else {
+            None
+        }
+    }
+
     /// Returns a copy whose mean rate is scaled by `factor` (dwell times
     /// untouched — bursts keep their shape, only intensity scales).
     pub fn scaled(&self, factor: f64) -> ArrivalSpec {
@@ -98,6 +139,8 @@ pub struct ArrivalGen {
 
 impl ArrivalGen {
     /// A generator whose whole timeline is determined by `(spec, seed)`.
+    /// Check [`problem`](ArrivalSpec::problem) first: a spec that has
+    /// one may panic here or at a draw, or never emit an arrival.
     pub fn new(spec: ArrivalSpec, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x0a22_17a1_5eed);
         let (bursting, switch_ps) = match spec {
@@ -210,6 +253,48 @@ mod tests {
         // And close-ish to the dwell-weighted mean.
         let mean = spec.mean_rate_per_s();
         assert!((0.7 * mean..1.3 * mean).contains(&rate), "{rate} vs {mean}");
+    }
+
+    #[test]
+    fn problem_names_every_unsampleable_spec() {
+        let mmpp = |calm, burst, calm_us, burst_us| ArrivalSpec::Mmpp {
+            calm_rate_per_s: calm,
+            burst_rate_per_s: burst,
+            mean_calm_us: calm_us,
+            mean_burst_us: burst_us,
+        };
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-12, 0.999] {
+            for (spec, what) in [
+                (ArrivalSpec::Poisson { rate_per_s: bad }, "rates"),
+                (mmpp(bad, 1e6, 300.0, 100.0), "rates"),
+                (mmpp(1e5, bad, 300.0, 100.0), "rates"),
+                (mmpp(1e5, 1e6, bad, 100.0), "dwell"),
+                (mmpp(1e5, 1e6, 300.0, bad), "dwell"),
+            ] {
+                assert!(spec.problem().unwrap().contains(what), "{spec:?}");
+            }
+        }
+        assert_eq!(ArrivalSpec::Poisson { rate_per_s: 1e6 }.problem(), None);
+        assert_eq!(mmpp(1e5, 1e6, 300.0, 100.0).problem(), None);
+    }
+
+    #[test]
+    fn the_floors_draw_in_time() {
+        // At both floors an arrival costs ≈ 10⁶ draws and a gap ≈ 1 s.
+        let slow = ArrivalSpec::Mmpp {
+            calm_rate_per_s: MIN_RATE_PER_S,
+            burst_rate_per_s: MIN_RATE_PER_S,
+            mean_calm_us: MIN_DWELL_US,
+            mean_burst_us: MIN_DWELL_US,
+        };
+        assert_eq!(slow.problem(), None);
+        let arr = ArrivalGen::new(slow, 1).take_arrivals(4);
+        assert!(arr.windows(2).all(|w| w[0] < w[1]));
+        let poisson = ArrivalSpec::Poisson {
+            rate_per_s: MIN_RATE_PER_S,
+        };
+        let last = ArrivalGen::new(poisson, 1).take_arrivals(1000)[999];
+        assert!((500.0..2000.0).contains(&last.as_secs_f64()), "{last:?}");
     }
 
     #[test]

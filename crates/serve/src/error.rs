@@ -7,6 +7,13 @@ use pagoda_core::{ConfigError, TaskError};
 pub enum ServeError {
     /// The experiment has no tenants.
     NoTenants,
+    /// A tenant's spec cannot be served (see [`crate::ServeConfig::validate`]).
+    BadTenant {
+        /// Index of the offending tenant.
+        tenant: usize,
+        /// What is wrong with it.
+        reason: &'static str,
+    },
     /// `serving_slice` was asked for a zero-SMM partition.
     EmptySlice,
     /// The embedded runtime configuration failed validation.
@@ -25,6 +32,9 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::NoTenants => write!(f, "serve needs at least one tenant"),
+            ServeError::BadTenant { tenant, reason } => {
+                write!(f, "tenant {tenant} invalid: {reason}")
+            }
             ServeError::EmptySlice => write!(f, "a serving slice needs at least one SMM"),
             ServeError::InvalidRuntime(e) => write!(f, "invalid runtime configuration: {e}"),
             ServeError::UnspawnableTask { tenant, source } => {
@@ -37,7 +47,7 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ServeError::NoTenants | ServeError::EmptySlice => None,
+            ServeError::NoTenants | ServeError::BadTenant { .. } | ServeError::EmptySlice => None,
             ServeError::InvalidRuntime(e) => Some(e),
             ServeError::UnspawnableTask { source, .. } => Some(source),
         }
@@ -60,6 +70,12 @@ mod tests {
         assert!(ServeError::NoTenants.to_string().contains("tenant"));
         assert!(ServeError::NoTenants.source().is_none());
         assert!(ServeError::EmptySlice.to_string().contains("SMM"));
+        let bad = ServeError::BadTenant {
+            tenant: 5,
+            reason: "why",
+        };
+        assert!(bad.to_string().contains("tenant 5"));
+        assert!(bad.source().is_none());
 
         let e = ServeError::from(ConfigError::ZeroRows);
         assert!(e.to_string().contains("invalid runtime"));

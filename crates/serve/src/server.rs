@@ -170,6 +170,32 @@ impl ServeConfig {
             qos_audit: None,
         }
     }
+
+    /// Checks what [`serve_on`] needs of the experiment itself (the
+    /// runtime is [`serve`]'s to check): at least one tenant, a weight of
+    /// at least 1 for every tenant under [`Policy::WeightedFair`], and
+    /// arrival processes whose rates and dwell times a timeline can be
+    /// drawn at ([`ArrivalSpec::problem`]). A zero queue budget or task
+    /// count is fine: every arrival is shed, or there are none.
+    ///
+    /// # Errors
+    /// [`ServeError::NoTenants`] or [`ServeError::BadTenant`].
+    pub fn validate(&self) -> Result<(), ServeError> {
+        if self.tenants.is_empty() {
+            return Err(ServeError::NoTenants);
+        }
+        for (tenant, t) in self.tenants.iter().enumerate() {
+            let reason = if self.policy == Policy::WeightedFair && t.weight == 0 {
+                Some("weighted-fair tenants need a weight of at least 1")
+            } else {
+                t.arrival.problem()
+            };
+            if let Some(reason) = reason {
+                return Err(ServeError::BadTenant { tenant, reason });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Everything a run produces.
@@ -262,14 +288,9 @@ impl InFlightSet {
 /// completed, shed, or expired) and aggregates its metrics.
 ///
 /// # Errors
-/// [`ServeError::NoTenants`] on an empty tenant list,
 /// [`ServeError::InvalidRuntime`] if the embedded [`PagodaConfig`] fails
-/// validation, and [`ServeError::UnspawnableTask`] if a workload produces
-/// an invalid [`TaskDesc`].
+/// validation, then those of [`serve_on`].
 pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
-    if cfg.tenants.is_empty() {
-        return Err(ServeError::NoTenants);
-    }
     cfg.runtime.validate()?;
     let mut rt = PagodaRuntime::new(cfg.runtime.clone());
     serve_on(cfg, &mut rt)
@@ -282,16 +303,14 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeOutcome, ServeError> {
 /// the same recorder as the serving counters.
 ///
 /// # Errors
-/// [`ServeError::NoTenants`] on an empty tenant list and
-/// [`ServeError::UnspawnableTask`] if a workload produces an invalid
+/// Those of [`ServeConfig::validate`], checked before `rt` is touched,
+/// and [`ServeError::UnspawnableTask`] if a workload produces an invalid
 /// [`TaskDesc`].
 pub fn serve_on<B: Backend + ?Sized>(
     cfg: &ServeConfig,
     rt: &mut B,
 ) -> Result<ServeOutcome, ServeError> {
-    if cfg.tenants.is_empty() {
-        return Err(ServeError::NoTenants);
-    }
+    cfg.validate()?;
     rt.attach_obs(cfg.obs.clone());
     let nt = cfg.tenants.len();
     let obs = cfg.obs.clone();

@@ -39,7 +39,6 @@ fn main() {
     let plain = mpe::tasks(n, &GenOpts::default());
     let gm_cfg = GemtcConfig {
         worker_threads: plain.iter().map(|t| t.threads_per_tb).max().unwrap(),
-        ..GemtcConfig::default()
     };
     let gemtc = run_gemtc(&gm_cfg, &plain);
     let hyperq = run_hyperq(&HyperQConfig::default(), &tasks);

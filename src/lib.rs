@@ -87,7 +87,7 @@ pub use workloads;
 pub mod prelude {
     pub use baselines::{
         run_fusion, run_gemtc, run_hyperq, run_pagoda, run_pagoda_with_obs, run_pthreads,
-        run_sequential, CpuConfig, FusionConfig, GemtcConfig, HyperQConfig, RunSummary,
+        run_sequential, CpuConfig, GemtcConfig, HyperQConfig, RunSummary,
     };
     pub use desim::{Dur, SimTime};
     pub use gpu_arch::{GpuSpec, TaskShape};

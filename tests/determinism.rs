@@ -34,7 +34,6 @@ fn hyperq_and_gemtc_are_deterministic() {
     assert_eq!(a.makespan, b.makespan);
     let cfg = GemtcConfig {
         worker_threads: 128,
-        ..GemtcConfig::default()
     };
     let c = run_gemtc(&cfg, &tasks);
     let d = run_gemtc(&cfg, &tasks);
@@ -45,8 +44,8 @@ fn hyperq_and_gemtc_are_deterministic() {
 fn fusion_and_cpu_are_deterministic() {
     let tasks = Bench::Mm.tasks(128, &GenOpts::default());
     assert_eq!(
-        run_fusion(&FusionConfig::default(), &tasks, 256).makespan,
-        run_fusion(&FusionConfig::default(), &tasks, 256).makespan
+        run_fusion(&tasks, 256).makespan,
+        run_fusion(&tasks, 256).makespan
     );
     assert_eq!(
         run_pthreads(&CpuConfig::default(), &tasks).makespan,

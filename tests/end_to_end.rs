@@ -31,7 +31,6 @@ fn all_benchmarks_complete_on_all_gpu_runtimes() {
             );
             let cfg = GemtcConfig {
                 worker_threads: plain.iter().map(|t| t.threads_per_tb).max().unwrap(),
-                ..GemtcConfig::default()
             };
             let gm = run_gemtc(&cfg, &plain);
             assert_eq!(
@@ -117,8 +116,8 @@ fn fused_task_latency_grows_with_batch_while_pagoda_stays_flat() {
     // Fig. 10.
     let small = Bench::Mm.tasks(128, &opts());
     let large = Bench::Mm.tasks(2048, &opts());
-    let f_small = run_fusion(&FusionConfig::default(), &small, 256);
-    let f_large = run_fusion(&FusionConfig::default(), &large, 256);
+    let f_small = run_fusion(&small, 256);
+    let f_large = run_fusion(&large, 256);
     assert!(
         f_large.mean_task_latency.as_ps() > 4 * f_small.mean_task_latency.as_ps(),
         "fused latency must grow ~linearly: {} vs {}",

@@ -3,11 +3,14 @@
 //! runs 64 small tasks with none lost — never a panic in a constructor.
 //! Drawn: SMM count, shared memory and registers from {0, 1, small,
 //! Titan X}, link bandwidths from {0, -1, NaN, ∞} in each direction,
-//! every setter `PagodaConfig::builder()` has, and 0–4-device fleets
-//! with an interconnect drawn the same way and out-of-range, non-finite
-//! and killing faults, every device killed included (what it was running
-//! or is handed afterwards is reported lost). Not drawn, because it
-//! still ends in a panic: a sub-µs fleet polling slice. Out of scope: a
+//! polling slices from 0 and 1 ps up past 1 µs, every setter
+//! `PagodaConfig::builder()` has, and 0–4-device fleets with an
+//! interconnect drawn the same way and out-of-range, non-finite and
+//! killing faults, every device killed included (what it was running or
+//! is handed afterwards is reported lost); and serving experiments with
+//! zero weights, rates from {0, -1, NaN, ∞, 10⁻⁹/s}, dwell times from
+//! {0, NaN, 10⁻¹² µs}, zero queue budgets and zero task counts under all
+//! three policies. Out of scope: a
 //! serving run over a fleet whose every device is dead.
 
 use pagoda::prelude::*;
@@ -33,7 +36,7 @@ const BANDWIDTHS: [f64; 5] = [0.0, -1.0, f64::NAN, f64::INFINITY, 1.0e8];
 /// 100 MB/s}, and the table height and polling timeout around their
 /// bounds.
 fn arb_config() -> impl Strategy<Value = PagodaConfig> {
-    let axes = (0usize..8, 0usize..8, 0usize..8, 0usize..12, 0usize..6);
+    let axes = (0usize..8, 0usize..8, 0usize..8, 0usize..12, 0usize..10);
     let link = (0usize..10, 0usize..10, prop::bool::ANY);
     (axes, link).prop_map(|((sms, smem, regs, rows, wait), (h2d, d2h, slow_link))| {
         let paper = PagodaConfig::default();
@@ -50,10 +53,16 @@ fn arb_config() -> impl Strategy<Value = PagodaConfig> {
         if slow_link {
             pcie.latency = Dur::from_us(5);
         }
-        // No sub-µs slice: a fleet polls its clock forward one slice at a
-        // time (each sync costs device time, not fleet time), so 1 ps
-        // would crawl to the livelock guard.
-        let waits = [Dur::ZERO, Dur::from_us(1), Dur::from_ms(1)];
+        // A fleet polls its clock forward one slice at a time (each sync
+        // costs device time, not fleet time), so a 1 ps slice would crawl
+        // to the livelock guard: below 1 µs is a `ConfigError`.
+        let waits = [
+            Dur::ZERO,
+            Dur::from_ps(1),
+            Dur::from_ns(999),
+            Dur::from_us(1),
+            Dur::from_ms(1),
+        ];
         PagodaConfig {
             device,
             pcie,
@@ -80,6 +89,49 @@ fn arb_fault() -> impl Strategy<Value = FaultSpec> {
                 },
             },
         }
+    })
+}
+
+/// Rates (tasks/s) and MMPP dwell times (µs) no exponential can be
+/// sampled at, or too small for the clock (a 10⁻⁹/s gap overflows it)
+/// or for the generator (a sub-ps dwell all but never emits).
+const RATES: [f64; 5] = [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-9];
+const DWELLS: [f64; 3] = [0.0, f64::NAN, 1e-12];
+
+/// A tenant's arrival process, Poisson or MMPP, with each rate and dwell
+/// time drawn from the hostile sets a quarter of the time (so about half
+/// the tenants are sane), and whether any hostile value was drawn.
+fn arb_arrival() -> impl Strategy<Value = (ArrivalSpec, bool)> {
+    let axes = (0usize..16, 0usize..16, 0usize..8, 0usize..8);
+    (prop::bool::ANY, axes).prop_map(|(bursty, (calm, burst, calm_us, burst_us))| {
+        if !bursty {
+            let rate_per_s = pick(&RATES, calm, 2.0e5);
+            return (ArrivalSpec::Poisson { rate_per_s }, calm < RATES.len());
+        }
+        let spec = ArrivalSpec::Mmpp {
+            calm_rate_per_s: pick(&RATES, calm, 1.0e5),
+            burst_rate_per_s: pick(&RATES, burst, 1.0e6),
+            mean_calm_us: pick(&DWELLS, calm_us, 300.0),
+            mean_burst_us: pick(&DWELLS, burst_us, 100.0),
+        };
+        let hostile = calm < RATES.len()
+            || burst < RATES.len()
+            || calm_us < DWELLS.len()
+            || burst_us < DWELLS.len();
+        (spec, hostile)
+    })
+}
+
+/// A tenant of 3DES tasks with a weight from {0, 1, 3}, a queue budget
+/// from {0, 1, 64} and a drawn arrival process, and whether it is hostile
+/// under weighted-fair queueing.
+fn arb_tenant() -> impl Strategy<Value = (TenantSpec, bool)> {
+    (0usize..3, 0usize..3, arb_arrival()).prop_map(|(weight, cap, (arrival, hostile))| {
+        let mut t = TenantSpec::new("t", Bench::Des3, 2.0e5);
+        t.weight = [0, 1, 3][weight];
+        t.queue_cap = [0, 1, 64][cap];
+        t.arrival = arrival;
+        (t, hostile)
     })
 }
 
@@ -219,6 +271,36 @@ proptest! {
             Err(ServeError::InvalidRuntime(_) | ServeError::UnspawnableTask { .. }) => {}
             Err(e) => prop_assert!(false, "unexpected error {}", e),
             Ok(out) => prop_assert_eq!(out.records.len(), TASKS),
+        }
+    }
+
+    #[test]
+    fn a_serve_config_is_rejected_or_resolves_every_arrival(
+        tenants in prop::collection::vec(arb_tenant(), 1..4),
+        policy in 0usize..3,
+        count in 0usize..5,
+    ) {
+        let policy = [Policy::Fifo, Policy::WeightedFair, Policy::Edf][policy];
+        let hostile = tenants
+            .iter()
+            .any(|(t, bad)| *bad || (policy == Policy::WeightedFair && t.weight == 0));
+        let mut sc = ServeConfig::new(tenants.into_iter().map(|(t, _)| t).collect(), policy);
+        // One case in five has no arrivals at all.
+        sc.tasks_per_tenant = if count == 0 { 0 } else { 32 };
+        match serve(&sc) {
+            Err(ServeError::BadTenant { tenant, .. }) => {
+                prop_assert!(hostile, "a sane experiment was refused");
+                prop_assert!(tenant < sc.tenants.len());
+            }
+            Err(e) => prop_assert!(false, "unexpected error {}", e),
+            Ok(out) => {
+                prop_assert!(!hostile, "a hostile experiment ran");
+                prop_assert_eq!(out.records.len(), sc.tenants.len() * sc.tasks_per_tenant);
+                for t in &out.report.tenants {
+                    prop_assert_eq!(t.offered, t.admitted + t.shed);
+                    prop_assert_eq!(t.admitted, t.completed + t.expired);
+                }
+            }
         }
     }
 }

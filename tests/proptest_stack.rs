@@ -85,7 +85,7 @@ proptest! {
         // Sequential makespan equals the sum of task times *at the
         // single-core rate* (one core alone is not bandwidth-capped).
         let seq = run_sequential(&CpuConfig::default(), &tasks);
-        let one_core = CpuConfig { cores: 1, ..CpuConfig::default() };
+        let one_core = CpuConfig { cores: 1 };
         let sum: f64 = tasks
             .iter()
             .map(|t| baselines::cpu::cpu_task_time(&one_core, t).as_secs_f64())
