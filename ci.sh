@@ -33,6 +33,9 @@ else
     echo "==> cargo clippy unavailable; skipping"
 fi
 
+# Rustdoc: a broken, ambiguous or private intra-doc link fails CI.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 # Prints where two files first differ (or their line counts, when one is
 # a prefix of the other).
 first_difference() { # committed fresh

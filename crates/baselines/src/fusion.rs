@@ -30,9 +30,8 @@ fn pad_block(block: &BlockWork, to_warps: u32) -> BlockWork {
     if have == to_warps {
         return block.clone();
     }
-    let barriers = block.warps()[0].barrier_count();
     let pad = WarpWork {
-        segments: vec![Segment::Barrier; barriers],
+        segments: vec![Segment::Barrier; block.barriers()],
         cpi: block.warps()[0].cpi,
     };
     let mut warps = block.warps().to_vec();

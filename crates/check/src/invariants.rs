@@ -1,4 +1,4 @@
-//! The invariant catalog: what [`CheckCore`] validates on every event,
+//! The invariant catalog: what the checker validates on every event,
 //! and [`check`], which folds it over a recorded run.
 //!
 //! Each invariant restates a contract the rest of the workspace relies
@@ -51,7 +51,8 @@ use pagoda_prof::{decompose, Cuts};
 /// under check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckLimits {
-    /// Warps an SMM can hold resident ([`gpu_arch::GpuSpec`]).
+    /// Warps an SMM can hold resident (the device spec in
+    /// [`PagodaConfig`]).
     pub max_warps_per_sm: u32,
     /// Register-file registers per SMM.
     pub regs_per_sm: u64,
@@ -617,7 +618,7 @@ impl CheckCore {
 }
 
 /// Checks a recorded run once it is over: feeds every event of `rec` to
-/// a [`CheckCore`] in emission order, hands invariant 8 the final
+/// the per-event checks in emission order, hands invariant 8 the final
 /// counter totals, and runs the end-of-run checks. Returns the
 /// violations (at most [`MAX_VIOLATIONS`]) and how many more were
 /// counted past that cap.

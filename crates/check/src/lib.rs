@@ -16,7 +16,7 @@
 //! * [`QosCheck`] — a [`pagoda_serve::QosAudit`] mirroring each queue
 //!   discipline (FIFO arrival order, EDF deadline order, per-tenant
 //!   order under weighted fairness) and flagging contract breaches.
-//! * [`explore`] — a schedule-exploration driver sweeping seeds,
+//! * [`explore()`] — a schedule-exploration driver sweeping seeds,
 //!   placement policies, and kill/slow fault schedules; every scenario
 //!   runs under the invariant checker, with failures shrunk to minimal
 //!   reproducers replayable via `pagoda_check replay`.

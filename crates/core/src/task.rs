@@ -151,7 +151,7 @@ impl TaskDesc {
             if b.num_warps() != self.warps_per_tb() {
                 return Err(TaskError::ShapeMismatch);
             }
-            if !self.sync && b.warps().iter().any(|w| w.barrier_count() > 0) {
+            if !self.sync && b.barriers() > 0 {
                 return Err(TaskError::UndeclaredSync);
             }
         }

@@ -82,10 +82,12 @@ impl WarpWork {
 /// The work of one threadblock: one [`WarpWork`] per warp.
 ///
 /// All warps of a block synchronize at the same barriers, so their
-/// [`WarpWork::barrier_count`]s must agree; [`BlockWork::new`] enforces it.
+/// [`WarpWork::barrier_count`]s must agree; [`BlockWork::new`] enforces it
+/// and keeps the count ([`BlockWork::barriers`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockWork {
     warps: Vec<WarpWork>,
+    barriers: usize,
 }
 
 impl BlockWork {
@@ -96,22 +98,23 @@ impl BlockWork {
     /// (such a block would deadlock on real hardware).
     pub fn new(warps: Vec<WarpWork>) -> Self {
         assert!(!warps.is_empty(), "block with zero warps");
-        let b0 = warps[0].barrier_count();
+        let barriers = warps[0].barrier_count();
         for (i, w) in warps.iter().enumerate() {
             assert_eq!(
                 w.barrier_count(),
-                b0,
-                "warp {i} has {} barriers, warp 0 has {b0}: block would deadlock",
+                barriers,
+                "warp {i} has {} barriers, warp 0 has {barriers}: block would deadlock",
                 w.barrier_count()
             );
         }
-        BlockWork { warps }
+        BlockWork { warps, barriers }
     }
 
     /// A block of `num_warps` identical warps.
     pub fn uniform(num_warps: u32, work: WarpWork) -> Self {
         assert!(num_warps > 0, "block with zero warps");
         BlockWork {
+            barriers: work.barrier_count(),
             warps: vec![work; num_warps as usize],
         }
     }
@@ -119,6 +122,11 @@ impl BlockWork {
     /// Per-warp work, in warp order.
     pub fn warps(&self) -> &[WarpWork] {
         &self.warps
+    }
+
+    /// Barriers every warp of the block arrives at.
+    pub fn barriers(&self) -> usize {
+        self.barriers
     }
 
     /// Warp count.
@@ -207,6 +215,17 @@ mod tests {
                 Segment::Barrier,
                 Segment::Compute(3),
             ]
+        );
+    }
+
+    #[test]
+    fn blocks_keep_their_barrier_count() {
+        let phased = WarpWork::phased(10, 3, 1.5);
+        assert_eq!(BlockWork::uniform(2, phased.clone()).barriers(), 2);
+        assert_eq!(BlockWork::new(vec![phased.clone(), phased]).barriers(), 2);
+        assert_eq!(
+            BlockWork::uniform(1, WarpWork::compute(5, 1.0)).barriers(),
+            0
         );
     }
 

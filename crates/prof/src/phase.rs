@@ -6,7 +6,7 @@
 //! * [`TaskMark`](pagoda_obs::TaskMark) serving marks — `arrived`
 //!   (offered to admission), `admitted` (accepted into the host queue),
 //!   `observed` (completion seen by the client);
-//! * [`TaskState`](pagoda_obs::TaskState) lifecycle spans — `spawned`
+//! * [`TaskState`] lifecycle spans — `spawned`
 //!   (submitted to the runtime), `enqueued` (PCIe staging done, task in
 //!   the MTB TaskTable), `placed` (MasterKernel scheduled it onto an
 //!   SMM), `running` (warps issued), `freed` (resources released).

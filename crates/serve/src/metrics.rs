@@ -104,13 +104,23 @@ pub struct ServeReport {
 /// Nearest-rank percentile of an unsorted sample (q in 0..=100).
 /// Returns 0.0 for an empty sample.
 pub fn percentile(samples: &[f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
+    nearest_rank(&sorted(samples), q)
+}
+
+/// A sorted copy of `samples`.
+fn sorted(samples: &[f64]) -> Vec<f64> {
     let mut v = samples.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let rank = ((q / 100.0) * v.len() as f64).ceil() as usize;
-    v[rank.clamp(1, v.len()) - 1]
+    v
+}
+
+/// [`percentile`] of a sample sorted ascending.
+fn nearest_rank(ascending: &[f64], q: f64) -> f64 {
+    if ascending.is_empty() {
+        return 0.0;
+    }
+    let rank = ((q / 100.0) * ascending.len() as f64).ceil() as usize;
+    ascending[rank.clamp(1, ascending.len()) - 1]
 }
 
 /// Builds a [`TenantReport`] from completed-task sojourns and counters.
@@ -132,6 +142,7 @@ pub fn tenant_report(
     } else {
         sojourns_us.iter().sum::<f64>() / n as f64
     };
+    let by_size = sorted(sojourns_us);
     TenantReport {
         tenant,
         weight,
@@ -143,9 +154,9 @@ pub fn tenant_report(
         deadline_missed,
         max_queue_depth,
         mean_sojourn_us: mean,
-        p50_sojourn_us: percentile(sojourns_us, 50.0),
-        p95_sojourn_us: percentile(sojourns_us, 95.0),
-        p99_sojourn_us: percentile(sojourns_us, 99.0),
+        p50_sojourn_us: nearest_rank(&by_size, 50.0),
+        p95_sojourn_us: nearest_rank(&by_size, 95.0),
+        p99_sojourn_us: nearest_rank(&by_size, 99.0),
     }
 }
 
@@ -162,6 +173,20 @@ mod tests {
         assert_eq!(percentile(&v, 100.0), 100.0);
         assert_eq!(percentile(&[7.0], 99.0), 7.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
+    }
+
+    #[test]
+    fn tenant_quantiles_equal_percentile() {
+        let ties = [3.0, 1.0, 3.0, 2.0, 3.0, 1.0, 9.0, 3.0];
+        let spread: Vec<f64> = (0..250).map(|i| f64::from((i * 37) % 101)).collect();
+        for sample in [&ties[..], &[7.5], &[], &spread] {
+            let r = tenant_report("t".into(), 1, 0, 0, 0, 0, 0, 0, sample);
+            assert_eq!(
+                [r.p50_sojourn_us, r.p95_sojourn_us, r.p99_sojourn_us],
+                [50.0, 95.0, 99.0].map(|q| percentile(sample, q)),
+                "{sample:?}"
+            );
+        }
     }
 
     #[test]

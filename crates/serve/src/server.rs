@@ -32,7 +32,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use desim::Dur;
-use pagoda_core::{Backend, PagodaConfig, PagodaRuntime, SubmitError, TaskDesc};
+use pagoda_core::{Backend, Capacity, PagodaConfig, PagodaRuntime, SubmitError, TaskDesc};
 use pagoda_obs::{Counter, MarkKind, Obs};
 use pagoda_prof::{SloSpec, SloTracker};
 use workloads::{Bench, GenOpts};
@@ -406,8 +406,10 @@ pub fn serve_on<B: Backend + ?Sized>(
             next_arr += 1;
         }
 
-        // 2. Dispatch into the TaskTable while it has room.
-        while rt.capacity().has_room() {
+        // 2. Dispatch into the TaskTable while it has room — or while the
+        // backend has no table at all, a fleet with every device dead,
+        // whose submit resolves each task lost at once.
+        while takes_submits(rt.capacity()) {
             let Some(qt) = sched.pop() else { break };
             if let Some(audit) = &cfg.qos_audit {
                 audit.on_pop(&qt);
@@ -569,6 +571,12 @@ pub fn serve_on<B: Backend + ?Sized>(
             .collect(),
     };
     Ok(ServeOutcome { report, records })
+}
+
+/// Whether the dispatch loop may submit: the table has a known-free
+/// entry, or the backend has no entries left to wait for.
+fn takes_submits(cap: Capacity) -> bool {
+    cap.has_room() || cap.total == 0
 }
 
 /// SplitMix64 — decorrelates the per-tenant seeds derived from the

@@ -40,7 +40,9 @@ pub mod matmul;
 pub mod mpe;
 pub mod slud;
 
-use gpu_sim::Segment;
+use std::sync::Arc;
+
+use gpu_sim::{BlockWork, Segment};
 use pagoda_core::TaskDesc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -217,27 +219,33 @@ pub fn irregular_tasks(
     let fsum: f64 = fracs.iter().sum();
     let fracs: Vec<f64> = fracs.iter().map(|f| f / fsum).collect();
 
+    // A task's work depends on its size class alone: each class builds
+    // its work list the first time it is drawn.
+    let mut work: [Option<Arc<[BlockWork]>>; 4] = Default::default();
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0xf193);
     (0..n)
         .map(|_| {
-            let s: u32 = [32u32, 64, 128, 256][rng.gen_range(0..4usize)];
+            let class = rng.gen_range(0..4usize);
+            let s: u32 = [32u32, 64, 128, 256][class];
             let scale = f64::from(s) / 256.0;
-            let (threads, thread_ops): (u32, Vec<u64>) = match policy {
-                ThreadPolicy::Matched => (s, vec![per_thread_ops; s as usize]),
+            let threads = match policy {
+                ThreadPolicy::Matched => s,
                 ThreadPolicy::Fixed(w) => {
                     assert!(s <= w, "size class exceeds fixed width");
-                    let mut v = vec![0u64; w as usize];
-                    v[..s as usize].fill(per_thread_ops);
-                    (w, v)
+                    w
                 }
             };
-            let block = gen::build_block(&thread_ops, cpi, &fracs);
+            let blocks = work[class].get_or_insert_with(|| {
+                let mut thread_ops = vec![0u64; threads as usize];
+                thread_ops[..s as usize].fill(per_thread_ops);
+                [gen::build_block(&thread_ops, cpi, &fracs)].into()
+            });
             TaskDesc {
                 threads_per_tb: threads,
                 num_tbs: 1,
                 smem_per_tb: base.smem_per_tb,
                 sync: base.sync,
-                blocks: [block].into(),
+                blocks: Arc::clone(blocks),
                 input_bytes: (base.input_bytes as f64 * scale) as u64,
                 output_bytes: (base.output_bytes as f64 * scale) as u64,
                 cpu_ops: u64::from(s) * per_thread_ops,
@@ -249,6 +257,7 @@ pub fn irregular_tasks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn all_benches_generate_valid_tasks() {
@@ -329,6 +338,65 @@ mod tests {
         assert_eq!(ts[0].blocks[0].warps()[0].barrier_count(), 3);
         for t in &ts {
             t.validate().unwrap();
+        }
+    }
+
+    /// Distinct work lists among `ts`, by address.
+    fn work_lists(ts: &[TaskDesc]) -> usize {
+        ts.iter()
+            .map(|t| t.blocks.as_ptr())
+            .collect::<HashSet<_>>()
+            .len()
+    }
+
+    /// Distinct packet lengths among 3DES tasks: `cpu_ops` is a packet's
+    /// block count times a constant.
+    fn packet_lengths(ts: &[TaskDesc]) -> usize {
+        ts.iter().map(|t| t.cpu_ops).collect::<HashSet<_>>().len()
+    }
+
+    /// Each distinct input builds its work once. The bounds count inputs,
+    /// not contents: two deep-interior Mandelbrot regions may render equal
+    /// work and still hold two lists.
+    #[test]
+    fn each_distinct_input_builds_its_work_once() {
+        const N: usize = 4096;
+        let variants = [
+            GenOpts::default(),
+            GenOpts {
+                use_smem: true,
+                with_io: false,
+                seed: 7,
+                ..GenOpts::default()
+            },
+            GenOpts {
+                threads_per_task: 32,
+                work_scale: 2.5,
+                ..GenOpts::default()
+            },
+        ];
+        for opts in &variants {
+            for b in Bench::ALL {
+                let ts = b.tasks(N, opts);
+                let bound = match b {
+                    Bench::Fb | Bench::Bf | Bench::Conv | Bench::Dct | Bench::Mm => 1,
+                    Bench::Mb => 64,
+                    Bench::Des3 => packet_lengths(&ts),
+                    Bench::Slud => 3,
+                    // MB's pool, its quarter's packet lengths, FB, MM.
+                    Bench::Mpe => 64 + packet_lengths(&des3::tasks(N / 4, opts)) + 2,
+                };
+                let lists = work_lists(&ts);
+                assert!(
+                    lists <= bound,
+                    "{}: {lists} work lists for at most {bound} inputs",
+                    b.name()
+                );
+            }
+            for policy in [ThreadPolicy::Matched, ThreadPolicy::Fixed(256)] {
+                let ts = irregular_tasks(Bench::Conv, N, policy, opts);
+                assert!(work_lists(&ts) <= 4, "{policy:?}: one list per size class");
+            }
         }
     }
 

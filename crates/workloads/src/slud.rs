@@ -150,11 +150,24 @@ fn task_of(t: TileTask, opts: &GenOpts) -> TaskDesc {
     }
 }
 
-/// Dependency waves of `TaskDesc`s for an `nb×nb` grid.
+/// Dependency waves of `TaskDesc`s for an `nb×nb` grid. A tile's work
+/// depends on its kind alone, so each kind's descriptor is built once
+/// and every tile of that kind clones it: the ~300 k tiles of a
+/// paper-scale grid share three work lists.
 pub fn waves_as_tasks(nb: usize, density: f64, opts: &GenOpts) -> Vec<Vec<TaskDesc>> {
+    let [factor, solve, update] =
+        [TileTask::Factor, TileTask::Solve, TileTask::Update].map(|t| task_of(t, opts));
     symbolic_waves(nb, density, opts.seed)
         .into_iter()
-        .map(|w| w.into_iter().map(|t| task_of(t, opts)).collect())
+        .map(|w| {
+            w.into_iter()
+                .map(|t| match t {
+                    TileTask::Factor => factor.clone(),
+                    TileTask::Solve => solve.clone(),
+                    TileTask::Update => update.clone(),
+                })
+                .collect()
+        })
         .collect()
 }
 
@@ -189,6 +202,8 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::BlockWork;
+    use std::collections::HashMap;
 
     fn dominant(n: usize, seed: u64) -> Vec<f32> {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -262,6 +277,62 @@ mod tests {
         let a: usize = symbolic_waves(16, 0.25, 1).iter().map(Vec::len).sum();
         let b: usize = symbolic_waves(16, 0.25, 2).iter().map(Vec::len).sum();
         assert_ne!(a, b);
+    }
+
+    /// The waves against a `task_of` build per tile, field for field and
+    /// the work by content; the three kinds' lists are shared, one each.
+    fn assert_shared_per_kind(nb: usize, opts: &GenOpts) {
+        let symbolic = symbolic_waves(nb, DENSITY, opts.seed);
+        let waves = waves_as_tasks(nb, DENSITY, opts);
+        assert_eq!(waves.len(), symbolic.len());
+        let mut lists: HashMap<*const BlockWork, TileTask> = HashMap::new();
+        for (wave, kinds) in waves.iter().zip(&symbolic) {
+            assert_eq!(wave.len(), kinds.len());
+            for (t, &kind) in wave.iter().zip(kinds) {
+                let alone = task_of(kind, opts);
+                assert_eq!(
+                    (t.threads_per_tb, t.num_tbs, t.smem_per_tb, t.sync),
+                    (
+                        alone.threads_per_tb,
+                        alone.num_tbs,
+                        alone.smem_per_tb,
+                        alone.sync
+                    )
+                );
+                assert_eq!(
+                    (t.input_bytes, t.output_bytes, t.cpu_ops),
+                    (alone.input_bytes, alone.output_bytes, alone.cpu_ops)
+                );
+                assert_eq!(t.blocks, alone.blocks);
+                let first = *lists.entry(t.blocks.as_ptr()).or_insert(kind);
+                assert_eq!(first, kind, "two kinds, one work list");
+            }
+        }
+        assert_eq!(lists.len(), 3, "{nb}x{nb}: one work list per kind");
+    }
+
+    #[test]
+    fn shared_waves_equal_per_tile_builds() {
+        let variants = [
+            GenOpts::default(),
+            GenOpts {
+                threads_per_task: 32,
+                work_scale: 2.5,
+                seed: 7,
+                ..GenOpts::default()
+            },
+        ];
+        for opts in &variants {
+            assert_shared_per_kind(12, opts);
+        }
+    }
+
+    #[test]
+    fn paper_scale_waves_hold_three_work_lists() {
+        let opts = GenOpts::default();
+        let nb = grid_for(273_000, opts.seed);
+        assert_eq!(nb, 100);
+        assert_shared_per_kind(nb, &opts);
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! the *number of tasks ever spawned* (the `tasks` vector, one record
 //! per task for `trace()`) may allocate.
 //!
+//! Task generation is held the same way: SLUD's tiles share their
+//! kind's work, so building a paper-scale factorization allocates per
+//! wave, not per tile.
+//!
 //! The counter is per thread, so the tests of this file do not see each
 //! other's (or the harness's) allocations.
 
@@ -21,6 +25,7 @@ use desim::Dur;
 use gpu_sim::WarpWork;
 use pagoda_cluster::{ClusterConfig, ClusterHandle};
 use pagoda_core::{Backend, PagodaRuntime, SubmitError, TaskDesc};
+use workloads::{slud, Bench, GenOpts};
 
 thread_local! {
     /// `alloc` + `realloc` calls made by this thread. Const-initialised
@@ -152,6 +157,28 @@ fn ten_thousand_tasks_allocate_only_for_their_records() {
     assert!(
         spent <= 2,
         "{spent} allocations for 10 000 tasks on a warm runtime"
+    );
+}
+
+#[test]
+fn paper_scale_slud_waves_allocate_per_wave_not_per_tile() {
+    let opts = GenOpts::default();
+    let nb = slud::grid_for(Bench::Slud.paper_task_count(), opts.seed);
+    let before = allocs();
+    let waves = slud::waves_as_tasks(nb, slud::DENSITY, &opts);
+    let spent = allocs() - before;
+    let tasks: usize = waves.iter().map(Vec::len).sum();
+    println!(
+        "slud: {spent} allocations for {} waves of {tasks} tasks",
+        waves.len()
+    );
+    assert_eq!((waves.len(), tasks), (298, 299_541));
+    // Measured: 1 768 — each wave's kind list growing and its task list;
+    // one work list per tile would be 2 098 534.
+    assert!(
+        spent <= 8 * waves.len() as u64,
+        "{spent} allocations for {} waves",
+        waves.len()
     );
 }
 

@@ -10,8 +10,8 @@
 //! is handed afterwards is reported lost); and serving experiments with
 //! zero weights, rates from {0, -1, NaN, ∞, 10⁻⁹/s}, dwell times from
 //! {0, NaN, 10⁻¹² µs}, zero queue budgets and zero task counts under all
-//! three policies. Out of scope: a
-//! serving run over a fleet whose every device is dead.
+//! three policies; and serving runs over fleets whose every device dies
+//! mid-stream, which resolve the arrivals left over as losses.
 
 use pagoda::prelude::*;
 use proptest::prelude::*;
@@ -272,6 +272,48 @@ proptest! {
             Err(e) => prop_assert!(false, "unexpected error {}", e),
             Ok(out) => prop_assert_eq!(out.records.len(), TASKS),
         }
+    }
+
+    /// 64 3DES arrivals at 2·10⁵/s span about 320 µs; every device dies
+    /// in the first 100, so arrivals are left for a fleet with nowhere to
+    /// run them. Each must still resolve: done, shed, expired, or lost
+    /// at submit.
+    #[test]
+    fn serving_over_a_fleet_that_loses_every_device_resolves_every_arrival(
+        kills_us in prop::collection::vec(0u64..100, 1..4),
+        policy in 0usize..3,
+        retry in 0usize..2,
+        deadline in (prop::bool::ANY, 20u64..200),
+        seed in 0u64..1_000,
+    ) {
+        let retry = [RetryPolicy::Fail, RetryPolicy::Resubmit { max_attempts: 2 }][retry];
+        let deadline = deadline.0.then_some(deadline.1);
+        let mut builder = ClusterConfig::builder().retry(retry);
+        for (device, &at) in kills_us.iter().enumerate() {
+            builder = builder.device(PagodaConfig::default()).fault(FaultSpec {
+                at: SimTime::from_us(at),
+                device,
+                kind: FaultKind::Kill,
+            });
+        }
+        let mut fleet = ClusterHandle::new(builder.build().unwrap()).unwrap();
+        let mut tenant = TenantSpec::new("t", Bench::Des3, 2.0e5);
+        tenant.deadline = deadline.map(Dur::from_us);
+        let policy = [Policy::Fifo, Policy::WeightedFair, Policy::Edf][policy];
+        let mut sc = ServeConfig::new(vec![tenant], policy);
+        sc.tasks_per_tenant = TASKS;
+        sc.cancel_late = deadline.is_some();
+        sc.seed = seed;
+        let out = serve_on(&sc, &mut fleet).unwrap();
+        let t = &out.report.tenants[0];
+        prop_assert_eq!(out.records.len(), TASKS);
+        prop_assert_eq!(t.offered, TASKS as u64);
+        prop_assert_eq!(t.completed + t.shed + t.expired, t.offered);
+        let report = fleet.report();
+        prop_assert_eq!(report.kills, kills_us.len() as u64);
+        prop_assert!(report.tasks_lost > 0, "nothing was lost");
+        // A loss ends a sojourn as a completion does.
+        prop_assert_eq!(report.completed + report.tasks_lost, t.completed);
     }
 
     #[test]
