@@ -109,8 +109,11 @@ if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
     # `assign_parts`) in lockstep with its per-warp-walk reference, the
     # mask-driven `decide` in lockstep with the row walk it replaced (also
     # under a deep backlog of `Ref` rows, where the chain bits carry it),
-    # the TaskTable's row masks against column scans, and the four-lane
-    # Mandelbrot render against per-pixel `escape_iters`, 512 cases each.
+    # the TaskTable's row masks against column scans, the Mandelbrot
+    # render (four lanes, interior test) against plain per-pixel
+    # iteration, also in windows 1e-3 to 1e-16 wide on the cardioid and
+    # bulb boundaries, and SLUD's counted waves against the listing
+    # oracle, 512 cases each.
     # All sit under every fingerprint below; a sift that compares one
     # child too few, a broken validity rule for the kept prediction, or a
     # transition that skips a mask, fails here with the case's `cc` seed
@@ -121,6 +124,7 @@ if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
     run env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib lockstep_decide_under_deep_backlog
     run env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib masks_match_column_scans
     run env PROPTEST_CASES=512 cargo test -q --offline -p workloads --lib render_equals_per_pixel
+    run env PROPTEST_CASES=512 cargo test -q --offline -p workloads --lib slud::tests::lockstep
     # Hostile configurations at eight times tier-1's 128 cases: a fleet
     # that loses every device, and most single hostile serving axes,
     # come up only now and then at 128 (about a second at 1024).

@@ -102,18 +102,21 @@ impl Placer {
         None
     }
 
+    /// Draws two distinct ranks among the live devices and maps each to
+    /// its device by scanning `views`, so a placement allocates nothing.
     fn place_power_of_two(&mut self, views: &[DeviceView]) -> Option<usize> {
-        let alive: Vec<usize> = (0..views.len()).filter(|&d| views[d].alive).collect();
-        match alive.len() {
+        let alive = || (0..views.len()).filter(|&d| views[d].alive);
+        match alive().count() {
             0 => None,
-            1 => Some(alive[0]),
+            1 => alive().next(),
             len => {
                 let i = self.rng.gen_range(0..len);
                 let mut j = self.rng.gen_range(0..len - 1);
                 if j >= i {
                     j += 1;
                 }
-                let (a, b) = (alive[i], alive[j]);
+                let nth = |rank| alive().nth(rank).expect("rank below the live count");
+                let (a, b) = (nth(i), nth(j));
                 let pick = match views[a].outstanding.cmp(&views[b].outstanding) {
                     std::cmp::Ordering::Less => a,
                     std::cmp::Ordering::Greater => b,
@@ -182,6 +185,44 @@ mod tests {
         // and the heavy devices can only appear via heavy-vs-heavy pairs.
         let picks: Vec<_> = (0..32).map(|_| p.place(0, &views).unwrap()).collect();
         assert!(picks.contains(&1));
+    }
+
+    /// Power-of-two as it was: the live indices collected per placement.
+    fn power_of_two_by_list(rng: &mut SmallRng, views: &[DeviceView]) -> Option<usize> {
+        let alive: Vec<usize> = (0..views.len()).filter(|&d| views[d].alive).collect();
+        match alive.len() {
+            0 => None,
+            1 => Some(alive[0]),
+            len => {
+                let i = rng.gen_range(0..len);
+                let mut j = rng.gen_range(0..len - 1);
+                if j >= i {
+                    j += 1;
+                }
+                let (a, b) = (alive[i], alive[j]);
+                Some(match views[a].outstanding.cmp(&views[b].outstanding) {
+                    std::cmp::Ordering::Less => a,
+                    std::cmp::Ordering::Greater => b,
+                    std::cmp::Ordering::Equal => a.min(b),
+                })
+            }
+        }
+    }
+
+    #[test]
+    fn power_of_two_picks_as_the_collected_list_did() {
+        let mut draw = SmallRng::seed_from_u64(5);
+        for seed in 0..8 {
+            let mut p = Placer::new(Placement::PowerOfTwo, seed, 1);
+            let mut rng = Placer::new(Placement::PowerOfTwo, seed, 1).rng;
+            for _ in 0..500 {
+                let n = draw.gen_range(0..7);
+                let views: Vec<_> = (0..n)
+                    .map(|_| view(draw.gen_bool(0.7), 4, draw.gen_range(0..4)))
+                    .collect();
+                assert_eq!(p.place(0, &views), power_of_two_by_list(&mut rng, &views));
+            }
+        }
     }
 
     #[test]

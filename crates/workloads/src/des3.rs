@@ -193,7 +193,7 @@ pub const MAX_PACKET: usize = 64 * 1024;
 /// Thread-ops per 8-byte block: 16 rounds × 3 DES passes of table-driven
 /// expansion/S-box/permute work (~22 ops per round in a LUT
 /// implementation), plus block I/O.
-const OPS_PER_BLOCK: u64 = 16 * 3 * 10 + 30;
+pub(crate) const OPS_PER_BLOCK: u64 = 16 * 3 * 10 + 30;
 
 /// Log-uniform NetBench-like packet size, block-aligned.
 pub fn packet_size(rng: &mut SmallRng) -> usize {
@@ -203,21 +203,29 @@ pub fn packet_size(rng: &mut SmallRng) -> usize {
     (s / 8) * 8
 }
 
+/// What a packet's work list depends on once the block size and thread
+/// count are fixed: the blocks every thread gets, and how many warps hold
+/// a lane with one block more (their lane maximum is one block higher).
+pub(crate) fn shape(blocks: usize, threads: usize) -> (usize, usize) {
+    (blocks / threads, (blocks % threads).div_ceil(32))
+}
+
 /// Generates `n` packet-encryption tasks with irregular sizes. A
-/// packet's work depends on its length alone, and lengths recur (a
-/// serving ladder point's 26.7 k packets have about 7.9 k distinct ones),
-/// so tasks of one length share one work list.
+/// packet's work depends on its `shape` alone, and shapes recur far
+/// more than lengths do (32 k packets hold about 7 k distinct lengths but
+/// about 300 shapes at 128 threads, of at most 320), so tasks of one
+/// shape share one work list.
 pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x3de5);
     let per_block = crate::gen::scale_ops(OPS_PER_BLOCK, opts.work_scale);
-    let mut work: HashMap<usize, Arc<[BlockWork]>> = HashMap::new();
+    let threads = opts.threads_per_task as usize;
+    let mut work: HashMap<(usize, usize), Arc<[BlockWork]>> = HashMap::new();
     (0..n)
         .map(|_| {
             let bytes = packet_size(&mut rng);
             let blocks = bytes / 8;
-            let shared = work.entry(bytes).or_insert_with(|| {
-                let per_thread =
-                    distribute_cyclic_equal(blocks, per_block, opts.threads_per_task as usize);
+            let shared = work.entry(shape(blocks, threads)).or_insert_with(|| {
+                let per_thread = distribute_cyclic_equal(blocks, per_block, threads);
                 [build_block(&per_thread, calib::DES3.cpi, &[1.0])].into()
             });
             TaskDesc {
@@ -307,8 +315,8 @@ mod tests {
         assert!(sizes.iter().any(|&s| s > MAX_PACKET / 3));
     }
 
-    /// [`tasks`] as it was before packets of one length shared their
-    /// work: every task builds its own.
+    /// [`tasks`] as it was before packets shared their work: every task
+    /// builds its own.
     fn tasks_one_by_one(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
         let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x3de5);
         (0..n)
@@ -334,7 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_work_equals_per_task_work_and_is_shared_per_length() {
+    fn shared_work_equals_per_task_work_and_is_shared_per_shape() {
         let variants = [
             GenOpts::default(),
             GenOpts {
@@ -349,7 +357,6 @@ mod tests {
             },
         ];
         for opts in variants {
-            // 3 000 log-uniform packets: the short lengths recur.
             let (shared, alone) = (tasks(3_000, &opts), tasks_one_by_one(3_000, &opts));
             assert_eq!(shared.len(), alone.len());
             for (s, a) in shared.iter().zip(&alone) {
@@ -363,21 +370,26 @@ mod tests {
                 );
                 assert_eq!(s.blocks, a.blocks);
             }
-            // `cpu_ops` is the length's block count times a constant, so
+            // `cpu_ops` is the packet's block count times a constant, so
             // it names the length whether or not the I/O volume is kept.
-            let mut by_length: HashMap<u64, &Arc<[BlockWork]>> = HashMap::new();
+            let per_block = crate::gen::scale_ops(OPS_PER_BLOCK, opts.work_scale);
+            let threads = opts.threads_per_task as usize;
+            let mut by_shape: HashMap<(usize, usize), &Arc<[BlockWork]>> = HashMap::new();
+            let mut lengths = HashSet::new();
             for t in &shared {
-                let first = by_length.entry(t.cpu_ops).or_insert(&t.blocks);
-                assert!(Arc::ptr_eq(first, &t.blocks), "one length, two work lists");
+                let blocks = (t.cpu_ops / per_block) as usize;
+                lengths.insert(blocks);
+                let first = by_shape.entry(shape(blocks, threads)).or_insert(&t.blocks);
+                assert!(Arc::ptr_eq(first, &t.blocks), "one shape, two work lists");
             }
             let lists: HashSet<*const BlockWork> =
                 shared.iter().map(|t| t.blocks.as_ptr()).collect();
-            assert_eq!(lists.len(), by_length.len(), "two lengths, one work list");
+            assert_eq!(lists.len(), by_shape.len(), "two shapes, one work list");
             assert!(
-                by_length.len() + 100 < shared.len(),
-                "{} lengths among {} packets: too few recur to test sharing",
-                by_length.len(),
-                shared.len()
+                by_shape.len() + 100 < lengths.len(),
+                "{} shapes among {} lengths: too few share a shape to test sharing",
+                by_shape.len(),
+                lengths.len()
             );
         }
     }

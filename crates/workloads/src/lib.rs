@@ -349,10 +349,15 @@ mod tests {
             .len()
     }
 
-    /// Distinct packet lengths among 3DES tasks: `cpu_ops` is a packet's
-    /// block count times a constant.
-    fn packet_lengths(ts: &[TaskDesc]) -> usize {
-        ts.iter().map(|t| t.cpu_ops).collect::<HashSet<_>>().len()
+    /// Distinct work shapes among 3DES tasks (`des3::shape`): `cpu_ops`
+    /// is a packet's block count times a constant.
+    fn packet_shapes(ts: &[TaskDesc], opts: &GenOpts) -> usize {
+        let per_block = gen::scale_ops(des3::OPS_PER_BLOCK, opts.work_scale);
+        let threads = opts.threads_per_task as usize;
+        ts.iter()
+            .map(|t| des3::shape((t.cpu_ops / per_block) as usize, threads))
+            .collect::<HashSet<_>>()
+            .len()
     }
 
     /// Each distinct input builds its work once. The bounds count inputs,
@@ -381,10 +386,10 @@ mod tests {
                 let bound = match b {
                     Bench::Fb | Bench::Bf | Bench::Conv | Bench::Dct | Bench::Mm => 1,
                     Bench::Mb => 64,
-                    Bench::Des3 => packet_lengths(&ts),
+                    Bench::Des3 => packet_shapes(&ts, opts),
                     Bench::Slud => 3,
-                    // MB's pool, its quarter's packet lengths, FB, MM.
-                    Bench::Mpe => 64 + packet_lengths(&des3::tasks(N / 4, opts)) + 2,
+                    // MB's pool, its quarter's packet shapes, FB, MM.
+                    Bench::Mpe => 64 + packet_shapes(&des3::tasks(N / 4, opts), opts) + 2,
                 };
                 let lists = work_lists(&ts);
                 assert!(

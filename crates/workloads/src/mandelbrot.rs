@@ -30,8 +30,32 @@ pub struct Region {
     pub h: f64,
 }
 
+/// Whether `c = cx + i·cy` lies in the main cardioid or the period-2
+/// bulb, the two components of the set with closed forms: there `z←z²+c`
+/// converges to an attracting fixed point or 2-cycle and never escapes.
+/// Exact in real arithmetic; in `f64` a point on the wrong side of the
+/// boundary lies within rounding (≈ 1e-16) of it, where escape takes
+/// orders of magnitude more than `u16::MAX` iterations (≈ π/√ε at the
+/// cusp). A NaN coordinate fails both comparisons.
+fn in_main_bulbs(cx: f64, cy: f64) -> bool {
+    let y2 = cy * cy;
+    let xq = cx - 0.25;
+    let q = xq * xq + y2;
+    q * (q + xq) <= 0.25 * y2 || (cx + 1.0) * (cx + 1.0) + y2 <= 0.0625
+}
+
 /// Escape iterations for one point `c = cx + i·cy` (the classic z←z²+c).
+/// A point in the main cardioid or the period-2 bulb answers `max_iter`
+/// without iterating, for caps up to `u16::MAX` (see `in_main_bulbs`).
 pub fn escape_iters(cx: f64, cy: f64, max_iter: u32) -> u32 {
+    if max_iter <= u32::from(u16::MAX) && in_main_bulbs(cx, cy) {
+        return max_iter;
+    }
+    iterate(cx, cy, max_iter)
+}
+
+/// [`escape_iters`] by plain iteration.
+fn iterate(cx: f64, cy: f64, max_iter: u32) -> u32 {
     let (mut zx, mut zy) = (0.0f64, 0.0f64);
     for i in 0..max_iter {
         let zx2 = zx * zx;
@@ -45,7 +69,7 @@ pub fn escape_iters(cx: f64, cy: f64, max_iter: u32) -> u32 {
     max_iter
 }
 
-/// [`escape_iters`] for four points at once, in lockstep lanes: every
+/// [`iterate`] for four points at once, in lockstep lanes: every
 /// lane performs exactly the per-pixel operation sequence, and a lane's
 /// count — the trips it stayed live — is frozen at its first escape
 /// (what its `z` does afterwards, overflow to infinity or NaN, is never
@@ -78,23 +102,39 @@ fn escape_iters4(cx: [f64; 4], cy: [f64; 4], max_iter: u32) -> [u32; 4] {
     iters.map(|n| n as u32)
 }
 
-/// Renders a `dim`×`dim` iteration image of `region`, row-major, four
-/// pixels per loop trip with a scalar tail for `dim² mod 4`.
+/// Renders a `dim`×`dim` iteration image of `region`, row-major. A pixel
+/// in the main cardioid or the period-2 bulb is `max_iter` outright; the
+/// rest are packed four to a loop trip, with a scalar tail for the last
+/// one to three.
+///
+/// # Panics
+///
+/// If `max_iter` exceeds `u16::MAX`, the largest count a pixel holds.
 pub fn render(region: Region, dim: usize, max_iter: u32) -> Vec<u16> {
-    let mut points = (0..dim).flat_map(|py| {
-        let cy = region.y0 + region.h * (py as f64 + 0.5) / dim as f64;
-        (0..dim).map(move |px| (region.x0 + region.w * (px as f64 + 0.5) / dim as f64, cy))
-    });
-    let n = dim * dim;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n / 4 {
-        let (mut cx, mut cy) = ([0.0; 4], [0.0; 4]);
-        for l in 0..4 {
-            (cx[l], cy[l]) = points.next().expect("n / 4 whole groups");
+    let cap = u16::try_from(max_iter).expect("render: max_iter above u16::MAX");
+    let mut out = vec![cap; dim * dim];
+    let (mut at, mut cx, mut cy) = ([0usize; 4], [0.0; 4], [0.0; 4]);
+    let mut lanes = 0;
+    for py in 0..dim {
+        let y = region.y0 + region.h * (py as f64 + 0.5) / dim as f64;
+        for px in 0..dim {
+            let x = region.x0 + region.w * (px as f64 + 0.5) / dim as f64;
+            if in_main_bulbs(x, y) {
+                continue;
+            }
+            (at[lanes], cx[lanes], cy[lanes]) = (py * dim + px, x, y);
+            lanes += 1;
+            if lanes == 4 {
+                for (&i, it) in at.iter().zip(escape_iters4(cx, cy, max_iter)) {
+                    out[i] = it as u16;
+                }
+                lanes = 0;
+            }
         }
-        out.extend(escape_iters4(cx, cy, max_iter).map(|it| it as u16));
     }
-    out.extend(points.map(|(cx, cy)| escape_iters(cx, cy, max_iter) as u16));
+    for l in 0..lanes {
+        out[at[l]] = iterate(cx[l], cy[l], max_iter) as u16;
+    }
     out
 }
 
@@ -181,15 +221,25 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The render as it was before the four-lane loop: one
-    /// [`escape_iters`] call per pixel, row-major.
+    /// The render as it was before the four-lane loop and the interior
+    /// test: plain iteration per pixel, row-major.
     fn render_per_pixel(region: Region, dim: usize, max_iter: u32) -> Vec<u16> {
         let mut out = Vec::with_capacity(dim * dim);
         for py in 0..dim {
             for px in 0..dim {
                 let cx = region.x0 + region.w * (px as f64 + 0.5) / dim as f64;
                 let cy = region.y0 + region.h * (py as f64 + 0.5) / dim as f64;
-                out.push(escape_iters(cx, cy, max_iter) as u16);
+                let (mut zx, mut zy, mut iters) = (0.0f64, 0.0f64, max_iter);
+                for i in 0..max_iter {
+                    let (zx2, zy2) = (zx * zx, zy * zy);
+                    if zx2 + zy2 > 4.0 {
+                        iters = i;
+                        break;
+                    }
+                    zy = 2.0 * zx * zy + cy;
+                    zx = zx2 - zy2 + cx;
+                }
+                out.push(iters as u16);
             }
         }
         out
@@ -225,6 +275,55 @@ mod tests {
                 }
             }
         }
+
+        /// Windows 1e-3 to 1e-16 wide centred on the boundary of the main
+        /// cardioid (`e^{iθ}/2 − e^{2iθ}/4`) or of the period-2 bulb
+        /// (`−1 + e^{iθ}/4`), where the interior test is closest to
+        /// wrong: every pixel it answers must be one plain iteration
+        /// does not see escape.
+        #[test]
+        fn render_equals_per_pixel_on_the_bulb_boundaries(
+            theta in 0.0f64..std::f64::consts::TAU,
+            log_width in -16.0f64..-3.0,
+            bulb in prop::bool::ANY,
+        ) {
+            let theta: f64 = theta;
+            let (bx, by) = if bulb {
+                (-1.0 + theta.cos() / 4.0, theta.sin() / 4.0)
+            } else {
+                (
+                    theta.cos() / 2.0 - (2.0 * theta).cos() / 4.0,
+                    theta.sin() / 2.0 - (2.0 * theta).sin() / 4.0,
+                )
+            };
+            let w = 10f64.powf(log_width);
+            let region = Region { x0: bx - w / 2.0, y0: by - w / 2.0, w, h: w };
+            for dim in [1, 3, 4, 7, 16, 64] {
+                prop_assert_eq!(
+                    render(region, dim, MAX_ITER),
+                    render_per_pixel(region, dim, MAX_ITER),
+                    "{:?} at {}x{}", region, dim, dim
+                );
+            }
+            let centre = Region { x0: bx, y0: by, w: 0.0, h: 0.0 };
+            prop_assert_eq!(
+                escape_iters(bx, by, MAX_ITER),
+                u32::from(render_per_pixel(centre, 1, MAX_ITER)[0])
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "max_iter above u16::MAX")]
+    fn render_refuses_caps_a_pixel_cannot_hold() {
+        let origin = Region {
+            x0: -0.1,
+            y0: -0.1,
+            w: 0.2,
+            h: 0.2,
+        };
+        assert_eq!(render(origin, 1, u32::from(u16::MAX)), [u16::MAX]);
+        render(origin, 1, 70_000);
     }
 
     #[test]

@@ -81,49 +81,59 @@ impl TileTask {
 /// wave are independent; wave *k+1* depends on wave *k*. Three waves per
 /// elimination step: `[factor]`, `[solves…]`, `[updates…]`.
 pub fn symbolic_waves(nb: usize, density: f64, seed: u64) -> Vec<Vec<TileTask>> {
+    wave_sizes(nb, density, seed)
+        .into_iter()
+        .map(|(kind, n)| vec![kind; n])
+        .collect()
+}
+
+/// [`symbolic_waves`] as each wave's kind and size, the waves' only
+/// content: a wave holds one kind. Step *k* has one factor, a solve per
+/// nonzero below the diagonal in column *k* (`below`) and per nonzero
+/// right of it in row *k* (`right`), and `below × right` updates, one per
+/// pair; each update's tile becomes nonzero (fill-in), which is row *k*'s
+/// tail OR'd into every row with a nonzero in column *k*, a word at a
+/// time. Empty solve and update waves are left out.
+fn wave_sizes(nb: usize, density: f64, seed: u64) -> Vec<(TileTask, usize)> {
     assert!(nb > 0, "empty grid");
     assert!((0.0..=1.0).contains(&density), "density out of range");
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x515d);
-    let mut nz = vec![false; nb * nb];
+    // Row-major bitset: row `i` is words `i * words ..`, bit `j` its column.
+    let words = nb.div_ceil(64);
+    let mut nz = vec![0u64; nb * words];
     for i in 0..nb {
-        nz[i * nb + i] = true; // structurally nonsingular diagonal
+        let row = &mut nz[i * words..(i + 1) * words];
+        row[i / 64] |= 1 << (i % 64); // structurally nonsingular diagonal
         for j in 0..nb {
             if i != j && rng.gen_bool(density) {
-                nz[i * nb + j] = true;
+                row[j / 64] |= 1 << (j % 64);
             }
         }
     }
-    let mut waves = Vec::new();
+    let mut waves = Vec::with_capacity(3 * nb);
     for k in 0..nb {
-        waves.push(vec![TileTask::Factor]);
-        let mut solves = Vec::new();
-        for i in k + 1..nb {
-            if nz[i * nb + k] {
-                solves.push(TileTask::Solve);
-            }
-            if nz[k * nb + i] {
-                solves.push(TileTask::Solve);
-            }
-        }
-        if !solves.is_empty() {
-            waves.push(solves);
-        }
-        let mut updates = Vec::new();
-        for i in k + 1..nb {
-            if !nz[i * nb + k] {
-                continue;
-            }
-            for j in k + 1..nb {
-                if nz[k * nb + j] {
-                    updates.push(TileTask::Update);
-                    nz[i * nb + j] = true; // fill-in
+        let (kw, bit) = (k / 64, 1u64 << (k % 64));
+        let (upper, lower) = nz.split_at_mut((k + 1) * words);
+        // Row `k`'s columns past `k`: word `kw` above bit `k`, then the
+        // whole words after it.
+        let head = upper[k * words + kw] & ((u64::MAX << (k % 64)) << 1);
+        let rest = &upper[k * words + kw + 1..];
+        let right = (head.count_ones() + rest.iter().map(|w| w.count_ones()).sum::<u32>()) as usize;
+        let mut below = 0;
+        for row in lower.chunks_exact_mut(words) {
+            if row[kw] & bit != 0 {
+                below += 1;
+                row[kw] |= head;
+                for (w, &t) in row[kw + 1..].iter_mut().zip(rest) {
+                    *w |= t;
                 }
             }
         }
-        if !updates.is_empty() {
-            waves.push(updates);
-        }
+        waves.push((TileTask::Factor, 1));
+        waves.push((TileTask::Solve, below + right));
+        waves.push((TileTask::Update, below * right));
     }
+    waves.retain(|&(_, n)| n > 0);
     waves
 }
 
@@ -157,16 +167,15 @@ fn task_of(t: TileTask, opts: &GenOpts) -> TaskDesc {
 pub fn waves_as_tasks(nb: usize, density: f64, opts: &GenOpts) -> Vec<Vec<TaskDesc>> {
     let [factor, solve, update] =
         [TileTask::Factor, TileTask::Solve, TileTask::Update].map(|t| task_of(t, opts));
-    symbolic_waves(nb, density, opts.seed)
+    wave_sizes(nb, density, opts.seed)
         .into_iter()
-        .map(|w| {
-            w.into_iter()
-                .map(|t| match t {
-                    TileTask::Factor => factor.clone(),
-                    TileTask::Solve => solve.clone(),
-                    TileTask::Update => update.clone(),
-                })
-                .collect()
+        .map(|(kind, n)| {
+            let desc = match kind {
+                TileTask::Factor => &factor,
+                TileTask::Solve => &solve,
+                TileTask::Update => &update,
+            };
+            vec![desc.clone(); n]
         })
         .collect()
 }
@@ -179,7 +188,7 @@ pub const DENSITY: f64 = 0.35;
 pub fn grid_for(n: usize, seed: u64) -> usize {
     let mut nb = 4;
     while nb < 160 {
-        let count: usize = symbolic_waves(nb, DENSITY, seed).iter().map(Vec::len).sum();
+        let count: usize = wave_sizes(nb, DENSITY, seed).iter().map(|&(_, n)| n).sum();
         if count >= n {
             break;
         }
@@ -203,6 +212,7 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
 mod tests {
     use super::*;
     use gpu_sim::BlockWork;
+    use proptest::prelude::*;
     use std::collections::HashMap;
 
     fn dominant(n: usize, seed: u64) -> Vec<f32> {
@@ -212,6 +222,121 @@ mod tests {
             a[i * n + i] = n as f32 + rng.gen_range(0.0f32..1.0);
         }
         a
+    }
+
+    /// [`symbolic_waves`] as it was before it counted: every tile task
+    /// listed, fill-in one `bool` at a time.
+    fn symbolic_waves_by_listing(nb: usize, density: f64, seed: u64) -> Vec<Vec<TileTask>> {
+        assert!(nb > 0, "empty grid");
+        assert!((0.0..=1.0).contains(&density), "density out of range");
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x515d);
+        let mut nz = vec![false; nb * nb];
+        for i in 0..nb {
+            nz[i * nb + i] = true; // structurally nonsingular diagonal
+            for j in 0..nb {
+                if i != j && rng.gen_bool(density) {
+                    nz[i * nb + j] = true;
+                }
+            }
+        }
+        let mut waves = Vec::new();
+        for k in 0..nb {
+            waves.push(vec![TileTask::Factor]);
+            let mut solves = Vec::new();
+            for i in k + 1..nb {
+                if nz[i * nb + k] {
+                    solves.push(TileTask::Solve);
+                }
+                if nz[k * nb + i] {
+                    solves.push(TileTask::Solve);
+                }
+            }
+            if !solves.is_empty() {
+                waves.push(solves);
+            }
+            let mut updates = Vec::new();
+            for i in k + 1..nb {
+                if !nz[i * nb + k] {
+                    continue;
+                }
+                for j in k + 1..nb {
+                    if nz[k * nb + j] {
+                        updates.push(TileTask::Update);
+                        nz[i * nb + j] = true; // fill-in
+                    }
+                }
+            }
+            if !updates.is_empty() {
+                waves.push(updates);
+            }
+        }
+        waves
+    }
+
+    /// [`grid_for`] over the listed waves.
+    fn grid_for_by_listing(n: usize, seed: u64) -> usize {
+        let mut nb = 4;
+        while nb < 160 {
+            let count: usize = symbolic_waves_by_listing(nb, DENSITY, seed)
+                .iter()
+                .map(Vec::len)
+                .sum();
+            if count >= n {
+                break;
+            }
+            nb += 4;
+        }
+        nb
+    }
+
+    /// The counted waves against the listed ones on every grid side up to
+    /// two bitset words and a half, at the seeds the benchmarks use and
+    /// densities from empty (no solve or update wave) to full.
+    #[test]
+    fn lockstep_counted_waves_equal_listed_waves() {
+        for seed in [42, 7, 99] {
+            for density in [0.0, 0.05, 0.35, 1.0] {
+                for nb in 1..=128 {
+                    assert_eq!(
+                        symbolic_waves(nb, density, seed),
+                        symbolic_waves_by_listing(nb, density, seed),
+                        "{nb}x{nb} at density {density}, seed {seed}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// The same lockstep at any seed and density.
+        #[test]
+        fn lockstep_counted_waves_equal_listed_waves_anywhere(
+            nb in 1usize..=160,
+            density in 0.0f64..=1.0,
+            seed in 0u64..=u64::MAX,
+        ) {
+            prop_assert_eq!(
+                symbolic_waves(nb, density, seed),
+                symbolic_waves_by_listing(nb, density, seed)
+            );
+        }
+    }
+
+    #[test]
+    fn grid_for_equals_the_listed_search() {
+        for seed in [42, 7, 99] {
+            for n in [
+                0, 1, 10, 100, 1_000, 5_000, 40_000, 273_000, 1_000_000, 2_000_000,
+            ] {
+                assert_eq!(
+                    grid_for(n, seed),
+                    grid_for_by_listing(n, seed),
+                    "{n} tasks, seed {seed}"
+                );
+            }
+        }
     }
 
     #[test]
