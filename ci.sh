@@ -133,15 +133,31 @@ if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
     # (Fig. 6 past 512 tasks, Fig. 10's plateau, the geomean bands),
     # asserted over every figure's points at paper scale.
     run cargo test -q --release --offline --test repro -- --ignored
+    # The same paper_fig5 runs also hold its footprint: peak_rss_mb at
+    # most 100 MB. Seeds 42 and 7 read 81 MB when the budget was set; a
+    # collected copy of the run's 299 541 task timelines reads 124 MB.
+    # The benchmark keeps every rep's sojourns, ≈ 4.5 MB each, so its
+    # reading grows with the rep count; here that count is fixed at the
+    # benchmark's floor of 6 reps, because six paper_fig5 reps take well
+    # over the one second asked for. The gate checks that too.
     for seed in 42 7; do
         for workload in paper_fig5 serve_netmix fleet_batch fleet_serve; do
             echo "==> benchmark fingerprint: $workload seed $seed"
             want=$(baseline_fingerprint "$seed" "$workload")
-            got=$(bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 1 --trace 0 |
-                sed -n 's/^ *sim_fingerprint //p')
+            out=$(bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 1 --trace 0)
+            got=$(printf '%s\n' "$out" | sed -n 's/^ *sim_fingerprint //p')
             if [ -z "$want" ] || [ "$got" != "$want" ]; then
                 echo "ci: $workload seed $seed: sim_fingerprint '$got', benchmark/baseline.json has '$want'" >&2
                 exit 1
+            fi
+            if [ "$workload" = paper_fig5 ]; then
+                reps=$(printf '%s\n' "$out" | awk '$1 == "reps" && $2 == "in" { print NF - 4 }')
+                rss=$(printf '%s\n' "$out" | awk '$1 == "peak_rss_mb" { print $2 }')
+                echo "==> benchmark footprint: paper_fig5 seed $seed: $rss MB at $reps reps (budget 100 MB at 6)"
+                if [ "$reps" != 6 ] || [ -z "$rss" ] || awk -v mb="$rss" 'BEGIN { exit !(mb > 100) }'; then
+                    echo "ci: paper_fig5 seed $seed: peak_rss_mb '$rss' at '$reps' reps; the budget is 100 MB at 6 reps" >&2
+                    exit 1
+                fi
             fi
         done
     done

@@ -130,6 +130,11 @@ pub trait Backend {
     /// empty for backends whose task keys do not map to one runtime's
     /// trace ids (a cluster exports per-device timelines via `pagoda-obs`
     /// instead).
+    ///
+    /// This returns a collected `Vec` only because `benchmark/`'s
+    /// `TimedBackend` implements the trait (ROADMAP 1(b)); no in-tree
+    /// caller outside tests reads it. On one runtime,
+    /// [`PagodaRuntime::traces`] reads the same timelines in place.
     fn traces(&self) -> Vec<TaskTrace>;
 
     /// Attaches an observability sink; events from here on flow to it.
@@ -208,7 +213,7 @@ impl Backend for PagodaRuntime {
     }
 
     fn traces(&self) -> Vec<TaskTrace> {
-        PagodaRuntime::traces(self)
+        PagodaRuntime::traces(self).collect()
     }
 
     fn attach_obs(&mut self, obs: Obs) {
@@ -244,7 +249,10 @@ mod tests {
         }
         let done = b.completion_time(key).expect("observed done has a time");
         assert!(done <= b.now());
-        assert_eq!(b.traces().len(), 1);
+        // The trait's collected copy is the runtime's in-place readout.
+        let collected = b.traces();
+        assert_eq!(collected.len(), 1);
+        assert_eq!(collected, rt.traces().collect::<Vec<_>>());
     }
 
     #[test]

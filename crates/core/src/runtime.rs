@@ -633,9 +633,13 @@ impl PagodaRuntime {
         }
     }
 
-    /// Timelines of every spawned task, in spawn order.
-    pub fn traces(&self) -> Vec<TaskTrace> {
-        (0..self.tasks.len()).map(|i| self.trace_at(i)).collect()
+    /// Timelines of every spawned task, in spawn order: the `i`-th item
+    /// is [`PagodaRuntime::trace`] of the `i`-th task, built from its
+    /// record as it is read, so reading every timeline copies none of
+    /// them (DESIGN.md §15, "A per-task readout is a view"). Collect it
+    /// to index or reread.
+    pub fn traces(&self) -> impl ExactSizeIterator<Item = TaskTrace> + '_ {
+        (0..self.tasks.len()).map(|i| self.trace_at(i))
     }
 
     /// Number of tasks spawned so far.
@@ -1489,6 +1493,34 @@ mod tests {
         assert!(handed.iter().all(|&id| rt.observed_done(id).unwrap()));
         handed.sort_unstable();
         assert_eq!(handed, spawned);
+    }
+
+    /// `traces()` yields exactly `trace()` of every spawned task, in
+    /// spawn order, and says how many up front.
+    fn traces_match_trace(rt: &PagodaRuntime) {
+        let traces = rt.traces();
+        assert_eq!(traces.len() as u64, rt.spawned());
+        let mut read = 0;
+        for (i, tr) in traces.enumerate() {
+            let id = TaskId(TaskId::FIRST.0 + i as u64);
+            assert_eq!(tr, rt.trace(id).unwrap());
+            read += 1;
+        }
+        assert_eq!(read, rt.spawned());
+    }
+
+    #[test]
+    fn traces_read_in_lockstep_with_trace() {
+        let mut rt = PagodaRuntime::titan_x();
+        for _ in 0..2_000 {
+            rt.spawn_blocking(tiny_task()).unwrap();
+        }
+        // Mid-run: the last spawns' outputs have not landed yet.
+        assert!(rt.traces().any(|tr| tr.output_done.is_none()));
+        traces_match_trace(&rt);
+        rt.wait_all();
+        assert!(rt.traces().all(|tr| tr.output_done.is_some()));
+        traces_match_trace(&rt);
     }
 
     /// The counters `wait_all` polls and the integers `report` reads,

@@ -20,7 +20,7 @@ use crate::table::TaskId;
 
 /// The recorded stage-crossing instants of one task. `None` means the
 /// task had not reached that stage when the trace was taken.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskTrace {
     /// The task.
     pub task: TaskId,

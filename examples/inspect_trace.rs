@@ -32,7 +32,8 @@ fn main() {
     }
     rt.wait_all();
 
-    let traces = rt.traces();
+    // Collected once: the stage table below indexes and rereads it.
+    let traces: Vec<_> = rt.traces().collect();
     assert_eq!(traces.len(), n);
     for t in &traces {
         let stages = t.phases();

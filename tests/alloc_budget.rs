@@ -9,7 +9,8 @@
 //! and each entry's per-threadblock progress all live in buffers that
 //! are reused in place, so once a runtime is warm only what grows with
 //! the *number of tasks ever spawned* (the `tasks` vector, one record
-//! per task for `trace()`) may allocate.
+//! per task for `trace()`) may allocate. Reading those records back
+//! through `traces()` allocates nothing: it is a view, not a copy.
 //!
 //! Task generation is held the same way: SLUD's tiles share their
 //! kind's work, so building a paper-scale factorization allocates per
@@ -158,6 +159,28 @@ fn ten_thousand_tasks_allocate_only_for_their_records() {
         spent <= 2,
         "{spent} allocations for 10 000 tasks on a warm runtime"
     );
+}
+
+#[test]
+fn reading_every_trace_allocates_nothing() {
+    let descs = descs(20_000);
+    let mut rt = warm(&descs);
+    spawn(&mut rt, &descs, 10_000);
+    rt.wait_all();
+    let before = allocs();
+    let mut sojourn = Dur::ZERO;
+    let traces = rt.traces();
+    let read = traces.len();
+    for tr in traces {
+        sojourn += tr.output_done.expect("wait_all returned") - tr.spawned;
+    }
+    let spent = allocs() - before;
+    println!("traces: {read} read, {spent} allocations");
+    assert_eq!(read as u64, rt.spawned());
+    assert!(sojourn > Dur::ZERO);
+    // A collected `Vec<TaskTrace>` is one allocation, 104 B per task;
+    // the view reads the records where they lie.
+    assert_eq!(spent, 0, "{spent} allocations while reading {read} traces");
 }
 
 #[test]
