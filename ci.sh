@@ -109,7 +109,9 @@ if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
     # `assign_parts`) in lockstep with its per-warp-walk reference, the
     # mask-driven `decide` in lockstep with the row walk it replaced (also
     # under a deep backlog of `Ref` rows, where the chain bits carry it),
-    # the TaskTable's row masks against column scans, the Mandelbrot
+    # the TaskTable's row masks against column scans, the host's one
+    # record of its TaskTable (`observed_done`, `capacity`, `unobserved`)
+    # against the log of what each copy-back freed, the Mandelbrot
     # render (four lanes, interior test) against plain per-pixel
     # iteration, also in windows 1e-3 to 1e-16 wide on the cardioid and
     # bulb boundaries, and SLUD's counted waves against the listing
@@ -123,6 +125,7 @@ if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
     run env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib lockstep_decide_matches_row_scan
     run env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib lockstep_decide_under_deep_backlog
     run env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib masks_match_column_scans
+    run env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib observed_tasks_are_the_ones_handed_over
     run env PROPTEST_CASES=512 cargo test -q --offline -p workloads --lib render_equals_per_pixel
     run env PROPTEST_CASES=512 cargo test -q --offline -p workloads --lib slud::tests::lockstep
     # Hostile configurations at eight times tier-1's 128 cases: a fleet

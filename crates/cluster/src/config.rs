@@ -1,9 +1,7 @@
-//! Fleet topology, fault schedule, retry policy, and the validating
-//! [`ClusterConfigBuilder`].
+//! Fleet topology, fault schedule and retry policy.
 
 use desim::SimTime;
 use pagoda_core::{ConfigError, PagodaConfig};
-use pcie::PcieConfig;
 
 use crate::placement::Placement;
 
@@ -52,10 +50,20 @@ pub enum RetryPolicy {
 
 /// Configuration of a [`ClusterHandle`](crate::ClusterHandle).
 ///
-/// Build one with [`ClusterConfig::uniform`] for a homogeneous fleet or
-/// [`ClusterConfig::builder`] for anything else; both produce configs
-/// that pass [`validate`](ClusterConfig::validate), which
-/// [`ClusterHandle::new`](crate::ClusterHandle::new) re-checks.
+/// Start from [`ClusterConfig::uniform`] and write the fields that
+/// differ; [`ClusterHandle::new`](crate::ClusterHandle::new) runs
+/// [`validate`](ClusterConfig::validate).
+///
+/// ```
+/// use pagoda_cluster::{ClusterConfig, Placement};
+///
+/// let mut cfg = ClusterConfig::uniform(2);
+/// cfg.placement = Placement::RoundRobin;
+/// cfg.devices[1].rows_per_column = 16;
+/// assert_eq!(cfg.validate(), Ok(()));
+/// cfg.devices.clear();
+/// assert!(cfg.validate().is_err());
+/// ```
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// One runtime configuration per device, fleet order; a device's
@@ -68,20 +76,11 @@ pub struct ClusterConfig {
     /// Seed for the placement policy's sampling randomness
     /// (power-of-two-choices). Same seed ⇒ identical routing.
     pub seed: u64,
-    /// Link model used to price off-affinity placements: a task landing
-    /// outside its tenant's home set first stages [`xfer_bytes`] over
-    /// this link.
-    ///
-    /// [`xfer_bytes`]: ClusterConfig::xfer_bytes
-    pub interconnect: PcieConfig,
     /// Home-set width: each tenant's state is resident on this many
-    /// consecutive devices (min 1, capped at the fleet size).
+    /// consecutive devices (min 1, capped at the fleet size). A task
+    /// placed off its home set first stages its tenant's state onto the
+    /// target device.
     pub affinity_spread: u32,
-    /// Bytes of tenant state staged across [`interconnect`] when a task
-    /// is placed off its home set.
-    ///
-    /// [`interconnect`]: ClusterConfig::interconnect
-    pub xfer_bytes: u64,
     /// Scheduled device faults, applied in fleet-time order.
     pub faults: Vec<FaultSpec>,
     /// What happens to in-flight tasks on a killed device.
@@ -97,19 +96,9 @@ impl ClusterConfig {
             devices: vec![PagodaConfig::default(); n],
             placement: Placement::LeastOutstanding,
             seed: 0x5eed_f1ee,
-            interconnect: PcieConfig::default(),
             affinity_spread: 1,
-            xfer_bytes: 4096,
             faults: Vec::new(),
             retry: RetryPolicy::Resubmit { max_attempts: 3 },
-        }
-    }
-
-    /// Start a [`ClusterConfigBuilder`] with no devices and the
-    /// [`uniform`](ClusterConfig::uniform) defaults for everything else.
-    pub fn builder() -> ClusterConfigBuilder {
-        ClusterConfigBuilder {
-            cfg: ClusterConfig::uniform(0),
         }
     }
 
@@ -118,12 +107,6 @@ impl ClusterConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.devices.is_empty() {
             return Err(ConfigError::NoDevices);
-        }
-        if let Some(field) = self.interconnect.bad_bandwidth() {
-            return Err(ConfigError::BadBandwidth {
-                link: "interconnect",
-                field,
-            });
         }
         for (device, cfg) in self.devices.iter().enumerate() {
             cfg.validate().map_err(|source| ConfigError::FleetDevice {
@@ -151,91 +134,15 @@ impl ClusterConfig {
     }
 }
 
-/// Validating builder for [`ClusterConfig`], mirroring
-/// [`PagodaConfig::builder`].
-///
-/// ```
-/// use pagoda_cluster::{ClusterConfig, Placement};
-/// use pagoda_core::PagodaConfig;
-///
-/// let cfg = ClusterConfig::builder()
-///     .device(PagodaConfig::default())
-///     .device(PagodaConfig::default())
-///     .placement(Placement::RoundRobin)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.devices.len(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ClusterConfigBuilder {
-    cfg: ClusterConfig,
-}
-
-impl ClusterConfigBuilder {
-    /// Append a device.
-    pub fn device(mut self, cfg: PagodaConfig) -> Self {
-        self.cfg.devices.push(cfg);
-        self
-    }
-
-    /// Routing policy across the fleet.
-    pub fn placement(mut self, placement: Placement) -> Self {
-        self.cfg.placement = placement;
-        self
-    }
-
-    /// Seed for the placement policy's sampling randomness.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Link model pricing off-affinity placements.
-    pub fn interconnect(mut self, interconnect: PcieConfig) -> Self {
-        self.cfg.interconnect = interconnect;
-        self
-    }
-
-    /// Home-set width per tenant.
-    pub fn affinity_spread(mut self, spread: u32) -> Self {
-        self.cfg.affinity_spread = spread;
-        self
-    }
-
-    /// Bytes staged per off-home placement.
-    pub fn xfer_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.xfer_bytes = bytes;
-        self
-    }
-
-    /// Schedule one device fault; may be called repeatedly.
-    pub fn fault(mut self, fault: FaultSpec) -> Self {
-        self.cfg.faults.push(fault);
-        self
-    }
-
-    /// What happens to in-flight tasks on a killed device.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.cfg.retry = retry;
-        self
-    }
-
-    /// Validate and return the finished config.
-    pub fn build(self) -> Result<ClusterConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn builder_rejects_empty_fleet() {
+    fn validate_rejects_empty_fleet() {
         assert_eq!(
-            ClusterConfig::builder().build().unwrap_err(),
-            ConfigError::NoDevices
+            ClusterConfig::uniform(0).validate(),
+            Err(ConfigError::NoDevices)
         );
     }
 

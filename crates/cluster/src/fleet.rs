@@ -16,9 +16,13 @@
 //!
 //! Task identity: the fleet issues its own dense `u64` keys (per-device
 //! [`TaskId`]s collide across devices). Completion is harvested on
-//! [`ClusterHandle::sync`] via each device's §4.2.2 aggregate copy-back,
-//! and device-local completion timestamps are mapped back to fleet time
-//! through the device's clock history.
+//! [`ClusterHandle::sync`] via each device's §4.2.2 aggregate copy-back:
+//! the fleet reads what it freed from the runtime's observed log
+//! ([`PagodaRuntime::drain_observed`]) and maps device-local completion
+//! timestamps back to fleet time through the device's clock history. The
+//! runtime's record of its TaskTable is the fleet's record of what is in
+//! flight on the device; the fleet keeps only the key of each task it
+//! spawned there.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -30,6 +34,16 @@ use pagoda_core::{
 };
 use pagoda_obs::{Counter, DeviceSample, Obs, SyncKind, TaskState};
 use pcie::{Direction, PcieConfig};
+
+/// Bytes of tenant state staged onto a device before a task placed off
+/// its tenant's home set can spawn there.
+const XFER_BYTES: u64 = 4096;
+
+/// The staging transfer's time on the fleet interconnect, a link priced
+/// as the paper's PCIe 3.0 x16.
+fn staging_time() -> Dur {
+    PcieConfig::default().transfer_time(Direction::HostToDevice, XFER_BYTES)
+}
 
 use crate::config::{ClusterConfig, FaultKind, FaultSpec, RetryPolicy};
 use crate::mutation::Mutation;
@@ -74,26 +88,29 @@ struct Device {
     id: u32,
     clock: ClockMap,
     alive: bool,
-    /// `(fleet key, device-local id)` of spawned tasks whose completion
-    /// this host has not observed yet — the only tasks a sync probes.
-    /// Each still holds a TaskTable entry in the CPU view, so the table
-    /// size bounds the set however many tasks the fleet has issued.
-    unobserved: Vec<(u64, TaskId)>,
+    /// The fleet key of each task spawned here, by its device-local
+    /// index ([`local`]). Which of them the host has not seen finish is
+    /// the runtime's to say ([`PagodaRuntime::unobserved`]).
+    keys: Vec<u64>,
     /// Completions observed host-side that the fleet clock has not
     /// reached yet: a min-heap on `(fleet instant, key)`. The instant is
     /// `clock.fleet_of(output_done)`, computed once when the task is
     /// observed; a rate change remaps it ([`Device::rekey_gated`]).
     gated: BinaryHeap<Reverse<(SimTime, u64, TaskId)>>,
-    spawned: u64,
     completed: u64,
     /// Last `(known_free, outstanding, alive)` tuple emitted to the
     /// device track; samples are change-detected so every sync can
     /// probe every device without flooding the recorder.
     last_sample: Option<(u32, u32, bool)>,
-    /// Completion probes made by [`Device::observe`], for the linearity
-    /// test.
+    /// Completions [`Device::observe`] has read from the runtime's log.
     #[cfg(test)]
-    probes: u64,
+    read: u64,
+}
+
+/// The index of a device-local id among the device's spawns: a
+/// runtime's [`TaskId`]s are dense from [`TaskId::FIRST`].
+fn local(id: TaskId) -> usize {
+    (id.0 - TaskId::FIRST.0) as usize
 }
 
 /// Device-local instant at which `id`'s output landed in host memory.
@@ -106,9 +123,15 @@ fn output_done(rt: &PagodaRuntime, id: TaskId) -> SimTime {
 
 impl Device {
     /// Cluster tasks in flight on the device as the fleet sees them:
-    /// not yet observed, or observed but still behind the harvest gate.
+    /// spawned and not delivered yet — unobserved, or observed but still
+    /// behind the harvest gate. A dead device has none: its kill
+    /// delivered or stranded every one.
     fn outstanding(&self) -> u32 {
-        (self.unobserved.len() + self.gated.len()) as u32
+        if self.alive {
+            (self.rt.spawned() - self.completed) as u32
+        } else {
+            0
+        }
     }
 
     fn view(&self) -> DeviceView {
@@ -147,30 +170,26 @@ impl Device {
         });
     }
 
-    /// Moves every task the last copy-back revealed as done from
-    /// `unobserved` to `gated`, mapping its device-local output
-    /// timestamp to fleet time.
+    /// Moves every task the last copy-back revealed as done — what the
+    /// runtime's observed log hands over — into `gated`, mapping its
+    /// device-local output timestamp to fleet time.
     fn observe(&mut self) {
         #[cfg(test)]
-        {
-            self.probes += self.unobserved.len() as u64;
-        }
+        let before = self.gated.len();
         let Device {
             rt,
             clock,
-            unobserved,
+            keys,
             gated,
             ..
         } = self;
-        unobserved.retain(|&(key, id)| {
-            let done = rt
-                .observed_done(id)
-                .expect("invariant: fleet only holds ids its devices issued");
-            if done {
-                gated.push(Reverse((clock.fleet_of(output_done(rt, id)), key, id)));
-            }
-            !done
-        });
+        for (id, out) in rt.drain_observed() {
+            gated.push(Reverse((clock.fleet_of(out), keys[local(id)], id)));
+        }
+        #[cfg(test)]
+        {
+            self.read += (self.gated.len() - before) as u64;
+        }
     }
 
     /// Pops the observed completions the fleet may see at `fleet_now`,
@@ -209,46 +228,6 @@ impl Device {
             .into_iter()
             .map(|Reverse((_, key, id))| Reverse((clock.fleet_of(output_done(rt, id)), key, id)))
             .collect();
-    }
-
-    /// One device's share of a sync point at fleet instant `at`: the
-    /// §4.2.2 aggregate copy-back, a change-detected sample, and the
-    /// completions now visible (see [`pop_due`](Device::pop_due) for
-    /// `gate`).
-    fn harvest(&mut self, at: SimTime, gate: bool, obs: &Obs) -> Vec<(SimTime, u64, TaskId)> {
-        self.rt.sync_table();
-        self.sample(at, obs, false);
-        #[cfg(test)]
-        let expected = self.scan_finished(at, gate);
-        self.observe();
-        let due = self.pop_due(at, gate);
-        #[cfg(test)]
-        assert_eq!(
-            due.iter().map(|&(t, key, _)| (t, key)).collect::<Vec<_>>(),
-            expected,
-            "two-set harvest diverged from the full rescan on device {}",
-            self.id
-        );
-        due
-    }
-
-    /// The harvest oracle: re-probes every outstanding task and maps its
-    /// completion through the clock afresh, as every sync did before the
-    /// two sets existed. Returned in `(fleet instant, key)` order.
-    #[cfg(test)]
-    fn scan_finished(&self, fleet_now: SimTime, gate: bool) -> Vec<(SimTime, u64)> {
-        let gated = self.gated.iter().map(|&Reverse((_, key, id))| (key, id));
-        let mut finished: Vec<(SimTime, u64)> = self
-            .unobserved
-            .iter()
-            .copied()
-            .chain(gated)
-            .filter(|&(_, id)| self.rt.observed_done(id).expect("fleet-issued id"))
-            .map(|(key, id)| (self.clock.fleet_of(output_done(&self.rt, id)), key))
-            .filter(|&(at, _)| !gate || at <= fleet_now)
-            .collect();
-        finished.sort_unstable();
-        finished
     }
 }
 
@@ -309,8 +288,6 @@ pub struct ClusterHandle {
     /// Scratch for [`route`](ClusterHandle::route): the placement
     /// policy's view of the fleet, refilled per routed task.
     views: Vec<DeviceView>,
-    interconnect: PcieConfig,
-    xfer_bytes: u64,
     retry: RetryPolicy,
     faults: Vec<FaultSpec>,
     next_fault: usize,
@@ -326,7 +303,6 @@ pub struct ClusterHandle {
     wait_timeout: Dur,
     obs: Obs,
     mutation: Option<Mutation>,
-    placements: u64,
     off_affinity: u64,
     staged: u64,
     resubmits: u64,
@@ -342,8 +318,7 @@ impl ClusterHandle {
     ///
     /// # Errors
     /// Any [`ConfigError`] from validation — [`ConfigError::NoDevices`],
-    /// [`ConfigError::BadBandwidth`], [`ConfigError::FleetDevice`],
-    /// [`ConfigError::BadFault`].
+    /// [`ConfigError::FleetDevice`], [`ConfigError::BadFault`].
     pub fn new(cfg: ClusterConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let mut faults = cfg.faults.clone();
@@ -358,26 +333,28 @@ impl ClusterHandle {
             .devices
             .iter()
             .enumerate()
-            .map(|(i, c)| Device {
-                rt: PagodaRuntime::new(c.clone()),
-                id: i as u32,
-                clock: ClockMap::identity(),
-                alive: true,
-                unobserved: Vec::new(),
-                gated: BinaryHeap::new(),
-                spawned: 0,
-                completed: 0,
-                last_sample: None,
-                #[cfg(test)]
-                probes: 0,
+            .map(|(i, c)| {
+                let mut rt = PagodaRuntime::new(c.clone());
+                // Armed before the first spawn: every harvest reads it.
+                let _ = rt.drain_observed();
+                Device {
+                    rt,
+                    id: i as u32,
+                    clock: ClockMap::identity(),
+                    alive: true,
+                    keys: Vec::new(),
+                    gated: BinaryHeap::new(),
+                    completed: 0,
+                    last_sample: None,
+                    #[cfg(test)]
+                    read: 0,
+                }
             })
             .collect();
         Ok(ClusterHandle {
             devices,
             placer: Placer::new(cfg.placement, cfg.seed, cfg.affinity_spread),
             views: Vec::new(),
-            interconnect: cfg.interconnect,
-            xfer_bytes: cfg.xfer_bytes,
             retry: cfg.retry,
             faults,
             next_fault: 0,
@@ -389,7 +366,6 @@ impl ClusterHandle {
             wait_timeout,
             obs: Obs::off(),
             mutation: None,
-            placements: 0,
             off_affinity: 0,
             staged: 0,
             resubmits: 0,
@@ -536,10 +512,7 @@ impl ClusterHandle {
             // Tenant state is staged onto the target before the spawn
             // can land; modeled as a one-hop transfer on the fleet
             // interconnect, serialized on the target device's timeline.
-            let stage = self
-                .interconnect
-                .transfer_time(Direction::HostToDevice, self.xfer_bytes);
-            let at = d.rt.host_now() + stage;
+            let at = d.rt.host_now() + staging_time();
             d.rt.advance_to(at);
         }
         let id = d.rt.submit(desc)?;
@@ -558,12 +531,11 @@ impl ClusterHandle {
         staged: bool,
         resubmit: bool,
     ) {
-        let d = &mut self.devices[device];
-        d.unobserved.push((key, id));
-        d.spawned += 1;
+        let keys = &mut self.devices[device].keys;
+        debug_assert_eq!(local(id), keys.len(), "a runtime's ids are dense");
+        keys.push(key);
         self.tasks[key as usize].status = Status::InFlight { device };
         self.tasks[key as usize].staged_on = Some(device);
-        self.placements += 1;
         self.obs.count(Counter::ClusterPlacements, 1);
         if off_home {
             self.off_affinity += 1;
@@ -622,9 +594,9 @@ impl ClusterHandle {
     /// list.
     fn sync_devices(&mut self, gate: bool) -> Vec<(SimTime, usize, u64, TaskId)> {
         let mut merged = Vec::new();
-        for (i, d) in self.devices.iter_mut().enumerate() {
-            if d.alive {
-                let due = d.harvest(self.fleet_now, gate, &self.obs);
+        for i in 0..self.devices.len() {
+            if self.devices[i].alive {
+                let due = self.harvest(i, self.fleet_now, gate);
                 merged.extend(due.into_iter().map(|(at, key, id)| (at, i, key, id)));
             }
         }
@@ -635,6 +607,46 @@ impl ClusterHandle {
             merged.sort_unstable();
         }
         merged
+    }
+
+    /// One device's share of a sync point at fleet instant `at`: the
+    /// §4.2.2 aggregate copy-back, a change-detected sample, and the
+    /// completions now visible (see [`pop_due`](Device::pop_due) for
+    /// `gate`), held under test to the full rescan of
+    /// [`ClusterHandle::scan_finished`].
+    fn harvest(&mut self, device: usize, at: SimTime, gate: bool) -> Vec<(SimTime, u64, TaskId)> {
+        let d = &mut self.devices[device];
+        d.rt.sync_table();
+        d.sample(at, &self.obs, false);
+        d.observe();
+        let due = d.pop_due(at, gate);
+        #[cfg(test)]
+        assert_eq!(
+            due.iter().map(|&(t, key, _)| (t, key)).collect::<Vec<_>>(),
+            self.scan_finished(device, at, gate),
+            "the logged harvest diverged from the full rescan on device {device}"
+        );
+        due
+    }
+
+    /// The harvest oracle: every key the fleet's statuses place in flight
+    /// on `device`, probed for completion and mapped through the clock
+    /// afresh. Returned in `(fleet instant, key)` order.
+    #[cfg(test)]
+    fn scan_finished(&self, device: usize, fleet_now: SimTime, gate: bool) -> Vec<(SimTime, u64)> {
+        let d = &self.devices[device];
+        let mut finished: Vec<(SimTime, u64)> = d
+            .keys
+            .iter()
+            .enumerate()
+            .filter(|&(_, &key)| self.device_of(key) == Some(device))
+            .map(|(i, &key)| (TaskId(TaskId::FIRST.0 + i as u64), key))
+            .filter(|&(id, _)| d.rt.observed_done(id).expect("fleet-issued id"))
+            .map(|(id, key)| (d.clock.fleet_of(output_done(&d.rt, id)), key))
+            .filter(|&(at, _)| !gate || at <= fleet_now)
+            .collect();
+        finished.sort_unstable();
+        finished
     }
 
     /// Phase 2 of [`sync`](ClusterHandle::sync): applies merged
@@ -770,8 +782,8 @@ impl ClusterHandle {
                 self.obs.sync_mark(at.as_ps(), SyncKind::KillHarvest);
                 // One device, popped in `(at, key)` order: already in
                 // merge order.
-                let merged = self.devices[f.device]
-                    .harvest(at, false, &obs)
+                let merged = self
+                    .harvest(f.device, at, false)
                     .into_iter()
                     .map(|(t, key, id)| (t, f.device, key, id))
                     .collect();
@@ -780,11 +792,14 @@ impl ClusterHandle {
                 self.kills += 1;
                 self.obs.count(Counter::ClusterDeviceKills, 1);
                 // The ungated harvest emptied `gated`: what is stranded is
-                // exactly what the host never saw finish, in key order.
-                let mut stranded = std::mem::take(&mut self.devices[f.device].unobserved);
+                // exactly what the host never saw finish — the tasks the
+                // runtime still holds in its CPU view — in key order.
+                let d = &self.devices[f.device];
+                let mut stranded: Vec<u64> =
+                    d.rt.unobserved().map(|id| d.keys[local(id)]).collect();
                 stranded.sort_unstable();
                 let mut dropped_one = false;
-                for (key, _) in stranded {
+                for key in stranded {
                     // The payload died with the device: a resubmission
                     // must stage again wherever it lands off-home.
                     self.tasks[key as usize].staged_on = None;
@@ -952,18 +967,21 @@ impl ClusterHandle {
     /// Aggregates the run so far.
     pub fn report(&mut self) -> FleetReport {
         let mut devices = Vec::with_capacity(self.devices.len());
+        // Every routed submit spawned on some device: the spawns are the
+        // placements, and weigh each device's occupancy.
         let mut occ_weighted = 0.0;
-        let mut occ_weight = 0u64;
+        let mut placements = 0u64;
         for d in self.devices.iter_mut() {
             let occ = d.rt.report().avg_running_occupancy;
-            if d.spawned > 0 {
-                occ_weighted += occ * d.spawned as f64;
-                occ_weight += d.spawned;
+            let spawned = d.rt.spawned();
+            if spawned > 0 {
+                occ_weighted += occ * spawned as f64;
+                placements += spawned;
             }
             devices.push(DeviceReport {
                 device: d.id,
                 alive: d.alive,
-                spawned: d.spawned,
+                spawned,
                 completed: d.completed,
                 avg_running_occupancy: occ,
             });
@@ -972,15 +990,15 @@ impl ClusterHandle {
             devices,
             makespan: self.fleet_now,
             completed: self.tasks.len() as u64 - self.lost - self.unresolved,
-            placements: self.placements,
+            placements,
             off_affinity: self.off_affinity,
             staging_transfers: self.staged,
             resubmits: self.resubmits,
             tasks_lost: self.lost,
             kills: self.kills,
             slowdowns: self.slowdowns,
-            avg_warp_occupancy: if occ_weight > 0 {
-                occ_weighted / occ_weight as f64
+            avg_warp_occupancy: if placements > 0 {
+                occ_weighted / placements as f64
             } else {
                 0.0
             },
@@ -1499,7 +1517,7 @@ mod tests {
 
     /// `run_batch` with the drain spelled out, so `after_sync` can look
     /// at the fleet behind every sync of it. Every harvest on the way is
-    /// checked against the full-rescan oracle by `Device::harvest`.
+    /// checked against the full-rescan oracle by `ClusterHandle::harvest`.
     fn drive(
         cfg: ClusterConfig,
         n: usize,
@@ -1595,16 +1613,19 @@ mod tests {
     }
 
     #[test]
-    fn harvest_probes_grow_linearly_with_the_batch() {
-        let probes = |n| {
-            let fleet = drive(ClusterConfig::uniform(2), n, |_| {});
-            fleet.devices.iter().map(|d| d.probes).sum::<u64>()
-        };
-        let (small, large) = (probes(4_000), probes(16_000));
-
-        assert!(
-            large as f64 <= 4.5 * small as f64,
-            "4x the tasks cost {large} probes against {small}"
-        );
+    fn each_completion_is_read_from_a_runtime_log_once() {
+        for retry in [
+            None,
+            Some(RetryPolicy::Fail),
+            Some(RetryPolicy::Resubmit { max_attempts: 3 }),
+        ] {
+            let cfg = retry.map_or_else(|| ClusterConfig::uniform(2), kill_device_0_at_5us);
+            let mut fleet = drive(cfg, 2_000, |_| {});
+            let rep = fleet.report();
+            assert_eq!(rep.kills, u64::from(retry.is_some()), "{retry:?}");
+            assert_eq!(rep.completed + rep.tasks_lost, 2_000, "{retry:?}");
+            let read: u64 = fleet.devices.iter().map(|d| d.read).sum();
+            assert_eq!(read, rep.completed, "{retry:?}");
+        }
     }
 }

@@ -13,8 +13,8 @@
 //!   round-robin, least-outstanding, power-of-two-choices sampling, and
 //!   tenant affinity. Every policy accounts placements against a
 //!   tenant's *home* device set; landing elsewhere pays a modeled
-//!   inter-device staging transfer over [`ClusterConfig::interconnect`]
-//!   (charged once per genuine cross-device move — see
+//!   inter-device staging transfer of the tenant's state over a PCIe
+//!   class link (charged once per genuine cross-device move — see
 //!   [`FleetReport::staging_transfers`]).
 //! * [`fleet`] — [`ClusterHandle`], N independent [`PagodaRuntime`]
 //!   instances stepped by one serial driver under one fleet clock
@@ -25,7 +25,7 @@
 //!   `submit`/`wait`/`capacity` shape as a single runtime — it
 //!   implements [`pagoda_core::Backend`] — with fleet-unique `u64` task
 //!   keys.
-//! * [`config`] — fleet topology ([`ClusterConfig::builder`]), fault
+//! * [`config`] — fleet topology ([`ClusterConfig::uniform`]), fault
 //!   schedule ([`FaultSpec`]: kill or slow a device at a simulated
 //!   instant) and the [`RetryPolicy`] deciding whether in-flight tasks
 //!   stranded by a kill are failed or resubmitted elsewhere.
@@ -67,7 +67,7 @@ pub mod fleet;
 pub mod mutation;
 pub mod placement;
 
-pub use config::{ClusterConfig, ClusterConfigBuilder, FaultKind, FaultSpec, RetryPolicy};
+pub use config::{ClusterConfig, FaultKind, FaultSpec, RetryPolicy};
 pub use fleet::{ClusterHandle, DeviceReport, FleetReport, TaskStatus};
 pub use mutation::Mutation;
 pub use pagoda_core::Backend;

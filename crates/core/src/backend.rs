@@ -189,7 +189,7 @@ impl Backend for PagodaRuntime {
     }
 
     fn drain_completed(&mut self, _pending: &mut dyn Iterator<Item = u64>, out: &mut Vec<u64>) {
-        out.extend(self.drain_observed().map(|id| id.0));
+        out.extend(self.drain_observed().map(|(id, _)| id.0));
     }
 
     fn now(&self) -> SimTime {
@@ -275,11 +275,12 @@ mod tests {
     /// fill-time clock. `wait_timeout` is far from the 20 us default, so
     /// a loop that hard-coded that would read a different clock.
     fn full_runtime(task: &TaskDesc) -> (PagodaRuntime, SimTime) {
-        let cfg = crate::PagodaConfig::builder()
-            .rows_per_column(1)
-            .wait_timeout(Dur::from_us(70))
-            .build()
-            .expect("valid config");
+        let cfg = crate::PagodaConfig {
+            rows_per_column: 1,
+            wait_timeout: Dur::from_us(70),
+            ..crate::PagodaConfig::default()
+        };
+        cfg.validate().expect("valid config");
         let mut rt = PagodaRuntime::new(cfg);
         while rt.capacity().has_room() {
             rt.submit(task.clone()).expect("room in the CPU view");

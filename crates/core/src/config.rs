@@ -88,17 +88,26 @@ impl PagodaConfig {
         }
     }
 
-    /// Starts a builder seeded with the defaults; [`build`](PagodaConfigBuilder::build)
-    /// validates the result.
-    pub fn builder() -> PagodaConfigBuilder {
-        PagodaConfigBuilder {
-            cfg: PagodaConfig::default(),
-        }
-    }
-
-    /// Checks the invariants [`PagodaConfigBuilder::build`] enforces.
-    /// Hand-assembled configurations can call this before constructing a
-    /// runtime; the runtime itself assumes a valid configuration.
+    /// Checks the configuration's invariants. Build a configuration from
+    /// [`PagodaConfig::default`] and call this before constructing a
+    /// runtime; the runtime itself assumes a valid configuration (the
+    /// serving loop and a fleet validate theirs).
+    ///
+    /// ```
+    /// use pagoda_core::{ConfigError, PagodaConfig};
+    ///
+    /// let cfg = PagodaConfig {
+    ///     rows_per_column: 16,
+    ///     ..PagodaConfig::default()
+    /// };
+    /// assert_eq!(cfg.validate(), Ok(()));
+    /// assert_eq!(cfg.total_entries(), cfg.num_mtbs() * 16);
+    /// let empty = PagodaConfig {
+    ///     rows_per_column: 0,
+    ///     ..cfg
+    /// };
+    /// assert_eq!(empty.validate(), Err(ConfigError::ZeroRows));
+    /// ```
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.rows_per_column == 0 {
             return Err(ConfigError::ZeroRows);
@@ -116,10 +125,7 @@ impl PagodaConfig {
             });
         }
         if let Some(field) = self.pcie.bad_bandwidth() {
-            return Err(ConfigError::BadBandwidth {
-                link: "pcie",
-                field,
-            });
+            return Err(ConfigError::BadBandwidth { field });
         }
         let spec = &self.device.spec;
         let reason = if spec.num_sms == 0 {
@@ -150,10 +156,10 @@ pub const MAX_ROWS_PER_COLUMN: u32 = 1024;
 /// simulated time away.
 pub const MIN_WAIT_TIMEOUT: Dur = Dur::from_us(1);
 
-/// Why a configuration build was rejected — by
-/// [`PagodaConfigBuilder::build`] for a single runtime, or by the cluster
-/// layer's `ClusterConfig` validation for a fleet (the fleet variants live
-/// here so callers match on one error enum across both layers).
+/// Why a configuration was rejected — by [`PagodaConfig::validate`] for a
+/// single runtime, or by the cluster layer's `ClusterConfig` validation
+/// for a fleet (the fleet variants live here so callers match on one
+/// error enum across both layers).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// `rows_per_column == 0`: the TaskTable would hold no entries.
@@ -174,12 +180,9 @@ pub enum ConfigError {
         /// The floor.
         min: Dur,
     },
-    /// A link bandwidth is zero, negative or not finite, so a transfer
-    /// over it has no duration to simulate.
+    /// A PCIe bandwidth is zero, negative or not finite, so a transfer
+    /// over the bus has no duration to simulate.
     BadBandwidth {
-        /// The link: `pcie` (a runtime's bus) or `interconnect` (a
-        /// fleet's staging link).
-        link: &'static str,
         /// The offending direction, `bw_h2d` or `bw_d2h`.
         field: &'static str,
     },
@@ -218,8 +221,8 @@ impl std::fmt::Display for ConfigError {
             ConfigError::WaitTimeoutTooShort { timeout, min } => {
                 write!(f, "wait_timeout {timeout} is below the minimum {min}")
             }
-            ConfigError::BadBandwidth { link, field } => {
-                write!(f, "{link}.{field} must be finite and > 0")
+            ConfigError::BadBandwidth { field } => {
+                write!(f, "pcie.{field} must be finite and > 0")
             }
             ConfigError::MasterKernelDoesNotFit { reason } => {
                 write!(f, "the MasterKernel does not fit the device: {reason}")
@@ -244,54 +247,6 @@ impl std::error::Error for ConfigError {
     }
 }
 
-/// Fluent constructor for [`PagodaConfig`]; invalid combinations are
-/// rejected at [`build`](Self::build) instead of panicking inside the
-/// runtime.
-///
-/// ```
-/// use pagoda_core::PagodaConfig;
-///
-/// let cfg = PagodaConfig::builder()
-///     .rows_per_column(16)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.total_entries(), cfg.num_mtbs() * 16);
-/// assert!(PagodaConfig::builder().rows_per_column(0).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct PagodaConfigBuilder {
-    cfg: PagodaConfig,
-}
-
-impl PagodaConfigBuilder {
-    /// Sets the simulated GPU.
-    pub fn device(mut self, device: DeviceConfig) -> Self {
-        self.cfg.device = device;
-        self
-    }
-    /// Sets the simulated interconnect.
-    pub fn pcie(mut self, pcie: PcieConfig) -> Self {
-        self.cfg.pcie = pcie;
-        self
-    }
-    /// Sets TaskTable rows per column (paper: 32).
-    pub fn rows_per_column(mut self, rows: u32) -> Self {
-        self.cfg.rows_per_column = rows;
-        self
-    }
-    /// Sets the `wait`/`waitAll` polling timeout.
-    pub fn wait_timeout(mut self, timeout: Dur) -> Self {
-        self.cfg.wait_timeout = timeout;
-        self
-    }
-
-    /// Validates and produces the configuration.
-    pub fn build(self) -> Result<PagodaConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,44 +261,52 @@ mod tests {
     #[test]
     fn default_config_validates() {
         assert_eq!(PagodaConfig::default().validate(), Ok(()));
-        assert!(PagodaConfig::builder().build().is_ok());
     }
 
     #[test]
-    fn builder_rejects_each_invalid_knob() {
+    fn validate_rejects_each_invalid_knob() {
+        let with_rows = |rows_per_column| {
+            PagodaConfig {
+                rows_per_column,
+                ..PagodaConfig::default()
+            }
+            .validate()
+        };
+        assert_eq!(with_rows(0), Err(ConfigError::ZeroRows));
         assert_eq!(
-            PagodaConfig::builder()
-                .rows_per_column(0)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroRows
-        );
-        assert_eq!(
-            PagodaConfig::builder()
-                .rows_per_column(MAX_ROWS_PER_COLUMN + 1)
-                .build()
-                .unwrap_err(),
-            ConfigError::TooManyRows {
+            with_rows(MAX_ROWS_PER_COLUMN + 1),
+            Err(ConfigError::TooManyRows {
                 rows: MAX_ROWS_PER_COLUMN + 1,
                 max: MAX_ROWS_PER_COLUMN
-            }
+            })
         );
+        let with_timeout = |wait_timeout| {
+            PagodaConfig {
+                wait_timeout,
+                ..PagodaConfig::default()
+            }
+            .validate()
+        };
         for timeout in [Dur::ZERO, Dur::from_ps(1), Dur::from_ns(999)] {
             assert_eq!(
-                PagodaConfig::builder()
-                    .wait_timeout(timeout)
-                    .build()
-                    .unwrap_err(),
-                ConfigError::WaitTimeoutTooShort {
+                with_timeout(timeout),
+                Err(ConfigError::WaitTimeoutTooShort {
                     timeout,
                     min: MIN_WAIT_TIMEOUT
-                }
+                })
             );
         }
-        assert!(PagodaConfig::builder()
-            .wait_timeout(MIN_WAIT_TIMEOUT)
-            .build()
-            .is_ok());
+        assert_eq!(with_timeout(MIN_WAIT_TIMEOUT), Ok(()));
+        let bad_link = PagodaConfig {
+            pcie: PcieConfig {
+                bw_d2h: f64::NAN,
+                ..PcieConfig::default()
+            },
+            ..PagodaConfig::default()
+        };
+        let err = bad_link.validate().unwrap_err();
+        assert_eq!(err, ConfigError::BadBandwidth { field: "bw_d2h" });
+        assert_eq!(err.to_string(), "pcie.bw_d2h must be finite and > 0");
     }
 
     #[test]
@@ -374,17 +337,6 @@ mod tests {
         assert_eq!(with(|s| s.smem_per_sm = 1024), Ok(()));
         assert_eq!(with(|s| s.num_sms = 1), Ok(()));
         assert_eq!(with(|s| *s = gpu_arch::GpuSpec::tesla_k40()), Ok(()));
-    }
-
-    #[test]
-    fn builder_setters_apply() {
-        let c = PagodaConfig::builder()
-            .rows_per_column(8)
-            .wait_timeout(Dur::from_us(5))
-            .build()
-            .unwrap();
-        assert_eq!(c.rows_per_column, 8);
-        assert_eq!(c.wait_timeout, Dur::from_us(5));
     }
 
     #[test]

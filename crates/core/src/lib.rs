@@ -20,8 +20,8 @@
 //! * [`smem`] — buddy shared-memory allocator with deferred frees (§5.1)
 //! * [`barrier`] — named-barrier ID recycling (§5.2)
 //! * [`task`] — `taskSpawn` descriptors (Table 1)
-//! * [`config`] — calibration constants, with a validating
-//!   [`PagodaConfig::builder`]
+//! * [`config`] — calibration constants and
+//!   [`PagodaConfig::validate`]
 //! * [`errors`] — the typed [`PagodaError`]/[`SubmitError`] hierarchy
 //!
 //! # Example
@@ -75,7 +75,7 @@ pub mod trace;
 pub mod warptable;
 
 pub use backend::Backend;
-pub use config::{ConfigError, PagodaConfig, PagodaConfigBuilder};
+pub use config::{ConfigError, PagodaConfig};
 pub use errors::{Capacity, PagodaError, SubmitError};
 pub use runtime::{PagodaRuntime, RunSummary};
 pub use table::{EntryIndex, EntryState, Ready, TaskId};

@@ -79,9 +79,6 @@ pub(crate) struct PlacementJob {
 /// All state of one MTB.
 #[derive(Debug)]
 pub(crate) struct MtbState {
-    /// SMM hosting this MTB (diagnostics; the warps carry placement).
-    #[allow(dead_code)]
-    pub sm: u32,
     /// The scheduler warp (warp 0 of the MTB).
     pub sched_warp: WarpHandle,
     /// Executor warps (warps 1-31).
@@ -92,9 +89,8 @@ pub(crate) struct MtbState {
     pub buddy: BuddyAllocator,
     /// Named-barrier IDs.
     pub barriers: BarrierPool,
-    /// Scheduler warp has an action's cycles in flight.
-    pub busy: bool,
-    /// The in-flight action, applied when its cycles complete.
+    /// The in-flight action, applied when its cycles complete; `Some`
+    /// exactly while the scheduler warp is busy.
     pub action: Option<Action>,
     /// The open placement job, if any.
     pub job: Option<PlacementJob>,
@@ -107,20 +103,13 @@ pub(crate) struct MtbState {
 }
 
 impl MtbState {
-    pub(crate) fn new(
-        sm: u32,
-        sched_warp: WarpHandle,
-        exec_warps: Vec<WarpHandle>,
-        smem_pool: u32,
-    ) -> Self {
+    pub(crate) fn new(sched_warp: WarpHandle, exec_warps: Vec<WarpHandle>, smem_pool: u32) -> Self {
         MtbState {
-            sm,
             sched_warp,
             exec_warps,
             warp_table: WarpTable::new(),
             buddy: BuddyAllocator::with_pool(smem_pool),
             barriers: BarrierPool::new(),
-            busy: false,
             action: None,
             job: None,
             reserved: Vec::new(),

@@ -151,8 +151,6 @@ struct TaskRecord {
     entry_visible: Stamp,
     /// When the entry was marked (Scheduling, sched) by chain or flush.
     schedulable: Stamp,
-    /// The CPU has observed completion via a copy-back.
-    observed_done: bool,
 }
 
 const _: () = assert!(std::mem::size_of::<TaskRecord>() <= 64);
@@ -217,14 +215,15 @@ pub struct PagodaRuntime {
     cpu_table: TaskTableSide,
     mtbs: Vec<MtbState>,
     tasks: Vec<TaskRecord>,
-    /// GPU-side occupant of each entry (col-major, `col*rows + row`).
-    occupant: Vec<Option<TaskId>>,
-    /// CPU-side belief of each entry's occupant.
+    /// The host's one record of each entry (col-major, `col*rows +
+    /// row`): the task holding it from the CPU's claim until a copy-back
+    /// shows it free. The GPU-side holder, a spawn copy in flight and
+    /// whether a task's completion was observed are all read from it
+    /// ([`Self::occupant`], [`Self::spawn_inflight`],
+    /// [`Self::holds_entry`]).
     cpu_occupant: Vec<Option<TaskId>>,
     /// Each entry's task parameters and progress while a task holds it.
     resident: Vec<Resident>,
-    /// Entry's spawn H2D copy still in flight.
-    spawn_inflight: Vec<bool>,
     /// Per entry: the entry of the task spawned right after its tenant
     /// with the chain open — the one row whose chain bit the tenant's
     /// state decides, and whose column a settle wakes. Set at that spawn,
@@ -250,9 +249,6 @@ pub struct PagodaRuntime {
     /// looked at.
     #[cfg(test)]
     row_probes: [std::cell::Cell<u64>; 2],
-    /// Spawned tasks whose completion the CPU has not observed yet —
-    /// what `wait_all` waits on, kept so no poll re-scans `tasks`.
-    unobserved: u64,
     /// Tasks whose completion the CPU observed since the last
     /// [`PagodaRuntime::drain_observed`], in observation order. `None`
     /// until the first drain, so a caller that never drains keeps no log.
@@ -286,7 +282,7 @@ impl PagodaRuntime {
             .map(|tb| {
                 let sched = tb.warps[0];
                 let execs = tb.warps[1..].to_vec();
-                MtbState::new(tb.sm, sched, execs, smem_slice)
+                MtbState::new(sched, execs, smem_slice)
             })
             .collect();
         let mut bus = PcieBus::new(cfg.pcie.clone());
@@ -304,10 +300,8 @@ impl PagodaRuntime {
             cpu_table: TaskTableSide::new(cols, rows),
             mtbs,
             tasks: Vec::new(),
-            occupant: vec![None; entries],
             cpu_occupant: vec![None; entries],
             resident: (0..entries).map(|_| Resident::default()).collect(),
-            spawn_inflight: vec![false; entries],
             succ_entry: vec![None; entries],
             last_spawned: None,
             chain_open: false,
@@ -320,7 +314,6 @@ impl PagodaRuntime {
             staged_delivered: 0,
             #[cfg(test)]
             row_probes: Default::default(),
-            unobserved: 0,
             observed_log: None,
             last_output: SimTime::ZERO,
             completed: 0,
@@ -422,17 +415,34 @@ impl PagodaRuntime {
     /// # Errors
     /// [`PagodaError::UnknownTask`] if this runtime never issued `t`.
     pub fn observed_done(&self, t: TaskId) -> Result<bool, PagodaError> {
-        Ok(self.tasks[self.tix(t)?].observed_done)
+        self.tix(t)?;
+        Ok(!self.holds_entry(t))
+    }
+
+    /// The tasks whose completion the CPU has not observed yet — those
+    /// still holding a TaskTable entry in its view — in entry order.
+    pub fn unobserved(&self) -> impl Iterator<Item = TaskId> + '_ {
+        self.cpu_occupant.iter().flatten().copied()
     }
 
     /// Hands over the tasks whose completion the CPU observed since the
-    /// previous call, each exactly once, in observation order — what a
-    /// copy-back changed, so a caller need not ask
-    /// [`PagodaRuntime::observed_done`] of everything it has in flight.
-    /// The first call starts the log and hands over nothing: make it
-    /// before the first `submit` whose completion should be reported.
-    pub fn drain_observed(&mut self) -> std::vec::Drain<'_, TaskId> {
-        self.observed_log.get_or_insert_with(Vec::new).drain(..)
+    /// previous call, each exactly once, in observation order, with the
+    /// instant its output landed in host memory (its trace's
+    /// `output_done`) — what a copy-back changed, so a caller need not
+    /// ask [`PagodaRuntime::observed_done`] of everything it has in
+    /// flight. The first call starts the log and hands over nothing:
+    /// make it before the first `submit` whose completion should be
+    /// reported.
+    pub fn drain_observed(&mut self) -> impl ExactSizeIterator<Item = (TaskId, SimTime)> + '_ {
+        let tasks = &self.tasks;
+        let log = self.observed_log.get_or_insert_with(Vec::new);
+        log.drain(..).map(move |t| {
+            let out = tasks[(t.0 - TaskId::FIRST.0) as usize].output_done.get();
+            (
+                t,
+                out.expect("invariant: an observed task has an output time"),
+            )
+        })
     }
 
     /// The configuration this runtime was booted with.
@@ -475,7 +485,6 @@ impl PagodaRuntime {
         let ei = self.eidx(entry);
         debug_assert_eq!(self.succ_entry[ei], None, "a link outlived its entry");
         self.cpu_occupant[ei] = Some(id);
-        self.spawn_inflight[ei] = true;
 
         // One transaction per spawn: the TaskTable entry embeds the task
         // inputs (paper §4.2, entry field 6), so parameters and data travel
@@ -510,9 +519,7 @@ impl PagodaRuntime {
             first_start: Stamp::UNSET,
             entry_visible: Stamp::UNSET,
             schedulable: Stamp::UNSET,
-            observed_done: false,
         });
-        self.unobserved += 1;
         self.last_spawned = Some(id);
         self.obs.count(Counter::TasksSpawned, 1);
         self.obs
@@ -527,13 +534,13 @@ impl PagodaRuntime {
     /// [`PagodaError::UnknownTask`] if this runtime never issued `t`.
     pub fn check(&mut self, t: TaskId) -> Result<bool, PagodaError> {
         self.tix(t)?;
-        if self.rec(t).observed_done {
+        if !self.holds_entry(t) {
             return Ok(true);
         }
         self.flush_last();
         let e = self.rec(t).entry;
         self.copyback_entry(e);
-        Ok(self.rec(t).observed_done)
+        Ok(!self.holds_entry(t))
     }
 
     /// `wait`: blocks (simulated) until task `t` completes and its output
@@ -545,7 +552,7 @@ impl PagodaRuntime {
         self.tix(t)?;
         self.flush_last();
         let mut iterations = 0u64;
-        while !self.rec(t).observed_done {
+        while self.holds_entry(t) {
             self.host_advance(self.cfg.wait_timeout);
             let e = self.rec(t).entry;
             self.copyback_entry(e);
@@ -565,11 +572,12 @@ impl PagodaRuntime {
     }
 
     /// `waitAll`: blocks until every spawned task completes, using bulk
-    /// copy-backs.
+    /// copy-backs — until the CPU's view of the TaskTable is empty.
     pub fn wait_all(&mut self) {
         self.flush_last();
+        let total = self.cfg.total_entries() as usize;
         let mut iterations = 0u64;
-        while self.unobserved > 0 {
+        while self.cpu_table.free_entries() < total {
             self.host_advance(self.cfg.wait_timeout);
             self.copyback_all();
             self.flush_last();
@@ -589,9 +597,10 @@ impl PagodaRuntime {
         self.device.engine_stats()
     }
 
-    /// Measurements for the run so far. Call after [`PagodaRuntime::wait_all`].
+    /// Measurements for the run so far, over the tasks completed so far.
+    /// Call after [`PagodaRuntime::wait_all`] for the whole workload's.
     pub fn report(&mut self) -> RunSummary {
-        let n = self.tasks.len().max(1) as u64;
+        let n = self.completed.max(1);
         RunSummary {
             makespan: self.host_now - SimTime::ZERO,
             compute_done: self.compute_done,
@@ -671,6 +680,37 @@ impl PagodaRuntime {
 
     fn eidx(&self, e: EntryIndex) -> usize {
         (e.col * self.cfg.rows_per_column + e.row) as usize
+    }
+
+    /// Whether `t` (an id this runtime issued) still holds its entry in
+    /// the CPU's view: no copy-back has shown it free yet.
+    fn holds_entry(&self, t: TaskId) -> bool {
+        let e = self.tasks[(t.0 - TaskId::FIRST.0) as usize].entry;
+        self.cpu_occupant[self.eidx(e)] == Some(t)
+    }
+
+    /// The GPU-side holder of entry `e`: the CPU's claimant while the GPU
+    /// entry is taken, `None` while it is free. The CPU reclaims an entry
+    /// only after a copy-back showed it free, and the GPU entry stays
+    /// free until the new claim's copy lands, so a taken GPU entry holds
+    /// the CPU's claimant.
+    fn occupant(&self, e: EntryIndex) -> Option<TaskId> {
+        if self.gpu_table.get(e).ready == Ready::Free {
+            None
+        } else {
+            self.cpu_occupant[self.eidx(e)]
+        }
+    }
+
+    /// Whether entry `e`'s spawn copy is still on its way: the CPU holds
+    /// the entry and its task's parameters, and the GPU entry is free. A
+    /// task that reached the device takes the GPU entry until its last
+    /// warp, which drops the parameters.
+    fn spawn_inflight(&self, e: EntryIndex) -> bool {
+        let ei = self.eidx(e);
+        self.cpu_occupant[ei].is_some()
+            && self.resident[ei].desc.is_some()
+            && self.gpu_table.get(e).ready == Ready::Free
     }
 
     /// The parameters of the task holding entry `e`.
@@ -778,7 +818,7 @@ impl PagodaRuntime {
             .flat_map(|col| (0..rows).map(move |row| EntryIndex { col, row }))
             .filter(|&e| {
                 self.cpu_table.get(e).ready != Ready::Free
-                    && !self.spawn_inflight[self.eidx(e)]
+                    && !self.spawn_inflight(e)
                     && self.gpu_table.get(e).ready == Ready::Free
             })
             .collect()
@@ -802,20 +842,17 @@ impl PagodaRuntime {
     /// in-flight guard prevents a snapshot older than our own H2D copy
     /// from releasing an entry we just claimed.
     fn merge_entry(&mut self, e: EntryIndex) {
-        let ei = self.eidx(e);
-        if self.cpu_table.get(e).ready == Ready::Free || self.spawn_inflight[ei] {
+        if self.gpu_table.get(e).ready != Ready::Free || self.spawn_inflight(e) {
             return;
         }
-        if self.gpu_table.get(e).ready == Ready::Free {
-            self.cpu_table.set(e, EntryState::default());
-            self.succ_entry[ei] = None;
-            if let Some(t) = self.cpu_occupant[ei].take() {
-                self.rec(t).observed_done = true;
-                self.unobserved -= 1;
-                if let Some(log) = &mut self.observed_log {
-                    log.push(t);
-                }
-            }
+        let ei = self.eidx(e);
+        let Some(t) = self.cpu_occupant[ei].take() else {
+            return; // free in both views
+        };
+        self.cpu_table.set(e, EntryState::default());
+        self.succ_entry[ei] = None;
+        if let Some(log) = &mut self.observed_log {
+            log.push(t);
         }
     }
 
@@ -838,13 +875,13 @@ impl PagodaRuntime {
             ENTRY_BYTES,
         );
         self.host_advance_to(tr.complete);
-        if self.spawn_inflight[self.eidx(e)] {
+        if self.spawn_inflight(e) {
             // The entry's own H2D copy has not landed: the D2H read-back
             // returned stale contents. Retry on the caller's next timeout.
             return;
         }
         match self.gpu_table.get(e).ready {
-            Ready::Copied if self.occupant[self.eidx(e)] == Some(lt) => {
+            Ready::Copied if self.occupant(e) == Some(lt) => {
                 let trw = self.bus.transfer(
                     self.host_now,
                     self.h2d,
@@ -918,8 +955,6 @@ impl PagodaRuntime {
         if let Some(se) = self.succ_entry[ei] {
             self.refresh_chain(se);
         }
-        self.occupant[ei] = Some(task);
-        self.spawn_inflight[ei] = false;
         let now = self.device.now();
         self.rec(task).entry_visible = Stamp::at(now);
         self.obs.task(now.as_ps(), task.0, TaskState::Enqueued);
@@ -936,12 +971,11 @@ impl PagodaRuntime {
             "flush write raced the scheduler"
         );
         self.gpu_table.chain_mark_schedulable(e);
-        let ei = self.eidx(e);
-        if let Some(se) = self.succ_entry[ei] {
+        if let Some(se) = self.succ_entry[self.eidx(e)] {
             self.refresh_chain(se);
         }
         let now = self.device.now();
-        if let Some(t) = self.occupant[ei] {
+        if let Some(t) = self.occupant(e) {
             self.rec(t).schedulable = Stamp::at(now);
         }
         self.poke(e.col as usize);
@@ -973,7 +1007,7 @@ impl PagodaRuntime {
 
     /// Wakes MTB `mi`'s scheduler warp if it is idle.
     fn poke(&mut self, mi: usize) {
-        if !self.mtbs[mi].busy {
+        if self.mtbs[mi].action.is_none() {
             self.begin_action(mi);
         }
     }
@@ -982,7 +1016,7 @@ impl PagodaRuntime {
     /// scheduler warp. Idle (no action possible) costs nothing — the real
     /// polling loop spins on shared-memory flags at negligible bandwidth.
     fn begin_action(&mut self, mi: usize) {
-        debug_assert!(!self.mtbs[mi].busy);
+        debug_assert!(self.mtbs[mi].action.is_none());
         #[cfg(test)]
         let probes = self.row_probes[0].get();
         let decision = self.decide(mi);
@@ -1009,7 +1043,6 @@ impl PagodaRuntime {
         };
         self.obs.count(Counter::SchedulerDecisions, 1);
         let m = &mut self.mtbs[mi];
-        m.busy = true;
         m.action = Some(action);
         let total_cycles = cycles + SCHED_SCAN_CYCLES;
         self.device.assign_warp_parts(
@@ -1022,9 +1055,10 @@ impl PagodaRuntime {
     }
 
     fn sched_action_done(&mut self, time: SimTime, mi: usize) {
-        let m = &mut self.mtbs[mi];
-        m.busy = false;
-        let action = m.action.take().expect("SCHED_DONE without action");
+        let action = self.mtbs[mi]
+            .action
+            .take()
+            .expect("SCHED_DONE without action");
         self.apply_action(time, mi, action);
         // `apply_action` may already have re-armed this scheduler through a
         // self-poke (e.g. a chain update whose predecessor shares the MTB).
@@ -1120,8 +1154,8 @@ impl PagodaRuntime {
         self.gpu_table.chain_settle(cur);
         // `cur` just became Copied: its own successor (if it has arrived)
         // can now chain-update in its column.
+        assert!(self.occupant(cur).is_some(), "settling unoccupied entry");
         let ci = self.eidx(cur);
-        assert!(self.occupant[ci].is_some(), "settling unoccupied entry");
         let succ = self.succ_entry[ci].take();
         if let Some(se) = succ {
             self.refresh_chain(se);
@@ -1139,7 +1173,9 @@ impl PagodaRuntime {
         let st = self.gpu_table.get(entry);
         assert!(st.sched, "StartEntry on entry without sched flag");
         self.gpu_table.clear_sched(entry);
-        let task = self.occupant[self.eidx(entry)].expect("sched flag on unoccupied entry");
+        let task = self
+            .occupant(entry)
+            .expect("sched flag on unoccupied entry");
         self.obs
             .task(self.device.now().as_ps(), task.0, TaskState::Placed);
         let ei = self.eidx(entry);
@@ -1301,7 +1337,9 @@ impl PagodaRuntime {
     fn executor_done(&mut self, time: SimTime, mi: usize, slot: usize) {
         let s = self.mtbs[mi].warp_table.complete(slot);
         let ei = self.eidx(s.e_num);
-        let task = self.occupant[ei].expect("executor finished for unoccupied entry");
+        let task = self
+            .occupant(s.e_num)
+            .expect("executor finished for unoccupied entry");
         let tix = (task.0 - TaskId::FIRST.0) as usize;
         let r = &mut self.resident[ei];
         let d = r.desc.as_ref().expect(NO_PARAMS);
@@ -1328,7 +1366,6 @@ impl PagodaRuntime {
         if task_complete {
             // Lines 41-42: free the TaskTable entry.
             self.gpu_table.complete(s.e_num);
-            self.occupant[ei] = None;
             self.resident[ei].desc = None;
             self.obs.count(Counter::TasksFreed, 1);
             self.obs.task(time.as_ps(), task.0, TaskState::Freed);
@@ -1459,15 +1496,14 @@ mod tests {
             rt.submit(tiny_task()).unwrap();
         }
         rt.wait_all();
-        assert_eq!(rt.unobserved, 0);
+        assert_eq!(rt.unobserved().count(), 0);
         assert!(rt.observed_log.is_none());
     }
 
     #[test]
     fn draining_every_round_hands_each_task_over_exactly_once() {
         // 48 entries against 300 tasks: the table refills many times.
-        let cfg = PagodaConfig::builder().rows_per_column(1).build().unwrap();
-        let mut rt = PagodaRuntime::new(cfg);
+        let mut rt = PagodaRuntime::new(one_row());
         assert_eq!(rt.drain_observed().count(), 0, "the first call only arms");
         let mut spawned = Vec::new();
         let mut handed = Vec::new();
@@ -1479,7 +1515,7 @@ mod tests {
                 }
             }
             rt.sync_table();
-            let round: Vec<TaskId> = rt.drain_observed().collect();
+            let round: Vec<TaskId> = rt.drain_observed().map(|(id, _)| id).collect();
             assert_eq!(rt.drain_observed().count(), 0, "a drain empties the log");
             handed.extend(round);
             // The log and the poll it replaces agree after every round.
@@ -1493,6 +1529,41 @@ mod tests {
         assert!(handed.iter().all(|&id| rt.observed_done(id).unwrap()));
         handed.sort_unstable();
         assert_eq!(handed, spawned);
+    }
+
+    /// The paper's runtime with one TaskTable row per column: 48 entries.
+    fn one_row() -> PagodaConfig {
+        PagodaConfig {
+            rows_per_column: 1,
+            ..PagodaConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_report_mid_run_averages_over_the_tasks_it_counts() {
+        let mut rt = PagodaRuntime::titan_x();
+        for _ in 0..2_000 {
+            rt.spawn_blocking(tiny_task()).unwrap();
+        }
+        let latencies: Vec<u64> = rt
+            .traces()
+            .filter_map(|tr| tr.gpu_done.map(|d| (d - tr.spawned).as_ps()))
+            .collect();
+        let done = latencies.len() as u64;
+        assert!(
+            0 < done && done < 2_000,
+            "{done} of 2000 tasks done mid-run"
+        );
+        let rep = rt.report();
+        assert_eq!(rep.tasks, done);
+        let mean = latencies.iter().sum::<u64>() / done;
+        assert_eq!(rep.mean_task_latency, Dur::from_ps(mean));
+    }
+
+    /// Every entry of `rt`'s table, column-major.
+    fn entries(rt: &PagodaRuntime) -> impl Iterator<Item = EntryIndex> {
+        let (cols, rows) = (rt.cpu_table.cols(), rt.cpu_table.rows());
+        (0..cols).flat_map(move |col| (0..rows).map(move |row| EntryIndex { col, row }))
     }
 
     /// `traces()` yields exactly `trace()` of every spawned task, in
@@ -1523,11 +1594,10 @@ mod tests {
         traces_match_trace(&rt);
     }
 
-    /// The counters `wait_all` polls and the integers `report` reads,
-    /// against the scans of `tasks` they replaced.
-    fn poll_counters_match_scans(rt: &PagodaRuntime) -> Result<(), TestCaseError> {
-        let unobserved = rt.tasks.iter().filter(|r| !r.observed_done).count();
-        prop_assert_eq!(rt.unobserved, unobserved as u64);
+    /// The integers `report` reads, against the scans of `tasks` they
+    /// replaced.
+    fn poll_counters_match_scans(rt: &mut PagodaRuntime) -> Result<(), TestCaseError> {
+        let rt = &*rt;
         let last = rt.tasks.iter().filter_map(|r| r.output_done.get()).max();
         prop_assert_eq!(rt.last_output, last.unwrap_or(SimTime::ZERO));
         let done = || {
@@ -1579,7 +1649,8 @@ mod tests {
             match *ev {
                 HostEv::EntryVisible { e, task, .. } => {
                     copies += 1;
-                    prop_assert!(rt.spawn_inflight[rt.eidx(e)]);
+                    prop_assert!(rt.spawn_inflight(e));
+                    prop_assert_eq!(rt.occupant(e), None);
                     prop_assert_eq!(rt.cpu_occupant[rt.eidx(e)], Some(task));
                 }
                 HostEv::FlushWriteVisible { e } => {
@@ -1587,7 +1658,8 @@ mod tests {
                 }
             }
         }
-        prop_assert_eq!(copies, rt.spawn_inflight.iter().filter(|&&f| f).count());
+        let inflight = entries(rt).filter(|&e| rt.spawn_inflight(e)).count();
+        prop_assert_eq!(copies, inflight);
         Ok(())
     }
 
@@ -1613,19 +1685,21 @@ mod tests {
     /// Drives a runtime of `num_sms` SMMs (two TaskTable columns each) and
     /// `rows` rows per column through `ops` — submit (into a full table
     /// too), sync, check, wait, wait_all, advance — calling `each` after
-    /// every one and after the final drain.
+    /// every one and after the final drain. The observed log is armed
+    /// before the first op, so `each` may drain it.
     fn interleave(
         num_sms: u32,
         rows: u32,
         ops: Vec<(u8, usize)>,
-        mut each: impl FnMut(&PagodaRuntime) -> Result<(), TestCaseError>,
+        mut each: impl FnMut(&mut PagodaRuntime) -> Result<(), TestCaseError>,
     ) -> Result<(), TestCaseError> {
-        let mut cfg = PagodaConfig::builder()
-            .rows_per_column(rows)
-            .build()
-            .unwrap();
+        let mut cfg = PagodaConfig {
+            rows_per_column: rows,
+            ..PagodaConfig::default()
+        };
         cfg.device.spec.num_sms = num_sms;
         let mut rt = PagodaRuntime::new(cfg);
+        let _ = rt.drain_observed();
         let mut ids = Vec::new();
         for (op, arg) in ops {
             let spawned = ids.get(arg % ids.len().max(1)).copied();
@@ -1641,12 +1715,39 @@ mod tests {
                 (6, _) => rt.wait_all(),
                 _ => rt.advance_to(rt.host_now() + Dur::from_us(arg as u64 % 40)),
             }
-            each(&rt)?;
+            each(&mut rt)?;
         }
         rt.wait_all();
-        each(&rt)?;
-        prop_assert_eq!(rt.unobserved, 0);
+        each(&mut rt)?;
+        prop_assert_eq!(rt.unobserved().count(), 0);
         prop_assert_eq!(rt.report().tasks, ids.len() as u64);
+        Ok(())
+    }
+
+    /// The host's one record against what `drain_observed` hands over:
+    /// a task is observed done exactly once it has been handed over, with
+    /// its trace's output instant, and the CPU view holds one entry per
+    /// task not handed over yet.
+    fn observed_is_what_was_handed_over(
+        rt: &mut PagodaRuntime,
+        handed: &mut Vec<bool>,
+    ) -> Result<(), TestCaseError> {
+        handed.resize(rt.spawned() as usize, false);
+        let round: Vec<(TaskId, SimTime)> = rt.drain_observed().collect();
+        for (id, out) in round {
+            prop_assert_eq!(rt.trace(id).unwrap().output_done, Some(out));
+            let i = (id.0 - TaskId::FIRST.0) as usize;
+            prop_assert!(!handed[i], "{:?} handed over twice", id);
+            handed[i] = true;
+        }
+        for (i, &h) in handed.iter().enumerate() {
+            let id = TaskId(TaskId::FIRST.0 + i as u64);
+            prop_assert_eq!(rt.observed_done(id).unwrap(), h, "{:?}", id);
+        }
+        let c = rt.capacity();
+        let held = handed.iter().filter(|&&h| !h).count();
+        prop_assert_eq!(c.total - c.known_free, held as u32);
+        prop_assert_eq!(rt.unobserved().count(), held);
         Ok(())
     }
 
@@ -1658,6 +1759,20 @@ mod tests {
         ) {
             // 48 entries, so `submit` also runs into a full table.
             interleave(24, 1, ops, poll_counters_match_scans)?;
+        }
+
+        /// `observed_done`, `capacity` and `unobserved` are all read off
+        /// the CPU's record of each entry; this holds them to the log of
+        /// what a copy-back freed, after every op.
+        #[test]
+        fn observed_tasks_are_the_ones_handed_over(
+            rows in 0usize..3,
+            ops in prop::collection::vec((0u8..7, 0usize..1000), 1..120),
+        ) {
+            let mut handed = Vec::new();
+            interleave(24, [1, 2, 32][rows], ops, |rt| {
+                observed_is_what_was_handed_over(rt, &mut handed)
+            })?;
         }
 
         /// `begin_action` (under `cfg(test)`) holds every mask-driven
@@ -1699,10 +1814,10 @@ mod tests {
     fn decide_reads_one_row_per_decision_under_a_deep_backlog() {
         // One SMM, two 130-row columns, 2 000 tasks spawned back to back:
         // the columns stay deep in `Ref` rows waiting on predecessors.
-        let mut cfg = PagodaConfig::builder()
-            .rows_per_column(130)
-            .build()
-            .unwrap();
+        let mut cfg = PagodaConfig {
+            rows_per_column: 130,
+            ..PagodaConfig::default()
+        };
         cfg.device.spec.num_sms = 1;
         let mut rt = PagodaRuntime::new(cfg);
         let (obs, rec) = Obs::recording();
@@ -1730,16 +1845,16 @@ mod tests {
         // chain update ever takes it. Keyed by task in a map, those links
         // (and the link of every task that settled before its successor
         // arrived) stayed for the runtime's life, one per chain.
-        let cfg = PagodaConfig::builder().rows_per_column(1).build().unwrap();
-        let mut rt = PagodaRuntime::new(cfg);
+        let mut rt = PagodaRuntime::new(one_row());
         // Links whose predecessor has already left the GPU's table: no
         // settle can take them any more.
         let mut orphaned = 0;
         for i in 0..10_000 {
             rt.spawn_blocking(tiny_task()).unwrap();
             if i % 5 == 4 {
-                let links = rt.succ_entry.iter().zip(&rt.occupant);
-                orphaned += links.filter(|(l, o)| l.is_some() && o.is_none()).count();
+                orphaned += entries(&rt)
+                    .filter(|&e| rt.succ_entry[rt.eidx(e)].is_some() && rt.occupant(e).is_none())
+                    .count();
                 rt.sync_table();
             }
         }

@@ -93,12 +93,12 @@ pub mod prelude {
     pub use gpu_arch::{GpuSpec, TaskShape};
     pub use gpu_sim::{BlockWork, DeviceConfig, GpuDevice, KernelDesc, Segment, WarpWork};
     pub use pagoda_cluster::{
-        ClusterConfig, ClusterConfigBuilder, ClusterHandle, FaultKind, FaultSpec, FleetReport,
-        Placement, RetryPolicy, TaskStatus,
+        ClusterConfig, ClusterHandle, FaultKind, FaultSpec, FleetReport, Placement, RetryPolicy,
+        TaskStatus,
     };
     pub use pagoda_core::{
-        Backend, Capacity, ConfigError, PagodaConfig, PagodaConfigBuilder, PagodaError,
-        PagodaRuntime, SubmitError, TaskDesc, TaskError, TaskId,
+        Backend, Capacity, ConfigError, PagodaConfig, PagodaError, PagodaRuntime, SubmitError,
+        TaskDesc, TaskError, TaskId,
     };
     pub use pagoda_obs::{Counter, Obs, ObsBuffer, Recorder, Recording, TaskState};
     pub use pagoda_prof::{

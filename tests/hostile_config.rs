@@ -3,11 +3,10 @@
 //! runs 64 small tasks with none lost — never a panic in a constructor.
 //! Drawn: SMM count, shared memory and registers from {0, 1, small,
 //! Titan X}, link bandwidths from {0, -1, NaN, ∞} in each direction,
-//! polling slices from 0 and 1 ps up past 1 µs, every setter
-//! `PagodaConfig::builder()` has, and 0–4-device fleets with an
-//! interconnect drawn the same way and out-of-range, non-finite and
-//! killing faults, every device killed included (what it was running or
-//! is handed afterwards is reported lost); and serving experiments with
+//! polling slices from 0 and 1 ps up past 1 µs and table heights around
+//! their bounds, and 0–4-device fleets with out-of-range, non-finite
+//! and killing faults, every device killed included (what it was running
+//! or is handed afterwards is reported lost); and serving experiments with
 //! zero weights, rates from {0, -1, NaN, ∞, 10⁻⁹/s}, dwell times from
 //! {0, NaN, 10⁻¹² µs}, zero queue budgets and zero task counts under all
 //! three policies; and serving runs over fleets whose every device dies
@@ -30,8 +29,8 @@ fn pick<T: Copy>(hostile: &[T], i: usize, paper: T) -> T {
 /// a slow 100 MB/s one that still must run.
 const BANDWIDTHS: [f64; 5] = [0.0, -1.0, f64::NAN, f64::INFINITY, 1.0e8];
 
-/// A runtime configuration with every remaining setter drawn from a
-/// hostile set: the SMM count, shared memory and register file from
+/// A runtime configuration with every field an experiment sets drawn
+/// from a hostile set: the SMM count, shared memory and register file from
 /// {0, 1, small, Titan X}, each link direction from {0, -1, NaN, ∞,
 /// 100 MB/s}, and the table height and polling timeout around their
 /// bounds.
@@ -154,18 +153,23 @@ fn small_task(i: usize) -> TaskDesc {
 /// the spawns after the last kill find nowhere to go.
 #[test]
 fn a_fleet_that_loses_every_device_resolves_every_task() {
-    let mut tiny = PagodaConfig::builder().rows_per_column(1).build().unwrap();
+    let mut tiny = PagodaConfig {
+        rows_per_column: 1,
+        ..PagodaConfig::default()
+    };
     tiny.device.spec.num_sms = 1;
     for devices in 1..=3 {
-        let mut builder = ClusterConfig::builder().retry(RetryPolicy::Resubmit { max_attempts: 5 });
-        for device in 0..devices {
-            builder = builder.device(tiny.clone()).fault(FaultSpec {
+        let mut cfg = ClusterConfig::uniform(devices);
+        cfg.devices.fill(tiny.clone());
+        cfg.retry = RetryPolicy::Resubmit { max_attempts: 5 };
+        cfg.faults = (0..devices)
+            .map(|device| FaultSpec {
                 at: SimTime::from_us(3 + 20 * device as u64),
                 device,
                 kind: FaultKind::Kill,
-            });
-        }
-        let mut fleet = ClusterHandle::new(builder.build().unwrap()).unwrap();
+            })
+            .collect();
+        let mut fleet = ClusterHandle::new(cfg).unwrap();
         let keys: Vec<u64> = (0..TASKS)
             .map(|i| fleet.spawn_blocking(0, small_task(i)).unwrap())
             .collect();
@@ -190,14 +194,9 @@ proptest! {
 
     #[test]
     fn a_runtime_config_is_rejected_or_runs_every_task(cfg in arb_config()) {
-        let builder = PagodaConfig::builder()
-            .device(cfg.device.clone())
-            .pcie(cfg.pcie.clone())
-            .rows_per_column(cfg.rows_per_column)
-            .wait_timeout(cfg.wait_timeout);
-        let Ok(cfg) = builder.build() else {
+        if cfg.validate().is_err() {
             return Ok(());
-        };
+        }
         let mut rt = PagodaRuntime::new(cfg);
         let ids: Vec<TaskId> =
             (0..TASKS).map(|i| rt.spawn_blocking(small_task(i)).unwrap()).collect();
@@ -213,7 +212,6 @@ proptest! {
         which in 0usize..4,
         faults in prop::collection::vec(arb_fault(), 0..4),
         retry in 0usize..4,
-        link in (0usize..10, 0usize..10),
     ) {
         let retry = [
             RetryPolicy::Fail,
@@ -221,24 +219,17 @@ proptest! {
             RetryPolicy::Resubmit { max_attempts: 2 },
             RetryPolicy::Resubmit { max_attempts: 5 },
         ][retry];
-        // The staging link is drawn apart from the devices, so a fleet
-        // of paper devices meets a link it cannot price too.
-        let mut interconnect = PagodaConfig::default().pcie;
-        interconnect.bw_h2d = pick(&BANDWIDTHS, link.0, interconnect.bw_h2d);
-        interconnect.bw_d2h = pick(&BANDWIDTHS, link.1, interconnect.bw_d2h);
-        let mut builder = ClusterConfig::builder().retry(retry).interconnect(interconnect);
+        let mut cfg = ClusterConfig::uniform(devices);
+        cfg.retry = retry;
         // One device of the fleet is drawn hostile; a whole fleet of
         // them would almost never validate.
-        for i in 0..devices {
-            let paper = PagodaConfig::default();
-            builder = builder.device(if i == which { odd.clone() } else { paper });
+        if let Some(device) = cfg.devices.get_mut(which) {
+            *device = odd;
         }
-        for f in &faults {
-            builder = builder.fault(*f);
-        }
-        let Ok(cfg) = builder.build() else {
+        cfg.faults = faults;
+        if cfg.validate().is_err() {
             return Ok(());
-        };
+        }
         let mut fleet = ClusterHandle::new(cfg).expect("a validated fleet builds");
         let keys: Vec<u64> =
             (0..TASKS).map(|i| fleet.spawn_blocking(0, small_task(i)).unwrap()).collect();
@@ -288,15 +279,18 @@ proptest! {
     ) {
         let retry = [RetryPolicy::Fail, RetryPolicy::Resubmit { max_attempts: 2 }][retry];
         let deadline = deadline.0.then_some(deadline.1);
-        let mut builder = ClusterConfig::builder().retry(retry);
-        for (device, &at) in kills_us.iter().enumerate() {
-            builder = builder.device(PagodaConfig::default()).fault(FaultSpec {
+        let mut cfg = ClusterConfig::uniform(kills_us.len());
+        cfg.retry = retry;
+        cfg.faults = kills_us
+            .iter()
+            .enumerate()
+            .map(|(device, &at)| FaultSpec {
                 at: SimTime::from_us(at),
                 device,
                 kind: FaultKind::Kill,
-            });
-        }
-        let mut fleet = ClusterHandle::new(builder.build().unwrap()).unwrap();
+            })
+            .collect();
+        let mut fleet = ClusterHandle::new(cfg).unwrap();
         let mut tenant = TenantSpec::new("t", Bench::Des3, 2.0e5);
         tenant.deadline = deadline.map(Dur::from_us);
         let policy = [Policy::Fifo, Policy::WeightedFair, Policy::Edf][policy];

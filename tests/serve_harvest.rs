@@ -244,11 +244,12 @@ fn spawn_blocking_through_a_wrapper_idles_the_wrapped_backends_timeout() {
     // idle what the backend behind the wrapper says (5 ms, one slice of
     // which outlasts every ~0.1 ms task), not a constant of its own.
     let timeout = Dur::from_us(5_000);
-    let cfg = PagodaConfig::builder()
-        .rows_per_column(1)
-        .wait_timeout(timeout)
-        .build()
-        .unwrap();
+    let cfg = PagodaConfig {
+        rows_per_column: 1,
+        wait_timeout: timeout,
+        ..PagodaConfig::default()
+    };
+    cfg.validate().unwrap();
     let mut rt = PagodaRuntime::new(cfg);
     let mut wrapped = Polled(&mut rt, Calls::default());
     let task = TaskDesc::uniform(64, WarpWork::compute(400_000, 8.0));
