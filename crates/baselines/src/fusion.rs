@@ -75,7 +75,7 @@ pub fn run_fusion(tasks: &[TaskDesc], threads_per_subtask: u32) -> RunSummary {
     let d2h = bus.create_stream();
 
     let host_now = SimTime::ZERO + Dur::from_ps(FUSE_CPU_COST.as_ps() * tasks.len() as u64);
-    let input_bytes: u64 = tasks.iter().map(|t| t.input_bytes).sum();
+    let input_bytes: u64 = tasks.iter().map(|t| u64::from(t.input_bytes)).sum();
     let launch_at = if input_bytes > 0 {
         bus.transfer(host_now, h2d, Direction::HostToDevice, input_bytes)
             .complete
@@ -99,7 +99,7 @@ pub fn run_fusion(tasks: &[TaskDesc], threads_per_subtask: u32) -> RunSummary {
     }
     let done = kernel_done.expect("fused kernel never finished");
 
-    let output_bytes: u64 = tasks.iter().map(|t| t.output_bytes).sum();
+    let output_bytes: u64 = tasks.iter().map(|t| u64::from(t.output_bytes)).sum();
     let end = if output_bytes > 0 {
         bus.transfer(done, d2h, Direction::DeviceToHost, output_bytes)
             .complete

@@ -198,9 +198,10 @@ pub fn run_gemtc(cfg: &GemtcConfig, tasks: &[TaskDesc]) -> RunSummary {
         let mut batch_ready = host_now;
         for &i in &batch {
             spawn_time[i] = host_now;
-            if tasks[i].input_bytes > 0 {
+            let bytes = u64::from(tasks[i].input_bytes);
+            if bytes > 0 {
                 batch_ready = bus
-                    .transfer(host_now, h2d, Direction::HostToDevice, tasks[i].input_bytes)
+                    .transfer(host_now, h2d, Direction::HostToDevice, bytes)
                     .complete;
             }
         }
@@ -235,7 +236,10 @@ pub fn run_gemtc(cfg: &GemtcConfig, tasks: &[TaskDesc]) -> RunSummary {
         host_now = host_now.max(batch_done);
 
         // Bulk result copy-back before the next batch is admitted.
-        let output_bytes: u64 = batch.iter().map(|&i| tasks[i].output_bytes).sum();
+        let output_bytes: u64 = batch
+            .iter()
+            .map(|&i| u64::from(tasks[i].output_bytes))
+            .sum();
         if output_bytes > 0 {
             let tr = bus.transfer(host_now, d2h, Direction::DeviceToHost, output_bytes);
             host_now = host_now.max(tr.complete);

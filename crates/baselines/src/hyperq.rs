@@ -81,7 +81,7 @@ impl HyperQSim<'_> {
                     let i = tag as usize;
                     self.obs.count(Counter::TasksFreed, 1);
                     self.gpu_done[i] = Some(t);
-                    let bytes = self.tasks[i].output_bytes;
+                    let bytes = u64::from(self.tasks[i].output_bytes);
                     self.output_done[i] = Some(if bytes > 0 {
                         self.bus
                             .transfer(t, self.d2h, Direction::DeviceToHost, bytes)
@@ -132,7 +132,7 @@ pub fn run_hyperq(cfg: &HyperQConfig, tasks: &[TaskDesc]) -> RunSummary {
         spawn_time[i] = host_now;
         let launch_at = if t.input_bytes > 0 {
             sim.bus
-                .transfer(host_now, h2d, Direction::HostToDevice, t.input_bytes)
+                .transfer(host_now, h2d, Direction::HostToDevice, t.input_bytes.into())
                 .complete
         } else {
             host_now

@@ -15,12 +15,14 @@
 
 pub mod figures;
 
+use std::sync::Arc;
+
 use baselines::{
     run_fusion, run_gemtc, run_hyperq, run_pagoda, run_pagoda_batched, run_pthreads,
     run_sequential, CpuConfig, GemtcConfig, HyperQConfig, RunSummary,
 };
 use desim::{Dur, SimTime};
-use pagoda_core::{PagodaConfig, PagodaRuntime, TaskDesc};
+use pagoda_core::{PagodaConfig, PagodaRuntime, TaskDesc, TaskKernel};
 use pagoda_prof::GroupSummary;
 use serde::Serialize;
 
@@ -173,14 +175,16 @@ pub fn reshape_task(base: &TaskDesc, total_threads: u32, threads_per_tb: u32) ->
     );
     let num_tbs = total_threads / threads_per_tb;
     TaskDesc {
-        threads_per_tb,
-        num_tbs,
-        smem_per_tb: base.smem_per_tb,
-        sync: base.sync,
-        blocks: vec![block; num_tbs as usize].into(),
+        kernel: Arc::new(TaskKernel {
+            threads_per_tb,
+            num_tbs,
+            smem_per_tb: base.smem_per_tb,
+            sync: base.sync,
+            blocks: vec![block; num_tbs as usize].into(),
+        }),
+        cpu_ops: base.cpu_ops,
         input_bytes: base.input_bytes,
         output_bytes: base.output_bytes,
-        cpu_ops: base.cpu_ops,
     }
 }
 

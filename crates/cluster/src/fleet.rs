@@ -1205,10 +1205,8 @@ mod tests {
             assert_eq!(fleet.status(k).unwrap(), TaskStatus::Lost);
             assert_eq!(fleet.completion_time(k), Some(SimTime::from_us(10)));
         }
-        let bad = TaskDesc {
-            num_tbs: 2,
-            ..task()
-        };
+        let mut bad = task();
+        std::sync::Arc::make_mut(&mut bad.kernel).num_tbs = 2;
         assert_eq!(
             fleet.spawn_blocking(0, bad),
             Err(pagoda_core::TaskError::ShapeMismatch),

@@ -229,6 +229,7 @@ impl Backend for PagodaRuntime {
 mod tests {
     use super::*;
     use gpu_sim::WarpWork;
+    use std::sync::Arc;
 
     #[test]
     fn runtime_backend_round_trips_a_task() {
@@ -338,7 +339,7 @@ mod tests {
     fn spawn_blocking_returns_an_invalid_task_without_spending_time() {
         let task = TaskDesc::uniform(64, WarpWork::compute(120_000, 8.0));
         let mut bad = task.clone();
-        bad.num_tbs = 3; // blocks.len() still 1
+        Arc::make_mut(&mut bad.kernel).num_tbs = 3; // blocks.len() still 1
         let (mut full, filled) = full_runtime(&task);
         for rt in [&mut PagodaRuntime::titan_x(), &mut full] {
             let before = rt.host_now();

@@ -18,8 +18,9 @@
 //! its headroom probe), plus [`PagodaRuntime::wait`],
 //! [`PagodaRuntime::check`], [`PagodaRuntime::wait_all`]. The GPU-side API
 //! (`getTid`, `syncBlock`, `getSMPtr`) appears structurally: a task's
-//! [`TaskDesc::blocks`] encode per-warp work and barriers, and
-//! shared-memory requests are granted from the MTB's buddy-managed slice.
+//! [`TaskKernel::blocks`](crate::TaskKernel::blocks) encode per-warp
+//! work and barriers, and shared-memory requests are granted from the
+//! MTB's buddy-managed slice.
 //!
 //! Fallible calls return [`PagodaError`]/[`SubmitError`] values; the
 //! runtime panics only on *internal invariant* violations (messages name
@@ -153,7 +154,8 @@ struct TaskRecord {
     schedulable: Stamp,
 }
 
-const _: () = assert!(std::mem::size_of::<TaskRecord>() <= 64);
+const _: () = assert!(std::mem::size_of::<TaskRecord>() <= 56);
+const _: () = assert!(std::mem::size_of::<TaskDesc>() == 24);
 
 /// End-of-run measurements, the quantities the paper's figures plot —
 /// this runtime's and every baseline runner's (`baselines` re-exports
@@ -494,7 +496,7 @@ impl PagodaRuntime {
             self.host_now,
             self.h2d,
             Direction::HostToDevice,
-            ENTRY_BYTES + desc.input_bytes,
+            ENTRY_BYTES + u64::from(desc.input_bytes),
         );
         self.stage(
             tr.complete,
@@ -1344,7 +1346,7 @@ impl PagodaRuntime {
         let r = &mut self.resident[ei];
         let d = r.desc.as_ref().expect(NO_PARAMS);
         let (warps_per_tb, total_warps, out_bytes) =
-            (d.warps_per_tb(), d.total_warps(), d.output_bytes);
+            (d.warps_per_tb(), d.total_warps(), u64::from(d.output_bytes));
         let tb = &mut r.tbs[s.tb_index as usize];
         tb.warps_done += 1;
         let tb_complete = tb.warps_done == warps_per_tb;
@@ -1424,6 +1426,7 @@ mod tests {
     use super::*;
     use gpu_sim::WarpWork;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     fn tiny_task() -> TaskDesc {
         TaskDesc::uniform(32, WarpWork::compute(10_000, 2.0))
@@ -1473,7 +1476,7 @@ mod tests {
     fn submit_rejects_invalid_desc() {
         let mut rt = PagodaRuntime::titan_x();
         let mut bad = tiny_task();
-        bad.num_tbs = 3; // blocks.len() still 1
+        Arc::make_mut(&mut bad.kernel).num_tbs = 3; // blocks.len() still 1
         match rt.submit(bad) {
             Err(SubmitError::Invalid(TaskError::ShapeMismatch)) => {}
             other => panic!("expected Invalid(ShapeMismatch), got {other:?}"),
@@ -1670,15 +1673,16 @@ mod tests {
         let mut t = match arg % 4 {
             0 => {
                 let mut t = TaskDesc::uniform(64, WarpWork::compute(10_000, 2.0));
-                t.num_tbs = 3;
-                t.blocks = vec![t.blocks[0].clone(); 3].into();
-                t.smem_per_tb = 16 * 1024;
+                let k = Arc::make_mut(&mut t.kernel);
+                k.num_tbs = 3;
+                k.blocks = vec![k.blocks[0].clone(); 3].into();
+                k.smem_per_tb = 16 * 1024;
                 t
             }
             1 => TaskDesc::uniform(96, WarpWork::phased(12_000, 3, 2.0)),
             _ => tiny_task(),
         };
-        t.output_bytes = (arg as u64 % 3) * 4096;
+        t.output_bytes = (arg as u32 % 3) * 4096;
         t
     }
 

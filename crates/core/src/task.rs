@@ -5,7 +5,15 @@
 //! warp of a task executes inside one MTB, a task threadblock may use at
 //! most the MTB's 31 executor warps (992 threads) and at most the MTB's
 //! 32 KB shared-memory slice.
+//!
+//! A spawn names a kernel and carries the arguments of one launch: a
+//! [`TaskDesc`] is a shared, immutable [`TaskKernel`] (shape, shared
+//! memory, sync flag, work) plus the three values that vary per launch —
+//! the CPU operation count and the two copy volumes. Generators build one
+//! kernel per distinct input and launch it many times; a descriptor is
+//! 24 bytes whatever its kernel holds.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use gpu_arch::WARP_SIZE;
@@ -17,10 +25,12 @@ use crate::warptable::EXECUTORS_PER_MTB;
 /// Maximum threads per task threadblock (31 executor warps).
 pub const MAX_THREADS_PER_TASK_TB: u32 = (EXECUTORS_PER_MTB as u32) * WARP_SIZE;
 
-/// Everything `taskSpawn` needs (paper Table 1): launch shape, shared
-/// memory, the sync flag, the kernel work, and the task's I/O volume.
-#[derive(Debug, Clone)]
-pub struct TaskDesc {
+/// A task's kernel: launch shape, shared memory, the sync flag and the
+/// work of each threadblock. Immutable once built and shared by every
+/// launch of it behind one `Arc` (to vary one launch's shape, change a
+/// copy: `Arc::make_mut(&mut desc.kernel)`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TaskKernel {
     /// Threads per threadblock (1 ..= 992).
     pub threads_per_tb: u32,
     /// Threadblocks in the task.
@@ -29,20 +39,36 @@ pub struct TaskDesc {
     pub smem_per_tb: u32,
     /// Whether the task uses `syncBlock()` (threadblock-level barriers).
     pub sync: bool,
-    /// The kernel work, one [`BlockWork`] per threadblock. Immutable and
-    /// shared: cloning a `TaskDesc` bumps a reference count, it does not
-    /// copy the work lists (build one with `[block].into()` or
-    /// `vec.into()`).
-    pub blocks: Arc<[BlockWork]>,
-    /// Input bytes copied host→device before the task can run.
-    pub input_bytes: u64,
-    /// Output bytes copied device→host after the task completes.
-    pub output_bytes: u64,
+    /// The kernel work, one [`BlockWork`] per threadblock (build it with
+    /// `[block].into()` or `vec.into()`).
+    pub blocks: Box<[BlockWork]>,
+}
+
+/// Everything `taskSpawn` needs (paper Table 1): the kernel, shared with
+/// every other launch of it, and this launch's CPU cost and I/O volume.
+/// Reads of the kernel's fields go through [`Deref`]: `desc.num_tbs`.
+#[derive(Debug, Clone)]
+pub struct TaskDesc {
+    /// The kernel this task launches. Cloning a `TaskDesc` bumps its
+    /// reference count; it does not copy the work lists.
+    pub kernel: Arc<TaskKernel>,
     /// Operation count of the task's *sequential CPU* implementation. The
-    /// GPU-side [`TaskDesc::total_instrs`] charges whole warps for their
+    /// GPU-side [`TaskKernel::total_instrs`] charges whole warps for their
     /// slowest lane (SIMT divergence); a CPU executes only the real work,
     /// so the CPU baselines use this count instead.
     pub cpu_ops: u64,
+    /// Input bytes copied host→device before the task can run.
+    pub input_bytes: u32,
+    /// Output bytes copied device→host after the task completes.
+    pub output_bytes: u32,
+}
+
+impl Deref for TaskDesc {
+    type Target = TaskKernel;
+
+    fn deref(&self) -> &TaskKernel {
+        &self.kernel
+    }
 }
 
 /// Why a task description is rejected by `submit`.
@@ -96,23 +122,30 @@ impl std::error::Error for TaskError {}
 
 impl TaskDesc {
     /// A single-threadblock task whose warps all run `work`, with no
-    /// shared memory and no I/O — the common microbenchmark shape.
+    /// shared memory and no I/O — the common microbenchmark shape. Zero
+    /// threads give a kernel with no work, which [`TaskKernel::validate`]
+    /// rejects as [`TaskError::EmptyTask`].
     pub fn uniform(threads: u32, work: gpu_sim::WarpWork) -> Self {
         let warps = threads.div_ceil(WARP_SIZE);
         let sync = work.barrier_count() > 0;
         let cpu_ops = work.total_instrs() * u64::from(warps);
+        let block = (warps > 0).then(|| BlockWork::uniform(warps, work));
         TaskDesc {
-            threads_per_tb: threads,
-            num_tbs: 1,
-            smem_per_tb: 0,
-            sync,
-            blocks: [BlockWork::uniform(warps, work)].into(),
+            kernel: Arc::new(TaskKernel {
+                threads_per_tb: threads,
+                num_tbs: 1,
+                smem_per_tb: 0,
+                sync,
+                blocks: block.into_iter().collect(),
+            }),
+            cpu_ops,
             input_bytes: 0,
             output_bytes: 0,
-            cpu_ops,
         }
     }
+}
 
+impl TaskKernel {
     /// Warps per threadblock (partial warps round up).
     pub fn warps_per_tb(&self) -> u32 {
         self.threads_per_tb.div_ceil(WARP_SIZE)
@@ -180,16 +213,26 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_the_work_list() {
+    fn clone_shares_the_kernel() {
         let t = TaskDesc::uniform(128, WarpWork::compute(1000, 2.0));
         let c = t.clone();
-        assert!(Arc::ptr_eq(&t.blocks, &c.blocks));
-        // Reads go through the shared list.
+        assert!(Arc::ptr_eq(&t.kernel, &c.kernel));
+        // Reads go through the shared kernel.
         c.validate().unwrap();
         assert_eq!(c.total_instrs(), 4000);
+        // Reshaping one launch copies its kernel and leaves the other.
         let mut wrong = c.clone();
-        wrong.threads_per_tb = 64;
+        Arc::make_mut(&mut wrong.kernel).threads_per_tb = 64;
+        assert!(!Arc::ptr_eq(&wrong.kernel, &c.kernel));
         assert_eq!(wrong.validate(), Err(TaskError::ShapeMismatch));
+        assert_eq!(t.threads_per_tb, 128);
+    }
+
+    #[test]
+    fn zero_threads_is_an_empty_task() {
+        let t = TaskDesc::uniform(0, WarpWork::compute(1000, 2.0));
+        assert_eq!(t.validate(), Err(TaskError::EmptyTask));
+        assert_eq!((t.total_warps(), t.total_instrs(), t.cpu_ops), (0, 0, 0));
     }
 
     #[test]
@@ -212,21 +255,21 @@ mod tests {
     #[test]
     fn rejects_oversized_smem() {
         let mut t = TaskDesc::uniform(32, WarpWork::compute(1, 1.0));
-        t.smem_per_tb = 33 * 1024;
+        Arc::make_mut(&mut t.kernel).smem_per_tb = 33 * 1024;
         assert!(matches!(t.validate(), Err(TaskError::SmemTooLarge { .. })));
     }
 
     #[test]
     fn rejects_undeclared_sync() {
         let mut t = TaskDesc::uniform(64, WarpWork::phased(1000, 2, 1.0));
-        t.sync = false;
+        Arc::make_mut(&mut t.kernel).sync = false;
         assert_eq!(t.validate(), Err(TaskError::UndeclaredSync));
     }
 
     #[test]
     fn rejects_shape_mismatch() {
         let mut t = TaskDesc::uniform(64, WarpWork::compute(1, 1.0));
-        t.num_tbs = 2;
+        Arc::make_mut(&mut t.kernel).num_tbs = 2;
         assert_eq!(t.validate(), Err(TaskError::ShapeMismatch));
     }
 

@@ -173,10 +173,12 @@ impl ServeConfig {
 
     /// Checks what [`serve_on`] needs of the experiment itself (the
     /// runtime is [`serve`]'s to check): at least one tenant, a weight of
-    /// at least 1 for every tenant under [`Policy::WeightedFair`], and
+    /// at least 1 for every tenant under [`Policy::WeightedFair`],
     /// arrival processes whose rates and dwell times a timeline can be
-    /// drawn at ([`ArrivalSpec::problem`]). A zero queue budget or task
-    /// count is fine: every arrival is shed, or there are none.
+    /// drawn at ([`ArrivalSpec::problem`]), and generator knobs tasks can
+    /// be built from ([`GenOpts::problem`]: at least one thread, a finite
+    /// work scale above 0). A zero queue budget or task count is fine:
+    /// every arrival is shed, or there are none.
     ///
     /// # Errors
     /// [`ServeError::NoTenants`] or [`ServeError::BadTenant`].
@@ -188,7 +190,7 @@ impl ServeConfig {
             let reason = if self.policy == Policy::WeightedFair && t.weight == 0 {
                 Some("weighted-fair tenants need a weight of at least 1")
             } else {
-                t.arrival.problem()
+                t.arrival.problem().or_else(|| t.gen.problem())
             };
             if let Some(reason) = reason {
                 return Err(ServeError::BadTenant { tenant, reason });

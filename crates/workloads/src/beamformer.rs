@@ -3,10 +3,12 @@
 //! dense benchmark of the suite (Table 3: 87 % compute). Regular, no
 //! synchronization.
 
-use pagoda_core::TaskDesc;
+use std::sync::Arc;
+
+use pagoda_core::{TaskDesc, TaskKernel};
 
 use crate::calib;
-use crate::gen::uniform_block;
+use crate::gen::{io_bytes, uniform_block};
 use crate::GenOpts;
 
 /// Samples per channel (signals of width 2 K).
@@ -56,14 +58,16 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
     let ops_per_thread = scaled / u64::from(opts.threads_per_task);
     let block = uniform_block(opts.threads_per_task, ops_per_thread, calib::BF.cpi, &[1.0]);
     let t = TaskDesc {
-        threads_per_tb: opts.threads_per_task,
-        num_tbs: 1,
-        smem_per_tb: 0,
-        sync: false,
-        blocks: [block].into(),
-        input_bytes: if opts.with_io { (N_SIM * 4) as u64 } else { 0 },
-        output_bytes: if opts.with_io { (N_SIM * 4) as u64 } else { 0 },
+        kernel: Arc::new(TaskKernel {
+            threads_per_tb: opts.threads_per_task,
+            num_tbs: 1,
+            smem_per_tb: 0,
+            sync: false,
+            blocks: [block].into(),
+        }),
         cpu_ops: crate::gen::scale_ops(task_ops(), opts.work_scale),
+        input_bytes: io_bytes(opts, N_SIM * 4),
+        output_bytes: io_bytes(opts, N_SIM * 4),
     };
     vec![t; n]
 }

@@ -5,10 +5,12 @@
 //! The image side length is parameterizable because Fig. 8 sweeps it
 //! (16² … 256²).
 
-use pagoda_core::TaskDesc;
+use std::sync::Arc;
+
+use pagoda_core::{TaskDesc, TaskKernel};
 
 use crate::calib;
-use crate::gen::uniform_block;
+use crate::gen::{io_bytes, uniform_block};
 use crate::GenOpts;
 
 /// Default image side (paper Table 3: 128×128 images).
@@ -61,16 +63,18 @@ pub fn tasks_sized(n: usize, dim: usize, opts: &GenOpts) -> Vec<TaskDesc> {
         calib::CONV.cpi,
         &[1.0],
     );
-    let io = (dim * dim) as u64; // u8 pixels
+    let io = dim * dim; // u8 pixels
     let t = TaskDesc {
-        threads_per_tb: opts.threads_per_task,
-        num_tbs: 1,
-        smem_per_tb: 0,
-        sync: false,
-        blocks: [block].into(),
-        input_bytes: if opts.with_io { io } else { 0 },
-        output_bytes: if opts.with_io { io } else { 0 },
+        kernel: Arc::new(TaskKernel {
+            threads_per_tb: opts.threads_per_task,
+            num_tbs: 1,
+            smem_per_tb: 0,
+            sync: false,
+            blocks: [block].into(),
+        }),
         cpu_ops: crate::gen::scale_ops(task_ops(dim), opts.work_scale),
+        input_bytes: io_bytes(opts, io),
+        output_bytes: io_bytes(opts, io),
     };
     vec![t; n]
 }

@@ -3,10 +3,12 @@
 //! scenario processes one camera frame per task. Copy-bound (Table 3:
 //! 81 % copy), uses shared memory and threadblock synchronization.
 
-use pagoda_core::TaskDesc;
+use std::sync::Arc;
+
+use pagoda_core::{TaskDesc, TaskKernel};
 
 use crate::calib;
-use crate::gen::uniform_block;
+use crate::gen::{io_bytes, uniform_block};
 use crate::GenOpts;
 
 /// Image side per task (128×128 f32 pixels).
@@ -121,16 +123,18 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
     let ops_per_thread = scaled / u64::from(opts.threads_per_task);
     // Two synchronized passes: rows, then columns.
     let block = uniform_block(opts.threads_per_task, ops_per_thread, cpi, &[0.5, 0.5]);
-    let io = (DIM * DIM * 4) as u64; // f32 pixels
+    let io = DIM * DIM * 4; // f32 pixels
     let t = TaskDesc {
-        threads_per_tb: opts.threads_per_task,
-        num_tbs: 1,
-        smem_per_tb: if opts.use_smem { 4 * 1024 } else { 0 },
-        sync: true,
-        blocks: [block].into(),
-        input_bytes: if opts.with_io { io } else { 0 },
-        output_bytes: if opts.with_io { io } else { 0 },
+        kernel: Arc::new(TaskKernel {
+            threads_per_tb: opts.threads_per_task,
+            num_tbs: 1,
+            smem_per_tb: if opts.use_smem { 4 * 1024 } else { 0 },
+            sync: true,
+            blocks: [block].into(),
+        }),
         cpu_ops: crate::gen::scale_ops(task_ops(), opts.work_scale),
+        input_bytes: io_bytes(opts, io),
+        output_bytes: io_bytes(opts, io),
     };
     vec![t; n]
 }

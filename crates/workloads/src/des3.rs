@@ -11,13 +11,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gpu_sim::BlockWork;
-use pagoda_core::TaskDesc;
+use pagoda_core::{TaskDesc, TaskKernel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::calib;
-use crate::gen::{build_block, distribute_cyclic_equal};
+use crate::gen::{build_block, distribute_cyclic_equal, io_bytes};
 use crate::GenOpts;
 
 // FIPS 46-3 tables; entries are 1-based bit positions, bit 1 = MSB.
@@ -214,29 +213,32 @@ pub(crate) fn shape(blocks: usize, threads: usize) -> (usize, usize) {
 /// packet's work depends on its `shape` alone, and shapes recur far
 /// more than lengths do (32 k packets hold about 7 k distinct lengths but
 /// about 300 shapes at 128 threads, of at most 320), so tasks of one
-/// shape share one work list.
+/// shape share one kernel; each keeps its own length's CPU count and
+/// copy volume.
 pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x3de5);
     let per_block = crate::gen::scale_ops(OPS_PER_BLOCK, opts.work_scale);
     let threads = opts.threads_per_task as usize;
-    let mut work: HashMap<(usize, usize), Arc<[BlockWork]>> = HashMap::new();
+    let mut kernels: HashMap<(usize, usize), Arc<TaskKernel>> = HashMap::new();
     (0..n)
         .map(|_| {
             let bytes = packet_size(&mut rng);
             let blocks = bytes / 8;
-            let shared = work.entry(shape(blocks, threads)).or_insert_with(|| {
+            let kernel = kernels.entry(shape(blocks, threads)).or_insert_with(|| {
                 let per_thread = distribute_cyclic_equal(blocks, per_block, threads);
-                [build_block(&per_thread, calib::DES3.cpi, &[1.0])].into()
+                Arc::new(TaskKernel {
+                    threads_per_tb: opts.threads_per_task,
+                    num_tbs: 1,
+                    smem_per_tb: 0,
+                    sync: false,
+                    blocks: [build_block(&per_thread, calib::DES3.cpi, &[1.0])].into(),
+                })
             });
             TaskDesc {
-                threads_per_tb: opts.threads_per_task,
-                num_tbs: 1,
-                smem_per_tb: 0,
-                sync: false,
-                blocks: Arc::clone(shared),
-                input_bytes: if opts.with_io { bytes as u64 } else { 0 },
-                output_bytes: if opts.with_io { bytes as u64 } else { 0 },
+                kernel: Arc::clone(kernel),
                 cpu_ops: blocks as u64 * per_block,
+                input_bytes: io_bytes(opts, bytes),
+                output_bytes: io_bytes(opts, bytes),
             }
         })
         .collect()
@@ -328,14 +330,16 @@ mod tests {
                     distribute_cyclic_equal(blocks, per_block, opts.threads_per_task as usize);
                 let block = build_block(&per_thread, calib::DES3.cpi, &[1.0]);
                 TaskDesc {
-                    threads_per_tb: opts.threads_per_task,
-                    num_tbs: 1,
-                    smem_per_tb: 0,
-                    sync: false,
-                    blocks: [block].into(),
-                    input_bytes: if opts.with_io { bytes as u64 } else { 0 },
-                    output_bytes: if opts.with_io { bytes as u64 } else { 0 },
+                    kernel: Arc::new(TaskKernel {
+                        threads_per_tb: opts.threads_per_task,
+                        num_tbs: 1,
+                        smem_per_tb: 0,
+                        sync: false,
+                        blocks: [block].into(),
+                    }),
                     cpu_ops: blocks as u64 * per_block,
+                    input_bytes: io_bytes(opts, bytes),
+                    output_bytes: io_bytes(opts, bytes),
                 }
             })
             .collect()
@@ -360,31 +364,27 @@ mod tests {
             let (shared, alone) = (tasks(3_000, &opts), tasks_one_by_one(3_000, &opts));
             assert_eq!(shared.len(), alone.len());
             for (s, a) in shared.iter().zip(&alone) {
-                assert_eq!(
-                    (s.threads_per_tb, s.num_tbs, s.smem_per_tb, s.sync),
-                    (a.threads_per_tb, a.num_tbs, a.smem_per_tb, a.sync)
-                );
+                assert_eq!(s.kernel, a.kernel);
                 assert_eq!(
                     (s.input_bytes, s.output_bytes, s.cpu_ops),
                     (a.input_bytes, a.output_bytes, a.cpu_ops)
                 );
-                assert_eq!(s.blocks, a.blocks);
             }
             // `cpu_ops` is the packet's block count times a constant, so
             // it names the length whether or not the I/O volume is kept.
             let per_block = crate::gen::scale_ops(OPS_PER_BLOCK, opts.work_scale);
             let threads = opts.threads_per_task as usize;
-            let mut by_shape: HashMap<(usize, usize), &Arc<[BlockWork]>> = HashMap::new();
+            let mut by_shape: HashMap<(usize, usize), &Arc<TaskKernel>> = HashMap::new();
             let mut lengths = HashSet::new();
             for t in &shared {
                 let blocks = (t.cpu_ops / per_block) as usize;
                 lengths.insert(blocks);
-                let first = by_shape.entry(shape(blocks, threads)).or_insert(&t.blocks);
-                assert!(Arc::ptr_eq(first, &t.blocks), "one shape, two work lists");
+                let first = by_shape.entry(shape(blocks, threads)).or_insert(&t.kernel);
+                assert!(Arc::ptr_eq(first, &t.kernel), "one shape, two kernels");
             }
-            let lists: HashSet<*const BlockWork> =
-                shared.iter().map(|t| t.blocks.as_ptr()).collect();
-            assert_eq!(lists.len(), by_shape.len(), "two shapes, one work list");
+            let kernels: HashSet<*const TaskKernel> =
+                shared.iter().map(|t| Arc::as_ptr(&t.kernel)).collect();
+            assert_eq!(kernels.len(), by_shape.len(), "two shapes, one kernel");
             assert!(
                 by_shape.len() + 100 < lengths.len(),
                 "{} shapes among {} lengths: too few share a shape to test sharing",

@@ -4,12 +4,14 @@
 //! with a `syncBlock()` between stages. Regular work, threadblock
 //! synchronization required (Table 3).
 
-use pagoda_core::TaskDesc;
+use std::sync::Arc;
+
+use pagoda_core::{TaskDesc, TaskKernel};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::calib;
-use crate::gen::uniform_block;
+use crate::gen::{io_bytes, uniform_block};
 use crate::GenOpts;
 
 /// Signal width per task (paper Table 3: "signals of width 2K").
@@ -83,14 +85,16 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
         &[0.48, 0.02, 0.02, 0.48],
     );
     let t = TaskDesc {
-        threads_per_tb: opts.threads_per_task,
-        num_tbs: 1,
-        smem_per_tb: 0,
-        sync: true,
-        blocks: [block].into(),
-        input_bytes: if opts.with_io { (N_SIM * 4) as u64 } else { 0 },
-        output_bytes: if opts.with_io { (N_SIM * 4) as u64 } else { 0 },
+        kernel: Arc::new(TaskKernel {
+            threads_per_tb: opts.threads_per_task,
+            num_tbs: 1,
+            smem_per_tb: 0,
+            sync: true,
+            blocks: [block].into(),
+        }),
         cpu_ops: crate::gen::scale_ops(task_ops(), opts.work_scale),
+        input_bytes: io_bytes(opts, N_SIM * 4),
+        output_bytes: io_bytes(opts, N_SIM * 4),
     };
     vec![t; n]
 }

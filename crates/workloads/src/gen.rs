@@ -9,12 +9,28 @@
 
 use gpu_sim::{BlockWork, Segment, WarpWork};
 
+use crate::GenOpts;
+
 /// Scales an operation count by a workload's `work_scale` factor.
 pub fn scale_ops(ops: u64, scale: f64) -> u64 {
     if scale == 1.0 {
         ops
     } else {
         (ops as f64 * scale).round() as u64
+    }
+}
+
+/// A task's copy volume in one direction: `bytes` if the generator
+/// attaches I/O (`opts.with_io`), else 0.
+///
+/// # Panics
+///
+/// If `bytes` exceeds `u32::MAX`, the largest copy a task describes.
+pub(crate) fn io_bytes(opts: &GenOpts, bytes: usize) -> u32 {
+    if opts.with_io {
+        u32::try_from(bytes).expect("task I/O above 4 GiB")
+    } else {
+        0
     }
 }
 

@@ -42,8 +42,8 @@ pub mod slud;
 
 use std::sync::Arc;
 
-use gpu_sim::{BlockWork, Segment};
-use pagoda_core::TaskDesc;
+use gpu_sim::Segment;
+use pagoda_core::{TaskDesc, TaskKernel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,6 +74,24 @@ impl Default for GenOpts {
             with_io: true,
             seed: 42,
             work_scale: 1.0,
+        }
+    }
+}
+
+impl GenOpts {
+    /// Why no generator can build tasks from these knobs, if none can:
+    /// a task needs at least one thread (no generator can deal its work
+    /// out to none), and the work scale must be finite and above 0 (a
+    /// NaN, zero or negative one gives tasks of no work, an infinite one
+    /// tasks that never end). Threads above the MTB's 992 are the
+    /// runtime's to refuse.
+    pub fn problem(&self) -> Option<&'static str> {
+        if self.threads_per_task == 0 {
+            Some("tasks need at least one thread")
+        } else if !(self.work_scale.is_finite() && self.work_scale > 0.0) {
+            Some("the work scale must be finite and above 0")
+        } else {
+            None
         }
     }
 }
@@ -219,9 +237,9 @@ pub fn irregular_tasks(
     let fsum: f64 = fracs.iter().sum();
     let fracs: Vec<f64> = fracs.iter().map(|f| f / fsum).collect();
 
-    // A task's work depends on its size class alone: each class builds
-    // its work list the first time it is drawn.
-    let mut work: [Option<Arc<[BlockWork]>>; 4] = Default::default();
+    // A task's kernel depends on its size class alone: each class builds
+    // its kernel the first time it is drawn.
+    let mut kernels: [Option<Arc<TaskKernel>>; 4] = Default::default();
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0xf193);
     (0..n)
         .map(|_| {
@@ -235,20 +253,22 @@ pub fn irregular_tasks(
                     w
                 }
             };
-            let blocks = work[class].get_or_insert_with(|| {
+            let kernel = kernels[class].get_or_insert_with(|| {
                 let mut thread_ops = vec![0u64; threads as usize];
                 thread_ops[..s as usize].fill(per_thread_ops);
-                [gen::build_block(&thread_ops, cpi, &fracs)].into()
+                Arc::new(TaskKernel {
+                    threads_per_tb: threads,
+                    num_tbs: 1,
+                    smem_per_tb: base.smem_per_tb,
+                    sync: base.sync,
+                    blocks: [gen::build_block(&thread_ops, cpi, &fracs)].into(),
+                })
             });
             TaskDesc {
-                threads_per_tb: threads,
-                num_tbs: 1,
-                smem_per_tb: base.smem_per_tb,
-                sync: base.sync,
-                blocks: Arc::clone(blocks),
-                input_bytes: (base.input_bytes as f64 * scale) as u64,
-                output_bytes: (base.output_bytes as f64 * scale) as u64,
+                kernel: Arc::clone(kernel),
                 cpu_ops: u64::from(s) * per_thread_ops,
+                input_bytes: (f64::from(base.input_bytes) * scale) as u32,
+                output_bytes: (f64::from(base.output_bytes) * scale) as u32,
             }
         })
         .collect()
@@ -341,10 +361,10 @@ mod tests {
         }
     }
 
-    /// Distinct work lists among `ts`, by address.
-    fn work_lists(ts: &[TaskDesc]) -> usize {
+    /// Distinct kernels among `ts`, by address.
+    fn kernels(ts: &[TaskDesc]) -> usize {
         ts.iter()
-            .map(|t| t.blocks.as_ptr())
+            .map(|t| Arc::as_ptr(&t.kernel))
             .collect::<HashSet<_>>()
             .len()
     }
@@ -360,9 +380,9 @@ mod tests {
             .len()
     }
 
-    /// Each distinct input builds its work once. The bounds count inputs,
-    /// not contents: two deep-interior Mandelbrot regions may render equal
-    /// work and still hold two lists.
+    /// Each distinct input builds its kernel once. The bounds count
+    /// inputs, not contents: two deep-interior Mandelbrot regions may
+    /// render equal work and still hold two kernels.
     #[test]
     fn each_distinct_input_builds_its_work_once() {
         const N: usize = 4096;
@@ -391,16 +411,16 @@ mod tests {
                     // MB's pool, its quarter's packet shapes, FB, MM.
                     Bench::Mpe => 64 + packet_shapes(&des3::tasks(N / 4, opts), opts) + 2,
                 };
-                let lists = work_lists(&ts);
+                let kernels = kernels(&ts);
                 assert!(
-                    lists <= bound,
-                    "{}: {lists} work lists for at most {bound} inputs",
+                    kernels <= bound,
+                    "{}: {kernels} kernels for at most {bound} inputs",
                     b.name()
                 );
             }
             for policy in [ThreadPolicy::Matched, ThreadPolicy::Fixed(256)] {
                 let ts = irregular_tasks(Bench::Conv, N, policy, opts);
-                assert!(work_lists(&ts) <= 4, "{policy:?}: one list per size class");
+                assert!(kernels(&ts) <= 4, "{policy:?}: one kernel per size class");
             }
         }
     }

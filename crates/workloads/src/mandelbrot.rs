@@ -4,12 +4,14 @@
 //! durations are unpredictable (Table 4: "the required computation per
 //! pixel is highly irregular").
 
-use pagoda_core::TaskDesc;
+use std::sync::Arc;
+
+use pagoda_core::{TaskDesc, TaskKernel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::calib;
-use crate::gen::{build_block, distribute_cyclic};
+use crate::gen::{build_block, distribute_cyclic, io_bytes};
 use crate::GenOpts;
 
 /// Image side length per task (paper Table 3: 64×64 images).
@@ -188,18 +190,16 @@ fn task_from_region(region: Region, opts: &GenOpts) -> TaskDesc {
     let per_thread = distribute_cyclic(&item_ops, opts.threads_per_task as usize);
     let block = build_block(&per_thread, calib::MB.cpi, &[1.0]);
     TaskDesc {
-        threads_per_tb: opts.threads_per_task,
-        num_tbs: 1,
-        smem_per_tb: 0,
-        sync: false,
-        blocks: [block].into(),
-        input_bytes: if opts.with_io { 64 } else { 0 }, // region params
-        output_bytes: if opts.with_io {
-            (DIM * DIM * 2) as u64
-        } else {
-            0
-        },
+        kernel: Arc::new(TaskKernel {
+            threads_per_tb: opts.threads_per_task,
+            num_tbs: 1,
+            smem_per_tb: 0,
+            sync: false,
+            blocks: [block].into(),
+        }),
         cpu_ops,
+        input_bytes: io_bytes(opts, 64), // region params
+        output_bytes: io_bytes(opts, DIM * DIM * 2),
     }
 }
 

@@ -5,10 +5,12 @@
 //! and synchronization; the matrix dimension is parameterizable because
 //! Fig. 8 sweeps it.
 
-use pagoda_core::TaskDesc;
+use std::sync::Arc;
+
+use pagoda_core::{TaskDesc, TaskKernel};
 
 use crate::calib;
-use crate::gen::uniform_block;
+use crate::gen::{io_bytes, uniform_block};
 use crate::GenOpts;
 
 /// Default matrix side (paper Table 3: 64×64).
@@ -77,20 +79,22 @@ pub fn tasks_sized(n: usize, dim: usize, opts: &GenOpts) -> Vec<TaskDesc> {
     let phases = (dim / TILE).max(1);
     let fracs = vec![1.0 / phases as f64; phases];
     let block = uniform_block(opts.threads_per_task, ops_per_thread, cpi, &fracs);
-    let bytes = (dim * dim * 4) as u64;
+    let bytes = dim * dim * 4;
     let t = TaskDesc {
-        threads_per_tb: opts.threads_per_task,
-        num_tbs: 1,
-        smem_per_tb: if opts.use_smem {
-            (2 * TILE * TILE * 4) as u32
-        } else {
-            0
-        },
-        sync: true,
-        blocks: [block].into(),
-        input_bytes: if opts.with_io { 2 * bytes } else { 0 }, // A and B
-        output_bytes: if opts.with_io { bytes } else { 0 },
+        kernel: Arc::new(TaskKernel {
+            threads_per_tb: opts.threads_per_task,
+            num_tbs: 1,
+            smem_per_tb: if opts.use_smem {
+                (2 * TILE * TILE * 4) as u32
+            } else {
+                0
+            },
+            sync: true,
+            blocks: [block].into(),
+        }),
         cpu_ops: crate::gen::scale_ops(task_ops(dim), opts.work_scale),
+        input_bytes: io_bytes(opts, 2 * bytes), // A and B
+        output_bytes: io_bytes(opts, bytes),
     };
     vec![t; n]
 }

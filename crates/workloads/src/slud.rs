@@ -12,7 +12,9 @@
 //! * tasks are tiny (one 32×32 tile of dense work) and irregular in count
 //!   per wave — the extreme narrow-task case (273 K tasks in the paper).
 
-use pagoda_core::TaskDesc;
+use std::sync::Arc;
+
+use pagoda_core::{TaskDesc, TaskKernel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -147,16 +149,18 @@ fn task_of(t: TileTask, opts: &GenOpts) -> TaskDesc {
         &[1.0],
     );
     TaskDesc {
-        threads_per_tb: opts.threads_per_task,
-        num_tbs: 1,
-        smem_per_tb: 0,
-        sync: false,
-        blocks: [block].into(),
+        kernel: Arc::new(TaskKernel {
+            threads_per_tb: opts.threads_per_task,
+            num_tbs: 1,
+            smem_per_tb: 0,
+            sync: false,
+            blocks: [block].into(),
+        }),
+        cpu_ops: crate::gen::scale_ops(t.ops(), opts.work_scale),
         // The matrix lives in device memory for the whole factorization
         // (Table 3: SLUD spends 3 % in data copy — only control traffic).
         input_bytes: 0,
         output_bytes: 0,
-        cpu_ops: crate::gen::scale_ops(t.ops(), opts.work_scale),
     }
 }
 
@@ -211,7 +215,6 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::BlockWork;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -405,35 +408,27 @@ mod tests {
     }
 
     /// The waves against a `task_of` build per tile, field for field and
-    /// the work by content; the three kinds' lists are shared, one each.
+    /// the kernel by content; the three kinds' kernels are shared, one
+    /// each.
     fn assert_shared_per_kind(nb: usize, opts: &GenOpts) {
         let symbolic = symbolic_waves(nb, DENSITY, opts.seed);
         let waves = waves_as_tasks(nb, DENSITY, opts);
         assert_eq!(waves.len(), symbolic.len());
-        let mut lists: HashMap<*const BlockWork, TileTask> = HashMap::new();
+        let mut kernels: HashMap<*const TaskKernel, TileTask> = HashMap::new();
         for (wave, kinds) in waves.iter().zip(&symbolic) {
             assert_eq!(wave.len(), kinds.len());
             for (t, &kind) in wave.iter().zip(kinds) {
                 let alone = task_of(kind, opts);
-                assert_eq!(
-                    (t.threads_per_tb, t.num_tbs, t.smem_per_tb, t.sync),
-                    (
-                        alone.threads_per_tb,
-                        alone.num_tbs,
-                        alone.smem_per_tb,
-                        alone.sync
-                    )
-                );
+                assert_eq!(t.kernel, alone.kernel);
                 assert_eq!(
                     (t.input_bytes, t.output_bytes, t.cpu_ops),
                     (alone.input_bytes, alone.output_bytes, alone.cpu_ops)
                 );
-                assert_eq!(t.blocks, alone.blocks);
-                let first = *lists.entry(t.blocks.as_ptr()).or_insert(kind);
-                assert_eq!(first, kind, "two kinds, one work list");
+                let first = *kernels.entry(Arc::as_ptr(&t.kernel)).or_insert(kind);
+                assert_eq!(first, kind, "two kinds, one kernel");
             }
         }
-        assert_eq!(lists.len(), 3, "{nb}x{nb}: one work list per kind");
+        assert_eq!(kernels.len(), 3, "{nb}x{nb}: one kernel per kind");
     }
 
     #[test]
@@ -453,7 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn paper_scale_waves_hold_three_work_lists() {
+    fn paper_scale_waves_hold_three_kernels() {
         let opts = GenOpts::default();
         let nb = grid_for(273_000, opts.seed);
         assert_eq!(nb, 100);

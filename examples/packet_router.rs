@@ -33,7 +33,7 @@ fn main() {
     let n = 8192;
     let opts = GenOpts::default();
     let tasks = des3::tasks(n, &opts);
-    let total_bytes: u64 = tasks.iter().map(|t| t.input_bytes).sum();
+    let total_bytes: u64 = tasks.iter().map(|t| u64::from(t.input_bytes)).sum();
     println!(
         "routing {n} packets ({:.1} MB total, sizes {}-{} B)",
         total_bytes as f64 / 1e6,

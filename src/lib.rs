@@ -98,7 +98,7 @@ pub mod prelude {
     };
     pub use pagoda_core::{
         Backend, Capacity, ConfigError, PagodaConfig, PagodaError, PagodaRuntime, SubmitError,
-        TaskDesc, TaskError, TaskId,
+        TaskDesc, TaskError, TaskId, TaskKernel,
     };
     pub use pagoda_obs::{Counter, Obs, ObsBuffer, Recorder, Recording, TaskState};
     pub use pagoda_prof::{

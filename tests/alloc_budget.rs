@@ -21,6 +21,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use desim::Dur;
 use gpu_sim::WarpWork;
@@ -71,13 +72,14 @@ fn allocs() -> u64 {
 /// The three scheduling kinds (whole-task `pSched`; per-threadblock with
 /// shared memory; synchronizing, so barrier groups form), each with an
 /// output copy and `instrs` thread-instructions per warp, built once: a
-/// clone bumps the blocks' reference count.
+/// clone bumps the kernel's reference count.
 fn descs(instrs: u64) -> [TaskDesc; 3] {
     let plain = TaskDesc::uniform(128, WarpWork::compute(instrs, 2.0));
     let mut smem = TaskDesc::uniform(64, WarpWork::compute(instrs, 2.0));
-    smem.num_tbs = 2;
-    smem.blocks = vec![smem.blocks[0].clone(); 2].into();
-    smem.smem_per_tb = 4 * 1024;
+    let k = Arc::make_mut(&mut smem.kernel);
+    k.num_tbs = 2;
+    k.blocks = vec![k.blocks[0].clone(); 2].into();
+    k.smem_per_tb = 4 * 1024;
     let sync = TaskDesc::uniform(96, WarpWork::phased(instrs, 3, 2.0));
     [plain, smem, sync].map(|mut d| {
         d.output_bytes = 4096;
@@ -196,8 +198,8 @@ fn paper_scale_slud_waves_allocate_per_wave_not_per_tile() {
         waves.len()
     );
     assert_eq!((waves.len(), tasks), (298, 299_541));
-    // Measured: 322 — each wave's task list, the list of wave sizes, the
-    // fill-in bitset and the three kinds' descriptors; one work list per
+    // Measured: 325 — each wave's task list, the list of wave sizes, the
+    // fill-in bitset and the three kinds' kernels; one work list per
     // tile would be 2 098 534.
     assert!(
         spent <= 8 * waves.len() as u64,

@@ -8,7 +8,8 @@
 //! and killing faults, every device killed included (what it was running
 //! or is handed afterwards is reported lost); and serving experiments with
 //! zero weights, rates from {0, -1, NaN, ∞, 10⁻⁹/s}, dwell times from
-//! {0, NaN, 10⁻¹² µs}, zero queue budgets and zero task counts under all
+//! {0, NaN, 10⁻¹² µs}, zero queue budgets and zero task counts, zero
+//! threads per task and work scales from {0, -1, NaN, ∞} under all
 //! three policies; and serving runs over fleets whose every device dies
 //! mid-stream, which resolve the arrivals left over as losses.
 
@@ -97,6 +98,9 @@ fn arb_fault() -> impl Strategy<Value = FaultSpec> {
 const RATES: [f64; 5] = [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-9];
 const DWELLS: [f64; 3] = [0.0, f64::NAN, 1e-12];
 
+/// Work scales no task can be built at: of no work, or never ending.
+const WORK_SCALES: [f64; 4] = [0.0, -1.0, f64::NAN, f64::INFINITY];
+
 /// A tenant's arrival process, Poisson or MMPP, with each rate and dwell
 /// time drawn from the hostile sets a quarter of the time (so about half
 /// the tenants are sane), and whether any hostile value was drawn.
@@ -122,16 +126,24 @@ fn arb_arrival() -> impl Strategy<Value = (ArrivalSpec, bool)> {
 }
 
 /// A tenant of 3DES tasks with a weight from {0, 1, 3}, a queue budget
-/// from {0, 1, 64} and a drawn arrival process, and whether it is hostile
-/// under weighted-fair queueing.
+/// from {0, 1, 64}, a drawn arrival process, zero threads per task one
+/// time in sixteen and a work scale from the hostile set one time in
+/// eight, and whether it is hostile under any policy (a zero weight is
+/// hostile only under weighted-fair queueing).
 fn arb_tenant() -> impl Strategy<Value = (TenantSpec, bool)> {
-    (0usize..3, 0usize..3, arb_arrival()).prop_map(|(weight, cap, (arrival, hostile))| {
-        let mut t = TenantSpec::new("t", Bench::Des3, 2.0e5);
-        t.weight = [0, 1, 3][weight];
-        t.queue_cap = [0, 1, 64][cap];
-        t.arrival = arrival;
-        (t, hostile)
-    })
+    let gen = (0usize..16, 0usize..32);
+    (0usize..3, 0usize..3, arb_arrival(), gen).prop_map(
+        |(weight, cap, (arrival, hostile), (threads, scale))| {
+            let mut t = TenantSpec::new("t", Bench::Des3, 2.0e5);
+            t.weight = [0, 1, 3][weight];
+            t.queue_cap = [0, 1, 64][cap];
+            t.arrival = arrival;
+            t.gen.threads_per_task = pick(&[0], threads, 128);
+            t.gen.work_scale = pick(&WORK_SCALES, scale, 1.0);
+            let hostile = hostile || threads == 0 || scale < WORK_SCALES.len();
+            (t, hostile)
+        },
+    )
 }
 
 /// Small tasks of three kinds: long enough (~90 us) to be in flight
@@ -143,7 +155,7 @@ fn small_task(i: usize) -> TaskDesc {
         1 => TaskDesc::uniform(96, WarpWork::phased(6_000, 2, 2.0)),
         _ => TaskDesc::uniform(32, WarpWork::compute(2_000, 2.0)),
     };
-    t.output_bytes = (i as u64 % 2) * 4096;
+    t.output_bytes = (i as u32 % 2) * 4096;
     t
 }
 

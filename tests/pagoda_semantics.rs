@@ -2,6 +2,8 @@
 //! Table 1 semantics, resource virtualization corner cases, and protocol
 //! edge conditions.
 
+use std::sync::Arc;
+
 use pagoda::prelude::*;
 
 fn narrow(instrs: u64) -> TaskDesc {
@@ -84,7 +86,7 @@ fn smem_tasks_share_the_mtb_pool() {
     let mut rt = PagodaRuntime::titan_x();
     for _ in 0..300 {
         let mut t = narrow(50_000);
-        t.smem_per_tb = 16 * 1024;
+        Arc::make_mut(&mut t.kernel).smem_per_tb = 16 * 1024;
         rt.spawn_blocking(t).unwrap();
     }
     rt.wait_all();
@@ -98,7 +100,7 @@ fn full_pool_smem_tasks_serialize_but_complete() {
     let mut rt = PagodaRuntime::titan_x();
     for _ in 0..100 {
         let mut t = narrow(30_000);
-        t.smem_per_tb = 32 * 1024;
+        Arc::make_mut(&mut t.kernel).smem_per_tb = 32 * 1024;
         rt.spawn_blocking(t).unwrap();
     }
     rt.wait_all();
@@ -135,14 +137,16 @@ fn multi_threadblock_tasks_schedule_tb_by_tb() {
     for _ in 0..50 {
         let work = WarpWork::compute(30_000, 8.0);
         let t = TaskDesc {
-            threads_per_tb: 128,
-            num_tbs: 4,
-            smem_per_tb: 2048,
-            sync: false,
-            blocks: vec![BlockWork::uniform(4, work.clone()); 4].into(),
+            kernel: Arc::new(TaskKernel {
+                threads_per_tb: 128,
+                num_tbs: 4,
+                smem_per_tb: 2048,
+                sync: false,
+                blocks: vec![BlockWork::uniform(4, work.clone()); 4].into(),
+            }),
+            cpu_ops: 4 * 4 * 30_000,
             input_bytes: 0,
             output_bytes: 0,
-            cpu_ops: 4 * 4 * 30_000,
         };
         rt.submit(t).unwrap();
     }
@@ -176,7 +180,7 @@ fn task_bigger_than_one_mtb_is_rejected() {
 fn oversized_smem_is_rejected() {
     let mut rt = PagodaRuntime::titan_x();
     let mut t = narrow(1);
-    t.smem_per_tb = 33 * 1024;
+    Arc::make_mut(&mut t.kernel).smem_per_tb = 33 * 1024;
     assert!(matches!(
         rt.submit(t),
         Err(SubmitError::Invalid(TaskError::SmemTooLarge { .. }))

@@ -13,6 +13,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 use desim::{Engine, EventKey, SimTime};
 use pagoda::prelude::*;
@@ -35,9 +36,9 @@ fn arb_task() -> impl Strategy<Value = TaskDesc> {
                 WarpWork::compute(instrs, 8.0)
             };
             let mut t = TaskDesc::uniform(threads, work);
-            t.smem_per_tb = smem8k * 8 * 1024;
-            t.input_bytes = inb;
-            t.output_bytes = outb;
+            Arc::make_mut(&mut t.kernel).smem_per_tb = smem8k * 8 * 1024;
+            t.input_bytes = u32::try_from(inb).unwrap();
+            t.output_bytes = u32::try_from(outb).unwrap();
             t
         })
 }

@@ -35,8 +35,8 @@ impl Fnv {
         self.u64(u64::from(t.num_tbs));
         self.u64(u64::from(t.smem_per_tb));
         self.u64(u64::from(t.sync));
-        self.u64(t.input_bytes);
-        self.u64(t.output_bytes);
+        self.u64(u64::from(t.input_bytes));
+        self.u64(u64::from(t.output_bytes));
         self.u64(t.cpu_ops);
         self.u64(t.blocks.len() as u64);
         for block in t.blocks.iter() {
