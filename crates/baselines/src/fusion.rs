@@ -11,9 +11,10 @@
 //! * irregular tasks leave threads idle inside their fixed-width block
 //!   (Fig. 9).
 
+use std::sync::Arc;
+
 use desim::{Dur, SimTime};
-use gpu_arch::TaskShape;
-use gpu_sim::{BlockWork, GpuDevice, KernelDesc, Notify, Segment, WarpWork};
+use gpu_sim::{BlockWork, GpuDevice, Kernel, Notify, Segment, WarpWork};
 use pagoda_core::TaskDesc;
 use pcie::{Direction, PcieBus};
 
@@ -54,7 +55,7 @@ pub fn run_fusion(tasks: &[TaskDesc], threads_per_subtask: u32) -> RunSummary {
     let blocks: Vec<BlockWork> = tasks
         .iter()
         .map(|t| {
-            assert_eq!(t.num_tbs, 1, "fusion maps one task to one threadblock");
+            assert_eq!(t.num_tbs(), 1, "fusion maps one task to one threadblock");
             assert!(
                 t.warps_per_tb() <= warps,
                 "task wider than the fused sub-task width"
@@ -62,12 +63,10 @@ pub fn run_fusion(tasks: &[TaskDesc], threads_per_subtask: u32) -> RunSummary {
             pad_block(&t.blocks[0], warps)
         })
         .collect();
-    let shape = TaskShape {
-        threads_per_tb: threads_per_subtask,
-        num_tbs: tasks.len() as u32,
-        regs_per_thread: 32,
-        smem_per_tb: smem,
-    };
+    // Padding keeps every barrier, so the fused kernel syncs if any task does.
+    let sync = tasks.iter().any(|t| t.sync);
+    let fused = Kernel::new(threads_per_subtask, smem, sync, blocks)
+        .expect("padded blocks are the fused width");
 
     let mut device = GpuDevice::titan_x();
     let mut bus = PcieBus::new_default();
@@ -88,10 +87,9 @@ pub fn run_fusion(tasks: &[TaskDesc], threads_per_subtask: u32) -> RunSummary {
     while let Some(t) = device.step_bounded_into(SimTime::MAX, &mut batch) {
         for &n in &batch {
             match n {
-                Notify::Host(_) => {
-                    let k = KernelDesc::new(shape, blocks.clone(), 0);
-                    device.launch_kernel(k).expect("fused kernel must launch");
-                }
+                Notify::Host(_) => device
+                    .launch_kernel(Arc::clone(&fused), 0)
+                    .expect("fused kernel must launch"),
                 Notify::KernelDone { .. } => kernel_done = Some(t),
                 Notify::WarpDone { .. } => unreachable!("no persistent warps under fusion"),
             }

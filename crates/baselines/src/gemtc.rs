@@ -81,9 +81,9 @@ impl GemtcSim<'_> {
         let warps = &self.workers[w].warps[..wpt];
         let group = desc.sync.then(|| self.device.create_group(warps));
         let block = &desc.blocks[tb as usize];
-        for (i, warp) in warps.iter().enumerate() {
+        for (&warp, work) in warps.iter().zip(block.warps()) {
             self.device
-                .assign_warp(*warp, block.warps()[i].clone(), w as u64);
+                .assign_warp_parts(warp, &work.segments, None, work.cpi, w as u64);
         }
         self.running[w] = Some(WorkerRun {
             task,
@@ -116,7 +116,7 @@ impl GemtcSim<'_> {
         if let Some(g) = run.group.take() {
             self.device.release_group(g);
         }
-        if tb + 1 < self.tasks[task].num_tbs {
+        if tb + 1 < self.tasks[task].num_tbs() {
             self.start_tb(w, task, tb + 1);
             return;
         }

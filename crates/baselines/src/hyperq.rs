@@ -11,9 +11,10 @@
 //!   machine (paper §2: 32 × 8 warps = 16.67 % occupancy);
 //! * threadblock-granularity resource recycling (§6.4).
 
+use std::sync::Arc;
+
 use desim::{Dur, SimTime};
-use gpu_arch::TaskShape;
-use gpu_sim::{DeviceConfig, GpuDevice, KernelDesc, Notify};
+use gpu_sim::{DeviceConfig, GpuDevice, Notify};
 use pagoda_core::TaskDesc;
 use pagoda_obs::{Counter, Obs};
 use pcie::{Direction, PcieBus, PcieConfig, StreamId};
@@ -65,16 +66,9 @@ impl HyperQSim<'_> {
         for &n in batch {
             match n {
                 Notify::Host(tag) => {
-                    let task = &self.tasks[tag as usize];
-                    let shape = TaskShape {
-                        threads_per_tb: task.threads_per_tb,
-                        num_tbs: task.num_tbs,
-                        regs_per_thread: 32,
-                        smem_per_tb: task.smem_per_tb,
-                    };
-                    let k = KernelDesc::new(shape, task.blocks.to_vec(), tag);
+                    let kernel = Arc::clone(&self.tasks[tag as usize].kernel);
                     self.device
-                        .launch_kernel(k)
+                        .launch_kernel(kernel, tag)
                         .expect("unlaunchable task shape");
                 }
                 Notify::KernelDone { tag } => {

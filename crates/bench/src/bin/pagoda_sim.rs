@@ -10,7 +10,9 @@
 #![forbid(unsafe_code)]
 
 use baselines::RunSummary;
+use gpu_arch::GpuSpec;
 use pagoda_bench::{bench_waves, run_waves, Scheme};
+use pagoda_core::TaskDesc;
 use workloads::{Bench, GenOpts};
 
 fn usage() -> ! {
@@ -40,6 +42,26 @@ fn parse_scheme(s: &str) -> Option<Scheme> {
         "pagoda-batching" | "batching" => Scheme::PagodaBatched(384),
         "fusion" => Scheme::Fusion(256),
         _ => return None,
+    })
+}
+
+/// Why `scheme` cannot run `waves`, if it cannot: a Pagoda task must fit
+/// an MTB ([`TaskDesc::validate`]), a fused sub-task its slot, and what
+/// a baseline launches must be a threadblock the Titan X can run.
+fn unfit(scheme: Scheme, waves: &[Vec<TaskDesc>]) -> Option<String> {
+    let spec = GpuSpec::titan_x();
+    waves.iter().flatten().find_map(|t| {
+        Some(match scheme {
+            Scheme::Sequential | Scheme::PThreads => return None,
+            Scheme::Pagoda | Scheme::PagodaBatched(_) => t.validate().err()?.to_string(),
+            Scheme::Fusion(w) if t.threads_per_tb > w => format!(
+                "task of {} threads is wider than the {w}-thread fused sub-task",
+                t.threads_per_tb
+            ),
+            Scheme::HyperQ | Scheme::Gemtc | Scheme::Fusion(_) => {
+                spec.validate(&t.native_shape()).err()?.to_string()
+            }
+        })
     })
 }
 
@@ -135,8 +157,17 @@ fn main() {
                         s.name()
                     );
                 }
-                Scheme::Gemtc => print_row(*b, *s, &run_waves(*s, &waves_plain)),
-                _ => print_row(*b, *s, &run_waves(*s, &waves)),
+                _ => {
+                    let waves = if *s == Scheme::Gemtc {
+                        &waves_plain
+                    } else {
+                        &waves
+                    };
+                    match unfit(*s, waves) {
+                        Some(why) => println!("{:>6} {:>16} | n/a ({why})", b.name(), s.name()),
+                        None => print_row(*b, *s, &run_waves(*s, waves)),
+                    }
+                }
             }
         }
     }

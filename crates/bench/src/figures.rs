@@ -25,6 +25,7 @@ use pagoda_serve::{
     ServeConfig, TenantSpec,
 };
 use std::fmt::{self, Write as _};
+use std::sync::Arc;
 use workloads::Bench::{self, Bf, Conv, Dct, Des3, Fb, Mb, Mm, Mpe, Slud};
 use workloads::{conv, irregular_tasks, matmul, GenOpts, ThreadPolicy};
 
@@ -663,19 +664,14 @@ fn ablations(n: usize, out: &mut Report) {
             },
         );
         let blocks: Vec<gpu_sim::BlockWork> = mb.iter().map(|t| t.blocks[0].clone()).collect();
-        let shape = gpu_arch::TaskShape {
-            threads_per_tb: 992,
-            num_tbs: blocks.len() as u32,
-            regs_per_thread: 32,
-            smem_per_tb: 0,
-        };
+        let kernel = workloads::gen::kernel(992, 0, false, blocks);
         // The device has no PCIe link or host: the kernel's end is the run.
         let run = |free_individually: bool| {
             let mut dev = gpu_sim::GpuDevice::new(DeviceConfig {
                 free_warps_individually: free_individually,
                 ..DeviceConfig::titan_x()
             });
-            dev.launch_kernel(gpu_sim::KernelDesc::new(shape, blocks.clone(), 0))
+            dev.launch_kernel(Arc::clone(&kernel), 0)
                 .expect("launchable");
             let mut batch = Vec::new();
             while dev.step_bounded_into(SimTime::MAX, &mut batch).is_some() {}

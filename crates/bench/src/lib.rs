@@ -15,14 +15,12 @@
 
 pub mod figures;
 
-use std::sync::Arc;
-
 use baselines::{
     run_fusion, run_gemtc, run_hyperq, run_pagoda, run_pagoda_batched, run_pthreads,
     run_sequential, CpuConfig, GemtcConfig, HyperQConfig, RunSummary,
 };
 use desim::{Dur, SimTime};
-use pagoda_core::{PagodaConfig, PagodaRuntime, TaskDesc, TaskKernel};
+use pagoda_core::{PagodaConfig, PagodaRuntime, TaskDesc};
 use pagoda_prof::GroupSummary;
 use serde::Serialize;
 
@@ -152,7 +150,7 @@ pub fn bench_waves(
 /// how Fig. 8 sweeps a task's thread count from 256 to 65536 while
 /// holding its input size (and therefore its work) fixed.
 pub fn reshape_task(base: &TaskDesc, total_threads: u32, threads_per_tb: u32) -> TaskDesc {
-    assert_eq!(base.num_tbs, 1, "reshape expects a single-TB base task");
+    assert_eq!(base.num_tbs(), 1, "reshape expects a single-TB base task");
     assert_eq!(total_threads % threads_per_tb, 0, "uneven grid");
     let w0 = &base.blocks[0].warps()[0];
     let total_ops: u64 = base.total_instrs();
@@ -175,13 +173,12 @@ pub fn reshape_task(base: &TaskDesc, total_threads: u32, threads_per_tb: u32) ->
     );
     let num_tbs = total_threads / threads_per_tb;
     TaskDesc {
-        kernel: Arc::new(TaskKernel {
+        kernel: workloads::gen::kernel(
             threads_per_tb,
-            num_tbs,
-            smem_per_tb: base.smem_per_tb,
-            sync: base.sync,
-            blocks: vec![block; num_tbs as usize].into(),
-        }),
+            base.smem_per_tb,
+            base.sync,
+            vec![block; num_tbs as usize],
+        ),
         cpu_ops: base.cpu_ops,
         input_bytes: base.input_bytes,
         output_bytes: base.output_bytes,

@@ -1205,12 +1205,11 @@ mod tests {
             assert_eq!(fleet.status(k).unwrap(), TaskStatus::Lost);
             assert_eq!(fleet.completion_time(k), Some(SimTime::from_us(10)));
         }
-        let mut bad = task();
-        std::sync::Arc::make_mut(&mut bad.kernel).num_tbs = 2;
+        let bad = TaskDesc::uniform(993, WarpWork::compute(200_000, 8.0));
         assert_eq!(
             fleet.spawn_blocking(0, bad),
-            Err(pagoda_core::TaskError::ShapeMismatch),
-            "a dead fleet still rejects a malformed task"
+            Err(pagoda_core::TaskError::TooManyThreadsPerTb { requested: 993 }),
+            "a dead fleet still rejects a task no MTB can hold"
         );
         fleet.wait_all();
         let rep = fleet.report();

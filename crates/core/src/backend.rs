@@ -229,7 +229,6 @@ impl Backend for PagodaRuntime {
 mod tests {
     use super::*;
     use gpu_sim::WarpWork;
-    use std::sync::Arc;
 
     #[test]
     fn runtime_backend_round_trips_a_task() {
@@ -338,14 +337,14 @@ mod tests {
     #[test]
     fn spawn_blocking_returns_an_invalid_task_without_spending_time() {
         let task = TaskDesc::uniform(64, WarpWork::compute(120_000, 8.0));
-        let mut bad = task.clone();
-        Arc::make_mut(&mut bad.kernel).num_tbs = 3; // blocks.len() still 1
+        // One thread wider than an MTB's 31 executor warps.
+        let bad = TaskDesc::uniform(993, WarpWork::compute(120_000, 8.0));
         let (mut full, filled) = full_runtime(&task);
         for rt in [&mut PagodaRuntime::titan_x(), &mut full] {
             let before = rt.host_now();
             assert_eq!(
                 Backend::spawn_blocking(rt, 0, bad.clone()),
-                Err(TaskError::ShapeMismatch)
+                Err(TaskError::TooManyThreadsPerTb { requested: 993 })
             );
             assert_eq!(rt.host_now(), before);
         }

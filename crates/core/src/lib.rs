@@ -20,7 +20,7 @@
 //! * [`smem`] — buddy shared-memory allocator with deferred frees (§5.1)
 //! * [`barrier`] — named-barrier ID recycling (§5.2)
 //! * [`task`] — `taskSpawn` descriptors (Table 1): a shared
-//!   [`TaskKernel`] plus one launch's CPU cost and copy volumes
+//!   [`gpu_sim::Kernel`] plus one launch's CPU cost and copy volumes
 //! * [`config`] — calibration constants and
 //!   [`PagodaConfig::validate`]
 //! * [`errors`] — the typed [`PagodaError`]/[`SubmitError`] hierarchy
@@ -45,23 +45,19 @@
 //! assert!(rt.task_latency(ids[0]).is_some());
 //! ```
 //!
-//! A task launches a kernel. Build the [`TaskKernel`] once and spawn it
-//! as often as needed; each launch carries only what varies per task:
+//! A task launches a kernel. Build the [`gpu_sim::Kernel`] once — its
+//! constructor checks its structure — and spawn it as often as needed;
+//! each launch carries only what varies per task:
 //!
 //! ```
 //! use std::sync::Arc;
 //!
-//! use gpu_sim::{BlockWork, WarpWork};
-//! use pagoda_core::{PagodaRuntime, TaskDesc, TaskKernel};
+//! use gpu_sim::{BlockWork, Kernel, WarpWork};
+//! use pagoda_core::{PagodaRuntime, TaskDesc};
 //!
-//! // Two 64-thread blocks with 4 KB of shared memory each.
-//! let kernel = Arc::new(TaskKernel {
-//!     threads_per_tb: 64,
-//!     num_tbs: 2,
-//!     smem_per_tb: 4 * 1024,
-//!     sync: false,
-//!     blocks: vec![BlockWork::uniform(2, WarpWork::compute(10_000, 2.0)); 2].into(),
-//! });
+//! // Two 64-thread blocks with 4 KB of shared memory each, no barriers.
+//! let block = BlockWork::uniform(2, WarpWork::compute(10_000, 2.0));
+//! let kernel = Kernel::new(64, 4 * 1024, false, vec![block; 2]).unwrap();
 //! let mut rt = PagodaRuntime::titan_x();
 //! for i in 1..=8 {
 //!     rt.spawn_blocking(TaskDesc {
@@ -111,5 +107,5 @@ pub use config::{ConfigError, PagodaConfig};
 pub use errors::{Capacity, PagodaError, SubmitError};
 pub use runtime::{PagodaRuntime, RunSummary};
 pub use table::{EntryIndex, EntryState, Ready, TaskId};
-pub use task::{TaskDesc, TaskError, TaskKernel, MAX_THREADS_PER_TASK_TB};
+pub use task::{TaskDesc, TaskError, MAX_THREADS_PER_TASK_TB};
 pub use trace::TaskTrace;

@@ -18,7 +18,7 @@
 //! its headroom probe), plus [`PagodaRuntime::wait`],
 //! [`PagodaRuntime::check`], [`PagodaRuntime::wait_all`]. The GPU-side API
 //! (`getTid`, `syncBlock`, `getSMPtr`) appears structurally: a task's
-//! [`TaskKernel::blocks`](crate::TaskKernel::blocks) encode per-warp
+//! [`Kernel::blocks`](gpu_sim::Kernel::blocks) encode per-warp
 //! work and barriers, and shared-memory requests are granted from the
 //! MTB's buddy-managed slice.
 //!
@@ -1186,8 +1186,8 @@ impl PagodaRuntime {
         r.tbs.clear();
         // Exactly: amortized growth would round a one-threadblock task up
         // to four slots, in every entry of the table, for good.
-        r.tbs.reserve_exact(d.num_tbs as usize);
-        r.tbs.resize(d.num_tbs as usize, TbProgress::default());
+        r.tbs.reserve_exact(d.num_tbs() as usize);
+        r.tbs.resize(d.num_tbs() as usize, TbProgress::default());
         let per_tb = d.per_tb_scheduling();
         let phase = initial_phase(d.sync, d.smem_per_tb);
         let mi = entry.col as usize;
@@ -1214,7 +1214,7 @@ impl PagodaRuntime {
         let ei = self.eidx(job.entry);
         let (sync, smem, warps_per_tb, num_tbs) = {
             let d = self.desc(job.entry);
-            (d.sync, d.smem_per_tb, d.warps_per_tb(), d.num_tbs)
+            (d.sync, d.smem_per_tb, d.warps_per_tb(), d.num_tbs())
         };
         match job.phase {
             JobPhase::NeedBarrier => {
@@ -1424,9 +1424,8 @@ fn initial_phase(sync: bool, smem: u32) -> JobPhase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::WarpWork;
+    use gpu_sim::{Kernel, WarpWork};
     use proptest::prelude::*;
-    use std::sync::Arc;
 
     fn tiny_task() -> TaskDesc {
         TaskDesc::uniform(32, WarpWork::compute(10_000, 2.0))
@@ -1475,12 +1474,14 @@ mod tests {
     #[test]
     fn submit_rejects_invalid_desc() {
         let mut rt = PagodaRuntime::titan_x();
-        let mut bad = tiny_task();
-        Arc::make_mut(&mut bad.kernel).num_tbs = 3; // blocks.len() still 1
+        let bad = TaskDesc::uniform(993, WarpWork::compute(1, 1.0));
         match rt.submit(bad) {
-            Err(SubmitError::Invalid(TaskError::ShapeMismatch)) => {}
-            other => panic!("expected Invalid(ShapeMismatch), got {other:?}"),
+            Err(SubmitError::Invalid(TaskError::TooManyThreadsPerTb { requested: 993 })) => {}
+            other => panic!("expected Invalid(TooManyThreadsPerTb), got {other:?}"),
         }
+        // Nothing was claimed: the whole table is still free.
+        let cap = rt.capacity();
+        assert_eq!(cap.known_free, cap.total);
     }
 
     #[test]
@@ -1672,12 +1673,12 @@ mod tests {
     fn mixed_task(arg: usize) -> TaskDesc {
         let mut t = match arg % 4 {
             0 => {
-                let mut t = TaskDesc::uniform(64, WarpWork::compute(10_000, 2.0));
-                let k = Arc::make_mut(&mut t.kernel);
-                k.num_tbs = 3;
-                k.blocks = vec![k.blocks[0].clone(); 3].into();
-                k.smem_per_tb = 16 * 1024;
-                t
+                let t = TaskDesc::uniform(64, WarpWork::compute(10_000, 2.0));
+                let blocks = vec![t.blocks[0].clone(); 3];
+                TaskDesc {
+                    kernel: Kernel::new(64, 16 * 1024, false, blocks).unwrap(),
+                    ..t
+                }
             }
             1 => TaskDesc::uniform(96, WarpWork::phased(12_000, 3, 2.0)),
             _ => tiny_task(),

@@ -7,17 +7,19 @@
 //! 32 KB shared-memory slice.
 //!
 //! A spawn names a kernel and carries the arguments of one launch: a
-//! [`TaskDesc`] is a shared, immutable [`TaskKernel`] (shape, shared
-//! memory, sync flag, work) plus the three values that vary per launch —
-//! the CPU operation count and the two copy volumes. Generators build one
-//! kernel per distinct input and launch it many times; a descriptor is
-//! 24 bytes whatever its kernel holds.
+//! [`TaskDesc`] is a shared, immutable [`Kernel`] (threadblock size,
+//! shared memory, sync flag, work) plus the three values that vary per
+//! launch — the CPU operation count and the two copy volumes. The kernel
+//! checked its own structure when it was built; [`TaskDesc::validate`]
+//! checks only what an MTB can hold. Generators build one kernel per
+//! distinct input and launch it many times; a descriptor is 24 bytes
+//! whatever its kernel holds.
 
 use std::ops::Deref;
 use std::sync::Arc;
 
 use gpu_arch::WARP_SIZE;
-use gpu_sim::BlockWork;
+use gpu_sim::{BlockWork, Kernel};
 
 use crate::smem::SMEM_POOL_BYTES;
 use crate::warptable::EXECUTORS_PER_MTB;
@@ -25,35 +27,16 @@ use crate::warptable::EXECUTORS_PER_MTB;
 /// Maximum threads per task threadblock (31 executor warps).
 pub const MAX_THREADS_PER_TASK_TB: u32 = (EXECUTORS_PER_MTB as u32) * WARP_SIZE;
 
-/// A task's kernel: launch shape, shared memory, the sync flag and the
-/// work of each threadblock. Immutable once built and shared by every
-/// launch of it behind one `Arc` (to vary one launch's shape, change a
-/// copy: `Arc::make_mut(&mut desc.kernel)`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TaskKernel {
-    /// Threads per threadblock (1 ..= 992).
-    pub threads_per_tb: u32,
-    /// Threadblocks in the task.
-    pub num_tbs: u32,
-    /// Dynamic shared memory per threadblock, bytes (0 ..= 32768).
-    pub smem_per_tb: u32,
-    /// Whether the task uses `syncBlock()` (threadblock-level barriers).
-    pub sync: bool,
-    /// The kernel work, one [`BlockWork`] per threadblock (build it with
-    /// `[block].into()` or `vec.into()`).
-    pub blocks: Box<[BlockWork]>,
-}
-
 /// Everything `taskSpawn` needs (paper Table 1): the kernel, shared with
 /// every other launch of it, and this launch's CPU cost and I/O volume.
-/// Reads of the kernel's fields go through [`Deref`]: `desc.num_tbs`.
+/// Reads of the kernel go through [`Deref`]: `desc.num_tbs()`.
 #[derive(Debug, Clone)]
 pub struct TaskDesc {
     /// The kernel this task launches. Cloning a `TaskDesc` bumps its
     /// reference count; it does not copy the work lists.
-    pub kernel: Arc<TaskKernel>,
+    pub kernel: Arc<Kernel>,
     /// Operation count of the task's *sequential CPU* implementation. The
-    /// GPU-side [`TaskKernel::total_instrs`] charges whole warps for their
+    /// GPU-side [`Kernel::total_instrs`] charges whole warps for their
     /// slowest lane (SIMT divergence); a CPU executes only the real work,
     /// so the CPU baselines use this count instead.
     pub cpu_ops: u64,
@@ -64,14 +47,15 @@ pub struct TaskDesc {
 }
 
 impl Deref for TaskDesc {
-    type Target = TaskKernel;
+    type Target = Kernel;
 
-    fn deref(&self) -> &TaskKernel {
+    fn deref(&self) -> &Kernel {
         &self.kernel
     }
 }
 
-/// Why a task description is rejected by `submit`.
+/// Why a task description is rejected by `submit`: what an MTB cannot
+/// hold. (A malformed kernel cannot be built: see [`gpu_sim::KernelError`].)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskError {
     /// Threadblock larger than the 31 executor warps of an MTB.
@@ -86,12 +70,6 @@ pub enum TaskError {
         /// Requested bytes.
         requested: u32,
     },
-    /// `blocks.len()` disagrees with `num_tbs`, or a block's warp count
-    /// disagrees with `threads_per_tb`.
-    ShapeMismatch,
-    /// Blocks contain barriers but `sync` is false — on real hardware the
-    /// task would synchronize on a barrier ID it never allocated.
-    UndeclaredSync,
 }
 
 impl std::fmt::Display for TaskError {
@@ -108,12 +86,6 @@ impl std::fmt::Display for TaskError {
                 "task requests {requested} B shared memory per threadblock; \
                  an MTB manages {SMEM_POOL_BYTES} B"
             ),
-            TaskError::ShapeMismatch => {
-                write!(f, "block work disagrees with the declared task shape")
-            }
-            TaskError::UndeclaredSync => {
-                write!(f, "task uses barriers but did not set the sync flag")
-            }
         }
     }
 }
@@ -123,7 +95,7 @@ impl std::error::Error for TaskError {}
 impl TaskDesc {
     /// A single-threadblock task whose warps all run `work`, with no
     /// shared memory and no I/O — the common microbenchmark shape. Zero
-    /// threads give a kernel with no work, which [`TaskKernel::validate`]
+    /// threads give a kernel with no work, which [`TaskDesc::validate`]
     /// rejects as [`TaskError::EmptyTask`].
     pub fn uniform(threads: u32, work: gpu_sim::WarpWork) -> Self {
         let warps = threads.div_ceil(WARP_SIZE);
@@ -131,40 +103,18 @@ impl TaskDesc {
         let cpu_ops = work.total_instrs() * u64::from(warps);
         let block = (warps > 0).then(|| BlockWork::uniform(warps, work));
         TaskDesc {
-            kernel: Arc::new(TaskKernel {
-                threads_per_tb: threads,
-                num_tbs: 1,
-                smem_per_tb: 0,
-                sync,
-                blocks: block.into_iter().collect(),
-            }),
+            kernel: Kernel::new(threads, 0, sync, Vec::from_iter(block))
+                .expect("uniform warps match their block and declare their barriers"),
             cpu_ops,
             input_bytes: 0,
             output_bytes: 0,
         }
     }
-}
 
-impl TaskKernel {
-    /// Warps per threadblock (partial warps round up).
-    pub fn warps_per_tb(&self) -> u32 {
-        self.threads_per_tb.div_ceil(WARP_SIZE)
-    }
-
-    /// Total warps across the task.
-    pub fn total_warps(&self) -> u32 {
-        self.warps_per_tb() * self.num_tbs
-    }
-
-    /// Whether scheduling must go threadblock-by-threadblock (Algorithm 1,
-    /// line 17): any task that needs shared memory or synchronization.
-    pub fn per_tb_scheduling(&self) -> bool {
-        self.smem_per_tb > 0 || self.sync
-    }
-
-    /// Validates against the MTB capacity rules above.
+    /// Validates against the MTB capacity rules above, in O(1): the
+    /// kernel checked its blocks when it was built.
     pub fn validate(&self) -> Result<(), TaskError> {
-        if self.threads_per_tb == 0 || self.num_tbs == 0 {
+        if self.threads_per_tb == 0 || self.num_tbs() == 0 {
             return Err(TaskError::EmptyTask);
         }
         if self.threads_per_tb > MAX_THREADS_PER_TASK_TB {
@@ -177,23 +127,7 @@ impl TaskKernel {
                 requested: self.smem_per_tb,
             });
         }
-        if self.blocks.len() != self.num_tbs as usize {
-            return Err(TaskError::ShapeMismatch);
-        }
-        for b in self.blocks.iter() {
-            if b.num_warps() != self.warps_per_tb() {
-                return Err(TaskError::ShapeMismatch);
-            }
-            if !self.sync && b.barriers() > 0 {
-                return Err(TaskError::UndeclaredSync);
-            }
-        }
         Ok(())
-    }
-
-    /// Total thread-instructions in the task.
-    pub fn total_instrs(&self) -> u64 {
-        self.blocks.iter().map(BlockWork::total_instrs).sum()
     }
 }
 
@@ -220,12 +154,6 @@ mod tests {
         // Reads go through the shared kernel.
         c.validate().unwrap();
         assert_eq!(c.total_instrs(), 4000);
-        // Reshaping one launch copies its kernel and leaves the other.
-        let mut wrong = c.clone();
-        Arc::make_mut(&mut wrong.kernel).threads_per_tb = 64;
-        assert!(!Arc::ptr_eq(&wrong.kernel, &c.kernel));
-        assert_eq!(wrong.validate(), Err(TaskError::ShapeMismatch));
-        assert_eq!(t.threads_per_tb, 128);
     }
 
     #[test]
@@ -254,23 +182,12 @@ mod tests {
 
     #[test]
     fn rejects_oversized_smem() {
-        let mut t = TaskDesc::uniform(32, WarpWork::compute(1, 1.0));
-        Arc::make_mut(&mut t.kernel).smem_per_tb = 33 * 1024;
+        let block = BlockWork::uniform(1, WarpWork::compute(1, 1.0));
+        let t = TaskDesc {
+            kernel: Kernel::new(32, 33 * 1024, false, [block]).unwrap(),
+            ..TaskDesc::uniform(32, WarpWork::compute(1, 1.0))
+        };
         assert!(matches!(t.validate(), Err(TaskError::SmemTooLarge { .. })));
-    }
-
-    #[test]
-    fn rejects_undeclared_sync() {
-        let mut t = TaskDesc::uniform(64, WarpWork::phased(1000, 2, 1.0));
-        Arc::make_mut(&mut t.kernel).sync = false;
-        assert_eq!(t.validate(), Err(TaskError::UndeclaredSync));
-    }
-
-    #[test]
-    fn rejects_shape_mismatch() {
-        let mut t = TaskDesc::uniform(64, WarpWork::compute(1, 1.0));
-        Arc::make_mut(&mut t.kernel).num_tbs = 2;
-        assert_eq!(t.validate(), Err(TaskError::ShapeMismatch));
     }
 
     #[test]

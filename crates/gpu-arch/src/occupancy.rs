@@ -45,11 +45,6 @@ impl TaskShape {
     pub fn total_warps(&self) -> u32 {
         self.warps_per_tb() * self.num_tbs
     }
-
-    /// Total threads across all threadblocks.
-    pub fn total_threads(&self) -> u64 {
-        u64::from(self.threads_per_tb) * u64::from(self.num_tbs)
-    }
 }
 
 /// Why a launch shape is impossible on a given device.

@@ -24,13 +24,14 @@
 //! deterministic order.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use desim::{Dur, Engine, EventKey, SimTime};
 use gpu_arch::{GpuSpec, LaunchError, TaskShape};
 use pagoda_obs::{Counter, Obs, SmmSample};
 
 use crate::exec::{ExecState, GroupId, WarpHandle};
-use crate::work::{KernelDesc, Segment, WarpWork};
+use crate::work::{Kernel, Segment, WarpWork};
 
 /// Tag bit marking device-internal (native-TB) warp assignments. External
 /// tags passed to [`GpuDevice::assign_warp`] must stay below this.
@@ -49,7 +50,7 @@ pub enum Notify {
     },
     /// A native kernel's last threadblock retired.
     KernelDone {
-        /// The tag from its [`KernelDesc`].
+        /// The tag given to [`GpuDevice::launch_kernel`].
         tag: u64,
     },
     /// A host-scheduled timer ([`GpuDevice::schedule_host`]).
@@ -120,7 +121,8 @@ struct Footprint {
 
 #[derive(Debug)]
 struct KernelCtx {
-    desc: KernelDesc,
+    kernel: Arc<Kernel>,
+    tag: u64,
     foot: Footprint,
     next_tb: usize,
     retired_tbs: u32,
@@ -279,13 +281,16 @@ impl GpuDevice {
     /// Launches a native kernel. The launch front-end serializes launches
     /// (`launch_issue_cost` each); once issued, the kernel waits for a
     /// concurrency slot and its TBs are then placed as resources permit.
-    /// Completion is announced via [`Notify::KernelDone`] with `desc.tag`.
-    pub fn launch_kernel(&mut self, desc: KernelDesc) -> Result<(), LaunchError> {
-        self.cfg.spec.occupancy_of(&desc.shape)?; // also proves ≥1 TB fits
-        let foot = self.footprint(&desc.shape);
+    /// Completion is announced via [`Notify::KernelDone`] with `tag`. The
+    /// device shares `kernel`'s work lists; it copies none of them.
+    pub fn launch_kernel(&mut self, kernel: Arc<Kernel>, tag: u64) -> Result<(), LaunchError> {
+        let shape = kernel.native_shape();
+        self.cfg.spec.occupancy_of(&shape)?; // also proves ≥1 TB fits
+        let foot = self.footprint(&shape);
         let kid = self.kernels.len() as u32;
         self.kernels.push(KernelCtx {
-            desc,
+            kernel,
+            tag,
             foot,
             next_tb: 0,
             retired_tbs: 0,
@@ -665,7 +670,7 @@ impl GpuDevice {
             loop {
                 let (foot, tb_index, total) = {
                     let k = &self.kernels[kid as usize];
-                    (k.foot, k.next_tb, k.desc.blocks.len())
+                    (k.foot, k.next_tb, k.kernel.blocks.len())
                 };
                 if tb_index >= total {
                     break;
@@ -706,7 +711,7 @@ impl GpuDevice {
         });
         self.tbs_placed += 1;
         self.exec.advance_sm(sm, now);
-        let block = &self.kernels[kid as usize].desc.blocks[tb_index];
+        let block = &self.kernels[kid as usize].kernel.blocks[tb_index];
         let tag = NATIVE_BIT | tb_id as u64;
         for (&w, work) in self.tbs[tb_id].warps.iter().zip(block.warps()) {
             self.exec
@@ -783,10 +788,9 @@ impl GpuDevice {
         self.sample_sm(now, sm);
         let k = &mut self.kernels[kid as usize];
         k.retired_tbs += 1;
-        if k.retired_tbs as usize == k.desc.blocks.len() && !k.done {
+        if k.retired_tbs as usize == k.kernel.blocks.len() && !k.done {
             k.done = true;
-            let tag = k.desc.tag;
-            out.push(Notify::KernelDone { tag });
+            out.push(Notify::KernelDone { tag: k.tag });
             self.active.retain(|&a| a != kid);
         }
     }
@@ -810,6 +814,14 @@ mod tests {
             regs_per_thread: 32,
             smem_per_tb: 0,
         }
+    }
+
+    /// A kernel of `tbs` threadblocks of `threads` threads, every warp
+    /// running `work`.
+    fn uniform(threads: u32, tbs: u32, work: WarpWork) -> Arc<Kernel> {
+        let sync = work.barrier_count() > 0;
+        let block = BlockWork::uniform(threads.div_ceil(32), work);
+        Kernel::new(threads, 0, sync, vec![block; tbs as usize]).unwrap()
     }
 
     /// Drains the device, returning every notification with its instant.
@@ -836,8 +848,8 @@ mod tests {
     fn single_kernel_runs_to_completion() {
         let mut dev = GpuDevice::new(quiet_cfg());
         // 1 TB x 1 warp, 32000 ti @ CPI 4 -> 4 us.
-        let k = KernelDesc::uniform(shape(32, 1), WarpWork::compute(32_000, 4.0), 1);
-        dev.launch_kernel(k).unwrap();
+        let k = uniform(32, 1, WarpWork::compute(32_000, 4.0));
+        dev.launch_kernel(k, 1).unwrap();
         let done = run_all(&mut dev);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0, 1);
@@ -850,8 +862,8 @@ mod tests {
         cfg.launch_issue_cost = Dur::from_us(2);
         let mut dev = GpuDevice::new(cfg);
         for i in 0..4 {
-            let k = KernelDesc::uniform(shape(32, 1), WarpWork::compute(0, 1.0), i);
-            dev.launch_kernel(k).unwrap();
+            let k = uniform(32, 1, WarpWork::compute(0, 1.0));
+            dev.launch_kernel(k, i).unwrap();
         }
         let done = run_all(&mut dev);
         assert_eq!(done.len(), 4);
@@ -870,8 +882,8 @@ mod tests {
         cfg.spec.num_hw_queues = 2;
         let mut dev = GpuDevice::new(cfg);
         for i in 0..4 {
-            let k = KernelDesc::uniform(shape(1024, 1), WarpWork::compute(32_000, 1.0), i);
-            dev.launch_kernel(k).unwrap();
+            let k = uniform(1024, 1, WarpWork::compute(32_000, 1.0));
+            dev.launch_kernel(k, i).unwrap();
         }
         let done = run_all(&mut dev);
         assert_eq!(done.len(), 4);
@@ -902,8 +914,8 @@ mod tests {
         let mut warps = vec![WarpWork::compute(32_000, 1.0); 31];
         warps.push(WarpWork::compute(320_000, 1.0)); // one straggler warp
         let block = BlockWork::new(warps);
-        let k = KernelDesc::new(shape(1024, 3), vec![block.clone(); 3], 7);
-        dev.launch_kernel(k).unwrap();
+        let k = Kernel::new(1024, 0, false, vec![block; 3]).unwrap();
+        dev.launch_kernel(k, 7).unwrap();
         let done = run_all(&mut dev);
         assert_eq!(done.len(), 1);
         // Straggler dominates; with TB-granularity the third TB starts only
@@ -927,8 +939,8 @@ mod tests {
             let mut warps = vec![WarpWork::compute(3_200, 1.0); 31];
             warps.push(WarpWork::compute(3_200_000, 1.0));
             let block = BlockWork::new(warps);
-            let k = KernelDesc::new(shape(1024, 4), vec![block.clone(); 4], 1);
-            dev.launch_kernel(k).unwrap();
+            let k = Kernel::new(1024, 0, false, vec![block; 4]).unwrap();
+            dev.launch_kernel(k, 1).unwrap();
             let done = run_all(&mut dev);
             done[0].1
         };
@@ -1023,8 +1035,8 @@ mod tests {
         };
         dev.launch_persistent(mk).unwrap();
         // Native kernel of 24 TBs fits in the other half.
-        let k = KernelDesc::uniform(shape(1024, 24), WarpWork::compute(32_000, 1.0), 5);
-        dev.launch_kernel(k).unwrap();
+        let k = uniform(1024, 24, WarpWork::compute(32_000, 1.0));
+        dev.launch_kernel(k, 5).unwrap();
         let done = run_all(&mut dev);
         assert_eq!(done.len(), 1);
     }
@@ -1062,23 +1074,22 @@ mod tests {
     #[test]
     fn invalid_kernel_rejected() {
         let mut dev = GpuDevice::titan_x();
-        let bad = TaskShape {
-            threads_per_tb: 64,
-            num_tbs: 1,
-            regs_per_thread: 32,
-            smem_per_tb: 100 * 1024,
-        };
-        let k = KernelDesc::uniform(
-            TaskShape {
-                smem_per_tb: 0,
-                ..bad
-            },
-            WarpWork::compute(1, 1.0),
-            0,
-        );
-        // Rebuild with the bad smem but valid work shape:
-        let k = KernelDesc { shape: bad, ..k };
-        assert!(dev.launch_kernel(k).is_err());
+        // Well formed, but one block wants more shared memory than an SMM.
+        let block = BlockWork::uniform(2, WarpWork::compute(1, 1.0));
+        let k = Kernel::new(64, 100 * 1024, false, [block]).unwrap();
+        assert!(matches!(
+            dev.launch_kernel(k, 0),
+            Err(LaunchError::SmemPerBlockTooLarge { .. })
+        ));
+        // Zero threads and zero blocks are the device's to refuse.
+        let none = Vec::<BlockWork>::new;
+        let empty = Kernel::new(0, 0, false, none()).unwrap();
+        assert!(matches!(
+            dev.launch_kernel(empty, 0),
+            Err(LaunchError::BadBlockSize { .. })
+        ));
+        let gridless = Kernel::new(64, 0, false, none()).unwrap();
+        assert_eq!(dev.launch_kernel(gridless, 0), Err(LaunchError::EmptyGrid));
     }
 
     #[test]
@@ -1088,8 +1099,8 @@ mod tests {
         let mut dev = GpuDevice::new(quiet_cfg());
         let (obs, rec) = Obs::recording();
         dev.attach_obs(obs);
-        let k = KernelDesc::uniform(shape(256, 2), WarpWork::compute(32_000, 4.0), 9);
-        dev.launch_kernel(k.clone()).unwrap();
+        let k = uniform(256, 2, WarpWork::compute(32_000, 4.0));
+        dev.launch_kernel(Arc::clone(&k), 9).unwrap();
         run_all(&mut dev);
         let buf = rec.snapshot();
         assert_eq!(buf.counter(Counter::KernelLaunches), 1);
@@ -1108,7 +1119,7 @@ mod tests {
 
         // Detached, the device stops counting.
         dev.attach_obs(Obs::off());
-        dev.launch_kernel(k.clone()).unwrap();
+        dev.launch_kernel(Arc::clone(&k), 9).unwrap();
         run_all(&mut dev);
         assert!(dev.engine_stats().delivered > delivered);
         assert_eq!(rec.snapshot().counter(Counter::EngineEvents), delivered);
@@ -1127,7 +1138,7 @@ mod tests {
         }
         let counters = std::sync::Arc::new(Counters::default());
         dev.attach_obs(Obs::new(counters.clone()));
-        dev.launch_kernel(k).unwrap();
+        dev.launch_kernel(k, 9).unwrap();
         run_all(&mut dev);
         let read = |c: Counter| counters.0[c as usize].load(Ordering::Relaxed);
         assert_eq!(read(Counter::KernelLaunches), 1);
@@ -1143,8 +1154,8 @@ mod tests {
         cfg.spec.num_hw_queues = 48;
         let mut dev = GpuDevice::new(cfg);
         for i in 0..48 {
-            let k = KernelDesc::uniform(shape(256, 1), WarpWork::compute(32_000, 4.0), i);
-            dev.launch_kernel(k).unwrap();
+            let k = uniform(256, 1, WarpWork::compute(32_000, 4.0));
+            dev.launch_kernel(k, i).unwrap();
         }
         let done = run_all(&mut dev);
         assert_eq!(done.len(), 48);
@@ -1180,8 +1191,7 @@ mod tests {
                     }
                     Notify::Host(tag) => {
                         let work = WarpWork::compute(2_000 * (tag % 3 + 1), 4.0);
-                        let k = KernelDesc::uniform(shape(64, 2), work, tag);
-                        dev.launch_kernel(k).unwrap();
+                        dev.launch_kernel(uniform(64, 2, work), tag).unwrap();
                     }
                     Notify::KernelDone { tag } if tag < 12 => {
                         dev.schedule_host(t + Dur::from_ns(500), tag + 2);
@@ -1224,8 +1234,8 @@ mod tests {
         cfg.spec.num_sms = 4;
         let mut dev = GpuDevice::new(cfg);
         // One warp, 4 us, on one SMM of four: 1 us each on average.
-        let k = KernelDesc::uniform(shape(32, 1), WarpWork::compute(32_000, 4.0), 1);
-        dev.launch_kernel(k).unwrap();
+        let k = uniform(32, 1, WarpWork::compute(32_000, 4.0));
+        dev.launch_kernel(k, 1).unwrap();
         assert_eq!(run_all(&mut dev), [(1, SimTime::from_us(4))]);
         assert_eq!(dev.avg_sm_busy(), Dur::from_us(1));
     }

@@ -12,17 +12,14 @@
 //!
 //! ```
 //! use desim::SimTime;
-//! use gpu_sim::{DeviceConfig, GpuDevice, KernelDesc, Notify, WarpWork};
-//! use gpu_arch::TaskShape;
+//! use gpu_sim::{BlockWork, DeviceConfig, GpuDevice, Kernel, Notify, WarpWork};
 //!
 //! let mut dev = GpuDevice::new(DeviceConfig::titan_x());
-//! // One narrow task: 128 threads, 1 threadblock.
-//! let k = KernelDesc::uniform(
-//!     TaskShape::narrow(128),
-//!     WarpWork::compute(100_000, 4.0),
-//!     /*tag=*/ 7,
-//! );
-//! dev.launch_kernel(k).unwrap();
+//! // One narrow task: 128 threads (4 warps), 1 threadblock, no shared
+//! // memory, no barriers.
+//! let block = BlockWork::uniform(4, WarpWork::compute(100_000, 4.0));
+//! let k = Kernel::new(128, 0, false, [block]).unwrap();
+//! dev.launch_kernel(k, /*tag=*/ 7).unwrap();
 //! // One batch buffer for the whole run; `SimTime::MAX` sets no bound.
 //! let (mut batch, mut completed) = (Vec::new(), None);
 //! while let Some(t) = dev.step_bounded_into(SimTime::MAX, &mut batch) {
@@ -44,4 +41,4 @@ pub mod work;
 
 pub use device::{DeviceConfig, DeviceStats, GpuDevice, Notify, PersistentTb};
 pub use exec::{ExecStats, GroupId, WarpHandle};
-pub use work::{BlockWork, KernelDesc, Segment, WarpWork};
+pub use work::{BlockWork, Kernel, KernelError, Segment, WarpWork};

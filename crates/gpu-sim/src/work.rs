@@ -8,7 +8,9 @@
 //! ([`WarpWork::cpi`]): a streaming kernel that stalls on DRAM has a high
 //! CPI, a register-resident kernel sits near 1.
 
-use gpu_arch::TaskShape;
+use std::sync::Arc;
+
+use gpu_arch::{TaskShape, WARP_SIZE};
 
 /// One phase of a warp's execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,52 +142,124 @@ impl BlockWork {
     }
 }
 
-/// A full kernel: launch shape plus the work of each threadblock.
-#[derive(Debug, Clone)]
-pub struct KernelDesc {
-    /// Resource shape (threads/block, registers, shared memory, grid size).
-    pub shape: TaskShape,
-    /// Work per threadblock; `blocks.len()` must equal `shape.num_tbs`.
-    pub blocks: Vec<BlockWork>,
-    /// Caller correlation tag, echoed in completion notifications.
-    pub tag: u64,
+/// Registers per thread of every native launch: the paper compiles every
+/// kernel with `-maxrregcount 32`.
+pub const NATIVE_REGS_PER_THREAD: u32 = 32;
+
+/// Why [`Kernel::new`] rejects a kernel's structure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KernelError {
+    /// A block's warp count disagrees with `threads_per_tb`.
+    ShapeMismatch,
+    /// Blocks contain barriers but `sync` is false — on real hardware the
+    /// kernel would synchronize on a barrier ID it never allocated.
+    UndeclaredSync,
 }
 
-impl KernelDesc {
-    /// Builds and validates a kernel description.
-    ///
-    /// # Panics
-    /// Panics if the block list length disagrees with the shape, or any
-    /// block's warp count disagrees with the shape's threads-per-block.
-    pub fn new(shape: TaskShape, blocks: Vec<BlockWork>, tag: u64) -> Self {
-        assert_eq!(
-            blocks.len(),
-            shape.num_tbs as usize,
-            "shape declares {} TBs but {} BlockWork given",
-            shape.num_tbs,
-            blocks.len()
-        );
-        for (i, b) in blocks.iter().enumerate() {
-            assert_eq!(
-                b.num_warps(),
-                shape.warps_per_tb(),
-                "block {i}: {} warps but shape implies {}",
-                b.num_warps(),
-                shape.warps_per_tb()
-            );
+impl std::fmt::Display for KernelError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            KernelError::ShapeMismatch => {
+                write!(f, "block work disagrees with the declared threadblock size")
+            }
+            KernelError::UndeclaredSync => {
+                write!(f, "kernel uses barriers but did not set the sync flag")
+            }
         }
-        KernelDesc { shape, blocks, tag }
+    }
+}
+
+impl std::error::Error for KernelError {}
+
+/// A kernel: threadblock size, shared memory, the sync flag and the work
+/// of each threadblock — what a Pagoda spawn names and what a native
+/// launch runs.
+///
+/// [`Kernel::new`] checks its structure once; each consumer checks only
+/// its own capacity (an MTB's executor warps and shared-memory slice, an
+/// SMM's limits). A kernel is immutable and shared behind an [`Arc`]:
+/// every launch of it holds the same work lists.
+#[derive(Debug, PartialEq)]
+#[non_exhaustive]
+pub struct Kernel {
+    /// Threads per threadblock.
+    pub threads_per_tb: u32,
+    /// Dynamic shared memory per threadblock, bytes.
+    pub smem_per_tb: u32,
+    /// Whether the kernel synchronizes its threadblocks (`syncBlock()`).
+    pub sync: bool,
+    /// The work, one [`BlockWork`] per threadblock.
+    pub blocks: Box<[BlockWork]>,
+}
+
+impl Kernel {
+    /// Builds a kernel of `blocks`, each `threads_per_tb` threads wide.
+    /// A kernel of zero threads or zero blocks is structurally valid; its
+    /// consumers reject it.
+    ///
+    /// # Errors
+    /// [`KernelError::ShapeMismatch`] if a block does not have
+    /// [`Kernel::warps_per_tb`] warps, [`KernelError::UndeclaredSync`] if
+    /// a block has barriers and `sync` is false.
+    pub fn new(
+        threads_per_tb: u32,
+        smem_per_tb: u32,
+        sync: bool,
+        blocks: impl Into<Box<[BlockWork]>>,
+    ) -> Result<Arc<Kernel>, KernelError> {
+        let kernel = Kernel {
+            threads_per_tb,
+            smem_per_tb,
+            sync,
+            blocks: blocks.into(),
+        };
+        for b in kernel.blocks.iter() {
+            if b.num_warps() != kernel.warps_per_tb() {
+                return Err(KernelError::ShapeMismatch);
+            }
+            if !sync && b.barriers() > 0 {
+                return Err(KernelError::UndeclaredSync);
+            }
+        }
+        Ok(Arc::new(kernel))
     }
 
-    /// A kernel whose blocks all run the same per-warp work.
-    pub fn uniform(shape: TaskShape, work: WarpWork, tag: u64) -> Self {
-        let block = BlockWork::uniform(shape.warps_per_tb(), work);
-        KernelDesc::new(shape, vec![block; shape.num_tbs as usize], tag)
+    /// Threadblocks in the kernel.
+    pub fn num_tbs(&self) -> u32 {
+        self.blocks.len() as u32
+    }
+
+    /// Warps per threadblock (partial warps round up).
+    pub fn warps_per_tb(&self) -> u32 {
+        self.threads_per_tb.div_ceil(WARP_SIZE)
+    }
+
+    /// Total warps across the kernel.
+    pub fn total_warps(&self) -> u32 {
+        self.warps_per_tb() * self.num_tbs()
+    }
+
+    /// Whether a Pagoda scheduler must place the kernel threadblock by
+    /// threadblock (paper Algorithm 1, line 17): any kernel that needs
+    /// shared memory or synchronization.
+    pub fn per_tb_scheduling(&self) -> bool {
+        self.smem_per_tb > 0 || self.sync
     }
 
     /// Total thread-instructions in the kernel.
     pub fn total_instrs(&self) -> u64 {
         self.blocks.iter().map(BlockWork::total_instrs).sum()
+    }
+
+    /// The kernel's shape as a native launch sees it, at
+    /// [`NATIVE_REGS_PER_THREAD`] registers per thread.
+    pub fn native_shape(&self) -> TaskShape {
+        TaskShape {
+            threads_per_tb: self.threads_per_tb,
+            num_tbs: self.num_tbs(),
+            regs_per_thread: NATIVE_REGS_PER_THREAD,
+            smem_per_tb: self.smem_per_tb,
+        }
     }
 }
 
@@ -245,23 +319,45 @@ mod tests {
     }
 
     #[test]
-    fn kernel_desc_validates_block_count() {
-        let shape = TaskShape {
-            threads_per_tb: 64,
-            num_tbs: 2,
-            regs_per_thread: 32,
-            smem_per_tb: 0,
-        };
-        let k = KernelDesc::uniform(shape, WarpWork::compute(100, 1.0), 7);
-        assert_eq!(k.blocks.len(), 2);
-        assert_eq!(k.blocks[0].num_warps(), 2);
+    fn a_kernel_counts_its_blocks_and_warps() {
+        let block = BlockWork::uniform(2, WarpWork::compute(100, 1.0));
+        let k = Kernel::new(64, 0, false, vec![block; 2]).unwrap();
+        assert_eq!((k.num_tbs(), k.warps_per_tb(), k.total_warps()), (2, 2, 4));
         assert_eq!(k.total_instrs(), 400);
+        assert!(!k.per_tb_scheduling());
+        let shape = k.native_shape();
+        assert_eq!((shape.num_tbs, shape.regs_per_thread), (2, 32));
     }
 
     #[test]
-    #[should_panic(expected = "shape declares")]
-    fn kernel_desc_rejects_wrong_block_count() {
-        let shape = TaskShape::narrow(64);
-        KernelDesc::new(shape, vec![], 0);
+    fn an_empty_kernel_is_structurally_valid() {
+        let none = Vec::<BlockWork>::new;
+        let k = Kernel::new(0, 0, false, none()).unwrap();
+        assert_eq!((k.num_tbs(), k.total_warps(), k.total_instrs()), (0, 0, 0));
+        assert_eq!(Kernel::new(64, 0, false, none()).unwrap().num_tbs(), 0);
+    }
+
+    #[test]
+    fn a_block_of_the_wrong_width_is_a_shape_mismatch() {
+        let block = BlockWork::uniform(2, WarpWork::compute(1, 1.0));
+        assert_eq!(
+            Kernel::new(96, 0, false, [block]),
+            Err(KernelError::ShapeMismatch)
+        );
+    }
+
+    #[test]
+    fn barriers_without_sync_are_undeclared() {
+        let block = BlockWork::uniform(2, WarpWork::phased(1000, 2, 1.0));
+        assert_eq!(
+            Kernel::new(64, 0, false, [block.clone()]),
+            Err(KernelError::UndeclaredSync)
+        );
+        assert!(Kernel::new(64, 0, true, [block])
+            .unwrap()
+            .per_tb_scheduling());
+        assert!(KernelError::UndeclaredSync
+            .to_string()
+            .contains("sync flag"));
     }
 }

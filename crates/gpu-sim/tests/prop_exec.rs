@@ -1,9 +1,10 @@
 //! Property tests of the device simulator: resource conservation, timing
 //! bounds, and completion guarantees for arbitrary kernel soups.
 
+use std::sync::Arc;
+
 use desim::SimTime;
-use gpu_arch::TaskShape;
-use gpu_sim::{DeviceConfig, GpuDevice, KernelDesc, Notify, WarpWork};
+use gpu_sim::{BlockWork, DeviceConfig, GpuDevice, Kernel, Notify, WarpWork};
 use proptest::prelude::*;
 
 fn quiet() -> DeviceConfig {
@@ -24,6 +25,19 @@ fn retire_all(dev: &mut GpuDevice) -> Vec<u64> {
         }
     }
     done
+}
+
+/// A kernel of `s.tbs` threadblocks of `s.threads` threads with
+/// `smem_kb` KB of shared memory each, every warp running `work`.
+fn kernel(s: &KSpec, smem_kb: u32, work: WarpWork) -> Arc<Kernel> {
+    let block = BlockWork::uniform(s.threads.div_ceil(32), work);
+    Kernel::new(
+        s.threads,
+        smem_kb * 1024,
+        false,
+        vec![block; s.tbs as usize],
+    )
+    .unwrap()
 }
 
 #[derive(Debug, Clone)]
@@ -55,18 +69,8 @@ proptest! {
         let mut dev = GpuDevice::new(quiet());
         let mut launched = Vec::new();
         for (i, s) in specs.iter().enumerate() {
-            let shape = TaskShape {
-                threads_per_tb: s.threads,
-                num_tbs: s.tbs,
-                regs_per_thread: 32,
-                smem_per_tb: s.smem_kb * 1024,
-            };
-            let k = KernelDesc::uniform(
-                shape,
-                WarpWork::compute(s.instrs, f64::from(s.cpi_tenths) / 10.0),
-                i as u64,
-            );
-            if dev.launch_kernel(k).is_ok() {
+            let work = WarpWork::compute(s.instrs, f64::from(s.cpi_tenths) / 10.0);
+            if dev.launch_kernel(kernel(s, s.smem_kb, work), i as u64).is_ok() {
                 launched.push(i as u64);
             }
         }
@@ -84,17 +88,11 @@ proptest! {
         let mut serial_bound = 0f64;     // seconds
         for (i, s) in specs.iter().enumerate() {
             let cpi = f64::from(s.cpi_tenths) / 10.0;
-            let shape = TaskShape {
-                threads_per_tb: s.threads,
-                num_tbs: s.tbs,
-                regs_per_thread: 32,
-                smem_per_tb: 0,
-            };
-            let warps = shape.total_warps() as f64;
+            let k = kernel(s, 0, WarpWork::compute(s.instrs, cpi));
+            let warps = k.total_warps() as f64;
             total_work += warps * s.instrs as f64;
             serial_bound += warps * (s.instrs as f64 * cpi / 32.0 / 1e9);
-            let k = KernelDesc::uniform(shape, WarpWork::compute(s.instrs, cpi), i as u64);
-            prop_assume!(dev.launch_kernel(k).is_ok());
+            prop_assume!(dev.launch_kernel(k, i as u64).is_ok());
         }
         retire_all(&mut dev);
         let t = dev.now().as_secs_f64();
@@ -107,14 +105,7 @@ proptest! {
     fn occupancy_metrics_stay_in_range(specs in prop::collection::vec(arb_kernel(), 1..10)) {
         let mut dev = GpuDevice::new(quiet());
         for (i, s) in specs.iter().enumerate() {
-            let shape = TaskShape {
-                threads_per_tb: s.threads,
-                num_tbs: s.tbs,
-                regs_per_thread: 32,
-                smem_per_tb: 0,
-            };
-            let k = KernelDesc::uniform(shape, WarpWork::compute(s.instrs, 4.0), i as u64);
-            let _ = dev.launch_kernel(k);
+            let _ = dev.launch_kernel(kernel(s, 0, WarpWork::compute(s.instrs, 4.0)), i as u64);
         }
         retire_all(&mut dev);
         let run = dev.avg_running_occupancy();

@@ -3,9 +3,7 @@
 //! dense benchmark of the suite (Table 3: 87 % compute). Regular, no
 //! synchronization.
 
-use std::sync::Arc;
-
-use pagoda_core::{TaskDesc, TaskKernel};
+use pagoda_core::TaskDesc;
 
 use crate::calib;
 use crate::gen::{io_bytes, uniform_block};
@@ -58,13 +56,7 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
     let ops_per_thread = scaled / u64::from(opts.threads_per_task);
     let block = uniform_block(opts.threads_per_task, ops_per_thread, calib::BF.cpi, &[1.0]);
     let t = TaskDesc {
-        kernel: Arc::new(TaskKernel {
-            threads_per_tb: opts.threads_per_task,
-            num_tbs: 1,
-            smem_per_tb: 0,
-            sync: false,
-            blocks: [block].into(),
-        }),
+        kernel: crate::gen::kernel(opts.threads_per_task, 0, false, [block]),
         cpu_ops: crate::gen::scale_ops(task_ops(), opts.work_scale),
         input_bytes: io_bytes(opts, N_SIM * 4),
         output_bytes: io_bytes(opts, N_SIM * 4),

@@ -5,9 +5,7 @@
 //! The image side length is parameterizable because Fig. 8 sweeps it
 //! (16² … 256²).
 
-use std::sync::Arc;
-
-use pagoda_core::{TaskDesc, TaskKernel};
+use pagoda_core::TaskDesc;
 
 use crate::calib;
 use crate::gen::{io_bytes, uniform_block};
@@ -65,13 +63,7 @@ pub fn tasks_sized(n: usize, dim: usize, opts: &GenOpts) -> Vec<TaskDesc> {
     );
     let io = dim * dim; // u8 pixels
     let t = TaskDesc {
-        kernel: Arc::new(TaskKernel {
-            threads_per_tb: opts.threads_per_task,
-            num_tbs: 1,
-            smem_per_tb: 0,
-            sync: false,
-            blocks: [block].into(),
-        }),
+        kernel: crate::gen::kernel(opts.threads_per_task, 0, false, [block]),
         cpu_ops: crate::gen::scale_ops(task_ops(dim), opts.work_scale),
         input_bytes: io_bytes(opts, io),
         output_bytes: io_bytes(opts, io),

@@ -3,9 +3,7 @@
 //! scenario processes one camera frame per task. Copy-bound (Table 3:
 //! 81 % copy), uses shared memory and threadblock synchronization.
 
-use std::sync::Arc;
-
-use pagoda_core::{TaskDesc, TaskKernel};
+use pagoda_core::TaskDesc;
 
 use crate::calib;
 use crate::gen::{io_bytes, uniform_block};
@@ -125,13 +123,12 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
     let block = uniform_block(opts.threads_per_task, ops_per_thread, cpi, &[0.5, 0.5]);
     let io = DIM * DIM * 4; // f32 pixels
     let t = TaskDesc {
-        kernel: Arc::new(TaskKernel {
-            threads_per_tb: opts.threads_per_task,
-            num_tbs: 1,
-            smem_per_tb: if opts.use_smem { 4 * 1024 } else { 0 },
-            sync: true,
-            blocks: [block].into(),
-        }),
+        kernel: crate::gen::kernel(
+            opts.threads_per_task,
+            if opts.use_smem { 4 * 1024 } else { 0 },
+            true,
+            [block],
+        ),
         cpu_ops: crate::gen::scale_ops(task_ops(), opts.work_scale),
         input_bytes: io_bytes(opts, io),
         output_bytes: io_bytes(opts, io),

@@ -11,7 +11,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use pagoda_core::{TaskDesc, TaskKernel};
+use gpu_sim::Kernel;
+use pagoda_core::TaskDesc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -219,20 +220,19 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x3de5);
     let per_block = crate::gen::scale_ops(OPS_PER_BLOCK, opts.work_scale);
     let threads = opts.threads_per_task as usize;
-    let mut kernels: HashMap<(usize, usize), Arc<TaskKernel>> = HashMap::new();
+    let mut kernels: HashMap<(usize, usize), Arc<Kernel>> = HashMap::new();
     (0..n)
         .map(|_| {
             let bytes = packet_size(&mut rng);
             let blocks = bytes / 8;
             let kernel = kernels.entry(shape(blocks, threads)).or_insert_with(|| {
                 let per_thread = distribute_cyclic_equal(blocks, per_block, threads);
-                Arc::new(TaskKernel {
-                    threads_per_tb: opts.threads_per_task,
-                    num_tbs: 1,
-                    smem_per_tb: 0,
-                    sync: false,
-                    blocks: [build_block(&per_thread, calib::DES3.cpi, &[1.0])].into(),
-                })
+                crate::gen::kernel(
+                    opts.threads_per_task,
+                    0,
+                    false,
+                    [build_block(&per_thread, calib::DES3.cpi, &[1.0])],
+                )
             });
             TaskDesc {
                 kernel: Arc::clone(kernel),
@@ -330,13 +330,7 @@ mod tests {
                     distribute_cyclic_equal(blocks, per_block, opts.threads_per_task as usize);
                 let block = build_block(&per_thread, calib::DES3.cpi, &[1.0]);
                 TaskDesc {
-                    kernel: Arc::new(TaskKernel {
-                        threads_per_tb: opts.threads_per_task,
-                        num_tbs: 1,
-                        smem_per_tb: 0,
-                        sync: false,
-                        blocks: [block].into(),
-                    }),
+                    kernel: crate::gen::kernel(opts.threads_per_task, 0, false, [block]),
                     cpu_ops: blocks as u64 * per_block,
                     input_bytes: io_bytes(opts, bytes),
                     output_bytes: io_bytes(opts, bytes),
@@ -374,7 +368,7 @@ mod tests {
             // it names the length whether or not the I/O volume is kept.
             let per_block = crate::gen::scale_ops(OPS_PER_BLOCK, opts.work_scale);
             let threads = opts.threads_per_task as usize;
-            let mut by_shape: HashMap<(usize, usize), &Arc<TaskKernel>> = HashMap::new();
+            let mut by_shape: HashMap<(usize, usize), &Arc<Kernel>> = HashMap::new();
             let mut lengths = HashSet::new();
             for t in &shared {
                 let blocks = (t.cpu_ops / per_block) as usize;
@@ -382,7 +376,7 @@ mod tests {
                 let first = by_shape.entry(shape(blocks, threads)).or_insert(&t.kernel);
                 assert!(Arc::ptr_eq(first, &t.kernel), "one shape, two kernels");
             }
-            let kernels: HashSet<*const TaskKernel> =
+            let kernels: HashSet<*const Kernel> =
                 shared.iter().map(|t| Arc::as_ptr(&t.kernel)).collect();
             assert_eq!(kernels.len(), by_shape.len(), "two shapes, one kernel");
             assert!(

@@ -4,9 +4,7 @@
 //! with a `syncBlock()` between stages. Regular work, threadblock
 //! synchronization required (Table 3).
 
-use std::sync::Arc;
-
-use pagoda_core::{TaskDesc, TaskKernel};
+use pagoda_core::TaskDesc;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -85,13 +83,7 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
         &[0.48, 0.02, 0.02, 0.48],
     );
     let t = TaskDesc {
-        kernel: Arc::new(TaskKernel {
-            threads_per_tb: opts.threads_per_task,
-            num_tbs: 1,
-            smem_per_tb: 0,
-            sync: true,
-            blocks: [block].into(),
-        }),
+        kernel: crate::gen::kernel(opts.threads_per_task, 0, true, [block]),
         cpu_ops: crate::gen::scale_ops(task_ops(), opts.work_scale),
         input_bytes: io_bytes(opts, N_SIM * 4),
         output_bytes: io_bytes(opts, N_SIM * 4),

@@ -7,7 +7,9 @@
 //! kernels this equals the per-thread count; for Mandelbrot-style kernels
 //! it is the divergence penalty the paper's "irregular" benchmarks pay.
 
-use gpu_sim::{BlockWork, Segment, WarpWork};
+use std::sync::Arc;
+
+use gpu_sim::{BlockWork, Kernel, Segment, WarpWork};
 
 use crate::GenOpts;
 
@@ -90,6 +92,23 @@ pub fn build_block(thread_ops: &[u64], cpi: f64, phase_fracs: &[f64]) -> BlockWo
         out.push(WarpWork { segments, cpi });
     }
     BlockWork::new(out)
+}
+
+/// The kernel of generated `blocks`, each `threads_per_tb` threads wide:
+/// every generator builds its kernels here.
+///
+/// # Panics
+/// If the blocks disagree with `threads_per_tb` or use barriers without
+/// `sync` — a generator bug, since [`build_block`] sizes a block from its
+/// thread count.
+pub fn kernel(
+    threads_per_tb: u32,
+    smem_per_tb: u32,
+    sync: bool,
+    blocks: impl Into<Box<[BlockWork]>>,
+) -> Arc<Kernel> {
+    Kernel::new(threads_per_tb, smem_per_tb, sync, blocks)
+        .unwrap_or_else(|e| panic!("generated kernel: {e}"))
 }
 
 /// Uniform per-thread work: every thread does `ops_per_thread` operations.

@@ -42,8 +42,8 @@ pub mod slud;
 
 use std::sync::Arc;
 
-use gpu_sim::Segment;
-use pagoda_core::{TaskDesc, TaskKernel};
+use gpu_sim::{Kernel, Segment};
+use pagoda_core::TaskDesc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -239,7 +239,7 @@ pub fn irregular_tasks(
 
     // A task's kernel depends on its size class alone: each class builds
     // its kernel the first time it is drawn.
-    let mut kernels: [Option<Arc<TaskKernel>>; 4] = Default::default();
+    let mut kernels: [Option<Arc<Kernel>>; 4] = Default::default();
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0xf193);
     (0..n)
         .map(|_| {
@@ -256,13 +256,12 @@ pub fn irregular_tasks(
             let kernel = kernels[class].get_or_insert_with(|| {
                 let mut thread_ops = vec![0u64; threads as usize];
                 thread_ops[..s as usize].fill(per_thread_ops);
-                Arc::new(TaskKernel {
-                    threads_per_tb: threads,
-                    num_tbs: 1,
-                    smem_per_tb: base.smem_per_tb,
-                    sync: base.sync,
-                    blocks: [gen::build_block(&thread_ops, cpi, &fracs)].into(),
-                })
+                gen::kernel(
+                    threads,
+                    base.smem_per_tb,
+                    base.sync,
+                    [gen::build_block(&thread_ops, cpi, &fracs)],
+                )
             });
             TaskDesc {
                 kernel: Arc::clone(kernel),

@@ -4,9 +4,7 @@
 //! durations are unpredictable (Table 4: "the required computation per
 //! pixel is highly irregular").
 
-use std::sync::Arc;
-
-use pagoda_core::{TaskDesc, TaskKernel};
+use pagoda_core::TaskDesc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -190,13 +188,7 @@ fn task_from_region(region: Region, opts: &GenOpts) -> TaskDesc {
     let per_thread = distribute_cyclic(&item_ops, opts.threads_per_task as usize);
     let block = build_block(&per_thread, calib::MB.cpi, &[1.0]);
     TaskDesc {
-        kernel: Arc::new(TaskKernel {
-            threads_per_tb: opts.threads_per_task,
-            num_tbs: 1,
-            smem_per_tb: 0,
-            sync: false,
-            blocks: [block].into(),
-        }),
+        kernel: crate::gen::kernel(opts.threads_per_task, 0, false, [block]),
         cpu_ops,
         input_bytes: io_bytes(opts, 64), // region params
         output_bytes: io_bytes(opts, DIM * DIM * 2),

@@ -5,9 +5,7 @@
 //! and synchronization; the matrix dimension is parameterizable because
 //! Fig. 8 sweeps it.
 
-use std::sync::Arc;
-
-use pagoda_core::{TaskDesc, TaskKernel};
+use pagoda_core::TaskDesc;
 
 use crate::calib;
 use crate::gen::{io_bytes, uniform_block};
@@ -81,17 +79,16 @@ pub fn tasks_sized(n: usize, dim: usize, opts: &GenOpts) -> Vec<TaskDesc> {
     let block = uniform_block(opts.threads_per_task, ops_per_thread, cpi, &fracs);
     let bytes = dim * dim * 4;
     let t = TaskDesc {
-        kernel: Arc::new(TaskKernel {
-            threads_per_tb: opts.threads_per_task,
-            num_tbs: 1,
-            smem_per_tb: if opts.use_smem {
+        kernel: crate::gen::kernel(
+            opts.threads_per_task,
+            if opts.use_smem {
                 (2 * TILE * TILE * 4) as u32
             } else {
                 0
             },
-            sync: true,
-            blocks: [block].into(),
-        }),
+            true,
+            [block],
+        ),
         cpu_ops: crate::gen::scale_ops(task_ops(dim), opts.work_scale),
         input_bytes: io_bytes(opts, 2 * bytes), // A and B
         output_bytes: io_bytes(opts, bytes),

@@ -12,9 +12,7 @@
 //! * tasks are tiny (one 32×32 tile of dense work) and irregular in count
 //!   per wave — the extreme narrow-task case (273 K tasks in the paper).
 
-use std::sync::Arc;
-
-use pagoda_core::{TaskDesc, TaskKernel};
+use pagoda_core::TaskDesc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -149,13 +147,7 @@ fn task_of(t: TileTask, opts: &GenOpts) -> TaskDesc {
         &[1.0],
     );
     TaskDesc {
-        kernel: Arc::new(TaskKernel {
-            threads_per_tb: opts.threads_per_task,
-            num_tbs: 1,
-            smem_per_tb: 0,
-            sync: false,
-            blocks: [block].into(),
-        }),
+        kernel: crate::gen::kernel(opts.threads_per_task, 0, false, [block]),
         cpu_ops: crate::gen::scale_ops(t.ops(), opts.work_scale),
         // The matrix lives in device memory for the whole factorization
         // (Table 3: SLUD spends 3 % in data copy — only control traffic).
@@ -215,8 +207,10 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::Kernel;
     use proptest::prelude::*;
     use std::collections::HashMap;
+    use std::sync::Arc;
 
     fn dominant(n: usize, seed: u64) -> Vec<f32> {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -414,7 +408,7 @@ mod tests {
         let symbolic = symbolic_waves(nb, DENSITY, opts.seed);
         let waves = waves_as_tasks(nb, DENSITY, opts);
         assert_eq!(waves.len(), symbolic.len());
-        let mut kernels: HashMap<*const TaskKernel, TileTask> = HashMap::new();
+        let mut kernels: HashMap<*const Kernel, TileTask> = HashMap::new();
         for (wave, kinds) in waves.iter().zip(&symbolic) {
             assert_eq!(wave.len(), kinds.len());
             for (t, &kind) in wave.iter().zip(kinds) {

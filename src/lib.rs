@@ -91,14 +91,14 @@ pub mod prelude {
     };
     pub use desim::{Dur, SimTime};
     pub use gpu_arch::{GpuSpec, TaskShape};
-    pub use gpu_sim::{BlockWork, DeviceConfig, GpuDevice, KernelDesc, Segment, WarpWork};
+    pub use gpu_sim::{BlockWork, DeviceConfig, GpuDevice, Kernel, Segment, WarpWork};
     pub use pagoda_cluster::{
         ClusterConfig, ClusterHandle, FaultKind, FaultSpec, FleetReport, Placement, RetryPolicy,
         TaskStatus,
     };
     pub use pagoda_core::{
         Backend, Capacity, ConfigError, PagodaConfig, PagodaError, PagodaRuntime, SubmitError,
-        TaskDesc, TaskError, TaskId, TaskKernel,
+        TaskDesc, TaskError, TaskId,
     };
     pub use pagoda_obs::{Counter, Obs, ObsBuffer, Recorder, Recording, TaskState};
     pub use pagoda_prof::{

@@ -14,19 +14,20 @@
 //!
 //! Task generation is held the same way: SLUD's tiles share their
 //! kind's work, so building a paper-scale factorization allocates per
-//! wave, not per tile.
+//! wave, not per tile. So is the HyperQ baseline's launch: the device
+//! shares a launched kernel's work, so a wider kernel costs only the
+//! warps it creates.
 //!
 //! The counter is per thread, so the tests of this file do not see each
 //! other's (or the harness's) allocations.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::Arc;
-
+use baselines::{run_hyperq, HyperQConfig};
 use desim::Dur;
-use gpu_sim::WarpWork;
+use gpu_sim::{BlockWork, Kernel, WarpWork};
 use pagoda_cluster::{ClusterConfig, ClusterHandle, Placement};
 use pagoda_core::{Backend, PagodaRuntime, SubmitError, TaskDesc};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use workloads::{slud, Bench, GenOpts};
 
 thread_local! {
@@ -75,11 +76,11 @@ fn allocs() -> u64 {
 /// clone bumps the kernel's reference count.
 fn descs(instrs: u64) -> [TaskDesc; 3] {
     let plain = TaskDesc::uniform(128, WarpWork::compute(instrs, 2.0));
-    let mut smem = TaskDesc::uniform(64, WarpWork::compute(instrs, 2.0));
-    let k = Arc::make_mut(&mut smem.kernel);
-    k.num_tbs = 2;
-    k.blocks = vec![k.blocks[0].clone(); 2].into();
-    k.smem_per_tb = 4 * 1024;
+    let block = BlockWork::uniform(2, WarpWork::compute(instrs, 2.0));
+    let smem = TaskDesc {
+        kernel: Kernel::new(64, 4 * 1024, false, vec![block; 2]).unwrap(),
+        ..plain.clone()
+    };
     let sync = TaskDesc::uniform(96, WarpWork::phased(instrs, 3, 2.0));
     [plain, smem, sync].map(|mut d| {
         d.output_bytes = 4096;
@@ -115,7 +116,7 @@ fn fill(rt: &mut PagodaRuntime, descs: &[TaskDesc]) -> usize {
 /// kind, and the event queue has been as deep as a full table makes it.
 fn warm(descs: &[TaskDesc; 3]) -> PagodaRuntime {
     let mut rt = PagodaRuntime::titan_x();
-    let widest = descs.iter().max_by_key(|d| d.num_tbs).unwrap();
+    let widest = descs.iter().max_by_key(|d| d.num_tbs()).unwrap();
     assert_eq!(fill(&mut rt, std::slice::from_ref(widest)), 1536);
     rt.wait_all();
     spawn(&mut rt, descs, 6_000);
@@ -235,4 +236,31 @@ fn a_two_device_fleet_states_its_own_budget() {
             "{placement:?}: {spent} allocations for 10 000 tasks on a warm two-device fleet"
         );
     }
+}
+
+#[test]
+fn a_hyperq_launch_copies_no_work() {
+    // The device shares each launched kernel's work lists. What a wider
+    // kernel still costs is one buffer per warp it creates: a native
+    // threadblock's warps are made fresh when it is placed, and each keeps
+    // its phases in its own buffer. A launch that copied its work would
+    // add a work list per warp on top, and a block list per launch.
+    const N: u64 = 1_000;
+    let run = |threads: u32| {
+        let task = TaskDesc::uniform(threads, WarpWork::compute(20_000, 2.0));
+        let tasks = vec![task; N as usize];
+        let before = allocs();
+        run_hyperq(&HyperQConfig::default(), &tasks);
+        allocs() - before
+    };
+    let (narrow, wide) = (run(32), run(1024));
+    println!("hyperq: {narrow} allocations for {N} 1-warp kernels, {wide} for 32-warp ones");
+    let extra_warps = 31 * N;
+    // Measured: 2 062 and 33 085, 1.0007 per extra warp. While each
+    // launch copied its blocks: 5 062 and 67 085, 2.0007.
+    assert!(
+        wide - narrow <= extra_warps + N / 10,
+        "{} allocations for {extra_warps} more warps",
+        wide - narrow
+    );
 }

@@ -2,12 +2,19 @@
 //! Table 1 semantics, resource virtualization corner cases, and protocol
 //! edge conditions.
 
-use std::sync::Arc;
-
 use pagoda::prelude::*;
 
 fn narrow(instrs: u64) -> TaskDesc {
     TaskDesc::uniform(128, WarpWork::compute(instrs, 8.0))
+}
+
+/// [`narrow`] with `smem_per_tb` bytes of shared memory per threadblock.
+fn narrow_with_smem(instrs: u64, smem_per_tb: u32) -> TaskDesc {
+    let t = narrow(instrs);
+    TaskDesc {
+        kernel: Kernel::new(128, smem_per_tb, false, t.blocks.to_vec()).unwrap(),
+        ..t
+    }
 }
 
 #[test]
@@ -85,9 +92,8 @@ fn smem_tasks_share_the_mtb_pool() {
     // once; the buddy allocator must recycle across many tasks.
     let mut rt = PagodaRuntime::titan_x();
     for _ in 0..300 {
-        let mut t = narrow(50_000);
-        Arc::make_mut(&mut t.kernel).smem_per_tb = 16 * 1024;
-        rt.spawn_blocking(t).unwrap();
+        rt.spawn_blocking(narrow_with_smem(50_000, 16 * 1024))
+            .unwrap();
     }
     rt.wait_all();
     assert_eq!(rt.report().tasks, 300);
@@ -99,9 +105,8 @@ fn full_pool_smem_tasks_serialize_but_complete() {
     // with deferred deallocation must not deadlock.
     let mut rt = PagodaRuntime::titan_x();
     for _ in 0..100 {
-        let mut t = narrow(30_000);
-        Arc::make_mut(&mut t.kernel).smem_per_tb = 32 * 1024;
-        rt.spawn_blocking(t).unwrap();
+        rt.spawn_blocking(narrow_with_smem(30_000, 32 * 1024))
+            .unwrap();
     }
     rt.wait_all();
     assert_eq!(rt.report().tasks, 100);
@@ -136,14 +141,9 @@ fn multi_threadblock_tasks_schedule_tb_by_tb() {
     let mut rt = PagodaRuntime::titan_x();
     for _ in 0..50 {
         let work = WarpWork::compute(30_000, 8.0);
+        let blocks = vec![BlockWork::uniform(4, work); 4];
         let t = TaskDesc {
-            kernel: Arc::new(TaskKernel {
-                threads_per_tb: 128,
-                num_tbs: 4,
-                smem_per_tb: 2048,
-                sync: false,
-                blocks: vec![BlockWork::uniform(4, work.clone()); 4].into(),
-            }),
+            kernel: Kernel::new(128, 2048, false, blocks).unwrap(),
             cpu_ops: 4 * 4 * 30_000,
             input_bytes: 0,
             output_bytes: 0,
@@ -179,10 +179,8 @@ fn task_bigger_than_one_mtb_is_rejected() {
 #[test]
 fn oversized_smem_is_rejected() {
     let mut rt = PagodaRuntime::titan_x();
-    let mut t = narrow(1);
-    Arc::make_mut(&mut t.kernel).smem_per_tb = 33 * 1024;
     assert!(matches!(
-        rt.submit(t),
+        rt.submit(narrow_with_smem(1, 33 * 1024)),
         Err(SubmitError::Invalid(TaskError::SmemTooLarge { .. }))
     ));
 }

@@ -13,7 +13,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
 
 use desim::{Engine, EventKey, SimTime};
 use pagoda::prelude::*;
@@ -35,11 +34,13 @@ fn arb_task() -> impl Strategy<Value = TaskDesc> {
             } else {
                 WarpWork::compute(instrs, 8.0)
             };
-            let mut t = TaskDesc::uniform(threads, work);
-            Arc::make_mut(&mut t.kernel).smem_per_tb = smem8k * 8 * 1024;
-            t.input_bytes = u32::try_from(inb).unwrap();
-            t.output_bytes = u32::try_from(outb).unwrap();
-            t
+            let t = TaskDesc::uniform(threads, work);
+            TaskDesc {
+                kernel: Kernel::new(threads, smem8k * 8 * 1024, t.sync, t.blocks.to_vec()).unwrap(),
+                input_bytes: u32::try_from(inb).unwrap(),
+                output_bytes: u32::try_from(outb).unwrap(),
+                ..t
+            }
         })
 }
 

@@ -32,7 +32,7 @@ impl Fnv {
 
     fn task(&mut self, t: &TaskDesc) {
         self.u64(u64::from(t.threads_per_tb));
-        self.u64(u64::from(t.num_tbs));
+        self.u64(u64::from(t.num_tbs()));
         self.u64(u64::from(t.smem_per_tb));
         self.u64(u64::from(t.sync));
         self.u64(u64::from(t.input_bytes));
