@@ -27,8 +27,9 @@ fn phase_name(state: TaskState) -> &'static str {
 ///
 /// Track layout:
 /// * **pid 1 — "tasks"**: one thread track per tenant (tid = tenant id;
-///   untagged tasks land on tid 0) carrying `X` duration events for each
-///   lifecycle phase (`spawn` → `queue` → `place` → `run`).
+///   untagged tasks land on tid 0, a task tagged twice on its first
+///   tenant) carrying `X` duration events for each lifecycle phase
+///   (`spawn` → `queue` → `place` → `run`).
 /// * **pid 2 — "SMM resources"**: one counter track per SMM (`C` events,
 ///   name `smm<N>`) with resident warps, free regs (in units of 1024),
 ///   free smem KiB, and free TB slots.
@@ -41,7 +42,12 @@ fn phase_name(state: TaskState) -> &'static str {
 /// Events are emitted one per line, sorted by timestamp, so every track
 /// is monotone in `ts`.
 pub fn write_chrome_trace<W: Write>(buf: &ObsBuffer, w: &mut W) -> io::Result<()> {
-    let tenant_of: BTreeMap<u64, u32> = buf.tenants.iter().map(|t| (t.task, t.tenant)).collect();
+    // A task tagged twice keeps its first tenant, as a duplicate state
+    // keeps its first instant below, and as `pagoda-prof` groups it.
+    let mut tenant_of: BTreeMap<u64, u32> = BTreeMap::new();
+    for t in &buf.tenants {
+        tenant_of.entry(t.task).or_insert(t.tenant);
+    }
 
     let mut events = TraceEvents::new();
 

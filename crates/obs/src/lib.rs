@@ -18,11 +18,12 @@
 //! [`Obs::recording`] appends every [`Event`] and counter bump to one
 //! log with a single owner — a run is simulated on one thread, so there
 //! is no lock and no atomic. Its [`Recording`] reads the log back two
-//! ways: [`Recording::snapshot`], one `Vec` per stream for the exporter
-//! in [`export`] (chrome://tracing with one track per SMM and per
-//! tenant), and [`Recording::events`], every event in emission order
-//! for checkers of cross-stream invariants. Other sinks implement the
-//! three-method [`Recorder`] trait and attach with [`Obs::new`].
+//! ways: [`Recording::snapshot`], one [`Events`] stream per event kind
+//! for the exporter in [`export`] (chrome://tracing with one track per
+//! SMM and per tenant), sharing the log's sealed chunks rather than
+//! copying them, and [`Recording::events`], every event in emission
+//! order for checkers of cross-stream invariants. Other sinks implement
+//! the three-method [`Recorder`] trait and attach with [`Obs::new`].
 //! `benchmark/` reports what recording costs in sim throughput as
 //! `obs.mem_overhead_pct`.
 //!
@@ -47,6 +48,7 @@
 pub mod events;
 pub mod export;
 pub mod recorder;
+pub mod stream;
 pub mod writer;
 
 pub use events::{
@@ -55,3 +57,4 @@ pub use events::{
 };
 pub use export::write_chrome_trace;
 pub use recorder::{Obs, ObsBuffer, Recorder, Recording};
+pub use stream::Events;

@@ -8,15 +8,23 @@
 //!
 //! Mem-mode hot path: a run is simulated on one thread, so its log has
 //! one owner — an `Rc<RefCell<_>>` shared by the run's `Obs` clones, with
-//! no lock and no atomic. The log keeps one chunked append-only ring per
-//! stream, one more ring of one-byte stream tags that remembers how the
-//! streams interleaved, and the counters as a plain array. Recording an
-//! event is a `RefCell` flag check plus two appends into preallocated
-//! chunks; bumping a counter is one add. Nothing on the recording path
-//! allocates a `String` or touches a map — counter names are interned
-//! `&'static str`s materialized only at [`Recording::snapshot`]
-//! (copy-on-export). What this costs over a fully disabled run is
+//! no lock and no atomic. The log keeps one chunked append-only
+//! [`Events`] stream per event kind, one more of one-byte stream tags
+//! that remembers how the streams interleaved, and the counters as a
+//! plain array. Recording an event is a `RefCell` flag check plus two
+//! appends into preallocated chunks; bumping a counter is one add.
+//! Nothing on the recording path allocates a `String` or touches a map —
+//! counter names are interned `&'static str`s materialized only at
+//! [`Recording::snapshot`]. What this costs over a fully disabled run is
 //! `obs.mem_overhead_pct` in `benchmark/`.
+//!
+//! Read-out shares, it does not copy: a snapshot's streams are clones of
+//! the log's, which share every sealed chunk with the log and copy only
+//! each stream's open chunk (at most [`CHUNK`](crate::stream::CHUNK)
+//! events). Sealed chunks are never written again, so recording on
+//! after a snapshot leaves the snapshot as it was; the chunks are
+//! `Arc`-shared, so an [`ObsBuffer`] is `Send + Sync` while the log
+//! itself stays single-threaded.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -30,6 +38,7 @@ use crate::events::{
     Counter, DeviceSample, Event, MarkKind, MtbSample, SmmSample, SyncKind, SyncMark, TaskEvent,
     TaskMark, TaskRoute, TaskState, TenantTag,
 };
+use crate::stream::Events;
 
 /// A sink for observability events, attached with [`Obs::new`]. All
 /// methods take `&self` (the sink is shared behind an `Arc` by every
@@ -59,28 +68,30 @@ pub trait Recorder {
     }
 }
 
-/// Everything a [`Recording`] captured, one `Vec` per stream, each in
-/// emission order. Byte-identical across identical seeded runs — the
-/// determinism test serializes two of these and compares strings.
+/// Everything a [`Recording`] captured, one [`Events`] stream per event
+/// kind, each in emission order, sharing its sealed chunks with the log
+/// it was taken from. Byte-identical across identical seeded runs — the
+/// determinism test serializes two of these and compares strings; each
+/// stream serializes as the JSON array a `Vec` of its events would.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct ObsBuffer {
     /// Task lifecycle events.
-    pub tasks: Vec<TaskEvent>,
+    pub tasks: Events<TaskEvent>,
     /// Task→tenant attributions.
-    pub tenants: Vec<TenantTag>,
+    pub tenants: Events<TenantTag>,
     /// Per-SMM resource samples.
-    pub smm: Vec<SmmSample>,
+    pub smm: Events<SmmSample>,
     /// Per-MTB occupancy samples.
-    pub mtb: Vec<MtbSample>,
+    pub mtb: Events<MtbSample>,
     /// Per-fleet-device samples (cluster layer).
-    pub devices: Vec<DeviceSample>,
+    pub devices: Events<DeviceSample>,
     /// Fleet synchronization points (cluster layer), emission order.
-    pub syncs: Vec<SyncMark>,
+    pub syncs: Events<SyncMark>,
     /// Serving-layer timeline marks, emission order (which may differ
     /// from `at_ps` order: marks are emitted retroactively at spawn).
-    pub marks: Vec<TaskMark>,
+    pub marks: Events<TaskMark>,
     /// Task→device routings (cluster layer), emission order.
-    pub routes: Vec<TaskRoute>,
+    pub routes: Events<TaskRoute>,
     /// Final counter totals, keyed by the interned [`Counter::name`]
     /// (`&'static str` — building a snapshot allocates no key strings).
     /// Every counter is present (zeros included) so the layout is
@@ -114,74 +125,7 @@ impl ObsBuffer {
     }
 }
 
-/// Events per ring chunk. Chunks are allocated whole and never grow, so
-/// an append never relocates previously recorded events and the
-/// amortized copy cost of `Vec` doubling never lands on the hot path.
-const CHUNK: usize = 4096;
-
-/// Append-only chunked storage for one event stream. A structure-of-
-/// arrays ring at the stream level: each stream keeps its own ring, and
-/// within a ring events sit contiguously inside fixed-size chunks. The
-/// open chunk is a direct field so the append fast path is one length
-/// compare plus a `Vec::push` into reserved capacity — spilling a full
-/// chunk into `full` is the only slow branch and runs once per `CHUNK`
-/// events.
-struct Ring<T> {
-    /// Spilled chunks, each exactly `CHUNK` long.
-    full: Vec<Vec<T>>,
-    /// The open chunk, capacity `CHUNK`; never reallocates.
-    last: Vec<T>,
-}
-
-impl<T: Copy> Ring<T> {
-    #[inline]
-    fn push(&mut self, v: T) {
-        if self.last.len() == CHUNK {
-            self.spill();
-        }
-        self.last.push(v);
-    }
-
-    #[cold]
-    fn spill(&mut self) {
-        let c = std::mem::replace(&mut self.last, Vec::with_capacity(CHUNK));
-        self.full.push(c);
-    }
-
-    fn len(&self) -> usize {
-        self.full.len() * CHUNK + self.last.len()
-    }
-
-    /// The `i`th element appended, if there is one.
-    #[inline]
-    fn get(&self, i: usize) -> Option<T> {
-        match self.full.get(i / CHUNK) {
-            Some(c) => Some(c[i % CHUNK]),
-            None => self.last.get(i - self.full.len() * CHUNK).copied(),
-        }
-    }
-
-    /// Flattens into one contiguous `Vec` (copy-on-export).
-    fn to_vec(&self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.len());
-        for c in &self.full {
-            out.extend_from_slice(c);
-        }
-        out.extend_from_slice(&self.last);
-        out
-    }
-}
-
-impl<T> Default for Ring<T> {
-    fn default() -> Self {
-        Ring {
-            full: Vec::new(),
-            last: Vec::with_capacity(CHUNK),
-        }
-    }
-}
-
-/// Which ring of the [`Log`] an event went to; one byte per event.
+/// Which stream of the [`Log`] an event went to; one byte per event.
 #[derive(Clone, Copy)]
 enum Stream {
     Task,
@@ -210,28 +154,28 @@ impl Stream {
     }
 }
 
-/// One recorded run: each stream in its own [`Ring`] (16–40 B an event
-/// rather than the 48 B of an [`Event`]), the order the streams
+/// One recorded run: each kind in its own [`Events`] stream (16–40 B an
+/// event rather than the 48 B of an [`Event`]), the order the streams
 /// interleaved in, and the counter totals.
 #[derive(Default)]
 struct Log {
-    tasks: Ring<TaskEvent>,
-    tenants: Ring<TenantTag>,
-    smm: Ring<SmmSample>,
-    mtb: Ring<MtbSample>,
-    devices: Ring<DeviceSample>,
-    syncs: Ring<SyncMark>,
-    marks: Ring<TaskMark>,
-    routes: Ring<TaskRoute>,
+    tasks: Events<TaskEvent>,
+    tenants: Events<TenantTag>,
+    smm: Events<SmmSample>,
+    mtb: Events<MtbSample>,
+    devices: Events<DeviceSample>,
+    syncs: Events<SyncMark>,
+    marks: Events<TaskMark>,
+    routes: Events<TaskRoute>,
     /// The stream of every event, emission order.
-    order: Ring<Stream>,
+    order: Events<Stream>,
     counts: [u64; Counter::ALL.len()],
 }
 
 impl Log {
     // `inline(always)`: every `Obs` method builds its variant at the call
     // site, so inlining folds both matches away and each instrumentation
-    // site is a direct push into its own ring. With a plain `#[inline]`
+    // site is a direct push into its own stream. With a plain `#[inline]`
     // the mem-recording overhead read higher in 10 of 10 alternating
     // pairs (medians 9.0 % vs 6.8 %).
     #[inline(always)]
@@ -263,19 +207,21 @@ pub struct Recording {
 }
 
 impl Recording {
-    /// Copies the log out as one `Vec` per stream. Counters materialize
-    /// as a sorted name→total map with all counters present.
+    /// The log so far, as one [`Events`] clone per stream: an `Arc` bump
+    /// per sealed chunk and a copy of at most one open chunk each.
+    /// Counters materialize as a sorted name→total map with all counters
+    /// present.
     pub fn snapshot(&self) -> ObsBuffer {
         let log = self.log.borrow();
         ObsBuffer {
-            tasks: log.tasks.to_vec(),
-            tenants: log.tenants.to_vec(),
-            smm: log.smm.to_vec(),
-            mtb: log.mtb.to_vec(),
-            devices: log.devices.to_vec(),
-            syncs: log.syncs.to_vec(),
-            marks: log.marks.to_vec(),
-            routes: log.routes.to_vec(),
+            tasks: log.tasks.clone(),
+            tenants: log.tenants.clone(),
+            smm: log.smm.clone(),
+            mtb: log.mtb.clone(),
+            devices: log.devices.clone(),
+            syncs: log.syncs.clone(),
+            marks: log.marks.clone(),
+            routes: log.routes.clone(),
             counters: Counter::ALL
                 .iter()
                 .map(|&c| (c.name(), log.counts[c as usize]))
@@ -289,22 +235,22 @@ impl Recording {
     /// the next event sits in, and `next` holds each stream's read
     /// position. The log stays borrowed until the iterator is dropped.
     pub fn events(&self) -> impl Iterator<Item = Event> + '_ {
-        const TAGGED: &str = "the log holds an event for every tag";
         let log = self.log.borrow();
         let mut next = [0; 8];
+        // Every tag has its event: `Log::event` appends both or neither.
         (0..).map_while(move |at| {
-            let s = log.order.get(at)?;
+            let s = *log.order.get(at)?;
             let i = next[s as usize];
             next[s as usize] += 1;
             Some(match s {
-                Stream::Task => Event::Task(log.tasks.get(i).expect(TAGGED)),
-                Stream::Tenant => Event::Tenant(log.tenants.get(i).expect(TAGGED)),
-                Stream::Smm => Event::Smm(log.smm.get(i).expect(TAGGED)),
-                Stream::Mtb => Event::Mtb(log.mtb.get(i).expect(TAGGED)),
-                Stream::Device => Event::Device(log.devices.get(i).expect(TAGGED)),
-                Stream::Sync => Event::Sync(log.syncs.get(i).expect(TAGGED)),
-                Stream::Mark => Event::Mark(log.marks.get(i).expect(TAGGED)),
-                Stream::Route => Event::Route(log.routes.get(i).expect(TAGGED)),
+                Stream::Task => Event::Task(log.tasks[i]),
+                Stream::Tenant => Event::Tenant(log.tenants[i]),
+                Stream::Smm => Event::Smm(log.smm[i]),
+                Stream::Mtb => Event::Mtb(log.mtb[i]),
+                Stream::Device => Event::Device(log.devices[i]),
+                Stream::Sync => Event::Sync(log.syncs[i]),
+                Stream::Mark => Event::Mark(log.marks[i]),
+                Stream::Route => Event::Route(log.routes[i]),
             })
         })
     }
@@ -317,7 +263,7 @@ impl Recording {
 
 /// The sink behind an enabled [`Obs`] handle. The log — the one sink on
 /// the measured hot path — gets its own variant so every event call is
-/// statically dispatched and the ring push inlines into the
+/// statically dispatched and the stream push inlines into the
 /// instrumentation site; anything else goes through the trait object.
 /// [`Obs::recording`] produces the fast variant, [`Obs::new`] the
 /// general one.
@@ -466,6 +412,7 @@ impl Obs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::CHUNK;
 
     #[test]
     fn off_handle_is_inert() {
@@ -495,7 +442,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_preserves_order_across_chunk_spill() {
+    fn streams_preserve_order_across_chunk_spill() {
         // More events than one chunk holds: order and count must survive
         // the spill into later chunks, in the snapshot and in the ordered
         // walk — also when the open chunk is exactly full.

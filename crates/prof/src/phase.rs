@@ -76,62 +76,69 @@ impl Phase {
     }
 }
 
-/// The (up to) eight raw cut timestamps for one task, in picoseconds.
-/// `None` means the corresponding event was never observed — single-GPU
-/// runs without a serving layer have no marks, and shed tasks never
-/// reach `spawned`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// "Not seen" in a [`Cuts`] slot, as in core's `Stamp`.
+const UNSEEN: u64 = u64::MAX;
+
+/// The (up to) eight raw cut timestamps for one task, in picoseconds,
+/// in cut order: `arrived` ([`MarkKind::Arrived`], offered to
+/// admission), `admitted` ([`MarkKind::Admitted`]), `spawned`
+/// ([`TaskState::Spawned`], submitted to the runtime), `enqueued`
+/// (visible in the device TaskTable), `placed` (claimed by an SMM),
+/// `running` (warps issued), `freed` (resources released) and
+/// `observed` ([`MarkKind::Observed`], completion seen host-side).
+///
+/// A cut may never be observed — single-GPU runs without a serving
+/// layer have no marks, and shed tasks never reach `spawned`. Each slot
+/// is a plain `u64` with `u64::MAX` meaning "not seen", 8 B where an
+/// `Option<u64>` takes 16, so a cut noted at exactly `u64::MAX` ps reads
+/// as unseen.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cuts {
-    /// Offered to admission ([`MarkKind::Arrived`]).
-    pub arrived: Option<u64>,
-    /// Accepted by admission ([`MarkKind::Admitted`]).
-    pub admitted: Option<u64>,
-    /// Submitted to the runtime ([`TaskState::Spawned`]).
-    pub spawned: Option<u64>,
-    /// Visible in the device TaskTable ([`TaskState::Enqueued`]).
-    pub enqueued: Option<u64>,
-    /// Claimed by an SMM ([`TaskState::Placed`]).
-    pub placed: Option<u64>,
-    /// Warps issued ([`TaskState::Running`]).
-    pub running: Option<u64>,
-    /// Resources released ([`TaskState::Freed`]).
-    pub freed: Option<u64>,
-    /// Completion observed host-side ([`MarkKind::Observed`]).
-    pub observed: Option<u64>,
+    /// Cut `i` in the order above: `at[6]` is `freed`.
+    at: [u64; 8],
+}
+
+impl Default for Cuts {
+    fn default() -> Self {
+        Cuts { at: [UNSEEN; 8] }
+    }
 }
 
 impl Cuts {
     /// Records a lifecycle span edge. First observation wins, matching
     /// the exporters' handling of duplicate state events.
     pub fn note_state(&mut self, state: TaskState, at_ps: u64) {
-        let slot = match state {
-            TaskState::Spawned => &mut self.spawned,
-            TaskState::Enqueued => &mut self.enqueued,
-            TaskState::Placed => &mut self.placed,
-            TaskState::Running => &mut self.running,
-            TaskState::Freed => &mut self.freed,
+        let cut = match state {
+            TaskState::Spawned => 2,
+            TaskState::Enqueued => 3,
+            TaskState::Placed => 4,
+            TaskState::Running => 5,
+            TaskState::Freed => 6,
         };
-        if slot.is_none() {
-            *slot = Some(at_ps);
-        }
+        self.note(cut, at_ps);
     }
 
     /// Records a serving mark. First observation wins.
     pub fn note_mark(&mut self, kind: MarkKind, at_ps: u64) {
-        let slot = match kind {
-            MarkKind::Arrived => &mut self.arrived,
-            MarkKind::Admitted => &mut self.admitted,
-            MarkKind::Observed => &mut self.observed,
+        let cut = match kind {
+            MarkKind::Arrived => 0,
+            MarkKind::Admitted => 1,
+            MarkKind::Observed => 7,
         };
-        if slot.is_none() {
-            *slot = Some(at_ps);
+        self.note(cut, at_ps);
+    }
+
+    fn note(&mut self, cut: usize, at_ps: u64) {
+        let slot = &mut self.at[cut];
+        if *slot == UNSEEN {
+            *slot = at_ps;
         }
     }
 
     /// Whether the task completed (reached `freed`) — the precondition
     /// for decomposition.
     pub fn complete(&self) -> bool {
-        self.freed.is_some()
+        self.at[6] != UNSEEN
     }
 
     /// Resolves the eight cuts to concrete, monotone timestamps.
@@ -146,21 +153,11 @@ impl Cuts {
         if !self.complete() {
             return None;
         }
-        let raw = [
-            self.arrived,
-            self.admitted,
-            self.spawned,
-            self.enqueued,
-            self.placed,
-            self.running,
-            self.freed,
-            self.observed,
-        ];
-        let first = raw.iter().flatten().copied().next()?;
+        let first = self.at.into_iter().find(|&t| t != UNSEEN)?;
         let mut out = [0u64; 8];
         let mut prev = first;
-        for (slot, cut) in out.iter_mut().zip(raw) {
-            let v = cut.unwrap_or(prev).max(prev);
+        for (slot, cut) in out.iter_mut().zip(self.at) {
+            let v = if cut == UNSEEN { prev } else { cut.max(prev) };
             *slot = v;
             prev = v;
         }
@@ -257,8 +254,7 @@ mod tests {
         c.note_state(TaskState::Spawned, 10);
         c.note_state(TaskState::Spawned, 99);
         c.note_state(TaskState::Freed, 50);
-        assert_eq!(c.spawned, Some(10));
         let d = decompose(&c).unwrap();
-        assert_eq!(d.sojourn_ps, 40);
+        assert_eq!((d.start_ps, d.sojourn_ps), (10, 40));
     }
 }

@@ -19,6 +19,7 @@ use crate::hist::{HistSummary, LogHist};
 use crate::phase::{decompose, Cuts, Decomposition, Phase};
 
 /// One task's profiling inputs: its cut timeline plus grouping keys.
+/// 80 B: [`ProfReport::from_buffer`] holds one per task key.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TaskProf {
     /// Cut timestamps accumulated from the event stream.
@@ -29,6 +30,8 @@ pub struct TaskProf {
     /// route wins.
     pub device: Option<u32>,
 }
+
+const _: () = assert!(std::mem::size_of::<TaskProf>() <= 80);
 
 /// Phase histograms for one group of tasks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,7 +130,7 @@ impl ProfReport {
                 p.device = Some(r.device);
             }
         }
-        ProfReport::aggregate(tasks.dense.iter().flatten().chain(tasks.sparse.values()))
+        ProfReport::aggregate(tasks.dense.iter().chain(tasks.sparse.values()))
     }
 
     /// The `total` group (present even when no task completed).
@@ -168,8 +171,12 @@ impl ProfReport {
 /// a profile, so a buffer with sparse or huge keys (they are the
 /// caller's to choose) pays the map for those keys instead of an
 /// allocation sized by the largest one.
+///
+/// A dense row is live iff some cut is set; a row no task or mark event
+/// reached stays all-unseen, so `aggregate` skips it as incomplete like
+/// any other task that never reached `freed`, whatever tags it holds.
 struct TaskTable {
-    dense: Vec<Option<TaskProf>>,
+    dense: Vec<TaskProf>,
     /// Keys `≥ dense.len()`.
     sparse: BTreeMap<u64, TaskProf>,
 }
@@ -181,22 +188,24 @@ impl TaskTable {
         let cap = (buf.tasks.len() + buf.marks.len()) as u64;
         let len = top.map_or(0, |k| k.saturating_add(1).min(cap));
         TaskTable {
-            dense: vec![None; len as usize],
+            dense: vec![TaskProf::default(); len as usize],
             sparse: BTreeMap::new(),
         }
     }
 
     fn entry(&mut self, key: u64) -> &mut TaskProf {
         if key < self.dense.len() as u64 {
-            self.dense[key as usize].get_or_insert_with(TaskProf::default)
+            &mut self.dense[key as usize]
         } else {
             self.sparse.entry(key).or_default()
         }
     }
 
+    /// The row of `key` if a task or mark event may have reached it: any
+    /// dense row, a sparse one only if it exists.
     fn get_mut(&mut self, key: u64) -> Option<&mut TaskProf> {
         if key < self.dense.len() as u64 {
-            self.dense[key as usize].as_mut()
+            Some(&mut self.dense[key as usize])
         } else {
             self.sparse.get_mut(&key)
         }
@@ -309,6 +318,31 @@ mod tests {
             .filter(|l| l.starts_with("device/"))
             .collect();
         assert_eq!(dev, ["device/1"]);
+    }
+
+    #[test]
+    fn trace_and_profile_agree_on_a_task_tagged_twice() {
+        // The first tag wins in both read-outs, as a duplicate state's
+        // first instant does.
+        let (obs, rec) = Obs::recording();
+        obs.tenant(0, 3);
+        obs.task(10, 0, TaskState::Spawned);
+        obs.task(100, 0, TaskState::Running);
+        obs.task(400, 0, TaskState::Freed);
+        obs.tenant(0, 5);
+        let buf = rec.snapshot();
+        let mut trace = Vec::new();
+        pagoda_obs::write_chrome_trace(&buf, &mut trace).unwrap();
+        let trace = String::from_utf8(trace).unwrap();
+        let tids: Vec<&str> = trace
+            .lines()
+            .filter(|l| l.contains(r#""ph":"X""#))
+            .filter_map(|l| l.split(r#""tid":"#).nth(1)?.split(',').next())
+            .collect();
+        assert_eq!(tids, ["3", "3"]);
+        let report = ProfReport::from_buffer(&buf);
+        let labels: Vec<&str> = report.groups.iter().map(|g| g.label.as_str()).collect();
+        assert_eq!(labels, ["total", "tenant/3"]);
     }
 
     #[test]

@@ -16,16 +16,20 @@
 //! kind's work, so building a paper-scale factorization allocates per
 //! wave, not per tile. So is the HyperQ baseline's launch: the device
 //! shares a launched kernel's work, so a wider kernel costs only the
-//! warps it creates.
+//! warps it creates. And so is reading a recorded run: a snapshot of the
+//! log shares its sealed chunks, so its bytes do not grow with the
+//! events recorded.
 //!
-//! The counter is per thread, so the tests of this file do not see each
-//! other's (or the harness's) allocations.
+//! The counters are per thread, so the tests of this file do not see
+//! each other's (or the harness's) allocations.
 
 use baselines::{run_hyperq, HyperQConfig};
 use desim::Dur;
 use gpu_sim::{BlockWork, Kernel, WarpWork};
 use pagoda_cluster::{ClusterConfig, ClusterHandle, Placement};
 use pagoda_core::{Backend, PagodaRuntime, SubmitError, TaskDesc};
+use pagoda_obs::stream::CHUNK;
+use pagoda_obs::{MarkKind, Obs, TaskState};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use workloads::{slud, Bench, GenOpts};
@@ -34,13 +38,17 @@ thread_local! {
     /// `alloc` + `realloc` calls made by this thread. Const-initialised
     /// and without a destructor, so touching it never allocates.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those calls asked for: an `alloc`'s size, a `realloc`'s new
+    /// size.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn bump() {
+fn bump(size: usize) {
     // `try_with`: a thread being torn down may still free and allocate.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -48,12 +56,12 @@ fn bump() {
 // and neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: the caller's obligations are `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -68,6 +76,10 @@ static GLOBAL: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 /// The three scheduling kinds (whole-task `pSched`; per-threadblock with
@@ -262,5 +274,44 @@ fn a_hyperq_launch_copies_no_work() {
         wide - narrow <= extra_warps + N / 10,
         "{} allocations for {extra_warps} more warps",
         wide - narrow
+    );
+}
+
+#[test]
+fn a_snapshot_copies_no_sealed_chunk() {
+    // A snapshot clones each stream of the log: an `Arc` per sealed
+    // chunk, 8 B in the clone's chunk list, plus a copy of the open
+    // chunk. N and 4N are multiples of the chunk, so both logs end in a
+    // full open chunk and only the chunk lists differ. A copying
+    // snapshot grows by every extra event's bytes instead.
+    const N: u64 = 16 * CHUNK as u64;
+    let snapshot_bytes = |n: u64| {
+        let (obs, rec) = Obs::recording();
+        for i in 0..n {
+            obs.mark(i, i, MarkKind::Arrived);
+            obs.task(i + 1, i, TaskState::Spawned);
+            obs.tenant(i, (i % 8) as u32);
+        }
+        let before = bytes();
+        let snap = rec.snapshot();
+        let spent = bytes() - before;
+        assert_eq!(
+            snap.marks.len() + snap.tasks.len() + snap.tenants.len(),
+            3 * n as usize
+        );
+        spent
+    };
+    let (small, large) = (snapshot_bytes(N), snapshot_bytes(4 * N));
+    let extra_chunks = 3 * (4 * N - N) / CHUNK as u64;
+    println!(
+        "snapshot: {small} B for {N} events per stream, {large} B for {}; {extra_chunks} more sealed chunks",
+        4 * N
+    );
+    // Measured: 8 B per extra sealed chunk. Copied, the 3 × 3N extra
+    // events (24 + 24 + 16 B) would be 12.6 MB.
+    assert!(
+        large.saturating_sub(small) <= 16 * extra_chunks,
+        "a snapshot of 4N events took {large} B, of N {small} B: {} B for {extra_chunks} more sealed chunks",
+        large.saturating_sub(small)
     );
 }
