@@ -87,6 +87,13 @@ run cargo run --release --offline --example multi_tenant -- --devices 2 --prof t
 # copy and that the chrome trace it writes parses.
 run cargo run --release --offline --example inspect_trace
 
+# The remaining examples run too, not only compile: a task that does not
+# fit, or a fleet that loses work across its kill (`cluster` asserts it),
+# panics and fails CI. Each runs in well under a second.
+for example in quickstart packet_router surveillance_dct sparse_solver multiprogram cluster; do
+    run cargo run --release --offline --example "$example"
+done
+
 # The repo benchmark (benchmark/, a package outside this workspace that
 # drives the stack through its public API): build it and run all four
 # workloads, end-to-end then traced, at smoke scale. Exits nonzero on a

@@ -154,22 +154,6 @@ pub struct PersistentTb {
     pub warps: Vec<WarpHandle>,
 }
 
-/// Device-level counters.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DeviceStats {
-    /// Native kernels launched.
-    pub kernels_launched: u64,
-    /// Native threadblocks placed.
-    pub tbs_placed: u64,
-    /// ∫ resident warps dt (warp·ps).
-    pub resident_warp_ps: f64,
-    /// ∫ running warps dt (warp·ps) — from the execution engine.
-    pub running_warp_ps: f64,
-    /// Time with ≥1 running warp anywhere, summed per SMM (warp·ps
-    /// granularity: each SMM contributes its own busy time).
-    pub busy_ps: u64,
-}
-
 /// The simulated GPU.
 #[derive(Debug)]
 pub struct GpuDevice {
@@ -185,12 +169,6 @@ pub struct GpuDevice {
     waiting: VecDeque<u32>,
     /// Launch front-end serialization point.
     next_launch_free: SimTime,
-    /// Resident-warp integral bookkeeping.
-    resident_count: u32,
-    resident_integral: f64,
-    last_resident_update: SimTime,
-    kernels_launched: u64,
-    tbs_placed: u64,
     drain_pending: bool,
     /// The single armed next-completion prediction per SMM. Re-aimed in
     /// place on running-set changes ([`Engine::reschedule`]), cleared at
@@ -236,11 +214,6 @@ impl GpuDevice {
             active: Vec::new(),
             waiting: VecDeque::new(),
             next_launch_free: SimTime::ZERO,
-            resident_count: 0,
-            resident_integral: 0.0,
-            last_resident_update: SimTime::ZERO,
-            kernels_launched: 0,
-            tbs_placed: 0,
             drain_pending: false,
             sm_wake,
             dirty,
@@ -296,7 +269,6 @@ impl GpuDevice {
             retired_tbs: 0,
             done: false,
         });
-        self.kernels_launched += 1;
         self.obs.count(Counter::KernelLaunches, 1);
         let issue_at = self.now().max(self.next_launch_free) + self.cfg.launch_issue_cost;
         self.next_launch_free = issue_at;
@@ -341,7 +313,6 @@ impl GpuDevice {
             let warps = (0..shape.warps_per_tb())
                 .map(|_| self.exec.create_warp(sm))
                 .collect::<Vec<_>>();
-            self.add_resident(now, shape.warps_per_tb() as i64);
             self.sample_sm(now, sm);
             out.push(PersistentTb { sm, warps });
         }
@@ -474,20 +445,6 @@ impl GpuDevice {
         }
     }
 
-    /// Device counters, with utilization integrals current as of `now`.
-    pub fn stats(&mut self) -> DeviceStats {
-        let now = self.now();
-        self.add_resident(now, 0); // flush integral
-        let ex = self.exec.total_stats();
-        DeviceStats {
-            kernels_launched: self.kernels_launched,
-            tbs_placed: self.tbs_placed,
-            resident_warp_ps: self.resident_integral,
-            running_warp_ps: ex.running_warp_ps,
-            busy_ps: ex.busy_ps,
-        }
-    }
-
     /// Average busy time per SMM over `[0, now]`: the profiler-style
     /// aggregate kernel time.
     pub fn avg_sm_busy(&self) -> Dur {
@@ -496,24 +453,13 @@ impl GpuDevice {
 
     /// Average *running* occupancy over `[0, now]`: mean fraction of the
     /// device's warp slots doing useful work.
-    pub fn avg_running_occupancy(&mut self) -> f64 {
+    pub fn avg_running_occupancy(&self) -> f64 {
         let now = self.now().as_ps();
         if now == 0 {
             return 0.0;
         }
-        let s = self.stats();
-        s.running_warp_ps / (self.cfg.spec.max_resident_warps() as f64 * now as f64)
-    }
-
-    /// Average *resident* occupancy over `[0, now]` — the CUDA notion of
-    /// occupancy (warps holding slots, running or not).
-    pub fn avg_resident_occupancy(&mut self) -> f64 {
-        let now = self.now().as_ps();
-        if now == 0 {
-            return 0.0;
-        }
-        let s = self.stats();
-        s.resident_warp_ps / (self.cfg.spec.max_resident_warps() as f64 * now as f64)
+        let running_warp_ps = self.exec.total_stats().running_warp_ps;
+        running_warp_ps / (self.cfg.spec.max_resident_warps() as f64 * now as f64)
     }
 
     /// Event-engine counters (scheduled/delivered/cancelled), the
@@ -586,13 +532,6 @@ impl GpuDevice {
         r.tbs += 1;
         r.regs += f.regs - regs_freed;
         r.smem += f.smem;
-    }
-
-    fn add_resident(&mut self, now: SimTime, delta: i64) {
-        let dt = now.saturating_since(self.last_resident_update).as_ps();
-        self.resident_integral += self.resident_count as f64 * dt as f64;
-        self.last_resident_update = now;
-        self.resident_count = (self.resident_count as i64 + delta) as u32;
     }
 
     fn request_drain(&mut self) {
@@ -696,7 +635,6 @@ impl GpuDevice {
         Self::take(&mut self.sm_res[sm as usize], &foot);
         let warps: Vec<WarpHandle> = (0..foot.warps).map(|_| self.exec.create_warp(sm)).collect();
         let group = self.exec.create_group(&warps);
-        self.add_resident(now, foot.warps as i64);
         let tb_id = self.tbs.len();
         self.tbs.push(TbCtx {
             kid,
@@ -709,7 +647,6 @@ impl GpuDevice {
             regs_prefreed: 0,
             retired: false,
         });
-        self.tbs_placed += 1;
         self.exec.advance_sm(sm, now);
         let block = &self.kernels[kid as usize].kernel.blocks[tb_index];
         let tag = NATIVE_BIT | tb_id as u64;
@@ -755,7 +692,6 @@ impl GpuDevice {
             self.sm_res[tb_sm].warps += 1;
             self.sm_res[tb_sm].threads += threads;
             self.sm_res[tb_sm].regs += regs;
-            self.add_resident(now, -1);
             dirty[tb_sm] = true;
             self.sample_sm(now, tb_sm as u32);
         }
@@ -779,7 +715,6 @@ impl GpuDevice {
         };
         let foot = self.kernels[kid as usize].foot;
         Self::give(&mut self.sm_res[sm as usize], &foot, pre);
-        self.add_resident(now, -((foot.warps - pre.0) as i64));
         self.exec.release_group(group);
         for w in warps {
             self.exec.retire_warp(w);
@@ -1049,26 +984,6 @@ mod tests {
         dev.schedule_host(SimTime::from_us(1), 3);
         let seen: Vec<Notify> = drain(&mut dev).into_iter().map(|(_, n)| n).collect();
         assert_eq!(seen, [3, 2, 1].map(Notify::Host));
-    }
-
-    #[test]
-    fn occupancy_stats_reflect_residency() {
-        let mut dev = GpuDevice::new(quiet_cfg());
-        let mk = TaskShape {
-            threads_per_tb: 1024,
-            num_tbs: 48,
-            regs_per_thread: 32,
-            smem_per_tb: 32 * 1024,
-        };
-        let tbs = dev.launch_persistent(mk).unwrap();
-        let w = tbs[0].warps[0];
-        dev.assign_warp(w, WarpWork::compute(32_000, 4.0), 1);
-        drain(&mut dev);
-        // All 1536 warps resident the whole time.
-        assert!((dev.avg_resident_occupancy() - 1.0).abs() < 1e-9);
-        // Only one warp ever ran.
-        let run = dev.avg_running_occupancy();
-        assert!((run - 1.0 / 1536.0).abs() < 1e-6, "running occ {run}");
     }
 
     #[test]

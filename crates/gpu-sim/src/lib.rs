@@ -39,6 +39,6 @@ pub mod device;
 pub mod exec;
 pub mod work;
 
-pub use device::{DeviceConfig, DeviceStats, GpuDevice, Notify, PersistentTb};
+pub use device::{DeviceConfig, GpuDevice, Notify, PersistentTb};
 pub use exec::{ExecStats, GroupId, WarpHandle};
 pub use work::{BlockWork, Kernel, KernelError, Segment, WarpWork};

@@ -1,10 +1,14 @@
 //! Property tests of the device simulator: resource conservation, timing
-//! bounds, and completion guarantees for arbitrary kernel soups.
+//! bounds, and completion guarantees for arbitrary kernel soups, with
+//! residency read from the recorder's per-SMM samples.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use desim::SimTime;
+use gpu_arch::TaskShape;
 use gpu_sim::{BlockWork, DeviceConfig, GpuDevice, Kernel, Notify, WarpWork};
+use pagoda_obs::{Obs, Recording};
 use proptest::prelude::*;
 
 fn quiet() -> DeviceConfig {
@@ -25,6 +29,23 @@ fn retire_all(dev: &mut GpuDevice) -> Vec<u64> {
         }
     }
     done
+}
+
+/// ∫ resident warps dt (warp·ps) over `[0, now]`, summed over the SMMs,
+/// read from a recorded run's per-SMM samples: each SMM holds a sample's
+/// `resident_warps` until its next sample, and its last one until `now`.
+fn resident_warp_ps(rec: &Recording, now: SimTime) -> u128 {
+    let mut last: HashMap<u32, (u64, u32)> = HashMap::new();
+    let mut total = 0u128;
+    for s in &rec.snapshot().smm {
+        if let Some((at, warps)) = last.insert(s.sm, (s.at_ps, s.resident_warps)) {
+            total += u128::from(warps) * u128::from(s.at_ps - at);
+        }
+    }
+    let tails = last
+        .values()
+        .map(|&(at, warps)| u128::from(warps) * u128::from(now.as_ps() - at));
+    total + tails.sum::<u128>()
 }
 
 /// A kernel of `s.tbs` threadblocks of `s.threads` threads with
@@ -104,14 +125,41 @@ proptest! {
     #[test]
     fn occupancy_metrics_stay_in_range(specs in prop::collection::vec(arb_kernel(), 1..10)) {
         let mut dev = GpuDevice::new(quiet());
+        let (obs, rec) = Obs::recording();
+        dev.attach_obs(obs);
         for (i, s) in specs.iter().enumerate() {
             let _ = dev.launch_kernel(kernel(s, 0, WarpWork::compute(s.instrs, 4.0)), i as u64);
         }
         retire_all(&mut dev);
         let run = dev.avg_running_occupancy();
-        let res = dev.avg_resident_occupancy();
+        // A run that ends at 0 holds nothing resident: 0, as for `run`.
+        let slots_ps = f64::from(dev.spec().max_resident_warps()) * dev.now().as_ps().max(1) as f64;
+        let res = resident_warp_ps(&rec, dev.now()) as f64 / slots_ps;
         prop_assert!((0.0..=1.0).contains(&run));
         prop_assert!((0.0..=1.0).contains(&res));
         prop_assert!(run <= res + 1e-9, "running {run} cannot exceed resident {res}");
     }
+}
+
+#[test]
+fn occupancy_stats_reflect_residency() {
+    let mut dev = GpuDevice::new(quiet());
+    let (obs, rec) = Obs::recording();
+    dev.attach_obs(obs);
+    let mk = TaskShape {
+        threads_per_tb: 1024,
+        num_tbs: 48,
+        regs_per_thread: 32,
+        smem_per_tb: 32 * 1024,
+    };
+    let tbs = dev.launch_persistent(mk).unwrap();
+    let w = tbs[0].warps[0];
+    dev.assign_warp(w, WarpWork::compute(32_000, 4.0), 1);
+    retire_all(&mut dev);
+    // All 1536 warps resident the whole time.
+    let now = dev.now();
+    assert_eq!(resident_warp_ps(&rec, now), 1536 * u128::from(now.as_ps()));
+    // Only one warp ever ran.
+    let run = dev.avg_running_occupancy();
+    assert!((run - 1.0 / 1536.0).abs() < 1e-6, "running occ {run}");
 }

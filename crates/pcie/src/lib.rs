@@ -217,13 +217,6 @@ impl PcieBus {
     pub fn config(&self) -> &PcieConfig {
         &self.cfg
     }
-
-    /// Time a `bytes`-byte transfer would occupy the wire, ignoring queueing
-    /// — used by runtimes to budget aggregation decisions. Delegates to
-    /// [`PcieConfig::transfer_time`].
-    pub fn service_time(&self, dir: Direction, bytes: u64) -> Dur {
-        self.cfg.transfer_time(dir, bytes)
-    }
 }
 
 #[cfg(test)]

@@ -36,12 +36,12 @@ proptest! {
     }
 
     #[test]
-    fn service_time_is_monotone_in_bytes(a in 0u64..1_000_000, b in 0u64..1_000_000) {
+    fn transfer_time_is_monotone_in_bytes(a in 0u64..1_000_000, b in 0u64..1_000_000) {
         let bus = PcieBus::new(PcieConfig::default());
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         prop_assert!(
-            bus.service_time(Direction::HostToDevice, lo)
-                <= bus.service_time(Direction::HostToDevice, hi)
+            bus.config().transfer_time(Direction::HostToDevice, lo)
+                <= bus.config().transfer_time(Direction::HostToDevice, hi)
         );
     }
 }

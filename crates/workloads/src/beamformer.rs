@@ -14,38 +14,10 @@ pub const N_SIM: usize = 2048;
 /// Sensor channels combined per beam.
 pub const CHANNELS: usize = 64;
 
-/// Delay-and-sum with per-channel complex weights: for each output sample
-/// `t`, `out[t] = Σ_c (wr_c + i·wi_c) · x_c[t - delay_c]`, magnitude
-/// output.
-pub fn beamform(
-    channels: &[Vec<f32>],
-    weights_re: &[f32],
-    weights_im: &[f32],
-    delays: &[usize],
-) -> Vec<f32> {
-    let n = channels[0].len();
-    assert!(channels.iter().all(|c| c.len() == n), "ragged channels");
-    assert_eq!(channels.len(), weights_re.len());
-    assert_eq!(channels.len(), weights_im.len());
-    assert_eq!(channels.len(), delays.len());
-    let mut out = vec![0.0f32; n];
-    for (t, o) in out.iter_mut().enumerate() {
-        let mut acc_re = 0.0f32;
-        let mut acc_im = 0.0f32;
-        for (c, ch) in channels.iter().enumerate() {
-            let idx = t.checked_sub(delays[c]);
-            let x = idx.map_or(0.0, |i| ch[i]);
-            acc_re += weights_re[c] * x;
-            acc_im += weights_im[c] * x;
-        }
-        *o = (acc_re * acc_re + acc_im * acc_im).sqrt();
-    }
-    out
-}
-
-/// Per-task thread-op count: per sample, each channel contributes a
-/// complex MAC (~6 ops) plus delayed-load math (~2), then the magnitude
-/// (~6).
+/// Per-task thread-op count for delay-and-sum with per-channel complex
+/// weights, `out[t] = |Σ_c (wr_c + i·wi_c) · x_c[t - delay_c]|`: per
+/// sample, each channel contributes a complex MAC (~6 ops) plus
+/// delayed-load math (~2), then the magnitude (~6).
 fn task_ops() -> u64 {
     (N_SIM * (CHANNELS * 8 + 6)) as u64
 }
@@ -67,31 +39,6 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn single_channel_unit_weight_is_magnitude_identity() {
-        let x: Vec<f32> = (0..32).map(|i| i as f32 - 16.0).collect();
-        let out = beamform(std::slice::from_ref(&x), &[1.0], &[0.0], &[0]);
-        for (o, v) in out.iter().zip(&x) {
-            assert!((o - v.abs()).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn delays_shift_contributions() {
-        let mut imp = vec![0.0f32; 16];
-        imp[0] = 1.0;
-        let out = beamform(&[imp], &[1.0], &[0.0], &[3]);
-        assert_eq!(out[2], 0.0);
-        assert!((out[3] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn coherent_channels_add() {
-        let x = vec![1.0f32; 8];
-        let out = beamform(&[x.clone(), x.clone()], &[1.0, 1.0], &[0.0, 0.0], &[0, 0]);
-        assert!((out[0] - 2.0).abs() < 1e-5);
-    }
 
     #[test]
     fn tasks_shape() {

@@ -5,8 +5,6 @@
 //! synchronization required (Table 3).
 
 use pagoda_core::TaskDesc;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use crate::calib;
 use crate::gen::{io_bytes, uniform_block};
@@ -19,47 +17,6 @@ pub const N_COL: usize = 32;
 /// Downsampling factor.
 pub const N_SAMP: usize = 8;
 
-/// Causal FIR convolution: `out[t] = Σ_k h[k]·x[t-k]` (zero history).
-pub fn convolve(x: &[f32], h: &[f32]) -> Vec<f32> {
-    let mut out = vec![0.0f32; x.len()];
-    for t in 0..x.len() {
-        let mut acc = 0.0;
-        for (k, &hk) in h.iter().enumerate() {
-            if t >= k {
-                acc += hk * x[t - k];
-            }
-        }
-        out[t] = acc;
-    }
-    out
-}
-
-/// Keeps every `factor`-th sample.
-pub fn downsample(x: &[f32], factor: usize) -> Vec<f32> {
-    x.iter().step_by(factor).copied().collect()
-}
-
-/// Zero-stuffing upsample back to `len`.
-pub fn upsample(x: &[f32], factor: usize, len: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; len];
-    for (i, &v) in x.iter().enumerate() {
-        let j = i * factor;
-        if j < len {
-            out[j] = v;
-        }
-    }
-    out
-}
-
-/// The whole FilterBank pipeline for one signal (the reference the GPU
-/// kernel in Fig. 1c computes).
-pub fn filterbank(signal: &[f32], h: &[f32], f: &[f32]) -> Vec<f32> {
-    let a = convolve(signal, h);
-    let d = downsample(&a, N_SAMP);
-    let u = upsample(&d, N_SAMP, signal.len());
-    convolve(&u, f)
-}
-
 /// Per-task GPU thread-op count: two dense convolutions dominate — per
 /// tap a MAC (2 ops), two loads, and boundary/index arithmetic (~6 ops
 /// total) — plus the resample stages.
@@ -70,9 +27,8 @@ fn task_ops() -> u64 {
 }
 
 /// Generates `n` FilterBank tasks. Work is regular, so every task is
-/// identical up to its (irrelevant to timing) signal contents.
+/// identical.
 pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
-    let _rng = SmallRng::seed_from_u64(opts.seed ^ 0x6662);
     let scaled = crate::gen::scale_ops(task_ops(), opts.work_scale);
     let ops_per_thread = scaled / u64::from(opts.threads_per_task);
     // Four synchronized stages: H-convolution, down, up, F-convolution.
@@ -94,45 +50,6 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn convolve_identity() {
-        let x = vec![1.0, 2.0, 3.0, 4.0];
-        let h = vec![1.0];
-        assert_eq!(convolve(&x, &h), x);
-    }
-
-    #[test]
-    fn convolve_delay() {
-        let x = vec![1.0, 2.0, 3.0, 4.0];
-        let h = vec![0.0, 1.0]; // one-sample delay
-        assert_eq!(convolve(&x, &h), vec![0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn down_up_roundtrip_keeps_kept_samples() {
-        let x: Vec<f32> = (0..64).map(|i| i as f32).collect();
-        let d = downsample(&x, 8);
-        assert_eq!(d.len(), 8);
-        let u = upsample(&d, 8, 64);
-        assert_eq!(u[0], 0.0);
-        assert_eq!(u[8], 8.0);
-        assert_eq!(u[9], 0.0, "zero-stuffed");
-    }
-
-    #[test]
-    fn pipeline_linear_in_input() {
-        // Filterbank is linear: F(2x) = 2 F(x).
-        let h: Vec<f32> = (0..N_COL).map(|k| 1.0 / (k + 1) as f32).collect();
-        let f: Vec<f32> = (0..N_COL).map(|k| 0.5 / (k + 1) as f32).collect();
-        let x: Vec<f32> = (0..256).map(|i| (i as f32 * 0.1).sin()).collect();
-        let y1 = filterbank(&x, &h, &f);
-        let x2: Vec<f32> = x.iter().map(|v| v * 2.0).collect();
-        let y2 = filterbank(&x2, &h, &f);
-        for (a, b) in y1.iter().zip(&y2) {
-            assert!((2.0 * a - b).abs() < 1e-4);
-        }
-    }
 
     #[test]
     fn tasks_are_sync_and_regular() {

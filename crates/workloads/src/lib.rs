@@ -1,12 +1,14 @@
-//! The Pagoda evaluation workloads (paper Tables 3-4), implemented as
-//! real algorithms plus simulator work models.
+//! The Pagoda evaluation workloads (paper Tables 3-4), as simulator work
+//! models.
 //!
-//! Every benchmark module contains (a) the **actual algorithm** — FIR
-//! filter banks, 8×8 DCTs, full FIPS 46-3 DES, dense/sparse LU, … — with
-//! correctness tests, and (b) a **task generator** whose operation counts
-//! are derived from that algorithm (for the irregular benchmarks, by
-//! running it: Mandelbrot iteration images drive the divergence model,
-//! NetBench-style packet sizes drive 3DES task sizes).
+//! Every benchmark module is a **task generator**: per-thread operation
+//! counts derived from the benchmark's shape, synchronisation,
+//! shared-memory use and copy volume (Table 3), timed through calibrated
+//! CPI ([`calib`]). No kernel output is ever computed; where the work
+//! depends on the input, the generator runs that input-dependent part:
+//! Mandelbrot iteration images drive the divergence model, SLUD's
+//! fill-in drives its wave sizes, and NetBench-style packet sizes drive
+//! 3DES task sizes.
 //!
 //! | Bench | Source | Irregular? | Sync | Smem | I/O per task |
 //! |---|---|---|---|---|---|

@@ -16,48 +16,6 @@ pub const DIM: usize = 64;
 /// Shared-memory tile side for the tiled variant.
 pub const TILE: usize = 16;
 
-/// Row-major `n×n` matrix product `C = A·B`.
-pub fn matmul(a: &[f32], b: &[f32], n: usize) -> Vec<f32> {
-    assert_eq!(a.len(), n * n);
-    assert_eq!(b.len(), n * n);
-    let mut c = vec![0.0f32; n * n];
-    for i in 0..n {
-        for k in 0..n {
-            let aik = a[i * n + k];
-            if aik == 0.0 {
-                continue;
-            }
-            for j in 0..n {
-                c[i * n + j] += aik * b[k * n + j];
-            }
-        }
-    }
-    c
-}
-
-/// Tiled matrix product — the shared-memory algorithm the GPU kernel
-/// implements; must agree with [`matmul`] exactly in exact arithmetic and
-/// closely in floats.
-pub fn matmul_tiled(a: &[f32], b: &[f32], n: usize) -> Vec<f32> {
-    assert_eq!(n % TILE, 0, "dimension must be a multiple of the tile");
-    let mut c = vec![0.0f32; n * n];
-    for bi in (0..n).step_by(TILE) {
-        for bj in (0..n).step_by(TILE) {
-            for bk in (0..n).step_by(TILE) {
-                for i in bi..bi + TILE {
-                    for k in bk..bk + TILE {
-                        let aik = a[i * n + k];
-                        for j in bj..bj + TILE {
-                            c[i * n + j] += aik * b[k * n + j];
-                        }
-                    }
-                }
-            }
-        }
-    }
-    c
-}
-
 /// Per-task thread-ops for an `n×n` product: 2n³ MAC ops plus addressing.
 fn task_ops(n: usize) -> u64 {
     (2 * n * n * n + n * n) as u64
@@ -104,34 +62,6 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn seq(n: usize, mul: f32) -> Vec<f32> {
-        (0..n * n).map(|i| ((i % 13) as f32 - 6.0) * mul).collect()
-    }
-
-    #[test]
-    fn identity_product() {
-        let n = 16;
-        let mut id = vec![0.0f32; n * n];
-        for i in 0..n {
-            id[i * n + i] = 1.0;
-        }
-        let a = seq(n, 0.5);
-        assert_eq!(matmul(&a, &id, n), a);
-        assert_eq!(matmul(&id, &a, n), a);
-    }
-
-    #[test]
-    fn tiled_matches_naive() {
-        let n = 32;
-        let a = seq(n, 0.25);
-        let b = seq(n, 0.75);
-        let c1 = matmul(&a, &b, n);
-        let c2 = matmul_tiled(&a, &b, n);
-        for (x, y) in c1.iter().zip(&c2) {
-            assert!((x - y).abs() < 1e-3, "{x} vs {y}");
-        }
-    }
 
     #[test]
     fn work_scales_cubically() {

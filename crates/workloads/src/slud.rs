@@ -23,34 +23,6 @@ use crate::GenOpts;
 /// Tile side (paper Table 3: 32×32 matrix per task).
 pub const TILE: usize = 32;
 
-/// Dense LU (Doolittle, no pivoting) of a row-major `n×n` matrix.
-/// Returns `(l, u)` with unit-diagonal `L`. Callers supply diagonally
-/// dominant matrices (the BOTS benchmark does the same).
-pub fn dense_lu(a: &[f32], n: usize) -> (Vec<f32>, Vec<f32>) {
-    assert_eq!(a.len(), n * n);
-    let mut u = a.to_vec();
-    let mut l = vec![0.0f32; n * n];
-    for i in 0..n {
-        l[i * n + i] = 1.0;
-    }
-    for k in 0..n {
-        let pivot = u[k * n + k];
-        assert!(
-            pivot.abs() > 1e-12,
-            "zero pivot at {k}; matrix not factorable"
-        );
-        for i in k + 1..n {
-            let m = u[i * n + k] / pivot;
-            l[i * n + k] = m;
-            u[i * n + k] = 0.0; // exactly, not m·pivot rounding dust
-            for j in k + 1..n {
-                u[i * n + j] -= m * u[k * n + j];
-            }
-        }
-    }
-    (l, u)
-}
-
 /// The kind of tile task a factorization step generates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TileTask {
@@ -212,15 +184,6 @@ mod tests {
     use std::collections::HashMap;
     use std::sync::Arc;
 
-    fn dominant(n: usize, seed: u64) -> Vec<f32> {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut a: Vec<f32> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        for i in 0..n {
-            a[i * n + i] = n as f32 + rng.gen_range(0.0f32..1.0);
-        }
-        a
-    }
-
     /// [`symbolic_waves`] as it was before it counted: every tile task
     /// listed, fill-in one `bool` at a time.
     fn symbolic_waves_by_listing(nb: usize, density: f64, seed: u64) -> Vec<Vec<TileTask>> {
@@ -332,42 +295,6 @@ mod tests {
                     grid_for_by_listing(n, seed),
                     "{n} tasks, seed {seed}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn lu_reconstructs_matrix() {
-        let n = TILE;
-        let a = dominant(n, 3);
-        let (l, u) = dense_lu(&a, n);
-        // L·U == A within float tolerance.
-        for i in 0..n {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for k in 0..=i.min(j) {
-                    acc += l[i * n + k] * u[k * n + j];
-                }
-                assert!(
-                    (acc - a[i * n + j]).abs() < 1e-3,
-                    "A[{i}][{j}]: {acc} vs {}",
-                    a[i * n + j]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn l_is_unit_lower_u_is_upper() {
-        let n = 16;
-        let (l, u) = dense_lu(&dominant(n, 9), n);
-        for i in 0..n {
-            assert_eq!(l[i * n + i], 1.0);
-            for j in i + 1..n {
-                assert_eq!(l[i * n + j], 0.0, "L upper part");
-            }
-            for j in 0..i {
-                assert_eq!(u[i * n + j], 0.0, "U lower part");
             }
         }
     }

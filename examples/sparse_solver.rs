@@ -3,10 +3,9 @@
 //! A block-sparse matrix factorizes in dependency waves whose task count
 //! is *not known up front* (fill-in): the case that rules out GeMTC's
 //! batches and static fusion entirely, and the paper's largest run
-//! (273 K tasks). This example factorizes a real dense tile (verifying
-//! L·U = A), generates the symbolic wave structure for a block matrix,
-//! and drives the waves through Pagoda with `waitAll` as the inter-wave
-//! dependency barrier.
+//! (273 K tasks). This example generates the symbolic wave structure
+//! for a block matrix and drives the waves through Pagoda with `waitAll`
+//! as the inter-wave dependency barrier.
 //!
 //! Run with `cargo run --release --example sparse_solver`.
 
@@ -14,31 +13,6 @@ use pagoda::prelude::*;
 use workloads::slud;
 
 fn main() {
-    // --- real numeric factorization of one tile --------------------------
-    let n = slud::TILE;
-    let a: Vec<f32> = (0..n * n)
-        .map(|i| {
-            let (r, c) = (i / n, i % n);
-            if r == c {
-                n as f32 + 1.0
-            } else {
-                ((i % 7) as f32 - 3.0) * 0.25
-            }
-        })
-        .collect();
-    let (l, u) = slud::dense_lu(&a, n);
-    let mut max_err = 0.0f32;
-    for i in 0..n {
-        for j in 0..n {
-            let mut acc = 0.0;
-            for k in 0..=i.min(j) {
-                acc += l[i * n + k] * u[k * n + j];
-            }
-            max_err = max_err.max((acc - a[i * n + j]).abs());
-        }
-    }
-    println!("dense {n}x{n} tile: max |L·U - A| = {max_err:.2e}");
-
     // --- the block-sparse factorization as narrow-task waves -------------
     let nb = 48; // 48x48 tiles of 32x32
     let opts = GenOpts::default();

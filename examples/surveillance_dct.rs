@@ -2,33 +2,16 @@
 //!
 //! An online surveillance system gathers frames from many cameras and
 //! compresses them concurrently; each frame's 8×8-block DCT is one narrow
-//! task. This example runs the real transform on one frame (with
-//! energy-conservation and round-trip checks), then compares runtimes on
-//! the full stream — including the shared-memory ablation of Table 5
+//! task. This example compares runtimes on the stream — including the
+//! shared-memory ablation of Table 5
 //! (DCT is copy-bound, so GPU wins are modest; smem staging still helps
 //! compute time).
 //!
 //! Run with `cargo run --release --example surveillance_dct`.
 
 use pagoda::prelude::*;
-use workloads::dct;
 
 fn main() {
-    // --- the actual transform on one camera frame ------------------------
-    let dim = dct::DIM;
-    let frame: Vec<f32> = (0..dim * dim)
-        .map(|i| ((i % 256) as f32 - 128.0) * 0.5)
-        .collect();
-    let coeffs = dct::dct_image(&frame, dim);
-    let e_in: f32 = frame.iter().map(|v| v * v).sum();
-    let e_out: f32 = coeffs.iter().map(|v| v * v).sum();
-    println!(
-        "frame {}x{}: DCT energy ratio {:.6} (Parseval)",
-        dim,
-        dim,
-        e_out / e_in
-    );
-
     // --- the camera farm --------------------------------------------------
     let n = 8192;
     println!("compressing {n} frames from simulated camera streams");

@@ -150,21 +150,3 @@ fn slud_waves_run_through_pagoda() {
     }
     assert_eq!(rt.report().tasks as usize, total);
 }
-
-#[test]
-fn functional_outputs_are_runtime_independent() {
-    // The algorithms themselves do not depend on which runtime schedules
-    // them: the same packet encrypts to the same bytes, the same frame
-    // transforms to the same coefficients. (Timing simulation and
-    // functional computation are decoupled by design.)
-    let (k1, k2, k3) = (0x0123456789ABCDEF, 0x23456789ABCDEF01, 0x456789ABCDEF0123);
-    let data: Vec<u8> = (0..256).map(|i| i as u8).collect();
-    let a = workloads::des3::encrypt_packet(&data, k1, k2, k3);
-    let b = workloads::des3::encrypt_packet(&data, k1, k2, k3);
-    assert_eq!(a, b);
-    let img: Vec<f32> = (0..64 * 64).map(|i| (i % 97) as f32).collect();
-    assert_eq!(
-        workloads::dct::dct_image(&img, 64),
-        workloads::dct::dct_image(&img, 64)
-    );
-}
