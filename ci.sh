@@ -11,6 +11,25 @@ run() {
     "$@"
 }
 
+# Dependency edges: every [dependencies] or [dev-dependencies] entry of
+# a crates/* manifest must be used (`name::`, `use name`) by some .rs
+# file of that crate. An edge no source needs still orders the build and
+# draws a layer in DESIGN.md §5 that the code does not have.
+echo "==> unused dependency edges"
+unused=0
+for manifest in crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    for dep in $(awk '/^\[/ { on = ($0 == "[dependencies]" || $0 == "[dev-dependencies]"); next }
+            on && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+        name=$(printf '%s' "$dep" | tr - _)
+        if ! grep -rqE --include='*.rs' "(\\b$name::|use $name\\b)" "$dir"; then
+            echo "ci: $manifest depends on $dep, which no source file of $dir uses" >&2
+            unused=1
+        fi
+    done
+done
+[ "$unused" = 0 ] || exit 1
+
 run cargo build --release --workspace --offline
 
 # Property-test breadth floor: blocks trim their local case counts for

@@ -153,4 +153,20 @@ mod tests {
         let t = TaskDesc::uniform(32, WarpWork::compute(0, 1.0));
         assert_eq!(cpu_task_time(&cfg, &t), TASK_OVERHEAD);
     }
+
+    #[test]
+    fn gpu_cpu_balance_is_in_range() {
+        // Whole-GPU peak over one CPU core should sit in the hundreds —
+        // 3072 CUDA cores vs one 2.6 GHz core.
+        let spec = gpu_arch::GpuSpec::titan_x();
+        let gpu_peak = spec.sm_peak_ops_per_sec() * spec.num_sms as f64;
+        let ratio = gpu_peak / OPS_PER_SEC;
+        assert!((100.0..1000.0).contains(&ratio), "balance {ratio}");
+        // And over the whole bandwidth-bound 20-core machine: tens.
+        let machine = gpu_peak / MEM_BW_OPS_PER_SEC;
+        assert!(
+            (10.0..100.0).contains(&machine),
+            "machine balance {machine}"
+        );
+    }
 }

@@ -1,5 +1,5 @@
-//! Drivers that run a task list through the Pagoda runtime — continuous
-//! spawning (the real system) and batched spawning (the Fig. 11 ablation).
+//! The driver that runs tasks through the Pagoda runtime: waves of
+//! spawns, each reaped by one `waitAll`.
 
 use pagoda_core::{PagodaConfig, PagodaRuntime, TaskDesc};
 use pagoda_obs::Obs;
@@ -9,31 +9,26 @@ use crate::summary::RunSummary;
 /// Continuous spawning: tasks are spawned as fast as the host can issue
 /// them and reaped with one `waitAll` — the paper's Pagoda configuration.
 pub fn run_pagoda(cfg: PagodaConfig, tasks: &[TaskDesc]) -> RunSummary {
-    run_pagoda_with_obs(cfg, tasks, Obs::off())
+    run_pagoda_waves(cfg, [tasks], Obs::off())
 }
 
-/// [`run_pagoda`] with an observability sink attached to every layer
-/// (runtime, device, bus) for the duration of the run.
-pub fn run_pagoda_with_obs(cfg: PagodaConfig, tasks: &[TaskDesc], obs: Obs) -> RunSummary {
+/// Runs `waves` in order on one runtime with `obs` attached to every
+/// layer (runtime, device, bus): a wave's tasks all spawn, then the
+/// runtime `waitAll`s, before the next wave spawns anything — SLUD's
+/// dependency waves, or with `tasks.chunks(batch_size)` Fig. 11's
+/// "Pagoda-Batching" (pipelined spawning removed, scheduling unchanged).
+///
+/// # Panics
+/// On a task the runtime can never take ([`TaskDesc::validate`]).
+pub fn run_pagoda_waves<'a>(
+    cfg: PagodaConfig,
+    waves: impl IntoIterator<Item = &'a [TaskDesc]>,
+    obs: Obs,
+) -> RunSummary {
     let mut rt = PagodaRuntime::new(cfg);
     rt.attach_obs(obs);
-    for t in tasks {
-        rt.spawn_blocking(t.clone())
-            .expect("invalid task for Pagoda");
-    }
-    rt.wait_all();
-    rt.report()
-}
-
-/// Batched spawning (Fig. 11, "Pagoda-Batching"): no task of batch *k+1*
-/// is spawned until every task of batch *k* has completed. Concurrent
-/// scheduling inside each batch is unchanged; only the continuous,
-/// pipelined spawning is removed.
-pub fn run_pagoda_batched(cfg: PagodaConfig, tasks: &[TaskDesc], batch_size: usize) -> RunSummary {
-    assert!(batch_size > 0, "zero batch size");
-    let mut rt = PagodaRuntime::new(cfg);
-    for chunk in tasks.chunks(batch_size) {
-        for t in chunk {
+    for wave in waves {
+        for t in wave {
             rt.spawn_blocking(t.clone())
                 .expect("invalid task for Pagoda");
         }
@@ -57,7 +52,7 @@ mod tests {
     fn continuous_beats_batched_on_many_tasks() {
         let tasks = narrow(2000, 60_000);
         let cont = run_pagoda(PagodaConfig::default(), &tasks);
-        let batched = run_pagoda_batched(PagodaConfig::default(), &tasks, 384);
+        let batched = run_pagoda_waves(PagodaConfig::default(), tasks.chunks(384), Obs::off());
         assert_eq!(cont.tasks, 2000);
         assert_eq!(batched.tasks, 2000);
         assert!(

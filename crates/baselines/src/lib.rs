@@ -8,7 +8,7 @@
 //! | [`cpu::run_pthreads`] | 20-core PThreads task parallelism |
 //! | [`cpu::run_sequential`] | Single-core CPU (the speedup-1 reference) |
 //! | [`driver::run_pagoda`] | Pagoda with continuous spawning |
-//! | [`driver::run_pagoda_batched`] | Fig. 11 ablation: Pagoda minus continuous spawning |
+//! | [`driver::run_pagoda_waves`] | Pagoda in `waitAll`-separated waves: SLUD's dependency waves, the Fig. 11 ablation's batches |
 //!
 //! All runners consume the same [`pagoda_core::TaskDesc`] lists and produce
 //! a [`summary::RunSummary`], so every figure harness is a straight
@@ -24,7 +24,7 @@ pub mod hyperq;
 pub mod summary;
 
 pub use cpu::{run_pthreads, run_sequential, CpuConfig};
-pub use driver::{run_pagoda, run_pagoda_batched, run_pagoda_with_obs};
+pub use driver::{run_pagoda, run_pagoda_waves};
 pub use fusion::run_fusion;
 pub use gemtc::{run_gemtc, GemtcConfig};
 pub use hyperq::{run_hyperq, HyperQConfig};

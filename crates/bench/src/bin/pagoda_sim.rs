@@ -11,18 +11,18 @@
 
 use baselines::RunSummary;
 use gpu_arch::GpuSpec;
-use pagoda_bench::{bench_waves, run_waves, Scheme};
+use pagoda_bench::{bench_waves, run_waves, usage_exit, Scheme};
 use pagoda_core::TaskDesc;
 use workloads::{Bench, GenOpts};
 
+const USAGE: &str = "usage: pagoda_sim [--bench NAME|all] [--scheme NAME|all] [--tasks N]\n\
+     \x20                 [--threads N] [--smem] [--no-io] [--seed N] [--work-scale X]\n\
+     \x20                 [--list]\n\
+     benches: MB FB BF CONV DCT MM SLUD 3DES MPE\n\
+     schemes: sequential pthreads hyperq gemtc pagoda pagoda-batching fusion";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: pagoda_sim [--bench NAME|all] [--scheme NAME|all] [--tasks N]\n\
-         \x20                 [--threads N] [--smem] [--no-io] [--seed N] [--work-scale X]\n\
-         \x20                 [--list]\n\
-         benches: MB FB BF CONV DCT MM SLUD 3DES MPE\n\
-         schemes: sequential pthreads hyperq gemtc pagoda pagoda-batching fusion"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2)
 }
 
@@ -131,6 +131,11 @@ fn main() {
             }
             _ => usage(),
         }
+    }
+    // A zero-thread task or a zero, negative or unbounded work scale
+    // would reach the generators: checked before any task is built.
+    if let Some(problem) = opts.problem() {
+        usage_exit(problem, USAGE);
     }
 
     for b in &benches {

@@ -16,11 +16,12 @@
 pub mod figures;
 
 use baselines::{
-    run_fusion, run_gemtc, run_hyperq, run_pagoda, run_pagoda_batched, run_pthreads,
-    run_sequential, CpuConfig, GemtcConfig, HyperQConfig, RunSummary,
+    run_fusion, run_gemtc, run_hyperq, run_pagoda, run_pagoda_waves, run_pthreads, run_sequential,
+    CpuConfig, GemtcConfig, HyperQConfig, RunSummary,
 };
 use desim::{Dur, SimTime};
-use pagoda_core::{PagodaConfig, PagodaRuntime, TaskDesc};
+use pagoda_core::{PagodaConfig, TaskDesc};
+use pagoda_obs::Obs;
 use pagoda_prof::GroupSummary;
 use serde::Serialize;
 
@@ -71,7 +72,9 @@ pub fn run_wave(scheme: Scheme, tasks: &[TaskDesc]) -> RunSummary {
             run_gemtc(&cfg, tasks)
         }
         Scheme::Pagoda => run_pagoda(PagodaConfig::default(), tasks),
-        Scheme::PagodaBatched(b) => run_pagoda_batched(PagodaConfig::default(), tasks, b),
+        Scheme::PagodaBatched(b) => {
+            run_pagoda_waves(PagodaConfig::default(), tasks.chunks(b), Obs::off())
+        }
         Scheme::Fusion(w) => run_fusion(tasks, w),
     }
 }
@@ -85,15 +88,8 @@ pub fn run_waves(scheme: Scheme, waves: &[Vec<TaskDesc>]) -> RunSummary {
         return run_wave(scheme, &waves[0]);
     }
     if matches!(scheme, Scheme::Pagoda) {
-        let mut rt = PagodaRuntime::new(PagodaConfig::default());
-        for w in waves {
-            for t in w {
-                rt.spawn_blocking(t.clone())
-                    .expect("invalid task for Pagoda");
-            }
-            rt.wait_all();
-        }
-        return rt.report();
+        let waves = waves.iter().map(Vec::as_slice);
+        return run_pagoda_waves(PagodaConfig::default(), waves, Obs::off());
     }
     let parts: Vec<RunSummary> = waves.iter().map(|w| run_wave(scheme, w)).collect();
     concat_summaries(&parts)
@@ -155,21 +151,10 @@ pub fn reshape_task(base: &TaskDesc, total_threads: u32, threads_per_tb: u32) ->
     let w0 = &base.blocks[0].warps()[0];
     let total_ops: u64 = base.total_instrs();
     let ops_per_thread = total_ops.div_ceil(u64::from(total_threads));
-    let total: f64 = w0.total_instrs().max(1) as f64;
-    let fracs: Vec<f64> = w0
-        .segments
-        .iter()
-        .filter_map(|s| match s {
-            gpu_sim::Segment::Compute(c) => Some(*c as f64 / total),
-            gpu_sim::Segment::Barrier => None,
-        })
-        .collect();
-    let fsum: f64 = fracs.iter().sum();
-    let fracs: Vec<f64> = fracs.iter().map(|f| f / fsum).collect();
     let block = workloads::gen::build_block(
         &vec![ops_per_thread; threads_per_tb as usize],
         w0.cpi,
-        &fracs,
+        &workloads::gen::phase_fracs(w0),
     );
     let num_tbs = total_threads / threads_per_tb;
     TaskDesc {

@@ -1,5 +1,6 @@
 //! `pagoda_sim`'s command line: a scheme that cannot take the generated
-//! tasks prints an `n/a (<why>)` row, and the other schemes still run.
+//! tasks prints an `n/a (<why>)` row, and the other schemes still run; a
+//! generator flag no task can have exits 2 before any task is built.
 
 use std::process::Command;
 
@@ -64,5 +65,27 @@ fn a_threadblock_no_device_can_launch_leaves_the_cpu_schemes() {
     );
     for scheme in ["Sequential", "PThreads"] {
         assert!(row(&rows, scheme).contains("64 tasks"), "{rows:?}");
+    }
+}
+
+#[test]
+fn generator_flags_no_task_can_have_exit_2_before_generating() {
+    let scale = "the work scale must be finite and above 0";
+    for (flags, problem) in [
+        ("--threads 0", "tasks need at least one thread"),
+        ("--work-scale -2", scale),
+        ("--work-scale nan", scale),
+        ("--work-scale inf", scale),
+    ] {
+        let args = format!("--bench all --tasks 64 --scheme all {flags}");
+        let out = Command::new(env!("CARGO_BIN_EXE_pagoda_sim"))
+            .args(args.split_whitespace())
+            .output()
+            .expect("run pagoda_sim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(problem), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: pagoda_sim"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed rows");
     }
 }

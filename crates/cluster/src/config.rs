@@ -36,7 +36,7 @@ pub struct FaultSpec {
 /// What the fleet does with in-flight tasks stranded by a device kill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetryPolicy {
-    /// Stranded tasks are reported lost; [`wait`](crate::ClusterHandle::wait)
+    /// Stranded tasks are reported lost; [`wait`](pagoda_core::Backend::wait)
     /// returns [`PagodaError::TaskLost`](pagoda_core::PagodaError::TaskLost).
     Fail,
     /// Stranded tasks re-enter placement on the surviving devices, up to

@@ -3,7 +3,7 @@
 //! Each device is a full [`PagodaRuntime`] — own GPU, own PCIe link, own
 //! 48×32 TaskTable — constructed from its slot in
 //! [`ClusterConfig::devices`]. The fleet manager owns a single *fleet*
-//! clock: [`ClusterHandle::advance_to`] steps every live device to the
+//! clock: [`advance_to`](Backend::advance_to) steps every live device to the
 //! target instant (a per-device [`ClockMap`] translates fleet time into
 //! device-local time, so a slowed device simply receives less simulated
 //! time per step and a killed device receives none). Devices never
@@ -16,7 +16,7 @@
 //!
 //! Task identity: the fleet issues its own dense `u64` keys (per-device
 //! [`TaskId`]s collide across devices). Completion is harvested on
-//! [`ClusterHandle::sync`] via each device's §4.2.2 aggregate copy-back:
+//! [`sync`](Backend::sync) via each device's §4.2.2 aggregate copy-back:
 //! the fleet reads what it freed from the runtime's observed log
 //! ([`PagodaRuntime::drain_observed`]) and maps device-local completion
 //! timestamps back to fleet time through the device's clock history. The
@@ -278,10 +278,13 @@ pub struct FleetReport {
 }
 
 /// A fleet of simulated Pagoda devices with routed placement and
-/// failover, exposing the single-runtime `submit`/`wait` shape with
-/// fleet-unique `u64` task keys. Implements [`Backend`], so anything
-/// written against one runtime (the serving loop, the benches) drives a
-/// fleet unchanged.
+/// failover. Its task API is [`Backend`], with fleet-unique `u64` task
+/// keys, so anything written against one runtime (the serving loop, the
+/// benches) drives a fleet unchanged; the inherent methods are what only
+/// a fleet has. Through that API a task lost to a device failure
+/// "completes" at its loss instant (a served task's sojourn ends there);
+/// the `cluster_tasks_lost` counter and [`FleetReport::tasks_lost`]
+/// record the failure.
 pub struct ClusterHandle {
     devices: Vec<Device>,
     placer: Placer,
@@ -296,7 +299,8 @@ pub struct ClusterHandle {
     pending: VecDeque<u64>,
     unresolved: u64,
     /// Keys that turned [`Status::Done`] or [`Status::Lost`] since the
-    /// last [`ClusterHandle::drain_completed`], in the order they did.
+    /// last [`drain_completed`](Backend::drain_completed), in the order
+    /// they did.
     /// `None` until the first drain, so a caller that never drains (a
     /// batch driver on `wait_all`) keeps no log.
     completed_log: Option<Vec<u64>>,
@@ -375,100 +379,12 @@ impl ClusterHandle {
         })
     }
 
-    /// Records fleet-level events (task spans keyed by cluster task key,
-    /// per-device [`DeviceSample`] tracks, `cluster_*` counters) to
-    /// `obs`. The member runtimes are deliberately *not* attached: their
-    /// device-local task ids would collide across the fleet.
-    pub fn attach_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
     /// Seeds one deliberate bug ([`Mutation`]) into the fleet's merge /
     /// accounting paths. Test-only instrumentation for validating
     /// invariant checkers — never set by configuration. See the
     /// [`mutation`](crate::mutation) module.
     pub fn inject_mutation(&mut self, m: Mutation) {
         self.mutation = Some(m);
-    }
-
-    /// Number of devices configured (dead ones included).
-    pub fn num_devices(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// The fleet clock.
-    pub fn now(&self) -> SimTime {
-        self.fleet_now
-    }
-
-    /// The host clock of fleet device `device` (its device-local
-    /// timeline, which legitimately runs ahead of the fleet clock);
-    /// `None` for an out-of-range index.
-    pub fn device_host_now(&self, device: usize) -> Option<SimTime> {
-        self.devices.get(device).map(|d| d.rt.host_now())
-    }
-
-    /// Fleet-wide admission headroom: the sum over *live* devices of
-    /// their host-side known-free entry counts. A kill shrinks `total`.
-    pub fn capacity(&self) -> Capacity {
-        let mut known_free = 0;
-        let mut total = 0;
-        for d in &self.devices {
-            if d.alive {
-                let c = d.rt.capacity();
-                known_free += c.known_free;
-                total += c.total;
-            }
-        }
-        Capacity { known_free, total }
-    }
-
-    /// [`submit_for`](ClusterHandle::submit_for) on behalf of tenant 0.
-    ///
-    /// # Errors
-    /// See [`submit_for`](ClusterHandle::submit_for).
-    pub fn submit(&mut self, desc: TaskDesc) -> Result<u64, SubmitError> {
-        self.submit_for(0, desc)
-    }
-
-    /// Routes one task: asks the placement policy for a device, charges
-    /// the staging transfer if the choice is off `tenant`'s home set,
-    /// and spawns through that device's non-blocking submit. Returns the
-    /// fleet-unique task key.
-    ///
-    /// On a fleet with every device dead the task has nowhere to run,
-    /// now or later: it is recorded and resolved [`TaskStatus::Lost`] at
-    /// the fleet clock, as a sync loses its resubmission queue then.
-    ///
-    /// # Errors
-    /// [`SubmitError::Full`] hands the descriptor back when the chosen
-    /// device has no known-free entry — call
-    /// [`sync`](ClusterHandle::sync) and
-    /// [`advance_to`](ClusterHandle::advance_to), then retry, exactly as
-    /// with a single runtime. A Full return charges nothing — no device
-    /// clock moves. Task-shape errors propagate unchanged.
-    pub fn submit_for(&mut self, tenant: u32, desc: TaskDesc) -> Result<u64, SubmitError> {
-        let kept = desc.clone();
-        let key = self.tasks.len() as u64;
-        let (device, id, off_home, staged) = match self.route(tenant, desc, None) {
-            Ok(placed) => placed,
-            Err(SubmitError::Full(desc)) if !self.devices.iter().any(|d| d.alive) => {
-                desc.validate()?;
-                self.record(tenant, desc, Status::Queued);
-                self.obs
-                    .task(self.fleet_now.as_ps(), key, TaskState::Spawned);
-                self.obs.tenant(key, tenant);
-                // The loss is a fleet effect applied at the fleet clock:
-                // under its own sync mark, as a sync's losses are.
-                self.obs.sync_mark(self.fleet_now.as_ps(), SyncKind::Sync);
-                self.mark_lost(key, self.fleet_now);
-                return Ok(key);
-            }
-            Err(e) => return Err(e),
-        };
-        self.record(tenant, kept, Status::InFlight { device });
-        self.commit_spawn(key, tenant, device, id, off_home, staged, false);
-        Ok(key)
     }
 
     /// Enters a new task in the fleet's books, unresolved.
@@ -566,30 +482,7 @@ impl ClusterHandle {
         self.devices[device].sample(self.fleet_now, &obs, false);
     }
 
-    /// Refreshes the fleet's completion view: one §4.2.2 aggregate
-    /// copy-back per live device, a deterministic merge of every
-    /// completion observed, then a drain of the resubmission queue onto
-    /// devices with room. Costs simulated time on each device, like
-    /// [`PagodaRuntime::sync_table`].
-    ///
-    /// The per-device half (copy-back + completion harvest) is
-    /// independent across devices; the merge orders all observed
-    /// completions by `(fleet instant, device, key)` before applying
-    /// them, so the completion/resubmission sequence follows fleet time,
-    /// not device harvest order.
-    pub fn sync(&mut self) {
-        // The mark precedes the batch: everything applied before the
-        // next mark belongs to this sync point, and (gate honored) maps
-        // to a fleet instant at or before it.
-        self.obs.sync_mark(self.fleet_now.as_ps(), SyncKind::Sync);
-        let gate = self.mutation != Some(Mutation::SkipCausalGate);
-        let merged = self.sync_devices(gate);
-        self.apply_completions(merged);
-        self.sample_all();
-        self.drain_pending();
-    }
-
-    /// Phase 1 of [`sync`](ClusterHandle::sync): per-device copy-back +
+    /// Phase 1 of [`sync`](Backend::sync): per-device copy-back +
     /// completion harvest, returning the merged `(at, device, key, id)`
     /// list.
     fn sync_devices(&mut self, gate: bool) -> Vec<(SimTime, usize, u64, TaskId)> {
@@ -649,7 +542,7 @@ impl ClusterHandle {
         finished
     }
 
-    /// Phase 2 of [`sync`](ClusterHandle::sync): applies merged
+    /// Phase 2 of [`sync`](Backend::sync): applies merged
     /// completions in `(at, device, key)` order.
     fn apply_completions(&mut self, merged: Vec<(SimTime, usize, u64, TaskId)>) {
         for (at, device, key, id) in merged {
@@ -725,20 +618,6 @@ impl ClusterHandle {
         self.lost += 1;
         self.obs.count(Counter::ClusterTasksLost, 1);
         self.obs.task(at.as_ps(), key, TaskState::Freed);
-    }
-
-    /// Advances the fleet clock to `t` (no-op if in the past), stepping
-    /// every live device there and applying any scheduled faults whose
-    /// instant is reached on the way.
-    pub fn advance_to(&mut self, t: SimTime) {
-        while self.next_fault < self.faults.len() && self.faults[self.next_fault].at <= t {
-            let f = self.faults[self.next_fault];
-            self.next_fault += 1;
-            let at = f.at.max(self.fleet_now);
-            self.step_devices(at);
-            self.apply_fault(&f, at);
-        }
-        self.step_devices(t);
     }
 
     /// The fleet's driver: each live device advances alone to its local
@@ -832,19 +711,37 @@ impl ClusterHandle {
         }
     }
 
+    /// Task `key`'s record, or [`PagodaError::UnknownTask`] for a key
+    /// this fleet never issued.
+    fn task(&self, key: u64) -> Result<&CTask, PagodaError> {
+        let spawned = self.tasks.len() as u64;
+        let task = TaskId(key);
+        self.tasks
+            .get(key as usize)
+            .ok_or(PagodaError::UnknownTask { task, spawned })
+    }
+
+    /// How issued task `key` ended — its completion instant, or the
+    /// [`PagodaError::TaskLost`] of a task given up on — or `None` while
+    /// it is in flight or queued.
+    fn outcome(&self, key: u64) -> Option<Result<SimTime, PagodaError>> {
+        let t = &self.tasks[key as usize];
+        match t.status {
+            Status::Done { at } => Some(Ok(at)),
+            Status::Lost { .. } => Some(Err(PagodaError::TaskLost {
+                task: TaskId(key),
+                attempts: t.attempts,
+            })),
+            Status::InFlight { .. } | Status::Queued => None,
+        }
+    }
+
     /// Where task `key` is in its lifecycle.
     ///
     /// # Errors
     /// [`PagodaError::UnknownTask`] for a key this fleet never issued.
     pub fn status(&self, key: u64) -> Result<TaskStatus, PagodaError> {
-        let t = self
-            .tasks
-            .get(key as usize)
-            .ok_or(PagodaError::UnknownTask {
-                task: TaskId(key),
-                spawned: self.tasks.len() as u64,
-            })?;
-        Ok(match t.status {
+        Ok(match self.task(key)?.status {
             Status::InFlight { .. } => TaskStatus::InFlight,
             Status::Queued => TaskStatus::Queued,
             Status::Done { .. } => TaskStatus::Done,
@@ -861,89 +758,6 @@ impl ClusterHandle {
         }
     }
 
-    /// Fleet instant at which `key`'s output landed in host memory;
-    /// `None` until then (for a lost task, the instant it was given up).
-    pub fn completion_time(&self, key: u64) -> Option<SimTime> {
-        match self.tasks.get(key as usize)?.status {
-            Status::Done { at } | Status::Lost { at } => Some(at),
-            _ => None,
-        }
-    }
-
-    /// Hands over the keys that completed or were lost since the
-    /// previous call, each exactly once, in the order the fleet resolved
-    /// them — what the syncs and kills in between changed, so a caller
-    /// need not probe everything it has in flight. The first call starts
-    /// the log and hands over nothing: make it before the first submit
-    /// whose completion should be reported.
-    pub fn drain_completed(&mut self) -> std::vec::Drain<'_, u64> {
-        self.completed_log.get_or_insert_with(Vec::new).drain(..)
-    }
-
-    /// Non-blocking completion probe: one [`sync`](ClusterHandle::sync),
-    /// then reports whether `key` is done.
-    ///
-    /// # Errors
-    /// [`PagodaError::UnknownTask`] for a foreign key;
-    /// [`PagodaError::TaskLost`] once the retry policy has given up on
-    /// the task.
-    pub fn check(&mut self, key: u64) -> Result<bool, PagodaError> {
-        if key as usize >= self.tasks.len() {
-            return Err(PagodaError::UnknownTask {
-                task: TaskId(key),
-                spawned: self.tasks.len() as u64,
-            });
-        }
-        self.sync();
-        match self.tasks[key as usize].status {
-            Status::Done { .. } => Ok(true),
-            Status::Lost { .. } => Err(PagodaError::TaskLost {
-                task: TaskId(key),
-                attempts: self.tasks[key as usize].attempts,
-            }),
-            _ => Ok(false),
-        }
-    }
-
-    /// Blocks (in simulated time) until `key` completes: sync, then idle
-    /// the fleet by its polling slice, repeatedly — the single-runtime
-    /// `wait` loop, fleet-wide. Returns the completion instant.
-    ///
-    /// # Errors
-    /// [`PagodaError::UnknownTask`] for a foreign key;
-    /// [`PagodaError::TaskLost`] if a device died under the task and the
-    /// retry policy gave up.
-    pub fn wait(&mut self, key: u64) -> Result<SimTime, PagodaError> {
-        if key as usize >= self.tasks.len() {
-            return Err(PagodaError::UnknownTask {
-                task: TaskId(key),
-                spawned: self.tasks.len() as u64,
-            });
-        }
-        let mut iterations = 0u64;
-        loop {
-            match self.tasks[key as usize].status {
-                Status::Done { at } => return Ok(at),
-                Status::Lost { .. } => {
-                    return Err(PagodaError::TaskLost {
-                        task: TaskId(key),
-                        attempts: self.tasks[key as usize].attempts,
-                    })
-                }
-                _ => {}
-            }
-            self.sync();
-            if matches!(
-                self.tasks[key as usize].status,
-                Status::InFlight { .. } | Status::Queued
-            ) {
-                self.advance_to(self.fleet_now + self.wait_timeout);
-            }
-            iterations += 1;
-            assert!(iterations < 100_000_000, "cluster wait livelocked");
-        }
-    }
-
     /// Runs the fleet until every issued task is done or lost.
     pub fn wait_all(&mut self) {
         let mut iterations = 0u64;
@@ -955,13 +769,6 @@ impl ClusterHandle {
             iterations += 1;
             assert!(iterations < 100_000_000, "cluster wait_all livelocked");
         }
-    }
-
-    /// Per-device [`desim`] engine counters, fleet order — the
-    /// determinism fingerprint: two runs of the same configuration must
-    /// produce identical vectors.
-    pub fn engine_stats(&self) -> Vec<EngineStats> {
-        self.devices.iter().map(|d| d.rt.engine_stats()).collect()
     }
 
     /// Aggregates the run so far.
@@ -1006,30 +813,83 @@ impl ClusterHandle {
     }
 }
 
-/// The fleet behind the one executor surface: [`pagoda_serve`]'s loop —
-/// or anything else written against [`Backend`] — drives a
-/// [`ClusterHandle`] exactly as it drives one runtime. A task lost to a
-/// device failure "completes" at its loss instant from the serving
-/// layer's viewpoint (its sojourn ends there); the fleet's
-/// `cluster_tasks_lost` counter and [`FleetReport::tasks_lost`] record
-/// the failure.
-///
-/// [`pagoda_serve`]: https://docs.rs/pagoda-serve
 impl Backend for ClusterHandle {
+    /// Routes one task: asks the placement policy for a device, charges
+    /// the staging transfer if the choice is off `tenant`'s home set,
+    /// and spawns through that device's non-blocking submit. Returns the
+    /// fleet-unique task key.
+    ///
+    /// On a fleet with every device dead the task has nowhere to run,
+    /// now or later: it is recorded and resolved [`TaskStatus::Lost`] at
+    /// the fleet clock, as a sync loses its resubmission queue then.
+    ///
+    /// # Errors
+    /// [`SubmitError::Full`] hands the descriptor back when the chosen
+    /// device has no known-free entry — call [`sync`](Backend::sync) and
+    /// [`advance_to`](Backend::advance_to), then retry, exactly as with a
+    /// single runtime. A Full return charges nothing — no device clock
+    /// moves. Task-shape errors propagate unchanged.
     fn submit(&mut self, tenant: u32, desc: TaskDesc) -> Result<u64, SubmitError> {
-        self.submit_for(tenant, desc)
+        let kept = desc.clone();
+        let key = self.tasks.len() as u64;
+        let (device, id, off_home, staged) = match self.route(tenant, desc, None) {
+            Ok(placed) => placed,
+            Err(SubmitError::Full(desc)) if !self.devices.iter().any(|d| d.alive) => {
+                desc.validate()?;
+                self.record(tenant, desc, Status::Queued);
+                self.obs
+                    .task(self.fleet_now.as_ps(), key, TaskState::Spawned);
+                self.obs.tenant(key, tenant);
+                // The loss is a fleet effect applied at the fleet clock:
+                // under its own sync mark, as a sync's losses are.
+                self.obs.sync_mark(self.fleet_now.as_ps(), SyncKind::Sync);
+                self.mark_lost(key, self.fleet_now);
+                return Ok(key);
+            }
+            Err(e) => return Err(e),
+        };
+        self.record(tenant, kept, Status::InFlight { device });
+        self.commit_spawn(key, tenant, device, id, off_home, staged, false);
+        Ok(key)
     }
 
+    /// Fleet-wide admission headroom: the sum over *live* devices of
+    /// their host-side known-free entry counts. A kill shrinks `total`.
     fn capacity(&self) -> Capacity {
-        ClusterHandle::capacity(self)
+        let mut known_free = 0;
+        let mut total = 0;
+        for d in &self.devices {
+            if d.alive {
+                let c = d.rt.capacity();
+                known_free += c.known_free;
+                total += c.total;
+            }
+        }
+        Capacity { known_free, total }
     }
 
     fn check(&mut self, key: u64) -> Result<bool, PagodaError> {
-        ClusterHandle::check(self, key)
+        self.task(key)?;
+        self.sync();
+        self.outcome(key).transpose().map(|done| done.is_some())
     }
 
+    /// The single-runtime `wait` loop, fleet-wide: sync, then idle the
+    /// fleet by its polling slice, until `key` is done or lost.
     fn wait(&mut self, key: u64) -> Result<SimTime, PagodaError> {
-        ClusterHandle::wait(self, key)
+        self.task(key)?;
+        let mut iterations = 0u64;
+        loop {
+            if let Some(outcome) = self.outcome(key) {
+                return outcome;
+            }
+            self.sync();
+            if self.outcome(key).is_none() {
+                self.advance_to(self.fleet_now + self.wait_timeout);
+            }
+            iterations += 1;
+            assert!(iterations < 100_000_000, "cluster wait livelocked");
+        }
     }
 
     fn observed_done(&self, key: u64) -> bool {
@@ -1042,24 +902,54 @@ impl Backend for ClusterHandle {
         )
     }
 
+    /// Fleet instant at which `key`'s output landed in host memory;
+    /// `None` until then (for a lost task, the instant it was given up).
     fn completion_time(&self, key: u64) -> Option<SimTime> {
-        ClusterHandle::completion_time(self, key)
+        match self.tasks.get(key as usize)?.status {
+            Status::Done { at } | Status::Lost { at } => Some(at),
+            _ => None,
+        }
     }
 
+    /// Keys in the order the fleet resolved them, `pending` unread.
     fn drain_completed(&mut self, _pending: &mut dyn Iterator<Item = u64>, out: &mut Vec<u64>) {
-        out.extend(ClusterHandle::drain_completed(self));
+        out.append(self.completed_log.get_or_insert_with(Vec::new));
     }
 
     fn now(&self) -> SimTime {
         self.fleet_now
     }
 
+    /// Advances the fleet clock to `t` (no-op if in the past), stepping
+    /// every live device there and applying any scheduled faults whose
+    /// instant is reached on the way.
     fn advance_to(&mut self, t: SimTime) {
-        ClusterHandle::advance_to(self, t);
+        while self.next_fault < self.faults.len() && self.faults[self.next_fault].at <= t {
+            let f = self.faults[self.next_fault];
+            self.next_fault += 1;
+            let at = f.at.max(self.fleet_now);
+            self.step_devices(at);
+            self.apply_fault(&f, at);
+        }
+        self.step_devices(t);
     }
 
+    /// Refreshes the fleet's completion view: one §4.2.2 aggregate
+    /// copy-back per live device, a deterministic merge of every
+    /// completion observed, then a drain of the resubmission queue onto
+    /// devices with room, in the merge order the module doc sets out.
+    /// Costs simulated time on each device, like
+    /// [`PagodaRuntime::sync_table`].
     fn sync(&mut self) {
-        ClusterHandle::sync(self);
+        // The mark precedes the batch: everything applied before the
+        // next mark belongs to this sync point, and (gate honored) maps
+        // to a fleet instant at or before it.
+        self.obs.sync_mark(self.fleet_now.as_ps(), SyncKind::Sync);
+        let gate = self.mutation != Some(Mutation::SkipCausalGate);
+        let merged = self.sync_devices(gate);
+        self.apply_completions(merged);
+        self.sample_all();
+        self.drain_pending();
     }
 
     fn wait_timeout(&self) -> Dur {
@@ -1076,14 +966,20 @@ impl Backend for ClusterHandle {
         Vec::new()
     }
 
+    /// Records fleet-level events (task spans keyed by cluster task key,
+    /// per-device [`DeviceSample`] tracks, `cluster_*` counters) to
+    /// `obs`. The member runtimes are deliberately *not* attached: their
+    /// device-local task ids would collide across the fleet.
     fn attach_obs(&mut self, obs: Obs) {
-        ClusterHandle::attach_obs(self, obs);
+        self.obs = obs;
     }
 
+    /// One per device, fleet order.
     fn engine_stats(&self) -> Vec<EngineStats> {
-        ClusterHandle::engine_stats(self)
+        self.devices.iter().map(|d| d.rt.engine_stats()).collect()
     }
 
+    /// Number of devices configured (dead ones included).
     fn num_devices(&self) -> u32 {
         self.devices.len() as u32
     }
@@ -1148,7 +1044,7 @@ mod tests {
     fn kill_with_fail_policy_loses_in_flight_and_shrinks_capacity() {
         let mut fleet = ClusterHandle::new(kill_device_0_at_5us(RetryPolicy::Fail)).unwrap();
         let full = fleet.capacity().total;
-        let keys: Vec<u64> = (0..32).map(|_| fleet.submit(task()).unwrap()).collect();
+        let keys: Vec<u64> = (0..32).map(|_| fleet.submit(0, task()).unwrap()).collect();
         fleet.wait_all();
         assert_eq!(fleet.capacity().total, full / 2, "kill halves admission");
         let rep = fleet.report();
@@ -1233,7 +1129,7 @@ mod tests {
             let mut fleet = ClusterHandle::new(cfg).unwrap();
             for _ in 0..8 {
                 fleet
-                    .submit(TaskDesc::uniform(64, WarpWork::compute(2_000_000, 8.0)))
+                    .submit(0, TaskDesc::uniform(64, WarpWork::compute(2_000_000, 8.0)))
                     .expect("empty fleet has room");
             }
             fleet.wait_all();
@@ -1291,7 +1187,7 @@ mod tests {
         // Flood the whole fleet for one tenant until nothing has room.
         let mut guard = 0;
         loop {
-            match fleet.submit_for(0, task()) {
+            match fleet.submit(0, task()) {
                 Ok(_) => {}
                 Err(SubmitError::Full(_)) => break,
                 Err(e) => panic!("unexpected: {e}"),
@@ -1299,17 +1195,14 @@ mod tests {
             guard += 1;
             assert!(guard < 10_000, "fleet never filled");
         }
-        let before: Vec<_> = (0..2).map(|i| fleet.device_host_now(i)).collect();
+        let before: Vec<_> = fleet.devices.iter().map(|d| d.rt.host_now()).collect();
         // A rejected placement must not advance any device's clock —
         // otherwise every retry of the same descriptor re-charges the
         // staging transfer it never used.
         for _ in 0..3 {
-            assert!(matches!(
-                fleet.submit_for(0, task()),
-                Err(SubmitError::Full(_))
-            ));
+            assert!(matches!(fleet.submit(0, task()), Err(SubmitError::Full(_))));
         }
-        let after: Vec<_> = (0..2).map(|i| fleet.device_host_now(i)).collect();
+        let after: Vec<_> = fleet.devices.iter().map(|d| d.rt.host_now()).collect();
         assert_eq!(before, after, "Full submits must charge nothing");
     }
 
@@ -1346,11 +1239,10 @@ mod tests {
         }];
         let mut fleet = ClusterHandle::new(cfg).unwrap();
         fleet.attach_obs(obs);
-        let (_, mut fleet) = {
-            let keys: Vec<u64> = (0..16).map(|_| fleet.submit(task()).unwrap()).collect();
-            fleet.wait_all();
-            (keys, fleet)
-        };
+        for _ in 0..16 {
+            fleet.submit(0, task()).unwrap();
+        }
+        fleet.wait_all();
         let rep = fleet.report();
         let snap = rec.snapshot();
         assert_eq!(snap.counter(Counter::ClusterPlacements), rep.placements);
@@ -1455,7 +1347,7 @@ mod tests {
         let mut fleet = ClusterHandle::new(cfg).unwrap();
         let long = || TaskDesc::uniform(64, WarpWork::compute(2_000_000, 8.0));
         while fleet.capacity().has_room() {
-            fleet.submit(long()).unwrap();
+            fleet.submit(0, long()).unwrap();
         }
         let before = fleet.now();
         let key = fleet.spawn_blocking(0, long()).unwrap();
@@ -1467,22 +1359,29 @@ mod tests {
         assert_eq!(key, u64::from(fleet.capacity().total));
     }
 
+    /// What [`Backend::drain_completed`] hands over now.
+    fn drain(fleet: &mut ClusterHandle) -> Vec<u64> {
+        let mut out = Vec::new();
+        fleet.drain_completed(&mut std::iter::empty(), &mut out);
+        out
+    }
+
     #[test]
     fn draining_every_round_hands_each_key_over_exactly_once_lost_ones_included() {
         let mut fleet = ClusterHandle::new(kill_device_0_at_5us(RetryPolicy::Fail)).unwrap();
-        assert_eq!(fleet.drain_completed().len(), 0, "the first call only arms");
-        let keys: Vec<u64> = (0..64).map(|_| fleet.submit(task()).unwrap()).collect();
+        assert_eq!(drain(&mut fleet).len(), 0, "the first call only arms");
+        let keys: Vec<u64> = (0..64).map(|_| fleet.submit(0, task()).unwrap()).collect();
         let mut handed = Vec::new();
         while fleet.unresolved > 0 {
             fleet.sync();
-            handed.extend(fleet.drain_completed());
-            assert_eq!(fleet.drain_completed().len(), 0, "a drain empties the log");
+            handed.extend(drain(&mut fleet));
+            assert_eq!(drain(&mut fleet).len(), 0, "a drain empties the log");
             // The log and the poll it replaces agree after every round.
             let polled = keys.iter().filter(|&&k| fleet.observed_done(k)).count();
             assert_eq!(handed.len(), polled);
             let t = fleet.now() + fleet.wait_timeout;
             fleet.advance_to(t);
-            handed.extend(fleet.drain_completed()); // the kill resolves tasks too
+            handed.extend(drain(&mut fleet)); // the kill resolves tasks too
         }
         let lost = |k: &u64| fleet.status(*k).unwrap() == TaskStatus::Lost;
         assert!(handed.iter().any(lost), "the kill lost nothing");
@@ -1498,8 +1397,8 @@ mod tests {
         let mut fleet = ClusterHandle::new(ClusterConfig::uniform(2)).unwrap();
         // Someone else armed the log and has tasks on the fleet: their
         // keys are handed to `serve_on` along with its own.
-        fleet.drain_completed();
-        let foreign: Vec<u64> = (0..8).map(|_| fleet.submit(task()).unwrap()).collect();
+        drain(&mut fleet);
+        let foreign: Vec<u64> = (0..8).map(|_| fleet.submit(0, task()).unwrap()).collect();
         let mut cfg = ServeConfig::new(
             vec![TenantSpec::new("crypto", Bench::Des3, 8.0e5)],
             Policy::Fifo,

@@ -21,10 +21,9 @@
 //!   ([`desim::ClockMap`] absorbs per-device slowdowns). Devices never
 //!   interact while they advance; a deterministic
 //!   `(instant, device, key)` merge at every sync point applies their
-//!   completions in fleet-time order. Exposes the same
-//!   `submit`/`wait`/`capacity` shape as a single runtime — it
-//!   implements [`pagoda_core::Backend`] — with fleet-unique `u64` task
-//!   keys.
+//!   completions in fleet-time order. Its task API is the one a single
+//!   runtime exposes, [`pagoda_core::Backend`] (`submit`, `wait`,
+//!   `capacity`, …), with fleet-unique `u64` task keys.
 //! * [`config`] — fleet topology ([`ClusterConfig::uniform`]), fault
 //!   schedule ([`FaultSpec`]: kill or slow a device at a simulated
 //!   instant) and the [`RetryPolicy`] deciding whether in-flight tasks
@@ -49,12 +48,13 @@
 //! # Example
 //!
 //! ```
-//! use pagoda_cluster::{ClusterConfig, ClusterHandle};
+//! use pagoda_cluster::{Backend, ClusterConfig, ClusterHandle};
 //! use pagoda_core::TaskDesc;
 //!
 //! let mut fleet = ClusterHandle::new(ClusterConfig::uniform(2)).unwrap();
 //! let work = gpu_sim::WarpWork::compute(20_000, 8.0);
-//! let key = fleet.submit(TaskDesc::uniform(64, work)).unwrap();
+//! // Tenant 0: the routing hint the placement policy reads.
+//! let key = fleet.submit(0, TaskDesc::uniform(64, work)).unwrap();
 //! fleet.wait(key).unwrap();
 //! assert_eq!(fleet.report().completed, 1);
 //! ```

@@ -1,15 +1,14 @@
 //! The [`Backend`] trait: the one task-execution surface every Pagoda
 //! executor exposes.
 //!
-//! The serving loop (`pagoda-serve`), the examples, and the benches were
-//! originally written against [`PagodaRuntime`]; the fleet manager
-//! (`pagoda-cluster`) then grew a near-duplicate API and a `ServeBackend`
-//! adapter to look like one. This trait replaces both: a single runtime
-//! and an N-device fleet implement the same narrow surface — non-blocking
+//! A single runtime and an N-device fleet (`pagoda-cluster`'s
+//! `ClusterHandle`) implement the same narrow surface — non-blocking
 //! `submit`, `capacity` probe, completion `check`/`wait`, clock control,
-//! `sync` — and everything above them is generic over `B: Backend`. The
-//! paper's *blocking* `taskSpawn` is the one provided method,
-//! [`Backend::spawn_blocking`], written once over that surface.
+//! `sync` — and everything above them (the serving loop, the examples,
+//! the benches) is generic over `B: Backend`. It is a fleet's whole task
+//! API; [`PagodaRuntime`] keeps its typed Table 1 API (`TaskId` keys)
+//! beside it. The paper's *blocking* `taskSpawn` is the one provided
+//! method, [`Backend::spawn_blocking`], written once over that surface.
 //!
 //! Task keys are plain `u64`s: a single runtime uses its `TaskId` values,
 //! a cluster uses fleet-unique keys that never collide across devices.

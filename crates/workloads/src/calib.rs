@@ -2,26 +2,17 @@
 //! operation counts into simulated time.
 //!
 //! One set of constants serves every figure — nothing here is tuned per
-//! experiment. Two numbers matter:
+//! experiment. What they set is the **per-warp CPI**: the *unhidden*
+//! latency a lone warp of each kernel sees between issued instructions.
+//! This is the knob that encodes the whole underutilization story — a
+//! lone warp with CPI 12 runs at 32·f/12 ≈ 2.7 G thread-ops/s while a
+//! full SMM sustains 128 G, so a device occupied at 8 % runs ~12× below
+//! peak, which is precisely the gap Pagoda closes. Memory-bound kernels
+//! (DCT, CONV) have CPI above 16, meaning even a fully occupied SMM
+//! cannot reach issue peak — modelling bandwidth-boundedness.
 //!
-//! * **CPU throughput**: one Xeon E5-2660v3 core running `gcc -O3`
-//!   narrow-task code sustains [`CPU_OPS_PER_SEC`] ≈ 8.5 G thread-ops/s
-//!   alone; all 20 cores together are capped by the socket-pair memory
-//!   system at [`CPU_MEM_BW_OPS_PER_SEC`] ≈ 60 G ops/s (~7× scaling, the
-//!   paper's PThreads-vs-sequential gap).
-//! * **Per-warp CPI**: the *unhidden* latency a lone warp of each kernel
-//!   sees between issued instructions. This is the knob that encodes the
-//!   whole underutilization story — a lone warp with CPI 12 runs at
-//!   32·f/12 ≈ 2.7 G thread-ops/s while a full SMM sustains 128 G, so a
-//!   device occupied at 8 % runs ~12× below peak, which is precisely the
-//!   gap Pagoda closes. Memory-bound kernels (DCT, CONV) have CPI above
-//!   16, meaning even a fully occupied SMM cannot reach issue peak —
-//!   modelling bandwidth-boundedness.
-
-/// Sustained single-core CPU throughput, thread-ops per second.
-pub const CPU_OPS_PER_SEC: f64 = 8.5e9;
-/// Aggregate CPU memory-system throughput cap, thread-ops per second.
-pub const CPU_MEM_BW_OPS_PER_SEC: f64 = 60.0e9;
+//! The CPU side of the balance (one core's throughput, the 20-core
+//! memory-system cap) is the CPU baseline's own model, `baselines::cpu`.
 
 /// Per-benchmark cost model: per-warp CPI with and without shared memory.
 #[derive(Debug, Clone, Copy)]
@@ -108,21 +99,5 @@ mod tests {
             let w_smem = spec.issue_width() as f64 * m.cpi_smem;
             assert!(w_smem < 1.5 * spec.max_warps_per_sm as f64);
         }
-    }
-
-    #[test]
-    fn gpu_cpu_balance_is_in_range() {
-        // Whole-GPU peak over one CPU core should sit in the hundreds —
-        // 3072 CUDA cores vs one 2.6 GHz core.
-        let spec = GpuSpec::titan_x();
-        let gpu_peak = spec.sm_peak_ops_per_sec() * spec.num_sms as f64;
-        let ratio = gpu_peak / CPU_OPS_PER_SEC;
-        assert!((100.0..1000.0).contains(&ratio), "balance {ratio}");
-        // And over the whole bandwidth-bound 20-core machine: tens.
-        let machine = gpu_peak / CPU_MEM_BW_OPS_PER_SEC;
-        assert!(
-            (10.0..100.0).contains(&machine),
-            "machine balance {machine}"
-        );
     }
 }

@@ -60,6 +60,24 @@ pub fn distribute_cyclic_equal(items: usize, ops: u64, threads: usize) -> Vec<u6
         .collect()
 }
 
+/// The compute shares of `warp`'s phases (its work between barriers),
+/// normalised to sum to 1: the `phase_fracs` that rebuild its barrier
+/// structure at another size through [`build_block`].
+pub fn phase_fracs(warp: &WarpWork) -> Vec<f64> {
+    let total = warp.total_instrs().max(1) as f64;
+    let fracs: Vec<f64> = warp
+        .segments
+        .iter()
+        .filter_map(|s| match s {
+            Segment::Compute(c) => Some(*c as f64 / total),
+            Segment::Barrier => None,
+        })
+        .collect();
+    // Normalize (guard against rounding dust).
+    let fsum: f64 = fracs.iter().sum();
+    fracs.iter().map(|f| f / fsum).collect()
+}
+
 /// Builds one threadblock's work from per-thread op counts.
 ///
 /// `phase_fracs` splits each warp's work into synchronized phases: a

@@ -44,7 +44,7 @@ pub mod slud;
 
 use std::sync::Arc;
 
-use gpu_sim::{Kernel, Segment};
+use gpu_sim::Kernel;
 use pagoda_core::TaskDesc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -226,18 +226,7 @@ pub fn irregular_tasks(
     let w0 = &base.blocks[0].warps()[0];
     let per_thread_ops = w0.total_instrs() / 32;
     let cpi = w0.cpi;
-    let total: u64 = w0.total_instrs().max(1);
-    let fracs: Vec<f64> = w0
-        .segments
-        .iter()
-        .filter_map(|s| match s {
-            Segment::Compute(c) => Some(*c as f64 / total as f64),
-            Segment::Barrier => None,
-        })
-        .collect();
-    // Normalize (guard against rounding dust).
-    let fsum: f64 = fracs.iter().sum();
-    let fracs: Vec<f64> = fracs.iter().map(|f| f / fsum).collect();
+    let fracs = gen::phase_fracs(w0);
 
     // A task's kernel depends on its size class alone: each class builds
     // its kernel the first time it is drawn.

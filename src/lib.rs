@@ -86,7 +86,7 @@ pub use workloads;
 /// The names most programs need.
 pub mod prelude {
     pub use baselines::{
-        run_fusion, run_gemtc, run_hyperq, run_pagoda, run_pagoda_with_obs, run_pthreads,
+        run_fusion, run_gemtc, run_hyperq, run_pagoda, run_pagoda_waves, run_pthreads,
         run_sequential, CpuConfig, GemtcConfig, HyperQConfig, RunSummary,
     };
     pub use desim::{Dur, SimTime};

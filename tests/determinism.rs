@@ -108,7 +108,7 @@ fn observed_pagoda_run(seed: u64) -> String {
     };
     let tasks = Bench::Mpe.tasks(192, &opts);
     let (obs, rec) = Obs::recording();
-    run_pagoda_with_obs(PagodaConfig::default(), &tasks, obs);
+    run_pagoda_waves(PagodaConfig::default(), [&tasks[..]], obs);
     rec.snapshot().to_json()
 }
 

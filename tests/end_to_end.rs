@@ -102,7 +102,7 @@ fn batching_ablation_is_slower_than_continuous() {
     // Fig. 11: removing continuous spawning costs real time.
     let tasks = Bench::Mpe.tasks(1024, &opts());
     let cont = run_pagoda(PagodaConfig::default(), &tasks);
-    let batched = baselines::run_pagoda_batched(PagodaConfig::default(), &tasks, 384);
+    let batched = run_pagoda_waves(PagodaConfig::default(), tasks.chunks(384), Obs::off());
     assert!(
         cont.makespan < batched.makespan,
         "continuous {} vs batched {}",
@@ -141,12 +141,7 @@ fn fused_task_latency_grows_with_batch_while_pagoda_stays_flat() {
 fn slud_waves_run_through_pagoda() {
     let waves = workloads::slud::waves_as_tasks(12, workloads::slud::DENSITY, &opts());
     let total: usize = waves.iter().map(Vec::len).sum();
-    let mut rt = PagodaRuntime::titan_x();
-    for w in &waves {
-        for t in w {
-            rt.spawn_blocking(t.clone()).expect("unspawnable SLUD task");
-        }
-        rt.wait_all();
-    }
-    assert_eq!(rt.report().tasks as usize, total);
+    let waves = waves.iter().map(Vec::as_slice);
+    let summary = run_pagoda_waves(PagodaConfig::default(), waves, Obs::off());
+    assert_eq!(summary.tasks as usize, total);
 }
