@@ -146,7 +146,7 @@ if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
     # mask-driven `decide` in lockstep with the row walk it replaced (also
     # under a deep backlog of `Ref` rows, where the chain bits carry it),
     # the TaskTable's row masks against column scans, the host's one
-    # record of its TaskTable (`observed_done`, `capacity`, `unobserved`)
+    # record of its TaskTable (`observed_done`, `capacity`, the occupants)
     # against the log of what each copy-back freed, the Mandelbrot
     # render (four lanes, interior test) against plain per-pixel
     # iteration, also in windows 1e-3 to 1e-16 wide on the cardioid and

@@ -8,8 +8,8 @@
 //! phrased over that log, never over runtime internals:
 //!
 //! 1. **Lifecycle order** — a task's states strictly advance along
-//!    spawned → enqueued → placed → running → freed; no event names a
-//!    task before its `Spawned`.
+//!    spawned → enqueued → placed → running → freed, at instants that
+//!    never decrease; no event names a task before its `Spawned`.
 //! 2. **Conservation** — at end of run, every spawned task reached a
 //!    terminal `Freed` (completion and loss both free the entry), and
 //!    every device's final sample shows zero outstanding tasks.
@@ -97,6 +97,17 @@ pub enum Violation {
         to: TaskState,
         /// Instant of the offending event, picoseconds.
         at_ps: u64,
+    },
+    /// A task reached a state at an instant before its previous one.
+    LifecycleTime {
+        /// The task.
+        task: u64,
+        /// The state the offending event claims.
+        state: TaskState,
+        /// Instant of the offending event, picoseconds.
+        at_ps: u64,
+        /// Instant of the task's previous state, picoseconds.
+        prev_ps: u64,
     },
     /// An event named a task never seen `Spawned`.
     UnknownTask {
@@ -228,6 +239,16 @@ impl fmt::Display for Violation {
                 from.name(),
                 to.name()
             ),
+            Violation::LifecycleTime {
+                task,
+                state,
+                at_ps,
+                prev_ps,
+            } => write!(
+                f,
+                "task {task} reached {} at {at_ps} ps, before its previous state at {prev_ps} ps",
+                state.name()
+            ),
             Violation::UnknownTask { task, state, at_ps } => write!(
                 f,
                 "task {task} reached {} at {at_ps} ps without being spawned",
@@ -336,8 +357,8 @@ pub const MAX_VIOLATIONS: usize = 64;
 #[derive(Debug)]
 pub(crate) struct CheckCore {
     limits: Option<CheckLimits>,
-    /// task → last lifecycle state seen.
-    task_state: BTreeMap<u64, TaskState>,
+    /// task → last lifecycle state seen, and its instant.
+    task_state: BTreeMap<u64, (TaskState, u64)>,
     /// task → phase-cut timeline, rebuilt from lifecycle events and
     /// marks for the end-of-run decomposition check (invariant 9).
     cuts: BTreeMap<u64, Cuts>,
@@ -405,19 +426,18 @@ impl CheckCore {
             None => {
                 if ev.state == TaskState::Spawned {
                     self.spawned += 1;
-                    self.task_state.insert(ev.task, ev.state);
                 } else {
                     self.flag(Violation::UnknownTask {
                         task: ev.task,
                         state: ev.state,
                         at_ps: ev.at_ps,
                     });
-                    // Adopt the state anyway so one missing Spawned does
-                    // not cascade into a violation per later event.
-                    self.task_state.insert(ev.task, ev.state);
+                    // The state is adopted anyway (below) so one missing
+                    // Spawned does not cascade into a violation per later
+                    // event.
                 }
             }
-            Some(prev) => {
+            Some((prev, prev_ps)) => {
                 if ev.state <= prev {
                     self.flag(Violation::LifecycleOrder {
                         task: ev.task,
@@ -426,9 +446,17 @@ impl CheckCore {
                         at_ps: ev.at_ps,
                     });
                 }
-                self.task_state.insert(ev.task, ev.state);
+                if ev.at_ps < prev_ps {
+                    self.flag(Violation::LifecycleTime {
+                        task: ev.task,
+                        state: ev.state,
+                        at_ps: ev.at_ps,
+                        prev_ps,
+                    });
+                }
             }
         }
+        self.task_state.insert(ev.task, (ev.state, ev.at_ps));
         if ev.state == TaskState::Freed {
             self.terminal += 1;
             if let Some(mark) = self.batch {
@@ -574,7 +602,7 @@ impl CheckCore {
             let example = self
                 .task_state
                 .iter()
-                .find(|(_, &st)| st != TaskState::Freed)
+                .find(|(_, &(st, _))| st != TaskState::Freed)
                 .map_or(u64::MAX, |(&t, _)| t);
             self.flag(Violation::ConservationLeak {
                 spawned: self.spawned,
@@ -704,6 +732,24 @@ mod tests {
             c.violations[0],
             Violation::LifecycleOrder { task: 7, .. }
         ));
+    }
+
+    #[test]
+    fn a_state_before_its_predecessor_in_time_is_flagged() {
+        let mut c = CheckCore::new(None);
+        c.on_task(ev(10, 7, TaskState::Spawned));
+        c.on_task(ev(10, 7, TaskState::Enqueued)); // same instant: fine
+        c.on_task(ev(4, 7, TaskState::Placed));
+        c.on_task(ev(20, 7, TaskState::Freed));
+        assert_eq!(
+            c.violations,
+            vec![Violation::LifecycleTime {
+                task: 7,
+                state: TaskState::Placed,
+                at_ps: 4,
+                prev_ps: 10
+            }]
+        );
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //! [`sync`](Backend::sync) via each device's §4.2.2 aggregate copy-back:
 //! the fleet reads what it freed from the runtime's observed log
 //! ([`PagodaRuntime::drain_observed`]) and maps device-local completion
-//! timestamps back to fleet time through the device's clock history. The
-//! runtime's record of its TaskTable is the fleet's record of what is in
-//! flight on the device; the fleet keeps only the key of each task it
-//! spawned there.
+//! timestamps back to fleet time through the device's clock history.
+//! Until then a task's payload — fleet key, tenant, descriptor, attempts —
+//! lives with the device it runs on, in a table the device's TaskTable
+//! bounds; a kill strands exactly that table. Once the host has seen a
+//! task finish, the fleet keeps only its outcome.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -62,25 +63,25 @@ pub enum TaskStatus {
     Lost,
 }
 
+/// All the fleet keeps of a key: where the task is, or how it ended.
 #[derive(Debug, Clone, Copy)]
 enum Status {
     InFlight { device: usize },
     Queued,
     Done { at: SimTime },
-    Lost { at: SimTime },
+    Lost { at: SimTime, attempts: u32 },
 }
 
+// What every key ever issued costs the fleet for the rest of the run.
+const _: () = assert!(std::mem::size_of::<Status>() <= 16);
+
+/// What a task the host has not seen finish needs for a resubmission.
 #[derive(Debug)]
-struct CTask {
+struct Payload {
+    key: u64,
     tenant: u32,
-    desc: TaskDesc,
     attempts: u32,
-    status: Status,
-    /// Device currently holding this task's staged input payload, if
-    /// any. An off-home placement only pays the interconnect transfer
-    /// when the payload is *not* already resident on the target; a kill
-    /// clears the memo (the payload died with the device).
-    staged_on: Option<usize>,
+    desc: TaskDesc,
 }
 
 struct Device {
@@ -88,10 +89,11 @@ struct Device {
     id: u32,
     clock: ClockMap,
     alive: bool,
-    /// The fleet key of each task spawned here, by its device-local
-    /// index ([`local`]). Which of them the host has not seen finish is
-    /// the runtime's to say ([`PagodaRuntime::unobserved`]).
-    keys: Vec<u64>,
+    /// The tasks spawned here whose completion the host has not seen, by
+    /// the TaskTable entry each holds ([`PagodaRuntime::entry_of`]). The
+    /// harvest takes each out as the runtime's observed log names it; a
+    /// kill strands what is left.
+    unseen: Vec<Option<Payload>>,
     /// Completions observed host-side that the fleet clock has not
     /// reached yet: a min-heap on `(fleet instant, key)`. The instant is
     /// `clock.fleet_of(output_done)`, computed once when the task is
@@ -105,12 +107,6 @@ struct Device {
     /// Completions [`Device::observe`] has read from the runtime's log.
     #[cfg(test)]
     read: u64,
-}
-
-/// The index of a device-local id among the device's spawns: a
-/// runtime's [`TaskId`]s are dense from [`TaskId::FIRST`].
-fn local(id: TaskId) -> usize {
-    (id.0 - TaskId::FIRST.0) as usize
 }
 
 /// Device-local instant at which `id`'s output landed in host memory.
@@ -179,12 +175,15 @@ impl Device {
         let Device {
             rt,
             clock,
-            keys,
+            unseen,
             gated,
             ..
         } = self;
-        for (id, out) in rt.drain_observed() {
-            gated.push(Reverse((clock.fleet_of(out), keys[local(id)], id)));
+        for (id, entry, out) in rt.drain_observed() {
+            let task = unseen[entry]
+                .take()
+                .expect("invariant: the fleet holds every task its devices run");
+            gated.push(Reverse((clock.fleet_of(out), task.key, id)));
         }
         #[cfg(test)]
         {
@@ -259,9 +258,9 @@ pub struct FleetReport {
     pub placements: u64,
     /// Placements that landed off the tenant's home set.
     pub off_affinity: u64,
-    /// Off-home placements that actually staged state across the
-    /// interconnect (a resubmit landing where the payload already lives
-    /// pays nothing, so this can trail [`off_affinity`]).
+    /// Transfers that staged tenant state across the interconnect: one
+    /// per off-home placement, resubmissions included, so this equals
+    /// [`off_affinity`].
     ///
     /// [`off_affinity`]: FleetReport::off_affinity
     pub staging_transfers: u64,
@@ -295,8 +294,10 @@ pub struct ClusterHandle {
     faults: Vec<FaultSpec>,
     next_fault: usize,
     fleet_now: SimTime,
-    tasks: Vec<CTask>,
-    pending: VecDeque<u64>,
+    /// One per key issued, indexed by key.
+    statuses: Vec<Status>,
+    /// Tasks a kill stranded, awaiting resubmission in FIFO order.
+    pending: VecDeque<Payload>,
     unresolved: u64,
     /// Keys that turned [`Status::Done`] or [`Status::Lost`] since the
     /// last [`drain_completed`](Backend::drain_completed), in the order
@@ -346,7 +347,7 @@ impl ClusterHandle {
                     id: i as u32,
                     clock: ClockMap::identity(),
                     alive: true,
-                    keys: Vec::new(),
+                    unseen: (0..c.total_entries()).map(|_| None).collect(),
                     gated: BinaryHeap::new(),
                     completed: 0,
                     last_sample: None,
@@ -363,7 +364,7 @@ impl ClusterHandle {
             faults,
             next_fault: 0,
             fleet_now: SimTime::ZERO,
-            tasks: Vec::new(),
+            statuses: Vec::new(),
             pending: VecDeque::new(),
             unresolved: 0,
             completed_log: None,
@@ -387,32 +388,16 @@ impl ClusterHandle {
         self.mutation = Some(m);
     }
 
-    /// Enters a new task in the fleet's books, unresolved.
-    fn record(&mut self, tenant: u32, desc: TaskDesc, status: Status) {
-        self.tasks.push(CTask {
-            tenant,
-            desc,
-            attempts: 1,
-            status,
-            staged_on: None,
-        });
-        self.unresolved += 1;
-    }
-
-    /// Placement + staging charge + device-local spawn. `staged_on` is
-    /// the device already holding the task's payload (resubmissions).
+    /// Placement + staging charge + device-local spawn, returning the
+    /// device, its local id and whether the device is off `tenant`'s home
+    /// set.
     ///
     /// The capacity pre-check matters: the staging transfer must only be
     /// charged when the spawn actually lands. Without it, a placement
     /// that comes back [`SubmitError::Full`] would leave the target's
     /// clock advanced, and every retry of the same task would re-charge
     /// the same transfer.
-    fn route(
-        &mut self,
-        tenant: u32,
-        desc: TaskDesc,
-        staged_on: Option<usize>,
-    ) -> Result<(usize, TaskId, bool, bool), SubmitError> {
+    fn route(&mut self, tenant: u32, desc: TaskDesc) -> Result<(usize, TaskId, bool), SubmitError> {
         self.views.clear();
         self.views.extend(self.devices.iter().map(Device::view));
         let Some(device) = self.placer.place(tenant, &self.views) else {
@@ -423,8 +408,7 @@ impl ClusterHandle {
         if !d.rt.capacity().has_room() {
             return Err(SubmitError::Full(desc));
         }
-        let staged = off_home && staged_on != Some(device);
-        if staged {
+        if off_home {
             // Tenant state is staged onto the target before the spawn
             // can land; modeled as a one-hop transfer on the fleet
             // interconnect, serialized on the target device's timeline.
@@ -432,32 +416,25 @@ impl ClusterHandle {
             d.rt.advance_to(at);
         }
         let id = d.rt.submit(desc)?;
-        Ok((device, id, off_home, staged))
+        Ok((device, id, off_home))
     }
 
-    /// Bookkeeping shared by first spawns and resubmissions.
-    #[allow(clippy::too_many_arguments)]
+    /// Bookkeeping shared by first spawns and resubmissions: `task` now
+    /// runs on `device` as `id`.
     fn commit_spawn(
         &mut self,
-        key: u64,
-        tenant: u32,
+        mut task: Payload,
         device: usize,
         id: TaskId,
         off_home: bool,
-        staged: bool,
         resubmit: bool,
     ) {
-        let keys = &mut self.devices[device].keys;
-        debug_assert_eq!(local(id), keys.len(), "a runtime's ids are dense");
-        keys.push(key);
-        self.tasks[key as usize].status = Status::InFlight { device };
-        self.tasks[key as usize].staged_on = Some(device);
+        let key = task.key;
+        let status = Status::InFlight { device };
         self.obs.count(Counter::ClusterPlacements, 1);
         if off_home {
             self.off_affinity += 1;
             self.obs.count(Counter::ClusterOffAffinity, 1);
-        }
-        if staged {
             let delta = if self.mutation == Some(Mutation::DoubleChargeStaging) {
                 2
             } else {
@@ -467,19 +444,25 @@ impl ClusterHandle {
             self.obs.count(Counter::ClusterStagedTransfers, delta);
         }
         if resubmit {
-            self.tasks[key as usize].attempts += 1;
+            task.attempts += 1;
+            self.statuses[key as usize] = status;
             self.resubmits += 1;
             self.obs.count(Counter::ClusterResubmits, 1);
         } else {
+            self.statuses.push(status);
+            self.unresolved += 1;
             self.obs
                 .task(self.fleet_now.as_ps(), key, TaskState::Spawned);
-            self.obs.tenant(key, tenant);
+            self.obs.tenant(key, task.tenant);
         }
         // Both first spawns and resubmissions: profiling charges the
         // task to the device that finally ran it (last route wins).
         self.obs.route(key, device as u32);
-        let obs = self.obs.clone();
-        self.devices[device].sample(self.fleet_now, &obs, false);
+        let d = &mut self.devices[device];
+        let entry = d.rt.entry_of(id).expect("invariant: just spawned");
+        let held = d.unseen[entry].replace(task);
+        debug_assert!(held.is_none(), "the harvest took entry {entry}'s last task");
+        d.sample(self.fleet_now, &self.obs, false);
     }
 
     /// Phase 1 of [`sync`](Backend::sync): per-device copy-back +
@@ -511,29 +494,46 @@ impl ClusterHandle {
         let d = &mut self.devices[device];
         d.rt.sync_table();
         d.sample(at, &self.obs, false);
+        #[cfg(test)]
+        let rescan = self.scan_finished(device, at, gate);
+        let d = &mut self.devices[device];
         d.observe();
         let due = d.pop_due(at, gate);
         #[cfg(test)]
         assert_eq!(
             due.iter().map(|&(t, key, _)| (t, key)).collect::<Vec<_>>(),
-            self.scan_finished(device, at, gate),
+            rescan,
             "the logged harvest diverged from the full rescan on device {device}"
         );
         due
     }
 
-    /// The harvest oracle: every key the fleet's statuses place in flight
-    /// on `device`, probed for completion and mapped through the clock
-    /// afresh. Returned in `(fleet instant, key)` order.
+    /// The harvest oracle, read before the harvest reads the runtime's
+    /// log: every task the device holds — unseen or gated, exactly the
+    /// keys the fleet's statuses place in flight there — probed for
+    /// completion and mapped through the clock afresh. Returned in
+    /// `(fleet instant, key)` order.
     #[cfg(test)]
     fn scan_finished(&self, device: usize, fleet_now: SimTime, gate: bool) -> Vec<(SimTime, u64)> {
         let d = &self.devices[device];
-        let mut finished: Vec<(SimTime, u64)> = d
-            .keys
+        // An entry's task is the last one spawned into it.
+        let mut occupant = vec![None; d.unseen.len()];
+        for id in (0..d.rt.spawned()).map(|i| TaskId(TaskId::FIRST.0 + i)) {
+            occupant[d.rt.entry_of(id).expect("issued id")] = Some(id);
+        }
+        let held: Vec<(TaskId, u64)> = (d.unseen.iter().zip(occupant))
+            .filter_map(|(task, id)| Some((id?, task.as_ref()?.key)))
+            .chain(d.gated.iter().map(|&Reverse((_, key, id))| (id, key)))
+            .collect();
+        let placed_here = (0..self.statuses.len() as u64)
+            .filter(|&key| self.device_of(key) == Some(device))
+            .count();
+        assert_eq!(held.len(), placed_here, "device {device}");
+        assert!(held
             .iter()
-            .enumerate()
-            .filter(|&(_, &key)| self.device_of(key) == Some(device))
-            .map(|(i, &key)| (TaskId(TaskId::FIRST.0 + i as u64), key))
+            .all(|&(_, key)| self.device_of(key) == Some(device)));
+        let mut finished: Vec<(SimTime, u64)> = held
+            .into_iter()
             .filter(|&(id, _)| d.rt.observed_done(id).expect("fleet-issued id"))
             .map(|(id, key)| (d.clock.fleet_of(output_done(&d.rt, id)), key))
             .filter(|&(at, _)| !gate || at <= fleet_now)
@@ -552,15 +552,17 @@ impl ClusterHandle {
             // fleet key (the runtime tracked it under its own TaskId):
             // without these cuts, fleet-level profiling would collapse
             // staging, MTB wait, and SMM wait into one opaque span.
+            // The device's instants are local: map them as `at` was.
             if self.obs.enabled() {
-                if let Ok(tr) = self.devices[device].rt.trace(id) {
+                let d = &self.devices[device];
+                if let Ok(tr) = d.rt.trace(id) {
                     for (t, st) in [
                         (tr.entry_visible, TaskState::Enqueued),
                         (tr.schedulable, TaskState::Placed),
                         (tr.first_exec, TaskState::Running),
                     ] {
                         if let Some(t) = t {
-                            self.obs.task(t.as_ps(), key, st);
+                            self.obs.task(d.clock.fleet_of(t).as_ps(), key, st);
                         }
                     }
                 }
@@ -583,19 +585,16 @@ impl ClusterHandle {
     /// alive, the whole queue is lost.
     fn drain_pending(&mut self) {
         if !self.devices.iter().any(|d| d.alive) {
-            while let Some(key) = self.pending.pop_front() {
-                self.mark_lost(key, self.fleet_now);
+            while let Some(task) = self.pending.pop_front() {
+                self.mark_lost(task.key, self.fleet_now, task.attempts);
             }
             return;
         }
-        while let Some(&key) = self.pending.front() {
-            let tenant = self.tasks[key as usize].tenant;
-            let desc = self.tasks[key as usize].desc.clone();
-            let staged_on = self.tasks[key as usize].staged_on;
-            match self.route(tenant, desc, staged_on) {
-                Ok((device, id, off_home, staged)) => {
-                    self.pending.pop_front();
-                    self.commit_spawn(key, tenant, device, id, off_home, staged, true);
+        while let Some(task) = self.pending.front() {
+            match self.route(task.tenant, task.desc.clone()) {
+                Ok((device, id, off_home)) => {
+                    let task = self.pending.pop_front().expect("routed from the front");
+                    self.commit_spawn(task, device, id, off_home, true);
                 }
                 Err(SubmitError::Full(_)) => break,
                 Err(e) => unreachable!("descriptor spawned once, cannot be invalid now: {e}"),
@@ -606,15 +605,15 @@ impl ClusterHandle {
     /// The one place a task leaves the unresolved set: `status` is
     /// [`Status::Done`] or [`Status::Lost`], and final.
     fn resolve(&mut self, key: u64, status: Status) {
-        self.tasks[key as usize].status = status;
+        self.statuses[key as usize] = status;
         self.unresolved -= 1;
         if let Some(log) = &mut self.completed_log {
             log.push(key);
         }
     }
 
-    fn mark_lost(&mut self, key: u64, at: SimTime) {
-        self.resolve(key, Status::Lost { at });
+    fn mark_lost(&mut self, key: u64, at: SimTime, attempts: u32) {
+        self.resolve(key, Status::Lost { at, attempts });
         self.lost += 1;
         self.obs.count(Counter::ClusterTasksLost, 1);
         self.obs.task(at.as_ps(), key, TaskState::Freed);
@@ -671,22 +670,16 @@ impl ClusterHandle {
                 self.kills += 1;
                 self.obs.count(Counter::ClusterDeviceKills, 1);
                 // The ungated harvest emptied `gated`: what is stranded is
-                // exactly what the host never saw finish — the tasks the
-                // runtime still holds in its CPU view — in key order.
-                let d = &self.devices[f.device];
-                let mut stranded: Vec<u64> =
-                    d.rt.unobserved().map(|id| d.keys[local(id)]).collect();
-                stranded.sort_unstable();
+                // exactly what the host never saw finish, in key order.
+                let unseen = std::mem::take(&mut self.devices[f.device].unseen);
+                let mut stranded: Vec<Payload> = unseen.into_iter().flatten().collect();
+                stranded.sort_unstable_by_key(|task| task.key);
                 let mut dropped_one = false;
-                for key in stranded {
-                    // The payload died with the device: a resubmission
-                    // must stage again wherever it lands off-home.
-                    self.tasks[key as usize].staged_on = None;
+                for task in stranded {
+                    let (key, attempts) = (task.key, task.attempts);
                     let retry = match self.retry {
                         RetryPolicy::Fail => false,
-                        RetryPolicy::Resubmit { max_attempts } => {
-                            self.tasks[key as usize].attempts < max_attempts
-                        }
+                        RetryPolicy::Resubmit { max_attempts } => attempts < max_attempts,
                     };
                     if retry {
                         if self.mutation == Some(Mutation::DropResubmit) && !dropped_one {
@@ -696,13 +689,13 @@ impl ClusterHandle {
                             // terminates; only end-of-run conservation
                             // can see the hole.
                             dropped_one = true;
-                            self.resolve(key, Status::Lost { at });
+                            self.resolve(key, Status::Lost { at, attempts });
                             continue;
                         }
-                        self.tasks[key as usize].status = Status::Queued;
-                        self.pending.push_back(key);
+                        self.statuses[key as usize] = Status::Queued;
+                        self.pending.push_back(task);
                     } else {
-                        self.mark_lost(key, at);
+                        self.mark_lost(key, at, attempts);
                     }
                 }
                 self.devices[f.device].sample(at, &obs, true);
@@ -711,13 +704,14 @@ impl ClusterHandle {
         }
     }
 
-    /// Task `key`'s record, or [`PagodaError::UnknownTask`] for a key
+    /// Task `key`'s status, or [`PagodaError::UnknownTask`] for a key
     /// this fleet never issued.
-    fn task(&self, key: u64) -> Result<&CTask, PagodaError> {
-        let spawned = self.tasks.len() as u64;
+    fn task(&self, key: u64) -> Result<Status, PagodaError> {
+        let spawned = self.statuses.len() as u64;
         let task = TaskId(key);
-        self.tasks
+        self.statuses
             .get(key as usize)
+            .copied()
             .ok_or(PagodaError::UnknownTask { task, spawned })
     }
 
@@ -725,12 +719,11 @@ impl ClusterHandle {
     /// [`PagodaError::TaskLost`] of a task given up on — or `None` while
     /// it is in flight or queued.
     fn outcome(&self, key: u64) -> Option<Result<SimTime, PagodaError>> {
-        let t = &self.tasks[key as usize];
-        match t.status {
+        match self.statuses[key as usize] {
             Status::Done { at } => Some(Ok(at)),
-            Status::Lost { .. } => Some(Err(PagodaError::TaskLost {
+            Status::Lost { attempts, .. } => Some(Err(PagodaError::TaskLost {
                 task: TaskId(key),
-                attempts: t.attempts,
+                attempts,
             })),
             Status::InFlight { .. } | Status::Queued => None,
         }
@@ -741,7 +734,7 @@ impl ClusterHandle {
     /// # Errors
     /// [`PagodaError::UnknownTask`] for a key this fleet never issued.
     pub fn status(&self, key: u64) -> Result<TaskStatus, PagodaError> {
-        Ok(match self.task(key)?.status {
+        Ok(match self.task(key)? {
             Status::InFlight { .. } => TaskStatus::InFlight,
             Status::Queued => TaskStatus::Queued,
             Status::Done { .. } => TaskStatus::Done,
@@ -752,8 +745,8 @@ impl ClusterHandle {
     /// Fleet index of the device `key` is currently in flight on
     /// (`None` once done, lost, or while queued for resubmission).
     pub fn device_of(&self, key: u64) -> Option<usize> {
-        match self.tasks.get(key as usize)?.status {
-            Status::InFlight { device } => Some(device),
+        match self.statuses.get(key as usize)? {
+            &Status::InFlight { device } => Some(device),
             _ => None,
         }
     }
@@ -796,7 +789,7 @@ impl ClusterHandle {
         FleetReport {
             devices,
             makespan: self.fleet_now,
-            completed: self.tasks.len() as u64 - self.lost - self.unresolved,
+            completed: self.statuses.len() as u64 - self.lost - self.unresolved,
             placements,
             off_affinity: self.off_affinity,
             staging_transfers: self.staged,
@@ -830,26 +823,29 @@ impl Backend for ClusterHandle {
     /// single runtime. A Full return charges nothing — no device clock
     /// moves. Task-shape errors propagate unchanged.
     fn submit(&mut self, tenant: u32, desc: TaskDesc) -> Result<u64, SubmitError> {
-        let kept = desc.clone();
-        let key = self.tasks.len() as u64;
-        let (device, id, off_home, staged) = match self.route(tenant, desc, None) {
-            Ok(placed) => placed,
+        let key = self.statuses.len() as u64;
+        let task = Payload {
+            key,
+            tenant,
+            attempts: 1,
+            desc: desc.clone(),
+        };
+        match self.route(tenant, desc) {
+            Ok((device, id, off_home)) => self.commit_spawn(task, device, id, off_home, false),
             Err(SubmitError::Full(desc)) if !self.devices.iter().any(|d| d.alive) => {
                 desc.validate()?;
-                self.record(tenant, desc, Status::Queued);
+                self.statuses.push(Status::Queued);
+                self.unresolved += 1;
                 self.obs
                     .task(self.fleet_now.as_ps(), key, TaskState::Spawned);
                 self.obs.tenant(key, tenant);
                 // The loss is a fleet effect applied at the fleet clock:
                 // under its own sync mark, as a sync's losses are.
                 self.obs.sync_mark(self.fleet_now.as_ps(), SyncKind::Sync);
-                self.mark_lost(key, self.fleet_now);
-                return Ok(key);
+                self.mark_lost(key, self.fleet_now, 1);
             }
             Err(e) => return Err(e),
-        };
-        self.record(tenant, kept, Status::InFlight { device });
-        self.commit_spawn(key, tenant, device, id, off_home, staged, false);
+        }
         Ok(key)
     }
 
@@ -894,10 +890,9 @@ impl Backend for ClusterHandle {
 
     fn observed_done(&self, key: u64) -> bool {
         matches!(
-            self.tasks
+            self.statuses
                 .get(key as usize)
-                .expect("invariant: callers only pass keys this fleet issued")
-                .status,
+                .expect("invariant: callers only pass keys this fleet issued"),
             Status::Done { .. } | Status::Lost { .. }
         )
     }
@@ -905,8 +900,8 @@ impl Backend for ClusterHandle {
     /// Fleet instant at which `key`'s output landed in host memory;
     /// `None` until then (for a lost task, the instant it was given up).
     fn completion_time(&self, key: u64) -> Option<SimTime> {
-        match self.tasks.get(key as usize)?.status {
-            Status::Done { at } | Status::Lost { at } => Some(at),
+        match self.statuses.get(key as usize)? {
+            &(Status::Done { at } | Status::Lost { at, .. }) => Some(at),
             _ => None,
         }
     }
@@ -1146,6 +1141,40 @@ mod tests {
         assert!(
             degraded > healthy,
             "slowdown must cost fleet time: {degraded:?} vs {healthy:?}"
+        );
+    }
+
+    #[test]
+    fn a_slowed_device_replays_its_tasks_in_fleet_time() {
+        let mut cfg = ClusterConfig::uniform(2);
+        cfg.faults = vec![FaultSpec {
+            at: SimTime::from_us(5),
+            device: 1,
+            kind: FaultKind::Slow { factor: 8.0 },
+        }];
+        let mut fleet = ClusterHandle::new(cfg).unwrap();
+        let (obs, rec) = Obs::recording();
+        fleet.attach_obs(obs);
+        // Idled past the slowdown, device 1's clock lags the fleet's by far.
+        fleet.advance_to(SimTime::from_us(2_000));
+        let keys = submit_batch(&mut fleet, 2_000);
+        fleet.wait_all();
+        assert!(fleet.report().devices.iter().all(|d| d.completed > 0));
+        // Each task's lifecycle, in emission order, never goes back in time.
+        let mut last = vec![0; keys.len()];
+        let mut backwards = Vec::new();
+        for ev in &rec.snapshot().tasks {
+            let seen = &mut last[ev.task as usize];
+            if ev.at_ps < *seen {
+                backwards.push((ev.task, ev.state, ev.at_ps, *seen));
+            }
+            *seen = ev.at_ps.max(*seen);
+        }
+        assert!(
+            backwards.is_empty(),
+            "{} instants before their predecessor, e.g. {:?}",
+            backwards.len(),
+            &backwards[..backwards.len().min(3)]
         );
     }
 

@@ -14,7 +14,7 @@
 //!   tenant affinity. Every policy accounts placements against a
 //!   tenant's *home* device set; landing elsewhere pays a modeled
 //!   inter-device staging transfer of the tenant's state over a PCIe
-//!   class link (charged once per genuine cross-device move — see
+//!   class link (charged once per off-home placement — see
 //!   [`FleetReport::staging_transfers`]).
 //! * [`fleet`] — [`ClusterHandle`], N independent [`PagodaRuntime`]
 //!   instances stepped by one serial driver under one fleet clock

@@ -188,7 +188,7 @@ impl Backend for PagodaRuntime {
     }
 
     fn drain_completed(&mut self, _pending: &mut dyn Iterator<Item = u64>, out: &mut Vec<u64>) {
-        out.extend(self.drain_observed().map(|(id, _)| id.0));
+        out.extend(self.drain_observed().map(|(id, _, _)| id.0));
     }
 
     fn now(&self) -> SimTime {

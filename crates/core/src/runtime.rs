@@ -251,10 +251,10 @@ pub struct PagodaRuntime {
     /// looked at.
     #[cfg(test)]
     row_probes: [std::cell::Cell<u64>; 2],
-    /// Tasks whose completion the CPU observed since the last
-    /// [`PagodaRuntime::drain_observed`], in observation order. `None`
-    /// until the first drain, so a caller that never drains keeps no log.
-    observed_log: Option<Vec<TaskId>>,
+    /// Tasks (with their entries) whose completion the CPU observed since
+    /// the last [`PagodaRuntime::drain_observed`], in observation order.
+    /// `None` until the first drain, so a caller that never drains keeps no log.
+    observed_log: Option<Vec<(TaskId, usize)>>,
     /// Latest `output_done` over every finished task.
     last_output: SimTime,
     /// What [`PagodaRuntime::report`] would otherwise scan `tasks` for,
@@ -421,30 +421,28 @@ impl PagodaRuntime {
         Ok(!self.holds_entry(t))
     }
 
-    /// The tasks whose completion the CPU has not observed yet — those
-    /// still holding a TaskTable entry in its view — in entry order.
-    pub fn unobserved(&self) -> impl Iterator<Item = TaskId> + '_ {
-        self.cpu_occupant.iter().flatten().copied()
-    }
-
     /// Hands over the tasks whose completion the CPU observed since the
-    /// previous call, each exactly once, in observation order, with the
-    /// instant its output landed in host memory (its trace's
-    /// `output_done`) — what a copy-back changed, so a caller need not
-    /// ask [`PagodaRuntime::observed_done`] of everything it has in
-    /// flight. The first call starts the log and hands over nothing:
-    /// make it before the first `submit` whose completion should be
-    /// reported.
-    pub fn drain_observed(&mut self) -> impl ExactSizeIterator<Item = (TaskId, SimTime)> + '_ {
+    /// previous call, each exactly once, in observation order, with its
+    /// entry and the instant its output landed in host memory (its trace's
+    /// `output_done`): what a copy-back changed, so a caller need not poll
+    /// [`PagodaRuntime::observed_done`]. The first call starts the log and
+    /// hands over nothing: make it before the first `submit` to report.
+    pub fn drain_observed(
+        &mut self,
+    ) -> impl ExactSizeIterator<Item = (TaskId, usize, SimTime)> + '_ {
         let tasks = &self.tasks;
         let log = self.observed_log.get_or_insert_with(Vec::new);
-        log.drain(..).map(move |t| {
+        log.drain(..).map(move |(t, entry)| {
             let out = tasks[(t.0 - TaskId::FIRST.0) as usize].output_done.get();
-            (
-                t,
-                out.expect("invariant: an observed task has an output time"),
-            )
+            (t, entry, out.expect("an observed task has an output time"))
         })
+    }
+
+    /// The TaskTable entry `t` holds until the CPU observes it finish, as an
+    /// index below [`PagodaConfig::total_entries`]; `None` for an id this
+    /// runtime never issued.
+    pub fn entry_of(&self, t: TaskId) -> Option<usize> {
+        self.tix(t).ok().map(|i| self.eidx(self.tasks[i].entry))
     }
 
     /// The configuration this runtime was booted with.
@@ -854,7 +852,7 @@ impl PagodaRuntime {
         self.cpu_table.set(e, EntryState::default());
         self.succ_entry[ei] = None;
         if let Some(log) = &mut self.observed_log {
-            log.push(t);
+            log.push((t, ei));
         }
     }
 
@@ -1500,7 +1498,7 @@ mod tests {
             rt.submit(tiny_task()).unwrap();
         }
         rt.wait_all();
-        assert_eq!(rt.unobserved().count(), 0);
+        assert_eq!(rt.cpu_occupant.iter().flatten().count(), 0);
         assert!(rt.observed_log.is_none());
     }
 
@@ -1519,7 +1517,7 @@ mod tests {
                 }
             }
             rt.sync_table();
-            let round: Vec<TaskId> = rt.drain_observed().map(|(id, _)| id).collect();
+            let round: Vec<TaskId> = rt.drain_observed().map(|(id, _, _)| id).collect();
             assert_eq!(rt.drain_observed().count(), 0, "a drain empties the log");
             handed.extend(round);
             // The log and the poll it replaces agree after every round.
@@ -1724,7 +1722,7 @@ mod tests {
         }
         rt.wait_all();
         each(&mut rt)?;
-        prop_assert_eq!(rt.unobserved().count(), 0);
+        prop_assert_eq!(rt.cpu_occupant.iter().flatten().count(), 0);
         prop_assert_eq!(rt.report().tasks, ids.len() as u64);
         Ok(())
     }
@@ -1738,9 +1736,10 @@ mod tests {
         handed: &mut Vec<bool>,
     ) -> Result<(), TestCaseError> {
         handed.resize(rt.spawned() as usize, false);
-        let round: Vec<(TaskId, SimTime)> = rt.drain_observed().collect();
-        for (id, out) in round {
+        let round: Vec<(TaskId, usize, SimTime)> = rt.drain_observed().collect();
+        for (id, entry, out) in round {
             prop_assert_eq!(rt.trace(id).unwrap().output_done, Some(out));
+            prop_assert_eq!(rt.entry_of(id).unwrap(), entry);
             let i = (id.0 - TaskId::FIRST.0) as usize;
             prop_assert!(!handed[i], "{:?} handed over twice", id);
             handed[i] = true;
@@ -1748,11 +1747,14 @@ mod tests {
         for (i, &h) in handed.iter().enumerate() {
             let id = TaskId(TaskId::FIRST.0 + i as u64);
             prop_assert_eq!(rt.observed_done(id).unwrap(), h, "{:?}", id);
+            if !h {
+                prop_assert_eq!(rt.cpu_occupant[rt.entry_of(id).unwrap()], Some(id));
+            }
         }
         let c = rt.capacity();
         let held = handed.iter().filter(|&&h| !h).count();
         prop_assert_eq!(c.total - c.known_free, held as u32);
-        prop_assert_eq!(rt.unobserved().count(), held);
+        prop_assert_eq!(rt.cpu_occupant.iter().flatten().count(), held);
         Ok(())
     }
 
@@ -1766,7 +1768,7 @@ mod tests {
             interleave(24, 1, ops, poll_counters_match_scans)?;
         }
 
-        /// `observed_done`, `capacity` and `unobserved` are all read off
+        /// `observed_done`, `capacity` and the occupants are all read off
         /// the CPU's record of each entry; this holds them to the log of
         /// what a copy-back freed, after every op.
         #[test]

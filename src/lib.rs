@@ -71,6 +71,11 @@
 
 #![forbid(unsafe_code)]
 
+/// The README's Rust examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use baselines;
 pub use desim;
 pub use gpu_arch;

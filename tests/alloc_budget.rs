@@ -20,6 +20,11 @@
 //! log shares its sealed chunks, so its bytes do not grow with the
 //! events recorded.
 //!
+//! What the host keeps is held by the same allocator, which also counts
+//! frees: the live bytes left per finished task after a batch, for one
+//! runtime, for a 16-device fleet and for 16 bare runtimes running the
+//! same tasks (the fleet's own share is the difference of the last two).
+//!
 //! The counters are per thread, so the tests of this file do not see
 //! each other's (or the harness's) allocations.
 
@@ -41,6 +46,9 @@ thread_local! {
     /// Bytes those calls asked for: an `alloc`'s size, a `realloc`'s new
     /// size.
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread's calls hold: what they took minus what
+    /// `dealloc` and `realloc` gave back.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -51,21 +59,28 @@ fn bump(size: usize) {
     let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
 }
 
+fn hold(delta: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + delta));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; `bump` touches only a `Cell<u64>`
 // and neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump(layout.size());
+        hold(layout.size() as i64);
         // SAFETY: the caller's obligations are `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump(new_size);
+        hold(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as i64));
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -80,6 +95,10 @@ fn allocs() -> u64 {
 
 fn bytes() -> u64 {
     BYTES.with(Cell::get)
+}
+
+fn live() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 /// The three scheduling kinds (whole-task `pSched`; per-threadblock with
@@ -237,12 +256,11 @@ fn a_two_device_fleet_states_its_own_budget() {
         fleet.wait_all();
         let spent = allocs() - before;
         println!("fleet of 2, {placement:?}: {spent} allocations for 10 000 tasks");
-        // Measured: 3 495 under either policy, 0.35 per task — the fleet's
-        // own bookkeeping per sync and per placement, and its map of each
-        // device's task keys growing once per device (its devices'
-        // deliveries allocate nothing, as above; a placement itself
-        // allocates nothing). Not this file's to shrink; held so it does
-        // not grow.
+        // Measured: 3 493 under either policy, 0.35 per task — the fleet's
+        // own bookkeeping per sync and per placement, and its statuses
+        // growing (its devices' deliveries allocate nothing, as above; a
+        // placement itself allocates nothing). Not this file's to shrink;
+        // held so it does not grow.
         assert!(
             spent <= 4_000,
             "{placement:?}: {spent} allocations for 10 000 tasks on a warm two-device fleet"
@@ -314,4 +332,57 @@ fn a_snapshot_copies_no_sealed_chunk() {
         "a snapshot of 4N events took {large} B, of N {small} B: {} B for {extra_chunks} more sealed chunks",
         large.saturating_sub(small)
     );
+}
+
+/// Live bytes `backends` keep per finished task once `n` 128-thread tasks
+/// have run on them — spawned round-robin, then waited for — past what
+/// they held before the first spawn.
+fn kept_per_task<B: Backend>(mut backends: Vec<B>, n: usize, wait_all: fn(&mut B)) -> f64 {
+    let desc = TaskDesc::uniform(128, WarpWork::compute(20_000, 2.0));
+    let before = live();
+    let len = backends.len();
+    for i in 0..n {
+        backends[i % len].spawn_blocking(0, desc.clone()).unwrap();
+    }
+    backends.iter_mut().for_each(wait_all);
+    (live() - before) as f64 / n as f64
+}
+
+#[test]
+fn the_host_keeps_what_it_needs_per_finished_task() {
+    for n in [100_000, 400_000] {
+        // Each row runs on a thread of its own, read by that thread's counter.
+        let [runtime, fleet, bare] = std::thread::scope(|s| {
+            let runtime = s.spawn(|| {
+                kept_per_task(vec![PagodaRuntime::titan_x()], n, PagodaRuntime::wait_all)
+            });
+            let fleet = s.spawn(|| {
+                let fleet = ClusterHandle::new(ClusterConfig::uniform(16)).unwrap();
+                kept_per_task(vec![fleet], n, ClusterHandle::wait_all)
+            });
+            let bare = s.spawn(|| {
+                let bare = (0..16).map(|_| PagodaRuntime::titan_x()).collect();
+                kept_per_task(bare, n, PagodaRuntime::wait_all)
+            });
+            [runtime, fleet, bare].map(|row| row.join().unwrap())
+        });
+        let share = fleet - bare;
+        println!(
+            "{n} tasks, live bytes kept per task: one runtime {runtime:.1}, \
+             16-device fleet {fleet:.1}, 16 runtimes {bare:.1}, fleet share {share:.1}"
+        );
+        // Measured: 73.8 / 73.5 B — a 56 B record per task for `trace()`,
+        // in a vector that has doubled past the task count.
+        assert!(
+            (73.0..=74.5).contains(&runtime),
+            "{n} tasks: {runtime:.1} B"
+        );
+        // Measured: 57.6 / 53.7 B — a 16 B status per key and the 24 B
+        // entries of the harvest gate's heap, each in a vector that has
+        // doubled past the task count (in a batch nearly every completion
+        // waits behind the gate). A task's payload lives with its device
+        // only until the host sees it finish. When each key also kept its
+        // descriptor and each device a list of its keys: 128.5 / 126.5 B.
+        assert!(share <= 90.0, "{n} tasks: the fleet keeps {share:.1} B");
+    }
 }
