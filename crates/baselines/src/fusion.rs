@@ -33,11 +33,10 @@ fn pad_block(block: &BlockWork, to_warps: u32) -> BlockWork {
     }
     let pad = WarpWork {
         segments: vec![Segment::Barrier; block.barriers()],
-        cpi: block.warps()[0].cpi,
+        cpi: block.warp(0).cpi,
     };
-    let mut warps = block.warps().to_vec();
-    warps.resize(to_warps as usize, pad);
-    BlockWork::new(warps)
+    let pads = std::iter::repeat_n(pad, (to_warps - have) as usize);
+    BlockWork::new(block.warps().iter().cloned().chain(pads))
 }
 
 /// Runs all `tasks` as one statically fused kernel with
@@ -148,8 +147,8 @@ mod tests {
         let b = BlockWork::uniform(2, WarpWork::phased(1000, 3, 1.5));
         let p = pad_block(&b, 8);
         assert_eq!(p.num_warps(), 8);
-        assert_eq!(p.warps()[7].barrier_count(), 2);
-        assert_eq!(p.warps()[7].total_instrs(), 0);
+        assert_eq!(p.warp(7).barrier_count(), 2);
+        assert_eq!(p.warp(7).total_instrs(), 0);
         assert_eq!(p.total_instrs(), b.total_instrs());
     }
 

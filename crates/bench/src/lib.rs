@@ -148,7 +148,7 @@ pub fn bench_waves(
 pub fn reshape_task(base: &TaskDesc, total_threads: u32, threads_per_tb: u32) -> TaskDesc {
     assert_eq!(base.num_tbs(), 1, "reshape expects a single-TB base task");
     assert_eq!(total_threads % threads_per_tb, 0, "uneven grid");
-    let w0 = &base.blocks[0].warps()[0];
+    let w0 = base.blocks[0].warp(0);
     let total_ops: u64 = base.total_instrs();
     let ops_per_thread = total_ops.div_ceil(u64::from(total_threads));
     let block = workloads::gen::build_block(

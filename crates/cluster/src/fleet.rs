@@ -202,6 +202,10 @@ impl Device {
     /// the gate, the fleet would observe those completions early and a
     /// slowdown would cost nothing. Kill-harvest passes `gate = false`:
     /// it reads the device's final local state, whenever that ran to.
+    ///
+    /// A drained gate keeps no more capacity than the TaskTable holds: a
+    /// batch whose completions all waited behind it grew it to about the
+    /// batch.
     fn pop_due(&mut self, fleet_now: SimTime, gate: bool) -> Vec<(SimTime, u64, TaskId)> {
         let mut due = Vec::new();
         while let Some(&Reverse(first)) = self.gated.peek() {
@@ -210,6 +214,9 @@ impl Device {
             }
             self.gated.pop();
             due.push(first);
+        }
+        if self.gated.is_empty() {
+            self.gated.shrink_to(self.unseen.len());
         }
         due
     }

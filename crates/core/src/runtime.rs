@@ -1324,7 +1324,7 @@ impl PagodaRuntime {
         }
         let entry = r.entry;
         let desc = self.resident[self.eidx(entry)].desc.as_ref();
-        let work = &desc.expect(NO_PARAMS).blocks[tb as usize].warps()[w as usize];
+        let work = desc.expect(NO_PARAMS).blocks[tb as usize].warp(w);
         self.device.assign_warp_parts(
             self.mtbs[mi].exec_warps[slot],
             &work.segments,

@@ -10,7 +10,11 @@
 //!   are freed at *threadblock* granularity — a new TB cannot launch until a
 //!   whole resident TB retires (paper §6.4) — unless
 //!   [`DeviceConfig::free_warps_individually`] is set (an ablation of
-//!   Pagoda's warp-level freeing applied to the hardware path).
+//!   Pagoda's warp-level freeing applied to the hardware path). A placed
+//!   TB runs each run of identical warps
+//!   ([`BlockWork::runs`](crate::work::BlockWork::runs)) as one execution
+//!   context ([`ExecState::create_warps`]), in the slots and buffers a
+//!   retired TB left, so placement allocates nothing once warm.
 //!
 //! * **Persistent kernels** ([`GpuDevice::launch_persistent`]): the
 //!   MasterKernel path. Threadblocks are placed once and never retire; their
@@ -119,12 +123,25 @@ struct Footprint {
     smem: u32,
 }
 
+impl Footprint {
+    /// Whether `self` needs at least as much of every resource as `other`.
+    fn covers(&self, other: &Footprint) -> bool {
+        self.warps >= other.warps
+            && self.threads >= other.threads
+            && self.regs >= other.regs
+            && self.smem >= other.smem
+    }
+}
+
 #[derive(Debug)]
 struct KernelCtx {
     kernel: Arc<Kernel>,
     tag: u64,
     foot: Footprint,
-    next_tb: usize,
+    /// `kernel.num_tbs()`, kept beside the progress counters so a
+    /// placement sweep reads no kernel.
+    num_tbs: u32,
+    next_tb: u32,
     retired_tbs: u32,
     done: bool,
 }
@@ -133,6 +150,10 @@ struct KernelCtx {
 struct TbCtx {
     kid: u32,
     sm: u32,
+    /// One execution context per run of identical warps
+    /// ([`BlockWork::runs`](crate::work::BlockWork::runs)). Empty while
+    /// the slot waits in `free_tbs`; its capacity is kept for the next
+    /// tenant.
     warps: Vec<WarpHandle>,
     group: GroupId,
     done_warps: u32,
@@ -143,6 +164,31 @@ struct TbCtx {
     /// Registers already returned via individual freeing.
     regs_prefreed: u32,
     retired: bool,
+}
+
+/// A set of SMM indices, one bit each, visited in ascending order.
+#[derive(Debug, Default)]
+struct SmSet(Vec<u64>);
+
+impl SmSet {
+    fn new(num_sms: u32) -> Self {
+        SmSet(vec![0; num_sms.div_ceil(64) as usize])
+    }
+
+    fn insert(&mut self, sm: u32) {
+        self.0[(sm / 64) as usize] |= 1 << (sm % 64);
+    }
+
+    /// Calls `f` on each member in ascending order, emptying the set.
+    fn drain(&mut self, mut f: impl FnMut(u32)) {
+        for (i, word) in self.0.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                f(i as u32 * 64 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 /// A placed persistent threadblock (one Pagoda MTB).
@@ -163,10 +209,19 @@ pub struct GpuDevice {
     sm_res: Vec<SmRes>,
     kernels: Vec<KernelCtx>,
     tbs: Vec<TbCtx>,
+    /// Retired slots of `tbs`, reused last-retired-first: a placement
+    /// allocates nothing once as many threadblocks as it needs have been
+    /// resident at once.
+    free_tbs: Vec<u32>,
     /// Active (placing/executing) kernel ids in launch order.
     active: Vec<u32>,
     /// Issued kernels waiting for a free concurrency slot.
     waiting: VecDeque<u32>,
+    /// A footprint no SMM could take at the last failed placement, until
+    /// resources are next returned: free resources only shrink until
+    /// then, so no footprint that covers it fits either, and a sweep over
+    /// a full device's active kernels skips their scans.
+    unplaceable: Option<Footprint>,
     /// Launch front-end serialization point.
     next_launch_free: SimTime,
     drain_pending: bool,
@@ -176,8 +231,8 @@ pub struct GpuDevice {
     /// queue never carries superseded predictions.
     sm_wake: Vec<Option<EventKey>>,
     /// Scratch for [`GpuDevice::settle`]: the SMMs whose running set
-    /// changed. One flag per SMM, all clear between calls.
-    dirty: Vec<bool>,
+    /// changed, one bit per SMM. All clear between calls.
+    dirty: SmSet,
     /// Scratch for [`GpuDevice::settle`]: the completion batch in hand,
     /// traded with the execution engine's queue so neither is re-grown.
     /// Empty between calls.
@@ -203,7 +258,7 @@ impl GpuDevice {
             .collect();
         let exec = ExecState::new(spec);
         let sm_wake = vec![None; spec.num_sms as usize];
-        let dirty = vec![false; spec.num_sms as usize];
+        let dirty = SmSet::new(spec.num_sms);
         GpuDevice {
             cfg,
             engine: Engine::new(),
@@ -211,8 +266,10 @@ impl GpuDevice {
             sm_res,
             kernels: Vec::new(),
             tbs: Vec::new(),
+            free_tbs: Vec::new(),
             active: Vec::new(),
             waiting: VecDeque::new(),
+            unplaceable: None,
             next_launch_free: SimTime::ZERO,
             drain_pending: false,
             sm_wake,
@@ -262,6 +319,7 @@ impl GpuDevice {
         let foot = self.footprint(&shape);
         let kid = self.kernels.len() as u32;
         self.kernels.push(KernelCtx {
+            num_tbs: kernel.num_tbs(),
             kernel,
             tag,
             foot,
@@ -592,33 +650,30 @@ impl GpuDevice {
             }
             self.finished.clear();
         }
-        for (sm, d) in dirty.iter_mut().enumerate() {
-            if std::mem::take(d) {
-                self.reschedule_sm(sm as u32, now);
-            }
-        }
+        dirty.drain(|sm| self.reschedule_sm(sm, now));
         self.dirty = dirty;
     }
 
     /// One placement sweep over active kernels. Returns whether any TB was
     /// placed.
-    fn try_place(&mut self, now: SimTime, dirty: &mut [bool]) -> bool {
+    fn try_place(&mut self, now: SimTime, dirty: &mut SmSet) -> bool {
         let mut placed = false;
         for idx in 0..self.active.len() {
             let kid = self.active[idx];
             loop {
                 let (foot, tb_index, total) = {
                     let k = &self.kernels[kid as usize];
-                    (k.foot, k.next_tb, k.kernel.blocks.len())
+                    (k.foot, k.next_tb, k.num_tbs)
                 };
-                if tb_index >= total {
+                if tb_index >= total || self.unplaceable.is_some_and(|u| foot.covers(&u)) {
                     break;
                 }
                 let Some(sm) = Self::pick_sm(&self.sm_res, &foot) else {
+                    self.unplaceable = Some(foot);
                     break;
                 };
                 self.place_tb(now, kid, sm as u32);
-                dirty[sm] = true;
+                dirty.insert(sm as u32);
                 placed = true;
             }
         }
@@ -633,26 +688,46 @@ impl GpuDevice {
             (k.foot, i)
         };
         Self::take(&mut self.sm_res[sm as usize], &foot);
-        let warps: Vec<WarpHandle> = (0..foot.warps).map(|_| self.exec.create_warp(sm)).collect();
-        let group = self.exec.create_group(&warps);
-        let tb_id = self.tbs.len();
-        self.tbs.push(TbCtx {
+        let GpuDevice {
+            exec,
+            kernels,
+            tbs,
+            free_tbs,
+            ..
+        } = self;
+        let block = &kernels[kid as usize].kernel.blocks[tb_index as usize];
+        // Each run of identical warps is one context, created in warp
+        // order: its warps are as old, relative to every other warp, as
+        // warp-by-warp creation would have made them.
+        let slot = free_tbs.pop();
+        let mut warps =
+            slot.map_or_else(Vec::new, |id| std::mem::take(&mut tbs[id as usize].warps));
+        warps.extend(block.runs().map(|(_, k)| exec.create_warps(sm, k)));
+        let tb = TbCtx {
             kid,
             sm,
+            group: exec.create_group(&warps),
             warps,
-            group,
             done_warps: 0,
             warps_prefreed: 0,
             threads_prefreed: 0,
             regs_prefreed: 0,
             retired: false,
-        });
-        self.exec.advance_sm(sm, now);
-        let block = &self.kernels[kid as usize].kernel.blocks[tb_index];
+        };
+        let tb_id = match slot {
+            Some(id) => {
+                tbs[id as usize] = tb;
+                id as usize
+            }
+            None => {
+                tbs.push(tb);
+                tbs.len() - 1
+            }
+        };
+        exec.advance_sm(sm, now);
         let tag = NATIVE_BIT | tb_id as u64;
-        for (&w, work) in self.tbs[tb_id].warps.iter().zip(block.warps()) {
-            self.exec
-                .assign_parts(now, w, &work.segments, None, work.cpi, tag);
+        for (&w, (work, _)) in tbs[tb_id].warps.iter().zip(block.runs()) {
+            exec.assign_parts(now, w, &work.segments, None, work.cpi, tag);
         }
         self.sample_sm(now, sm);
     }
@@ -663,7 +738,7 @@ impl GpuDevice {
         warp: WarpHandle,
         tag: u64,
         out: &mut Vec<Notify>,
-        dirty: &mut [bool],
+        dirty: &mut SmSet,
     ) {
         if tag & NATIVE_BIT == 0 {
             self.sample_sm(now, self.exec.warp_sm(warp));
@@ -671,18 +746,15 @@ impl GpuDevice {
             return;
         }
         let tb_id = (tag & !NATIVE_BIT) as usize;
-        let (done, total) = {
-            let tb = &mut self.tbs[tb_id];
-            tb.done_warps += 1;
-            (tb.done_warps, tb.warps.len() as u32)
-        };
+        let tb = &mut self.tbs[tb_id];
+        tb.done_warps += 1;
+        let foot = self.kernels[tb.kid as usize].foot;
+        let (done, total) = (tb.done_warps, foot.warps);
         if self.cfg.free_warps_individually && done < total {
             // Pagoda-style early release (§6.4 ablation): the warp slot and
             // its threads return to the pool before the TB retires, so a
             // queued TB can launch while this one's stragglers run. Regs,
             // shared memory, and the TB slot still wait for full retire.
-            let foot = self.kernels[self.tbs[tb_id].kid as usize].foot;
-            let tb = &mut self.tbs[tb_id];
             let tb_sm = tb.sm as usize;
             let threads = (foot.threads - tb.threads_prefreed).min(32);
             let regs = (foot.regs / foot.warps).min(foot.regs - tb.regs_prefreed);
@@ -692,7 +764,8 @@ impl GpuDevice {
             self.sm_res[tb_sm].warps += 1;
             self.sm_res[tb_sm].threads += threads;
             self.sm_res[tb_sm].regs += regs;
-            dirty[tb_sm] = true;
+            self.unplaceable = None;
+            dirty.insert(tb_sm as u32);
             self.sample_sm(now, tb_sm as u32);
         }
         if done == total {
@@ -700,30 +773,25 @@ impl GpuDevice {
         }
     }
 
-    fn retire_tb(&mut self, now: SimTime, tb_id: usize, out: &mut Vec<Notify>, dirty: &mut [bool]) {
-        let (kid, sm, group, warps, pre) = {
-            let tb = &mut self.tbs[tb_id];
-            assert!(!tb.retired, "double TB retire");
-            tb.retired = true;
-            (
-                tb.kid,
-                tb.sm,
-                tb.group,
-                std::mem::take(&mut tb.warps),
-                (tb.warps_prefreed, tb.threads_prefreed, tb.regs_prefreed),
-            )
-        };
+    fn retire_tb(&mut self, now: SimTime, tb_id: usize, out: &mut Vec<Notify>, dirty: &mut SmSet) {
+        let tb = &mut self.tbs[tb_id];
+        assert!(!tb.retired, "double TB retire");
+        tb.retired = true;
+        let (kid, sm) = (tb.kid, tb.sm);
+        let pre = (tb.warps_prefreed, tb.threads_prefreed, tb.regs_prefreed);
         let foot = self.kernels[kid as usize].foot;
         Self::give(&mut self.sm_res[sm as usize], &foot, pre);
-        self.exec.release_group(group);
-        for w in warps {
+        self.unplaceable = None;
+        self.exec.release_group(tb.group);
+        for w in tb.warps.drain(..) {
             self.exec.retire_warp(w);
         }
-        dirty[sm as usize] = true;
+        self.free_tbs.push(tb_id as u32);
+        dirty.insert(sm);
         self.sample_sm(now, sm);
         let k = &mut self.kernels[kid as usize];
         k.retired_tbs += 1;
-        if k.retired_tbs as usize == k.kernel.blocks.len() && !k.done {
+        if k.retired_tbs == k.num_tbs && !k.done {
             k.done = true;
             out.push(Notify::KernelDone { tag: k.tag });
             self.active.retain(|&a| a != kid);
@@ -1141,6 +1209,23 @@ mod tests {
             via_run.iter().any(|(_, b)| b.len() > 1),
             "no instant carried two notifications"
         );
+    }
+
+    #[test]
+    fn placed_blocks_reuse_what_retired_ones_held() {
+        // One SMM holds two 32-warp blocks at a time. Each block is one
+        // run, so one context; 100 kernels of 3 blocks reuse two
+        // threadblock slots and two contexts throughout.
+        let mut cfg = quiet_cfg();
+        cfg.spec.num_sms = 1;
+        let mut dev = GpuDevice::new(cfg);
+        for i in 0..100 {
+            let k = uniform(1024, 3, WarpWork::phased(3_200 * (1 + i % 3), 2, 1.0));
+            dev.launch_kernel(k, i).unwrap();
+        }
+        assert_eq!(run_all(&mut dev).len(), 100);
+        assert_eq!((dev.tbs.len(), dev.exec.warp_slots()), (2, 2));
+        assert_eq!(dev.group_slots(), 2);
     }
 
     #[test]

@@ -24,33 +24,67 @@
 //!
 //! # What is stored where
 //!
+//! A *context* (`WarpCtx`, named by a [`WarpHandle`]) stands for `k ≥ 1`
+//! warps that always do the same thing: a persistent warp is a context
+//! of one, and each run of identical warps of a native threadblock
+//! ([`BlockWork::runs`](crate::work::BlockWork::runs)) is one context of
+//! the run's length ([`ExecState::create_warps`]). The `k` warps are
+//! assigned the same work at the same instant on the same SMM, so under
+//! processor sharing they run at one rate, arrive at each barrier
+//! together and finish at one instant; the engine does their work once.
+//! What it still does per warp is what is observable per warp: `W` in
+//! the rate formula counts warps, a barrier arrival counts `k`, and a
+//! finishing context queues `k` completions.
+//!
 //! The three per-event passes (advance, find exhausted, predict) touch
-//! only an SMM's *running* warps, so their state lives densely in the
-//! SMM's `SmExec::run`: one `RunSlot` per running warp — remaining
-//! thread-instructions, latency-bound rate, handle — in running order.
-//! The warp arena (`WarpCtx`) keeps everything else (segments, barrier
-//! group, tag) plus the warp's `slot` in `run`, so leaving the running
-//! set is a `swap_remove` and one slot fix-up, never a search. A warp's
-//! remaining work exists only while it runs; a warp at a barrier or idle
-//! has none.
+//! only an SMM's *running* contexts, so their state lives densely in the
+//! SMM's `SmExec::run`: one 24-byte `RunSlot` per running context —
+//! remaining thread-instructions, latency-bound rate, handle — in
+//! running order; `SmExec::n_warps` sums their warp counts. The arena
+//! keeps everything else (segments, barrier group, tag) plus the
+//! context's `slot` in `run`, so leaving the running set is a
+//! `swap_remove` and one slot fix-up, never a search. A context's remaining work exists only while it runs; one at
+//! a barrier or idle has none. Retired contexts' arena slots are reused,
+//! so an engine that places and retires threadblocks forever holds as
+//! many contexts as were ever live at once.
+//!
+//! # Order
+//!
+//! Completions found at one instant are settled in warp *creation*
+//! order, as if each warp settled alone: each context keeps the
+//! creation sequence `seq` of its first warp and takes `k` numbers, so
+//! contexts cover disjoint ranges, and sorting them by `seq` orders
+//! their warps as sorting the warps one by one would. The handle (an
+//! arena slot, reused) says nothing about age. Settling a context at
+//! once is settling its `k` warps back to back: until the last of them
+//! has moved, the others still count as unarrived at the group's
+//! barrier, so no barrier releases in between (a block's warps share
+//! their barrier count, which [`BlockWork`](crate::work::BlockWork)
+//! enforces). The lockstep tests in `exec/reference.rs` hold this
+//! engine to a warp-by-warp one.
 //!
 //! `SmExec::pred` keeps the SMM's last prediction — the minimum quotient
 //! and the largest latency-bound rate over `run` — so that the 2nd…nth
-//! warp assigned at one instant folds one quotient into it instead of
+//! context assigned at one instant folds one quotient into it instead of
 //! re-walking the set. It is valid only while nothing it was computed
-//! from has changed: it is dropped when time passes, when a warp leaves,
-//! when a running warp enters a new compute segment, and on a push after
-//! which some warp is (or was) issue-bound — the fair-share cap falls on
-//! every push, so the rule is `max rs ≤ cap_new`; then every rate was and
-//! stays `rs_i`, no existing quotient moves, and the minimum of the
-//! quotients is exact in whatever order it is taken.
+//! from has changed: it is dropped when time passes, when a context
+//! leaves, when a running context enters a new compute segment, and on a
+//! push after which some warp is (or was) issue-bound — the fair-share
+//! cap falls on every push, so the rule is `max rs ≤ cap_new`; then every
+//! rate was and stays `rs_i`, no existing quotient moves, and the
+//! minimum of the quotients is exact in whatever order it is taken. A
+//! push of `k` warps folds exactly when `k` pushes of one would all
+//! have: the caps fall monotonically, so the last push's test implies
+//! the others.
 
 use desim::SimTime;
 use gpu_arch::{GpuSpec, WARP_SIZE};
 
 use crate::work::{Segment, WarpWork};
 
-/// Handle to a warp context. Stable for the warp's lifetime.
+/// Handle to a warp context (one warp, or a run of identical warps; see
+/// the module doc). Stable until the context is retired; the slot it
+/// names is then reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WarpHandle(pub(crate) u32);
 
@@ -82,6 +116,11 @@ enum WarpState {
 #[derive(Debug)]
 struct WarpCtx {
     sm: u32,
+    /// Warps this context stands for.
+    k: u32,
+    /// Creation sequence of the context's first warp; its warps hold
+    /// `seq..seq + k`.
+    seq: u64,
     state: WarpState,
     segments: Vec<Segment>,
     /// Index of the current segment.
@@ -102,11 +141,34 @@ struct WarpCtx {
     alive: bool,
 }
 
+impl WarpCtx {
+    /// An idle, live context of `k` warps whose first was created
+    /// `seq`-th, reusing `segments`' capacity.
+    fn fresh(sm: u32, k: u32, seq: u64, segments: Vec<Segment>) -> Self {
+        WarpCtx {
+            sm,
+            k,
+            seq,
+            state: WarpState::Idle,
+            segments,
+            cur: 0,
+            slot: 0,
+            cpi: 1.0,
+            r_single: 0.0,
+            group: None,
+            tag: 0,
+            alive: true,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct GroupCtx {
     /// Empty while the slot waits in `free_groups` (its capacity is kept
     /// for the next tenant).
     members: Vec<WarpHandle>,
+    /// Warps over all members.
+    warps: u32,
     /// Members currently waiting at the barrier.
     arrived: u32,
     /// Members that have completed their current assignment.
@@ -115,12 +177,12 @@ struct GroupCtx {
     gen: u32,
 }
 
-/// One running warp's share of the per-event passes, 24 bytes.
+/// One running context's share of the per-event passes, 24 bytes.
 #[derive(Debug, Clone, Copy)]
 struct RunSlot {
-    /// Thread-instructions left in the current compute segment.
+    /// Thread-instructions left in the current compute segment, per warp.
     rem: f64,
-    /// The warp's `r_single`.
+    /// The context's `r_single`.
     rs: f64,
     w: WarpHandle,
 }
@@ -138,14 +200,17 @@ struct SmExec {
     /// The running set, in running order (push on entry, `swap_remove`
     /// on exit).
     run: Vec<RunSlot>,
+    /// Running warps: the `k`s over `run`.
+    n_warps: u32,
     /// The prediction over `run` as it stands, or `None` once anything it
     /// was computed from has changed (see the module doc for the rule).
     pred: Option<Pred>,
-    /// Scratch for [`ExecState::process_completions`]; empty between calls.
-    exhausted: Vec<WarpHandle>,
+    /// Scratch for [`ExecState::process_completions`]: exhausted contexts
+    /// by creation sequence. Empty between calls.
+    exhausted: Vec<(u64, WarpHandle)>,
     last_advance: SimTime,
     /// Fair-share issue cap per running warp, thread-instructions per
-    /// picosecond — `issue_width·32·f / |running|`, refreshed whenever
+    /// picosecond — `issue_width·32·f / n_warps`, refreshed whenever
     /// the running set changes so the advance and prediction loops
     /// never recompute the denominator. Infinite while nothing runs.
     cap: f64,
@@ -164,10 +229,15 @@ pub struct ExecStats {
     pub busy_ps: u64,
 }
 
-/// All execution state: warp arena, barrier groups, per-SMM engines.
+/// All execution state: context arena, barrier groups, per-SMM engines.
 #[derive(Debug)]
 pub struct ExecState {
     warps: Vec<WarpCtx>,
+    /// Retired slots of `warps`, reused last-retired-first, so `warps` is
+    /// as long as the most contexts ever live at once.
+    free_warps: Vec<u32>,
+    /// Warps created so far: the next context's `seq`.
+    next_seq: u64,
     groups: Vec<GroupCtx>,
     /// Released slots of `groups`, reused last-released-first, so `groups`
     /// is as long as the most groups ever live at once.
@@ -190,6 +260,8 @@ impl ExecState {
     pub fn new(spec: &GpuSpec) -> Self {
         ExecState {
             warps: Vec::new(),
+            free_warps: Vec::new(),
+            next_seq: 0,
             groups: Vec::new(),
             free_groups: Vec::new(),
             sms: (0..spec.num_sms).map(|_| SmExec::default()).collect(),
@@ -201,33 +273,52 @@ impl ExecState {
 
     /// Creates an idle warp resident on `sm`.
     pub fn create_warp(&mut self, sm: u32) -> WarpHandle {
-        assert!((sm as usize) < self.sms.len(), "SM index out of range");
-        let h = WarpHandle(self.warps.len() as u32);
-        self.warps.push(WarpCtx {
-            sm,
-            state: WarpState::Idle,
-            segments: Vec::new(),
-            cur: 0,
-            slot: 0,
-            cpi: 1.0,
-            r_single: 0.0,
-            group: None,
-            tag: 0,
-            alive: true,
-        });
-        h
+        self.create_warps(sm, 1)
     }
 
-    /// Retires a warp. It must be idle (hardware cannot reclaim a warp slot
-    /// mid-flight).
+    /// Creates `k` idle warps resident on `sm` as one context: every
+    /// assignment gives all of them the same work, they run as one entry,
+    /// and each reports its own completion (`k` queued under the one
+    /// handle). The warps count as created one after another, now.
+    /// Reuses a retired context's slot and segment buffer if there is
+    /// one.
+    pub fn create_warps(&mut self, sm: u32, k: u32) -> WarpHandle {
+        assert!((sm as usize) < self.sms.len(), "SM index out of range");
+        assert!(k > 0, "a context of zero warps");
+        let seq = self.next_seq;
+        self.next_seq += u64::from(k);
+        match self.free_warps.pop() {
+            Some(slot) => {
+                let ctx = &mut self.warps[slot as usize];
+                let segments = std::mem::take(&mut ctx.segments);
+                *ctx = WarpCtx::fresh(sm, k, seq, segments);
+                WarpHandle(slot)
+            }
+            None => {
+                self.warps.push(WarpCtx::fresh(sm, k, seq, Vec::new()));
+                WarpHandle(self.warps.len() as u32 - 1)
+            }
+        }
+    }
+
+    /// Retires a context. It must be idle (hardware cannot reclaim a warp
+    /// slot mid-flight). Its slot, with its segment buffer's capacity, goes
+    /// to the next context created.
     pub fn retire_warp(&mut self, w: WarpHandle) {
         let ctx = &mut self.warps[w.0 as usize];
         assert!(ctx.alive, "double retire of {w:?}");
         assert_eq!(ctx.state, WarpState::Idle, "retiring a non-idle warp");
         ctx.alive = false;
         ctx.group = None;
-        // A retired warp is never assigned again: give its buffer back.
-        ctx.segments = Vec::new();
+        ctx.segments.clear();
+        self.free_warps.push(w.0);
+    }
+
+    /// Context slots allocated so far: the most contexts that were ever
+    /// live at once.
+    #[cfg(test)]
+    pub(crate) fn warp_slots(&self) -> usize {
+        self.warps.len()
     }
 
     /// SMM a warp resides on.
@@ -235,19 +326,23 @@ impl ExecState {
         self.warps[w.0 as usize].sm
     }
 
-    /// Creates a barrier group over `members`. All members must reside on
-    /// the same SMM (groups model intra-threadblock synchronization).
+    /// Creates a barrier group over `members` (every warp of each
+    /// context). All members must reside on the same SMM (groups model
+    /// intra-threadblock synchronization).
     pub fn create_group(&mut self, members: &[WarpHandle]) -> GroupId {
         assert!(!members.is_empty(), "empty barrier group");
         let sm = self.warps[members[0].0 as usize].sm;
+        let mut warps = 0;
         for m in members {
             let c = &self.warps[m.0 as usize];
             assert!(c.alive, "group member {m:?} is retired");
             assert_eq!(c.sm, sm, "barrier group spans SMMs");
+            warps += c.k;
         }
         let slot = self.free_groups.pop().unwrap_or_else(|| {
             self.groups.push(GroupCtx {
                 members: Vec::new(),
+                warps: 0,
                 arrived: 0,
                 finished: 0,
                 gen: 0,
@@ -256,6 +351,7 @@ impl ExecState {
         });
         let ctx = &mut self.groups[slot as usize];
         ctx.members.extend_from_slice(members);
+        ctx.warps = warps;
         let g = GroupId { slot, gen: ctx.gen };
         for m in members {
             let c = &mut self.warps[m.0 as usize];
@@ -276,8 +372,7 @@ impl ExecState {
         let ctx = &mut self.groups[g.slot as usize];
         assert_eq!(ctx.gen, g.gen, "double release of {g:?}");
         assert_eq!(
-            ctx.finished as usize,
-            ctx.members.len(),
+            ctx.finished, ctx.warps,
             "releasing group with unfinished members"
         );
         ctx.gen = ctx.gen.wrapping_add(1);
@@ -288,8 +383,9 @@ impl ExecState {
         self.free_groups.push(g.slot);
     }
 
-    /// Assigns `work` to an idle warp at time `now`. Completion is reported
-    /// by [`ExecState::drain_finished`] with `tag`.
+    /// Assigns `work` to an idle context (to each of its warps) at time
+    /// `now`. Completion is reported by [`ExecState::drain_finished`] with
+    /// `tag`, once per warp.
     ///
     /// The caller must have advanced the warp's SMM to `now` first (the
     /// device layer does this); the assertion enforces it.
@@ -345,7 +441,7 @@ impl ExecState {
         if dt == 0 {
             return;
         }
-        let nrun = sme.run.len();
+        let nrun = sme.n_warps;
         sme.running_integral += nrun as f64 * dt as f64;
         if nrun > 0 {
             sme.busy_ps += dt;
@@ -365,11 +461,17 @@ impl ExecState {
     pub fn process_completions(&mut self, sm: u32, now: SimTime) {
         let sme = &mut self.sms[sm as usize];
         debug_assert_eq!(sme.last_advance, now);
-        // Collect exhausted warps in deterministic (handle) order.
+        // Collect exhausted contexts in deterministic (creation) order.
         let mut exhausted = std::mem::take(&mut sme.exhausted);
-        exhausted.extend(sme.run.iter().filter(|s| s.rem <= EPS).map(|s| s.w));
+        let warps = &self.warps;
+        exhausted.extend(
+            sme.run
+                .iter()
+                .filter(|s| s.rem <= EPS)
+                .map(|s| (warps[s.w.0 as usize].seq, s.w)),
+        );
         exhausted.sort_unstable();
-        for &w in &exhausted {
+        for &(_, w) in &exhausted {
             // The warp may have been re-settled by a cascade already.
             let c = &mut self.warps[w.0 as usize];
             if c.state == WarpState::Running
@@ -423,10 +525,11 @@ impl ExecState {
 
     /// Number of running warps on `sm`.
     pub fn sm_running(&self, sm: u32) -> u32 {
-        self.sms[sm as usize].run.len() as u32
+        self.sms[sm as usize].n_warps
     }
 
-    /// Takes the queue of `(warp, tag)` assignment completions.
+    /// Takes the queue of `(warp, tag)` assignment completions: one per
+    /// warp, a context's `k` together under its handle.
     pub fn drain_finished(&mut self) -> Vec<(WarpHandle, u64)> {
         let mut done = Vec::new();
         self.swap_finished(&mut done);
@@ -473,9 +576,10 @@ impl ExecState {
     // internals
     // ------------------------------------------------------------------
 
-    /// Puts warp `w` into its SMM's running set with `n > 0`
-    /// thread-instructions to execute, folding its quotient into the kept
-    /// prediction when every rate is latency-bound before and after.
+    /// Puts context `w` into its SMM's running set with `n > 0`
+    /// thread-instructions per warp to execute, folding its quotient into
+    /// the kept prediction when every rate is latency-bound before and
+    /// after.
     fn enter_running(&mut self, w: WarpHandle, n: u64) {
         let ctx = &mut self.warps[w.0 as usize];
         ctx.state = WarpState::Running;
@@ -483,7 +587,8 @@ impl ExecState {
         ctx.slot = sme.run.len() as u32;
         let (rem, rs) = (n as f64, ctx.r_single);
         sme.run.push(RunSlot { rem, rs, w });
-        let cap = self.cap_base / sme.run.len() as f64;
+        sme.n_warps += ctx.k;
+        let cap = self.cap_base / sme.n_warps as f64;
         sme.cap = cap;
         sme.pred = match sme.pred {
             Some(p) if p.max_rs <= cap && rs <= cap => {
@@ -503,11 +608,12 @@ impl ExecState {
         let sme = &mut self.sms[ctx.sm as usize];
         debug_assert_eq!(sme.run[slot].w, w, "stale running slot");
         sme.run.swap_remove(slot);
+        sme.n_warps -= ctx.k;
         sme.pred = None;
-        sme.cap = if sme.run.is_empty() {
+        sme.cap = if sme.n_warps == 0 {
             f64::INFINITY
         } else {
-            self.cap_base / sme.run.len() as f64
+            self.cap_base / sme.n_warps as f64
         };
         if let Some(moved) = sme.run.get(slot) {
             self.warps[moved.w.0 as usize].slot = slot as u32;
@@ -538,14 +644,14 @@ impl ExecState {
                     ctx.cur += 1;
                 }
                 Some(Segment::Barrier) => {
-                    let g = ctx.group.expect("barrier without group");
+                    let (g, k) = (ctx.group.expect("barrier without group"), ctx.k);
                     if ctx.state == WarpState::Running {
                         ctx.state = WarpState::AtBarrier;
                         self.leave_running(w);
                     } else {
                         ctx.state = WarpState::AtBarrier;
                     }
-                    self.groups[g.slot as usize].arrived += 1;
+                    self.groups[g.slot as usize].arrived += k;
                     self.maybe_release_barrier(now, g);
                     return;
                 }
@@ -556,11 +662,11 @@ impl ExecState {
                     }
                     let ctx = &mut self.warps[w.0 as usize];
                     ctx.state = WarpState::Idle;
-                    let tag = ctx.tag;
-                    let group = ctx.group;
-                    self.finished.push((w, tag));
+                    let (tag, group, k) = (ctx.tag, ctx.group, ctx.k);
+                    self.finished
+                        .extend(std::iter::repeat_n((w, tag), k as usize));
                     if let Some(g) = group {
-                        self.groups[g.slot as usize].finished += 1;
+                        self.groups[g.slot as usize].finished += k;
                         self.maybe_release_barrier(now, g);
                     }
                     return;
@@ -572,7 +678,7 @@ impl ExecState {
     /// Releases the group's barrier if every unfinished member has arrived.
     fn maybe_release_barrier(&mut self, now: SimTime, g: GroupId) {
         let ctx = &self.groups[g.slot as usize];
-        let expected = ctx.members.len() as u32 - ctx.finished;
+        let expected = ctx.warps - ctx.finished;
         if expected == 0 || ctx.arrived < expected {
             return;
         }

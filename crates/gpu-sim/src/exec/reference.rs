@@ -1,7 +1,9 @@
 //! The execution engine as it stood before the dense running set — every
 //! pass walks `running: Vec<WarpHandle>` into the warp arena, nothing is
-//! kept between calls — and the lockstep tests that hold
-//! [`ExecState`] to it bit for bit.
+//! kept between calls, one context per warp, no slot ever reused — and
+//! the lockstep tests that hold [`ExecState`] to it bit for bit. A
+//! context of `k` warps in the dense engine is `k` warps created back to
+//! back in the oracle.
 
 use desim::{Dur, SimTime};
 use gpu_arch::{GpuSpec, WARP_SIZE};
@@ -268,11 +270,22 @@ impl RefExec {
     }
 }
 
+/// A native-style threadblock in flight: one dense context per run,
+/// one oracle warp per warp.
+struct Block {
+    groups: (GroupId, usize),
+    contexts: Vec<WarpHandle>,
+    /// Warps still out.
+    left: u32,
+}
+
 /// The two engines fed the same calls; every value either returns is
 /// compared before the test sees it.
 struct Lockstep {
     dense: ExecState,
     oracle: RefExec,
+    /// Per dense slot, its context's first oracle warp and warp count.
+    to_oracle: Vec<(u32, u32)>,
     num_sms: u32,
     now: SimTime,
     /// Each SMM's armed prediction, as `GpuDevice::sm_wake` holds it.
@@ -284,6 +297,12 @@ struct Lockstep {
     idle_groups: Vec<((GroupId, usize), Vec<WarpHandle>)>,
     /// Members still out, per busy group.
     busy_groups: Vec<((GroupId, usize), Vec<WarpHandle>, usize)>,
+    /// Blocks in flight; their contexts are retired (and their slots
+    /// reused) once every warp is out.
+    blocks: Vec<Block>,
+    /// Most block warps in flight at once: small in the latency-bound
+    /// regime, which must stay latency-bound.
+    block_warps: u32,
     next_tag: u64,
     /// The regime keeps every rate latency-bound, so an assignment may
     /// never drop a kept prediction.
@@ -299,12 +318,15 @@ impl Lockstep {
         let mut ls = Lockstep {
             dense: ExecState::new(&spec),
             oracle: RefExec::new(&spec),
+            to_oracle: Vec::new(),
             num_sms,
             now: SimTime::ZERO,
             wake: vec![None; num_sms as usize],
             idle: Vec::new(),
             idle_groups: Vec::new(),
             busy_groups: Vec::new(),
+            blocks: Vec::new(),
+            block_warps: 24,
             next_tag: 0,
             must_fold: false,
         };
@@ -323,16 +345,60 @@ impl Lockstep {
     }
 
     fn create_warp(&mut self, sm: u32) -> WarpHandle {
-        let w = self.dense.create_warp(sm);
-        assert_eq!(w, self.oracle.create_warp(sm));
+        self.create_warps(sm, 1)
+    }
+
+    /// A dense context of `k` warps; `k` oracle warps. The context's
+    /// creation sequence is its first oracle warp's handle: both count
+    /// every warp created.
+    fn create_warps(&mut self, sm: u32, k: u32) -> WarpHandle {
+        let w = self.dense.create_warps(sm, k);
+        let base = self.oracle.create_warp(sm).0;
+        for _ in 1..k {
+            self.oracle.create_warp(sm);
+        }
+        assert_eq!(self.dense.warps[w.0 as usize].seq, u64::from(base));
+        let slot = w.0 as usize;
+        if self.to_oracle.len() <= slot {
+            self.to_oracle.resize(slot + 1, (0, 0));
+        }
+        self.to_oracle[slot] = (base, k);
         w
     }
 
+    /// The oracle warps of dense context `w`.
+    fn oracle_warps(&self, w: WarpHandle) -> impl Iterator<Item = WarpHandle> {
+        let (base, k) = self.to_oracle[w.0 as usize];
+        (base..base + k).map(WarpHandle)
+    }
+
     fn create_group(&mut self, members: &[WarpHandle]) -> (GroupId, usize) {
+        let expanded: Vec<_> = members.iter().flat_map(|&m| self.oracle_warps(m)).collect();
         (
             self.dense.create_group(members),
-            self.oracle.create_group(members),
+            self.oracle.create_group(&expanded),
         )
+    }
+
+    /// The dense engine's completions as the oracle names them: each
+    /// context's `k`, which must be adjacent, become its warps in order.
+    fn translate(
+        &self,
+        done: &[(WarpHandle, u64)],
+    ) -> Result<Vec<(WarpHandle, u64)>, TestCaseError> {
+        let mut out = Vec::with_capacity(done.len());
+        while out.len() < done.len() {
+            let (w, tag) = done[out.len()];
+            for o in self.oracle_warps(w) {
+                prop_assert_eq!(
+                    done.get(out.len()),
+                    Some(&(w, tag)),
+                    "a context's completions split"
+                );
+                out.push((o, tag));
+            }
+        }
+        Ok(out)
     }
 
     /// What `GpuDevice::assign_warp_parts` does to the engine, at
@@ -356,7 +422,9 @@ impl Lockstep {
         };
         self.dense
             .assign_parts(self.now, w, prefix, tail, work.cpi, tag);
-        self.oracle.assign(self.now, w, work, tag);
+        for o in self.oracle_warps(w).collect::<Vec<_>>() {
+            self.oracle.assign(self.now, o, work.clone(), tag);
+        }
         if self.must_fold && kept {
             let folded = self.dense.sms[sm as usize].pred.is_some();
             prop_assert!(folded, "latency-bound push dropped the prediction");
@@ -379,7 +447,12 @@ impl Lockstep {
     /// finished warps to the idle pools.
     fn check(&mut self, sm: u32) -> Result<(), TestCaseError> {
         let done = self.dense.drain_finished();
-        prop_assert_eq!(&done, &self.oracle.drain_finished(), "drain_finished order");
+        let named = self.translate(&done)?;
+        prop_assert_eq!(
+            &named,
+            &self.oracle.drain_finished(),
+            "drain_finished order"
+        );
         // Twice: the second call answers from the kept prediction.
         for _ in 0..2 {
             let next = self.dense.next_completion(sm, self.now);
@@ -393,6 +466,20 @@ impl Lockstep {
             prop_assert_eq!(a.running_warp_ps.to_bits(), b.running_warp_ps.to_bits());
         }
         for (w, _) in done {
+            if let Some(i) = self.blocks.iter().position(|b| b.contexts.contains(&w)) {
+                self.blocks[i].left -= 1;
+                if self.blocks[i].left == 0 {
+                    // Retire, as the device does: the next block reuses
+                    // these slots, newest first.
+                    let b = self.blocks.swap_remove(i);
+                    self.dense.release_group(b.groups.0);
+                    self.oracle.release_group(b.groups.1);
+                    for c in b.contexts {
+                        self.dense.retire_warp(c);
+                    }
+                }
+                continue;
+            }
             match self.busy_groups.iter().position(|(_, m, _)| m.contains(&w)) {
                 None => self.idle.push(w),
                 Some(i) => {
@@ -407,6 +494,27 @@ impl Lockstep {
                     }
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// What `GpuDevice::place_tb` does: one context per run of `runs`
+    /// (a block's distinct warps: consecutive runs differ), one barrier
+    /// group over them, every context assigned in warp order at
+    /// `self.now`. The oracle gets each warp alone.
+    fn place_block(&mut self, sm: u32, runs: &[(WarpWork, u32)]) -> Result<(), TestCaseError> {
+        let contexts: Vec<_> = runs
+            .iter()
+            .map(|&(_, k)| self.create_warps(sm, k))
+            .collect();
+        let groups = self.create_group(&contexts);
+        self.blocks.push(Block {
+            groups,
+            contexts: contexts.clone(),
+            left: runs.iter().map(|&(_, k)| k).sum(),
+        });
+        for (&w, (work, _)) in contexts.iter().zip(runs) {
+            self.assign(w, work.clone(), false)?;
         }
         Ok(())
     }
@@ -469,6 +577,40 @@ impl Lockstep {
                 }
                 Ok(())
             }
+            // A native-style block of 1–3 runs on one SMM, every run
+            // through the same barriers; half the time a twin of it
+            // right behind, which finishes at the same instant.
+            7..=8 => {
+                let sm = (a % u64::from(self.num_sms)) as u32;
+                let phases = 1 + b % 3;
+                let mut runs: Vec<(WarpWork, u32)> = Vec::new();
+                for r in 0..1 + (c >> 8) % 3 {
+                    let mut segments = Vec::new();
+                    for p in 0..phases {
+                        if p > 0 {
+                            segments.push(Segment::Barrier);
+                        }
+                        segments.push(Segment::Compute(instrs(c + p + 2 * r)));
+                    }
+                    let work = WarpWork {
+                        segments,
+                        cpi: cpi(b + r * (c % 2)),
+                    };
+                    if runs.last().is_some_and(|(w, _)| *w == work) {
+                        continue;
+                    }
+                    runs.push((work, 1 + ((c >> (12 + 2 * r)) % 4) as u32));
+                }
+                let total: u32 = runs.iter().map(|&(_, k)| k).sum();
+                let live: u32 = self.blocks.iter().map(|b| b.left).sum();
+                let twins = if (a >> 24) & 1 == 0 { 2 } else { 1 };
+                for _ in 0..twins {
+                    if live + twins * total <= self.block_warps {
+                        self.place_block(sm, &runs)?;
+                    }
+                }
+                Ok(())
+            }
             // Let simulated time pass short of the next wake, then poke
             // one SMM off-prediction.
             5 => {
@@ -497,9 +639,53 @@ impl Lockstep {
 
 fn arb_steps() -> impl Strategy<Value = Vec<(u8, u64, u64, u64)>> {
     prop::collection::vec(
-        (0u8..10, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40),
+        (0u8..12, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40),
         1..120,
     )
+}
+
+/// Twin blocks placed on one SMM at one instant finish at one instant.
+/// Placed in the slots a retired three-run block gave back, newest
+/// first, the older twin holds the higher slot: completions must follow
+/// creation, not slots. Each twin has two runs through a barrier, so a
+/// release and two contexts of one block settle at that instant too.
+#[test]
+fn recycled_twin_blocks_finish_in_creation_order() -> Result<(), TestCaseError> {
+    let phased = |first, cpi| WarpWork {
+        segments: vec![
+            Segment::Compute(first),
+            Segment::Barrier,
+            Segment::Compute(3_200),
+        ],
+        cpi,
+    };
+    let mut ls = Lockstep::new(1, 0, 0);
+    ls.place_block(
+        0,
+        &[
+            (phased(32, 1.0), 2),
+            (phased(640, 2.0), 1),
+            (phased(6_400, 1.0), 3),
+        ],
+    )?;
+    ls.run_dry()?;
+    prop_assert_eq!(ls.dense.free_warps.len(), 3);
+    let twin = [(phased(1_000, 2.0), 3), (phased(77, 2.0), 1)];
+    ls.place_block(0, &twin)?;
+    ls.place_block(0, &twin)?;
+    let (older, newer) = (ls.blocks[0].contexts[0], ls.blocks[1].contexts[0]);
+    prop_assert!(older.0 > newer.0, "the older twin sits in the higher slot");
+    // Advance to the barrier, then to the end: everything finishes at once.
+    while let Some((sm, at)) = ls.earliest_wake() {
+        ls.complete(sm, at)?;
+    }
+    prop_assert!(ls.blocks.is_empty());
+    prop_assert_eq!(
+        ls.dense.warp_slots(),
+        4,
+        "the twins reused the retired slots"
+    );
+    Ok(())
 }
 
 proptest! {
@@ -512,11 +698,14 @@ proptest! {
     fn lockstep_latency_bound(num_sms in 1u32..=2, steps in arb_steps()) {
         let mut ls = Lockstep::new(num_sms, 4, 3);
         ls.must_fold = true;
+        // 3 block warps in flight keep an SMM at ≤ 16 warps.
+        ls.block_warps = 3;
         for s in steps {
             ls.step(s, &[4.0, 6.5, 8.0])?;
         }
         ls.run_dry()?;
         prop_assert!(ls.busy_groups.is_empty(), "a group never finished");
+        prop_assert!(ls.blocks.is_empty(), "a block never finished");
     }
 
     /// Up to 40 + 3·9 warps per SMM at CPI down to 1 (4 issue slots'
@@ -535,5 +724,6 @@ proptest! {
         }
         ls.run_dry()?;
         prop_assert!(ls.busy_groups.is_empty(), "a group never finished");
+        prop_assert!(ls.blocks.is_empty(), "a block never finished");
     }
 }

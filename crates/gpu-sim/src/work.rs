@@ -7,6 +7,11 @@
 //! memory intensity is folded into a cycles-per-warp-instruction figure
 //! ([`WarpWork::cpi`]): a streaming kernel that stalls on DRAM has a high
 //! CPI, a register-resident kernel sits near 1.
+//!
+//! A threadblock's work ([`BlockWork`]) is stored as its distinct warps:
+//! runs of identical consecutive warps, each kept once with its length.
+//! Generated blocks are mostly one run, so a block costs the same to
+//! build, share and place at 1 warp or 32.
 
 use std::sync::Arc;
 
@@ -81,49 +86,108 @@ impl WarpWork {
     }
 }
 
-/// The work of one threadblock: one [`WarpWork`] per warp.
+/// A run of identical consecutive warps in a [`BlockWork`].
+#[derive(Debug, Clone, PartialEq)]
+struct Run {
+    work: WarpWork,
+    /// One past the index of the run's last warp: the warps of this run
+    /// and of every run before it.
+    end: u32,
+}
+
+/// The work of one threadblock, warp by warp, stored as its distinct
+/// warps: each maximal run of consecutive equal warps is kept once, with
+/// its length. A block whose warps all do the same work — every block a
+/// generator builds from uniform per-thread counts — is one run however
+/// wide it is.
+///
+/// The runs are a storage detail: [`BlockWork::warp`] and
+/// [`BlockWork::warps`] read the block warp by warp, and equality is by
+/// value (two blocks are equal iff their warps are, in order), because
+/// [`BlockWork::new`] always merges equal neighbours.
+/// [`BlockWork::runs`] is for consumers that treat a run as one unit —
+/// the device places each run of a native threadblock as one execution
+/// entry.
 ///
 /// All warps of a block synchronize at the same barriers, so their
 /// [`WarpWork::barrier_count`]s must agree; [`BlockWork::new`] enforces it
 /// and keeps the count ([`BlockWork::barriers`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockWork {
-    warps: Vec<WarpWork>,
+    runs: Vec<Run>,
     barriers: usize,
 }
 
 impl BlockWork {
-    /// Builds a block from per-warp work.
+    /// Builds a block from per-warp work, in warp order, merging
+    /// consecutive equal warps into one run as they arrive.
     ///
     /// # Panics
     /// Panics if `warps` is empty or barrier counts differ between warps
     /// (such a block would deadlock on real hardware).
-    pub fn new(warps: Vec<WarpWork>) -> Self {
-        assert!(!warps.is_empty(), "block with zero warps");
-        let barriers = warps[0].barrier_count();
-        for (i, w) in warps.iter().enumerate() {
-            assert_eq!(
-                w.barrier_count(),
-                barriers,
-                "warp {i} has {} barriers, warp 0 has {barriers}: block would deadlock",
-                w.barrier_count()
-            );
+    pub fn new(warps: impl IntoIterator<Item = WarpWork>) -> Self {
+        let mut runs: Vec<Run> = Vec::new();
+        let mut barriers = 0;
+        for (i, w) in warps.into_iter().enumerate() {
+            let end = i as u32 + 1;
+            match runs.last_mut() {
+                Some(run) if run.work == w => run.end = end,
+                last => {
+                    if last.is_none() {
+                        barriers = w.barrier_count();
+                    }
+                    assert_eq!(
+                        w.barrier_count(),
+                        barriers,
+                        "warp {i} has {} barriers, warp 0 has {barriers}: block would deadlock",
+                        w.barrier_count()
+                    );
+                    runs.push(Run { work: w, end });
+                }
+            }
         }
-        BlockWork { warps, barriers }
+        assert!(!runs.is_empty(), "block with zero warps");
+        BlockWork { runs, barriers }
     }
 
-    /// A block of `num_warps` identical warps.
+    /// A block of `num_warps` identical warps: one run.
     pub fn uniform(num_warps: u32, work: WarpWork) -> Self {
         assert!(num_warps > 0, "block with zero warps");
         BlockWork {
             barriers: work.barrier_count(),
-            warps: vec![work; num_warps as usize],
+            runs: vec![Run {
+                work,
+                end: num_warps,
+            }],
         }
     }
 
-    /// Per-warp work, in warp order.
-    pub fn warps(&self) -> &[WarpWork] {
-        &self.warps
+    /// Warp `i`'s work, in O(log runs).
+    ///
+    /// # Panics
+    /// Panics if `i` is not below [`BlockWork::num_warps`].
+    pub fn warp(&self, i: u32) -> &WarpWork {
+        assert!(
+            i < self.num_warps(),
+            "warp {i} of a {}-warp block",
+            self.num_warps()
+        );
+        &self.runs[self.runs.partition_point(|r| r.end <= i)].work
+    }
+
+    /// The per-warp work, in warp order: a view that iterates every warp,
+    /// each run's work once per warp of the run.
+    pub fn warps(&self) -> Warps<'_> {
+        Warps { runs: &self.runs }
+    }
+
+    /// The distinct warps, in warp order: each run's work and how many
+    /// consecutive warps do it. Consecutive runs differ.
+    pub fn runs(&self) -> impl Iterator<Item = (&WarpWork, u32)> + '_ {
+        self.runs.iter().scan(0, |start, r| {
+            let k = r.end - std::mem::replace(start, r.end);
+            Some((&r.work, k))
+        })
     }
 
     /// Barriers every warp of the block arrives at.
@@ -133,14 +197,71 @@ impl BlockWork {
 
     /// Warp count.
     pub fn num_warps(&self) -> u32 {
-        self.warps.len() as u32
+        self.runs.last().map_or(0, |r| r.end)
     }
 
     /// Total thread-instructions in the block.
     pub fn total_instrs(&self) -> u64 {
-        self.warps.iter().map(WarpWork::total_instrs).sum()
+        self.runs()
+            .map(|(w, k)| w.total_instrs() * u64::from(k))
+            .sum()
     }
 }
+
+/// A block's warps in warp order ([`BlockWork::warps`]): a `Copy` view
+/// whose [`Warps::iter`] (and `IntoIterator`) yields each warp's work.
+#[derive(Debug, Clone, Copy)]
+pub struct Warps<'a> {
+    runs: &'a [Run],
+}
+
+impl<'a> Warps<'a> {
+    /// Every warp's work, in warp order.
+    pub fn iter(self) -> WarpIter<'a> {
+        WarpIter {
+            runs: self.runs,
+            next: 0,
+        }
+    }
+}
+
+impl<'a> IntoIterator for Warps<'a> {
+    type Item = &'a WarpWork;
+    type IntoIter = WarpIter<'a>;
+
+    fn into_iter(self) -> WarpIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a block's warps ([`Warps::iter`]).
+#[derive(Debug, Clone)]
+pub struct WarpIter<'a> {
+    /// The runs not yet finished; the first is the current one.
+    runs: &'a [Run],
+    /// Index of the next warp in the block.
+    next: u32,
+}
+
+impl<'a> Iterator for WarpIter<'a> {
+    type Item = &'a WarpWork;
+
+    fn next(&mut self) -> Option<&'a WarpWork> {
+        let (run, rest) = self.runs.split_first()?;
+        self.next += 1;
+        if self.next == run.end {
+            self.runs = rest;
+        }
+        Some(&run.work)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.runs.last().map_or(0, |r| (r.end - self.next) as usize);
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for WarpIter<'_> {}
 
 /// Registers per thread of every native launch: the paper compiles every
 /// kernel with `-maxrregcount 32`.
@@ -301,6 +422,85 @@ mod tests {
             BlockWork::uniform(1, WarpWork::compute(5, 1.0)).barriers(),
             0
         );
+    }
+
+    /// A block of `warps` drawn from a small menu, so that neighbours are
+    /// often equal: `i`'s work is `menu[picks[i]]`, each with two
+    /// barriers.
+    fn menu_block(picks: &[usize]) -> Vec<WarpWork> {
+        let menu = [
+            WarpWork::phased(300, 3, 1.0),
+            WarpWork::phased(300, 3, 2.0),
+            WarpWork::phased(0, 3, 1.0),
+            WarpWork::phased(77, 3, 1.0),
+        ];
+        picks
+            .iter()
+            .map(|&p| menu[p % menu.len()].clone())
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The runs read exactly as the warps they were built from.
+        #[test]
+        fn runs_read_as_the_warps_they_hold(
+            picks in proptest::collection::vec(0usize..4, 1..40),
+            other in proptest::collection::vec(0usize..4, 1..40),
+        ) {
+            let warps = menu_block(&picks);
+            let b = BlockWork::new(warps.clone());
+            proptest::prop_assert_eq!(b.num_warps() as usize, warps.len());
+            for (i, w) in warps.iter().enumerate() {
+                proptest::prop_assert_eq!(b.warp(i as u32), w);
+            }
+            let iterated: Vec<&WarpWork> = b.warps().iter().collect();
+            proptest::prop_assert_eq!(iterated, warps.iter().collect::<Vec<_>>());
+            proptest::prop_assert_eq!(b.warps().iter().len(), warps.len());
+            let expanded: Vec<&WarpWork> = b
+                .runs()
+                .flat_map(|(w, k)| std::iter::repeat_n(w, k as usize))
+                .collect();
+            proptest::prop_assert_eq!(expanded, warps.iter().collect::<Vec<_>>());
+            proptest::prop_assert!(b.runs().zip(b.runs().skip(1)).all(|(x, y)| x.0 != y.0));
+            let instrs: u64 = warps.iter().map(WarpWork::total_instrs).sum();
+            proptest::prop_assert_eq!(b.total_instrs(), instrs);
+            proptest::prop_assert_eq!(b.barriers(), 2);
+            // Equality is by value: equal warp lists, equal blocks.
+            let c = BlockWork::new(menu_block(&other));
+            proptest::prop_assert_eq!(b == c, warps == menu_block(&other));
+            let w = warps[0].clone();
+            let k = picks.len() as u32;
+            proptest::prop_assert_eq!(BlockWork::uniform(k, w.clone()), BlockWork::new(vec![w; k as usize]));
+        }
+    }
+
+    #[test]
+    fn a_uniform_block_is_one_run_read_warp_by_warp() {
+        let w = WarpWork::phased(1_000, 2, 3.0);
+        let b = BlockWork::uniform(32, w.clone());
+        assert_eq!(b.runs().collect::<Vec<_>>(), [(&w, 32)]);
+        assert_eq!((b.num_warps(), b.total_instrs()), (32, 32_000));
+        assert_eq!(b.warp(31), &w);
+        // The two ways callers read every warp: an iterator out of the
+        // view (it borrows the block, not the view) and a `for` loop.
+        let blocks = [
+            b.clone(),
+            BlockWork::new([w.clone(), WarpWork::phased(9, 2, 1.0)]),
+        ];
+        let flat: Vec<&WarpWork> = blocks.iter().flat_map(|b| b.warps().iter()).collect();
+        assert_eq!(flat.len(), 34);
+        let mut seen = 0;
+        for warp in blocks[1].warps() {
+            assert_eq!(warp.barrier_count(), 1);
+            seen += 1;
+        }
+        assert_eq!(seen, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "warp 32 of a 32-warp block")]
+    fn reading_past_the_last_warp_panics() {
+        BlockWork::uniform(32, WarpWork::compute(1, 1.0)).warp(32);
     }
 
     #[test]

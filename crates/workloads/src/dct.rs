@@ -63,7 +63,7 @@ mod tests {
         let smem = tasks(1, &o);
         assert_eq!(plain[0].smem_per_tb, 0);
         assert_eq!(smem[0].smem_per_tb, 4096);
-        assert!(smem[0].blocks[0].warps()[0].cpi < plain[0].blocks[0].warps()[0].cpi);
+        assert!(smem[0].blocks[0].warp(0).cpi < plain[0].blocks[0].warp(0).cpi);
         smem[0].validate().unwrap();
     }
 }

@@ -57,6 +57,6 @@ mod tests {
         assert!(ts.iter().all(|t| t.sync));
         assert!(ts.iter().all(|t| t.total_instrs() == ts[0].total_instrs()));
         ts[0].validate().unwrap();
-        assert_eq!(ts[0].blocks[0].warps()[0].barrier_count(), 3);
+        assert_eq!(ts[0].blocks[0].warp(0).barrier_count(), 3);
     }
 }

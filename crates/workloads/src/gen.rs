@@ -88,10 +88,9 @@ pub fn build_block(thread_ops: &[u64], cpi: f64, phase_fracs: &[f64]) -> BlockWo
     assert!(!phase_fracs.is_empty(), "at least one phase");
     let sum: f64 = phase_fracs.iter().sum();
     assert!((sum - 1.0).abs() < 1e-6, "phase fractions sum to {sum}");
-    let warps = thread_ops.len().div_ceil(32);
-    let mut out = Vec::with_capacity(warps);
-    for w in 0..warps {
-        let lanes = &thread_ops[w * 32..thread_ops.len().min((w + 1) * 32)];
+    // Warps stream into the block, which keeps each run of equal ones
+    // once: a block of uniform counts is one run however wide.
+    BlockWork::new(thread_ops.chunks(32).map(|lanes| {
         let warp_ti = 32 * lanes.iter().copied().max().unwrap_or(0);
         let mut segments = Vec::with_capacity(phase_fracs.len() * 2 - 1);
         let mut assigned = 0u64;
@@ -107,9 +106,8 @@ pub fn build_block(thread_ops: &[u64], cpi: f64, phase_fracs: &[f64]) -> BlockWo
             assigned += ti;
             segments.push(Segment::Compute(ti));
         }
-        out.push(WarpWork { segments, cpi });
-    }
-    BlockWork::new(out)
+        WarpWork { segments, cpi }
+    }))
 }
 
 /// The kernel of generated `blocks`, each `threads_per_tb` threads wide:
@@ -181,7 +179,7 @@ mod tests {
         let b = build_block(&vec![100u64; 64], 2.0, &[0.5, 0.3, 0.2]);
         assert_eq!(b.num_warps(), 2);
         assert_eq!(b.total_instrs(), 2 * 32 * 100);
-        assert_eq!(b.warps()[0].barrier_count(), 2);
+        assert_eq!(b.warp(0).barrier_count(), 2);
     }
 
     #[test]

@@ -223,7 +223,7 @@ pub fn irregular_tasks(
     let mut samples = bench.tasks(11, &base_opts);
     samples.sort_by_key(|t| t.total_instrs());
     let base = samples.swap_remove(samples.len() / 2);
-    let w0 = &base.blocks[0].warps()[0];
+    let w0 = base.blocks[0].warp(0);
     let per_thread_ops = w0.total_instrs() / 32;
     let cpi = w0.cpi;
     let fracs = gen::phase_fracs(w0);
@@ -345,7 +345,7 @@ mod tests {
     fn irregular_sync_structure_preserved() {
         let ts = irregular_tasks(Bench::Fb, 8, ThreadPolicy::Fixed(256), &GenOpts::default());
         assert!(ts[0].sync);
-        assert_eq!(ts[0].blocks[0].warps()[0].barrier_count(), 3);
+        assert_eq!(ts[0].blocks[0].warp(0).barrier_count(), 3);
         for t in &ts {
             t.validate().unwrap();
         }

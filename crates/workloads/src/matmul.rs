@@ -83,6 +83,6 @@ mod tests {
         assert!(t.sync);
         t.validate().unwrap();
         // 64/16 = 4 tile phases -> 3 barriers.
-        assert_eq!(t.blocks[0].warps()[0].barrier_count(), 3);
+        assert_eq!(t.blocks[0].warp(0).barrier_count(), 3);
     }
 }

@@ -14,11 +14,13 @@
 //!
 //! Task generation is held the same way: SLUD's tiles share their
 //! kind's work, so building a paper-scale factorization allocates per
-//! wave, not per tile. So is the HyperQ baseline's launch: the device
-//! shares a launched kernel's work, so a wider kernel costs only the
-//! warps it creates. And so is reading a recorded run: a snapshot of the
-//! log shares its sealed chunks, so its bytes do not grow with the
-//! events recorded.
+//! wave, not per tile, and a block keeps each run of identical warps
+//! once, so a uniform task costs the same however wide it is. So is the
+//! HyperQ baseline's launch: the device shares a launched kernel's work
+//! and runs each run of identical warps as one context in a reused
+//! slot, so a wider kernel costs nothing more. And so is reading a
+//! recorded run: a snapshot of the log shares its sealed chunks, so its
+//! bytes do not grow with the events recorded.
 //!
 //! What the host keeps is held by the same allocator, which also counts
 //! frees: the live bytes left per finished task after a batch, for one
@@ -256,7 +258,7 @@ fn a_two_device_fleet_states_its_own_budget() {
         fleet.wait_all();
         let spent = allocs() - before;
         println!("fleet of 2, {placement:?}: {spent} allocations for 10 000 tasks");
-        // Measured: 3 493 under either policy, 0.35 per task — the fleet's
+        // Measured: 3 497 under either policy, 0.35 per task — the fleet's
         // own bookkeeping per sync and per placement, and its statuses
         // growing (its devices' deliveries allocate nothing, as above; a
         // placement itself allocates nothing). Not this file's to shrink;
@@ -269,12 +271,31 @@ fn a_two_device_fleet_states_its_own_budget() {
 }
 
 #[test]
+fn a_uniform_task_costs_the_same_at_any_width() {
+    // Its warps' work, the block's one run, the kernel's block list and
+    // the kernel: four allocations at 128 threads and at 1024. While a
+    // block kept one work list per warp: 7 and 35.
+    for threads in [32, 128, 1024] {
+        let before = allocs();
+        let task = TaskDesc::uniform(threads, WarpWork::phased(20_000, 2, 2.0));
+        let spent = allocs() - before;
+        println!("TaskDesc::uniform({threads}): {spent} allocations");
+        assert_eq!(task.total_warps(), threads / 32);
+        assert!(
+            spent <= 4,
+            "{spent} allocations for a {threads}-thread task"
+        );
+    }
+}
+
+#[test]
 fn a_hyperq_launch_copies_no_work() {
-    // The device shares each launched kernel's work lists. What a wider
-    // kernel still costs is one buffer per warp it creates: a native
-    // threadblock's warps are made fresh when it is placed, and each keeps
-    // its phases in its own buffer. A launch that copied its work would
-    // add a work list per warp on top, and a block list per launch.
+    // The device shares each launched kernel's work lists, and runs each
+    // run of identical warps as one context: a placed threadblock takes
+    // the slots and buffers a retired one left, so a wider kernel costs
+    // nothing per warp. A launch that copied its work would add a work
+    // list per warp, and a block list per launch; a block that made its
+    // warps fresh, a buffer per warp.
     const N: u64 = 1_000;
     let run = |threads: u32| {
         let task = TaskDesc::uniform(threads, WarpWork::compute(20_000, 2.0));
@@ -286,12 +307,14 @@ fn a_hyperq_launch_copies_no_work() {
     let (narrow, wide) = (run(32), run(1024));
     println!("hyperq: {narrow} allocations for {N} 1-warp kernels, {wide} for 32-warp ones");
     let extra_warps = 31 * N;
-    // Measured: 2 062 and 33 085, 1.0007 per extra warp. While each
-    // launch copied its blocks: 5 062 and 67 085, 2.0007.
+    // Measured: 50 and 55 — the device's launch bookkeeping, the same at
+    // either width. While each placed warp was made fresh: 2 062 and
+    // 33 085, 1.0007 per extra warp; while each launch also copied its
+    // blocks: 5 062 and 67 085, 2.0007.
     assert!(
-        wide - narrow <= extra_warps + N / 10,
+        wide.saturating_sub(narrow) <= N / 10,
         "{} allocations for {extra_warps} more warps",
-        wide - narrow
+        wide.saturating_sub(narrow)
     );
 }
 
@@ -377,12 +400,14 @@ fn the_host_keeps_what_it_needs_per_finished_task() {
             (73.0..=74.5).contains(&runtime),
             "{n} tasks: {runtime:.1} B"
         );
-        // Measured: 57.6 / 53.7 B — a 16 B status per key and the 24 B
-        // entries of the harvest gate's heap, each in a vector that has
-        // doubled past the task count (in a batch nearly every completion
-        // waits behind the gate). A task's payload lives with its device
-        // only until the host sees it finish. When each key also kept its
-        // descriptor and each device a list of its keys: 128.5 / 126.5 B.
-        assert!(share <= 90.0, "{n} tasks: the fleet keeps {share:.1} B");
+        // Measured: 32.1 / 23.8 B — a 16 B status per key, in a vector
+        // that has doubled past the task count. A task's payload lives
+        // with its device only until the host sees it finish, and the
+        // harvest gate, through which nearly every completion of a batch
+        // waits, gives back what it grew past the TaskTable once it
+        // drains. While it kept its peak: 57.6 / 53.7 B; when each key
+        // also kept its descriptor and each device a list of its keys:
+        // 128.5 / 126.5 B. Held with 8 B of margin over the first.
+        assert!(share <= 40.0, "{n} tasks: the fleet keeps {share:.1} B");
     }
 }

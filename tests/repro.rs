@@ -13,7 +13,9 @@
 //! run reaches that size: in `paper_scale_shapes`, which `ci.sh` runs in
 //! release under `PAGODA_CHECK_EXTENDED=1` — except for the serving
 //! curves and the fleet study, whose paper scale a debug build reaches in
-//! seconds and which `paper_scale` therefore runs in tier-1.
+//! seconds and which `paper_scale` therefore runs in tier-1, and Fig. 5's
+//! three geomean bands, which `fig5_bands` holds in tier-1 at the
+//! smallest task count where each holds with margin on three seeds.
 //!
 //! A formatter, generator-seed or cost-model change fails the golden with
 //! the figure named; an intended one regenerates with
@@ -24,6 +26,7 @@ mod common;
 
 use baselines::geomean;
 use pagoda_bench::figures::{Figure, FIGURES};
+use pagoda_bench::{bench_waves, run_waves, Scheme};
 use pagoda_bench::{Cli, CurvePoint, DataPoint, Point, ScalingPoint, SkewPoint};
 use pagoda_prof::GroupSummary;
 use std::collections::BTreeSet;
@@ -180,6 +183,75 @@ fn fig5(run: &Run) {
             near(gm, 2.72, 0.10),
             "fig5: geomean over GeMTC {gm:.2}, recorded 2.72 (paper 1.69)"
         );
+    }
+}
+
+/// Fig. 5's geomean of Pagoda's speed-up over `baseline`, across the
+/// nine benchmarks (eight for GeMTC, which cannot run SLUD), at `n` tasks
+/// each and generator seed `seed`, with each scheme on the task versions
+/// `repro fig5` gives it.
+fn fig5_geomean(baseline: Scheme, n: usize, seed: u64) -> f64 {
+    let mut over = Vec::new();
+    for bench in workloads::Bench::ALL {
+        if baseline == Scheme::Gemtc && !bench.supports_gemtc() {
+            continue;
+        }
+        let waves = |use_smem| {
+            let opts = workloads::GenOpts {
+                use_smem,
+                seed,
+                ..workloads::GenOpts::default()
+            };
+            bench_waves(bench, n, &opts)
+        };
+        let smem = waves(bench.uses_smem());
+        let theirs = match baseline {
+            Scheme::HyperQ => run_waves(baseline, &smem),
+            _ => run_waves(baseline, &waves(false)),
+        };
+        over.push(run_waves(Scheme::Pagoda, &smem).speedup_over(&theirs));
+    }
+    geomean(&over)
+}
+
+/// Fig. 5's three geomean bands (the paper's 5.70× over PThreads and
+/// 1.51× over HyperQ within 15 %, the recorded 2.72× over GeMTC within
+/// 10 %), each at the smallest task count, on a 1 024 grid, where seeds
+/// 42, 7 and 99 all land within three quarters of the band (bisected in
+/// release): 8 192 tasks over PThreads (seed 99 reads −10.8 %; −11.6 % at
+/// 7 168), 2 048 over HyperQ (−5.1 / −6.9 / −9.6 %), 3 072 over GeMTC
+/// (−6.2 / −6.4 / −5.9 %; −8.3 % at 2 048). At paper scale
+/// `paper_scale_shapes` holds them on seed 42 as well.
+fn fig5_bands(seed: u64) {
+    for (baseline, n, target, band) in [
+        (Scheme::PThreads, 8_192, 5.70, 0.15),
+        (Scheme::HyperQ, 2_048, 1.51, 0.15),
+        (Scheme::Gemtc, 3_072, 2.72, 0.10),
+    ] {
+        let g = fig5_geomean(baseline, n, seed);
+        assert!(
+            near(g, target, band),
+            "fig5 seed {seed}, {n} tasks: geomean over {} {g:.2}, band {target} ± {}%",
+            baseline.name(),
+            band * 100.0
+        );
+    }
+}
+
+mod fig5_bands {
+    #[test]
+    fn seed_42() {
+        super::fig5_bands(42);
+    }
+
+    #[test]
+    fn seed_7() {
+        super::fig5_bands(7);
+    }
+
+    #[test]
+    fn seed_99() {
+        super::fig5_bands(99);
     }
 }
 
