@@ -30,6 +30,16 @@ for manifest in crates/*/Cargo.toml; do
 done
 [ "$unused" = 0 ] || exit 1
 
+# DESIGN.md is a design, not a log: per-change readings go to
+# CHANGES.md, and the document stays short enough to read before
+# changing the code (ROADMAP item 15).
+echo "==> DESIGN.md length"
+design_lines=$(wc -l < DESIGN.md)
+if [ "$design_lines" -gt 1000 ]; then
+    echo "ci: DESIGN.md has $design_lines lines, over its budget of 1000" >&2
+    exit 1
+fi
+
 run cargo build --release --workspace --offline
 
 # Property-test breadth floor: blocks trim their local case counts for

@@ -94,10 +94,10 @@ struct Device {
     /// harvest takes each out as the runtime's observed log names it; a
     /// kill strands what is left.
     unseen: Vec<Option<Payload>>,
-    /// Completions observed host-side that the fleet clock has not
-    /// reached yet: a min-heap on `(fleet instant, key)`. The instant is
-    /// `clock.fleet_of(output_done)`, computed once when the task is
-    /// observed; a rate change remaps it ([`Device::rekey_gated`]).
+    /// Completions observed host-side that the fleet clock may not have
+    /// reached yet: a min-heap on `(output instant, key)`, the instant on
+    /// the device's own clock. Its fleet instant is read at the gate
+    /// ([`Device::pop_due`]), so a rate change leaves the heap as it is.
     gated: BinaryHeap<Reverse<(SimTime, u64, TaskId)>>,
     completed: u64,
     /// Last `(known_free, outstanding, alive)` tuple emitted to the
@@ -109,13 +109,8 @@ struct Device {
     read: u64,
 }
 
-/// Device-local instant at which `id`'s output landed in host memory.
-fn output_done(rt: &PagodaRuntime, id: TaskId) -> SimTime {
-    rt.trace(id)
-        .expect("invariant: fleet only holds ids its devices issued")
-        .output_done
-        .expect("invariant: observed-done task has an output time")
-}
+/// A completion ready to apply: `(fleet instant, device, key, id)`.
+type Due = (SimTime, usize, u64, TaskId);
 
 impl Device {
     /// Cluster tasks in flight on the device as the fleet sees them:
@@ -167,23 +162,19 @@ impl Device {
     }
 
     /// Moves every task the last copy-back revealed as done — what the
-    /// runtime's observed log hands over — into `gated`, mapping its
-    /// device-local output timestamp to fleet time.
+    /// runtime's observed log hands over — into `gated`, at its
+    /// device-local output instant.
     fn observe(&mut self) {
         #[cfg(test)]
         let before = self.gated.len();
         let Device {
-            rt,
-            clock,
-            unseen,
-            gated,
-            ..
+            rt, unseen, gated, ..
         } = self;
         for (id, entry, out) in rt.drain_observed() {
             let task = unseen[entry]
                 .take()
                 .expect("invariant: the fleet holds every task its devices run");
-            gated.push(Reverse((clock.fleet_of(out), task.key, id)));
+            gated.push(Reverse((out, task.key, id)));
         }
         #[cfg(test)]
         {
@@ -191,49 +182,35 @@ impl Device {
         }
     }
 
-    /// Pops the observed completions the fleet may see at `fleet_now`,
-    /// in `(fleet instant, key)` order.
+    /// Appends to `due`, as device `device`'s, the observed completions
+    /// the fleet may see at `fleet_now`, each at its fleet instant.
     ///
     /// With `gate` set, a completion only counts once the fleet clock
-    /// has reached its mapped fleet instant. Device clocks legitimately
-    /// run ahead of the fleet clock (spawn costs, per-round copyback
-    /// costs), and for a *slowed* device that head start is
-    /// cheap local time that maps far into the fleet future — without
-    /// the gate, the fleet would observe those completions early and a
-    /// slowdown would cost nothing. Kill-harvest passes `gate = false`:
+    /// has reached its fleet instant, mapped through the clock as it is
+    /// now. Device clocks legitimately run ahead of the fleet clock
+    /// (spawn costs, per-round copyback costs), and for a *slowed* device
+    /// that head start is cheap local time that maps far into the fleet
+    /// future — without the gate, the fleet would observe those
+    /// completions early and a slowdown would cost nothing. The mapping
+    /// never decreases, whatever rate changes came, so the completions
+    /// due are a prefix of the heap. Kill-harvest passes `gate = false`:
     /// it reads the device's final local state, whenever that ran to.
     ///
     /// A drained gate keeps no more capacity than the TaskTable holds: a
     /// batch whose completions all waited behind it grew it to about the
     /// batch.
-    fn pop_due(&mut self, fleet_now: SimTime, gate: bool) -> Vec<(SimTime, u64, TaskId)> {
-        let mut due = Vec::new();
-        while let Some(&Reverse(first)) = self.gated.peek() {
-            if gate && first.0 > fleet_now {
+    fn pop_due(&mut self, device: usize, fleet_now: SimTime, gate: bool, due: &mut Vec<Due>) {
+        while let Some(&Reverse((out, key, id))) = self.gated.peek() {
+            let at = self.clock.fleet_of(out);
+            if gate && at > fleet_now {
                 break;
             }
             self.gated.pop();
-            due.push(first);
+            due.push((at, device, key, id));
         }
         if self.gated.is_empty() {
             self.gated.shrink_to(self.unseen.len());
         }
-        due
-    }
-
-    /// Recomputes every gated completion's fleet instant. `set_rate`
-    /// remaps each local instant past the new segment's start, and a
-    /// device's clock runs ahead of the fleet's, so completions already
-    /// observed can sit past it: their cached keys are stale after a
-    /// rate change.
-    fn rekey_gated(&mut self) {
-        let Device {
-            rt, clock, gated, ..
-        } = self;
-        *gated = std::mem::take(gated)
-            .into_iter()
-            .map(|Reverse((_, key, id))| Reverse((clock.fleet_of(output_done(rt, id)), key, id)))
-            .collect();
     }
 }
 
@@ -297,6 +274,9 @@ pub struct ClusterHandle {
     /// Scratch for [`route`](ClusterHandle::route): the placement
     /// policy's view of the fleet, refilled per routed task.
     views: Vec<DeviceView>,
+    /// Scratch for a sync point: the completions it harvested, sorted
+    /// into merge order and applied.
+    due: Vec<Due>,
     retry: RetryPolicy,
     faults: Vec<FaultSpec>,
     next_fault: usize,
@@ -367,6 +347,7 @@ impl ClusterHandle {
             devices,
             placer: Placer::new(cfg.placement, cfg.seed, cfg.affinity_spread),
             views: Vec::new(),
+            due: Vec::new(),
             retry: cfg.retry,
             faults,
             next_fault: 0,
@@ -473,46 +454,41 @@ impl ClusterHandle {
     }
 
     /// Phase 1 of [`sync`](Backend::sync): per-device copy-back +
-    /// completion harvest, returning the merged `(at, device, key, id)`
-    /// list.
-    fn sync_devices(&mut self, gate: bool) -> Vec<(SimTime, usize, u64, TaskId)> {
-        let mut merged = Vec::new();
+    /// completion harvest into `due`.
+    fn sync_devices(&mut self, gate: bool) {
         for i in 0..self.devices.len() {
             if self.devices[i].alive {
-                let due = self.harvest(i, self.fleet_now, gate);
-                merged.extend(due.into_iter().map(|(at, key, id)| (at, i, key, id)));
+                self.harvest(i, self.fleet_now, gate);
             }
         }
-        // The fleet-level tie-break: completions apply in fleet-time
-        // order, ties broken by device index then task key — the same
-        // shape as the engine's (time, seq) ordering.
-        if self.mutation != Some(Mutation::SkipMergeSort) {
-            merged.sort_unstable();
-        }
-        merged
     }
 
     /// One device's share of a sync point at fleet instant `at`: the
     /// §4.2.2 aggregate copy-back, a change-detected sample, and the
-    /// completions now visible (see [`pop_due`](Device::pop_due) for
-    /// `gate`), held under test to the full rescan of
-    /// [`ClusterHandle::scan_finished`].
-    fn harvest(&mut self, device: usize, at: SimTime, gate: bool) -> Vec<(SimTime, u64, TaskId)> {
+    /// completions now visible appended to `due` (see
+    /// [`pop_due`](Device::pop_due) for `gate`), held under test to the
+    /// full rescan of [`ClusterHandle::scan_finished`].
+    fn harvest(&mut self, device: usize, at: SimTime, gate: bool) {
         let d = &mut self.devices[device];
         d.rt.sync_table();
         d.sample(at, &self.obs, false);
         #[cfg(test)]
-        let rescan = self.scan_finished(device, at, gate);
+        let (rescan, from) = (self.scan_finished(device, at, gate), self.due.len());
         let d = &mut self.devices[device];
         d.observe();
-        let due = d.pop_due(at, gate);
+        d.pop_due(device, at, gate, &mut self.due);
         #[cfg(test)]
-        assert_eq!(
-            due.iter().map(|&(t, key, _)| (t, key)).collect::<Vec<_>>(),
-            rescan,
-            "the logged harvest diverged from the full rescan on device {device}"
-        );
-        due
+        {
+            let mut due: Vec<(SimTime, u64)> = self.due[from..]
+                .iter()
+                .map(|&(t, _, key, _)| (t, key))
+                .collect();
+            due.sort_unstable();
+            assert_eq!(
+                due, rescan,
+                "the logged harvest diverged from the full rescan on device {device}"
+            );
+        }
     }
 
     /// The harvest oracle, read before the harvest reads the runtime's
@@ -542,17 +518,26 @@ impl ClusterHandle {
         let mut finished: Vec<(SimTime, u64)> = held
             .into_iter()
             .filter(|&(id, _)| d.rt.observed_done(id).expect("fleet-issued id"))
-            .map(|(id, key)| (d.clock.fleet_of(output_done(&d.rt, id)), key))
+            .map(|(id, key)| {
+                let out = d.rt.trace(id).expect("fleet-issued id").output_done;
+                (d.clock.fleet_of(out.expect("observed done")), key)
+            })
             .filter(|&(at, _)| !gate || at <= fleet_now)
             .collect();
         finished.sort_unstable();
         finished
     }
 
-    /// Phase 2 of [`sync`](Backend::sync): applies merged
-    /// completions in `(at, device, key)` order.
-    fn apply_completions(&mut self, merged: Vec<(SimTime, usize, u64, TaskId)>) {
-        for (at, device, key, id) in merged {
+    /// Phase 2 of [`sync`](Backend::sync): applies the harvested
+    /// completions in `(at, device, key)` order — the fleet-level
+    /// tie-break, the same shape as the engine's `(time, seq)` ordering —
+    /// and empties `due`.
+    fn apply_completions(&mut self) {
+        let mut due = std::mem::take(&mut self.due);
+        if self.mutation != Some(Mutation::SkipMergeSort) {
+            due.sort_unstable();
+        }
+        for (at, device, key, id) in due.drain(..) {
             self.devices[device].completed += 1;
             self.resolve(key, Status::Done { at });
             // Replay the winning attempt's device timeline under the
@@ -576,6 +561,7 @@ impl ClusterHandle {
             }
             self.obs.task(at.as_ps(), key, TaskState::Freed);
         }
+        self.due = due;
     }
 
     /// Change-detected post-merge device samples, fleet order.
@@ -648,7 +634,6 @@ impl ClusterHandle {
                     return;
                 }
                 self.devices[f.device].clock.set_rate(at, 1.0 / factor);
-                self.devices[f.device].rekey_gated();
                 self.slowdowns += 1;
                 self.obs.count(Counter::ClusterDeviceSlowdowns, 1);
                 // Forced: the observable tuple is unchanged by a
@@ -665,14 +650,8 @@ impl ClusterHandle {
                 // exempt from the harvest gate: the device's local
                 // clock may have run past the kill instant.
                 self.obs.sync_mark(at.as_ps(), SyncKind::KillHarvest);
-                // One device, popped in `(at, key)` order: already in
-                // merge order.
-                let merged = self
-                    .harvest(f.device, at, false)
-                    .into_iter()
-                    .map(|(t, key, id)| (t, f.device, key, id))
-                    .collect();
-                self.apply_completions(merged);
+                self.harvest(f.device, at, false);
+                self.apply_completions();
                 self.devices[f.device].alive = false;
                 self.kills += 1;
                 self.obs.count(Counter::ClusterDeviceKills, 1);
@@ -948,8 +927,8 @@ impl Backend for ClusterHandle {
         // to a fleet instant at or before it.
         self.obs.sync_mark(self.fleet_now.as_ps(), SyncKind::Sync);
         let gate = self.mutation != Some(Mutation::SkipCausalGate);
-        let merged = self.sync_devices(gate);
-        self.apply_completions(merged);
+        self.sync_devices(gate);
+        self.apply_completions();
         self.sample_all();
         self.drain_pending();
     }
@@ -1466,23 +1445,27 @@ mod tests {
         fleet
     }
 
-    #[test]
-    fn slowdown_rekeys_completions_already_gated() {
-        // Dry run: find a sync that leaves device 0 holding completions
-        // gated at least 2 us into the fleet's future.
+    /// A dry run's first sync that leaves device 0 holding completions
+    /// gated at least 2 us into the fleet's future: its fleet instant and
+    /// the keys gated there.
+    fn first_far_gate() -> (SimTime, Vec<u64>) {
         let mut found = None;
         drive(ClusterConfig::uniform(2), 256, |f| {
             let d = &f.devices[0];
-            let far = d
-                .gated
-                .peek()
-                .is_some_and(|&Reverse((at, _, _))| at > f.fleet_now + Dur::from_us(2));
+            let far = d.gated.peek().is_some_and(|&Reverse((out, _, _))| {
+                d.clock.fleet_of(out) > f.fleet_now + Dur::from_us(2)
+            });
             if found.is_none() && far {
                 let keys: Vec<u64> = d.gated.iter().map(|&Reverse((_, k, _))| k).collect();
                 found = Some((f.fleet_now, keys));
             }
         });
-        let (t, gated_keys) = found.expect("device clocks run ahead of the fleet clock");
+        found.expect("device clocks run ahead of the fleet clock")
+    }
+
+    #[test]
+    fn slowdown_rekeys_completions_already_gated() {
+        let (t, gated_keys) = first_far_gate();
         let healthy = drive(ClusterConfig::uniform(2), 256, |_| {});
 
         // The simulation is deterministic up to the fault, so a slowdown
@@ -1500,6 +1483,45 @@ mod tests {
                 "task {key}: a gate key cached before the slowdown survived it"
             );
         }
+    }
+
+    #[test]
+    fn stacked_slowdowns_then_a_kill_hold_every_harvest_to_the_rescan() {
+        // Two rate changes land on device 0 while completions wait in its
+        // gate, and a kill harvests what is left. `harvest` holds every
+        // sync's and the kill's completions to `scan_finished`, which maps
+        // each through the clock as it is then.
+        let (t, _) = first_far_gate();
+        let mut cfg = ClusterConfig::uniform(2);
+        let fault = |after_us, kind| FaultSpec {
+            at: t + Dur::from_us(after_us),
+            device: 0,
+            kind,
+        };
+        cfg.faults = vec![
+            fault(1, FaultKind::Slow { factor: 4.0 }),
+            fault(2, FaultKind::Slow { factor: 2.0 }),
+            fault(100, FaultKind::Kill),
+        ];
+        let kill = t + Dur::from_us(100);
+        // Syncs after both slowdowns that left a completion gated, and
+        // how many the last sync before the kill left there for it.
+        let (mut gated_while_slowed, mut left_for_kill) = (0, 0);
+        let mut fleet = drive(cfg, 256, |f| {
+            let gated = f.devices[0].gated.len();
+            if f.fleet_now > t + Dur::from_us(2) && f.fleet_now < kill {
+                gated_while_slowed += usize::from(gated > 0);
+                left_for_kill = gated;
+            }
+        });
+        assert!(
+            gated_while_slowed > 0,
+            "the slowed gate never held a completion"
+        );
+        assert!(left_for_kill > 0, "the kill found its gate empty");
+        let rep = fleet.report();
+        assert_eq!((rep.slowdowns, rep.kills), (2, 1));
+        assert_eq!(rep.completed, 256);
     }
 
     #[test]

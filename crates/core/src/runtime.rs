@@ -49,6 +49,10 @@ const TAG_SCHED: u64 = 1 << 40;
 const TAG_EXEC: u64 = 2 << 40;
 const TAG_KIND_MASK: u64 = 3 << 40;
 const TAG_PAYLOAD_MASK: u64 = (1 << 40) - 1;
+/// Host-timer tag bit of the final-task flush write. The rest of a host
+/// timer's tag is the entry its copy carries, `col << 32 | row`
+/// ([`host_tag`]).
+const TAG_FLUSH: u64 = 1 << 63;
 
 /// The GPU side reached for an entry's [`Resident`] outside the span the
 /// CPU's claim and the task's last warp bound.
@@ -77,19 +81,6 @@ const SCHED_CPI: f64 = 2.0;
 /// epilogue (Algorithm 1, lines 34-43: dealloc marking, doneCtr, flag
 /// clears).
 const EXEC_EPILOGUE_CYCLES: u64 = 80;
-
-/// Host-event payloads staged for PCIe visibility instants.
-#[derive(Debug, Clone, Copy)]
-enum HostEv {
-    /// A spawned entry's H2D copy became visible in device memory.
-    EntryVisible {
-        e: EntryIndex,
-        st: EntryState,
-        task: TaskId,
-    },
-    /// The final-task flush write became visible.
-    FlushWriteVisible { e: EntryIndex },
-}
 
 /// One threadblock of a resident task.
 #[derive(Debug, Clone, Default)]
@@ -238,15 +229,8 @@ pub struct PagodaRuntime {
     chain_open: bool,
     host_now: SimTime,
     spawn_cursor: u32,
-    /// Host events awaiting their visibility instant; the slot index is
-    /// the device timer's tag. Delivered slots wait in `staged_free`.
-    staged: Vec<Option<HostEv>>,
-    staged_free: Vec<usize>,
     /// The notification batch in hand, lent to the device every step.
     batch: Vec<Notify>,
-    /// Staged events delivered so far, for the slab's accounting test.
-    #[cfg(test)]
-    staged_delivered: u64,
     /// Rows `decide` (`[0]`) and the row walk it replaced (`[1]`) have
     /// looked at.
     #[cfg(test)]
@@ -309,11 +293,7 @@ impl PagodaRuntime {
             chain_open: false,
             host_now: SimTime::ZERO,
             spawn_cursor: 0,
-            staged: Vec::new(),
-            staged_free: Vec::new(),
             batch: Vec::new(),
-            #[cfg(test)]
-            staged_delivered: 0,
             #[cfg(test)]
             row_probes: Default::default(),
             observed_log: None,
@@ -496,17 +476,7 @@ impl PagodaRuntime {
             Direction::HostToDevice,
             ENTRY_BYTES + u64::from(desc.input_bytes),
         );
-        self.stage(
-            tr.complete,
-            HostEv::EntryVisible {
-                e: entry,
-                st: EntryState {
-                    ready,
-                    sched: false,
-                },
-                task: id,
-            },
-        );
+        self.device.schedule_host(tr.complete, host_tag(entry));
 
         let r = &mut self.resident[ei];
         r.desc = Some(desc);
@@ -742,20 +712,6 @@ impl PagodaRuntime {
         }
     }
 
-    fn stage(&mut self, at: SimTime, ev: HostEv) {
-        let slot = match self.staged_free.pop() {
-            Some(slot) => {
-                self.staged[slot] = Some(ev);
-                slot
-            }
-            None => {
-                self.staged.push(Some(ev));
-                self.staged.len() - 1
-            }
-        };
-        self.device.schedule_host(at, slot as u64);
-    }
-
     /// One non-blocking pass of the round-robin column scan; claims
     /// nothing, just locates a CPU-side free entry and advances the
     /// cursor past its column.
@@ -888,7 +844,8 @@ impl PagodaRuntime {
                     Direction::HostToDevice,
                     FLAG_WRITE_BYTES,
                 );
-                self.stage(trw.complete, HostEv::FlushWriteVisible { e });
+                self.device
+                    .schedule_host(trw.complete, TAG_FLUSH | host_tag(e));
                 self.chain_open = false;
             }
             Ready::Ref(_) => {
@@ -910,16 +867,14 @@ impl PagodaRuntime {
     fn on_notify(&mut self, time: SimTime, n: Notify) {
         match n {
             Notify::Host(tag) => {
-                let slot = tag as usize;
-                let ev = self.staged[slot].take().expect("unknown staged event");
-                self.staged_free.push(slot);
-                #[cfg(test)]
-                {
-                    self.staged_delivered += 1;
-                }
-                match ev {
-                    HostEv::EntryVisible { e, st, task } => self.entry_visible(e, st, task),
-                    HostEv::FlushWriteVisible { e } => self.flush_visible(e),
+                let e = EntryIndex {
+                    col: ((tag & !TAG_FLUSH) >> 32) as u32,
+                    row: tag as u32,
+                };
+                if tag & TAG_FLUSH == 0 {
+                    self.entry_visible(e);
+                } else {
+                    self.flush_visible(e);
                 }
             }
             Notify::WarpDone { tag, .. } => match tag & TAG_KIND_MASK {
@@ -941,14 +896,18 @@ impl PagodaRuntime {
         }
     }
 
-    fn entry_visible(&mut self, e: EntryIndex, st: EntryState, task: TaskId) {
-        assert_eq!(
-            self.gpu_table.get(e).ready,
-            Ready::Free,
-            "entry copy landed on a non-free GPU entry"
+    /// Entry `e`'s spawn copy landed: it carries what the CPU claimed.
+    /// [`Self::merge_entry`] leaves an entry alone while its copy is in
+    /// flight, and an entry has one copy in flight at a time, so the CPU's
+    /// side of `e` and its occupant are still that claim.
+    fn entry_visible(&mut self, e: EntryIndex) {
+        assert!(
+            self.spawn_inflight(e),
+            "entry copy landed on an entry with no copy in flight"
         );
-        self.gpu_table.set(e, st);
+        self.gpu_table.set(e, self.cpu_table.get(e));
         let ei = self.eidx(e);
+        let task = self.cpu_occupant[ei].expect("a copy in flight has its claimant");
         // A reference may land on a `Copied` predecessor, and a `Copied`
         // task may land after its successor's reference.
         self.refresh_chain(e);
@@ -1409,6 +1368,11 @@ impl PagodaRuntime {
     }
 }
 
+/// The host-timer tag of a copy carrying entry `e`.
+fn host_tag(e: EntryIndex) -> u64 {
+    u64::from(e.col) << 32 | u64::from(e.row)
+}
+
 fn initial_phase(sync: bool, smem: u32) -> JobPhase {
     if sync {
         JobPhase::NeedBarrier
@@ -1614,7 +1578,6 @@ mod tests {
         );
         let compute_done = done().map(|(d, _)| d).max();
         prop_assert_eq!(rt.compute_done, compute_done.unwrap_or(SimTime::ZERO));
-        staged_slab_is_exact(rt)?;
         // A link is made under its predecessor's claim of the entry and
         // does not outlive it.
         for (ei, link) in rt.succ_entry.iter().enumerate() {
@@ -1628,40 +1591,24 @@ mod tests {
         Ok(())
     }
 
-    /// The live `staged` slots are the host events scheduled and not yet
-    /// delivered — every one rides an H2D transaction (a spawn's entry
-    /// copy, a flush write) and nothing else does — and every other slot
-    /// is on the free list exactly once.
-    fn staged_slab_is_exact(rt: &PagodaRuntime) -> Result<(), TestCaseError> {
-        let live = rt.staged.iter().flatten().count();
-        let scheduled = rt.bus.stats(Direction::HostToDevice).transactions;
-        prop_assert_eq!(live as u64, scheduled - rt.staged_delivered);
-        let mut free = rt.staged_free.clone();
-        free.sort_unstable();
-        free.dedup();
-        prop_assert_eq!(free.len(), rt.staged_free.len(), "a slot was freed twice");
-        prop_assert!(free.iter().all(|&slot| rt.staged[slot].is_none()));
-        prop_assert_eq!(
-            live + free.len(),
-            rt.staged.len(),
-            "a delivered slot leaked"
-        );
-        let mut copies = 0;
-        for ev in rt.staged.iter().flatten() {
-            match *ev {
-                HostEv::EntryVisible { e, task, .. } => {
-                    copies += 1;
-                    prop_assert!(rt.spawn_inflight(e));
-                    prop_assert_eq!(rt.occupant(e), None);
-                    prop_assert_eq!(rt.cpu_occupant[rt.eidx(e)], Some(task));
-                }
-                HostEv::FlushWriteVisible { e } => {
-                    prop_assert_eq!(rt.gpu_table.get(e).ready, Ready::Copied);
-                }
+    /// What a landing copy reads: every entry whose spawn copy is in
+    /// flight holds, in the CPU view, a spawn state (`Copied`, or `Ref` to
+    /// the task spawned just before) with `sched` clear, and its occupant
+    /// claimed it and has not reached the device.
+    fn inflight_copies_carry_their_claim(rt: &PagodaRuntime) -> Result<(), TestCaseError> {
+        for e in entries(rt).filter(|&e| rt.spawn_inflight(e)) {
+            let st = rt.cpu_table.get(e);
+            let t = rt.cpu_occupant[rt.eidx(e)].expect("a copy in flight has its claimant");
+            prop_assert!(!st.sched, "entry {:?} in flight with sched set", e);
+            match st.ready {
+                Ready::Copied => {}
+                Ready::Ref(prev) => prop_assert_eq!(prev.0 + 1, t.0),
+                other => prop_assert!(false, "entry {:?} in flight as {:?}", e, other),
             }
+            let r = &rt.tasks[(t.0 - TaskId::FIRST.0) as usize];
+            prop_assert_eq!(r.entry, e);
+            prop_assert_eq!(r.entry_visible, Stamp::UNSET);
         }
-        let inflight = entries(rt).filter(|&e| rt.spawn_inflight(e)).count();
-        prop_assert_eq!(copies, inflight);
         Ok(())
     }
 
@@ -1682,13 +1629,17 @@ mod tests {
             _ => tiny_task(),
         };
         t.output_bytes = (arg as u32 % 3) * 4096;
+        // Up to 64 KB of input: a burst's entry copies queue on the H2D
+        // stream, so a copy-back can land while some are in flight.
+        t.input_bytes = (arg as u32 % 5) * 16 * 1024;
         t
     }
 
     /// Drives a runtime of `num_sms` SMMs (two TaskTable columns each) and
     /// `rows` rows per column through `ops` — submit (into a full table
     /// too), sync, check, wait, wait_all, advance — calling `each` after
-    /// every one and after the final drain. The observed log is armed
+    /// every one and after the final drain, each time after
+    /// [`inflight_copies_carry_their_claim`]. The observed log is armed
     /// before the first op, so `each` may drain it.
     fn interleave(
         num_sms: u32,
@@ -1718,9 +1669,11 @@ mod tests {
                 (6, _) => rt.wait_all(),
                 _ => rt.advance_to(rt.host_now() + Dur::from_us(arg as u64 % 40)),
             }
+            inflight_copies_carry_their_claim(&rt)?;
             each(&mut rt)?;
         }
         rt.wait_all();
+        inflight_copies_carry_their_claim(&rt)?;
         each(&mut rt)?;
         prop_assert_eq!(rt.cpu_occupant.iter().flatten().count(), 0);
         prop_assert_eq!(rt.report().tasks, ids.len() as u64);
@@ -1872,14 +1825,6 @@ mod tests {
         rt.wait_all();
         assert_eq!(rt.report().tasks, 10_000);
         assert_eq!(rt.succ_entry, vec![None; 48]);
-        assert_eq!(rt.staged.iter().flatten().count(), 0);
-        // The slab is as long as the most events ever pending at once: an
-        // entry copy per entry and a flush write.
-        assert!(
-            rt.staged.len() <= 48 + 1,
-            "{} staged slots",
-            rt.staged.len()
-        );
     }
 
     #[test]

@@ -143,7 +143,6 @@ struct KernelCtx {
     num_tbs: u32,
     next_tb: u32,
     retired_tbs: u32,
-    done: bool,
 }
 
 #[derive(Debug)]
@@ -208,6 +207,10 @@ pub struct GpuDevice {
     exec: ExecState,
     sm_res: Vec<SmRes>,
     kernels: Vec<KernelCtx>,
+    /// Slots of `kernels` whose kernel is done, reused last-done-first:
+    /// a launch allocates nothing once as many kernels as it needs have
+    /// been in flight at once.
+    free_kernels: Vec<u32>,
     tbs: Vec<TbCtx>,
     /// Retired slots of `tbs`, reused last-retired-first: a placement
     /// allocates nothing once as many threadblocks as it needs have been
@@ -265,6 +268,7 @@ impl GpuDevice {
             exec,
             sm_res,
             kernels: Vec::new(),
+            free_kernels: Vec::new(),
             tbs: Vec::new(),
             free_tbs: Vec::new(),
             active: Vec::new(),
@@ -317,16 +321,24 @@ impl GpuDevice {
         let shape = kernel.native_shape();
         self.cfg.spec.occupancy_of(&shape)?; // also proves ≥1 TB fits
         let foot = self.footprint(&shape);
-        let kid = self.kernels.len() as u32;
-        self.kernels.push(KernelCtx {
+        let k = KernelCtx {
             num_tbs: kernel.num_tbs(),
             kernel,
             tag,
             foot,
             next_tb: 0,
             retired_tbs: 0,
-            done: false,
-        });
+        };
+        let kid = match self.free_kernels.pop() {
+            Some(kid) => {
+                self.kernels[kid as usize] = k;
+                kid
+            }
+            None => {
+                self.kernels.push(k);
+                self.kernels.len() as u32 - 1
+            }
+        };
         self.obs.count(Counter::KernelLaunches, 1);
         let issue_at = self.now().max(self.next_launch_free) + self.cfg.launch_issue_cost;
         self.next_launch_free = issue_at;
@@ -791,10 +803,10 @@ impl GpuDevice {
         self.sample_sm(now, sm);
         let k = &mut self.kernels[kid as usize];
         k.retired_tbs += 1;
-        if k.retired_tbs == k.num_tbs && !k.done {
-            k.done = true;
+        if k.retired_tbs == k.num_tbs {
             out.push(Notify::KernelDone { tag: k.tag });
             self.active.retain(|&a| a != kid);
+            self.free_kernels.push(kid);
         }
     }
 }
@@ -1226,6 +1238,28 @@ mod tests {
         assert_eq!(run_all(&mut dev).len(), 100);
         assert_eq!((dev.tbs.len(), dev.exec.warp_slots()), (2, 2));
         assert_eq!(dev.group_slots(), 2);
+    }
+
+    #[test]
+    fn kernels_launched_one_after_another_reuse_one_slot() {
+        // Each kernel's end launches the next: one kernel is ever in
+        // flight, so one context serves all ten.
+        let mut dev = GpuDevice::new(quiet_cfg());
+        let work = || WarpWork::compute(4_000, 2.0);
+        dev.launch_kernel(uniform(64, 2, work()), 0).unwrap();
+        let (mut done, mut batch) = (Vec::new(), Vec::new());
+        while dev.step_bounded_into(SimTime::MAX, &mut batch).is_some() {
+            for &n in &batch {
+                if let Notify::KernelDone { tag } = n {
+                    done.push(tag);
+                    if tag < 9 {
+                        dev.launch_kernel(uniform(64, 2, work()), tag + 1).unwrap();
+                    }
+                }
+            }
+        }
+        assert_eq!(done, (0..10).collect::<Vec<_>>());
+        assert_eq!(dev.kernels.len(), 1);
     }
 
     #[test]

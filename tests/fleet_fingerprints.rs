@@ -1,7 +1,9 @@
-//! Fleet byte-identity gate: every smoke-sweep scenario of
-//! `pagoda_check` must reproduce the fingerprint (recorder stream,
+//! Fleet byte-identity gate: every scenario of `pagoda_check`'s smoke
+//! and extended sweeps must reproduce the fingerprint (recorder stream,
 //! completion instants, engine stats, fleet report) committed in
-//! `tests/golden/fleet_fingerprints.txt`, one
+//! `tests/golden/fleet_fingerprints.txt` (smoke) and
+//! `tests/golden/fleet_fingerprints_extended.txt` (the 144-scenario
+//! cross-product, half of it under a `slow@` fault), one
 //! `<replay command> <fnv1a64 of the fingerprint>` line per scenario.
 //!
 //! A fleet change that claims "no behaviour change" passes this without
@@ -19,14 +21,23 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-#[test]
-fn smoke_sweep_fingerprints_match_the_committed_golden() {
-    let actual: String = sweep_scenarios(false)
+/// One `<replay command> <digest>` line per scenario of the sweep.
+fn sweep_digests(extended: bool) -> String {
+    sweep_scenarios(extended)
         .iter()
         .map(|sc| {
             let digest = fnv1a64(run_one(sc, None).fingerprint.as_bytes());
             format!("{} {digest:016x}\n", sc.replay_cli())
         })
-        .collect();
-    common::assert_golden("fleet_fingerprints.txt", &actual);
+        .collect()
+}
+
+#[test]
+fn smoke_sweep_fingerprints_match_the_committed_golden() {
+    common::assert_golden("fleet_fingerprints.txt", &sweep_digests(false));
+}
+
+#[test]
+fn extended_sweep_fingerprints_match_the_committed_golden() {
+    common::assert_golden("fleet_fingerprints_extended.txt", &sweep_digests(true));
 }
