@@ -11,6 +11,20 @@ run() {
     "$@"
 }
 
+# `run` for a `cargo test <filter>`: such a run exits 0 when the filter
+# matches nothing, so a renamed test would silently drop out of it. This
+# one fails unless at least one test ran.
+run_named() {
+    echo "==> $*"
+    out=$("$@" 2>&1) || { printf '%s\n' "$out"; exit 1; }
+    printf '%s\n' "$out"
+    ran=$(printf '%s\n' "$out" | awk '$1 == "test" && $2 == "result:" { n += $4 } END { print n + 0 }')
+    if [ "$ran" = 0 ]; then
+        echo "ci: no test matched '$*'; was one renamed?" >&2
+        exit 1
+    fi
+}
+
 # Dependency edges: every [dependencies] or [dev-dependencies] entry of
 # a crates/* manifest must be used (`name::`, `use name`) by some .rs
 # file of that crate. An edge no source needs still orders the build and
@@ -166,14 +180,14 @@ if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
     # child too few, a broken validity rule for the kept prediction, or a
     # transition that skips a mask, fails here with the case's `cc` seed
     # line instead of as eight opaque `sim_fingerprint` mismatches.
-    run env PROPTEST_CASES=512 cargo test -q --offline -p desim --lib lockstep
-    run env PROPTEST_CASES=512 cargo test -q --offline -p gpu-sim --lib lockstep
-    run env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib lockstep_decide_matches_row_scan
-    run env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib lockstep_decide_under_deep_backlog
-    run env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib masks_match_column_scans
-    run env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib observed_tasks_are_the_ones_handed_over
-    run env PROPTEST_CASES=512 cargo test -q --offline -p workloads --lib render_equals_per_pixel
-    run env PROPTEST_CASES=512 cargo test -q --offline -p workloads --lib slud::tests::lockstep
+    run_named env PROPTEST_CASES=512 cargo test -q --offline -p desim --lib lockstep
+    run_named env PROPTEST_CASES=512 cargo test -q --offline -p gpu-sim --lib lockstep
+    run_named env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib lockstep_decide_matches_row_scan
+    run_named env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib lockstep_decide_under_deep_backlog
+    run_named env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib masks_match_column_scans
+    run_named env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib observed_tasks_are_the_ones_handed_over
+    run_named env PROPTEST_CASES=512 cargo test -q --offline -p workloads --lib render_equals_per_pixel
+    run_named env PROPTEST_CASES=512 cargo test -q --offline -p workloads --lib slud::tests::lockstep
     # Hostile configurations at eight times tier-1's 128 cases: a fleet
     # that loses every device, and most single hostile serving axes,
     # come up only now and then at 128 (about a second at 1024).

@@ -1,7 +1,7 @@
 //! The driver that runs tasks through the Pagoda runtime: waves of
 //! spawns, each reaped by one `waitAll`.
 
-use pagoda_core::{PagodaConfig, PagodaRuntime, TaskDesc};
+use pagoda_core::{Backend, PagodaConfig, PagodaRuntime, TaskDesc};
 use pagoda_obs::Obs;
 
 use crate::summary::RunSummary;
@@ -29,7 +29,7 @@ pub fn run_pagoda_waves<'a>(
     rt.attach_obs(obs);
     for wave in waves {
         for t in wave {
-            rt.spawn_blocking(t.clone())
+            rt.spawn_blocking(0, t.clone())
                 .expect("invalid task for Pagoda");
         }
         rt.wait_all();

@@ -282,8 +282,8 @@ impl Serialize for Point {
     }
 }
 
-/// Simple CLI: `--tasks N`, `--json`, `--quick` (divides the paper task
-/// count by 16 for smoke runs).
+/// Simple CLI: `--tasks N` (N ≥ 1), `--json`, `--quick` (divides the
+/// paper task count by 16 for smoke runs).
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Override task count.
@@ -308,9 +308,10 @@ impl Cli {
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
+                // No figure has anything to show of zero tasks.
                 "--tasks" => match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) => cli.tasks = Some(n),
-                    None => usage_exit("--tasks needs a number", usage),
+                    Some(n) if n >= 1 => cli.tasks = Some(n),
+                    _ => usage_exit("--tasks needs a number of at least 1", usage),
                 },
                 "--json" => cli.json = true,
                 "--quick" => cli.quick = true,

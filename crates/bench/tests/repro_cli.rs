@@ -21,6 +21,10 @@ fn a_bad_command_line_exits_2_with_the_figure_names() {
         (&["fig5", "--bogus"], "unknown flag --bogus"),
         (&["fig5", "--tasks"], "--tasks needs a number"),
         (&["fig5", "--tasks", "many"], "--tasks needs a number"),
+        (
+            &["fig5", "--tasks", "0"],
+            "--tasks needs a number of at least 1",
+        ),
         (&["--quick"], "no figure named"),
         // The retired `cluster_scaling` binary's own flags.
         (&["cluster_scaling", "--smoke"], "unknown flag --smoke"),

@@ -150,6 +150,11 @@ fn replay_main(mut args: std::env::Args) -> i32 {
     if sc.devices == 0 || sc.tasks == 0 || sc.tenants == 0 {
         usage();
     }
+    // A fault on a device the fleet lacks, say, parses but cannot run.
+    if let Err(e) = sc.cluster_config().validate() {
+        eprintln!("invalid scenario: {e}");
+        return 2;
+    }
     eprintln!("replaying: {}", sc.replay_cli());
     match check_scenario(&sc) {
         None => {

@@ -14,12 +14,15 @@
 //! `(time, seq)` tie-break, so clocks, traces, reports, and
 //! observability streams are a pure function of the configuration.
 //!
-//! Task identity: the fleet issues its own dense `u64` keys (per-device
-//! [`TaskId`]s collide across devices). Completion is harvested on
-//! [`sync`](Backend::sync) via each device's §4.2.2 aggregate copy-back:
-//! the fleet reads what it freed from the runtime's observed log
-//! ([`PagodaRuntime::drain_observed`]) and maps device-local completion
-//! timestamps back to fleet time through the device's clock history.
+//! The fleet drives each member runtime through the same [`Backend`]
+//! it implements. Task identity: the fleet issues its own dense `u64`
+//! keys (a member runtime's keys collide across devices). Completion is
+//! harvested on [`sync`](Backend::sync) via each device's §4.2.2
+//! aggregate copy-back: the fleet reads what it freed from the runtime's
+//! [`drain_completed`](Backend::drain_completed), finds each task by the
+//! entry it held ([`PagodaRuntime::entry_of`]), and maps its device-local
+//! [`completion_time`](Backend::completion_time) back to fleet time
+//! through the device's clock history.
 //! Until then a task's payload — fleet key, tenant, descriptor, attempts —
 //! lives with the device it runs on, in a table the device's TaskTable
 //! bounds; a kill strands exactly that table. Once the host has seen a
@@ -91,14 +94,15 @@ struct Device {
     alive: bool,
     /// The tasks spawned here whose completion the host has not seen, by
     /// the TaskTable entry each holds ([`PagodaRuntime::entry_of`]). The
-    /// harvest takes each out as the runtime's observed log names it; a
-    /// kill strands what is left.
+    /// harvest takes each out as the runtime hands its key over; a kill
+    /// strands what is left.
     unseen: Vec<Option<Payload>>,
     /// Completions observed host-side that the fleet clock may not have
-    /// reached yet: a min-heap on `(output instant, key)`, the instant on
-    /// the device's own clock. Its fleet instant is read at the gate
-    /// ([`Device::pop_due`]), so a rate change leaves the heap as it is.
-    gated: BinaryHeap<Reverse<(SimTime, u64, TaskId)>>,
+    /// reached yet: a min-heap on `(output instant, key, runtime key)`,
+    /// the instant on the device's own clock. Its fleet instant is read at
+    /// the gate ([`Device::pop_due`]), so a rate change leaves the heap as
+    /// it is.
+    gated: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
     completed: u64,
     /// Last `(known_free, outstanding, alive)` tuple emitted to the
     /// device track; samples are change-detected so every sync can
@@ -109,8 +113,9 @@ struct Device {
     read: u64,
 }
 
-/// A completion ready to apply: `(fleet instant, device, key, id)`.
-type Due = (SimTime, usize, u64, TaskId);
+/// A completion ready to apply: `(fleet instant, device, key, runtime
+/// key)`.
+type Due = (SimTime, usize, u64, u64);
 
 impl Device {
     /// Cluster tasks in flight on the device as the fleet sees them:
@@ -161,16 +166,21 @@ impl Device {
         });
     }
 
-    /// Moves every task the last copy-back revealed as done — what the
-    /// runtime's observed log hands over — into `gated`, at its
-    /// device-local output instant.
-    fn observe(&mut self) {
+    /// Moves every task the last copy-back revealed as done — the keys
+    /// the runtime hands over, read into the scratch `drained` — into
+    /// `gated`, at its device-local output instant.
+    fn observe(&mut self, drained: &mut Vec<u64>) {
         #[cfg(test)]
         let before = self.gated.len();
         let Device {
             rt, unseen, gated, ..
         } = self;
-        for (id, entry, out) in rt.drain_observed() {
+        rt.drain_completed(&mut std::iter::empty(), drained);
+        for id in drained.drain(..) {
+            let entry = rt.entry_of(id).expect("invariant: the runtime issued it");
+            let out = rt
+                .completion_time(id)
+                .expect("an observed task has an output time");
             let task = unseen[entry]
                 .take()
                 .expect("invariant: the fleet holds every task its devices run");
@@ -277,6 +287,8 @@ pub struct ClusterHandle {
     /// Scratch for a sync point: the completions it harvested, sorted
     /// into merge order and applied.
     due: Vec<Due>,
+    /// Scratch for a harvest: the keys one device's runtime handed over.
+    drained: Vec<u64>,
     retry: RetryPolicy,
     faults: Vec<FaultSpec>,
     next_fault: usize,
@@ -328,7 +340,7 @@ impl ClusterHandle {
             .map(|(i, c)| {
                 let mut rt = PagodaRuntime::new(c.clone());
                 // Armed before the first spawn: every harvest reads it.
-                let _ = rt.drain_observed();
+                rt.drain_completed(&mut std::iter::empty(), &mut Vec::new());
                 Device {
                     rt,
                     id: i as u32,
@@ -348,6 +360,7 @@ impl ClusterHandle {
             placer: Placer::new(cfg.placement, cfg.seed, cfg.affinity_spread),
             views: Vec::new(),
             due: Vec::new(),
+            drained: Vec::new(),
             retry: cfg.retry,
             faults,
             next_fault: 0,
@@ -377,15 +390,15 @@ impl ClusterHandle {
     }
 
     /// Placement + staging charge + device-local spawn, returning the
-    /// device, its local id and whether the device is off `tenant`'s home
-    /// set.
+    /// device, the task's key on its runtime and whether the device is
+    /// off `tenant`'s home set.
     ///
     /// The capacity pre-check matters: the staging transfer must only be
     /// charged when the spawn actually lands. Without it, a placement
     /// that comes back [`SubmitError::Full`] would leave the target's
     /// clock advanced, and every retry of the same task would re-charge
     /// the same transfer.
-    fn route(&mut self, tenant: u32, desc: TaskDesc) -> Result<(usize, TaskId, bool), SubmitError> {
+    fn route(&mut self, tenant: u32, desc: TaskDesc) -> Result<(usize, u64, bool), SubmitError> {
         self.views.clear();
         self.views.extend(self.devices.iter().map(Device::view));
         let Some(device) = self.placer.place(tenant, &self.views) else {
@@ -400,10 +413,10 @@ impl ClusterHandle {
             // Tenant state is staged onto the target before the spawn
             // can land; modeled as a one-hop transfer on the fleet
             // interconnect, serialized on the target device's timeline.
-            let at = d.rt.host_now() + staging_time();
+            let at = d.rt.now() + staging_time();
             d.rt.advance_to(at);
         }
-        let id = d.rt.submit(desc)?;
+        let id = d.rt.submit(tenant, desc)?;
         Ok((device, id, off_home))
     }
 
@@ -413,7 +426,7 @@ impl ClusterHandle {
         &mut self,
         mut task: Payload,
         device: usize,
-        id: TaskId,
+        id: u64,
         off_home: bool,
         resubmit: bool,
     ) {
@@ -470,12 +483,12 @@ impl ClusterHandle {
     /// full rescan of [`ClusterHandle::scan_finished`].
     fn harvest(&mut self, device: usize, at: SimTime, gate: bool) {
         let d = &mut self.devices[device];
-        d.rt.sync_table();
+        d.rt.sync();
         d.sample(at, &self.obs, false);
         #[cfg(test)]
         let (rescan, from) = (self.scan_finished(device, at, gate), self.due.len());
         let d = &mut self.devices[device];
-        d.observe();
+        d.observe(&mut self.drained);
         d.pop_due(device, at, gate, &mut self.due);
         #[cfg(test)]
         {
@@ -501,10 +514,10 @@ impl ClusterHandle {
         let d = &self.devices[device];
         // An entry's task is the last one spawned into it.
         let mut occupant = vec![None; d.unseen.len()];
-        for id in (0..d.rt.spawned()).map(|i| TaskId(TaskId::FIRST.0 + i)) {
+        for id in (0..d.rt.spawned()).map(|i| TaskId::FIRST.0 + i) {
             occupant[d.rt.entry_of(id).expect("issued id")] = Some(id);
         }
-        let held: Vec<(TaskId, u64)> = (d.unseen.iter().zip(occupant))
+        let held: Vec<(u64, u64)> = (d.unseen.iter().zip(occupant))
             .filter_map(|(task, id)| Some((id?, task.as_ref()?.key)))
             .chain(d.gated.iter().map(|&Reverse((_, key, id))| (id, key)))
             .collect();
@@ -517,7 +530,7 @@ impl ClusterHandle {
             .all(|&(_, key)| self.device_of(key) == Some(device)));
         let mut finished: Vec<(SimTime, u64)> = held
             .into_iter()
-            .filter(|&(id, _)| d.rt.observed_done(id).expect("fleet-issued id"))
+            .filter(|&(id, _)| d.rt.observed_done(id))
             .map(|(id, key)| {
                 let out = d.rt.trace(id).expect("fleet-issued id").output_done;
                 (d.clock.fleet_of(out.expect("observed done")), key)
@@ -541,7 +554,7 @@ impl ClusterHandle {
             self.devices[device].completed += 1;
             self.resolve(key, Status::Done { at });
             // Replay the winning attempt's device timeline under the
-            // fleet key (the runtime tracked it under its own TaskId):
+            // fleet key (the runtime tracked it under its own key):
             // without these cuts, fleet-level profiling would collapse
             // staging, MTB wait, and SMM wait into one opaque span.
             // The device's instants are local: map them as `at` was.
@@ -876,10 +889,8 @@ impl Backend for ClusterHandle {
 
     fn observed_done(&self, key: u64) -> bool {
         matches!(
-            self.statuses
-                .get(key as usize)
-                .expect("invariant: callers only pass keys this fleet issued"),
-            Status::Done { .. } | Status::Lost { .. }
+            self.statuses.get(key as usize),
+            Some(Status::Done { .. } | Status::Lost { .. })
         )
     }
 
@@ -919,8 +930,8 @@ impl Backend for ClusterHandle {
     /// copy-back per live device, a deterministic merge of every
     /// completion observed, then a drain of the resubmission queue onto
     /// devices with room, in the merge order the module doc sets out.
-    /// Costs simulated time on each device, like
-    /// [`PagodaRuntime::sync_table`].
+    /// Costs simulated time on each device, like a single runtime's
+    /// sync.
     fn sync(&mut self) {
         // The mark precedes the batch: everything applied before the
         // next mark belongs to this sync point, and (gate honored) maps
@@ -957,7 +968,10 @@ impl Backend for ClusterHandle {
 
     /// One per device, fleet order.
     fn engine_stats(&self) -> Vec<EngineStats> {
-        self.devices.iter().map(|d| d.rt.engine_stats()).collect()
+        self.devices
+            .iter()
+            .flat_map(|d| d.rt.engine_stats())
+            .collect()
     }
 
     /// Number of devices configured (dead ones included).
@@ -1210,14 +1224,14 @@ mod tests {
             guard += 1;
             assert!(guard < 10_000, "fleet never filled");
         }
-        let before: Vec<_> = fleet.devices.iter().map(|d| d.rt.host_now()).collect();
+        let before: Vec<_> = fleet.devices.iter().map(|d| d.rt.now()).collect();
         // A rejected placement must not advance any device's clock —
         // otherwise every retry of the same descriptor re-charges the
         // staging transfer it never used.
         for _ in 0..3 {
             assert!(matches!(fleet.submit(0, task()), Err(SubmitError::Full(_))));
         }
-        let after: Vec<_> = fleet.devices.iter().map(|d| d.rt.host_now()).collect();
+        let after: Vec<_> = fleet.devices.iter().map(|d| d.rt.now()).collect();
         assert_eq!(before, after, "Full submits must charge nothing");
     }
 

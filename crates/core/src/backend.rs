@@ -5,13 +5,16 @@
 //! `ClusterHandle`) implement the same narrow surface — non-blocking
 //! `submit`, `capacity` probe, completion `check`/`wait`, clock control,
 //! `sync` — and everything above them (the serving loop, the examples,
-//! the benches) is generic over `B: Backend`. It is a fleet's whole task
-//! API; [`PagodaRuntime`] keeps its typed Table 1 API (`TaskId` keys)
-//! beside it. The paper's *blocking* `taskSpawn` is the one provided
+//! the benches, and the fleet driving its member runtimes) is generic
+//! over `B: Backend`. It is the whole task API of both: the paper's
+//! Table 1 on [`PagodaRuntime`](crate::PagodaRuntime) is this trait's
+//! methods, beside the runtime's `wait_all`, `report` and per-task
+//! readouts. The paper's *blocking* `taskSpawn` is the one provided
 //! method, [`Backend::spawn_blocking`], written once over that surface.
 //!
-//! Task keys are plain `u64`s: a single runtime uses its `TaskId` values,
-//! a cluster uses fleet-unique keys that never collide across devices.
+//! Task keys are plain `u64`s: a single runtime uses the values of the
+//! [`TaskId`](crate::TaskId)s its TaskTable tracks, a cluster uses
+//! fleet-unique keys that never collide across devices.
 //! All simulated time is the backend's own clock ([`Backend::now`]);
 //! implementations must be deterministic for the
 //! records-are-byte-identical contract to hold.
@@ -20,7 +23,7 @@ use desim::{Dur, EngineStats, SimTime};
 use pagoda_obs::Obs;
 
 use crate::trace::TaskTrace;
-use crate::{Capacity, PagodaError, PagodaRuntime, SubmitError, TaskDesc, TaskError, TaskId};
+use crate::{Capacity, PagodaError, SubmitError, TaskDesc, TaskError};
 
 /// The executor surface behind the serving loop, the examples, and the
 /// benches. Implemented by `PagodaRuntime` (one simulated device) and by
@@ -75,16 +78,14 @@ pub trait Backend {
     /// lost tasks.
     fn wait(&mut self, key: u64) -> Result<SimTime, PagodaError>;
 
-    /// Whether the completion of `key` has been observed host-side.
-    /// Unlike [`Backend::check`] this neither syncs nor costs simulated
-    /// time — it reads the current host view.
-    ///
-    /// # Panics
-    /// May panic if `key` was not issued by this backend.
+    /// Whether the completion of `key` has been observed host-side;
+    /// `false` for a key this backend never issued. Unlike
+    /// [`Backend::check`] this neither syncs nor costs simulated time —
+    /// it reads the current host view.
     fn observed_done(&self, key: u64) -> bool;
 
     /// When `key`'s output landed in host memory; `None` until its
-    /// completion has been observed.
+    /// completion has been observed, and for a key never issued.
     fn completion_time(&self, key: u64) -> Option<SimTime>;
 
     /// Appends to `out` the keys whose completion — done, or lost to a
@@ -132,8 +133,9 @@ pub trait Backend {
     ///
     /// This returns a collected `Vec` only because `benchmark/`'s
     /// `TimedBackend` implements the trait (ROADMAP 1(b)); no in-tree
-    /// caller outside tests reads it. On one runtime,
-    /// [`PagodaRuntime::traces`] reads the same timelines in place.
+    /// caller outside tests reads it. On one runtime, the inherent
+    /// [`PagodaRuntime::traces`](crate::PagodaRuntime::traces) reads the
+    /// same timelines in place, and a method call resolves to it.
     fn traces(&self) -> Vec<TaskTrace>;
 
     /// Attaches an observability sink; events from here on flow to it.
@@ -155,78 +157,10 @@ pub trait Backend {
     }
 }
 
-impl Backend for PagodaRuntime {
-    fn submit(&mut self, _tenant: u32, desc: TaskDesc) -> Result<u64, SubmitError> {
-        PagodaRuntime::submit(self, desc).map(|id| id.0)
-    }
-
-    fn capacity(&self) -> Capacity {
-        PagodaRuntime::capacity(self)
-    }
-
-    fn check(&mut self, key: u64) -> Result<bool, PagodaError> {
-        PagodaRuntime::check(self, TaskId(key))
-    }
-
-    fn wait(&mut self, key: u64) -> Result<SimTime, PagodaError> {
-        PagodaRuntime::wait(self, TaskId(key))?;
-        Ok(self
-            .trace(TaskId(key))?
-            .output_done
-            .expect("invariant: wait returned, so the output landed"))
-    }
-
-    fn observed_done(&self, key: u64) -> bool {
-        PagodaRuntime::observed_done(self, TaskId(key))
-            .expect("invariant: callers only pass keys this runtime issued")
-    }
-
-    fn completion_time(&self, key: u64) -> Option<SimTime> {
-        self.trace(TaskId(key))
-            .expect("invariant: callers only pass keys this runtime issued")
-            .output_done
-    }
-
-    fn drain_completed(&mut self, _pending: &mut dyn Iterator<Item = u64>, out: &mut Vec<u64>) {
-        out.extend(self.drain_observed().map(|(id, _, _)| id.0));
-    }
-
-    fn now(&self) -> SimTime {
-        self.host_now()
-    }
-
-    fn advance_to(&mut self, t: SimTime) {
-        PagodaRuntime::advance_to(self, t);
-    }
-
-    fn sync(&mut self) {
-        self.sync_table();
-    }
-
-    fn wait_timeout(&self) -> Dur {
-        self.config().wait_timeout
-    }
-
-    fn warp_occupancy(&mut self) -> f64 {
-        self.report().avg_running_occupancy
-    }
-
-    fn traces(&self) -> Vec<TaskTrace> {
-        PagodaRuntime::traces(self).collect()
-    }
-
-    fn attach_obs(&mut self, obs: Obs) {
-        PagodaRuntime::attach_obs(self, obs);
-    }
-
-    fn engine_stats(&self) -> Vec<EngineStats> {
-        vec![PagodaRuntime::engine_stats(self)]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PagodaRuntime;
     use gpu_sim::WarpWork;
 
     #[test]
@@ -282,10 +216,13 @@ mod tests {
         cfg.validate().expect("valid config");
         let mut rt = PagodaRuntime::new(cfg);
         while rt.capacity().has_room() {
-            rt.submit(task.clone()).expect("room in the CPU view");
+            rt.submit(0, task.clone()).expect("room in the CPU view");
         }
-        assert!(matches!(rt.submit(task.clone()), Err(SubmitError::Full(_))));
-        let filled = rt.host_now();
+        assert!(matches!(
+            rt.submit(0, task.clone()),
+            Err(SubmitError::Full(_))
+        ));
+        let filled = rt.now();
         (rt, filled)
     }
 
@@ -294,7 +231,7 @@ mod tests {
         // ~1 ms tasks: the table stays full across many 70 us slices.
         let task = TaskDesc::uniform(64, WarpWork::compute(4_000_000, 8.0));
         let (mut rt, filled) = full_runtime(&task);
-        let key = Backend::spawn_blocking(&mut rt, 0, task.clone()).expect("valid task");
+        let key = rt.spawn_blocking(0, task.clone()).expect("valid task");
 
         // The idiom by hand on a twin: a sync per round, one whole
         // timeout per round that leaves the view full.
@@ -302,17 +239,17 @@ mod tests {
         assert_eq!(twin_filled, filled);
         let mut slices = 0;
         loop {
-            twin.sync_table();
+            twin.sync();
             if twin.capacity().has_room() {
                 break;
             }
-            twin.advance_to(twin.host_now() + Dur::from_us(70));
+            twin.advance_to(twin.now() + Dur::from_us(70));
             slices += 1;
         }
-        let want = twin.submit(task).expect("the sync freed an entry");
+        let want = twin.submit(0, task).expect("the sync freed an entry");
         assert!(slices >= 2, "the table drained after {slices} slice(s)");
-        assert_eq!(key, want.0);
-        assert_eq!(rt.host_now(), twin.host_now());
+        assert_eq!(key, want);
+        assert_eq!(rt.now(), twin.now());
     }
 
     #[test]
@@ -323,12 +260,12 @@ mod tests {
         // only by copy-backs, still reads full.
         rt.advance_to(filled + Dur::from_us(2_000));
         assert!(!rt.capacity().has_room());
-        let before = rt.host_now();
-        rt.spawn_blocking(task).expect("valid task");
+        let before = rt.now();
+        rt.spawn_blocking(0, task).expect("valid task");
         assert!(
-            rt.host_now() - before < Dur::from_us(70),
+            rt.now() - before < Dur::from_us(70),
             "one copy-back and one spawn, no timeout: {:?}",
-            rt.host_now() - before
+            rt.now() - before
         );
         assert!(rt.capacity().has_room());
     }
@@ -340,13 +277,13 @@ mod tests {
         let bad = TaskDesc::uniform(993, WarpWork::compute(120_000, 8.0));
         let (mut full, filled) = full_runtime(&task);
         for rt in [&mut PagodaRuntime::titan_x(), &mut full] {
-            let before = rt.host_now();
+            let before = rt.now();
             assert_eq!(
-                Backend::spawn_blocking(rt, 0, bad.clone()),
+                rt.spawn_blocking(0, bad.clone()),
                 Err(TaskError::TooManyThreadsPerTb { requested: 993 })
             );
-            assert_eq!(rt.host_now(), before);
+            assert_eq!(rt.now(), before);
         }
-        assert_eq!(full.host_now(), filled);
+        assert_eq!(full.now(), filled);
     }
 }

@@ -10,12 +10,12 @@ use crate::config::ConfigError;
 use crate::table::TaskId;
 use crate::task::{TaskDesc, TaskError};
 
-/// Why [`submit`](crate::PagodaRuntime::submit) declined to spawn.
+/// Why [`submit`](crate::Backend::submit) declined to spawn.
 #[derive(Debug)]
 pub enum SubmitError {
     /// Every TaskTable entry is occupied in the CPU's current view. The
     /// description is handed back so the caller can requeue it without a
-    /// clone; a [`sync_table`](crate::PagodaRuntime::sync_table) may
+    /// clone; a [`sync`](crate::Backend::sync) may
     /// reveal freed entries.
     Full(TaskDesc),
     /// The description can never spawn (shape/resource validation).
@@ -47,11 +47,11 @@ impl From<TaskError> for SubmitError {
 }
 
 /// CPU-side view of TaskTable headroom, returned by
-/// [`capacity`](crate::PagodaRuntime::capacity).
+/// [`capacity`](crate::Backend::capacity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Capacity {
     /// Entries free in the CPU's current view — this many consecutive
-    /// [`submit`](crate::PagodaRuntime::submit) calls are guaranteed to
+    /// [`submit`](crate::Backend::submit) calls are guaranteed to
     /// succeed before the next table refresh. The GPU may have freed more
     /// (the CPU only learns via copy-backs; §4.2.2's lazy updates).
     pub known_free: u32,

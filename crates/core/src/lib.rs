@@ -27,22 +27,26 @@
 //!
 //! # Example
 //!
+//! The host API is the paper's Table 1 as the [`Backend`] trait, which a
+//! multi-device fleet implements too; `wait_all` and `report` are the
+//! runtime's own.
+//!
 //! ```
-//! use pagoda_core::{PagodaRuntime, TaskDesc};
+//! use pagoda_core::{Backend, PagodaRuntime, TaskDesc};
 //! use gpu_sim::WarpWork;
 //!
 //! let mut rt = PagodaRuntime::titan_x();
-//! // Spawn 100 narrow tasks of 128 threads each.
-//! let ids: Vec<_> = (0..100)
+//! // Spawn 100 narrow tasks of 128 threads each (tenant 0).
+//! let keys: Vec<u64> = (0..100)
 //!     .map(|_| {
-//!         rt.submit(TaskDesc::uniform(128, WarpWork::compute(50_000, 4.0)))
+//!         rt.submit(0, TaskDesc::uniform(128, WarpWork::compute(50_000, 4.0)))
 //!             .unwrap()
 //!     })
 //!     .collect();
 //! rt.wait_all();
 //! let report = rt.report();
 //! assert_eq!(report.tasks, 100);
-//! assert!(rt.task_latency(ids[0]).is_some());
+//! assert!(rt.trace(keys[0]).unwrap().latency().is_some());
 //! ```
 //!
 //! A task launches a kernel. Build the [`gpu_sim::Kernel`] once — its
@@ -53,14 +57,14 @@
 //! use std::sync::Arc;
 //!
 //! use gpu_sim::{BlockWork, Kernel, WarpWork};
-//! use pagoda_core::{PagodaRuntime, TaskDesc};
+//! use pagoda_core::{Backend, PagodaRuntime, TaskDesc};
 //!
 //! // Two 64-thread blocks with 4 KB of shared memory each, no barriers.
 //! let block = BlockWork::uniform(2, WarpWork::compute(10_000, 2.0));
 //! let kernel = Kernel::new(64, 4 * 1024, false, vec![block; 2]).unwrap();
 //! let mut rt = PagodaRuntime::titan_x();
 //! for i in 1..=8 {
-//!     rt.spawn_blocking(TaskDesc {
+//!     rt.spawn_blocking(0, TaskDesc {
 //!         kernel: Arc::clone(&kernel),
 //!         cpu_ops: 4 * 10_000,
 //!         input_bytes: 1024 * i,
@@ -76,13 +80,13 @@
 //!
 //! ```
 //! use gpu_sim::WarpWork;
-//! use pagoda_core::{PagodaRuntime, TaskDesc};
+//! use pagoda_core::{Backend, PagodaRuntime, TaskDesc};
 //! use pagoda_obs::{Counter, Obs};
 //!
 //! let mut rt = PagodaRuntime::titan_x();
 //! let (obs, rec) = Obs::recording();
 //! rt.attach_obs(obs);
-//! let t = rt.submit(TaskDesc::uniform(64, WarpWork::compute(10_000, 2.0))).unwrap();
+//! let t = rt.submit(0, TaskDesc::uniform(64, WarpWork::compute(10_000, 2.0))).unwrap();
 //! rt.wait(t).unwrap();
 //! assert_eq!(rec.snapshot().counter(Counter::TasksSpawned), 1);
 //! ```

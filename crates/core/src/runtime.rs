@@ -13,10 +13,11 @@
 //!   cycle Pagoda spends contends with task execution for SMM issue slots,
 //!   exactly as on hardware.
 //!
-//! The public API mirrors the paper's Table 1 behind one spawn entry
-//! point: [`PagodaRuntime::submit`] (with [`PagodaRuntime::capacity`] as
-//! its headroom probe), plus [`PagodaRuntime::wait`],
-//! [`PagodaRuntime::check`], [`PagodaRuntime::wait_all`]. The GPU-side API
+//! The host API is the paper's Table 1, as the [`Backend`] the runtime
+//! implements: one spawn entry point, [`Backend::submit`] (with
+//! [`Backend::capacity`] as its headroom probe), plus [`Backend::wait`]
+//! and [`Backend::check`]; `waitAll` is [`PagodaRuntime::wait_all`],
+//! beside the run's [`PagodaRuntime::report`]. The GPU-side API
 //! (`getTid`, `syncBlock`, `getSMPtr`) appears structurally: a task's
 //! [`Kernel::blocks`](gpu_sim::Kernel::blocks) encode per-warp
 //! work and barriers, and shared-memory requests are granted from the
@@ -25,11 +26,11 @@
 //! Fallible calls return [`PagodaError`]/[`SubmitError`] values; the
 //! runtime panics only on *internal invariant* violations (messages name
 //! the invariant). Attach a [`pagoda_obs::Recorder`] via
-//! [`PagodaRuntime::attach_obs`] to capture task lifecycle spans, per-MTB
+//! [`Backend::attach_obs`] to capture task lifecycle spans, per-MTB
 //! occupancy timelines, and counters across the host, bus, and device
 //! layers.
 
-use desim::{Dur, SimTime};
+use desim::{Dur, EngineStats, SimTime};
 use gpu_sim::{GpuDevice, GroupId, Notify, Segment};
 use pagoda_obs::{Counter, MtbSample, Obs, TaskState};
 use pcie::{Direction, PcieBus, StreamId};
@@ -235,10 +236,10 @@ pub struct PagodaRuntime {
     /// looked at.
     #[cfg(test)]
     row_probes: [std::cell::Cell<u64>; 2],
-    /// Tasks (with their entries) whose completion the CPU observed since
-    /// the last [`PagodaRuntime::drain_observed`], in observation order.
-    /// `None` until the first drain, so a caller that never drains keeps no log.
-    observed_log: Option<Vec<(TaskId, usize)>>,
+    /// Keys of the tasks whose completion the CPU observed since the
+    /// last [`Backend::drain_completed`], in observation order. `None`
+    /// until the first drain, so a caller that never drains keeps no log.
+    observed_log: Option<Vec<u64>>,
     /// Latest `output_done` over every finished task.
     last_output: SimTime,
     /// What [`PagodaRuntime::report`] would otherwise scan `tasks` for,
@@ -306,123 +307,9 @@ impl PagodaRuntime {
         }
     }
 
-    /// Attaches an observability sink to every layer this runtime drives:
-    /// the runtime itself (task lifecycle spans, TaskTable counters, MTB
-    /// occupancy samples), the device (per-SMM residency samples, engine
-    /// events), and the bus (PCIe transaction/byte counters). Pass
-    /// [`Obs::off`] to detach.
-    pub fn attach_obs(&mut self, obs: Obs) {
-        self.device.attach_obs(obs.clone());
-        self.bus.attach_obs(obs.clone());
-        self.obs = obs;
-    }
-
     /// A runtime on the paper's Titan X with default calibration.
     pub fn titan_x() -> Self {
         Self::new(PagodaConfig::default())
-    }
-
-    /// Current host-thread time.
-    pub fn host_now(&self) -> SimTime {
-        self.host_now
-    }
-
-    // ==================================================================
-    // Table 1 API — CPU side
-    // ==================================================================
-
-    /// `taskSpawn`: submits a task without blocking. Copies the task's
-    /// input and its TaskTable entry to the GPU asynchronously and returns
-    /// a task ID. Spawns only if the CPU's current view of the TaskTable
-    /// has a free entry, otherwise hands the description back immediately
-    /// with [`SubmitError::Full`].
-    ///
-    /// A full table costs *no* simulated host time — the caller decides
-    /// whether to pay for a [`PagodaRuntime::sync_table`] refresh, shed
-    /// the task, or try again later. This is the hook an admission
-    /// controller in front of the runtime builds on; the paper's blocking
-    /// spawn is [`PagodaRuntime::spawn_blocking`].
-    pub fn submit(&mut self, desc: TaskDesc) -> Result<TaskId, SubmitError> {
-        self.validate_for_device(&desc)?;
-        let Some(entry) = self.find_free_entry() else {
-            return Err(SubmitError::Full(desc));
-        };
-        self.host_advance(SPAWN_CPU_COST);
-        Ok(self.spawn_at(entry, desc))
-    }
-
-    /// `taskSpawn` as the paper has it: blocks (in simulated time) until
-    /// the task is spawned. [`Backend::spawn_blocking`] with this
-    /// runtime's [`TaskId`]s.
-    ///
-    /// # Errors
-    /// The [`TaskError`] of a description that can never spawn; no
-    /// simulated time is spent on it.
-    pub fn spawn_blocking(&mut self, desc: TaskDesc) -> Result<TaskId, TaskError> {
-        Backend::spawn_blocking(self, 0, desc).map(TaskId)
-    }
-
-    /// TaskTable headroom in the CPU's current view: how many consecutive
-    /// [`PagodaRuntime::submit`] calls are guaranteed to succeed before
-    /// the next table refresh. The GPU may have freed more (the CPU only
-    /// learns via copy-backs; §4.2.2's lazy updates).
-    pub fn capacity(&self) -> Capacity {
-        Capacity {
-            known_free: self.cpu_table.free_entries() as u32,
-            total: self.cfg.total_entries(),
-        }
-    }
-
-    /// Refreshes the CPU's view of the TaskTable: flushes the spawn
-    /// chain's tail if needed, then performs the aggregate D2H copy-back
-    /// of §4.2.2. Costs the simulated bus time of both transfers and
-    /// marks tasks whose entries the GPU freed as observably done.
-    pub fn sync_table(&mut self) {
-        self.flush_last();
-        self.copyback_all();
-    }
-
-    /// Advances the simulated host clock to `t` (no-op if in the past),
-    /// co-simulating the device up to that instant. Lets an external
-    /// driver (e.g. a serving layer's discrete-event loop) idle the host
-    /// until its next event.
-    pub fn advance_to(&mut self, t: SimTime) {
-        self.host_advance_to(t);
-    }
-
-    /// Whether the CPU has already observed `t`'s completion via a
-    /// copy-back. Free, unlike [`PagodaRuntime::check`] — it reads host
-    /// state and never touches the bus.
-    ///
-    /// # Errors
-    /// [`PagodaError::UnknownTask`] if this runtime never issued `t`.
-    pub fn observed_done(&self, t: TaskId) -> Result<bool, PagodaError> {
-        self.tix(t)?;
-        Ok(!self.holds_entry(t))
-    }
-
-    /// Hands over the tasks whose completion the CPU observed since the
-    /// previous call, each exactly once, in observation order, with its
-    /// entry and the instant its output landed in host memory (its trace's
-    /// `output_done`): what a copy-back changed, so a caller need not poll
-    /// [`PagodaRuntime::observed_done`]. The first call starts the log and
-    /// hands over nothing: make it before the first `submit` to report.
-    pub fn drain_observed(
-        &mut self,
-    ) -> impl ExactSizeIterator<Item = (TaskId, usize, SimTime)> + '_ {
-        let tasks = &self.tasks;
-        let log = self.observed_log.get_or_insert_with(Vec::new);
-        log.drain(..).map(move |(t, entry)| {
-            let out = tasks[(t.0 - TaskId::FIRST.0) as usize].output_done.get();
-            (t, entry, out.expect("an observed task has an output time"))
-        })
-    }
-
-    /// The TaskTable entry `t` holds until the CPU observes it finish, as an
-    /// index below [`PagodaConfig::total_entries`]; `None` for an id this
-    /// runtime never issued.
-    pub fn entry_of(&self, t: TaskId) -> Option<usize> {
-        self.tix(t).ok().map(|i| self.eidx(self.tasks[i].entry))
     }
 
     /// The configuration this runtime was booted with.
@@ -430,6 +317,218 @@ impl PagodaRuntime {
         &self.cfg
     }
 
+    /// The TaskTable entry task `key` holds until the CPU observes it
+    /// finish, as an index below [`PagodaConfig::total_entries`]; `None`
+    /// for a key this runtime never issued.
+    pub fn entry_of(&self, key: u64) -> Option<usize> {
+        self.tix(key).ok().map(|i| self.eidx(self.tasks[i].entry))
+    }
+
+    /// Number of tasks spawned so far.
+    pub fn spawned(&self) -> u64 {
+        self.tasks.len() as u64
+    }
+
+    /// The recorded timeline of task `key` (see [`crate::trace`]).
+    ///
+    /// # Errors
+    /// [`PagodaError::UnknownTask`] if this runtime never issued `key`.
+    pub fn trace(&self, key: u64) -> Result<TaskTrace, PagodaError> {
+        Ok(self.trace_at(self.tix(key)?))
+    }
+
+    /// Timelines of every spawned task, in spawn order: the `i`-th item
+    /// is [`PagodaRuntime::trace`] of the `i`-th task, built from its
+    /// record as it is read, so reading every timeline copies none of
+    /// them (DESIGN.md §15, "A per-task readout is a view"). Collect it
+    /// to index or reread. [`Backend::traces`] is this, collected.
+    pub fn traces(&self) -> impl ExactSizeIterator<Item = TaskTrace> + '_ {
+        (0..self.tasks.len()).map(|i| self.trace_at(i))
+    }
+
+    /// `waitAll`: blocks until every spawned task completes, using bulk
+    /// copy-backs — until the CPU's view of the TaskTable is empty.
+    pub fn wait_all(&mut self) {
+        self.flush_last();
+        let total = self.cfg.total_entries() as usize;
+        let mut iterations = 0u64;
+        while self.cpu_table.free_entries() < total {
+            self.host_advance(self.cfg.wait_timeout);
+            self.copyback_all();
+            self.flush_last();
+            iterations += 1;
+            assert!(iterations < 100_000_000, "wait_all livelocked");
+        }
+        if self.last_output > self.host_now {
+            self.host_advance_to(self.last_output);
+        }
+    }
+
+    /// Measurements for the run so far, over the tasks completed so far.
+    /// Call after [`PagodaRuntime::wait_all`] for the whole workload's.
+    pub fn report(&mut self) -> RunSummary {
+        let n = self.completed.max(1);
+        RunSummary {
+            makespan: self.host_now - SimTime::ZERO,
+            compute_done: self.compute_done,
+            tasks: self.completed,
+            mean_task_latency: Dur::from_ps(self.lat_sum_ps / n),
+            avg_running_occupancy: self.device.avg_running_occupancy(),
+            h2d_busy: self.bus.stats(Direction::HostToDevice).busy,
+            d2h_busy: self.bus.stats(Direction::DeviceToHost).busy,
+            gpu_busy: self.device.avg_sm_busy(),
+        }
+    }
+}
+
+/// The paper's Table 1 host API. A task key is the `u64` of the
+/// [`TaskId`] the TaskTable tracks the task by; the `tenant` of
+/// [`Backend::submit`] is ignored, since one runtime serves whoever
+/// calls it.
+impl Backend for PagodaRuntime {
+    /// `taskSpawn`: submits a task without blocking. Copies the task's
+    /// input and its TaskTable entry to the GPU asynchronously and returns
+    /// the task's key. Spawns only if the CPU's current view of the
+    /// TaskTable has a free entry, otherwise hands the description back
+    /// immediately with [`SubmitError::Full`].
+    ///
+    /// A full table costs *no* simulated host time — the caller decides
+    /// whether to pay for a [`Backend::sync`] refresh, shed the task, or
+    /// try again later. This is the hook an admission controller in front
+    /// of the runtime builds on; the paper's blocking spawn is
+    /// [`Backend::spawn_blocking`].
+    fn submit(&mut self, _tenant: u32, desc: TaskDesc) -> Result<u64, SubmitError> {
+        self.validate_for_device(&desc)?;
+        let Some(entry) = self.find_free_entry() else {
+            return Err(SubmitError::Full(desc));
+        };
+        self.host_advance(SPAWN_CPU_COST);
+        Ok(self.spawn_at(entry, desc).0)
+    }
+
+    /// TaskTable headroom in the CPU's current view: how many consecutive
+    /// [`Backend::submit`] calls are guaranteed to succeed before the next
+    /// table refresh. The GPU may have freed more (the CPU only learns via
+    /// copy-backs; §4.2.2's lazy updates).
+    fn capacity(&self) -> Capacity {
+        Capacity {
+            known_free: self.cpu_table.free_entries() as u32,
+            total: self.cfg.total_entries(),
+        }
+    }
+
+    /// `check`: non-blocking completion query (costs one TaskTable-entry
+    /// copy-back, since completion is only observable from device memory).
+    fn check(&mut self, key: u64) -> Result<bool, PagodaError> {
+        self.tix(key)?;
+        let t = TaskId(key);
+        if !self.holds_entry(t) {
+            return Ok(true);
+        }
+        self.flush_last();
+        let e = self.rec(t).entry;
+        self.copyback_entry(e);
+        Ok(!self.holds_entry(t))
+    }
+
+    /// `wait`: blocks (simulated) until task `key` completes and its
+    /// output copy has landed in host memory.
+    fn wait(&mut self, key: u64) -> Result<SimTime, PagodaError> {
+        self.tix(key)?;
+        let t = TaskId(key);
+        self.flush_last();
+        let mut iterations = 0u64;
+        while self.holds_entry(t) {
+            self.host_advance(self.cfg.wait_timeout);
+            let e = self.rec(t).entry;
+            self.copyback_entry(e);
+            self.flush_last();
+            iterations += 1;
+            assert!(iterations < 100_000_000, "wait({t:?}) livelocked");
+        }
+        let out = self
+            .rec(t)
+            .output_done
+            .get()
+            .expect("invariant: observed_done task has an output_done time");
+        if out > self.host_now {
+            self.host_advance_to(out);
+        }
+        Ok(out)
+    }
+
+    /// Whether the CPU has already observed `key`'s completion via a
+    /// copy-back. Free, unlike [`Backend::check`] — it reads host state
+    /// and never touches the bus.
+    fn observed_done(&self, key: u64) -> bool {
+        self.tix(key).is_ok() && !self.holds_entry(TaskId(key))
+    }
+
+    fn completion_time(&self, key: u64) -> Option<SimTime> {
+        self.tasks[self.tix(key).ok()?].output_done.get()
+    }
+
+    /// Hands over the tasks the copy-backs since the previous call freed,
+    /// in observation order, from a log the first call starts.
+    fn drain_completed(&mut self, _pending: &mut dyn Iterator<Item = u64>, out: &mut Vec<u64>) {
+        out.append(self.observed_log.get_or_insert_with(Vec::new));
+    }
+
+    /// Current host-thread time.
+    fn now(&self) -> SimTime {
+        self.host_now
+    }
+
+    /// Advances the simulated host clock to `t` (no-op if in the past),
+    /// co-simulating the device up to that instant. Lets an external
+    /// driver (e.g. a serving layer's discrete-event loop) idle the host
+    /// until its next event.
+    fn advance_to(&mut self, t: SimTime) {
+        self.host_advance_to(t);
+    }
+
+    /// Refreshes the CPU's view of the TaskTable: flushes the spawn
+    /// chain's tail if needed, then performs the aggregate D2H copy-back
+    /// of §4.2.2. Costs the simulated bus time of both transfers and
+    /// marks tasks whose entries the GPU freed as observably done.
+    fn sync(&mut self) {
+        self.flush_last();
+        self.copyback_all();
+    }
+
+    fn wait_timeout(&self) -> Dur {
+        self.cfg.wait_timeout
+    }
+
+    fn warp_occupancy(&mut self) -> f64 {
+        self.device.avg_running_occupancy()
+    }
+
+    fn traces(&self) -> Vec<TaskTrace> {
+        PagodaRuntime::traces(self).collect()
+    }
+
+    /// Attaches an observability sink to every layer this runtime drives:
+    /// the runtime itself (task lifecycle spans, TaskTable counters, MTB
+    /// occupancy samples), the device (per-SMM residency samples, engine
+    /// events), and the bus (PCIe transaction/byte counters). Pass
+    /// [`Obs::off`] to detach.
+    fn attach_obs(&mut self, obs: Obs) {
+        self.device.attach_obs(obs.clone());
+        self.bus.attach_obs(obs.clone());
+        self.obs = obs;
+    }
+
+    /// The device event-engine's counters (scheduled/delivered/...): the
+    /// denominator of any events-per-host-second reading and a cheap
+    /// determinism fingerprint (identical runs deliver identical event
+    /// counts).
+    fn engine_stats(&self) -> Vec<EngineStats> {
+        vec![self.device.engine_stats()]
+    }
+}
+
+impl PagodaRuntime {
     /// Shape/resource validation against this device (not just the
     /// generic MTB bounds `TaskDesc::validate` enforces).
     fn validate_for_device(&self, desc: &TaskDesc) -> Result<(), TaskError> {
@@ -444,8 +543,8 @@ impl PagodaRuntime {
         Ok(())
     }
 
-    /// The claim-and-copy spawn body behind [`PagodaRuntime::submit`];
-    /// `entry` must be free in the CPU view.
+    /// The claim-and-copy spawn body behind [`Backend::submit`]; `entry`
+    /// must be free in the CPU view.
     fn spawn_at(&mut self, entry: EntryIndex, desc: TaskDesc) -> TaskId {
         let id = TaskId(TaskId::FIRST.0 + self.tasks.len() as u64);
 
@@ -497,107 +596,6 @@ impl PagodaRuntime {
         id
     }
 
-    /// `check`: non-blocking completion query (costs one TaskTable-entry
-    /// copy-back, since completion is only observable from device memory).
-    ///
-    /// # Errors
-    /// [`PagodaError::UnknownTask`] if this runtime never issued `t`.
-    pub fn check(&mut self, t: TaskId) -> Result<bool, PagodaError> {
-        self.tix(t)?;
-        if !self.holds_entry(t) {
-            return Ok(true);
-        }
-        self.flush_last();
-        let e = self.rec(t).entry;
-        self.copyback_entry(e);
-        Ok(!self.holds_entry(t))
-    }
-
-    /// `wait`: blocks (simulated) until task `t` completes and its output
-    /// copy has landed in host memory.
-    ///
-    /// # Errors
-    /// [`PagodaError::UnknownTask`] if this runtime never issued `t`.
-    pub fn wait(&mut self, t: TaskId) -> Result<(), PagodaError> {
-        self.tix(t)?;
-        self.flush_last();
-        let mut iterations = 0u64;
-        while self.holds_entry(t) {
-            self.host_advance(self.cfg.wait_timeout);
-            let e = self.rec(t).entry;
-            self.copyback_entry(e);
-            self.flush_last();
-            iterations += 1;
-            assert!(iterations < 100_000_000, "wait({t:?}) livelocked");
-        }
-        let out = self
-            .rec(t)
-            .output_done
-            .get()
-            .expect("invariant: observed_done task has an output_done time");
-        if out > self.host_now {
-            self.host_advance_to(out);
-        }
-        Ok(())
-    }
-
-    /// `waitAll`: blocks until every spawned task completes, using bulk
-    /// copy-backs — until the CPU's view of the TaskTable is empty.
-    pub fn wait_all(&mut self) {
-        self.flush_last();
-        let total = self.cfg.total_entries() as usize;
-        let mut iterations = 0u64;
-        while self.cpu_table.free_entries() < total {
-            self.host_advance(self.cfg.wait_timeout);
-            self.copyback_all();
-            self.flush_last();
-            iterations += 1;
-            assert!(iterations < 100_000_000, "wait_all livelocked");
-        }
-        if self.last_output > self.host_now {
-            self.host_advance_to(self.last_output);
-        }
-    }
-
-    /// The device event-engine's counters (scheduled/delivered/...):
-    /// the denominator of any events-per-host-second reading and a
-    /// cheap determinism fingerprint (identical runs deliver identical
-    /// event counts).
-    pub fn engine_stats(&self) -> desim::EngineStats {
-        self.device.engine_stats()
-    }
-
-    /// Measurements for the run so far, over the tasks completed so far.
-    /// Call after [`PagodaRuntime::wait_all`] for the whole workload's.
-    pub fn report(&mut self) -> RunSummary {
-        let n = self.completed.max(1);
-        RunSummary {
-            makespan: self.host_now - SimTime::ZERO,
-            compute_done: self.compute_done,
-            tasks: self.completed,
-            mean_task_latency: Dur::from_ps(self.lat_sum_ps / n),
-            avg_running_occupancy: self.device.avg_running_occupancy(),
-            h2d_busy: self.bus.stats(Direction::HostToDevice).busy,
-            d2h_busy: self.bus.stats(Direction::DeviceToHost).busy,
-            gpu_busy: self.device.avg_sm_busy(),
-        }
-    }
-
-    /// Spawn→GPU-completion latency of one task. `None` until the task
-    /// completes (or if `t` was never issued by this runtime).
-    pub fn task_latency(&self, t: TaskId) -> Option<Dur> {
-        let r = self.tasks.get(t.0.checked_sub(TaskId::FIRST.0)? as usize)?;
-        r.gpu_done.get().map(|d| d - r.spawn_time)
-    }
-
-    /// The recorded timeline of one task (see [`crate::trace`]).
-    ///
-    /// # Errors
-    /// [`PagodaError::UnknownTask`] if this runtime never issued `t`.
-    pub fn trace(&self, t: TaskId) -> Result<TaskTrace, PagodaError> {
-        Ok(self.trace_at(self.tix(t)?))
-    }
-
     fn trace_at(&self, tix: usize) -> TaskTrace {
         let r = &self.tasks[tix];
         TaskTrace {
@@ -612,32 +610,18 @@ impl PagodaRuntime {
         }
     }
 
-    /// Timelines of every spawned task, in spawn order: the `i`-th item
-    /// is [`PagodaRuntime::trace`] of the `i`-th task, built from its
-    /// record as it is read, so reading every timeline copies none of
-    /// them (DESIGN.md §15, "A per-task readout is a view"). Collect it
-    /// to index or reread.
-    pub fn traces(&self) -> impl ExactSizeIterator<Item = TaskTrace> + '_ {
-        (0..self.tasks.len()).map(|i| self.trace_at(i))
-    }
-
-    /// Number of tasks spawned so far.
-    pub fn spawned(&self) -> u64 {
-        self.tasks.len() as u64
-    }
-
     // ==================================================================
     // Host internals
     // ==================================================================
 
-    /// Bounds-checks a caller-supplied [`TaskId`] and resolves it to an
+    /// Bounds-checks a caller-supplied task key and resolves it to an
     /// index into `tasks`.
-    fn tix(&self, t: TaskId) -> Result<usize, PagodaError> {
-        t.0.checked_sub(TaskId::FIRST.0)
+    fn tix(&self, key: u64) -> Result<usize, PagodaError> {
+        key.checked_sub(TaskId::FIRST.0)
             .map(|i| i as usize)
             .filter(|&i| i < self.tasks.len())
             .ok_or(PagodaError::UnknownTask {
-                task: t,
+                task: TaskId(key),
                 spawned: self.tasks.len() as u64,
             })
     }
@@ -808,7 +792,7 @@ impl PagodaRuntime {
         self.cpu_table.set(e, EntryState::default());
         self.succ_entry[ei] = None;
         if let Some(log) = &mut self.observed_log {
-            log.push((t, ei));
+            log.push(t.0);
         }
     }
 
@@ -1403,32 +1387,32 @@ mod tests {
         let mut ids = Vec::new();
         for i in 0..total {
             assert_eq!(rt.capacity().known_free, total - i);
-            ids.push(rt.submit(tiny_task()).expect("free entry available"));
+            ids.push(rt.submit(0, tiny_task()).expect("free entry available"));
         }
         assert!(!rt.capacity().has_room());
 
         // Table full in the CPU view: the probe declines without blocking
         // and without consuming simulated time, handing the desc back.
-        let before = rt.host_now();
-        match rt.submit(tiny_task()) {
+        let before = rt.now();
+        match rt.submit(0, tiny_task()) {
             Err(SubmitError::Full(desc)) => assert_eq!(desc.threads_per_tb, 32),
             other => panic!("expected Full, got {other:?}"),
         }
-        assert_eq!(rt.host_now(), before);
+        assert_eq!(rt.now(), before);
 
         // A sync (plus timeout-paced retries while the GPU drains) must
         // eventually reveal freed entries, unblocking the probe.
         let mut iterations = 0;
         loop {
-            rt.sync_table();
+            rt.sync();
             if rt.capacity().has_room() {
                 break;
             }
-            rt.advance_to(rt.host_now() + rt.config().wait_timeout);
+            rt.advance_to(rt.now() + rt.config().wait_timeout);
             iterations += 1;
             assert!(iterations < 100_000, "table never drained");
         }
-        rt.submit(tiny_task()).expect("capacity after sync");
+        rt.submit(0, tiny_task()).expect("capacity after sync");
         rt.wait_all();
         assert_eq!(rt.report().tasks, u64::from(total) + 1);
     }
@@ -1437,7 +1421,7 @@ mod tests {
     fn submit_rejects_invalid_desc() {
         let mut rt = PagodaRuntime::titan_x();
         let bad = TaskDesc::uniform(993, WarpWork::compute(1, 1.0));
-        match rt.submit(bad) {
+        match rt.submit(0, bad) {
             Err(SubmitError::Invalid(TaskError::TooManyThreadsPerTb { requested: 993 })) => {}
             other => panic!("expected Invalid(TooManyThreadsPerTb), got {other:?}"),
         }
@@ -1449,17 +1433,17 @@ mod tests {
     #[test]
     fn observed_done_tracks_copybacks_only() {
         let mut rt = PagodaRuntime::titan_x();
-        let t = rt.submit(tiny_task()).unwrap();
-        assert!(!rt.observed_done(t).unwrap());
+        let t = rt.submit(0, tiny_task()).unwrap();
+        assert!(!rt.observed_done(t));
         rt.wait(t).unwrap();
-        assert!(rt.observed_done(t).unwrap());
+        assert!(rt.observed_done(t));
     }
 
     #[test]
     fn a_run_that_never_drains_keeps_no_observed_log() {
         let mut rt = PagodaRuntime::titan_x();
         for _ in 0..200 {
-            rt.submit(tiny_task()).unwrap();
+            rt.submit(0, tiny_task()).unwrap();
         }
         rt.wait_all();
         assert_eq!(rt.cpu_occupant.iter().flatten().count(), 0);
@@ -1470,29 +1454,28 @@ mod tests {
     fn draining_every_round_hands_each_task_over_exactly_once() {
         // 48 entries against 300 tasks: the table refills many times.
         let mut rt = PagodaRuntime::new(one_row());
-        assert_eq!(rt.drain_observed().count(), 0, "the first call only arms");
-        let mut spawned = Vec::new();
         let mut handed = Vec::new();
+        rt.drain_completed(&mut std::iter::empty(), &mut handed);
+        assert!(handed.is_empty(), "the first call only arms");
+        let mut spawned = Vec::new();
         while handed.len() < 300 {
             while spawned.len() < 300 {
-                match rt.submit(tiny_task()) {
+                match rt.submit(0, tiny_task()) {
                     Ok(id) => spawned.push(id),
                     Err(_) => break,
                 }
             }
-            rt.sync_table();
-            let round: Vec<TaskId> = rt.drain_observed().map(|(id, _, _)| id).collect();
-            assert_eq!(rt.drain_observed().count(), 0, "a drain empties the log");
-            handed.extend(round);
+            rt.sync();
+            rt.drain_completed(&mut std::iter::empty(), &mut handed);
+            let len = handed.len();
+            rt.drain_completed(&mut std::iter::empty(), &mut handed);
+            assert_eq!(handed.len(), len, "a drain empties the log");
             // The log and the poll it replaces agree after every round.
-            let polled = spawned
-                .iter()
-                .filter(|&&id| rt.observed_done(id).unwrap())
-                .count();
+            let polled = spawned.iter().filter(|&&id| rt.observed_done(id)).count();
             assert_eq!(handed.len(), polled);
-            rt.advance_to(rt.host_now() + rt.config().wait_timeout);
+            rt.advance_to(rt.now() + rt.config().wait_timeout);
         }
-        assert!(handed.iter().all(|&id| rt.observed_done(id).unwrap()));
+        assert!(handed.iter().all(|&id| rt.observed_done(id)));
         handed.sort_unstable();
         assert_eq!(handed, spawned);
     }
@@ -1509,7 +1492,7 @@ mod tests {
     fn a_report_mid_run_averages_over_the_tasks_it_counts() {
         let mut rt = PagodaRuntime::titan_x();
         for _ in 0..2_000 {
-            rt.spawn_blocking(tiny_task()).unwrap();
+            rt.spawn_blocking(0, tiny_task()).unwrap();
         }
         let latencies: Vec<u64> = rt
             .traces()
@@ -1539,8 +1522,7 @@ mod tests {
         assert_eq!(traces.len() as u64, rt.spawned());
         let mut read = 0;
         for (i, tr) in traces.enumerate() {
-            let id = TaskId(TaskId::FIRST.0 + i as u64);
-            assert_eq!(tr, rt.trace(id).unwrap());
+            assert_eq!(tr, rt.trace(TaskId::FIRST.0 + i as u64).unwrap());
             read += 1;
         }
         assert_eq!(read, rt.spawned());
@@ -1550,7 +1532,7 @@ mod tests {
     fn traces_read_in_lockstep_with_trace() {
         let mut rt = PagodaRuntime::titan_x();
         for _ in 0..2_000 {
-            rt.spawn_blocking(tiny_task()).unwrap();
+            rt.spawn_blocking(0, tiny_task()).unwrap();
         }
         // Mid-run: the last spawns' outputs have not landed yet.
         assert!(rt.traces().any(|tr| tr.output_done.is_none()));
@@ -1653,21 +1635,21 @@ mod tests {
         };
         cfg.device.spec.num_sms = num_sms;
         let mut rt = PagodaRuntime::new(cfg);
-        let _ = rt.drain_observed();
+        rt.drain_completed(&mut std::iter::empty(), &mut Vec::new());
         let mut ids = Vec::new();
         for (op, arg) in ops {
             let spawned = ids.get(arg % ids.len().max(1)).copied();
             match (op, spawned) {
                 (0..=2, _) => {
-                    if let Ok(id) = rt.submit(mixed_task(arg)) {
+                    if let Ok(id) = rt.submit(0, mixed_task(arg)) {
                         ids.push(id);
                     }
                 }
-                (3, _) => rt.sync_table(),
+                (3, _) => rt.sync(),
                 (4, Some(id)) => drop(rt.check(id).unwrap()),
-                (5, Some(id)) => rt.wait(id).unwrap(),
+                (5, Some(id)) => drop(rt.wait(id).unwrap()),
                 (6, _) => rt.wait_all(),
-                _ => rt.advance_to(rt.host_now() + Dur::from_us(arg as u64 % 40)),
+                _ => rt.advance_to(rt.now() + Dur::from_us(arg as u64 % 40)),
             }
             inflight_copies_carry_their_claim(&rt)?;
             each(&mut rt)?;
@@ -1680,28 +1662,29 @@ mod tests {
         Ok(())
     }
 
-    /// The host's one record against what `drain_observed` hands over:
+    /// The host's one record against what `drain_completed` hands over:
     /// a task is observed done exactly once it has been handed over, with
-    /// its trace's output instant, and the CPU view holds one entry per
-    /// task not handed over yet.
+    /// an output instant, and the CPU view holds one entry per task not
+    /// handed over yet, the one `entry_of` names.
     fn observed_is_what_was_handed_over(
         rt: &mut PagodaRuntime,
         handed: &mut Vec<bool>,
     ) -> Result<(), TestCaseError> {
         handed.resize(rt.spawned() as usize, false);
-        let round: Vec<(TaskId, usize, SimTime)> = rt.drain_observed().collect();
-        for (id, entry, out) in round {
-            prop_assert_eq!(rt.trace(id).unwrap().output_done, Some(out));
-            prop_assert_eq!(rt.entry_of(id).unwrap(), entry);
-            let i = (id.0 - TaskId::FIRST.0) as usize;
-            prop_assert!(!handed[i], "{:?} handed over twice", id);
+        let mut round = Vec::new();
+        rt.drain_completed(&mut std::iter::empty(), &mut round);
+        for key in round {
+            prop_assert!(rt.completion_time(key).is_some(), "{} has no output", key);
+            let i = (key - TaskId::FIRST.0) as usize;
+            prop_assert!(!handed[i], "{} handed over twice", key);
             handed[i] = true;
         }
         for (i, &h) in handed.iter().enumerate() {
-            let id = TaskId(TaskId::FIRST.0 + i as u64);
-            prop_assert_eq!(rt.observed_done(id).unwrap(), h, "{:?}", id);
+            let key = TaskId::FIRST.0 + i as u64;
+            prop_assert_eq!(rt.observed_done(key), h, "{}", key);
             if !h {
-                prop_assert_eq!(rt.cpu_occupant[rt.entry_of(id).unwrap()], Some(id));
+                let entry = rt.entry_of(key).unwrap();
+                prop_assert_eq!(rt.cpu_occupant[entry], Some(TaskId(key)));
             }
         }
         let c = rt.capacity();
@@ -1783,7 +1766,7 @@ mod tests {
         let (obs, rec) = Obs::recording();
         rt.attach_obs(obs);
         for i in 0..2_000 {
-            rt.spawn_blocking(mixed_task(i)).unwrap();
+            rt.spawn_blocking(0, mixed_task(i)).unwrap();
         }
         rt.wait_all();
         let decisions = rec.counter(Counter::SchedulerDecisions);
@@ -1810,12 +1793,12 @@ mod tests {
         // settle can take them any more.
         let mut orphaned = 0;
         for i in 0..10_000 {
-            rt.spawn_blocking(tiny_task()).unwrap();
+            rt.spawn_blocking(0, tiny_task()).unwrap();
             if i % 5 == 4 {
                 orphaned += entries(&rt)
                     .filter(|&e| rt.succ_entry[rt.eidx(e)].is_some() && rt.occupant(e).is_none())
                     .count();
-                rt.sync_table();
+                rt.sync();
             }
         }
         assert!(
@@ -1834,7 +1817,7 @@ mod tests {
         // executors of its 48 MTBs paired off), not one per task.
         let mut rt = PagodaRuntime::titan_x();
         for _ in 0..10_000 {
-            rt.spawn_blocking(TaskDesc::uniform(64, WarpWork::phased(2_000, 2, 2.0)))
+            rt.spawn_blocking(0, TaskDesc::uniform(64, WarpWork::phased(2_000, 2, 2.0)))
                 .unwrap();
         }
         rt.wait_all();
@@ -1848,7 +1831,7 @@ mod tests {
         let idle = |rt: &PagodaRuntime| {
             let bus = |d| rt.bus.stats(d).transactions;
             (
-                rt.host_now(),
+                rt.now(),
                 bus(Direction::HostToDevice),
                 bus(Direction::DeviceToHost),
             )
@@ -1858,7 +1841,7 @@ mod tests {
         rt.wait_all();
         assert_eq!(idle(&rt), (SimTime::ZERO, 0, 0));
         // Everything already observed: the same.
-        rt.submit(tiny_task()).unwrap();
+        rt.submit(0, tiny_task()).unwrap();
         rt.wait_all();
         let before = idle(&rt);
         rt.wait_all();
@@ -1868,20 +1851,23 @@ mod tests {
     #[test]
     fn unknown_task_ids_error_instead_of_panicking() {
         let mut rt = PagodaRuntime::titan_x();
-        let bogus = TaskId(TaskId::FIRST.0 + 7);
+        let bogus = TaskId::FIRST.0 + 7;
         match rt.wait(bogus) {
             Err(PagodaError::UnknownTask { task, spawned }) => {
-                assert_eq!(task, bogus);
+                assert_eq!(task, TaskId(bogus));
                 assert_eq!(spawned, 0);
             }
             other => panic!("expected UnknownTask, got {other:?}"),
         }
         assert!(rt.check(bogus).is_err());
-        assert!(rt.observed_done(bogus).is_err());
+        // A key never issued was never observed done.
+        assert!(!rt.observed_done(bogus));
         assert!(rt.trace(bogus).is_err());
-        assert_eq!(rt.task_latency(bogus), None);
-        // Pre-FIRST ids (checked_sub underflow) must also be rejected.
-        assert!(rt.trace(TaskId(0)).is_err());
+        assert_eq!(rt.completion_time(bogus), None);
+        assert_eq!(rt.entry_of(bogus), None);
+        // Pre-FIRST keys (checked_sub underflow) must also be rejected.
+        assert!(rt.trace(0).is_err());
+        assert!(!rt.observed_done(0));
     }
 
     #[test]
@@ -1889,11 +1875,11 @@ mod tests {
         let mut rt = PagodaRuntime::titan_x();
         let (obs, rec) = Obs::recording();
         rt.attach_obs(obs);
-        let t = rt.submit(tiny_task()).unwrap();
+        let t = rt.submit(0, tiny_task()).unwrap();
         rt.wait(t).unwrap();
         let buf = rec.snapshot();
 
-        let tl = buf.task_timeline(t.0);
+        let tl = buf.task_timeline(t);
         let mut prev = 0u64;
         for (i, at) in tl.iter().enumerate() {
             let at = at.unwrap_or_else(|| panic!("missing lifecycle state #{i}"));
@@ -1916,7 +1902,7 @@ mod tests {
 
         // Detaching stops recording.
         rt.attach_obs(Obs::off());
-        rt.submit(tiny_task()).unwrap();
+        rt.submit(0, tiny_task()).unwrap();
         assert_eq!(rec.snapshot().counter(Counter::TasksSpawned), 1);
     }
 }

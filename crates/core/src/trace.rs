@@ -11,7 +11,7 @@
 //!
 //! [`TaskTrace::phases`] turns a trace into named spans. For a timeline
 //! file — task spans, per-SMM resource tracks, counters — attach a
-//! recorder via [`crate::PagodaRuntime::attach_obs`] and use
+//! recorder via [`crate::Backend::attach_obs`] and use
 //! `pagoda_obs::write_chrome_trace` on its buffer.
 
 use desim::SimTime;

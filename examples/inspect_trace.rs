@@ -27,7 +27,7 @@ fn main() {
     let (obs, recorder) = Obs::recording();
     rt.attach_obs(obs);
     for t in &tasks {
-        rt.spawn_blocking(t.clone())
+        rt.spawn_blocking(0, t.clone())
             .expect("the task fits the device");
     }
     rt.wait_all();

@@ -29,7 +29,7 @@ fn main() {
     // Pagoda with everything enabled.
     let mut rt = PagodaRuntime::titan_x();
     for t in &tasks {
-        rt.spawn_blocking(t.clone())
+        rt.spawn_blocking(0, t.clone())
             .expect("the task fits the device");
     }
     rt.wait_all();

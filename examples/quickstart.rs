@@ -29,24 +29,28 @@ fn main() {
     // it with the lazy aggregate copy-back, idles one wait timeout if that
     // freed nothing, and retries; submit() is the non-blocking probe
     // underneath.
-    let ids: Vec<TaskId> = (0..2000)
+    let ids: Vec<u64> = (0..2000)
         .map(|_| {
-            rt.spawn_blocking(make_task())
+            rt.spawn_blocking(0, make_task())
                 .expect("the task fits the device")
         })
         .collect();
-    println!("spawned {} tasks by host time {}", ids.len(), rt.host_now());
+    println!("spawned {} tasks by host time {}", ids.len(), rt.now());
 
     // Wait for a specific task (wait), poll another (check), then drain
     // everything (waitAll) — the paper's Table 1 API.
-    rt.wait(ids[0]).expect("id issued by this runtime");
+    let landed = rt.wait(ids[0]).expect("key issued by this runtime");
+    let latency = rt
+        .trace(ids[0])
+        .expect("key issued by this runtime")
+        .latency();
     println!(
-        "task {:?} done: latency {}",
+        "task {} done: latency {}, output in host memory at {landed}",
         ids[0],
-        rt.task_latency(ids[0]).unwrap()
+        latency.expect("a task waited for has finished")
     );
-    let done_500 = rt.check(ids[500]).expect("id issued by this runtime");
-    println!("task {:?} finished yet? {done_500}", ids[500]);
+    let done_500 = rt.check(ids[500]).expect("key issued by this runtime");
+    println!("task {} finished yet? {done_500}", ids[500]);
     rt.wait_all();
 
     let r = rt.report();

@@ -28,7 +28,7 @@ fn main() {
     let mut rt = PagodaRuntime::titan_x();
     for wave in &waves {
         for t in wave {
-            rt.spawn_blocking(t.clone())
+            rt.spawn_blocking(0, t.clone())
                 .expect("the task fits the device");
         }
         // Dependency barrier: the next wave needs this wave's tiles.

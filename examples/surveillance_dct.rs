@@ -23,7 +23,7 @@ fn main() {
         let tasks = workloads::Bench::Dct.tasks(n, &opts);
         let mut rt = PagodaRuntime::titan_x();
         for t in &tasks {
-            rt.spawn_blocking(t.clone())
+            rt.spawn_blocking(0, t.clone())
                 .expect("the task fits the device");
         }
         rt.wait_all();

@@ -52,7 +52,7 @@
 //! // table holds 1536 entries, so the non-blocking probe never fills up
 //! // here; `spawn_blocking` is the paper's `taskSpawn`, which waits.
 //! for _ in 0..1000 {
-//!     rt.submit(TaskDesc::uniform(128, WarpWork::compute(200_000, 8.0)))
+//!     rt.submit(0, TaskDesc::uniform(128, WarpWork::compute(200_000, 8.0)))
 //!         .unwrap();
 //! }
 //! rt.wait_all();

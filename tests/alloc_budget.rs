@@ -135,7 +135,7 @@ fn spawn<B: Backend>(backend: &mut B, descs: &[TaskDesc], n: usize) {
 fn fill(rt: &mut PagodaRuntime, descs: &[TaskDesc]) -> usize {
     let mut n = 0;
     loop {
-        match rt.submit(descs[n % descs.len()].clone()) {
+        match rt.submit(0, descs[n % descs.len()].clone()) {
             Ok(_) => n += 1,
             Err(SubmitError::Full(_)) => return n,
             Err(e) => panic!("{e:?}"),
@@ -167,7 +167,7 @@ fn a_window_of_deliveries_allocates_nothing() {
     // settle, schedulers place, executors finish, outputs copy back.
     fill(&mut rt, &descs);
     let done_before = rt.report().tasks;
-    let until = rt.host_now() + Dur::from_us(500_000);
+    let until = rt.now() + Dur::from_us(500_000);
     let before = allocs();
     rt.advance_to(until);
     let spent = allocs() - before;

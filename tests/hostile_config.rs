@@ -210,11 +210,11 @@ proptest! {
             return Ok(());
         }
         let mut rt = PagodaRuntime::new(cfg);
-        let ids: Vec<TaskId> =
-            (0..TASKS).map(|i| rt.spawn_blocking(small_task(i)).unwrap()).collect();
+        let keys: Vec<u64> =
+            (0..TASKS).map(|i| rt.spawn_blocking(0, small_task(i)).unwrap()).collect();
         rt.wait_all();
         prop_assert_eq!(rt.report().tasks, TASKS as u64);
-        prop_assert!(ids.iter().all(|&id| rt.observed_done(id).unwrap()));
+        prop_assert!(keys.iter().all(|&key| rt.observed_done(key)));
     }
 
     #[test]

@@ -20,16 +20,19 @@ fn narrow_with_smem(instrs: u64, smem_per_tb: u32) -> TaskDesc {
 #[test]
 fn wait_blocks_until_the_task_is_done() {
     let mut rt = PagodaRuntime::titan_x();
-    let id = rt.submit(narrow(1_000_000)).unwrap();
-    assert!(rt.task_latency(id).is_none(), "not done at spawn");
+    let id = rt.submit(0, narrow(1_000_000)).unwrap();
+    assert!(
+        rt.trace(id).unwrap().latency().is_none(),
+        "not done at spawn"
+    );
     rt.wait(id).unwrap();
-    assert!(rt.task_latency(id).is_some());
+    assert!(rt.trace(id).unwrap().latency().is_some());
 }
 
 #[test]
 fn check_is_nonblocking_and_eventually_true() {
     let mut rt = PagodaRuntime::titan_x();
-    let id = rt.submit(narrow(2_000_000)).unwrap();
+    let id = rt.submit(0, narrow(2_000_000)).unwrap();
     // check() may say false early; after wait() it must say true.
     let _ = rt.check(id).unwrap();
     rt.wait(id).unwrap();
@@ -39,12 +42,12 @@ fn check_is_nonblocking_and_eventually_true() {
 #[test]
 fn wait_on_already_finished_task_returns_immediately() {
     let mut rt = PagodaRuntime::titan_x();
-    let a = rt.submit(narrow(10_000)).unwrap();
-    let b = rt.submit(narrow(50_000_000)).unwrap();
+    let a = rt.submit(0, narrow(10_000)).unwrap();
+    let b = rt.submit(0, narrow(50_000_000)).unwrap();
     rt.wait(b).unwrap(); // by now `a` is long done
-    let before = rt.host_now();
+    let before = rt.now();
     rt.wait(a).unwrap();
-    let after = rt.host_now();
+    let after = rt.now();
     // Only the observation copy-back, not another task's runtime.
     assert!((after - before).as_us_f64() < 100.0);
 }
@@ -55,7 +58,7 @@ fn spawning_more_tasks_than_table_entries_recycles_entries() {
     // copy-back path repeatedly.
     let mut rt = PagodaRuntime::titan_x();
     for _ in 0..4000 {
-        rt.spawn_blocking(narrow(20_000)).unwrap();
+        rt.spawn_blocking(0, narrow(20_000)).unwrap();
     }
     rt.wait_all();
     assert_eq!(rt.report().tasks, 4000);
@@ -66,7 +69,7 @@ fn single_task_runs_via_the_flush_path() {
     // A lone task has no successor to advance the pipeline; only the
     // timeout-driven flush of §4.2.2 can schedule it.
     let mut rt = PagodaRuntime::titan_x();
-    let id = rt.submit(narrow(100_000)).unwrap();
+    let id = rt.submit(0, narrow(100_000)).unwrap();
     rt.wait(id).unwrap();
     assert!(rt.check(id).unwrap());
 }
@@ -78,7 +81,7 @@ fn interleaved_spawn_wait_cycles() {
     let mut rt = PagodaRuntime::titan_x();
     for round in 0..5 {
         let ids: Vec<_> = (0..10)
-            .map(|_| rt.submit(narrow(50_000)).unwrap())
+            .map(|_| rt.submit(0, narrow(50_000)).unwrap())
             .collect();
         rt.wait(ids[0]).unwrap();
         rt.wait_all();
@@ -92,7 +95,7 @@ fn smem_tasks_share_the_mtb_pool() {
     // once; the buddy allocator must recycle across many tasks.
     let mut rt = PagodaRuntime::titan_x();
     for _ in 0..300 {
-        rt.spawn_blocking(narrow_with_smem(50_000, 16 * 1024))
+        rt.spawn_blocking(0, narrow_with_smem(50_000, 16 * 1024))
             .unwrap();
     }
     rt.wait_all();
@@ -105,7 +108,7 @@ fn full_pool_smem_tasks_serialize_but_complete() {
     // with deferred deallocation must not deadlock.
     let mut rt = PagodaRuntime::titan_x();
     for _ in 0..100 {
-        rt.spawn_blocking(narrow_with_smem(30_000, 32 * 1024))
+        rt.spawn_blocking(0, narrow_with_smem(30_000, 32 * 1024))
             .unwrap();
     }
     rt.wait_all();
@@ -116,7 +119,7 @@ fn full_pool_smem_tasks_serialize_but_complete() {
 fn sync_tasks_exercise_named_barriers() {
     let mut rt = PagodaRuntime::titan_x();
     for _ in 0..200 {
-        rt.submit(TaskDesc::uniform(128, WarpWork::phased(80_000, 4, 8.0)))
+        rt.submit(0, TaskDesc::uniform(128, WarpWork::phased(80_000, 4, 8.0)))
             .unwrap();
     }
     rt.wait_all();
@@ -129,7 +132,7 @@ fn many_sync_tasks_exhaust_and_recycle_barrier_ids() {
     // barrier IDs, so allocation must stall and recycle.
     let mut rt = PagodaRuntime::titan_x();
     for _ in 0..500 {
-        rt.submit(TaskDesc::uniform(32, WarpWork::phased(40_000, 2, 8.0)))
+        rt.submit(0, TaskDesc::uniform(32, WarpWork::phased(40_000, 2, 8.0)))
             .unwrap();
     }
     rt.wait_all();
@@ -148,7 +151,7 @@ fn multi_threadblock_tasks_schedule_tb_by_tb() {
             input_bytes: 0,
             output_bytes: 0,
         };
-        rt.submit(t).unwrap();
+        rt.submit(0, t).unwrap();
     }
     rt.wait_all();
     assert_eq!(rt.report().tasks, 50);
@@ -159,7 +162,7 @@ fn wide_task_spanning_all_executors() {
     // A 992-thread task occupies every executor warp of one MTB.
     let mut rt = PagodaRuntime::titan_x();
     for _ in 0..60 {
-        rt.submit(TaskDesc::uniform(992, WarpWork::compute(100_000, 8.0)))
+        rt.submit(0, TaskDesc::uniform(992, WarpWork::compute(100_000, 8.0)))
             .unwrap();
     }
     rt.wait_all();
@@ -171,7 +174,7 @@ fn task_bigger_than_one_mtb_is_rejected() {
     let mut rt = PagodaRuntime::titan_x();
     let t = TaskDesc::uniform(1000, WarpWork::compute(1, 1.0));
     assert!(matches!(
-        rt.submit(t),
+        rt.submit(0, t),
         Err(SubmitError::Invalid(TaskError::TooManyThreadsPerTb { .. }))
     ));
 }
@@ -180,7 +183,7 @@ fn task_bigger_than_one_mtb_is_rejected() {
 fn oversized_smem_is_rejected() {
     let mut rt = PagodaRuntime::titan_x();
     assert!(matches!(
-        rt.submit(narrow_with_smem(1, 33 * 1024)),
+        rt.submit(0, narrow_with_smem(1, 33 * 1024)),
         Err(SubmitError::Invalid(TaskError::SmemTooLarge { .. }))
     ));
 }
@@ -189,7 +192,7 @@ fn oversized_smem_is_rejected() {
 fn zero_work_tasks_complete() {
     let mut rt = PagodaRuntime::titan_x();
     for _ in 0..64 {
-        rt.submit(narrow(0)).unwrap();
+        rt.submit(0, narrow(0)).unwrap();
     }
     rt.wait_all();
     assert_eq!(rt.report().tasks, 64);
@@ -200,8 +203,11 @@ fn mixed_width_tasks_pack_executors() {
     let mut rt = PagodaRuntime::titan_x();
     for i in 0..300u32 {
         let threads = [32u32, 96, 128, 256, 480][i as usize % 5];
-        rt.spawn_blocking(TaskDesc::uniform(threads, WarpWork::compute(60_000, 8.0)))
-            .unwrap();
+        rt.spawn_blocking(
+            0,
+            TaskDesc::uniform(threads, WarpWork::compute(60_000, 8.0)),
+        )
+        .unwrap();
     }
     rt.wait_all();
     let r = rt.report();
@@ -216,7 +222,7 @@ fn io_heavy_tasks_account_pcie_time() {
         let mut t = narrow(10_000);
         t.input_bytes = 64 * 1024;
         t.output_bytes = 64 * 1024;
-        rt.submit(t).unwrap();
+        rt.submit(0, t).unwrap();
     }
     rt.wait_all();
     let r = rt.report();
@@ -229,14 +235,14 @@ fn io_heavy_tasks_account_pcie_time() {
 fn report_latency_metrics_are_consistent() {
     let mut rt = PagodaRuntime::titan_x();
     let ids: Vec<_> = (0..50)
-        .map(|_| rt.submit(narrow(100_000)).unwrap())
+        .map(|_| rt.submit(0, narrow(100_000)).unwrap())
         .collect();
     rt.wait_all();
     let r = rt.report();
     let mean = r.mean_task_latency.as_us_f64();
     let max = ids
         .iter()
-        .map(|&i| rt.task_latency(i).unwrap().as_us_f64())
+        .map(|&i| rt.trace(i).unwrap().latency().unwrap().as_us_f64())
         .fold(0.0f64, f64::max);
     assert!(mean <= max + 1e-9);
     assert!(r.compute_done.as_ps() <= r.makespan.as_ps());
