@@ -1,42 +1,60 @@
 //! `repro` — prints the paper's tables and figures (and the four studies
-//! beyond them) from `pagoda_bench::figures::FIGURES`.
+//! beyond them) from `pagoda_bench::figures::FIGURES`, or runs any
+//! benchmark under any scheme at any scale as `repro cell`.
 //!
 //! ```text
 //! repro fig5                    # paper scale; what results/fig5.txt holds
 //! repro fig6 fig10 --quick      # 1/16 scale
 //! repro all --tasks 512 --json  # every figure, each followed by its points as JSON lines
+//! repro cell --bench MPE --scheme all --smem --tasks 8192   # 4 096 tasks without --tasks
 //! ```
 
 #![forbid(unsafe_code)]
 
-use pagoda_bench::figures::FIGURES;
-use pagoda_bench::{usage_exit, Cli};
+use pagoda_bench::{Cli, Command};
+use workloads::Bench;
 
 fn main() {
-    let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
-    let usage = format!(
-        "usage: repro <figure>... | all  [--quick] [--tasks N] [--json]\nfigures: {}",
-        names.join(" ")
-    );
-    let (cli, asked) = Cli::parse(&usage);
-    if asked.is_empty() {
-        usage_exit("no figure named", &usage);
-    }
-    // Resolve every name before running any: a typo must not cost a run.
-    let mut picked = Vec::new();
-    for name in &asked {
-        match FIGURES.iter().find(|f| f.name == name) {
-            Some(figure) => picked.push(figure),
-            None if name == "all" => picked.extend(FIGURES),
-            None => usage_exit(&format!("unknown figure {name}"), &usage),
+    let (cli, command) = Cli::parse();
+    match command {
+        Command::Figures(figures) => {
+            for figure in figures {
+                let (text, points) = figure.run(&cli);
+                print!("{text}");
+                if cli.json {
+                    for p in &points {
+                        println!("{}", serde_json::to_string(p).expect("serializable"));
+                    }
+                }
+            }
         }
-    }
-    for figure in picked {
-        let (text, points) = figure.run(&cli);
-        print!("{text}");
-        if cli.json {
-            for p in &points {
-                println!("{}", serde_json::to_string(p).expect("serializable"));
+        Command::Cells(cells) => {
+            for cell in cells {
+                let head = format!("{:>6} {:>16}", cell.bench.name(), cell.scheme.name());
+                match cell.try_run() {
+                    Ok(s) => println!(
+                        "{head} | {:>10.3} ms makespan | {:>10.3} ms compute | {:>8.1} us lat | occ {:>5.1}% | {:>7} tasks",
+                        s.makespan.as_secs_f64() * 1e3,
+                        s.compute_done.as_secs_f64() * 1e3,
+                        s.mean_task_latency.as_us_f64(),
+                        s.avg_running_occupancy * 100.0,
+                        s.tasks,
+                    ),
+                    Err(why) => println!("{head} | n/a ({why})"),
+                }
+            }
+        }
+        Command::List => {
+            let yes_no = |flag| if flag { "yes" } else { "no " };
+            for b in Bench::ALL {
+                println!(
+                    "{:>6}  paper tasks {:>7}  gemtc {}  fusion {}  smem {}",
+                    b.name(),
+                    b.paper_task_count(),
+                    yes_no(b.supports_gemtc()),
+                    yes_no(b.supports_fusion()),
+                    yes_no(b.uses_smem()),
+                );
             }
         }
     }

@@ -2,6 +2,12 @@
 //! table: [`FIGURES`] names every experiment the `repro` binary can
 //! print, the paper's task count for it, and the function that runs it.
 //!
+//! A paper figure (`fig5` … `fig11`, `table3`, `table5`) builds its
+//! [`Cell`]s, runs them all in one `Report::run` and renders its text and
+//! points from their summaries. The four studies sweep device, runtime,
+//! serving and fleet configurations, not (benchmark, scheme) pairs, so
+//! they call their runners themselves.
+//!
 //! A run returns the text of the figure — what `results/<name>.txt`
 //! holds at paper scale — and one [`Point`] per measured cell (the
 //! `--json` lines). `tests/repro.rs` runs the same table at 1/64 scale
@@ -9,10 +15,7 @@
 //! EXPERIMENTS.md over the points; `ci.sh` holds `results/` to
 //! `repro <name>` byte for byte.
 
-use crate::{
-    bench_waves, reshape_task, run_waves, Cli, CurvePoint, DataPoint, Point, ScalingPoint, Scheme,
-    SkewPoint,
-};
+use crate::{Cell, Cli, CurvePoint, DataPoint, Point, ScalingPoint, Scheme, Shape, SkewPoint};
 use baselines::{geomean, run_hyperq, run_pagoda, HyperQConfig, RunSummary};
 use desim::{Dur, SimTime};
 use gpu_arch::GpuSpec;
@@ -27,7 +30,8 @@ use pagoda_serve::{
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use workloads::Bench::{self, Bf, Conv, Dct, Des3, Fb, Mb, Mm, Mpe, Slud};
-use workloads::{conv, irregular_tasks, matmul, GenOpts, ThreadPolicy};
+use workloads::{GenOpts, ThreadPolicy};
+use Scheme::{Fusion, Gemtc, HyperQ, PThreads, Pagoda, PagodaBatched, Sequential};
 
 /// One reproducible experiment.
 pub struct Figure {
@@ -83,6 +87,12 @@ pub const FIGURES: &[Figure] = &[
     figure("cluster_scaling", 2_048, cluster_scaling),
 ];
 
+/// A figure's cell and what it ran to.
+struct Ran {
+    cell: Cell,
+    run: RunSummary,
+}
+
 /// What a run accumulates: the text, and a point per recorded run.
 struct Report<'a> {
     /// The flags, for Fig. 5 and the serving curves' load ladder.
@@ -95,15 +105,24 @@ struct Report<'a> {
 
 impl Report<'_> {
     /// `println!` into the text.
-    fn say(&mut self, line: fmt::Arguments) {
+    fn say(&mut self, line: impl fmt::Display) {
         writeln!(self.text, "{line}").expect("writing to a String");
+    }
+
+    /// Runs a figure's cells, in order.
+    fn run(&self, cells: Vec<Cell>) -> Vec<Ran> {
+        let ran = |cell: Cell| Ran {
+            run: cell.run(),
+            cell,
+        };
+        cells.into_iter().map(ran).collect()
     }
 
     /// Records a finished run as a point; the caller may still overwrite
     /// what its experiment defines differently (`speedup`).
     fn record(
         &mut self,
-        bench: &str,
+        bench: Bench,
         scheme: Scheme,
         param: Option<u64>,
         run: &RunSummary,
@@ -111,7 +130,7 @@ impl Report<'_> {
     ) -> &mut DataPoint {
         self.points.push(Point::Scheme(DataPoint {
             experiment: self.experiment.to_string(),
-            bench: bench.to_string(),
+            bench: bench.name().to_string(),
             scheme: scheme.name().to_string(),
             param,
             makespan_ms: ms(run.makespan),
@@ -126,20 +145,12 @@ impl Report<'_> {
         }
     }
 
-    /// Runs `waves` under each of `schemes` and records the points.
-    fn run<const N: usize>(
-        &mut self,
-        bench: Bench,
-        param: Option<u64>,
-        schemes: [Scheme; N],
-        waves: &[Vec<TaskDesc>],
-        baseline: Option<&RunSummary>,
-    ) -> [RunSummary; N] {
-        schemes.map(|scheme| {
-            let run = run_waves(scheme, waves);
-            self.record(bench.name(), scheme, param, &run, baseline);
-            run
-        })
+    /// Records every run of `row` as a point (a baseline's own speed-up
+    /// over itself is 1).
+    fn record_all(&mut self, row: &[Ran], param: Option<u64>, baseline: Option<&RunSummary>) {
+        for Ran { cell, run } in row {
+            self.record(cell.bench, cell.scheme, param, run, baseline);
+        }
     }
 }
 
@@ -154,36 +165,63 @@ fn ms(d: Dur) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// One `--- bench` panel of Fig. 6 / Fig. 7: CUDA-HyperQ, GeMTC and
-/// Pagoda over `tasks_at(x)` for every `x` of the sweep, `metric` (ms)
-/// per cell. Returns the runs behind each row.
-fn panel(
+/// The runs of `row`'s first `N` cells.
+fn runs<const N: usize>(row: &[Ran]) -> [&RunSummary; N] {
+    std::array::from_fn(|i| &row[i].run)
+}
+
+/// Fig. 6 / Fig. 7: CUDA-HyperQ, GeMTC and Pagoda on `cell_at(bench,
+/// scheme, x)` for every benchmark and every `x` of the sweep, a
+/// `--- bench` panel each with the `time` (ms) of every cell. Returns
+/// the runs, benchmark by benchmark.
+fn panels(
     out: &mut Report,
-    bench: Bench,
-    swept: &str,
-    sweep: &[usize],
-    tasks_at: impl Fn(usize) -> Vec<TaskDesc>,
-    metric: fn(&RunSummary) -> f64,
-) -> Vec<[RunSummary; 3]> {
-    out.say(format_args!("--- {}", bench.name()));
-    out.say(format_args!(
-        "{:>8} {:>14} {:>12} {:>12}",
-        swept, "CUDA-HyperQ", "GeMTC", "Pagoda"
-    ));
-    let mut rows = Vec::new();
-    for &x in sweep {
-        let runs = out.run(
-            bench,
-            Some(x as u64),
-            [Scheme::HyperQ, Scheme::Gemtc, Scheme::Pagoda],
-            &[tasks_at(x)],
-            None,
-        );
-        let [hq, gm, pg] = runs.each_ref().map(metric);
-        out.say(format_args!("{x:>8} {hq:>14.3} {gm:>12.3} {pg:>12.3}"));
-        rows.push(runs);
+    benches: &[Bench],
+    axis: &str,
+    xs: &[usize],
+    cell_at: impl Fn(Bench, Scheme, usize) -> Cell,
+    time: fn(&RunSummary) -> f64,
+) -> Vec<Ran> {
+    let mut cells = Vec::new();
+    for &b in benches {
+        for &x in xs {
+            cells.extend([HyperQ, Gemtc, Pagoda].map(|s| cell_at(b, s, x)));
+        }
     }
-    rows
+    let ran = out.run(cells);
+    for (panel, b) in benches.iter().enumerate() {
+        out.say(format_args!("--- {}", b.name()));
+        out.say(format_args!(
+            "{:>8} {:>14} {:>12} {:>12}",
+            axis, "CUDA-HyperQ", "GeMTC", "Pagoda"
+        ));
+        for (&x, row) in xs.iter().zip(ran[3 * xs.len() * panel..].chunks(3)) {
+            out.record_all(row, Some(x as u64), None);
+            let [hq, gm, pg] = runs(row).map(time);
+            out.say(format_args!("{x:>8} {hq:>14.3} {gm:>12.3} {pg:>12.3}"));
+        }
+    }
+    ran
+}
+
+/// Fig. 5's cells at the scale `cli` asks for: every benchmark at its
+/// own paper task count under the sequential CPU, PThreads, CUDA-HyperQ,
+/// GeMTC (not SLUD) and Pagoda. The GPU schemes ask for the shared-memory
+/// versions where they help (a GeMTC cell builds the plain ones); CPU
+/// timing depends only on operation counts, so the CPUs run the plain.
+pub fn fig5_cells(cli: &Cli) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for b in Bench::ALL {
+        for s in Scheme::PAPER
+            .into_iter()
+            .filter(|&s| s != Gemtc || b.supports_gemtc())
+        {
+            let mut cell = Cell::new(b, s, cli.scale(b.paper_task_count()), GenOpts::default());
+            cell.opts.use_smem = b.uses_smem() && !matches!(s, Sequential | PThreads);
+            cells.push(cell);
+        }
+    }
+    cells
 }
 
 /// Fig. 5 — Overall performance comparison.
@@ -195,52 +233,32 @@ fn panel(
 /// HyperQ, 1.69× over GeMTC (geometric means). The one figure that scales
 /// each benchmark's own paper count, so it reads the flags itself.
 fn fig5(_: usize, out: &mut Report) {
-    out.say(format_args!(
-        "Fig. 5 — Overall Performance Comparison (speedup over sequential CPU)"
-    ));
+    let ran = out.run(fig5_cells(out.cli));
+    out.say("Fig. 5 — Overall Performance Comparison (speedup over sequential CPU)");
     out.say(format_args!(
         "{:>6} {:>8} | {:>10} {:>12} {:>10} {:>10}",
         "bench", "tasks", "PThreads", "CUDA-HyperQ", "GeMTC", "Pagoda"
     ));
     let (mut r_pth, mut r_hq, mut r_gm) = (Vec::new(), Vec::new(), Vec::new());
-    for b in Bench::ALL {
-        let n = out.cli.scale(b.paper_task_count());
-        // GeMTC has no shared-memory support (paper §6.2), so it runs the
-        // plain versions; Pagoda/HyperQ run the smem versions where they
-        // help. CPU timing depends only on operation counts.
-        let waves = |use_smem| {
-            let opts = GenOpts {
-                use_smem,
-                ..GenOpts::default()
-            };
-            bench_waves(b, n, &opts)
-        };
-        let (plain, smem) = (waves(false), waves(b.uses_smem()));
-        let tasks_total: usize = plain.iter().map(Vec::len).sum();
-
-        let [seq] = out.run(b, None, [Scheme::Sequential], &plain, None);
-        let [pth] = out.run(b, None, [Scheme::PThreads], &plain, Some(&seq));
-        let [hq] = out.run(b, None, [Scheme::HyperQ], &smem, Some(&seq));
-        let gm = b
-            .supports_gemtc()
-            .then(|| out.run(b, None, [Scheme::Gemtc], &plain, Some(&seq)))
-            .map(|[gm]| gm);
-        let [pg] = out.run(b, None, [Scheme::Pagoda], &smem, Some(&seq));
-
-        let su = |s: &RunSummary| s.speedup_over(&seq);
+    for row in ran.chunk_by(|a, b| a.cell.bench == b.cell.bench) {
+        let of = |s| row.iter().find(|r| r.cell.scheme == s).map(|r| &r.run);
+        let [seq, pth, hq, pg] =
+            [Sequential, PThreads, HyperQ, Pagoda].map(|s| of(s).expect("a cell per scheme"));
+        let gm = of(Gemtc);
+        out.record_all(row, None, Some(seq));
+        let su = |s: &RunSummary| s.speedup_over(seq);
         out.say(format_args!(
             "{:>6} {:>8} | {:>10.2} {:>12.2} {:>10} {:>10.2}",
-            b.name(),
-            tasks_total,
-            su(&pth),
-            su(&hq),
-            gm.as_ref()
-                .map_or("n/a".to_string(), |g| format!("{:.2}", su(g))),
-            su(&pg),
+            row[0].cell.bench.name(),
+            seq.tasks,
+            su(pth),
+            su(hq),
+            gm.map_or("n/a".to_string(), |g| format!("{:.2}", su(g))),
+            su(pg)
         ));
-        r_pth.push(pg.speedup_over(&pth));
-        r_hq.push(pg.speedup_over(&hq));
-        r_gm.extend(gm.map(|g| pg.speedup_over(&g)));
+        r_pth.push(pg.speedup_over(pth));
+        r_hq.push(pg.speedup_over(hq));
+        r_gm.extend(gm.map(|g| pg.speedup_over(g)));
     }
     out.say(format_args!("---"));
     out.say(format_args!(
@@ -248,7 +266,7 @@ fn fig5(_: usize, out: &mut Report) {
          {:.2}x over CUDA-HyperQ (paper 1.51x), {:.2}x over GeMTC (paper 1.69x)",
         geomean(&r_pth),
         geomean(&r_hq),
-        geomean(&r_gm),
+        geomean(&r_gm)
     ));
 }
 
@@ -261,20 +279,11 @@ fn fig5(_: usize, out: &mut Report) {
 /// HyperQ/GeMTC hold their own; beyond 512 Pagoda pulls ahead and scales
 /// almost linearly.
 fn fig6(n: usize, out: &mut Report) {
-    let counts = ladder(64, 4, n);
-    out.say(format_args!(
-        "Fig. 6 — Weak scaling: execution time (ms) vs number of tasks"
-    ));
-    for b in [Mb, Conv, Dct, Des3, Mpe] {
-        panel(
-            out,
-            b,
-            "tasks",
-            &counts,
-            |n| b.tasks(n, &GenOpts::default()),
-            |r| ms(r.makespan),
-        );
-    }
+    out.say("Fig. 6 — Weak scaling: execution time (ms) vs number of tasks");
+    let (counts, benches) = (ladder(64, 4, n), [Mb, Conv, Dct, Des3, Mpe]);
+    let cell_at = |b, s, n| Cell::new(b, s, n, GenOpts::default());
+    let makespan_ms = |r: &RunSummary| ms(r.makespan);
+    panels(out, &benches, "tasks", &counts, cell_at, makespan_ms);
 }
 
 /// Fig. 7 — Compute time vs threads per task.
@@ -286,26 +295,25 @@ fn fig6(n: usize, out: &mut Report) {
 /// Pagoda's advantage over HyperQ shrinks as tasks widen (underutilization
 /// becomes less severe); GeMTC barely changes with width.
 fn fig7(n: usize, out: &mut Report) {
-    let widths = [32, 64, 128, 256, 512];
     out.say(format_args!(
         "Fig. 7 — Compute time (ms) vs threads per task ({n} tasks, no smem, no copies)"
     ));
+    let widths = [32, 64, 128, 256, 512];
+    let benches: Vec<Bench> = Bench::ALL
+        .into_iter()
+        .filter(|b| b.supports_gemtc())
+        .collect();
+    let cell_at = |b, s, w: usize| {
+        let mut opts = GenOpts::default();
+        (opts.threads_per_task, opts.use_smem, opts.with_io) = (w as u32, false, false);
+        Cell::new(b, s, n, opts)
+    };
+    let compute_ms = |r: &RunSummary| r.compute_done.as_ms_f64();
+    let ran = panels(out, &benches, "threads", &widths, cell_at, compute_ms);
+    let at_128 = 3 * widths.iter().position(|&w| w == 128).expect("swept");
     let (mut r128_hq, mut r128_gm) = (Vec::new(), Vec::new());
-    for b in Bench::ALL.into_iter().filter(|b| b.supports_gemtc()) {
-        let tasks_at = |w| {
-            let opts = GenOpts {
-                threads_per_task: w as u32,
-                use_smem: false,
-                with_io: false,
-                ..GenOpts::default()
-            };
-            b.tasks(n, &opts)
-        };
-        let rows = panel(out, b, "threads", &widths, tasks_at, |r| {
-            r.compute_done.as_ms_f64()
-        });
-        let at_128 = widths.iter().position(|&w| w == 128).expect("swept");
-        let [hq, gm, pg] = &rows[at_128];
+    for row in ran.chunks(3 * widths.len()) {
+        let [hq, gm, pg] = runs(&row[at_128..]);
         r128_hq.push(pg.compute_speedup_over(hq));
         r128_gm.push(pg.compute_speedup_over(gm));
     }
@@ -314,7 +322,7 @@ fn fig7(n: usize, out: &mut Report) {
         "geomean Pagoda compute speedup at 128 threads: {:.2}x over HyperQ (paper 2.29x), \
          {:.2}x over GeMTC (paper 2.26x)",
         geomean(&r128_hq),
-        geomean(&r128_gm),
+        geomean(&r128_gm)
     ));
 }
 
@@ -332,36 +340,38 @@ fn fig7(n: usize, out: &mut Report) {
 fn fig8(n: usize, out: &mut Report) {
     let dims = [16usize, 32, 64, 128, 256];
     let threads = [256u32, 512, 1024, 4096, 16384];
-    type TasksSized = fn(usize, usize, &GenOpts) -> Vec<TaskDesc>;
-    let families: [(&str, TasksSized); 2] =
-        [("MM", matmul::tasks_sized), ("CONV", conv::tasks_sized)];
-    let opts = GenOpts {
-        with_io: false,
-        ..GenOpts::default()
-    };
+    let mut cells = Vec::new();
+    for b in [Mm, Conv] {
+        for d in dims {
+            for t in threads {
+                for (s, threads_per_tb) in [(HyperQ, 256), (Pagoda, t.min(512))] {
+                    let mut cell = Cell::new(b, s, n, GenOpts::default());
+                    cell.opts.with_io = false;
+                    cell.shape = Shape::Reshaped(d, t, threads_per_tb);
+                    cells.push(cell);
+                }
+            }
+        }
+    }
+    let ran = out.run(cells);
     out.say(format_args!(
         "Fig. 8 — Pagoda compute speedup over CUDA-HyperQ (input size x threads/task, {n} tasks)"
     ));
-    for (name, tasks_sized) in families {
-        out.say(format_args!("--- {name}"));
+    for family in ran.chunks(2 * dims.len() * threads.len()) {
+        let bench = family[0].cell.bench;
+        out.say(format_args!("--- {}", bench.name()));
         let header: String = threads.iter().map(|t| format!("{t:>9}")).collect();
         out.say(format_args!("{:>10}{header}", "input"));
-        for d in dims {
-            let base = tasks_sized(1, d, &opts).remove(0);
-            let mut row = format!("{d:>7}x{d:<2}");
-            for t in threads {
-                let hq = run_waves(Scheme::HyperQ, &[vec![reshape_task(&base, t, 256); n]]);
-                let pg = run_waves(
-                    Scheme::Pagoda,
-                    &[vec![reshape_task(&base, t, t.min(512)); n]],
-                );
-                let speedup = pg.compute_speedup_over(&hq);
-                row += &format!("{speedup:>9.2}");
+        for (d, row) in dims.into_iter().zip(family.chunks(2 * threads.len())) {
+            let mut line = format!("{d:>7}x{d:<2}");
+            for (t, pair) in threads.into_iter().zip(row.chunks(2)) {
+                let [hq, pg] = runs(pair);
+                let speedup = pg.compute_speedup_over(hq);
+                line += &format!("{speedup:>9.2}");
                 let param = (d as u64) << 32 | u64::from(t);
-                out.record(name, Scheme::Pagoda, Some(param), &pg, None)
-                    .speedup = speedup;
+                out.record(bench, Pagoda, Some(param), pg, None).speedup = speedup;
             }
-            out.say(format_args!("{row}"));
+            out.say(format_args!("{line}"));
         }
     }
 }
@@ -375,7 +385,24 @@ fn fig8(n: usize, out: &mut Report) {
 /// SLUD is excluded (no static task list). Paper headline: Pagoda 1.79×
 /// geomean over static fusion.
 fn fig9(n: usize, out: &mut Report) {
+    // The sequential CPU first: every other cell's speed-up is over it.
+    let schemes = [Sequential, Fusion(256), Pagoda, PThreads, HyperQ];
     let benches = [Mb, Conv, Dct, Fb, Bf, Mm, Des3, Mpe];
+    let cells = benches.into_iter().flat_map(|b| {
+        schemes.map(|s| {
+            // Compute-dominant inputs (6x the default work per task, same
+            // threads): Fig. 9 is about load imbalance inside the compute
+            // phase, so the spawn path must not be the limit.
+            let mut cell = Cell::new(b, s, n, GenOpts::default());
+            cell.opts.work_scale = 6.0;
+            cell.shape = Shape::Irregular(match s {
+                Fusion(w) => ThreadPolicy::Fixed(w),
+                _ => ThreadPolicy::Matched,
+            });
+            cell
+        })
+    });
+    let ran = out.run(cells.collect());
     out.say(format_args!(
         "Fig. 9 — Irregular tasks ({n}): speedup over sequential CPU"
     ));
@@ -384,35 +411,18 @@ fn fig9(n: usize, out: &mut Report) {
         "bench", "Static-Fusion", "Pagoda", "PThreads", "CUDA-HyperQ"
     ));
     let mut pagoda_over_fusion = Vec::new();
-    for b in benches {
-        // Compute-dominant inputs (6x the default work per task, thread
-        // counts unchanged): Fig. 9's fusion-vs-runtime comparison is
-        // about load imbalance inside the compute phase, so tasks must be
-        // large enough that the spawn path is not the bottleneck.
-        let opts = GenOpts {
-            work_scale: 6.0,
-            ..GenOpts::default()
-        };
-        let matched = [irregular_tasks(b, n, ThreadPolicy::Matched, &opts)];
-        let fixed = [irregular_tasks(b, n, ThreadPolicy::Fixed(256), &opts)];
-        let seq = run_waves(Scheme::Sequential, &matched);
-        let [fus] = out.run(b, None, [Scheme::Fusion(256)], &fixed, Some(&seq));
-        let [pag, pth, hq] = out.run(
-            b,
-            None,
-            [Scheme::Pagoda, Scheme::PThreads, Scheme::HyperQ],
-            &matched,
-            Some(&seq),
-        );
+    for row in ran.chunks(schemes.len()) {
+        let [seq, fus, pag, pth, hq] = runs(row);
+        out.record_all(&row[1..], None, Some(seq));
         out.say(format_args!(
             "{:>6} | {:>13.2} {:>10.2} {:>10.2} {:>12.2}",
-            b.name(),
-            fus.speedup_over(&seq),
-            pag.speedup_over(&seq),
-            pth.speedup_over(&seq),
-            hq.speedup_over(&seq),
+            row[0].cell.bench.name(),
+            fus.speedup_over(seq),
+            pag.speedup_over(seq),
+            pth.speedup_over(seq),
+            hq.speedup_over(seq)
         ));
-        pagoda_over_fusion.push(pag.speedup_over(&fus));
+        pagoda_over_fusion.push(pag.speedup_over(fus));
     }
     out.say(format_args!("---"));
     out.say(format_args!(
@@ -429,28 +439,23 @@ fn fig9(n: usize, out: &mut Report) {
 /// batch, so average latency grows linearly with the task count; Pagoda's
 /// per-task latency stays flat.
 fn fig10(max_n: usize, out: &mut Report) {
-    out.say(format_args!(
-        "Fig. 10 — Average task latency (us, log scale in the paper)"
-    ));
+    let counts = ladder(128, 2, max_n);
+    let fused = Fusion(256);
+    let row = [(Des3, fused), (Des3, Pagoda), (Mm, fused), (Mm, Pagoda)];
+    let cells = counts
+        .iter()
+        .flat_map(|&n| row.map(|(b, s)| Cell::new(b, s, n, GenOpts::default())));
+    let ran = out.run(cells.collect());
+    out.say("Fig. 10 — Average task latency (us, log scale in the paper)");
     out.say(format_args!(
         "{:>8} {:>14} {:>14} {:>14} {:>14}",
         "tasks", "Fused-3DES", "Pagoda-3DES", "Fused-MM", "Pagoda-MM"
     ));
-    for n in ladder(128, 2, max_n) {
-        let mut row = format!("{n:>8}");
-        for b in [Des3, Mm] {
-            let runs = out.run(
-                b,
-                Some(n as u64),
-                [Scheme::Fusion(256), Scheme::Pagoda],
-                &[b.tasks(n, &GenOpts::default())],
-                None,
-            );
-            for run in runs {
-                row += &format!(" {:>14.1}", run.mean_task_latency.as_us_f64());
-            }
-        }
-        out.say(format_args!("{row}"));
+    for (n, runs) in counts.into_iter().zip(ran.chunks(row.len())) {
+        out.record_all(runs, Some(n as u64), None);
+        let latencies = runs.iter().map(|r| r.run.mean_task_latency.as_us_f64());
+        let line: String = latencies.map(|us| format!(" {us:>14.1}")).collect();
+        out.say(format_args!("{n:>8}{line}"));
     }
 }
 
@@ -465,8 +470,11 @@ fn fig10(max_n: usize, out: &mut Report) {
 /// benefits most (unbalanced tasks).
 fn fig11(n: usize, out: &mut Report) {
     // GeMTC's batch = one task per SuperKernel worker: 16 TBs/SMM x 24.
-    let batch = 16 * 24;
-    let benches = [Mb, Conv, Fb, Bf, Des3, Dct, Mm, Mpe];
+    let schemes = [Gemtc, PagodaBatched(16 * 24), Pagoda];
+    let cells = [Mb, Conv, Fb, Bf, Des3, Dct, Mm, Mpe]
+        .into_iter()
+        .flat_map(|b| schemes.map(|s| Cell::new(b, s, n, GenOpts::default())));
+    let ran = out.run(cells.collect());
     out.say(format_args!(
         "Fig. 11 — Continuous spawning + pipelined processing ({n} tasks, speedup over GeMTC)"
     ));
@@ -474,22 +482,15 @@ fn fig11(n: usize, out: &mut Report) {
         "{:>6} | {:>8} {:>16} {:>8}",
         "bench", "GeMTC", "Pagoda-Batching", "Pagoda"
     ));
-    for b in benches {
-        let tasks = [b.tasks(n, &GenOpts::default())];
-        let [gm] = out.run(b, None, [Scheme::Gemtc], &tasks, None);
-        let [pb, pg] = out.run(
-            b,
-            None,
-            [Scheme::PagodaBatched(batch), Scheme::Pagoda],
-            &tasks,
-            Some(&gm),
-        );
+    for row in ran.chunks(schemes.len()) {
+        let [gm, pb, pg] = runs(row);
+        out.record_all(row, None, Some(gm));
         out.say(format_args!(
             "{:>6} | {:>8.2} {:>16.2} {:>8.2}",
-            b.name(),
+            row[0].cell.bench.name(),
             1.0,
-            pb.speedup_over(&gm),
-            pg.speedup_over(&gm),
+            pb.speedup_over(gm),
+            pg.speedup_over(gm)
         ));
     }
 }
@@ -499,37 +500,28 @@ fn fig11(n: usize, out: &mut Report) {
 /// characteristics (task counts, sync/smem flags). SLUD is sized from the
 /// same 32 K as the rest, not from its own paper count.
 fn table3(n: usize, out: &mut Report) {
-    out.say(format_args!(
-        "Table 3 — Benchmark characteristics (measured under CUDA-HyperQ)"
-    ));
+    let benches = [Mb, Fb, Bf, Conv, Dct, Mm, Slud, Des3];
+    let paper_copy = [24, 35, 13, 30, 81, 51, 3, 74];
+    let cells = benches.map(|b| Cell::new(b, HyperQ, n, GenOpts::default()));
+    let ran = out.run(cells.into());
+    out.say("Table 3 — Benchmark characteristics (measured under CUDA-HyperQ)");
     out.say(format_args!(
         "{:>6} {:>8} {:>8} {:>9} {:>6} {:>6}  paper-copy%",
         "bench", "tasks", "copy%", "compute%", "smem", "sync"
     ));
-    let paper_copy = [
-        (Mb, 24),
-        (Fb, 35),
-        (Bf, 13),
-        (Conv, 30),
-        (Dct, 81),
-        (Mm, 51),
-        (Slud, 3),
-        (Des3, 74),
-    ];
-    for (b, paper) in paper_copy {
-        let waves = bench_waves(b, n, &GenOpts::default());
-        let tasks_total: usize = waves.iter().map(Vec::len).sum();
-        let [hq] = out.run(b, None, [Scheme::HyperQ], &waves, None);
+    for (r, paper) in ran.iter().zip(paper_copy) {
+        let (b, hq) = (r.cell.bench, &r.run);
+        out.record(b, HyperQ, None, hq, None);
         let copy = hq.copy_share() * 100.0;
         let yes_no = |flag| if flag { "yes" } else { "no" };
         out.say(format_args!(
             "{:>6} {:>8} {:>7.0}% {:>8.0}% {:>6} {:>6}  {paper}%",
             b.name(),
-            tasks_total,
+            hq.tasks,
             copy,
             100.0 - copy,
             yes_no(b.uses_smem()),
-            yes_no(waves[0][0].sync),
+            yes_no(b.tasks(1, &GenOpts::default())[0].sync)
         ));
     }
 }
@@ -543,6 +535,22 @@ fn table3(n: usize, out: &mut Report) {
 /// Paper: DCT 1.35×/25 % occ with smem vs 1.25×/97 % without; MM 1.51×/
 /// 97 % vs 1.20×/97 %.
 fn table5(n: usize, out: &mut Report) {
+    let benches = [(Dct, 64u32), (Mm, 256u32)];
+    // The HyperQ reference uses the shared-memory kernels (paper).
+    let row = [(HyperQ, true), (Pagoda, true), (Pagoda, false)];
+    let cells = benches.into_iter().flat_map(|(b, threads_per_task)| {
+        row.map(|(s, use_smem)| {
+            let opts = GenOpts {
+                threads_per_task,
+                use_smem,
+                with_io: false,  // compute time only
+                work_scale: 8.0, // compute-dominant inputs (see EXPERIMENTS.md)
+                ..GenOpts::default()
+            };
+            Cell::new(b, s, n, opts)
+        })
+    });
+    let ran = out.run(cells.collect());
     out.say(format_args!(
         "Table 5 — Pagoda shared-memory management ({n} tasks, compute time only)"
     ));
@@ -550,34 +558,20 @@ fn table5(n: usize, out: &mut Report) {
         "{:>6} {:>8} | {:>16} {:>8} | {:>16} {:>8}",
         "bench", "threads", "smem speedup/HQ", "occ", "plain speedup/HQ", "occ"
     ));
-    for (b, threads) in [(Dct, 64u32), (Mm, 256u32)] {
-        let waves = |smem: bool| {
-            let opts = GenOpts {
-                threads_per_task: threads,
-                use_smem: smem,
-                with_io: false,  // compute time only
-                work_scale: 8.0, // compute-dominant inputs (see EXPERIMENTS.md)
-                ..GenOpts::default()
-            };
-            [b.tasks(n, &opts)]
-        };
-        // HyperQ reference uses the shared-memory kernels (paper).
-        let hq = run_waves(Scheme::HyperQ, &waves(true));
-        let pg_smem = run_waves(Scheme::Pagoda, &waves(true));
-        let pg_plain = run_waves(Scheme::Pagoda, &waves(false));
-        let su = |pg: &RunSummary| pg.compute_speedup_over(&hq);
+    for ((b, threads), runs3) in benches.into_iter().zip(ran.chunks(row.len())) {
+        let [hq, pg_smem, pg_plain] = runs(runs3);
+        let su = |pg: &RunSummary| pg.compute_speedup_over(hq);
         out.say(format_args!(
             "{:>6} {:>8} | {:>15.2}x {:>7.0}% | {:>15.2}x {:>7.0}%",
             b.name(),
             threads,
-            su(&pg_smem),
+            su(pg_smem),
             pg_smem.avg_running_occupancy * 100.0,
-            su(&pg_plain),
-            pg_plain.avg_running_occupancy * 100.0,
+            su(pg_plain),
+            pg_plain.avg_running_occupancy * 100.0
         ));
-        for (param, pg) in [(1, &pg_smem), (0, &pg_plain)] {
-            out.record(b.name(), Scheme::Pagoda, Some(param), pg, None)
-                .speedup = su(pg);
+        for (param, pg) in [(1, pg_smem), (0, pg_plain)] {
+            out.record(b, Pagoda, Some(param), pg, None).speedup = su(pg);
         }
     }
 }
@@ -622,8 +616,8 @@ fn machines(n: usize, out: &mut Report) {
                 b.name(),
             ));
             let sms = Some(u64::from(spec.num_sms));
-            out.record(b.name(), Scheme::Pagoda, sms, &pg, Some(&hq));
-            out.record(b.name(), Scheme::HyperQ, sms, &hq, None);
+            out.record(b, Pagoda, sms, &pg, Some(&hq));
+            out.record(b, HyperQ, sms, &hq, None);
         }
     }
 }
@@ -645,9 +639,7 @@ fn machines(n: usize, out: &mut Report) {
 ///    dependence on per-copy latency.
 fn ablations(n: usize, out: &mut Report) {
     out.experiment = "ablation1";
-    out.say(format_args!(
-        "Ablation 1 — resource-freeing granularity (one 512-TB divergent kernel)"
-    ));
+    out.say("Ablation 1 — resource-freeing granularity (one 512-TB divergent kernel)");
     {
         // One kernel of 512 divergent 992-thread threadblocks (31 warps
         // each, Mandelbrot straggler warps inside every TB); only ~2 TBs
@@ -694,8 +686,8 @@ fn ablations(n: usize, out: &mut Report) {
             warp.compute_done.as_ms_f64(),
             tb.compute_done.as_secs_f64() / warp.compute_done.as_secs_f64(),
         ));
-        out.record("MB", Scheme::HyperQ, Some(0), &tb, None);
-        out.record("MB", Scheme::HyperQ, Some(1), &warp, Some(&tb));
+        out.record(Mb, HyperQ, Some(0), &tb, None);
+        out.record(Mb, HyperQ, Some(1), &warp, Some(&tb));
     }
 
     let tasks = Fb.tasks(n, &GenOpts::default());
@@ -712,7 +704,7 @@ fn ablations(n: usize, out: &mut Report) {
         };
         let r = run_pagoda(cfg, &tasks);
         out.say(format_args!("  {:>6} {:>12.3}", rows, ms(r.makespan)));
-        out.record("FB", Scheme::Pagoda, Some(u64::from(rows)), &r, None);
+        out.record(Fb, Pagoda, Some(u64::from(rows)), &r, None);
     }
 
     out.experiment = "ablation3";
@@ -731,7 +723,7 @@ fn ablations(n: usize, out: &mut Report) {
         };
         let r = run_pagoda(cfg, &tasks);
         out.say(format_args!("  {:>8} {:>12.3}", scale, ms(r.makespan)));
-        out.record("FB", Scheme::Pagoda, Some(scale), &r, None);
+        out.record(Fb, Pagoda, Some(scale), &r, None);
     }
 
     out.experiment = "ablation4";
@@ -763,8 +755,8 @@ fn ablations(n: usize, out: &mut Report) {
             ms(pg.makespan),
             ms(hq.makespan),
         ));
-        out.record("FB", Scheme::Pagoda, Some(lat_ns), &pg, Some(&hq));
-        out.record("FB", Scheme::HyperQ, Some(lat_ns), &hq, None);
+        out.record(Fb, Pagoda, Some(lat_ns), &pg, Some(&hq));
+        out.record(Fb, HyperQ, Some(lat_ns), &hq, None);
     }
 }
 

@@ -1,29 +1,28 @@
-//! Experiment harness: runs task lists through every runtime scheme and
-//! renders the rows of each table and figure in the paper's evaluation
-//! (§6), the serving layer's latency curves and the fleet's scaling
-//! study. The experiments are one table, [`figures::FIGURES`], printed by
-//! one binary (`repro <name>… | all`); `pagoda_sim` is the other, for one
-//! benchmark under one scheme. How fast the simulator itself runs is
-//! `benchmark/`'s question, not this crate's.
-//!
-//! All experiments accept a `--tasks N` argument to scale down from the
-//! paper's 32 K tasks (useful for smoke runs); results are printed as
-//! aligned text tables plus machine-readable JSON lines on request
-//! (`--json`).
+//! Experiment harness: the paper's evaluation (§6), the serving layer's
+//! latency curves and the fleet's scaling study, printed by one binary,
+//! `repro`. The evaluation is a grid of [`Cell`]s — one benchmark under
+//! one scheme at one task shape, each an independent simulation. The
+//! experiments are one table, [`figures::FIGURES`] (`repro <name>… |
+//! all`, each figure scaled by `--tasks N` and followed by JSON lines
+//! under `--json`); `repro cell` runs a one-off grid of cells. How fast
+//! the simulator itself runs is `benchmark/`'s question, not this crate's.
 
 #![forbid(unsafe_code)]
 
 pub mod figures;
 
 use baselines::{
-    run_fusion, run_gemtc, run_hyperq, run_pagoda, run_pagoda_waves, run_pthreads, run_sequential,
-    CpuConfig, GemtcConfig, HyperQConfig, RunSummary,
+    run_fusion, run_gemtc, run_hyperq, run_pagoda_waves, run_pthreads, run_sequential, CpuConfig,
+    GemtcConfig, HyperQConfig, RunSummary,
 };
 use desim::{Dur, SimTime};
+use figures::{Figure, FIGURES};
+use gpu_arch::GpuSpec;
 use pagoda_core::{PagodaConfig, TaskDesc};
 use pagoda_obs::Obs;
 use pagoda_prof::GroupSummary;
 use serde::Serialize;
+use workloads::{conv, irregular_tasks, matmul, slud, Bench, GenOpts, ThreadPolicy};
 
 /// A runtime scheme under comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,86 +56,178 @@ impl Scheme {
             Scheme::Fusion(_) => "Static-Fusion",
         }
     }
+
+    /// The five schemes of the paper's Fig. 5, what `--scheme all` runs.
+    pub(crate) const PAPER: [Scheme; 5] = [
+        Scheme::Sequential,
+        Scheme::PThreads,
+        Scheme::HyperQ,
+        Scheme::Gemtc,
+        Scheme::Pagoda,
+    ];
+
+    /// The schemes `repro cell --scheme` names, aliases included (`all`
+    /// is [`Scheme::PAPER`]); none if it names none.
+    fn named(name: &str) -> Vec<Scheme> {
+        vec![match name.to_ascii_lowercase().as_str() {
+            "all" => return Scheme::PAPER.to_vec(),
+            "sequential" | "seq" => Scheme::Sequential,
+            "pthreads" | "cpu" => Scheme::PThreads,
+            "hyperq" | "hq" => Scheme::HyperQ,
+            "gemtc" => Scheme::Gemtc,
+            "pagoda" => Scheme::Pagoda,
+            "pagoda-batching" | "batching" => Scheme::PagodaBatched(384),
+            "fusion" => Scheme::Fusion(256),
+            _ => return Vec::new(),
+        }]
+    }
 }
 
-/// Runs one *wave* (an independent task set) under a scheme.
-pub fn run_wave(scheme: Scheme, tasks: &[TaskDesc]) -> RunSummary {
-    match scheme {
-        Scheme::Sequential => run_sequential(&CpuConfig::default(), tasks),
-        Scheme::PThreads => run_pthreads(&CpuConfig::default(), tasks),
-        Scheme::HyperQ => run_hyperq(&HyperQConfig::default(), tasks),
-        Scheme::Gemtc => {
-            let cfg = GemtcConfig {
-                worker_threads: tasks.iter().map(|t| t.threads_per_tb).max().unwrap_or(128),
-            };
-            run_gemtc(&cfg, tasks)
+/// What a [`Cell`]'s tasks are.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Shape {
+    /// The benchmark's own tasks (SLUD's come in dependency waves).
+    Paper,
+    /// Fig. 9's irregular input sizes under a thread policy.
+    Irregular(ThreadPolicy),
+    /// Fig. 8: `Reshaped(dim, threads, threads_per_tb)` is an MM or CONV
+    /// task of a `dim`² input, its work spread over `threads` threads in
+    /// `threads_per_tb`-wide threadblocks.
+    Reshaped(usize, u32, u32),
+}
+
+/// One run of the evaluation's grid: `tasks` tasks of `bench` in `shape`,
+/// generated with `opts` when the cell runs, under `scheme`.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    pub bench: Bench,
+    pub scheme: Scheme,
+    /// Tasks to generate (SLUD sizes its natural count from it).
+    pub tasks: usize,
+    pub opts: GenOpts,
+    pub shape: Shape,
+}
+
+impl Cell {
+    /// `tasks` of the benchmark's own tasks under `scheme`.
+    pub fn new(bench: Bench, scheme: Scheme, tasks: usize, opts: GenOpts) -> Cell {
+        let shape = Shape::Paper;
+        Cell {
+            bench,
+            scheme,
+            tasks,
+            opts,
+            shape,
         }
-        Scheme::Pagoda => run_pagoda(PagodaConfig::default(), tasks),
-        Scheme::PagodaBatched(b) => {
-            run_pagoda_waves(PagodaConfig::default(), tasks.chunks(b), Obs::off())
+    }
+
+    /// Runs the cell. Panics if its scheme cannot take its tasks: every
+    /// cell of a figure can.
+    pub fn run(&self) -> RunSummary {
+        self.try_run()
+            .unwrap_or_else(|why| panic!("{self:?}: {why}"))
+    }
+
+    /// Runs the cell, or says why its scheme cannot take its tasks: GeMTC
+    /// and static fusion need a static task count (SLUD has none), a
+    /// Pagoda task must fit an MTB ([`TaskDesc::validate`]), a fused
+    /// sub-task its slot, and a baseline's launch the Titan X.
+    pub fn try_run(&self) -> Result<RunSummary, String> {
+        match self.scheme {
+            Scheme::Gemtc if !self.bench.supports_gemtc() => Err("dynamic task count")?,
+            Scheme::Fusion(_) if !self.bench.supports_fusion() => Err("no static task list")?,
+            _ => {}
         }
-        Scheme::Fusion(w) => run_fusion(tasks, w),
+        let waves = self.waves();
+        let spec = GpuSpec::titan_x();
+        let unfit = |t: &TaskDesc| match self.scheme {
+            Scheme::Sequential | Scheme::PThreads => None,
+            Scheme::Pagoda | Scheme::PagodaBatched(_) => Some(t.validate().err()?.to_string()),
+            Scheme::Fusion(w) if t.threads_per_tb > w => Some(format!(
+                "task of {} threads is wider than the {w}-thread fused sub-task",
+                t.threads_per_tb
+            )),
+            Scheme::HyperQ | Scheme::Gemtc | Scheme::Fusion(_) => {
+                Some(spec.validate(&t.native_shape()).err()?.to_string())
+            }
+        };
+        match waves.iter().flatten().find_map(unfit) {
+            Some(why) => Err(why),
+            None => Ok(run_waves(self.scheme, &waves)),
+        }
+    }
+
+    /// The task waves the cell runs. GeMTC has no shared-memory support
+    /// (paper §6.2), so a GeMTC cell builds the plain tasks.
+    fn waves(&self) -> Vec<Vec<TaskDesc>> {
+        let mut opts = self.opts.clone();
+        opts.use_smem &= self.scheme != Scheme::Gemtc;
+        let (bench, n) = (self.bench, self.tasks);
+        match self.shape {
+            Shape::Paper if bench == Bench::Slud => {
+                let nb = slud::grid_for(n, opts.seed);
+                slud::waves_as_tasks(nb, slud::DENSITY, &opts)
+            }
+            Shape::Paper => vec![bench.tasks(n, &opts)],
+            Shape::Irregular(policy) => vec![irregular_tasks(bench, n, policy, &opts)],
+            Shape::Reshaped(dim, threads, threads_per_tb) => {
+                let sized = match bench {
+                    Bench::Mm => matmul::tasks_sized,
+                    Bench::Conv => conv::tasks_sized,
+                    _ => panic!("{} has no sized input", bench.name()),
+                };
+                let base = sized(1, dim, &opts).remove(0);
+                vec![vec![reshape_task(&base, threads, threads_per_tb); n]]
+            }
+        }
     }
 }
 
-/// Runs dependency waves sequentially (the SLUD pattern): Pagoda keeps
-/// one runtime alive and `waitAll`s between waves; the other schemes run
-/// each wave independently and the summaries are concatenated in time.
-pub fn run_waves(scheme: Scheme, waves: &[Vec<TaskDesc>]) -> RunSummary {
-    assert!(!waves.is_empty(), "no waves");
-    if waves.len() == 1 {
-        return run_wave(scheme, &waves[0]);
+/// Runs dependency waves in order (the SLUD pattern): Pagoda keeps one
+/// runtime alive and `waitAll`s between waves; every other scheme runs
+/// each wave on its own and the summaries are concatenated in time.
+fn run_waves(scheme: Scheme, waves: &[Vec<TaskDesc>]) -> RunSummary {
+    let pagoda = PagodaConfig::default;
+    match (scheme, waves) {
+        (Scheme::Pagoda, _) => {
+            run_pagoda_waves(pagoda(), waves.iter().map(Vec::as_slice), Obs::off())
+        }
+        (Scheme::Sequential, [tasks]) => run_sequential(&CpuConfig::default(), tasks),
+        (Scheme::PThreads, [tasks]) => run_pthreads(&CpuConfig::default(), tasks),
+        (Scheme::HyperQ, [tasks]) => run_hyperq(&HyperQConfig::default(), tasks),
+        (Scheme::Gemtc, [tasks]) => {
+            let worker_threads = tasks.iter().map(|t| t.threads_per_tb).max().unwrap_or(128);
+            run_gemtc(&GemtcConfig { worker_threads }, tasks)
+        }
+        (Scheme::PagodaBatched(b), [tasks]) => {
+            run_pagoda_waves(pagoda(), tasks.chunks(b), Obs::off())
+        }
+        (Scheme::Fusion(w), [tasks]) => run_fusion(tasks, w),
+        _ => {
+            let parts: Vec<RunSummary> = waves.chunks(1).map(|w| run_waves(scheme, w)).collect();
+            concat_summaries(&parts)
+        }
     }
-    if matches!(scheme, Scheme::Pagoda) {
-        let waves = waves.iter().map(Vec::as_slice);
-        return run_pagoda_waves(PagodaConfig::default(), waves, Obs::off());
-    }
-    let parts: Vec<RunSummary> = waves.iter().map(|w| run_wave(scheme, w)).collect();
-    concat_summaries(&parts)
 }
 
 /// Concatenates sequential-phase summaries: makespans add, task counts
 /// add, latencies average weighted by task count, occupancy averages
 /// weighted by makespan.
-pub fn concat_summaries(parts: &[RunSummary]) -> RunSummary {
-    assert!(!parts.is_empty());
-    let makespan_ps: u64 = parts.iter().map(|p| p.makespan.as_ps()).sum();
-    let compute_ps: u64 = parts.iter().map(|p| p.compute_done.as_ps()).sum();
-    let tasks: u64 = parts.iter().map(|p| p.tasks).sum();
-    let lat: u64 = parts
-        .iter()
-        .map(|p| p.mean_task_latency.as_ps() * p.tasks)
-        .sum::<u64>()
-        / tasks.max(1);
-    let occ: f64 = parts
-        .iter()
-        .map(|p| p.avg_running_occupancy * p.makespan.as_ps() as f64)
-        .sum::<f64>()
-        / makespan_ps.max(1) as f64;
+fn concat_summaries(parts: &[RunSummary]) -> RunSummary {
+    let sum = |ps: fn(&RunSummary) -> u64| parts.iter().map(ps).sum::<u64>();
+    let (makespan_ps, tasks) = (sum(|p| p.makespan.as_ps()), sum(|p| p.tasks));
+    let lat = sum(|p| p.mean_task_latency.as_ps() * p.tasks) / tasks.max(1);
+    let busy = |p: &RunSummary| p.avg_running_occupancy * p.makespan.as_ps() as f64;
+    let occ = parts.iter().map(busy).sum::<f64>() / makespan_ps.max(1) as f64;
     RunSummary {
         makespan: Dur::from_ps(makespan_ps),
-        compute_done: SimTime::from_ps(compute_ps),
+        compute_done: SimTime::from_ps(sum(|p| p.compute_done.as_ps())),
         tasks,
         mean_task_latency: Dur::from_ps(lat),
         avg_running_occupancy: occ,
-        h2d_busy: Dur::from_ps(parts.iter().map(|p| p.h2d_busy.as_ps()).sum()),
-        d2h_busy: Dur::from_ps(parts.iter().map(|p| p.d2h_busy.as_ps()).sum()),
-        gpu_busy: Dur::from_ps(parts.iter().map(|p| p.gpu_busy.as_ps()).sum()),
-    }
-}
-
-/// Task waves for a benchmark: SLUD yields its dependency waves; every
-/// other benchmark is one independent wave.
-pub fn bench_waves(
-    bench: workloads::Bench,
-    n: usize,
-    opts: &workloads::GenOpts,
-) -> Vec<Vec<TaskDesc>> {
-    if bench == workloads::Bench::Slud {
-        let nb = workloads::slud::grid_for(n, opts.seed);
-        workloads::slud::waves_as_tasks(nb, workloads::slud::DENSITY, opts)
-    } else {
-        vec![bench.tasks(n, opts)]
+        h2d_busy: Dur::from_ps(sum(|p| p.h2d_busy.as_ps())),
+        d2h_busy: Dur::from_ps(sum(|p| p.d2h_busy.as_ps())),
+        gpu_busy: Dur::from_ps(sum(|p| p.gpu_busy.as_ps())),
     }
 }
 
@@ -145,7 +236,7 @@ pub fn bench_waves(
 /// uniformly and preserving the barrier structure, CPI, and I/O. This is
 /// how Fig. 8 sweeps a task's thread count from 256 to 65536 while
 /// holding its input size (and therefore its work) fixed.
-pub fn reshape_task(base: &TaskDesc, total_threads: u32, threads_per_tb: u32) -> TaskDesc {
+fn reshape_task(base: &TaskDesc, total_threads: u32, threads_per_tb: u32) -> TaskDesc {
     assert_eq!(base.num_tbs(), 1, "reshape expects a single-TB base task");
     assert_eq!(total_threads % threads_per_tb, 0, "uneven grid");
     let w0 = base.blocks[0].warp(0);
@@ -282,9 +373,9 @@ impl Serialize for Point {
     }
 }
 
-/// Simple CLI: `--tasks N` (N ≥ 1), `--json`, `--quick` (divides the
-/// paper task count by 16 for smoke runs).
-#[derive(Debug, Clone)]
+/// `repro`'s figure flags: `--tasks N` (N ≥ 1), `--json`, `--quick`
+/// (divides the paper task count by 16 for smoke runs).
+#[derive(Debug, Clone, Default)]
 pub struct Cli {
     /// Override task count.
     pub tasks: Option<usize>,
@@ -294,52 +385,125 @@ pub struct Cli {
     pub quick: bool,
 }
 
+/// What `repro`'s command line asks for.
+pub enum Command {
+    /// Print these figures, in this order.
+    Figures(Vec<&'static Figure>),
+    /// `repro cell`: run these cells, a row each.
+    Cells(Vec<Cell>),
+    /// `repro cell --list`: every benchmark's static characteristics.
+    List,
+}
+
+const USAGE: &str = "usage: repro <figure>... | all  [--quick] [--tasks N] [--json]\n\
+     \x20      repro cell [--bench NAME|all] [--scheme NAME|all] [--tasks N]\n\
+     \x20                 [--threads N] [--smem] [--no-io] [--seed N] [--work-scale X]\n\
+     \x20      repro cell --list\n\
+     benches: MB FB BF CONV DCT MM SLUD 3DES MPE\n\
+     schemes: sequential pthreads hyperq gemtc pagoda pagoda-batching fusion";
+
 impl Cli {
-    /// Parses `std::env::args`: the three flags in any position, every
-    /// other word returned in order for the binary to interpret. A bad
-    /// flag is a [`usage_exit`].
-    pub fn parse(usage: &str) -> (Self, Vec<String>) {
-        let mut cli = Cli {
-            tasks: None,
-            json: false,
-            quick: false,
+    /// Parses `std::env::args`: `cell` then its flags, or figure names
+    /// and their flags in any order. A flag the command does not take
+    /// (`--smem` on a figure, `--json` on `cell`), a missing or bad
+    /// value, knobs no generator can build tasks from, or an unknown name
+    /// is a usage error, found before any task is built.
+    pub fn parse() -> (Self, Command) {
+        let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        let usage = format!("{USAGE}\nfigures: {}", names.join(" "));
+        let fail = |problem: &str| -> ! {
+            eprintln!("{problem}\n{usage}");
+            std::process::exit(2)
         };
-        let mut words = Vec::new();
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                // No figure has anything to show of zero tasks.
-                "--tasks" => match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => cli.tasks = Some(n),
-                    _ => usage_exit("--tasks needs a number of at least 1", usage),
-                },
+        let mut args = std::env::args().skip(1).peekable();
+        let cell = args.next_if_eq("cell").is_some();
+        let mut cli = Cli::default();
+        let (mut benches, mut schemes) = (vec![Bench::Fb], vec![Scheme::Pagoda]);
+        let (mut opts, mut list, mut flags, mut words) = (GenOpts::default(), false, 0, vec![]);
+        while let Some(flag) = args.next() {
+            if !flag.starts_with('-') {
+                words.push(flag);
+                continue;
+            }
+            flags += 1;
+            // `--tasks` is both commands', `--json` and `--quick` a figure's.
+            if flag != "--tasks" && cell == matches!(flag.as_str(), "--json" | "--quick") {
+                let command = if cell { "repro cell" } else { "a figure" };
+                fail(&format!("unknown flag {flag} for {command}"));
+            }
+            let mut word = || args.next().unwrap_or_default();
+            let no_number = || -> ! { fail(&format!("{flag} needs a number")) };
+            match flag.as_str() {
+                "--tasks" => cli.tasks = Some(word().parse().unwrap_or_else(|_| no_number())),
                 "--json" => cli.json = true,
                 "--quick" => cli.quick = true,
-                flag if flag.starts_with('-') => usage_exit(&format!("unknown flag {flag}"), usage),
-                _ => words.push(a),
+                "--bench" => {
+                    let name = word();
+                    let all = name.eq_ignore_ascii_case("all");
+                    let named = |b: &Bench| all || b.name().eq_ignore_ascii_case(&name);
+                    benches = Bench::ALL.into_iter().filter(named).collect();
+                }
+                "--scheme" => schemes = Scheme::named(&word()),
+                "--threads" => {
+                    opts.threads_per_task = word().parse().unwrap_or_else(|_| no_number())
+                }
+                "--seed" => opts.seed = word().parse().unwrap_or_else(|_| no_number()),
+                "--work-scale" => opts.work_scale = word().parse().unwrap_or_else(|_| no_number()),
+                "--smem" => opts.use_smem = true,
+                "--no-io" => opts.with_io = false,
+                "--list" => list = true,
+                _ => fail(&format!("unknown flag {flag} for repro cell")),
             }
         }
-        (cli, words)
+        // No run has anything to show of zero tasks.
+        if cli.tasks == Some(0) {
+            fail("--tasks needs a number of at least 1");
+        }
+        if benches.is_empty() || schemes.is_empty() {
+            fail("no such benchmark or scheme");
+        }
+        if cell {
+            if let Some(word) = words.first() {
+                fail(&format!("repro cell takes no argument {word}"));
+            }
+            if list && flags > 1 {
+                fail("--list takes no other flag");
+            }
+            // Knobs no generator can build tasks from (zero threads, say).
+            if let Some(problem) = opts.problem() {
+                fail(problem);
+            }
+            if list {
+                return (cli, Command::List);
+            }
+            let mut cells = Vec::new();
+            for b in benches {
+                for &s in &schemes {
+                    cells.push(Cell::new(b, s, cli.tasks.unwrap_or(4_096), opts.clone()));
+                }
+            }
+            return (cli, Command::Cells(cells));
+        }
+        if words.is_empty() {
+            fail("no figure named");
+        }
+        // Resolve every name before running any: a typo must not cost a run.
+        let mut picked = Vec::new();
+        for name in &words {
+            match FIGURES.iter().find(|f| f.name == name) {
+                Some(figure) => picked.push(figure),
+                None if name == "all" => picked.extend(FIGURES),
+                None => fail(&format!("unknown figure {name}")),
+            }
+        }
+        (cli, Command::Figures(picked))
     }
 
     /// Task count to use given the paper's count for this experiment.
     pub fn scale(&self, paper: usize) -> usize {
-        if let Some(n) = self.tasks {
-            return n;
-        }
-        if self.quick {
-            (paper / 16).max(256)
-        } else {
-            paper
-        }
+        let quick = (paper / 16).max(256);
+        self.tasks.unwrap_or(if self.quick { quick } else { paper })
     }
-}
-
-/// Reports a command-line `problem` and the binary's `usage` on stderr
-/// and exits 2, as `pagoda_sim` does.
-pub fn usage_exit(problem: &str, usage: &str) -> ! {
-    eprintln!("{problem}\n{usage}");
-    std::process::exit(2)
 }
 
 #[cfg(test)]
@@ -365,7 +529,7 @@ mod tests {
             Scheme::PagodaBatched(32),
             Scheme::Fusion(256),
         ] {
-            let r = run_wave(s, &tasks);
+            let r = run_waves(s, std::slice::from_ref(&tasks));
             assert_eq!(r.tasks, 64, "{}", s.name());
             assert!(r.makespan > Dur::ZERO, "{}", s.name());
         }
@@ -374,7 +538,7 @@ mod tests {
     #[test]
     fn waves_concatenate() {
         let waves = vec![tiny(), tiny(), tiny()];
-        let one = run_wave(Scheme::HyperQ, &waves[0]);
+        let one = run_waves(Scheme::HyperQ, &waves[..1]);
         let all = run_waves(Scheme::HyperQ, &waves);
         assert_eq!(all.tasks, 192);
         assert!(all.makespan.as_ps() >= 3 * one.makespan.as_ps() * 9 / 10);

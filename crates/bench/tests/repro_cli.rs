@@ -1,6 +1,10 @@
 //! `repro`'s command line: a bad figure name or flag is a usage error —
 //! exit code 2 and the list of figure names on stderr, nothing run — and
-//! `--json` appends each figure's points to its text.
+//! `--json` appends each figure's points to its text. `repro cell` prints
+//! a row per (benchmark, scheme) cell: a scheme that cannot take the
+//! generated tasks prints an `n/a (<why>)` row and the other schemes
+//! still run; a generator flag no task can have exits 2 before any task
+//! is built.
 
 use pagoda_bench::figures::FIGURES;
 use pagoda_bench::Cli;
@@ -30,6 +34,14 @@ fn a_bad_command_line_exits_2_with_the_figure_names() {
         (&["cluster_scaling", "--smoke"], "unknown flag --smoke"),
         (&["cluster_scaling", "--gate", "3"], "unknown flag --gate"),
         (&["cluster_scaling", "--out", "x"], "unknown flag --out"),
+        // A cell of no tasks has nothing to show either.
+        (
+            &["cell", "--bench", "MM", "--tasks", "0", "--scheme", "all"],
+            "--tasks needs a number of at least 1",
+        ),
+        // A flag of one command is a usage error on the other.
+        (&["fig5", "--smem"], "unknown flag --smem for a figure"),
+        (&["cell", "--json"], "unknown flag --json for repro cell"),
     ] {
         let out = repro(args);
         let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
@@ -77,4 +89,109 @@ fn all_is_every_figure_in_table_order() {
     let expected: String = FIGURES.iter().map(|f| f.run(&cli).0).collect();
     assert_eq!(stdout, expected);
     assert_eq!(FIGURES.len(), 13);
+}
+
+/// `repro cell`'s stdout for `args`; asserts it exited 0.
+fn cell(args: &str) -> String {
+    let words: Vec<&str> = std::iter::once("cell")
+        .chain(args.split_whitespace())
+        .collect();
+    let out = repro(&words);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{args:?}: {stderr}");
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// `repro cell`'s rows for `args`, keyed by scheme name.
+fn rows(args: &str) -> Vec<(String, String)> {
+    cell(args)
+        .lines()
+        .map(|l| {
+            let (head, row) = l.split_once(" | ").expect("a row");
+            let scheme = head
+                .split_whitespace()
+                .skip(1)
+                .collect::<Vec<_>>()
+                .join(" ");
+            (scheme, row.to_owned())
+        })
+        .collect()
+}
+
+fn row<'a>(rows: &'a [(String, String)], scheme: &str) -> &'a str {
+    let (_, row) = rows.iter().find(|(s, _)| s == scheme).expect(scheme);
+    row
+}
+
+/// The whole cell grid at 512 tasks and the benchmark list, as
+/// committed under `tests/golden/`. A model change that moves them on
+/// purpose rewrites them with `repro cell --bench all --scheme all
+/// --tasks 512 > crates/bench/tests/golden/cell_all_512.txt` (and
+/// `repro cell --list > crates/bench/tests/golden/cell_list.txt`).
+#[test]
+fn cells_print_the_committed_grid_and_list() {
+    for (args, golden) in [
+        (
+            "--bench all --scheme all --tasks 512",
+            include_str!("golden/cell_all_512.txt"),
+        ),
+        ("--list", include_str!("golden/cell_list.txt")),
+    ] {
+        assert_eq!(cell(args), golden, "repro cell {args}");
+    }
+}
+
+#[test]
+fn a_task_wider_than_an_mtb_skips_pagoda_and_runs_the_rest() {
+    let rows = rows("--bench MM --tasks 64 --threads 1024 --scheme all");
+    assert_eq!(rows.len(), 5);
+    assert_eq!(
+        row(&rows, "Pagoda"),
+        "n/a (task threadblock of 1024 threads exceeds the 992-thread MTB executor capacity)"
+    );
+    for scheme in ["Sequential", "PThreads", "CUDA-HyperQ", "GeMTC"] {
+        assert!(row(&rows, scheme).contains("64 tasks"), "{rows:?}");
+    }
+}
+
+#[test]
+fn a_threadblock_no_device_can_launch_leaves_the_cpu_schemes() {
+    let mut rows = rows("--bench MM --tasks 64 --threads 16384 --scheme all");
+    rows.extend(self::rows(
+        "--bench MM --tasks 64 --threads 16384 --scheme fusion",
+    ));
+    for scheme in ["CUDA-HyperQ", "GeMTC"] {
+        assert_eq!(
+            row(&rows, scheme),
+            "n/a (threadblock size 16384 outside 1..=1024)"
+        );
+    }
+    assert!(row(&rows, "Pagoda").starts_with("n/a (task threadblock of 16384 threads"));
+    assert_eq!(
+        row(&rows, "Static-Fusion"),
+        "n/a (task of 16384 threads is wider than the 256-thread fused sub-task)"
+    );
+    for scheme in ["Sequential", "PThreads"] {
+        assert!(row(&rows, scheme).contains("64 tasks"), "{rows:?}");
+    }
+}
+
+#[test]
+fn generator_flags_no_task_can_have_exit_2_before_generating() {
+    let scale = "the work scale must be finite and above 0";
+    for (flags, problem) in [
+        ("--threads 0", "tasks need at least one thread"),
+        ("--work-scale -2", scale),
+        ("--work-scale nan", scale),
+        ("--work-scale inf", scale),
+    ] {
+        let args = format!("cell --bench all --tasks 64 --scheme all {flags}");
+        let args: Vec<&str> = args.split_whitespace().collect();
+        let out = repro(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(problem), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: repro"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed rows");
+    }
 }

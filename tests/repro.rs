@@ -25,9 +25,8 @@
 mod common;
 
 use baselines::geomean;
-use pagoda_bench::figures::{Figure, FIGURES};
-use pagoda_bench::{bench_waves, run_waves, Scheme};
-use pagoda_bench::{Cli, CurvePoint, DataPoint, Point, ScalingPoint, SkewPoint};
+use pagoda_bench::figures::{fig5_cells, Figure, FIGURES};
+use pagoda_bench::{Cli, CurvePoint, DataPoint, Point, ScalingPoint, Scheme, SkewPoint};
 use pagoda_prof::GroupSummary;
 use std::collections::BTreeSet;
 
@@ -188,29 +187,25 @@ fn fig5(run: &Run) {
 
 /// Fig. 5's geomean of Pagoda's speed-up over `baseline`, across the
 /// nine benchmarks (eight for GeMTC, which cannot run SLUD), at `n` tasks
-/// each and generator seed `seed`, with each scheme on the task versions
-/// `repro fig5` gives it.
+/// each and generator seed `seed`: `repro fig5`'s own cells.
 fn fig5_geomean(baseline: Scheme, n: usize, seed: u64) -> f64 {
-    let mut over = Vec::new();
-    for bench in workloads::Bench::ALL {
-        if baseline == Scheme::Gemtc && !bench.supports_gemtc() {
-            continue;
-        }
-        let waves = |use_smem| {
-            let opts = workloads::GenOpts {
-                use_smem,
-                seed,
-                ..workloads::GenOpts::default()
-            };
-            bench_waves(bench, n, &opts)
-        };
-        let smem = waves(bench.uses_smem());
-        let theirs = match baseline {
-            Scheme::HyperQ => run_waves(baseline, &smem),
-            _ => run_waves(baseline, &waves(false)),
-        };
-        over.push(run_waves(Scheme::Pagoda, &smem).speedup_over(&theirs));
+    let mut cells = fig5_cells(&Cli {
+        tasks: Some(n),
+        ..Cli::default()
+    });
+    for cell in &mut cells {
+        cell.opts.seed = seed;
     }
+    let over: Vec<f64> = cells
+        .iter()
+        .filter(|pg| pg.scheme == Scheme::Pagoda)
+        .filter_map(|pg| {
+            let theirs = cells
+                .iter()
+                .find(|c| c.bench == pg.bench && c.scheme == baseline)?;
+            Some(pg.run().speedup_over(&theirs.run()))
+        })
+        .collect();
     geomean(&over)
 }
 
