@@ -11,7 +11,7 @@
 //! * irregular tasks leave threads idle inside their fixed-width block
 //!   (Fig. 9).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use desim::{Dur, SimTime};
 use gpu_sim::{BlockWork, GpuDevice, Kernel, Notify, Segment, WarpWork};
@@ -87,7 +87,7 @@ pub fn run_fusion(tasks: &[TaskDesc], threads_per_subtask: u32) -> RunSummary {
         for &n in &batch {
             match n {
                 Notify::Host(_) => device
-                    .launch_kernel(Arc::clone(&fused), 0)
+                    .launch_kernel(Rc::clone(&fused), 0)
                     .expect("fused kernel must launch"),
                 Notify::KernelDone { .. } => kernel_done = Some(t),
                 Notify::WarpDone { .. } => unreachable!("no persistent warps under fusion"),

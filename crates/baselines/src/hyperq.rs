@@ -11,7 +11,7 @@
 //!   machine (paper §2: 32 × 8 warps = 16.67 % occupancy);
 //! * threadblock-granularity resource recycling (§6.4).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use desim::{Dur, SimTime};
 use gpu_sim::{DeviceConfig, GpuDevice, Notify};
@@ -66,7 +66,7 @@ impl HyperQSim<'_> {
         for &n in batch {
             match n {
                 Notify::Host(tag) => {
-                    let kernel = Arc::clone(&self.tasks[tag as usize].kernel);
+                    let kernel = Rc::clone(&self.tasks[tag as usize].kernel);
                     self.device
                         .launch_kernel(kernel, tag)
                         .expect("unlaunchable task shape");

@@ -28,7 +28,7 @@ use pagoda_serve::{
     ServeConfig, TenantSpec,
 };
 use std::fmt::{self, Write as _};
-use std::sync::Arc;
+use std::rc::Rc;
 use workloads::Bench::{self, Bf, Conv, Dct, Des3, Fb, Mb, Mm, Mpe, Slud};
 use workloads::{GenOpts, ThreadPolicy};
 use Scheme::{Fusion, Gemtc, HyperQ, PThreads, Pagoda, PagodaBatched, Sequential};
@@ -663,7 +663,7 @@ fn ablations(n: usize, out: &mut Report) {
                 free_warps_individually: free_individually,
                 ..DeviceConfig::titan_x()
             });
-            dev.launch_kernel(Arc::clone(&kernel), 0)
+            dev.launch_kernel(Rc::clone(&kernel), 0)
                 .expect("launchable");
             let mut batch = Vec::new();
             while dev.step_bounded_into(SimTime::MAX, &mut batch).is_some() {}

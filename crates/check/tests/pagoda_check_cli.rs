@@ -14,15 +14,24 @@ fn replay(args: &str) -> Output {
 
 #[test]
 fn a_scenario_with_an_invalid_fleet_config_exits_2_with_the_error() {
-    for (args, index) in [
-        ("--devices 2 --fault kill@5:3", 0),
-        ("--devices 2 --fault kill@5:0 --fault slow@9:2:2", 1),
+    let out_of_range = "device index out of range";
+    for (args, index, reason) in [
+        ("--devices 2 --fault kill@5:3", 0, out_of_range),
+        (
+            "--devices 2 --fault kill@5:0 --fault slow@9:2:2",
+            1,
+            out_of_range,
+        ),
+        (
+            "--fault slow@5:1:1e12",
+            0,
+            "slow factor must be between 1 and 1000",
+        ),
     ] {
         let out = replay(args);
         let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
         assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
-        let problem =
-            format!("invalid scenario: fault spec {index} invalid: device index out of range");
+        let problem = format!("invalid scenario: fault spec {index} invalid: {reason}");
         assert!(stderr.contains(&problem), "{args}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args}: {stderr}");
     }

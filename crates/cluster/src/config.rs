@@ -14,11 +14,22 @@ pub enum FaultKind {
     Kill,
     /// The device keeps serving at `1/factor` of its former speed —
     /// while the fleet clock advances Δt, the device only simulates
-    /// `Δt/factor`. `factor` must be finite and ≥ 1.
+    /// `Δt/factor`. `factor` must be finite, ≥ 1 and at most
+    /// [`FaultKind::MAX_SLOW_FACTOR`].
     Slow {
         /// How many times slower the device becomes.
         factor: f64,
     },
+}
+
+impl FaultKind {
+    /// The largest slowdown a fleet accepts. A device `factor` times
+    /// slower stretches each of its tasks `factor` times on the fleet
+    /// clock and the fleet steps through the stretch: at 10⁷ a replay
+    /// that takes under a second ran for a minute, and at 10¹² a task's
+    /// finish overflows the clock. Every in-tree slowdown is at most 8;
+    /// one of 1 000 replays in under a second.
+    pub const MAX_SLOW_FACTOR: f64 = 1_000.0;
 }
 
 /// One scheduled device fault, applied when the fleet clock first
@@ -122,10 +133,10 @@ impl ClusterConfig {
                 });
             }
             if let FaultKind::Slow { factor } = f.kind {
-                if !factor.is_finite() || factor < 1.0 {
+                if !(1.0..=FaultKind::MAX_SLOW_FACTOR).contains(&factor) {
                     return Err(ConfigError::BadFault {
                         index,
-                        reason: "slow factor must be finite and >= 1",
+                        reason: "slow factor must be between 1 and 1000",
                     });
                 }
             }
@@ -181,5 +192,18 @@ mod tests {
             cfg.validate().unwrap_err(),
             ConfigError::BadFault { index: 0, .. }
         ));
+
+        for (factor, ok) in [
+            (1.0, true),
+            (FaultKind::MAX_SLOW_FACTOR, true),
+            (FaultKind::MAX_SLOW_FACTOR * 1.001, false),
+            (1e12, false),
+            (f64::MAX, false),
+            (f64::INFINITY, false),
+            (f64::NAN, false),
+        ] {
+            cfg.faults[0].kind = FaultKind::Slow { factor };
+            assert_eq!(cfg.validate().is_ok(), ok, "factor {factor}");
+        }
     }
 }

@@ -54,7 +54,7 @@
 //! each launch carries only what varies per task:
 //!
 //! ```
-//! use std::sync::Arc;
+//! use std::rc::Rc;
 //!
 //! use gpu_sim::{BlockWork, Kernel, WarpWork};
 //! use pagoda_core::{Backend, PagodaRuntime, TaskDesc};
@@ -65,7 +65,7 @@
 //! let mut rt = PagodaRuntime::titan_x();
 //! for i in 1..=8 {
 //!     rt.spawn_blocking(0, TaskDesc {
-//!         kernel: Arc::clone(&kernel),
+//!         kernel: Rc::clone(&kernel),
 //!         cpu_ops: 4 * 10_000,
 //!         input_bytes: 1024 * i,
 //!         output_bytes: 0,

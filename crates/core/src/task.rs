@@ -16,7 +16,7 @@
 //! whatever its kernel holds.
 
 use std::ops::Deref;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gpu_arch::WARP_SIZE;
 use gpu_sim::{BlockWork, Kernel};
@@ -33,8 +33,10 @@ pub const MAX_THREADS_PER_TASK_TB: u32 = (EXECUTORS_PER_MTB as u32) * WARP_SIZE;
 #[derive(Debug, Clone)]
 pub struct TaskDesc {
     /// The kernel this task launches. Cloning a `TaskDesc` bumps its
-    /// reference count; it does not copy the work lists.
-    pub kernel: Arc<Kernel>,
+    /// (non-atomic) reference count; it does not copy the work lists. So
+    /// a `TaskDesc` is `!Send`: tasks are built on the thread that runs
+    /// them.
+    pub kernel: Rc<Kernel>,
     /// Operation count of the task's *sequential CPU* implementation. The
     /// GPU-side [`Kernel::total_instrs`] charges whole warps for their
     /// slowest lane (SIMT divergence); a CPU executes only the real work,
@@ -150,7 +152,7 @@ mod tests {
     fn clone_shares_the_kernel() {
         let t = TaskDesc::uniform(128, WarpWork::compute(1000, 2.0));
         let c = t.clone();
-        assert!(Arc::ptr_eq(&t.kernel, &c.kernel));
+        assert!(Rc::ptr_eq(&t.kernel, &c.kernel));
         // Reads go through the shared kernel.
         c.validate().unwrap();
         assert_eq!(c.total_instrs(), 4000);

@@ -28,7 +28,7 @@
 //! deterministic order.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use desim::{Dur, Engine, EventKey, SimTime};
 use gpu_arch::{GpuSpec, LaunchError, TaskShape};
@@ -135,7 +135,7 @@ impl Footprint {
 
 #[derive(Debug)]
 struct KernelCtx {
-    kernel: Arc<Kernel>,
+    kernel: Rc<Kernel>,
     tag: u64,
     foot: Footprint,
     /// `kernel.num_tbs()`, kept beside the progress counters so a
@@ -317,7 +317,7 @@ impl GpuDevice {
     /// concurrency slot and its TBs are then placed as resources permit.
     /// Completion is announced via [`Notify::KernelDone`] with `tag`. The
     /// device shares `kernel`'s work lists; it copies none of them.
-    pub fn launch_kernel(&mut self, kernel: Arc<Kernel>, tag: u64) -> Result<(), LaunchError> {
+    pub fn launch_kernel(&mut self, kernel: Rc<Kernel>, tag: u64) -> Result<(), LaunchError> {
         let shape = kernel.native_shape();
         self.cfg.spec.occupancy_of(&shape)?; // also proves ≥1 TB fits
         let foot = self.footprint(&shape);
@@ -833,7 +833,7 @@ mod tests {
 
     /// A kernel of `tbs` threadblocks of `threads` threads, every warp
     /// running `work`.
-    fn uniform(threads: u32, tbs: u32, work: WarpWork) -> Arc<Kernel> {
+    fn uniform(threads: u32, tbs: u32, work: WarpWork) -> Rc<Kernel> {
         let sync = work.barrier_count() > 0;
         let block = BlockWork::uniform(threads.div_ceil(32), work);
         Kernel::new(threads, 0, sync, vec![block; tbs as usize]).unwrap()
@@ -1095,7 +1095,7 @@ mod tests {
         let (obs, rec) = Obs::recording();
         dev.attach_obs(obs);
         let k = uniform(256, 2, WarpWork::compute(32_000, 4.0));
-        dev.launch_kernel(Arc::clone(&k), 9).unwrap();
+        dev.launch_kernel(Rc::clone(&k), 9).unwrap();
         run_all(&mut dev);
         let buf = rec.snapshot();
         assert_eq!(buf.counter(Counter::KernelLaunches), 1);
@@ -1114,7 +1114,7 @@ mod tests {
 
         // Detached, the device stops counting.
         dev.attach_obs(Obs::off());
-        dev.launch_kernel(Arc::clone(&k), 9).unwrap();
+        dev.launch_kernel(Rc::clone(&k), 9).unwrap();
         run_all(&mut dev);
         assert!(dev.engine_stats().delivered > delivered);
         assert_eq!(rec.snapshot().counter(Counter::EngineEvents), delivered);

@@ -13,7 +13,7 @@
 //! Generated blocks are mostly one run, so a block costs the same to
 //! build, share and place at 1 warp or 32.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gpu_arch::{TaskShape, WARP_SIZE};
 
@@ -298,8 +298,10 @@ impl std::error::Error for KernelError {}
 ///
 /// [`Kernel::new`] checks its structure once; each consumer checks only
 /// its own capacity (an MTB's executor warps and shared-memory slice, an
-/// SMM's limits). A kernel is immutable and shared behind an [`Arc`]:
-/// every launch of it holds the same work lists.
+/// SMM's limits). A kernel is immutable and shared behind an [`Rc`]:
+/// every launch of it holds the same work lists, and a clone or drop of
+/// a launch is a plain count, no atomic. A kernel stays on the thread
+/// that built it.
 #[derive(Debug, PartialEq)]
 #[non_exhaustive]
 pub struct Kernel {
@@ -327,7 +329,7 @@ impl Kernel {
         smem_per_tb: u32,
         sync: bool,
         blocks: impl Into<Box<[BlockWork]>>,
-    ) -> Result<Arc<Kernel>, KernelError> {
+    ) -> Result<Rc<Kernel>, KernelError> {
         let kernel = Kernel {
             threads_per_tb,
             smem_per_tb,
@@ -342,7 +344,7 @@ impl Kernel {
                 return Err(KernelError::UndeclaredSync);
             }
         }
-        Ok(Arc::new(kernel))
+        Ok(Rc::new(kernel))
     }
 
     /// Threadblocks in the kernel.

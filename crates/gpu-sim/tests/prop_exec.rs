@@ -3,7 +3,7 @@
 //! residency read from the recorder's per-SMM samples.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use desim::SimTime;
 use gpu_arch::TaskShape;
@@ -50,7 +50,7 @@ fn resident_warp_ps(rec: &Recording, now: SimTime) -> u128 {
 
 /// A kernel of `s.tbs` threadblocks of `s.threads` threads with
 /// `smem_kb` KB of shared memory each, every warp running `work`.
-fn kernel(s: &KSpec, smem_kb: u32, work: WarpWork) -> Arc<Kernel> {
+fn kernel(s: &KSpec, smem_kb: u32, work: WarpWork) -> Rc<Kernel> {
     let block = BlockWork::uniform(s.threads.div_ceil(32), work);
     Kernel::new(
         s.threads,

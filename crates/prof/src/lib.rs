@@ -22,10 +22,9 @@
 //! * **SLO tracking** — [`SloTracker`] accounts completed sojourns
 //!   against per-tenant [`SloSpec`] targets with integer burn-rate math.
 //!
-//! Exports: Prometheus text exposition ([`write_prometheus`]),
-//! folded-stack flamegraph input ([`write_folded`]), and phase-level
-//! regression diffs ([`diff_reports`]) — all integer-valued and
-//! byte-deterministic for identical reports.
+//! Exports: Prometheus text exposition ([`write_prometheus`]) and
+//! folded-stack flamegraph input ([`write_folded`]) — both
+//! integer-valued and byte-deterministic for identical reports.
 //!
 //! [`Obs::recording`]: pagoda_obs::Obs::recording
 //! [`ObsBuffer`]: pagoda_obs::ObsBuffer
@@ -53,14 +52,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod diff;
 pub mod export;
 pub mod hist;
 pub mod phase;
 pub mod report;
 pub mod slo;
 
-pub use diff::{diff_reports, PhaseDelta, ProfDiff};
 pub use export::{check_exposition, write_folded, write_prometheus};
 pub use hist::{HistSummary, LogHist};
 pub use phase::{decompose, Cuts, Decomposition, Phase};

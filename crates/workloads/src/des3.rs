@@ -3,8 +3,7 @@
 //! NetBench-style packet sizes (2 KB – 64 KB) make the tasks irregular
 //! (Table 3).
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gpu_sim::Kernel;
 use pagoda_core::TaskDesc;
@@ -45,18 +44,21 @@ pub(crate) fn shape(blocks: usize, threads: usize) -> (usize, usize) {
 /// packet's work depends on its `shape` alone, and shapes recur far
 /// more than lengths do (32 k packets hold about 7 k distinct lengths but
 /// about 300 shapes at 128 threads, of at most 320), so tasks of one
-/// shape share one kernel; each keeps its own length's CPU count and
-/// copy volume.
+/// shape share one kernel, found by the shape's index in a dense table;
+/// each keeps its own length's CPU count and copy volume.
 pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x3de5);
     let per_block = crate::gen::scale_ops(OPS_PER_BLOCK, opts.work_scale);
     let threads = opts.threads_per_task as usize;
-    let mut kernels: HashMap<(usize, usize), Arc<Kernel>> = HashMap::new();
+    // `shape` is at most (MAX_PACKET / 8 / threads, threads.div_ceil(32)).
+    let stride = threads.div_ceil(32) + 1;
+    let mut kernels: Vec<Option<Rc<Kernel>>> = vec![None; (MAX_PACKET / 8 / threads + 1) * stride];
     (0..n)
         .map(|_| {
             let bytes = packet_size(&mut rng);
             let blocks = bytes / 8;
-            let kernel = kernels.entry(shape(blocks, threads)).or_insert_with(|| {
+            let (whole, raised) = shape(blocks, threads);
+            let kernel = kernels[whole * stride + raised].get_or_insert_with(|| {
                 let per_thread = distribute_cyclic_equal(blocks, per_block, threads);
                 crate::gen::kernel(
                     opts.threads_per_task,
@@ -66,7 +68,7 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
                 )
             });
             TaskDesc {
-                kernel: Arc::clone(kernel),
+                kernel: Rc::clone(kernel),
                 cpu_ops: blocks as u64 * per_block,
                 input_bytes: io_bytes(opts, bytes),
                 output_bytes: io_bytes(opts, bytes),
@@ -78,7 +80,7 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
 
     #[test]
     fn packet_sizes_span_the_netbench_range() {
@@ -142,16 +144,16 @@ mod tests {
             // it names the length whether or not the I/O volume is kept.
             let per_block = crate::gen::scale_ops(OPS_PER_BLOCK, opts.work_scale);
             let threads = opts.threads_per_task as usize;
-            let mut by_shape: HashMap<(usize, usize), &Arc<Kernel>> = HashMap::new();
+            let mut by_shape: HashMap<(usize, usize), &Rc<Kernel>> = HashMap::new();
             let mut lengths = HashSet::new();
             for t in &shared {
                 let blocks = (t.cpu_ops / per_block) as usize;
                 lengths.insert(blocks);
                 let first = by_shape.entry(shape(blocks, threads)).or_insert(&t.kernel);
-                assert!(Arc::ptr_eq(first, &t.kernel), "one shape, two kernels");
+                assert!(Rc::ptr_eq(first, &t.kernel), "one shape, two kernels");
             }
             let kernels: HashSet<*const Kernel> =
-                shared.iter().map(|t| Arc::as_ptr(&t.kernel)).collect();
+                shared.iter().map(|t| Rc::as_ptr(&t.kernel)).collect();
             assert_eq!(kernels.len(), by_shape.len(), "two shapes, one kernel");
             assert!(
                 by_shape.len() + 100 < lengths.len(),

@@ -7,7 +7,7 @@
 //! kernels this equals the per-thread count; for Mandelbrot-style kernels
 //! it is the divergence penalty the paper's "irregular" benchmarks pay.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gpu_sim::{BlockWork, Kernel, Segment, WarpWork};
 
@@ -122,7 +122,7 @@ pub fn kernel(
     smem_per_tb: u32,
     sync: bool,
     blocks: impl Into<Box<[BlockWork]>>,
-) -> Arc<Kernel> {
+) -> Rc<Kernel> {
     Kernel::new(threads_per_tb, smem_per_tb, sync, blocks)
         .unwrap_or_else(|e| panic!("generated kernel: {e}"))
 }

@@ -42,7 +42,7 @@ pub mod matmul;
 pub mod mpe;
 pub mod slud;
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gpu_sim::Kernel;
 use pagoda_core::TaskDesc;
@@ -230,7 +230,7 @@ pub fn irregular_tasks(
 
     // A task's kernel depends on its size class alone: each class builds
     // its kernel the first time it is drawn.
-    let mut kernels: [Option<Arc<Kernel>>; 4] = Default::default();
+    let mut kernels: [Option<Rc<Kernel>>; 4] = Default::default();
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0xf193);
     (0..n)
         .map(|_| {
@@ -255,7 +255,7 @@ pub fn irregular_tasks(
                 )
             });
             TaskDesc {
-                kernel: Arc::clone(kernel),
+                kernel: Rc::clone(kernel),
                 cpu_ops: u64::from(s) * per_thread_ops,
                 input_bytes: (f64::from(base.input_bytes) * scale) as u32,
                 output_bytes: (f64::from(base.output_bytes) * scale) as u32,
@@ -354,7 +354,7 @@ mod tests {
     /// Distinct kernels among `ts`, by address.
     fn kernels(ts: &[TaskDesc]) -> usize {
         ts.iter()
-            .map(|t| Arc::as_ptr(&t.kernel))
+            .map(|t| Rc::as_ptr(&t.kernel))
             .collect::<HashSet<_>>()
             .len()
     }

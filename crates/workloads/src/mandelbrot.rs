@@ -4,6 +4,10 @@
 //! durations are unpredictable (Table 4: "the required computation per
 //! pixel is highly irregular").
 
+use std::num::NonZeroUsize;
+use std::thread;
+
+use gpu_sim::BlockWork;
 use pagoda_core::TaskDesc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -16,6 +20,8 @@ use crate::GenOpts;
 pub const DIM: usize = 64;
 /// Iteration cap.
 pub const MAX_ITER: u32 = 256;
+/// Distinct regions rendered per generation; tasks sample them.
+const POOL: usize = 64;
 
 /// A rectangular window of the complex plane.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,7 +111,8 @@ fn escape_iters4(cx: [f64; 4], cy: [f64; 4], max_iter: u32) -> [u32; 4] {
 /// Renders a `dim`×`dim` iteration image of `region`, row-major. A pixel
 /// in the main cardioid or the period-2 bulb is `max_iter` outright; the
 /// rest are packed four to a loop trip, with a scalar tail for the last
-/// one to three.
+/// one to three. Each column's x is computed once, by the expression a
+/// pixel would evaluate, and read from a table.
 ///
 /// # Panics
 ///
@@ -115,10 +122,12 @@ pub fn render(region: Region, dim: usize, max_iter: u32) -> Vec<u16> {
     let mut out = vec![cap; dim * dim];
     let (mut at, mut cx, mut cy) = ([0usize; 4], [0.0; 4], [0.0; 4]);
     let mut lanes = 0;
+    let xs: Vec<f64> = (0..dim)
+        .map(|px| region.x0 + region.w * (px as f64 + 0.5) / dim as f64)
+        .collect();
     for py in 0..dim {
         let y = region.y0 + region.h * (py as f64 + 0.5) / dim as f64;
-        for px in 0..dim {
-            let x = region.x0 + region.w * (px as f64 + 0.5) / dim as f64;
+        for (px, &x) in xs.iter().enumerate() {
             if in_main_bulbs(x, y) {
                 continue;
             }
@@ -176,9 +185,10 @@ fn random_region(rng: &mut SmallRng) -> Region {
     }
 }
 
-/// One task's work description, derived from a *real* render of the
-/// variant's region (the iteration image drives the divergence model).
-fn task_from_region(region: Region, opts: &GenOpts) -> TaskDesc {
+/// One tile's work, derived from a *real* render of its region (the
+/// iteration image drives the divergence model): the task threadblock
+/// and the sequential CPU operation count.
+fn tile(region: Region, opts: &GenOpts) -> (BlockWork, u64) {
     let img = render(region, DIM, MAX_ITER);
     let item_ops: Vec<u64> = img
         .iter()
@@ -186,23 +196,45 @@ fn task_from_region(region: Region, opts: &GenOpts) -> TaskDesc {
         .collect();
     let cpu_ops = item_ops.iter().sum();
     let per_thread = distribute_cyclic(&item_ops, opts.threads_per_task as usize);
-    let block = build_block(&per_thread, calib::MB.cpi, &[1.0]);
-    TaskDesc {
-        kernel: crate::gen::kernel(opts.threads_per_task, 0, false, [block]),
-        cpu_ops,
-        input_bytes: io_bytes(opts, 64), // region params
-        output_bytes: io_bytes(opts, DIM * DIM * 2),
-    }
+    (build_block(&per_thread, calib::MB.cpi, &[1.0]), cpu_ops)
+}
+
+/// The pool: `POOL` regions drawn from `rng` on this thread, their tiles
+/// rendered by `workers` threads over contiguous runs of regions (this
+/// thread takes the first run, so one worker spawns no thread), and each
+/// tile's kernel built here, in region order. The tiles share nothing,
+/// so the pool is the same whatever `workers` is.
+fn pool(rng: &mut SmallRng, opts: &GenOpts, workers: usize) -> Vec<TaskDesc> {
+    let regions: Vec<Region> = (0..POOL).map(|_| random_region(rng)).collect();
+    let tiles_of = |run: &[Region]| -> Vec<_> { run.iter().map(|&r| tile(r, opts)).collect() };
+    let tiles = thread::scope(|s| {
+        let mut runs = regions.chunks(POOL.div_ceil(workers));
+        let first = runs.next().expect("a non-empty pool");
+        let rest: Vec<_> = runs.map(|run| s.spawn(move || tiles_of(run))).collect();
+        let mut tiles = tiles_of(first);
+        for worker in rest {
+            tiles.extend(worker.join().expect("a tile worker panicked"));
+        }
+        tiles
+    });
+    tiles
+        .into_iter()
+        .map(|(block, cpu_ops)| TaskDesc {
+            kernel: crate::gen::kernel(opts.threads_per_task, 0, false, [block]),
+            cpu_ops,
+            input_bytes: io_bytes(opts, 64), // region params
+            output_bytes: io_bytes(opts, DIM * DIM * 2),
+        })
+        .collect()
 }
 
 /// Generates `n` Mandelbrot tasks. A pool of 64 distinct regions is
-/// rendered once and sampled, so generation stays cheap at 32 K tasks
-/// while preserving cross-task irregularity.
+/// rendered once, on every available core, and sampled, so generation
+/// stays cheap at 32 K tasks while preserving cross-task irregularity.
 pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
+    let workers = thread::available_parallelism().map_or(1, NonZeroUsize::get);
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x6d62);
-    let pool: Vec<TaskDesc> = (0..64)
-        .map(|_| task_from_region(random_region(&mut rng), opts))
-        .collect();
+    let pool = pool(&mut rng, opts, workers.min(POOL));
     (0..n)
         .map(|_| pool[rng.gen_range(0..pool.len())].clone())
         .collect()
@@ -302,6 +334,35 @@ mod tests {
                 escape_iters(bx, by, MAX_ITER),
                 u32::from(render_per_pixel(centre, 1, MAX_ITER)[0])
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+        /// The pool one worker builds is the pool 2, 3 and 4 build: every
+        /// tile in region order, and the generator's random stream left
+        /// where the sampling reads it.
+        #[test]
+        fn pool_is_independent_of_workers(
+            seed in 0u64..=u64::MAX,
+            threads_per_task in 1u32..=1024,
+            work_scale in 0.05f64..16.0,
+        ) {
+            let opts = GenOpts { seed, threads_per_task, work_scale, ..GenOpts::default() };
+            let built = |workers| {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let tasks: Vec<_> = pool(&mut rng, &opts, workers)
+                    .into_iter()
+                    .map(|t| (t.kernel, t.cpu_ops, t.input_bytes, t.output_bytes))
+                    .collect();
+                (tasks, rng.gen::<u64>())
+            };
+            let alone = built(1);
+            prop_assert_eq!(alone.0.len(), POOL);
+            for workers in 2..=4 {
+                prop_assert!(built(workers) == alone, "{} workers", workers);
+            }
         }
     }
 

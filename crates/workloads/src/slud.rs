@@ -182,7 +182,7 @@ mod tests {
     use gpu_sim::Kernel;
     use proptest::prelude::*;
     use std::collections::HashMap;
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     /// [`symbolic_waves`] as it was before it counted: every tile task
     /// listed, fill-in one `bool` at a time.
@@ -345,7 +345,7 @@ mod tests {
                     (t.input_bytes, t.output_bytes, t.cpu_ops),
                     (alone.input_bytes, alone.output_bytes, alone.cpu_ops)
                 );
-                let first = *kernels.entry(Arc::as_ptr(&t.kernel)).or_insert(kind);
+                let first = *kernels.entry(Rc::as_ptr(&t.kernel)).or_insert(kind);
                 assert_eq!(first, kind, "two kinds, one kernel");
             }
         }

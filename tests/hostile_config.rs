@@ -74,11 +74,12 @@ fn arb_config() -> impl Strategy<Value = PagodaConfig> {
 }
 
 /// Faults aimed at devices 0..=4 of a fleet of up to four, slowdowns
-/// by factors from {NaN, 0.5, 1, 2, 4, ∞}. Kills aim at any device, so
+/// by factors from {NaN, 0.5, 1, 2, 4, ∞, 10¹², `f64::MAX`} (the last
+/// two are finite and ≥ 1, but stretch a task past the fleet clock). Kills aim at any device, so
 /// a fleet may lose every one of them.
 fn arb_fault() -> impl Strategy<Value = FaultSpec> {
-    (0usize..3, 0usize..5, 0usize..9).prop_map(|(at, device, kind)| {
-        let factors = [f64::NAN, 0.5, 1.0, 4.0, f64::INFINITY];
+    (0usize..3, 0usize..5, 0usize..11).prop_map(|(at, device, kind)| {
+        let factors = [f64::NAN, 0.5, 1.0, 4.0, f64::INFINITY, 1e12, f64::MAX];
         FaultSpec {
             at: [SimTime::ZERO, SimTime::from_us(3), SimTime::from_us(40)][at],
             device,

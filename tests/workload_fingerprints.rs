@@ -2,7 +2,11 @@
 //! reproduce the digests committed in
 //! `tests/golden/workload_fingerprints.txt`, one
 //! `<bench> seed=<s> smem=<b> tasks=<n> <fnv1a64>` line per
-//! `Bench::ALL` × seeds {42, 7} × `use_smem` {false, true} at n = 512.
+//! `Bench::ALL` × seeds {42, 7} × `use_smem` {false, true} at n = 512,
+//! then a `<bench> seed=42 threads=<t> work_scale=<w> tasks=<n>` line
+//! for each generator whose shared work depends on the thread count or
+//! the work scale (MB's rendered pool, 3DES's per-shape kernels and MPE,
+//! which holds both) at 32 and 1 024 threads and at work scale 8.
 //! The digest covers everything a runtime reads off a [`TaskDesc`]: the
 //! shape, `smem_per_tb`, `sync`, I/O bytes, `cpu_ops`, and every warp's
 //! segments and CPI.
@@ -58,6 +62,14 @@ impl Fnv {
     }
 }
 
+fn digest(tasks: &[TaskDesc]) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for t in tasks {
+        h.task(t);
+    }
+    h.0
+}
+
 #[test]
 fn generators_match_the_committed_golden() {
     let mut actual = String::new();
@@ -70,17 +82,30 @@ fn generators_match_the_committed_golden() {
                     ..GenOpts::default()
                 };
                 let tasks = bench.tasks(TASKS, &opts);
-                let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-                for t in &tasks {
-                    h.task(t);
-                }
                 actual.push_str(&format!(
                     "{} seed={seed} smem={use_smem} tasks={} {:016x}\n",
                     bench.name(),
                     tasks.len(),
-                    h.0
+                    digest(&tasks)
                 ));
             }
+        }
+    }
+    for bench in [Bench::Mb, Bench::Des3, Bench::Mpe] {
+        for (threads_per_task, work_scale) in [(32, 1.0), (1024, 1.0), (128, 8.0)] {
+            let opts = GenOpts {
+                threads_per_task,
+                work_scale,
+                ..GenOpts::default()
+            };
+            let tasks = bench.tasks(TASKS, &opts);
+            actual.push_str(&format!(
+                "{} seed={} threads={threads_per_task} work_scale={work_scale} tasks={} {:016x}\n",
+                bench.name(),
+                opts.seed,
+                tasks.len(),
+                digest(&tasks)
+            ));
         }
     }
     common::assert_golden("workload_fingerprints.txt", &actual);
