@@ -175,8 +175,9 @@ if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
     # render (four lanes, interior test) against plain per-pixel
     # iteration, also in windows 1e-3 to 1e-16 wide on the cardioid and
     # bulb boundaries, the Mandelbrot pool built by 2, 3 and 4 workers
-    # against the one built by one, and SLUD's counted waves against the
-    # listing oracle, 512 cases each.
+    # against the one built by one, MPE sharing MB's live pool against
+    # MPE generated alone, and SLUD's counted waves against the listing
+    # oracle, 512 cases each.
     # All sit under every fingerprint below; a sift that compares one
     # child too few, a broken validity rule for the kept prediction, or a
     # transition that skips a mask, fails here with the case's `cc` seed
@@ -189,6 +190,7 @@ if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
     run_named env PROPTEST_CASES=512 cargo test -q --offline -p pagoda-core --lib observed_tasks_are_the_ones_handed_over
     run_named env PROPTEST_CASES=512 cargo test -q --offline -p workloads --lib render_equals_per_pixel
     run_named env PROPTEST_CASES=512 cargo test -q --offline -p workloads --lib pool_is_independent_of_workers
+    run_named env PROPTEST_CASES=512 cargo test -q --offline -p workloads --lib mpe_after_mb_equals_mpe_alone
     run_named env PROPTEST_CASES=512 cargo test -q --offline -p workloads --lib slud::tests::lockstep
     # Hostile configurations at eight times tier-1's 128 cases: a fleet
     # that loses every device, and most single hostile serving axes,

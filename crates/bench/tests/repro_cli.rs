@@ -19,6 +19,7 @@ fn repro(args: &[&str]) -> Output {
 
 #[test]
 fn a_bad_command_line_exits_2_with_the_figure_names() {
+    let too_big = "the work scale must be at most GenOpts::MAX_WORK_SCALE (1000)";
     for (args, problem) in [
         (&["fig55"][..], "unknown figure fig55"),
         (&["table5", "fig55"], "unknown figure fig55"),
@@ -42,6 +43,35 @@ fn a_bad_command_line_exits_2_with_the_figure_names() {
         // A flag of one command is a usage error on the other.
         (&["fig5", "--smem"], "unknown flag --smem for a figure"),
         (&["cell", "--json"], "unknown flag --json for repro cell"),
+        // Work scales whose tasks outlast `wait_all` or never end.
+        (
+            &[
+                "cell",
+                "--bench",
+                "MB",
+                "--tasks",
+                "4",
+                "--scheme",
+                "pagoda",
+                "--work-scale",
+                "1e8",
+            ],
+            too_big,
+        ),
+        (
+            &[
+                "cell",
+                "--bench",
+                "MB",
+                "--tasks",
+                "4",
+                "--scheme",
+                "pagoda",
+                "--work-scale",
+                "1e300",
+            ],
+            too_big,
+        ),
     ] {
         let out = repro(args);
         let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");

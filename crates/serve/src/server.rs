@@ -176,9 +176,10 @@ impl ServeConfig {
     /// at least 1 for every tenant under [`Policy::WeightedFair`],
     /// arrival processes whose rates and dwell times a timeline can be
     /// drawn at ([`ArrivalSpec::problem`]), and generator knobs tasks can
-    /// be built from ([`GenOpts::problem`]: at least one thread, a finite
-    /// work scale above 0). A zero queue budget or task count is fine:
-    /// every arrival is shed, or there are none.
+    /// be built from ([`GenOpts::problem`]: at least one thread, a work
+    /// scale above 0 and at most [`GenOpts::MAX_WORK_SCALE`]). A zero
+    /// queue budget or task count is fine: every arrival is shed, or
+    /// there are none.
     ///
     /// # Errors
     /// [`ServeError::NoTenants`] or [`ServeError::BadTenant`].

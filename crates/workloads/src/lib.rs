@@ -81,17 +81,29 @@ impl Default for GenOpts {
 }
 
 impl GenOpts {
+    /// The largest work scale a generator accepts. In-tree experiments
+    /// use 0.05–16; at 1 000 the widest Mandelbrot tile runs about 0.08
+    /// simulated seconds, while far larger scales give tasks a runtime's
+    /// `wait_all` gives up on (≈ 7 500 simulated seconds at 1e8) or op
+    /// counts that saturate at `u64::MAX` and never finish (1e300).
+    pub const MAX_WORK_SCALE: f64 = 1_000.0;
+
     /// Why no generator can build tasks from these knobs, if none can:
     /// a task needs at least one thread (no generator can deal its work
-    /// out to none), and the work scale must be finite and above 0 (a
-    /// NaN, zero or negative one gives tasks of no work, an infinite one
-    /// tasks that never end). Threads above the MTB's 992 are the
-    /// runtime's to refuse.
+    /// out to none), and the work scale must be finite, above 0 (a NaN,
+    /// zero or negative one scales no work) and at most
+    /// [`GenOpts::MAX_WORK_SCALE`] (an infinite or huge one gives tasks
+    /// that never end). A positive scale has no floor: op counts are
+    /// rounded after scaling, so a tiny scale gives tasks whose counts
+    /// round to 0, and those run as tasks of no work. Threads above the
+    /// MTB's 992 are the runtime's to refuse.
     pub fn problem(&self) -> Option<&'static str> {
         if self.threads_per_task == 0 {
             Some("tasks need at least one thread")
         } else if !(self.work_scale.is_finite() && self.work_scale > 0.0) {
             Some("the work scale must be finite and above 0")
+        } else if self.work_scale > Self::MAX_WORK_SCALE {
+            Some("the work scale must be at most GenOpts::MAX_WORK_SCALE (1000)")
         } else {
             None
         }
@@ -262,6 +274,19 @@ pub fn irregular_tasks(
             }
         })
         .collect()
+}
+
+/// A digest of `tasks` by value: their `{:?}` text, which spells out
+/// each kernel's work and every launch argument. Equal tasks digest
+/// equal whether or not they share kernels, on any thread.
+#[cfg(test)]
+pub(crate) fn digest(tasks: &[TaskDesc]) -> u64 {
+    use std::hash::{DefaultHasher, Hasher};
+    let mut h = DefaultHasher::new();
+    for t in tasks {
+        h.write(format!("{t:?}").as_bytes());
+    }
+    h.finish()
 }
 
 #[cfg(test)]

@@ -4,10 +4,12 @@
 //! durations are unpredictable (Table 4: "the required computation per
 //! pixel is highly irregular").
 
+use std::cell::RefCell;
 use std::num::NonZeroUsize;
+use std::rc::{Rc, Weak};
 use std::thread;
 
-use gpu_sim::BlockWork;
+use gpu_sim::{BlockWork, Kernel};
 use pagoda_core::TaskDesc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -219,22 +221,99 @@ fn pool(rng: &mut SmallRng, opts: &GenOpts, workers: usize) -> Vec<TaskDesc> {
     });
     tiles
         .into_iter()
-        .map(|(block, cpu_ops)| TaskDesc {
-            kernel: crate::gen::kernel(opts.threads_per_task, 0, false, [block]),
-            cpu_ops,
-            input_bytes: io_bytes(opts, 64), // region params
-            output_bytes: io_bytes(opts, DIM * DIM * 2),
+        .map(|(block, cpu_ops)| {
+            let kernel = crate::gen::kernel(opts.threads_per_task, 0, false, [block]);
+            tile_task(kernel, cpu_ops, opts)
         })
         .collect()
+}
+
+/// The task of one tile: its kernel, its CPU count and MB's copies.
+fn tile_task(kernel: Rc<Kernel>, cpu_ops: u64, opts: &GenOpts) -> TaskDesc {
+    TaskDesc {
+        kernel,
+        cpu_ops,
+        input_bytes: io_bytes(opts, 64), // region params
+        output_bytes: io_bytes(opts, DIM * DIM * 2),
+    }
+}
+
+/// The knobs a pool is built from. MB has no shared-memory variant, so
+/// `use_smem` is not one of them; the work scale is compared by its bits.
+#[derive(PartialEq, Eq)]
+struct PoolKey {
+    seed: u64,
+    threads_per_task: u32,
+    work_scale: u64,
+    with_io: bool,
+}
+
+impl PoolKey {
+    fn of(opts: &GenOpts) -> PoolKey {
+        PoolKey {
+            seed: opts.seed,
+            threads_per_task: opts.threads_per_task,
+            work_scale: opts.work_scale.to_bits(),
+            with_io: opts.with_io,
+        }
+    }
+}
+
+/// The last pool [`tasks`] built on this thread: its key, the random
+/// stream where sampling starts, and each tile's kernel with its CPU
+/// count. The kernels are held by `Weak`, so the record keeps no tile's
+/// work alive: once the tasks sampling them are dropped, the next
+/// generation renders the pool again.
+struct LastPool {
+    key: PoolKey,
+    rng: SmallRng,
+    tiles: Vec<(Weak<Kernel>, u64)>,
+}
+
+impl LastPool {
+    /// The pool and the stream to sample it with, if it was built from
+    /// `opts` and every one of its kernels is still held by some task.
+    fn reuse(&self, opts: &GenOpts) -> Option<(SmallRng, Vec<TaskDesc>)> {
+        if self.key != PoolKey::of(opts) {
+            return None;
+        }
+        let pool = self
+            .tiles
+            .iter()
+            .map(|(kernel, cpu_ops)| Some(tile_task(kernel.upgrade()?, *cpu_ops, opts)))
+            .collect::<Option<_>>()?;
+        Some((self.rng.clone(), pool))
+    }
+}
+
+thread_local! {
+    static LAST_POOL: RefCell<Option<LastPool>> = const { RefCell::new(None) };
 }
 
 /// Generates `n` Mandelbrot tasks. A pool of 64 distinct regions is
 /// rendered once, on every available core, and sampled, so generation
 /// stays cheap at 32 K tasks while preserving cross-task irregularity.
+/// A pool that live tasks of this thread still hold, built from the
+/// same knobs, is not rendered again: its kernels are shared and the
+/// sampling reads the random stream from where the pool left it (MPE's
+/// Mandelbrot quarter, generated while MB's tasks are held, renders
+/// nothing). The tasks are the same either way.
 pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
-    let workers = thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x6d62);
-    let pool = pool(&mut rng, opts, workers.min(POOL));
+    let reused = LAST_POOL.with_borrow(|last| last.as_ref()?.reuse(opts));
+    let (mut rng, pool) = reused.unwrap_or_else(|| {
+        let workers = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x6d62);
+        let pool = pool(&mut rng, opts, workers.min(POOL));
+        LAST_POOL.set(Some(LastPool {
+            key: PoolKey::of(opts),
+            rng: rng.clone(),
+            tiles: pool
+                .iter()
+                .map(|t| (Rc::downgrade(&t.kernel), t.cpu_ops))
+                .collect(),
+        }));
+        (rng, pool)
+    });
     (0..n)
         .map(|_| pool[rng.gen_range(0..pool.len())].clone())
         .collect()
@@ -244,6 +323,7 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     /// The render as it was before the four-lane loop and the interior
     /// test: plain iteration per pixel, row-major.
@@ -364,6 +444,80 @@ mod tests {
                 prop_assert!(built(workers) == alone, "{} workers", workers);
             }
         }
+    }
+
+    /// The kernels `ts` launch, by address.
+    fn kernels(ts: &[TaskDesc]) -> HashSet<*const Kernel> {
+        ts.iter().map(|t| Rc::as_ptr(&t.kernel)).collect()
+    }
+
+    #[test]
+    fn a_pool_live_tasks_hold_is_reused_and_one_they_dropped_is_rendered_again() {
+        const N: usize = 4096;
+        let opts = GenOpts::default();
+        let held = tasks(N, &opts);
+        assert_eq!(kernels(&held).len(), POOL, "{N} draws hold every tile");
+
+        // The same knobs while `held` lives: the same kernels, in the same
+        // order, since the sampling reads the stream from where it was.
+        let reused = tasks(N, &opts);
+        let shared = |a: &TaskDesc, b: &TaskDesc| Rc::ptr_eq(&a.kernel, &b.kernel);
+        assert!(held.iter().zip(&reused).all(|(a, b)| shared(a, b)));
+        // MB has no shared-memory variant.
+        let smem = tasks(
+            16,
+            &GenOpts {
+                use_smem: true,
+                ..opts.clone()
+            },
+        );
+        assert!(held.iter().zip(&smem).all(|(a, b)| shared(a, b)));
+
+        // Any other knob a tile reads renders its own pool, even while
+        // a pool of the first knobs is live and last built.
+        for other in [
+            GenOpts {
+                seed: 7,
+                ..opts.clone()
+            },
+            GenOpts {
+                threads_per_task: 64,
+                ..opts.clone()
+            },
+            GenOpts {
+                work_scale: 2.0,
+                ..opts.clone()
+            },
+            GenOpts {
+                with_io: false,
+                ..opts.clone()
+            },
+        ] {
+            let live = tasks(N, &opts);
+            let ts = tasks(N, &other);
+            assert!(kernels(&ts).is_disjoint(&kernels(&live)), "{other:?}");
+        }
+
+        // The last of those replaced the record: the same knobs now render
+        // afresh, equal in value to the shared path.
+        let fresh = tasks(N, &opts);
+        assert!(kernels(&fresh).is_disjoint(&kernels(&held)));
+        assert_eq!(crate::digest(&fresh), crate::digest(&reused));
+
+        // One tile no task holds is enough to render the pool again.
+        let dropped = Rc::as_ptr(&fresh[0].kernel);
+        let kept: Vec<Rc<Kernel>> = fresh
+            .iter()
+            .map(|t| Rc::clone(&t.kernel))
+            .filter(|k| Rc::as_ptr(k) != dropped)
+            .collect();
+        let want = crate::digest(&fresh);
+        drop((held, reused, smem, fresh));
+        let again = tasks(N, &opts);
+        assert!(again
+            .iter()
+            .all(|t| !kept.iter().any(|k| Rc::ptr_eq(k, &t.kernel))));
+        assert_eq!(crate::digest(&again), want);
     }
 
     #[test]

@@ -29,6 +29,37 @@ pub fn tasks(n: usize, opts: &GenOpts) -> Vec<TaskDesc> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::rc::Rc;
+    use std::thread;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+        /// MPE generated while MB's tasks for the same knobs are held
+        /// shares MB's Mandelbrot pool, and equals MPE generated alone
+        /// (on a thread that has built no pool).
+        #[test]
+        fn mpe_after_mb_equals_mpe_alone(
+            seed in 0u64..=u64::MAX,
+            threads_per_task in 1u32..=1024,
+            work_scale in 0.05f64..16.0,
+        ) {
+            const N: usize = 64;
+            let opts = GenOpts { seed, threads_per_task, work_scale, ..GenOpts::default() };
+            let alone = thread::scope(|s| {
+                s.spawn(|| crate::digest(&tasks(N, &opts))).join().expect("MPE alone")
+            });
+            // 2 048 draws hold all 64 tiles but with odds of about 1e-12.
+            let mb = mandelbrot::tasks(2048, &opts);
+            let after = tasks(N, &opts);
+            prop_assert!(
+                after.iter().any(|t| mb.iter().any(|m| Rc::ptr_eq(&t.kernel, &m.kernel))),
+                "MPE rendered its own pool"
+            );
+            prop_assert_eq!(crate::digest(&after), alone);
+        }
+    }
 
     #[test]
     fn mix_contains_all_four_behaviours() {

@@ -9,7 +9,7 @@
 //! or is handed afterwards is reported lost); and serving experiments with
 //! zero weights, rates from {0, -1, NaN, ∞, 10⁻⁹/s}, dwell times from
 //! {0, NaN, 10⁻¹² µs}, zero queue budgets and zero task counts, zero
-//! threads per task and work scales from {0, -1, NaN, ∞} under all
+//! threads per task and work scales from {0, -1, NaN, ∞, 10³⁰⁰} under all
 //! three policies; and serving runs over fleets whose every device dies
 //! mid-stream, which resolve the arrivals left over as losses.
 
@@ -99,8 +99,9 @@ fn arb_fault() -> impl Strategy<Value = FaultSpec> {
 const RATES: [f64; 5] = [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-9];
 const DWELLS: [f64; 3] = [0.0, f64::NAN, 1e-12];
 
-/// Work scales no task can be built at: of no work, or never ending.
-const WORK_SCALES: [f64; 4] = [0.0, -1.0, f64::NAN, f64::INFINITY];
+/// Work scales no task can be built at: of no work, or never ending
+/// (1e300 saturates every op count at `u64::MAX`).
+const WORK_SCALES: [f64; 5] = [0.0, -1.0, f64::NAN, f64::INFINITY, 1e300];
 
 /// A tenant's arrival process, Poisson or MMPP, with each rate and dwell
 /// time drawn from the hostile sets a quarter of the time (so about half
@@ -132,7 +133,7 @@ fn arb_arrival() -> impl Strategy<Value = (ArrivalSpec, bool)> {
 /// eight, and whether it is hostile under any policy (a zero weight is
 /// hostile only under weighted-fair queueing).
 fn arb_tenant() -> impl Strategy<Value = (TenantSpec, bool)> {
-    let gen = (0usize..16, 0usize..32);
+    let gen = (0usize..16, 0usize..40);
     (0usize..3, 0usize..3, arb_arrival(), gen).prop_map(
         |(weight, cap, (arrival, hostile), (threads, scale))| {
             let mut t = TenantSpec::new("t", Bench::Des3, 2.0e5);

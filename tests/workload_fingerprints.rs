@@ -19,6 +19,8 @@
 
 mod common;
 
+use std::rc::Rc;
+
 use gpu_sim::Segment;
 use pagoda_core::TaskDesc;
 use workloads::{Bench, GenOpts};
@@ -109,4 +111,37 @@ fn generators_match_the_committed_golden() {
         }
     }
     common::assert_golden("workload_fingerprints.txt", &actual);
+}
+
+/// MPE generated while MB's tasks for the same knobs are alive shares
+/// MB's Mandelbrot pool instead of rendering its own, and still equals
+/// the committed MPE rows.
+#[test]
+fn mpe_sharing_mbs_pool_matches_the_committed_golden() {
+    let golden = include_str!("golden/workload_fingerprints.txt");
+    for seed in [42, 7] {
+        for use_smem in [false, true] {
+            let opts = GenOpts {
+                seed,
+                use_smem,
+                ..GenOpts::default()
+            };
+            // 4 096 draws hold every one of the pool's 64 tiles.
+            let mb = Bench::Mb.tasks(4096, &opts);
+            let mpe = Bench::Mpe.tasks(TASKS, &opts);
+            let shares = |t: &TaskDesc| mb.iter().any(|m| Rc::ptr_eq(&t.kernel, &m.kernel));
+            assert!(
+                mpe.iter().any(shares),
+                "seed {seed}: MPE rendered its own pool"
+            );
+            let row = format!(
+                "MPE seed={seed} smem={use_smem} tasks={} {:016x}",
+                mpe.len(),
+                digest(&mpe)
+            );
+            let prefix = format!("MPE seed={seed} smem={use_smem} ");
+            let committed = golden.lines().find(|l| l.starts_with(&prefix));
+            assert_eq!(Some(row.as_str()), committed);
+        }
+    }
 }
