@@ -166,7 +166,11 @@ if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
     # First, in seconds: `desim`'s hole sifts in lockstep with the swap
     # sifts they replaced (heap, back-pointers and comparison count after
     # every operation), `gpu-sim`'s dense execution engine (fed through
-    # `assign_parts`) in lockstep with its per-warp-walk reference, the
+    # `assign_parts`) in lockstep with its per-warp-walk reference — one
+    # running slot per trajectory: contexts with bit-equal remaining work
+    # and rate share a slot, every member carries the slot's pair bit for
+    # bit against the reference's warps, and executor warps handed one
+    # block at one instant run as one slot — the
     # mask-driven `decide` in lockstep with the row walk it replaced (also
     # under a deep backlog of `Ref` rows, where the chain bits carry it),
     # the TaskTable's row masks against column scans, the host's one

@@ -38,20 +38,30 @@
 //!
 //! The three per-event passes (advance, find exhausted, predict) touch
 //! only an SMM's *running* contexts, so their state lives densely in the
-//! SMM's `SmExec::run`: one 24-byte `RunSlot` per running context —
-//! remaining thread-instructions, latency-bound rate, handle — in
-//! running order; `SmExec::n_warps` sums their warp counts. The arena
-//! keeps everything else (segments, barrier group, tag) plus the
-//! context's `slot` in `run`, so leaving the running set is a
-//! `swap_remove` and one slot fix-up, never a search. A context's remaining work exists only while it runs; one at
-//! a barrier or idle has none. Retired contexts' arena slots are reused,
-//! so an engine that places and retires threadblocks forever holds as
-//! many contexts as were ever live at once.
+//! SMM's `SmExec::run`: one 24-byte `RunSlot` per running *trajectory*
+//! — remaining thread-instructions, latency-bound rate, first member —
+//! and `SmExec::n_warps` sums the running contexts' warp counts. Under
+//! processor sharing every running warp advances at `min(rs, cap)` with
+//! one `cap`, so contexts whose `rem` and `rs` are bit-equal stay
+//! bit-equal until their segment runs out: Pagoda's executor warps
+//! handed one threadblock's work at one instant, or a block's contexts
+//! released from one barrier into equal segments. A context entering
+//! the running set joins the *last* slot if that slot's pair is
+//! bit-equal to its own (`to_bits`), else opens a new one; a slot's
+//! members are a list threaded through `WarpCtx::next`, so joining
+//! allocates nothing. A slot lives until its segment is exhausted; then
+//! it dissolves and each member is settled on its own. The arena keeps
+//! everything else (segments, barrier group, tag, member link). A
+//! context's remaining work exists only while it runs; one at a barrier
+//! or idle has none. Retired contexts' arena slots are reused, so an
+//! engine that places and retires threadblocks forever holds as many
+//! contexts as were ever live at once.
 //!
 //! # Order
 //!
 //! Completions found at one instant are settled in warp *creation*
-//! order, as if each warp settled alone: each context keeps the
+//! order, as if each warp settled alone — a dissolved slot's members
+//! are sorted with every other exhausted context: each context keeps the
 //! creation sequence `seq` of its first warp and takes `k` numbers, so
 //! contexts cover disjoint ranges, and sorting them by `seq` orders
 //! their warps as sorting the warps one by one would. The handle (an
@@ -98,6 +108,9 @@ pub struct GroupId {
     gen: u32,
 }
 
+/// Ends a [`RunSlot`]'s member list.
+const NO_WARP: u32 = u32::MAX;
+
 /// Remaining-work threshold below which a warp counts as finished
 /// (thread-instructions). Absorbs floating-point dust from rate arithmetic.
 const EPS: f64 = 1e-3;
@@ -107,8 +120,13 @@ enum WarpState {
     /// No assignment; consumes no issue bandwidth (an executor warp spinning
     /// on its `exec` flag, or a retired-but-not-freed native warp).
     Idle,
-    /// Executing a compute segment; member of the SMM running set.
+    /// Executing a compute segment; member of a slot of the SMM running
+    /// set.
     Running,
+    /// Its compute segment ran out and its slot dissolved: still counted
+    /// in the SMM's `n_warps`, waiting for
+    /// [`ExecState::process_completions`] to settle it.
+    Exhausted,
     /// Arrived at a barrier, waiting for the rest of its group.
     AtBarrier,
 }
@@ -125,14 +143,14 @@ struct WarpCtx {
     segments: Vec<Segment>,
     /// Index of the current segment.
     cur: usize,
-    /// Index of this warp's [`RunSlot`] in its SMM's `run`; meaningful
-    /// only while `state` is `Running`.
-    slot: u32,
+    /// The next member of this context's [`RunSlot`] (`NO_WARP` ends the
+    /// list); meaningful only while `state` is `Running`.
+    next: u32,
     cpi: f64,
     /// Latency-bound issue rate for the current assignment,
     /// thread-instructions per picosecond (`32·f / CPI`, precomputed at
     /// assign time so the advance loop does no divisions). Copied into
-    /// the warp's [`RunSlot`] each time it enters the running set.
+    /// the context's [`RunSlot`] each time it enters the running set.
     r_single: f64,
     group: Option<GroupId>,
     /// Caller correlation tag for the current assignment.
@@ -152,7 +170,7 @@ impl WarpCtx {
             state: WarpState::Idle,
             segments,
             cur: 0,
-            slot: 0,
+            next: NO_WARP,
             cpi: 1.0,
             r_single: 0.0,
             group: None,
@@ -177,14 +195,17 @@ struct GroupCtx {
     gen: u32,
 }
 
-/// One running context's share of the per-event passes, 24 bytes.
+/// One running trajectory's share of the per-event passes, 24 bytes:
+/// the running contexts whose `rem` and `rs` are bit-equal (see the
+/// module doc).
 #[derive(Debug, Clone, Copy)]
 struct RunSlot {
     /// Thread-instructions left in the current compute segment, per warp.
     rem: f64,
-    /// The context's `r_single`.
+    /// The members' `r_single`.
     rs: f64,
-    w: WarpHandle,
+    /// First member; the others follow `WarpCtx::next`.
+    head: WarpHandle,
 }
 
 /// An SMM's kept prediction: `min_i max(rem_i, 0) / min(rs_i, cap)` and
@@ -197,16 +218,17 @@ struct Pred {
 
 #[derive(Debug, Default)]
 struct SmExec {
-    /// The running set, in running order (push on entry, `swap_remove`
-    /// on exit).
+    /// The running set, one slot per trajectory, in the order the slots
+    /// opened (a context joins the last or pushes a new one; an exhausted
+    /// slot is removed in place).
     run: Vec<RunSlot>,
     /// Running warps: the `k`s over `run`.
     n_warps: u32,
     /// The prediction over `run` as it stands, or `None` once anything it
     /// was computed from has changed (see the module doc for the rule).
     pred: Option<Pred>,
-    /// Scratch for [`ExecState::process_completions`]: exhausted contexts
-    /// by creation sequence. Empty between calls.
+    /// Scratch for [`ExecState::process_completions`]: the members of
+    /// exhausted slots, by creation sequence. Empty between calls.
     exhausted: Vec<(u64, WarpHandle)>,
     last_advance: SimTime,
     /// Fair-share issue cap per running warp, thread-instructions per
@@ -227,6 +249,26 @@ pub struct ExecStats {
     pub running_warp_ps: f64,
     /// Time with at least one running warp, picoseconds.
     pub busy_ps: u64,
+}
+
+impl SmExec {
+    /// Puts context `w` (`ctx`) into the running set with `rem` per warp
+    /// at its `r_single`: into the last slot if that slot's pair is
+    /// bit-equal, else into a new one.
+    fn join(&mut self, w: WarpHandle, ctx: &mut WarpCtx, rem: f64) {
+        ctx.state = WarpState::Running;
+        let rs = ctx.r_single;
+        match self.run.last_mut() {
+            Some(s) if s.rem.to_bits() == rem.to_bits() && s.rs.to_bits() == rs.to_bits() => {
+                ctx.next = s.head.0;
+                s.head = w;
+            }
+            _ => {
+                ctx.next = NO_WARP;
+                self.run.push(RunSlot { rem, rs, head: w });
+            }
+        }
+    }
 }
 
 /// All execution state: context arena, barrier groups, per-SMM engines.
@@ -461,27 +503,33 @@ impl ExecState {
     pub fn process_completions(&mut self, sm: u32, now: SimTime) {
         let sme = &mut self.sms[sm as usize];
         debug_assert_eq!(sme.last_advance, now);
-        // Collect exhausted contexts in deterministic (creation) order.
+        // Dissolve exhausted slots, collecting their members in
+        // deterministic (creation) order.
         let mut exhausted = std::mem::take(&mut sme.exhausted);
-        let warps = &self.warps;
-        exhausted.extend(
-            sme.run
-                .iter()
-                .filter(|s| s.rem <= EPS)
-                .map(|s| (warps[s.w.0 as usize].seq, s.w)),
-        );
+        let warps = &mut self.warps;
+        sme.run.retain(|s| {
+            if s.rem > EPS {
+                return true;
+            }
+            let mut m = s.head.0;
+            while m != NO_WARP {
+                let c = &mut warps[m as usize];
+                c.state = WarpState::Exhausted;
+                exhausted.push((c.seq, WarpHandle(m)));
+                m = c.next;
+            }
+            false
+        });
         exhausted.sort_unstable();
         for &(_, w) in &exhausted {
-            // The warp may have been re-settled by a cascade already.
+            // A cascade settles only contexts at a barrier, so each is
+            // still waiting here.
             let c = &mut self.warps[w.0 as usize];
-            if c.state == WarpState::Running
-                && self.sms[sm as usize].run[c.slot as usize].rem <= EPS
-            {
-                // `settle` removes the warp from the running set as part of
-                // whatever transition the next segment dictates.
-                c.cur += 1;
-                self.settle(now, w);
-            }
+            debug_assert_eq!(c.state, WarpState::Exhausted);
+            // `settle` takes the context out of `n_warps` or back into
+            // `run`, as the next segment dictates.
+            c.cur += 1;
+            self.settle(now, w);
         }
         exhausted.clear();
         self.sms[sm as usize].exhausted = exhausted;
@@ -582,11 +630,9 @@ impl ExecState {
     /// after.
     fn enter_running(&mut self, w: WarpHandle, n: u64) {
         let ctx = &mut self.warps[w.0 as usize];
-        ctx.state = WarpState::Running;
         let sme = &mut self.sms[ctx.sm as usize];
-        ctx.slot = sme.run.len() as u32;
         let (rem, rs) = (n as f64, ctx.r_single);
-        sme.run.push(RunSlot { rem, rs, w });
+        sme.join(w, ctx, rem);
         sme.n_warps += ctx.k;
         let cap = self.cap_base / sme.n_warps as f64;
         sme.cap = cap;
@@ -602,12 +648,11 @@ impl ExecState {
         };
     }
 
+    /// Takes exhausted context `w`, whose slot has dissolved, out of its
+    /// SMM's running warps.
     fn leave_running(&mut self, w: WarpHandle) {
         let ctx = &self.warps[w.0 as usize];
-        let slot = ctx.slot as usize;
         let sme = &mut self.sms[ctx.sm as usize];
-        debug_assert_eq!(sme.run[slot].w, w, "stale running slot");
-        sme.run.swap_remove(slot);
         sme.n_warps -= ctx.k;
         sme.pred = None;
         sme.cap = if sme.n_warps == 0 {
@@ -615,24 +660,21 @@ impl ExecState {
         } else {
             self.cap_base / sme.n_warps as f64
         };
-        if let Some(moved) = sme.run.get(slot) {
-            self.warps[moved.w.0 as usize].slot = slot as u32;
-        }
     }
 
     /// Places warp `w` (whose `cur` points at the segment to enter) into
     /// the right state, cascading zero-length segments, barrier arrivals,
-    /// and assignment completion. The warp is in the running set on entry
-    /// only when [`ExecState::process_completions`] found its segment
-    /// exhausted.
+    /// and assignment completion. The warp is `Exhausted` on entry only
+    /// when [`ExecState::process_completions`] dissolved its slot.
     fn settle(&mut self, now: SimTime, w: WarpHandle) {
         loop {
             let ctx = &mut self.warps[w.0 as usize];
             match ctx.segments.get(ctx.cur).copied() {
                 Some(Segment::Compute(n)) if n > 0 => {
-                    if ctx.state == WarpState::Running {
+                    if ctx.state == WarpState::Exhausted {
+                        // Still counted in `n_warps`: back into `run`.
                         let sme = &mut self.sms[ctx.sm as usize];
-                        sme.run[ctx.slot as usize].rem = n as f64;
+                        sme.join(w, ctx, n as f64);
                         sme.pred = None;
                     } else {
                         self.enter_running(w, n);
@@ -645,7 +687,7 @@ impl ExecState {
                 }
                 Some(Segment::Barrier) => {
                     let (g, k) = (ctx.group.expect("barrier without group"), ctx.k);
-                    if ctx.state == WarpState::Running {
+                    if ctx.state == WarpState::Exhausted {
                         ctx.state = WarpState::AtBarrier;
                         self.leave_running(w);
                     } else {
@@ -657,7 +699,7 @@ impl ExecState {
                 }
                 None => {
                     // Assignment complete.
-                    if ctx.state == WarpState::Running {
+                    if ctx.state == WarpState::Exhausted {
                         self.leave_running(w);
                     }
                     let ctx = &mut self.warps[w.0 as usize];
@@ -1103,6 +1145,120 @@ mod tests {
         }
         assert_eq!(ceil_ps(0.0), 0);
         assert_eq!(ceil_ps(f64::MIN_POSITIVE), 1);
+    }
+
+    /// Four warps handed one segment at one instant, then parting: `a`
+    /// waits at a barrier for `e`, `b` and `d` go on computing, `c`
+    /// completes. Every step's completions, running count and next
+    /// instant, and the most contexts a slot held once all were assigned.
+    fn four_warps_parting(interleave: bool) -> (Vec<(SimTime, Vec<u64>, u32)>, usize) {
+        let mut ex = titan_exec();
+        // Retired newest-first, so `a`..`d` take handles 3..0: creation
+        // order is neither handle order nor the slot's member order.
+        let old: Vec<_> = (0..4).map(|_| ex.create_warp(0)).collect();
+        old.into_iter().for_each(|w| ex.retire_warp(w));
+        let [a, b, c, d, e] = [(); 5].map(|()| ex.create_warp(0));
+        assert_eq!((a.0, d.0), (3, 0));
+        let others: Vec<_> = (0..3).map(|_| ex.create_warp(0)).collect();
+        ex.create_group(&[a, e]);
+        let t0 = SimTime::ZERO;
+        ex.advance_sm(0, t0);
+        let phased = |first, then| WarpWork {
+            segments: vec![
+                Segment::Compute(first),
+                Segment::Barrier,
+                Segment::Compute(then),
+            ],
+            cpi: 2.0,
+        };
+        let two = WarpWork {
+            segments: vec![Segment::Compute(3_200), Segment::Compute(6_400)],
+            cpi: 2.0,
+        };
+        let four = [
+            (a, phased(3_200, 1_600)),
+            (b, two.clone()),
+            (c, WarpWork::compute(3_200, 2.0)),
+            (d, two),
+        ];
+        ex.assign(t0, e, phased(32_000, 3_200), 4);
+        let members = |ex: &ExecState| {
+            let slots = ex.sms[0].run.iter().map(|s| {
+                let (mut m, mut n) = (s.head.0, 0);
+                while m != NO_WARP {
+                    (m, n) = (ex.warps[m as usize].next, n + 1);
+                }
+                n
+            });
+            slots.max().unwrap_or(0)
+        };
+        let other = |i: usize| WarpWork::compute(40_000 + 999 * i as u64, 1.5);
+        for (i, (w, work)) in four.into_iter().enumerate() {
+            ex.assign(t0, w, work, i as u64);
+            // Interleaved, a context of other work follows each of the
+            // first three, so no slot is shared.
+            if let Some(&o) = others.get(i).filter(|_| interleave) {
+                ex.assign(t0, o, other(i), 5);
+            }
+        }
+        if !interleave {
+            for (i, &o) in others.iter().enumerate() {
+                ex.assign(t0, o, other(i), 5);
+            }
+        }
+        let widest = members(&ex);
+        let mut steps = Vec::new();
+        let mut now = t0;
+        while let Some(t) = ex.next_completion(0, now) {
+            ex.advance_sm(0, t);
+            ex.process_completions(0, t);
+            now = t;
+            let tags = ex.drain_finished().into_iter().map(|(_, tag)| tag);
+            steps.push((t, tags.collect(), ex.sm_running(0)));
+        }
+        (steps, widest)
+    }
+
+    #[test]
+    fn bit_equal_warps_share_a_slot_and_part_in_creation_order() {
+        let (shared, widest) = four_warps_parting(false);
+        assert_eq!(widest, 4, "the four run as one slot");
+        let (apart, alone) = four_warps_parting(true);
+        assert_eq!(alone, 1, "interleaved, no slot is shared");
+        assert_eq!(shared, apart, "a shared slot settles as separate ones");
+        // The parting: `c` completes; `a` waits; `b`, `d`, `e` and the
+        // three others run.
+        assert_eq!(shared[0].1, [2]);
+        assert_eq!(shared[0].2, 6);
+        // `b` and `d` finish together in creation order, though `d` holds
+        // the lower handle (and headed their slot).
+        assert_eq!(shared[1].1, [1, 3]);
+        let order: Vec<u64> = shared.iter().flat_map(|s| s.1.clone()).collect();
+        assert_eq!(order, [2, 1, 3, 5, 5, 5, 0, 4]);
+    }
+
+    #[test]
+    fn a_reused_handle_starts_with_no_member_link() {
+        let mut ex = titan_exec();
+        let t0 = SimTime::ZERO;
+        ex.advance_sm(0, t0);
+        let (a, b) = (ex.create_warp(0), ex.create_warp(0));
+        ex.assign(t0, a, WarpWork::compute(3_200, 1.0), 0);
+        ex.assign(t0, b, WarpWork::compute(3_200, 1.0), 1);
+        assert_eq!(ex.sms[0].run.len(), 1);
+        assert_eq!(ex.warps[b.0 as usize].next, a.0, "b joined a's slot");
+        let (t1, tags) = run_sm(&mut ex, 0, t0);
+        assert_eq!(tags, vec![0, 1]);
+        ex.retire_warp(b);
+        let c = ex.create_warp(0);
+        assert_eq!(c, b, "the retired slot is reused");
+        assert_eq!(ex.warps[c.0 as usize].next, NO_WARP);
+        // Alone in a slot of its own, `c` settles alone; `a` stays idle.
+        ex.advance_sm(0, t1);
+        ex.assign(t1, c, WarpWork::compute(6_400, 1.0), 2);
+        let (_, tags) = run_sm(&mut ex, 0, t1);
+        assert_eq!(tags, vec![2]);
+        assert_eq!(ex.warps[a.0 as usize].state, WarpState::Idle);
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! kept between calls, one context per warp, no slot ever reused — and
 //! the lockstep tests that hold [`ExecState`] to it bit for bit. A
 //! context of `k` warps in the dense engine is `k` warps created back to
-//! back in the oracle.
+//! back in the oracle. The dense engine's slots are held to the
+//! oracle's warps too: every member of a slot carries the slot's
+//! remaining work and rate bit for bit, so a slot is one trajectory.
 
 use desim::{Dur, SimTime};
 use gpu_arch::{GpuSpec, WARP_SIZE};
 use proptest::prelude::*;
 
-use super::{ExecState, ExecStats, GroupId, WarpHandle, WarpState, EPS};
+use super::{ExecState, ExecStats, GroupId, WarpHandle, WarpState, EPS, NO_WARP};
 use crate::work::{Segment, WarpWork};
 
 #[derive(Debug)]
@@ -460,6 +462,7 @@ impl Lockstep {
             self.wake[sm as usize] = next;
         }
         for s in 0..self.num_sms {
+            self.check_slots(s)?;
             prop_assert_eq!(self.dense.sm_running(s), self.oracle.sm_running(s));
             let (a, b) = (self.dense.sm_stats(s), self.oracle.sm_stats(s));
             prop_assert_eq!(a.busy_ps, b.busy_ps);
@@ -496,6 +499,52 @@ impl Lockstep {
             }
         }
         Ok(())
+    }
+
+    /// The dense running set of `sm` against the oracle's running warps:
+    /// each slot's members are running contexts of `sm`, each in one slot,
+    /// and all of their oracle warps run with the slot's `rem` and `rs`
+    /// bit for bit; the members' warps are all of `sm`'s running warps.
+    /// So no slot holds two trajectories, and the slots are at least the
+    /// running warps' distinct `(rem, rs)` pairs.
+    fn check_slots(&self, sm: u32) -> Result<(), TestCaseError> {
+        let mut members = Vec::new();
+        let mut warps = 0;
+        for slot in &self.dense.sms[sm as usize].run {
+            let mut m = slot.head.0;
+            while m != NO_WARP {
+                let c = &self.dense.warps[m as usize];
+                prop_assert_eq!(c.state, WarpState::Running);
+                prop_assert_eq!(c.sm, sm);
+                for o in self.oracle_warps(WarpHandle(m)) {
+                    let r = &self.oracle.warps[o.0 as usize];
+                    prop_assert_eq!(r.state, WarpState::Running);
+                    prop_assert_eq!(r.remaining.to_bits(), slot.rem.to_bits(), "slot rem");
+                    prop_assert_eq!(r.r_single.to_bits(), slot.rs.to_bits(), "slot rate");
+                    warps += 1;
+                }
+                members.push(m);
+                m = c.next;
+            }
+        }
+        let n = members.len();
+        members.sort_unstable();
+        members.dedup();
+        prop_assert_eq!(members.len(), n, "a context in two slots");
+        prop_assert_eq!(warps, self.oracle.sm_running(sm));
+        Ok(())
+    }
+
+    /// The dense slot holding context `w`, if it runs.
+    fn slot_of(&self, w: WarpHandle) -> Option<usize> {
+        let run = &self.dense.sms[self.dense.warp_sm(w) as usize].run;
+        run.iter().position(|slot| {
+            let mut m = slot.head.0;
+            while m != NO_WARP && m != w.0 {
+                m = self.dense.warps[m as usize].next;
+            }
+            m == w.0
+        })
     }
 
     /// What `GpuDevice::place_tb` does: one context per run of `runs`
@@ -611,6 +660,40 @@ impl Lockstep {
                 }
                 Ok(())
             }
+            // Pagoda's executor warps: one task threadblock's work handed
+            // to 2–6 idle ungrouped warps of one SMM (fewer if fewer are
+            // idle) at one instant. Their pairs are bit-equal, so those
+            // that run share one slot.
+            9 => {
+                let sm = (a % u64::from(self.num_sms)) as u32;
+                let want = 2 + (a >> 8) % 5;
+                let mut warps = Vec::new();
+                let mut i = 0;
+                while i < self.idle.len() && (warps.len() as u64) < want {
+                    if self.dense.warp_sm(self.idle[i]) == sm {
+                        warps.push(self.idle.swap_remove(i));
+                    } else {
+                        i += 1;
+                    }
+                }
+                let segments = (0..1 + b % 3)
+                    .map(|i| Segment::Compute(instrs(c + i)))
+                    .collect();
+                let work = WarpWork {
+                    segments,
+                    cpi: cpi(b),
+                };
+                for &w in &warps {
+                    self.assign(w, work.clone(), (a >> 20) & 1 == 0)?;
+                }
+                let slots: Vec<_> = warps.iter().map(|&w| self.slot_of(w)).collect();
+                prop_assert!(
+                    slots.windows(2).all(|p| p[0] == p[1]),
+                    "executor warps on one trajectory in slots {:?}",
+                    slots
+                );
+                Ok(())
+            }
             // Let simulated time pass short of the next wake, then poke
             // one SMM off-prediction.
             5 => {
@@ -639,7 +722,7 @@ impl Lockstep {
 
 fn arb_steps() -> impl Strategy<Value = Vec<(u8, u64, u64, u64)>> {
     prop::collection::vec(
-        (0u8..12, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40),
+        (0u8..13, 0u64..1 << 40, 0u64..1 << 40, 0u64..1 << 40),
         1..120,
     )
 }

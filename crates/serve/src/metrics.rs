@@ -104,23 +104,37 @@ pub struct ServeReport {
 /// Nearest-rank percentile of an unsorted sample (q in 0..=100).
 /// Returns 0.0 for an empty sample.
 pub fn percentile(samples: &[f64], q: f64) -> f64 {
-    nearest_rank(&sorted(samples), q)
+    let [p] = percentiles(samples, [q]);
+    p
 }
 
-/// A sorted copy of `samples`.
-fn sorted(samples: &[f64]) -> Vec<f64> {
-    let mut v = samples.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    v
+/// The index the nearest-rank percentile `q` reads in an ascending
+/// sample of `n > 0`.
+fn rank_index(n: usize, q: f64) -> usize {
+    let rank = ((q / 100.0) * n as f64).ceil() as usize;
+    rank.clamp(1, n) - 1
 }
 
-/// [`percentile`] of a sample sorted ascending.
-fn nearest_rank(ascending: &[f64], q: f64) -> f64 {
-    if ascending.is_empty() {
-        return 0.0;
+/// [`percentile`] at each of `qs` (ascending) from one copy of the
+/// sample, with no sort: the copy is partitioned around the highest
+/// rank, then its lower part around the next, and so on, so each
+/// selection reads only the values at or below the rank before.
+fn percentiles<const N: usize>(samples: &[f64], qs: [f64; N]) -> [f64; N] {
+    let mut out = [0.0; N];
+    if samples.is_empty() {
+        return out;
     }
-    let rank = ((q / 100.0) * ascending.len() as f64).ceil() as usize;
-    ascending[rank.clamp(1, ascending.len()) - 1]
+    let mut v = samples.to_vec();
+    let mut end = v.len();
+    for (p, &q) in out.iter_mut().zip(&qs).rev() {
+        let i = rank_index(v.len(), q);
+        debug_assert!(i < end, "percentiles must be asked for in ascending order");
+        let (_, nth, _) = v[..end]
+            .select_nth_unstable_by(i, |a, b| a.partial_cmp(b).expect("latencies are finite"));
+        *p = *nth;
+        end = i + 1;
+    }
+    out
 }
 
 /// Builds a [`TenantReport`] from completed-task sojourns and counters.
@@ -142,7 +156,7 @@ pub fn tenant_report(
     } else {
         sojourns_us.iter().sum::<f64>() / n as f64
     };
-    let by_size = sorted(sojourns_us);
+    let [p50, p95, p99] = percentiles(sojourns_us, [50.0, 95.0, 99.0]);
     TenantReport {
         tenant,
         weight,
@@ -154,15 +168,47 @@ pub fn tenant_report(
         deadline_missed,
         max_queue_depth,
         mean_sojourn_us: mean,
-        p50_sojourn_us: nearest_rank(&by_size, 50.0),
-        p95_sojourn_us: nearest_rank(&by_size, 95.0),
-        p99_sojourn_us: nearest_rank(&by_size, 99.0),
+        p50_sojourn_us: p50,
+        p95_sojourn_us: p95,
+        p99_sojourn_us: p99,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The nearest-rank percentile read off a sorted copy: the oracle
+    /// for the selections.
+    fn nearest_rank(samples: &[f64], q: f64) -> f64 {
+        let mut v = samples.to_vec();
+        v.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        if v.is_empty() {
+            return 0.0;
+        }
+        v[rank_index(v.len(), q)]
+    }
+
+    proptest! {
+        /// Samples of 0–300 values drawn from as few as 1 distinct value
+        /// (all ties) to 1 000.
+        #[test]
+        fn selected_percentiles_equal_the_sorted_ones(
+            distinct in 1u32..1_000,
+            draws in prop::collection::vec(0u32..1_000_000, 0..300),
+        ) {
+            let sample: Vec<f64> = draws.iter().map(|d| f64::from(d % distinct) * 0.25).collect();
+            let qs = [0.0, 1.0, 50.0, 95.0, 99.0, 100.0];
+            let want = qs.map(|q| nearest_rank(&sample, q));
+            prop_assert_eq!(percentiles(&sample, qs), want);
+            let r = tenant_report("t".into(), 1, 0, 0, 0, 0, 0, 0, &sample);
+            prop_assert_eq!(
+                [r.p50_sojourn_us, r.p95_sojourn_us, r.p99_sojourn_us],
+                [want[2], want[3], want[4]]
+            );
+        }
+    }
 
     #[test]
     fn percentile_nearest_rank() {

@@ -10,7 +10,9 @@
 //! are reused in place, so once a runtime is warm only what grows with
 //! the *number of tasks ever spawned* (the `tasks` vector, one record
 //! per task for `trace()`) may allocate. Reading those records back
-//! through `traces()` allocates nothing: it is a view, not a copy.
+//! through `traces()` allocates nothing: it is a view, not a copy. A
+//! 2-SMM serving slice, whose running sets join and dissolve shared
+//! slots at every delivery, is held to it as well.
 //!
 //! Task generation is held the same way: SLUD's tiles share their
 //! kind's work, so building a paper-scale factorization allocates per
@@ -34,7 +36,7 @@ use baselines::{run_hyperq, HyperQConfig};
 use desim::Dur;
 use gpu_sim::{BlockWork, Kernel, WarpWork};
 use pagoda_cluster::{ClusterConfig, ClusterHandle, Placement};
-use pagoda_core::{Backend, PagodaRuntime, SubmitError, TaskDesc};
+use pagoda_core::{Backend, PagodaConfig, PagodaRuntime, SubmitError, TaskDesc};
 use pagoda_obs::stream::CHUNK;
 use pagoda_obs::{MarkKind, Obs, TaskState};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -174,6 +176,46 @@ fn a_window_of_deliveries_allocates_nothing() {
     let finished = rt.report().tasks - done_before;
     println!("window: {finished} tasks finished, {spent} allocations");
     assert!(finished >= 1_000, "{finished} tasks finished in the window");
+    assert_eq!(
+        spent, 0,
+        "{spent} allocations while {finished} tasks were delivered"
+    );
+}
+
+#[test]
+fn a_two_smm_slice_at_serving_width_delivers_without_allocating() {
+    // The serving slice: 2 SMMs, 128 TaskTable entries, 3DES packets and
+    // Mandelbrot tiles. A task's executor warps take one threadblock's
+    // work at one instant, so they run as one slot of their SMM's running
+    // set until their segment ends; here that set joins and dissolves
+    // slots at every delivery. The window delivers a full table.
+    let mut config = PagodaConfig::default();
+    config.device.spec.num_sms = 2;
+    let opts = GenOpts::default();
+    let mut descs = Bench::Des3.tasks(256, &opts);
+    descs.extend(Bench::Mb.tasks(128, &opts));
+    let mut rt = PagodaRuntime::new(config);
+    spawn(&mut rt, &descs, 4 * descs.len());
+    rt.wait_all();
+    fill(&mut rt, &descs);
+    let (t0, occ0) = (rt.now(), rt.warp_occupancy());
+    let done_before = rt.report().tasks;
+    let until = t0 + Dur::from_us(1_000);
+    let before = allocs();
+    rt.advance_to(until);
+    let spent = allocs() - before;
+    let finished = rt.report().tasks - done_before;
+    // Mean running warps per SMM over the window, from the device's
+    // occupancy integral (64 warp slots per SMM).
+    let (t1, occ1) = (rt.now(), rt.warp_occupancy());
+    let integral = occ1 * t1.as_ps() as f64 - occ0 * t0.as_ps() as f64;
+    let width = 64.0 * integral / (t1 - t0).as_ps() as f64;
+    println!(
+        "slice: {finished} tasks finished, {width:.1} running warps per SMM, {spent} allocations"
+    );
+    // Measured: 113 tasks at 36.7 warps per SMM, `serve_netmix`'s width.
+    assert!(finished >= 100, "{finished} tasks finished in the window");
+    assert!(width >= 30.0, "{width:.1} running warps per SMM");
     assert_eq!(
         spent, 0,
         "{spent} allocations while {finished} tasks were delivered"
