@@ -200,6 +200,11 @@ if [ "${PAGODA_CHECK_EXTENDED:-0}" = 1 ]; then
     # that loses every device, and most single hostile serving axes,
     # come up only now and then at 128 (about a second at 1024).
     run env PROPTEST_CASES=1024 cargo test -q --offline --test hostile_config
+    # A task of 2 500 simulated seconds waited on at the default 20 µs
+    # polling slice: 1.25 × 10⁸ polls, none of them a stall, since a
+    # blocking loop stops on a device with nothing left to do, not on a
+    # poll count (about 4 s of polling in a release build).
+    run_named cargo test -q --release --offline --test pagoda_semantics -- --ignored
     # The shape claims of EXPERIMENTS.md that a 512-task run cannot reach
     # (Fig. 6 past 512 tasks, Fig. 10's plateau, the geomean bands),
     # asserted over every figure's points at paper scale.

@@ -684,9 +684,9 @@ impl ClusterHandle {
                         if self.mutation == Some(Mutation::DropResubmit) && !dropped_one {
                             // Seeded bug: the task vanishes — no queue
                             // entry, no loss record, no Freed event.
-                            // `unresolved` still drops so the run
-                            // terminates; only end-of-run conservation
-                            // can see the hole.
+                            // `unresolved` still drops, as on a loss, so
+                            // no wait is left polling for it; only
+                            // end-of-run conservation can see the hole.
                             dropped_one = true;
                             self.resolve(key, Status::Lost { at, attempts });
                             continue;
@@ -751,15 +751,25 @@ impl ClusterHandle {
     }
 
     /// Runs the fleet until every issued task is done or lost.
+    ///
+    /// # Panics
+    /// Where a device's own [`sync`](Backend::sync) does, on a task that
+    /// can never finish there.
     pub fn wait_all(&mut self) {
-        let mut iterations = 0u64;
-        while self.unresolved > 0 {
+        self.poll_until(|fleet| fleet.unresolved == 0);
+    }
+
+    /// The fleet's one blocking loop, behind [`ClusterHandle::wait_all`]
+    /// and [`Backend::wait`]: sync, then idle the fleet by its polling
+    /// slice, until `done`. A stall stops it in the stalled device's
+    /// `sync`: every unresolved task is queued for resubmission or
+    /// outstanding on a live device, so the fleet itself cannot stall.
+    fn poll_until(&mut self, done: impl Fn(&Self) -> bool) {
+        while !done(self) {
             self.sync();
-            if self.unresolved > 0 {
+            if !done(self) {
                 self.advance_to(self.fleet_now + self.wait_timeout);
             }
-            iterations += 1;
-            assert!(iterations < 100_000_000, "cluster wait_all livelocked");
         }
     }
 
@@ -873,18 +883,8 @@ impl Backend for ClusterHandle {
     /// fleet by its polling slice, until `key` is done or lost.
     fn wait(&mut self, key: u64) -> Result<SimTime, PagodaError> {
         self.task(key)?;
-        let mut iterations = 0u64;
-        loop {
-            if let Some(outcome) = self.outcome(key) {
-                return outcome;
-            }
-            self.sync();
-            if self.outcome(key).is_none() {
-                self.advance_to(self.fleet_now + self.wait_timeout);
-            }
-            iterations += 1;
-            assert!(iterations < 100_000_000, "cluster wait livelocked");
-        }
+        self.poll_until(|fleet| fleet.outcome(key).is_some());
+        self.outcome(key).expect("polled until resolved")
     }
 
     fn observed_done(&self, key: u64) -> bool {
@@ -931,7 +931,7 @@ impl Backend for ClusterHandle {
     /// completion observed, then a drain of the resubmission queue onto
     /// devices with room, in the merge order the module doc sets out.
     /// Costs simulated time on each device, like a single runtime's
-    /// sync.
+    /// sync; a device whose task can never finish panics in its own.
     fn sync(&mut self) {
         // The mark precedes the batch: everything applied before the
         // next mark belongs to this sync point, and (gate honored) maps
@@ -1090,7 +1090,8 @@ mod tests {
         let before = submit_batch(&mut fleet, 32);
         fleet.advance_to(SimTime::from_us(10));
         assert_eq!(fleet.report().kills, 2);
-        // A blocking spawn used to retry here until its livelock guard.
+        // A dead fleet has no table to fill: each blocking spawn
+        // returns at once, its task lost.
         let after = submit_batch(&mut fleet, 8);
         for &k in &after {
             assert_eq!(fleet.status(k).unwrap(), TaskStatus::Lost);

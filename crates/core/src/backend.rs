@@ -43,10 +43,9 @@ pub trait Backend {
     /// be — before any simulated time is spent.
     ///
     /// # Panics
-    /// After 100 000 000 retries: a backend that never frees an entry
-    /// would otherwise spin forever.
+    /// Where the backend's [`Backend::sync`] does: on the first round
+    /// after which no entry can ever be freed.
     fn spawn_blocking(&mut self, tenant: u32, mut desc: TaskDesc) -> Result<u64, TaskError> {
-        let mut iterations = 0u64;
         loop {
             match self.submit(tenant, desc) {
                 Ok(key) => return Ok(key),
@@ -60,8 +59,6 @@ pub trait Backend {
                 }
                 Err(SubmitError::Invalid(e)) => return Err(e),
             }
-            iterations += 1;
-            assert!(iterations < 100_000_000, "blocking spawn livelocked");
         }
     }
 
@@ -118,6 +115,13 @@ pub trait Backend {
 
     /// Refreshes the host view of completions (the §4.2.2 aggregate
     /// copy-back, fleet-wide for a cluster). Costs simulated time.
+    ///
+    /// # Panics
+    /// If, after the refresh, a task is still unresolved that nothing
+    /// can ever resolve: its device has no event left before
+    /// [`SimTime::MAX`] and the host has no write left that could change
+    /// that. A loop that syncs every round therefore stops on the round
+    /// it stalls.
     fn sync(&mut self);
 
     /// The polling slice loops idle for when blocked on capacity.

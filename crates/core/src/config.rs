@@ -151,9 +151,9 @@ pub const MAX_ROWS_PER_COLUMN: u32 = 1024;
 
 /// Lower bound on the `wait`/`waitAll` polling timeout. A fleet moves its
 /// clock one slice per poll, and a poll costs device time, not fleet
-/// time: at 1 ps a fleet's `wait_all` crawls to the blocking loops'
-/// 100 M-iteration livelock guard. At 1 µs the guard is 100 s of
-/// simulated time away.
+/// time: at zero a fleet's clock never moves, so a completion gated
+/// behind it never comes due, and at 1 ps a fleet's `wait_all` takes
+/// 10⁶ polls per simulated microsecond.
 pub const MIN_WAIT_TIMEOUT: Dur = Dur::from_us(1);
 
 /// Why a configuration was rejected — by [`PagodaConfig::validate`] for a
@@ -171,9 +171,9 @@ pub enum ConfigError {
         /// The cap.
         max: u32,
     },
-    /// `wait_timeout` is below [`MIN_WAIT_TIMEOUT`]: `wait`/`waitAll`
-    /// would poll without advancing time (zero), or a fleet would crawl
-    /// to the livelock guard one sub-µs slice at a time.
+    /// `wait_timeout` is below [`MIN_WAIT_TIMEOUT`]: a fleet's
+    /// `wait`/`waitAll` would poll without moving its clock (zero), or
+    /// crawl one sub-µs slice at a time.
     WaitTimeoutTooShort {
         /// Requested timeout.
         timeout: Dur,

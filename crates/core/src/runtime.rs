@@ -348,16 +348,17 @@ impl PagodaRuntime {
 
     /// `waitAll`: blocks until every spawned task completes, using bulk
     /// copy-backs — until the CPU's view of the TaskTable is empty.
+    ///
+    /// # Panics
+    /// On the first poll after which no held entry can ever be freed.
     pub fn wait_all(&mut self) {
         self.flush_last();
         let total = self.cfg.total_entries() as usize;
-        let mut iterations = 0u64;
         while self.cpu_table.free_entries() < total {
             self.host_advance(self.cfg.wait_timeout);
             self.copyback_all();
             self.flush_last();
-            iterations += 1;
-            assert!(iterations < 100_000_000, "wait_all livelocked");
+            self.assert_not_stalled("wait_all", None);
         }
         if self.last_output > self.host_now {
             self.host_advance_to(self.last_output);
@@ -433,18 +434,20 @@ impl Backend for PagodaRuntime {
 
     /// `wait`: blocks (simulated) until task `key` completes and its
     /// output copy has landed in host memory.
+    ///
+    /// # Panics
+    /// On the first poll after which `key` can never finish: the device
+    /// has nothing left to do, yet the task still holds its entry.
     fn wait(&mut self, key: u64) -> Result<SimTime, PagodaError> {
         self.tix(key)?;
         let t = TaskId(key);
         self.flush_last();
-        let mut iterations = 0u64;
         while self.holds_entry(t) {
             self.host_advance(self.cfg.wait_timeout);
             let e = self.rec(t).entry;
             self.copyback_entry(e);
             self.flush_last();
-            iterations += 1;
-            assert!(iterations < 100_000_000, "wait({t:?}) livelocked");
+            self.assert_not_stalled("wait", Some(t));
         }
         let out = self
             .rec(t)
@@ -494,6 +497,7 @@ impl Backend for PagodaRuntime {
     fn sync(&mut self) {
         self.flush_last();
         self.copyback_all();
+        self.assert_not_stalled("sync", None);
     }
 
     fn wait_timeout(&self) -> Dur {
@@ -670,6 +674,42 @@ impl PagodaRuntime {
     /// The parameters of the task holding entry `e`.
     fn desc(&self, e: EntryIndex) -> &TaskDesc {
         self.resident[self.eidx(e)].desc.as_ref().expect(NO_PARAMS)
+    }
+
+    /// Panics if the poll `call` just made left a task waiting for good:
+    /// `awaited` (or, for `None`, any task) still holds its entry after
+    /// the poll's copy-back, no final-task flush can still act, and the
+    /// device has nothing left to do ([`GpuDevice::is_idle`]), so nothing
+    /// can ever free the entry. A flush can act while the chain's tail is
+    /// not at `Ready::Ref`; a `Ref` tail waits for a chain update that
+    /// only its column's MTB makes, and an idle device makes none. A task
+    /// still running never stalls, however long it runs. O(1) unless it
+    /// panics.
+    fn assert_not_stalled(&self, call: &str, awaited: Option<TaskId>) {
+        let held = match awaited {
+            Some(t) => self.holds_entry(t),
+            None => self.cpu_table.free_entries() < self.cfg.total_entries() as usize,
+        };
+        if !held || !self.device.is_idle() {
+            return;
+        }
+        let flush_can_act = self.chain_open
+            && self.last_spawned.is_some_and(|lt| {
+                let e = self.tasks[(lt.0 - TaskId::FIRST.0) as usize].entry;
+                !matches!(self.gpu_table.get(e).ready, Ready::Ref(_))
+            });
+        if flush_can_act {
+            return;
+        }
+        let t = awaited.or_else(|| self.cpu_occupant.iter().find_map(|&t| t));
+        let t = t.expect("invariant: a held entry has an occupant");
+        let e = self.tasks[(t.0 - TaskId::FIRST.0) as usize].entry;
+        let (ready, idle, host) = (
+            self.gpu_table.get(e).ready,
+            self.device.now(),
+            self.host_now,
+        );
+        panic!("{call} stalled: {t:?} holds TaskTable entry {e:?}, {ready:?} on the GPU, and the device has had nothing to do since {idle:?} (host at {host:?})");
     }
 
     /// Advances the host clock by `d`, co-simulating the device.

@@ -99,14 +99,20 @@ impl TaskDesc {
     /// shared memory and no I/O — the common microbenchmark shape. Zero
     /// threads give a kernel with no work, which [`TaskDesc::validate`]
     /// rejects as [`TaskError::EmptyTask`].
+    ///
+    /// # Panics
+    /// If `work`'s CPI is not finite and at least 1
+    /// ([`gpu_sim::KernelError::BadCpi`]).
     pub fn uniform(threads: u32, work: gpu_sim::WarpWork) -> Self {
         let warps = threads.div_ceil(WARP_SIZE);
         let sync = work.barrier_count() > 0;
         let cpu_ops = work.total_instrs() * u64::from(warps);
         let block = (warps > 0).then(|| BlockWork::uniform(warps, work));
         TaskDesc {
-            kernel: Kernel::new(threads, 0, sync, Vec::from_iter(block))
-                .expect("uniform warps match their block and declare their barriers"),
+            kernel: Kernel::new(threads, 0, sync, Vec::from_iter(block)).expect(
+                "a CPI that is finite and at least 1 (uniform warps match their block and declare \
+                 their barriers)",
+            ),
             cpu_ops,
             input_bytes: 0,
             output_bytes: 0,

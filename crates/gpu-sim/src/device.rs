@@ -303,6 +303,14 @@ impl GpuDevice {
         self.engine.now()
     }
 
+    /// Whether nothing on the device can happen any more: no event before
+    /// [`SimTime::MAX`], where a warp whose work outlasts the clock has
+    /// its completion predicted. Only a host action — an assignment, a
+    /// launch, a timer — can change that.
+    pub fn is_idle(&self) -> bool {
+        self.engine.peek_time().is_none_or(|t| t == SimTime::MAX)
+    }
+
     /// The machine description.
     pub fn spec(&self) -> &GpuSpec {
         &self.cfg.spec
@@ -461,7 +469,8 @@ impl GpuDevice {
     /// at which something externally visible happens, and returns it:
     /// `out` is cleared, then holds that instant's notifications. Returns
     /// `None`, processing nothing past `bound`, when no such instant
-    /// exists; `SimTime::MAX` runs to quiescence. A host-side runtime
+    /// exists; `SimTime::MAX` runs until [`GpuDevice::is_idle`] (an event
+    /// at `SimTime::MAX` itself is never delivered). A host-side runtime
     /// passes its own clock so the device never runs ahead of the host
     /// instant being modelled.
     ///
@@ -472,6 +481,7 @@ impl GpuDevice {
     /// batch.)
     pub fn step_bounded_into(&mut self, bound: SimTime, out: &mut Vec<Notify>) -> Option<SimTime> {
         out.clear();
+        let bound = bound.min(SimTime::from_ps(u64::MAX - 1));
         while self.engine.peek_time().is_some_and(|t| t <= bound) {
             let (t, ev) = self.engine.pop().expect("peeked");
             if self.count_events {
@@ -1260,6 +1270,24 @@ mod tests {
         }
         assert_eq!(done, (0..10).collect::<Vec<_>>());
         assert_eq!(dev.kernels.len(), 1);
+    }
+
+    /// A warp whose work outlasts the clock has its completion predicted
+    /// at `SimTime::MAX`, which is never delivered: a run to
+    /// `SimTime::MAX` ends idle beside it, the kernel unfinished, while
+    /// a short kernel beside it still completes.
+    #[test]
+    fn work_past_the_end_of_the_clock_leaves_the_device_idle() {
+        let mut dev = GpuDevice::new(quiet_cfg());
+        assert!(dev.is_idle());
+        let huge = uniform(64, 1, WarpWork::compute(u64::MAX / 2, 1.0));
+        dev.launch_kernel(huge, 1).unwrap();
+        dev.launch_kernel(uniform(32, 1, WarpWork::compute(32_000, 4.0)), 2)
+            .unwrap();
+        assert!(!dev.is_idle());
+        assert_eq!(run_all(&mut dev).len(), 1);
+        assert!(dev.is_idle());
+        assert!(dev.now() < SimTime::MAX);
     }
 
     #[test]

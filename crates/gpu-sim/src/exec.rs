@@ -90,7 +90,7 @@
 use desim::SimTime;
 use gpu_arch::{GpuSpec, WARP_SIZE};
 
-use crate::work::{Segment, WarpWork};
+use crate::work::{assert_cpi, Segment, WarpWork};
 
 /// Handle to a warp context (one warp, or a run of identical warps; see
 /// the module doc). Stable until the context is retired; the slot it
@@ -449,7 +449,7 @@ impl ExecState {
         cpi: f64,
         tag: u64,
     ) {
-        assert!(cpi >= 1.0, "CPI below 1 is super-scalar fiction: {cpi}");
+        assert_cpi(cpi);
         let ctx = &mut self.warps[w.0 as usize];
         assert!(ctx.alive, "assigning to retired warp {w:?}");
         assert_eq!(ctx.state, WarpState::Idle, "warp {w:?} already has work");
@@ -568,7 +568,9 @@ impl ExecState {
                 best
             }
         };
-        Some(now + desim::Dur::from_ps(ceil_ps(best)))
+        // Saturates: a prediction past the end of the clock is
+        // `SimTime::MAX`, the instant no run reaches.
+        Some(SimTime::from_ps(now.as_ps().saturating_add(ceil_ps(best))))
     }
 
     /// Number of running warps on `sm`.
@@ -743,12 +745,12 @@ impl ExecState {
     }
 }
 
-/// `x.ceil() as u64` for a finite `x ≥ 0`, without the libm call the
-/// baseline x86-64 target makes of `ceil`: truncate, then step up iff
-/// that dropped a fraction.
+/// `x.ceil() as u64` for `x ≥ 0`, saturating at `u64::MAX` as the cast
+/// does, without the libm call the baseline x86-64 target makes of
+/// `ceil`: truncate, then step up iff that dropped a fraction.
 fn ceil_ps(x: f64) -> u64 {
     let whole = x as u64;
-    whole + u64::from((whole as f64) < x)
+    whole.saturating_add(u64::from((whole as f64) < x))
 }
 
 #[cfg(test)]
@@ -1145,6 +1147,9 @@ mod tests {
         }
         assert_eq!(ceil_ps(0.0), 0);
         assert_eq!(ceil_ps(f64::MIN_POSITIVE), 1);
+        for x in [2f64.powi(64), 1e300, f64::INFINITY] {
+            assert_eq!(ceil_ps(x), u64::MAX, "{x}");
+        }
     }
 
     /// Four warps handed one segment at one instant, then parting: `a`

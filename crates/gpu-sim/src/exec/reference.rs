@@ -172,7 +172,9 @@ impl RefExec {
             let dt = (c.remaining.max(0.0)) / rate;
             best = best.min(dt);
         }
-        Some(now + Dur::from_ps(best.ceil() as u64))
+        Some(SimTime::from_ps(
+            now.as_ps().saturating_add(best.ceil() as u64),
+        ))
     }
 
     fn sm_running(&self, sm: u32) -> u32 {

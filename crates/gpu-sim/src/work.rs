@@ -37,10 +37,28 @@ pub struct WarpWork {
     pub cpi: f64,
 }
 
+/// Whether `cpi` is a CPI a warp can run at: finite and at least 1
+/// (below 1 is super-scalar fiction; NaN or infinity never finishes).
+fn valid_cpi(cpi: f64) -> bool {
+    (1.0..f64::INFINITY).contains(&cpi)
+}
+
+/// Panics unless `cpi` is [`valid_cpi`].
+#[track_caller]
+pub(crate) fn assert_cpi(cpi: f64) {
+    assert!(
+        valid_cpi(cpi),
+        "CPI below 1 (super-scalar fiction) or not finite: {cpi}"
+    );
+}
+
 impl WarpWork {
     /// A single compute phase of `instrs` thread-instructions.
+    ///
+    /// # Panics
+    /// Panics unless `cpi` is finite and at least 1.
     pub fn compute(instrs: u64, cpi: f64) -> Self {
-        assert!(cpi >= 1.0, "CPI below 1 is super-scalar fiction: {cpi}");
+        assert_cpi(cpi);
         WarpWork {
             segments: vec![Segment::Compute(instrs)],
             cpi,
@@ -51,7 +69,7 @@ impl WarpWork {
     /// consecutive phases (the FilterBank / DCT pattern).
     pub fn phased(total_instrs: u64, phases: usize, cpi: f64) -> Self {
         assert!(phases > 0, "at least one phase");
-        assert!(cpi >= 1.0, "CPI below 1: {cpi}");
+        assert_cpi(cpi);
         let per = total_instrs / phases as u64;
         let mut rem = total_instrs - per * phases as u64;
         let mut segments = Vec::with_capacity(phases * 2 - 1);
@@ -275,6 +293,9 @@ pub enum KernelError {
     /// Blocks contain barriers but `sync` is false — on real hardware the
     /// kernel would synchronize on a barrier ID it never allocated.
     UndeclaredSync,
+    /// A warp's [`WarpWork::cpi`] is NaN, infinite or below 1: its work
+    /// would never finish, or finish faster than the issue rate allows.
+    BadCpi,
 }
 
 impl std::fmt::Display for KernelError {
@@ -286,6 +307,7 @@ impl std::fmt::Display for KernelError {
             KernelError::UndeclaredSync => {
                 write!(f, "kernel uses barriers but did not set the sync flag")
             }
+            KernelError::BadCpi => write!(f, "a warp's CPI is not a finite number of at least 1"),
         }
     }
 }
@@ -323,7 +345,9 @@ impl Kernel {
     /// # Errors
     /// [`KernelError::ShapeMismatch`] if a block does not have
     /// [`Kernel::warps_per_tb`] warps, [`KernelError::UndeclaredSync`] if
-    /// a block has barriers and `sync` is false.
+    /// a block has barriers and `sync` is false, [`KernelError::BadCpi`]
+    /// if a warp's CPI is not finite and at least 1 (checked once per run
+    /// of identical warps).
     pub fn new(
         threads_per_tb: u32,
         smem_per_tb: u32,
@@ -342,6 +366,9 @@ impl Kernel {
             }
             if !sync && b.barriers() > 0 {
                 return Err(KernelError::UndeclaredSync);
+            }
+            if !b.runs().all(|(w, _)| valid_cpi(w.cpi)) {
+                return Err(KernelError::BadCpi);
             }
         }
         Ok(Rc::new(kernel))

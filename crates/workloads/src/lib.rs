@@ -83,9 +83,9 @@ impl Default for GenOpts {
 impl GenOpts {
     /// The largest work scale a generator accepts. In-tree experiments
     /// use 0.05–16; at 1 000 the widest Mandelbrot tile runs about 0.08
-    /// simulated seconds, while far larger scales give tasks a runtime's
-    /// `wait_all` gives up on (≈ 7 500 simulated seconds at 1e8) or op
-    /// counts that saturate at `u64::MAX` and never finish (1e300).
+    /// simulated seconds. Far larger scales push op counts towards
+    /// `u64` saturation: at 1e300 every count is `u64::MAX`, a task
+    /// that never finishes.
     pub const MAX_WORK_SCALE: f64 = 1_000.0;
 
     /// Why no generator can build tasks from these knobs, if none can:

@@ -54,8 +54,8 @@ fn arb_config() -> impl Strategy<Value = PagodaConfig> {
             pcie.latency = Dur::from_us(5);
         }
         // A fleet polls its clock forward one slice at a time (each sync
-        // costs device time, not fleet time), so a 1 ps slice would crawl
-        // to the livelock guard: below 1 µs is a `ConfigError`.
+        // costs device time, not fleet time): a zero slice never moves
+        // it, and a 1 ps one crawls. Below 1 µs is a `ConfigError`.
         let waits = [
             Dur::ZERO,
             Dur::from_ps(1),
@@ -198,6 +198,32 @@ fn a_fleet_that_loses_every_device_resolves_every_task() {
             "{devices} device(s): nothing was lost"
         );
     }
+}
+
+/// A warp CPI that is NaN, infinite or below 1, in any run of a block,
+/// is a typed error where the kernel is built, so no descriptor carries
+/// it to `submit` and no simulated time is spent on it. (`WarpWork`'s
+/// fields are public; its builders panic on such a CPI.) An infinite one
+/// would otherwise run forever: its completion is predicted past the
+/// clock's end.
+#[test]
+fn a_cpi_no_warp_can_run_at_is_a_kernel_error() {
+    use pagoda::gpu_sim::KernelError;
+    let rt = PagodaRuntime::titan_x();
+    for cpi in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.5, 0.0, -1.0] {
+        let bad = WarpWork {
+            segments: vec![Segment::Compute(1_000)],
+            cpi,
+        };
+        let block = BlockWork::new([WarpWork::compute(1_000, 1.0), bad]);
+        assert_eq!(
+            Kernel::new(64, 0, false, [block]),
+            Err(KernelError::BadCpi),
+            "{cpi}"
+        );
+    }
+    assert_eq!((rt.now(), rt.spawned()), (SimTime::ZERO, 0));
+    assert!(std::panic::catch_unwind(|| WarpWork::compute(1_000, f64::INFINITY)).is_err());
 }
 
 proptest! {
